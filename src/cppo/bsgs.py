@@ -20,13 +20,13 @@ class StabilizerChain:
         # i.e. they fix base[:i] but move base[i] (or extend the base).
         self._gens_at: list[list[tuple]] = []
         self._transversals: list[dict[int, tuple]] = []
+        self._identity = identity_raw(degree)
 
     @classmethod
     def from_raw_generators(cls, degree: int, raw_gens) -> "StabilizerChain":
         chain = cls(degree)
-        ident = identity_raw(degree)
         for g in raw_gens:
-            if g != ident:
+            if g != chain._identity:
                 chain._insert(g)
         chain._schreier_sims()
         return chain
@@ -53,8 +53,7 @@ class StabilizerChain:
     def contains_raw(self, p: tuple) -> bool:
         if len(p) != self.degree:
             return False
-        r = self.sift(p)
-        return all(i == v for i, v in enumerate(r))
+        return self.sift(p) == self._identity
 
     def coset_representative(self, level: int, point: int) -> tuple | None:
         return self._transversals[level].get(point)
@@ -63,6 +62,14 @@ class StabilizerChain:
         return [len(t) for t in self._transversals]
 
     # -- construction -------------------------------------------------------
+
+    def extend(self, g: tuple) -> bool:
+        """Grow the chain to contain g; False when g is already a member."""
+        if self.contains_raw(g):
+            return False
+        self._insert(g)
+        self._schreier_sims()
+        return True
 
     def _level_gens(self, i: int) -> list[tuple]:
         out = []
@@ -73,7 +80,7 @@ class StabilizerChain:
     def _rebuild_transversal(self, i: int):
         base_pt = self.base[i]
         gens = self._level_gens(i)
-        trans = {base_pt: identity_raw(self.degree)}
+        trans = {base_pt: self._identity}
         frontier = [base_pt]
         while frontier:
             new_frontier = []
@@ -123,6 +130,6 @@ class StabilizerChain:
                 q = s[p]
                 schreier = mul_raw(mul_raw(u, s), inv_raw(trans[q]))
                 r = self.sift(schreier, start=i + 1)
-                if any(k != v for k, v in enumerate(r)):
+                if r != self._identity:
                     return self._insert(r)
         return None

@@ -135,10 +135,12 @@ def _cmd_verify_lemmas(args) -> int:
     return 0
 
 
-def _cmd_atlas(args) -> int:
-    if args.atlas_action == "list":
-        _emit("\n".join(catalog_names()) + "\n", args.out)
-        return 0
+def _cmd_atlas_list(args) -> int:
+    _emit("\n".join(catalog_names()) + "\n", args.out)
+    return 0
+
+
+def _cmd_atlas_build(args) -> int:
     built = build(args.id)
     g = built.group
     lines = [
@@ -196,50 +198,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full report on one group")
     p.add_argument("group", help="spec file path or atlas:<id>")
+    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify", help="run a verification suite")
     vsub = p.add_subparsers(dest="verify_what", required=True)
     vt = vsub.add_parser("theorems", help="theorem suite over a corpus")
     vt.add_argument("--corpus", default=None, help="corpus file (default: built-in)")
+    vt.set_defaults(func=_cmd_verify_theorems)
     vl = vsub.add_parser("lemmas", help="per-result instance checks")
     vl.add_argument("--ids", default=None, help="comma-separated lemma ids (default: all)")
     vl.add_argument("--seed", type=int, default=0)
+    vl.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("atlas", help="inspect the group catalog")
     asub = p.add_subparsers(dest="atlas_action", required=True)
-    asub.add_parser("list", help="catalog ids")
+    asub.add_parser("list", help="catalog ids").set_defaults(func=_cmd_atlas_list)
     ab = asub.add_parser("build", help="build one entry and print its facts")
     ab.add_argument("id")
+    ab.set_defaults(func=_cmd_atlas_build)
 
     p = sub.add_parser("tower", help="tower computations")
     tsub = p.add_subparsers(dest="tower_action", required=True)
     tf = tsub.add_parser("find", help="certify the maximum tower height")
     tf.add_argument("group", help="spec file path or atlas:<id>")
+    tf.set_defaults(func=_cmd_tower_find)
 
     p = sub.add_parser("commutators", help="the set of commutators of a group")
     p.add_argument("group", help="spec file path or atlas:<id>")
     p.add_argument("--orders-only", action="store_true")
+    p.set_defaults(func=_cmd_commutators)
     return parser
 
 
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "atlas": _cmd_atlas,
-    "commutators": _cmd_commutators,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            if args.verify_what == "theorems":
-                return _cmd_verify_theorems(args)
-            return _cmd_verify_lemmas(args)
-        if args.command == "tower":
-            return _cmd_tower_find(args)
-        return _DISPATCH[args.command](args)
+        return args.func(args)
     except (GroupError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

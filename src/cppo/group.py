@@ -377,17 +377,24 @@ class FiniteGroup:
     def trivial_subgroup(self) -> "Subgroup":
         return self._subgroup_raw([])
 
-    def _subgroup_from_raw_elements(self, raw_elems, name=None) -> "Subgroup":
-        """Reduce an element collection to a short generator list."""
+    def _closure_raw(self, raw_seeds, raw_conjugators) -> "Subgroup":
+        """Smallest subgroup containing the seeds and closed under the conjugators.
+
+        One chain grows element by element; the seeds and conjugates that
+        were new when met become the generators, in breadth-first order.
+        """
         chain = StabilizerChain(self.degree)
-        gens = []
-        ident = identity_raw(self.degree)
-        for x in sorted(raw_elems):
-            if x != ident and not chain.contains_raw(x):
-                chain._insert(x)
-                chain._schreier_sims()
-                gens.append(x)
-        return self._subgroup_raw(gens, name=name)
+        gens = [s for s in raw_seeds if chain.extend(s)]
+        for x in gens:
+            for c in raw_conjugators:
+                y = conj_raw(x, c)
+                if chain.extend(y):
+                    gens.append(y)
+        return self._subgroup_raw(gens)
+
+    def _subgroup_from_raw_elements(self, raw_elems) -> "Subgroup":
+        """Reduce an element collection to a short generator list."""
+        return self._closure_raw(sorted(raw_elems), ())
 
     def normal_closure(self, perms) -> "Subgroup":
         """Smallest normal subgroup of this group containing the given elements."""
@@ -400,35 +407,18 @@ class FiniteGroup:
         return self._normal_closure_raw(seeds)
 
     def _normal_closure_raw(self, raw_seeds) -> "Subgroup":
-        chain = StabilizerChain(self.degree)
-        gens = []
-        queue = []
-        for s in raw_seeds:
-            if not chain.contains_raw(s):
-                chain._insert(s)
-                chain._schreier_sims()
-                gens.append(s)
-                queue.append(s)
-        while queue:
-            x = queue.pop(0)
-            for g in self._raw_gens:
-                c = conj_raw(x, g)
-                if not chain.contains_raw(c):
-                    chain._insert(c)
-                    chain._schreier_sims()
-                    gens.append(c)
-                    queue.append(c)
-        return self._subgroup_raw(gens)
+        return self._closure_raw(raw_seeds, self._raw_gens)
 
     def derived_subgroup(self) -> "Subgroup":
         key = "derived"
         if key not in self._cache:
             gens = self._raw_gens
+            ident = identity_raw(self.degree)
             seeds = set()
             for i, a in enumerate(gens):
                 for b in gens[i + 1 :]:
                     c = comm_raw(a, b)
-                    if any(k != v for k, v in enumerate(c)):
+                    if c != ident:
                         seeds.add(c)
             self._cache[key] = self._normal_closure_raw(sorted(seeds))
         return self._cache[key]

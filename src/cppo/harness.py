@@ -255,13 +255,14 @@ def _report_from_doc(doc: dict) -> ClassificationReport:
     return ClassificationReport(**known)
 
 
-def reports_to_text(reports) -> str:
+def _to_text(**sections) -> str:
     """Canonical structured form: fixed key order, sorted nothing, newline end."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "reports": [_report_to_doc(r) for r in reports],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps({"schema_version": SCHEMA_VERSION, **sections}, indent=2) + "\n"
+
+
+def reports_to_text(reports) -> str:
+    """The reports alone, as persist_results writes them."""
+    return _to_text(reports=[_report_to_doc(r) for r in reports])
 
 
 def persist_results(reports, path) -> None:
@@ -297,29 +298,21 @@ def lemma_checks_to_doc(checks) -> list:
 
 
 def theorem_suite_to_text(suite: SuiteResult) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "reports": [_report_to_doc(r) for r in suite.reports],
-        "failures": suite.failures,
-        "skips": suite.skips,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _to_text(
+        reports=[_report_to_doc(r) for r in suite.reports],
+        failures=suite.failures,
+        skips=suite.skips,
+    )
 
 
 def lemma_suite_to_text(checks) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "lemma_checks": lemma_checks_to_doc(checks),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _to_text(lemma_checks=lemma_checks_to_doc(checks))
 
 
 def full_suite_to_text(result: FullSuiteResult) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "reports": [_report_to_doc(r) for r in result.theorems.reports],
-        "failures": result.theorems.failures,
-        "skips": result.theorems.skips,
-        "lemma_checks": lemma_checks_to_doc(result.lemmas),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _to_text(
+        reports=[_report_to_doc(r) for r in result.theorems.reports],
+        failures=result.theorems.failures,
+        skips=result.theorems.skips,
+        lemma_checks=lemma_checks_to_doc(result.lemmas),
+    )

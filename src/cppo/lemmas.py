@@ -195,9 +195,10 @@ def _heisenberg_with_flip():
 
 
 def _centralizer_raws(sub: Subgroup, action_raws):
+    ident = identity_raw(sub.degree)
     out = []
     for x in sub.group._raw_elements():
-        if all(comm_raw(x, a) == identity_raw(len(x)) for a in action_raws):
+        if all(comm_raw(x, a) == ident for a in action_raws):
             out.append(x)
     return out
 

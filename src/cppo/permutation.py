@@ -131,7 +131,7 @@ class Permutation:
         return self._img[point - 1] + 1
 
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self._img))
+        return self._img == identity_raw(len(self._img))
 
     def moved_points(self) -> list[int]:
         return [i + 1 for i, v in enumerate(self._img) if i != v]

@@ -20,7 +20,7 @@ from .errors import (
     NotSimpleError,
 )
 from .group import FiniteGroup, Subgroup, quotient_by_normal
-from .permutation import comm_raw, conj_raw, inv_raw, mul_raw, order_raw
+from .permutation import comm_raw, conj_raw, identity_raw, inv_raw, mul_raw, order_raw
 
 DEFAULT_CLASS_CAP = 60
 
@@ -76,6 +76,7 @@ def is_perfect(G: FiniteGroup) -> bool:
 
 
 def lower_central_series(G: FiniteGroup) -> SeriesChain:
+    ident = identity_raw(G.degree)
     terms = [_whole(G)]
     while True:
         cur = _as_group(terms[-1])
@@ -83,7 +84,7 @@ def lower_central_series(G: FiniteGroup) -> SeriesChain:
         for a in cur._raw_gens:
             for b in G._raw_gens:
                 c = comm_raw(a, b)
-                if any(k != v for k, v in enumerate(c)):
+                if c != ident:
                     seeds.add(c)
         nxt = G._normal_closure_raw(sorted(seeds))
         if nxt.order() == terms[-1].order():
@@ -128,19 +129,18 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     orders = _element_orders(G)
     p_elems = [x for x, o in zip(elems, orders) if o > 1 and p_part(o, p) == o]
     gens = [p_elems[0]]
-    chain = StabilizerChain.from_raw_generators(G.degree, gens)
+    chain = StabilizerChain(G.degree)
+    chain.extend(p_elems[0])
     while chain.order() < target:
-        extended = False
         for y in p_elems:
             if chain.contains_raw(y):
                 continue
             yi = inv_raw(y)
             if all(chain.contains_raw(mul_raw(mul_raw(yi, g), y)) for g in gens):
                 gens.append(y)
-                chain = StabilizerChain.from_raw_generators(G.degree, gens)
-                extended = True
+                chain.extend(y)
                 break
-        if not extended:
+        else:
             raise RuntimeError("sylow ascent stalled below the full p-part")
     return G._subgroup_raw(gens)
 
@@ -192,8 +192,11 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
     The stationary term is the soluble radical for every G, soluble or not:
     a minimal soluble normal subgroup above it would be elementary abelian
     and so would show up inside a nontrivial Fitting subgroup of the
-    quotient.
+    quotient.  The series is computed once per group and cached on it.
     """
+    key = "upper_fitting"
+    if key in G._cache:
+        return G._cache[key]
     terms = [G.trivial_subgroup()]
     while True:
         q = quotient_by_normal(G, terms[-1])
@@ -207,7 +210,8 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
         if pulled.order() == terms[-1].order():
             break
         terms.append(pulled)
-    return SeriesChain("upper_fitting", terms)
+    G._cache[key] = SeriesChain("upper_fitting", terms)
+    return G._cache[key]
 
 
 def fitting_height(G: FiniteGroup) -> int:
@@ -217,10 +221,7 @@ def fitting_height(G: FiniteGroup) -> int:
 
 
 def soluble_radical(G: FiniteGroup) -> Subgroup:
-    key = "radical"
-    if key not in G._cache:
-        G._cache[key] = upper_fitting_series(G).terms[-1]
-    return G._cache[key]
+    return upper_fitting_series(G).terms[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def frattini_of_p_group(P) -> Subgroup:
         raise NotPGroupError("frattini shortcut applies to p-groups only")
     p = fact[0][0]
     gens = set(group.derived_subgroup().group._raw_gens)
-    ident = tuple(range(group.degree))
+    ident = identity_raw(group.degree)
     for x in group._raw_elements():
         y = x
         for _ in range(p - 1):
@@ -305,6 +306,7 @@ def normal_subgroups(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> list
         if len(classes) > class_cap:
             raise ClassCapError(len(classes), class_cap)
         reps = [c.rep for c in classes]
+        ident = identity_raw(G.degree)
 
         def signature(sub: Subgroup):
             chain = sub.group.chain()
@@ -315,7 +317,7 @@ def normal_subgroups(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> list
         found[signature(triv)] = triv
         atoms = []
         for r in reps:
-            if any(k != v for k, v in enumerate(r)):
+            if r != ident:
                 sub = G._normal_closure_raw([r])
                 sig = signature(sub)
                 atoms.append((sig, sub))

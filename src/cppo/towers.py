@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .arith import factorization
-from .bsgs import StabilizerChain
 from .errors import InsolubleError, TowerDefectError
 from .group import FiniteGroup, Subgroup, quotient_by_normal
 from .permutation import (
@@ -161,36 +160,19 @@ def validate_tower(t: Tower) -> TowerValidity:
 
 def _closure_under_conjugation(ambient, seed_raws, conjugator_raws):
     """Smallest subgroup containing the seeds closed under the given conjugators."""
-    chain = StabilizerChain(ambient.degree)
-    gens = []
-    queue = []
-    for s in seed_raws:
-        if not chain.contains_raw(s):
-            chain._insert(s)
-            chain._schreier_sims()
-            gens.append(s)
-            queue.append(s)
-    while queue:
-        x = queue.pop(0)
-        for c in conjugator_raws:
-            y = conj_raw(x, c)
-            if not chain.contains_raw(y):
-                chain._insert(y)
-                chain._schreier_sims()
-                gens.append(y)
-                queue.append(y)
-    return ambient._subgroup_raw(gens)
+    return ambient._closure_raw(seed_raws, conjugator_raws)
 
 
 def _commutator_span(ambient, action_raws, target: FiniteGroup):
     """[A, T]: generated by commutators of the action gens with target elements,
     closed under conjugation by both sides.  Lands inside the target when the
     action gens normalize it."""
+    ident = identity_raw(ambient.degree)
     seeds = set()
     for h in action_raws:
         for y in target._raw_gens:
             c = comm_raw(h, y)
-            if any(k != v for k, v in enumerate(c)):
+            if c != ident:
                 seeds.add(c)
     return _closure_under_conjugation(
         ambient, sorted(seeds), list(action_raws) + list(target._raw_gens)

@@ -3,7 +3,8 @@
 import random
 
 from cppo.bsgs import StabilizerChain
-from cppo.permutation import identity_raw, mul_raw
+from cppo.group import FiniteGroup
+from cppo.permutation import Permutation, conj_raw, identity_raw, mul_raw
 
 
 def enumerate_raw(degree, gens):
@@ -78,14 +79,17 @@ def test_chain_orders_multiply_along_orbits():
 def test_incremental_extension():
     chain = StabilizerChain(4)
     assert chain.order() == 1
-    chain._insert((1, 0, 2, 3))
-    chain._schreier_sims()
+    assert chain.extend((1, 0, 2, 3))
     assert chain.order() == 2
-    chain._insert((0, 1, 3, 2))
-    chain._schreier_sims()
+    assert chain.extend((0, 1, 3, 2))
     assert chain.order() == 4
-    chain._insert((1, 2, 3, 0))
-    chain._schreier_sims()
+    # already a member: the product of the two transpositions, and the identity
+    assert not chain.extend((1, 0, 3, 2))
+    assert not chain.extend((0, 1, 2, 3))
+    assert chain.order() == 4
+    assert chain.extend((1, 2, 3, 0))
+    assert chain.order() == 24
+    assert not chain.extend((3, 2, 1, 0))
     assert chain.order() == 24
 
 
@@ -115,3 +119,28 @@ def test_random_subgroups_of_s6_agree_with_enumeration():
             gens.append(tuple(images))
         chain = StabilizerChain.from_raw_generators(degree, gens)
         assert chain.order() == len(enumerate_raw(degree, gens))
+
+
+def _brute_normal_closure(degree, ambient_gens, seeds):
+    """The subgroup generated by every conjugate of the seeds, by enumeration."""
+    ambient = enumerate_raw(degree, ambient_gens)
+    conjugates = {conj_raw(s, g) for s in seeds for g in ambient}
+    return enumerate_raw(degree, sorted(conjugates))
+
+
+def test_closure_matches_brute_force_normal_closure_in_s6():
+    rng = random.Random(11)
+    degree = 6
+
+    def random_perm():
+        images = list(range(degree))
+        rng.shuffle(images)
+        return tuple(images)
+
+    for _ in range(20):
+        ambient_gens = [random_perm() for _ in range(rng.randint(1, 2))]
+        group = FiniteGroup([Permutation([v + 1 for v in g]) for g in ambient_gens])
+        elems = sorted(enumerate_raw(degree, ambient_gens))
+        seeds = [rng.choice(elems) for _ in range(rng.randint(1, 2))]
+        closure = group._closure_raw(seeds, group._raw_gens)
+        assert closure.order() == len(_brute_normal_closure(degree, ambient_gens, seeds))

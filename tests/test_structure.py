@@ -299,6 +299,13 @@ def test_upper_fitting_series_of_s4():
     assert [t.order() for t in upper_fitting_series(s4()).terms] == [1, 4, 12, 24]
 
 
+def test_upper_fitting_series_is_built_once_per_group():
+    group = s4()
+    series = upper_fitting_series(group)
+    assert upper_fitting_series(group) is series
+    assert soluble_radical(group) is series.terms[-1]
+
+
 def test_lower_central_series_and_gamma_infinity():
     assert [t.order() for t in lower_central_series(d8()).terms] == [8, 2, 1]
     assert gamma_infinity(s4()).order() == 12
