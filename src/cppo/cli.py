@@ -26,9 +26,9 @@ from .harness import (
     reports_to_text,
     run_lemma_suite,
     run_theorem_suite,
+    skipped_fields,
     theorem_suite_to_text,
 )
-from .lemmas import REGISTRY
 from .towers import find_max_tower, tower_to_data
 
 
@@ -83,7 +83,9 @@ def _cmd_classify(args) -> int:
         _emit(reports_to_text([rep]), args.out)
     else:
         _emit(_report_lines(rep), args.out)
-    return 1 if "fail" in (rep.theorem1, rep.theorem2) else 0
+    if "fail" in (rep.theorem1, rep.theorem2) or (args.strict and skipped_fields(rep)):
+        return 1
+    return 0
 
 
 def _cmd_verify_theorems(args) -> int:

@@ -151,6 +151,11 @@ class FiniteGroup:
     def same_group_as(self, other: "FiniteGroup") -> bool:
         return self.order() == other.order() and self.contains_group(other)
 
+    def normalized_by(self, raw_gens) -> bool:
+        """Whether every given permutation conjugates this group into itself."""
+        chain = self.chain()
+        return all(chain.contains_raw(conj_raw(x, g)) for g in raw_gens for x in self._raw_gens)
+
     # -- enumeration --------------------------------------------------------
 
     def _raw_elements(self) -> list[tuple]:
@@ -222,6 +227,15 @@ class FiniteGroup:
         return [
             ConjugacyClass(Permutation._from_raw(c.rep), c.members) for c in self._raw_classes()
         ]
+
+    def _conjugate_gen_sets(self, raw_gens):
+        """The distinct sorted tuples of conjugates of raw_gens, in element order."""
+        seen = set()
+        for c in self._raw_elements():
+            gens = tuple(sorted(conj_raw(x, c) for x in raw_gens))
+            if gens not in seen:
+                seen.add(gens)
+                yield gens
 
     def _class_conjugator(self, rep: tuple, target: tuple) -> tuple:
         """Some g with rep^g = target, retraced through the class orbit."""
@@ -390,7 +404,9 @@ class FiniteGroup:
                 y = conj_raw(x, c)
                 if chain.extend(y):
                     gens.append(y)
-        return self._subgroup_raw(gens)
+        sub = self._subgroup_raw(gens)
+        sub.group._chain = chain
+        return sub
 
     def _subgroup_from_raw_elements(self, raw_elems) -> "Subgroup":
         """Reduce an element collection to a short generator list."""
@@ -544,6 +560,11 @@ class QuotientGroup(FiniteGroup):
             return q
         return Permutation._from_raw(self._reps[q.raw[0]])
 
+    def preimage_gens(self, sub) -> list[tuple]:
+        """Raw generators of the source subgroup that maps onto sub: the kernel
+        generators, then a lift of each generator of sub."""
+        return self.kernel.group._raw_gens + [self.lift(g).raw for g in sub.group.generators]
+
 
 def quotient_by_normal(G: FiniteGroup, N, name=None) -> QuotientGroup:
     """The quotient G/N as a permutation group on the right cosets of N.
@@ -558,10 +579,8 @@ def quotient_by_normal(G: FiniteGroup, N, name=None) -> QuotientGroup:
     else:
         ngroup = N
         nsub = Subgroup(G, ngroup)
-    for g in G._raw_gens:
-        for n in ngroup._raw_gens:
-            if not ngroup.chain().contains_raw(conj_raw(n, g)):
-                raise NotNormalError("the given subgroup is not normal in the group")
+    if not ngroup.normalized_by(G._raw_gens):
+        raise NotNormalError("the given subgroup is not normal in the group")
 
     if ngroup.is_trivial():
         return QuotientGroup(

@@ -23,11 +23,9 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .arith import factorization, prime_factors
-from .atlas import build, load_group_spec
+from .atlas import load_group_spec
 from .errors import (
     EnumerationCapError,
-    GroupError,
-    InsolubleError,
     NotSimpleError,
     SchemaError,
     TowerDefectError,
@@ -48,6 +46,16 @@ SCHEMA_VERSION = 1
 
 def _skip_marker(cap: int) -> str:
     return "skipped: too large (cap=%d)" % cap
+
+
+# the insoluble-group block, which needs R(G)
+_DERIVED_RADICAL_FIELDS = (
+    "second_derived_equals_derived",
+    "derived_radical_order",
+    "derived_radical_is_2_group",
+    "derived_radical_closure_order",
+    "simple_quotient",
+)
 
 
 @dataclass
@@ -89,8 +97,9 @@ def classify(G: FiniteGroup, name: str | None = None, cap: int | None = None) ->
     """A full structural report on one group.
 
     Fields that need element or class enumeration are skipped past the cap
-    (the group's own enumeration cap unless one is given) instead of
-    failing; skipped verdicts leave the theorem fields not_applicable.
+    (the group's own enumeration cap unless one is given), and past the
+    group's own cap in any case, instead of failing; skipped verdicts leave
+    the theorem fields not_applicable.
     """
     cap = G.cap if cap is None else cap
     order = G.order()
@@ -104,12 +113,19 @@ def classify(G: FiniteGroup, name: str | None = None, cap: int | None = None) ->
     derived = G.derived_subgroup()
     r.derived_order = derived.order()
     r.derived_primes = prime_factors(derived.order())
-    r.radical_order = soluble_radical(G).order()
+    # R(G) comes from the upper Fitting series, which enumerates G.  Past
+    # G's own cap it is skipped together with every field that needs G's
+    # elements; below it, nothing else here can hit that cap.
+    radical = skipped = None
+    try:
+        radical = soluble_radical(G)
+    except EnumerationCapError as e:
+        skipped = _skip_marker(e.cap)
+    r.radical_order = skipped or radical.order()
 
-    too_big = order > cap
-    if too_big:
-        r.is_eppo = _skip_marker(cap)
-        r.is_cppo = _skip_marker(cap)
+    elements_skipped = _skip_marker(cap) if order > cap else skipped
+    if elements_skipped:
+        r.is_eppo = r.is_cppo = elements_skipped
     else:
         r.is_eppo = G.is_eppo()
         cw = G.cppo_witness()
@@ -127,9 +143,9 @@ def classify(G: FiniteGroup, name: str | None = None, cap: int | None = None) ->
                 r.derived_is_eppo = derived.group.is_eppo()
 
     if r.is_soluble:
-        r.fitting_height = fitting_height(G)
-        if too_big:
-            r.tower_height = _skip_marker(cap)
+        r.fitting_height = skipped or fitting_height(G)
+        if elements_skipped:
+            r.tower_height = elements_skipped
         else:
             try:
                 h, tower = find_max_tower(G)
@@ -137,6 +153,9 @@ def classify(G: FiniteGroup, name: str | None = None, cap: int | None = None) ->
                 r.tower_witness = tower_to_data(tower)
             except (TowerDefectError, EnumerationCapError) as e:
                 r.tower_height = "defect: %s" % e
+    elif skipped:
+        for fld in _DERIVED_RADICAL_FIELDS:
+            setattr(r, fld, skipped)
     else:
         second = derived.group.derived_subgroup()
         r.second_derived_equals_derived = second.order() == derived.order()
@@ -145,9 +164,7 @@ def classify(G: FiniteGroup, name: str | None = None, cap: int | None = None) ->
         r.derived_radical_is_2_group = len(factorization(drad.order())) <= 1 and (
             drad.order() == 1 or factorization(drad.order())[0][0] == 2
         )
-        closure = _commutator_span(
-            G, list(derived.group._raw_gens), soluble_radical(G).group
-        )
+        closure = _commutator_span(G, list(derived.group._raw_gens), radical.group)
         r.derived_radical_closure_order = closure.order()
         if derived.order() // drad.order() > cap:
             r.simple_quotient = _skip_marker(cap)
@@ -171,6 +188,15 @@ def classify(G: FiniteGroup, name: str | None = None, cap: int | None = None) ->
             )
             r.theorem2 = "pass" if ok else "fail"
     return r
+
+
+def skipped_fields(rep: ClassificationReport) -> list:
+    """(field, skip marker) for each report field skipped past a cap, in field order."""
+    return [
+        (fld, v)
+        for fld, v in vars(rep).items()
+        if fld != "name" and isinstance(v, str) and v.startswith("skipped")
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +226,7 @@ def run_theorem_suite(documents, cap: int | None = None, strict: bool = False) -
         for verdict, label in ((rep.theorem1, "theorem1"), (rep.theorem2, "theorem2")):
             if verdict == "fail":
                 failures.append("%s: %s violated" % (rep.name, label))
-        for fld in ("is_eppo", "is_cppo", "derived_is_eppo", "tower_height", "simple_quotient"):
-            v = getattr(rep, fld)
-            if isinstance(v, str) and v.startswith("skipped"):
-                skips.append("%s: %s %s" % (rep.name, fld, v))
+        skips.extend("%s: %s %s" % (rep.name, fld, v) for fld, v in skipped_fields(rep))
     if strict:
         failures = failures + ["strict: " + s for s in skips]
     return SuiteResult(reports, failures, skips)

@@ -51,6 +51,7 @@ from .towers import (
     _commutator_span,
     _p_subgroup_candidates,
     find_max_tower,
+    quotient_tower,
     validate_tower,
 )
 
@@ -283,11 +284,8 @@ def _comm_sub(amb, a_sub: Subgroup, g_sub: Subgroup) -> Subgroup:
 def _check_action_preconditions(amb, g_sub, a_sub):
     if not _coprime(a_sub, g_sub):
         raise GroupError("instance is not coprime")
-    chain = g_sub.group.chain()
-    for a in a_sub.group._raw_gens:
-        for x in g_sub.group._raw_gens:
-            if not chain.contains_raw(conj_raw(x, a)):
-                raise GroupError("acting subgroup fails to normalize the instance")
+    if not g_sub.group.normalized_by(a_sub.group._raw_gens):
+        raise GroupError("acting subgroup fails to normalize the instance")
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +416,9 @@ def check_cc_vi(seed=0):
 
 def _invariant_conjugate(amb, g: Subgroup, syl: Subgroup, a: Subgroup):
     """Some g-conjugate of the Sylow subgroup fixed by the acting subgroup."""
-    base = syl.group._raw_gens
-    seen = set()
-    for c in g.group._raw_elements():
-        gens = tuple(sorted(conj_raw(x, c) for x in base))
-        if gens in seen:
-            continue
-        seen.add(gens)
+    for gens in g.group._conjugate_gen_sets(syl.group._raw_gens):
         cand = amb._subgroup_raw(list(gens))
-        chain = cand.group.chain()
-        if all(
-            chain.contains_raw(conj_raw(x, ag))
-            for ag in a.group._raw_gens
-            for x in gens
-        ):
+        if cand.group.normalized_by(a.group._raw_gens):
             return cand
     return None
 
@@ -547,8 +534,7 @@ def check_autoofextra(seed=0):
 
     def verify(tag, P, phi_raw, ambient):
         # the automorphism must normalize P and centralize exactly the frattini part
-        chain = P.chain()
-        if not all(chain.contains_raw(conj_raw(x, phi_raw)) for x in P._raw_gens):
+        if not P.normalized_by([phi_raw]):
             raise GroupError("automorphism fails to normalize the instance")
         if math.gcd(order_raw(phi_raw), P.order()) != 1:
             raise GroupError("automorphism order is not coprime")
@@ -872,13 +858,12 @@ def _find_covered_elem_abelian(g: FiniteGroup, qprime: int):
     ]
     elems = g._raw_elements()
     for cand in candidates[:40]:
-        chain = cand.group.chain()
         size = cand.order()
         for a in elems:
             o = order_raw(a)
             if o == 1 or not is_prime_power(o) or o % qprime == 0:
                 continue
-            if not all(chain.contains_raw(conj_raw(x, a)) for x in cand.group._raw_gens):
+            if not cand.group.normalized_by([a]):
                 continue
             span = _commutator_span(g, [a], cand.group)
             if span.order() == size:
@@ -952,11 +937,7 @@ def check_casolo_quotient(seed=0):
                 continue
             taken += 1
             quo = quotient_by_normal(g, n)
-            image_stages = []
-            for p, s in tower.stages[:-1]:
-                gens = [quo.project(x) for x in s.generators]
-                image_stages.append((p, quo.subgroup(gens)))
-            img = Tower(quo, image_stages)
+            img = quotient_tower(Tower(g, tower.stages[:-1]), quo)
             ok = validate_tower(img).valid
             out.append(
                 LemmaCheck(

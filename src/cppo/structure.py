@@ -8,7 +8,7 @@ the eight simple groups whose elements all have prime-power order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import factorization, is_prime, p_part
 from .bsgs import StabilizerChain
@@ -142,7 +142,9 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
                 break
         else:
             raise RuntimeError("sylow ascent stalled below the full p-part")
-    return G._subgroup_raw(gens)
+    sub = G._subgroup_raw(gens)
+    sub.group._chain = chain
+    return sub
 
 
 def p_core(G: FiniteGroup, p: int) -> Subgroup:
@@ -201,10 +203,7 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
     while True:
         q = quotient_by_normal(G, terms[-1])
         fq = fitting_subgroup(q)
-        lifted = list(terms[-1].group._raw_gens)
-        for g in fq.group.generators:
-            lifted.append(q.lift(g).raw)
-        pulled = G._subgroup_raw(lifted)
+        pulled = G._subgroup_raw(q.preimage_gens(fq))
         if pulled.order() != terms[-1].order() * fq.order():
             raise RuntimeError("pullback of a quotient Fitting subgroup went wrong")
         if pulled.order() == terms[-1].order():

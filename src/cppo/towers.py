@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .arith import factorization
 from .errors import InsolubleError, TowerDefectError
-from .group import FiniteGroup, Subgroup, quotient_by_normal
+from .group import FiniteGroup, quotient_by_normal
 from .permutation import (
     Permutation,
     comm_raw,
@@ -29,7 +29,6 @@ from .permutation import (
     parse_permutation,
 )
 from .structure import (
-    fitting_height,
     frattini_of_p_group,
     is_soluble,
     p_core,
@@ -68,11 +67,8 @@ class Tower:
             for j in range(i + 1, len(self.stages)):
                 upper = self.stages[i][1]
                 lower = self.stages[j][1]
-                chain = lower.group.chain()
-                for g in upper.group._raw_gens:
-                    for x in lower.group._raw_gens:
-                        if not chain.contains_raw(conj_raw(x, g)):
-                            return 2, "stage %d does not normalize stage %d" % (i + 1, j + 1)
+                if not lower.group.normalized_by(upper.group._raw_gens):
+                    return 2, "stage %d does not normalize stage %d" % (i + 1, j + 1)
         for i in range(len(self.stages) - 1):
             if self.stages[i][0] == self.stages[i + 1][0]:
                 return 4, "stages %d and %d share the prime %d" % (
@@ -327,10 +323,7 @@ def is_irreducible_tower(t: Tower, elementary_cap: int = 256) -> IrreducibilityR
     for i, ((p, sub), q) in enumerate(zip(t.stages, quotients)):
         # (4) invariant closures of elements outside the frattini preimage fill the stage
         frat = frattini_of_p_group(q)
-        pre_gens = list(kernels[i].group._raw_gens)
-        for fgen in frat.group.generators:
-            pre_gens.append(q.lift(fgen).raw)
-        pre = t.ambient._subgroup_raw(pre_gens)
+        pre = t.ambient._subgroup_raw(q.preimage_gens(frat))
         pre_chain = pre.group.chain()
         conjugators = []
         for j in range(i):
@@ -476,19 +469,7 @@ def tower_probe(G: FiniteGroup, min_height: int, order_cap: int = 500):
             if p == last_prime:
                 continue
             for cand in candidates[p]:
-                ok = True
-                for _, above in stages:
-                    chain = cand.group.chain()
-                    for g in above.group._raw_gens:
-                        for x in cand.group._raw_gens:
-                            if not chain.contains_raw(conj_raw(x, g)):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
+                if not all(cand.group.normalized_by(above.group._raw_gens) for _, above in stages):
                     continue
                 found = extend(stages + [(p, cand)])
                 if found is not None:
@@ -542,11 +523,8 @@ def find_max_tower(G: FiniteGroup):
                 below_term = series.terms[lvl - 1]
                 q = quotient_by_normal(G, below_term)
                 core = p_core(q, p)
-                pre_gens = list(below_term.group._raw_gens)
-                for g in core.group.generators:
-                    pre_gens.append(q.lift(g).raw)
                 u = FiniteGroup(
-                    [Permutation._from_raw(r) for r in sorted(set(pre_gens))],
+                    [Permutation._from_raw(r) for r in sorted(set(q.preimage_gens(core)))],
                     degree=G.degree,
                     cap=G.cap,
                 )
@@ -584,13 +562,7 @@ def tower_from_data(ambient: FiniteGroup, data) -> Tower:
 
 
 def _normalizes_all(gens, chosen) -> bool:
-    for _, lower in chosen:
-        lchain = lower.group.chain()
-        for g in gens:
-            for x in lower.group._raw_gens:
-                if not lchain.contains_raw(conj_raw(x, g)):
-                    return False
-    return True
+    return all(lower.group.normalized_by(gens) for _, lower in chosen)
 
 
 def _moves_stage_below(gens, chosen) -> bool:
@@ -611,13 +583,7 @@ def _pick_stage(G, u: FiniteGroup, p: int, chosen):
     """First p-subgroup of u that normalizes every chosen stage and moves the
     one directly below: full Sylow conjugates are tried before smaller ones."""
     syl = sylow_subgroup(u, p)
-    base_gens = syl.group._raw_gens
-    tried = set()
-    for conj_by in u._raw_elements():
-        gens = tuple(sorted(conj_raw(g, conj_by) for g in base_gens))
-        if gens in tried:
-            continue
-        tried.add(gens)
+    for gens in u._conjugate_gen_sets(syl.group._raw_gens):
         if _normalizes_all(gens, chosen) and _moves_stage_below(gens, chosen):
             return G._subgroup_raw(list(gens))
     for cand in sorted(_p_subgroup_candidates(u, p), key=lambda s: -s.order()):

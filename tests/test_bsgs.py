@@ -5,6 +5,7 @@ import random
 from cppo.bsgs import StabilizerChain
 from cppo.group import FiniteGroup
 from cppo.permutation import Permutation, conj_raw, identity_raw, mul_raw
+from cppo.structure import sylow_subgroup
 
 
 def enumerate_raw(degree, gens):
@@ -144,3 +145,26 @@ def test_closure_matches_brute_force_normal_closure_in_s6():
         seeds = [rng.choice(elems) for _ in range(rng.randint(1, 2))]
         closure = group._closure_raw(seeds, group._raw_gens)
         assert closure.order() == len(_brute_normal_closure(degree, ambient_gens, seeds))
+
+
+def test_closure_and_sylow_results_keep_their_chain(monkeypatch):
+    s5 = FiniteGroup([Permutation([2, 1, 3, 4, 5]), Permutation([2, 3, 4, 5, 1])])
+    s5._raw_elements()  # the ambient chain and elements, built before counting
+    build = StabilizerChain.from_raw_generators
+    builds = []
+
+    def counting(degree, raw_gens):
+        builds.append(degree)
+        return build(degree, raw_gens)
+
+    monkeypatch.setattr(StabilizerChain, "from_raw_generators", counting)
+    subs = [
+        s5._normal_closure_raw([(1, 2, 0, 3, 4)]),
+        s5._subgroup_from_raw_elements([(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)]),
+        sylow_subgroup(s5, 2),
+        sylow_subgroup(s5, 5),
+    ]
+    orders = [sub.order() for sub in subs]
+    assert builds == []
+    assert orders == [60, 6, 8, 5]
+    assert orders == [build(5, sub.group._raw_gens).order() for sub in subs]

@@ -98,6 +98,19 @@ def test_verify_theorems_strict_cap(tiny_corpus, capsys):
     assert "FAIL: strict:" in capsys.readouterr().out
 
 
+def test_classify_strict_cap(capsys):
+    assert main(["--cap", "10", "classify", "atlas:s4"]) == 0
+    assert "skipped: too large (cap=10)" in capsys.readouterr().out
+    assert main(["--cap", "10", "--strict", "classify", "atlas:s4"]) == 1
+
+
+def test_classify_beyond_the_group_cap(capsys):
+    assert main(["classify", "atlas:sym(9)"]) == 0
+    out = capsys.readouterr().out
+    assert "radical_order: skipped: too large (cap=200000)" in out
+    assert "theorem2: not_applicable" in out
+
+
 def test_verify_lemmas_subset(capsys):
     assert main(["verify", "lemmas", "--ids", "cc_iii"]) == 0
     out = capsys.readouterr().out

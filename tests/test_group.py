@@ -5,6 +5,8 @@ classes by conjugating with every element, commutator sets by the full
 double loop over pairs, derived subgroups as the closure of those.
 """
 
+import random
+
 import pytest
 
 from cppo import (
@@ -17,6 +19,7 @@ from cppo import (
     quotient_by_normal,
 )
 from cppo.arith import is_prime_power
+from cppo.permutation import conj_raw
 
 
 def G(texts, degree, **kw):
@@ -270,3 +273,36 @@ def test_trivial_group_basics():
     assert t.elements() == [Permutation.identity(4)]
     assert t.is_cppo() and t.is_eppo()
     assert t.commutator_set() == {Permutation.identity(4)}
+
+
+def test_normalized_by_matches_conjugating_every_element_in_s5():
+    rng = random.Random(5)
+    elems = G(["(1 2)", "(1 2 3 4 5)"], 5)._raw_elements()
+
+    def brute(K, raw_gens):
+        members = set(K._raw_elements())
+        return all(conj_raw(x, g) in members for g in raw_gens for x in members)
+
+    # <(1 2)> is not normalized by (1 3)
+    pairs = [(G(["(1 2)"], 5), [parse_permutation("(1 3)", 5).raw])]
+    for _ in range(30):
+        K = FiniteGroup(
+            [Permutation._from_raw(rng.choice(elems)) for _ in range(rng.randint(1, 2))], degree=5
+        )
+        pairs.append((K, [rng.choice(elems) for _ in range(rng.randint(1, 2))]))
+    verdicts = [K.normalized_by(raw_gens) for K, raw_gens in pairs]
+    assert verdicts == [brute(K, raw_gens) for K, raw_gens in pairs]
+    assert verdicts[0] is False and True in verdicts
+
+
+def test_preimage_gens_pull_a_quotient_subgroup_back():
+    group = s4()
+    v4 = FiniteGroup(
+        [parse_permutation("(1 2)(3 4)", 4), parse_permutation("(1 3)(2 4)", 4)]
+    )
+    q = quotient_by_normal(group, v4)
+    x = parse_permutation("(1 2)", 4)
+    for sub in (q.trivial_subgroup(), q.subgroup([q.project(x)]), q.subgroup(q.generators)):
+        pre = group._subgroup_raw(q.preimage_gens(sub))
+        assert pre.order() == v4.order() * sub.order()
+        assert all(sub.contains(q.project(g)) for g in pre.generators)

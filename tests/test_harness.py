@@ -7,6 +7,7 @@ import pytest
 from cppo.arith import is_prime_power
 from cppo.atlas import build
 from cppo.errors import SchemaError
+from cppo.group import FiniteGroup
 from cppo.harness import (
     SCHEMA_VERSION,
     ClassificationReport,
@@ -19,6 +20,7 @@ from cppo.harness import (
     run_full_suite,
     run_lemma_suite,
     run_theorem_suite,
+    skipped_fields,
     theorem_suite_to_text,
 )
 
@@ -88,6 +90,32 @@ def test_low_cap_produces_skip_markers():
 def test_low_cap_skips_simple_quotient_identification():
     r = classify(build("alt(5)").group, cap=30)
     assert r.simple_quotient == "skipped: too large (cap=30)"
+    assert r.theorem2 == "not_applicable"
+
+
+def test_group_cap_below_the_order_gives_skip_markers():
+    s4 = FiniteGroup(build("s4").group.generators, degree=4, cap=20)
+    marker = "skipped: too large (cap=20)"
+    for cap in (None, 100):
+        # a report cap above the group's own cannot make it enumerate past that
+        r = classify(s4, cap=cap)
+        assert r.radical_order == marker and r.fitting_height == marker
+        assert r.is_eppo == marker and r.is_cppo == marker and r.tower_height == marker
+        assert r.order == 24 and r.derived_order == 12
+        assert r.theorem1 == "not_applicable" and r.theorem2 == "not_applicable"
+        assert [f for f, _ in skipped_fields(r)] == [
+            "is_eppo", "is_cppo", "radical_order", "fitting_height", "tower_height"
+        ]
+
+
+def test_group_cap_skips_the_derived_radical_block():
+    a5 = FiniteGroup(build("alt(5)").group.generators, degree=5, cap=30)
+    r = classify(a5)
+    marker = "skipped: too large (cap=30)"
+    assert r.radical_order == marker and r.fitting_height is None
+    assert r.second_derived_equals_derived == marker
+    assert r.derived_radical_order == r.derived_radical_closure_order == marker
+    assert r.derived_radical_is_2_group == r.simple_quotient == marker
     assert r.theorem2 == "not_applicable"
 
 
