@@ -436,7 +436,12 @@ class FiniteGroup:
                     c = comm_raw(a, b)
                     if c != ident:
                         seeds.add(c)
-            self._cache[key] = self._normal_closure_raw(sorted(seeds))
+            derived = self._normal_closure_raw(sorted(seeds))
+            # A perfect group is its own derived subgroup; handing back the
+            # group itself keeps one copy of its elements, classes and radical.
+            if derived.order() == self.order():
+                derived = Subgroup(self, self)
+            self._cache[key] = derived
         return self._cache[key]
 
     def centralizer(self, perms) -> "Subgroup":

@@ -140,6 +140,17 @@ def test_derived_subgroup_matches_oracle():
         assert derived.group.same_group_as(closure)
 
 
+def test_perfect_group_is_its_own_derived_subgroup():
+    group = a5()
+    elems = group._raw_elements()
+    derived = group.derived_subgroup()
+    assert derived.group is group
+    assert derived.group._raw_elements() is elems
+    assert group.derived_subgroup() is derived
+    # a non-perfect group keeps a proper subgroup of its own
+    assert s4().derived_subgroup().group.order() == 12
+
+
 def test_derived_subgroup_is_normal():
     group = s4()
     derived = group.derived_subgroup()
