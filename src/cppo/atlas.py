@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .errors import AtlasError, SchemaError
 from .fields import GF, Matrix, gf
 from .group import FiniteGroup
-from .permutation import Permutation, mul_raw, parse_permutation
+from .permutation import Permutation, block_raw, mul_raw, parse_permutation
 
 
 @dataclass
@@ -45,10 +45,6 @@ def _finish(id_text, gens, degree, expected, notes="", extras=None):
     return BuiltGroup(id_text, group, expected, notes, extras or {})
 
 
-def _perm(images0):
-    return Permutation._from_raw(tuple(images0))
-
-
 # ---------------------------------------------------------------------------
 # easy families
 
@@ -58,8 +54,8 @@ def _build_cyclic(n):
         raise AtlasError("cyclic(n) needs n >= 1")
     if n == 1:
         return _finish("cyclic(1)", [], 1, 1)
-    images = tuple(list(range(1, n)) + [0])
-    return _finish("cyclic(%d)" % n, [_perm(images)], n, n)
+    images = list(range(1, n)) + [0]
+    return _finish("cyclic(%d)" % n, [Permutation.from_zero_based(images)], n, n)
 
 
 def _build_elem_abelian(p, k):
@@ -73,24 +69,24 @@ def _build_elem_abelian(p, k):
         images = list(range(degree))
         for j in range(p):
             images[i * p + j] = i * p + (j + 1) % p
-        gens.append(_perm(tuple(images)))
+        gens.append(Permutation.from_zero_based(images))
     return _finish("elem_abelian(%d,%d)" % (p, k), gens, degree, p**k)
 
 
 def _build_dihedral(n):
     if n < 2:
         raise AtlasError("dihedral(n) needs n >= 2")
-    rot = tuple(list(range(1, n)) + [0])
-    ref = tuple((n - i) % n for i in range(n))
-    return _finish("dihedral(%d)" % n, [_perm(rot), _perm(ref)], n, 2 * n)
+    rot = Permutation.from_zero_based(list(range(1, n)) + [0])
+    ref = Permutation.from_zero_based((n - i) % n for i in range(n))
+    return _finish("dihedral(%d)" % n, [rot, ref], n, 2 * n)
 
 
 def _sym_gens(n):
     if n == 1:
         return []
-    swap = tuple([1, 0] + list(range(2, n)))
-    cyc = tuple(list(range(1, n)) + [0])
-    return [_perm(swap), _perm(cyc)]
+    swap = [1, 0] + list(range(2, n))
+    cyc = list(range(1, n)) + [0]
+    return [Permutation.from_zero_based(swap), Permutation.from_zero_based(cyc)]
 
 
 def _build_sym(n):
@@ -102,12 +98,12 @@ def _build_sym(n):
 def _build_alt(n):
     if n < 3 or n > 12:
         raise AtlasError("alt(n) supported for 3 <= n <= 12")
-    three = tuple([1, 2, 0] + list(range(3, n)))
+    three = Permutation.from_zero_based([1, 2, 0] + list(range(3, n)))
     if n % 2 == 1:
-        big = tuple(list(range(1, n)) + [0])
+        big = Permutation.from_zero_based(list(range(1, n)) + [0])
     else:
-        big = tuple([0] + list(range(2, n)) + [1])
-    return _finish("alt(%d)" % n, [_perm(three), _perm(big)], n, math.factorial(n) // 2)
+        big = Permutation.from_zero_based([0] + list(range(2, n)) + [1])
+    return _finish("alt(%d)" % n, [three, big], n, math.factorial(n) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +135,7 @@ def _regular_rep(id_text, mat_gens, expected, notes=""):
     index = {m.rows: i for i, m in enumerate(elems)}
     perms = []
     for g in mat_gens:
-        perms.append(_perm(tuple(index[(x * g).rows] for x in elems)))
+        perms.append(Permutation.from_zero_based(index[(x * g).rows] for x in elems))
     return _finish(id_text, perms, expected, expected, notes)
 
 
@@ -192,8 +188,8 @@ def _build_extraspecial(p, sign):
         index = {v: i for i, v in enumerate(pts)}
 
         def aff(a, b, c):
-            return _perm(
-                tuple(index[((x + a) % p, (y + c + b * x) % p)] for x, y in pts)
+            return Permutation.from_zero_based(
+                index[((x + a) % p, (y + c + b * x) % p)] for x, y in pts
             )
 
         gens = [aff(1, 0, 0), aff(0, 1, 0)]
@@ -202,8 +198,8 @@ def _build_extraspecial(p, sign):
         )
     # exponent p^2 model: x -> (1+p)^j * x + i on Z_{p^2}
     m = p * p
-    shift = _perm(tuple((x + 1) % m for x in range(m)))
-    twist = _perm(tuple(((1 + p) * x) % m for x in range(m)))
+    shift = Permutation.from_zero_based((x + 1) % m for x in range(m))
+    twist = Permutation.from_zero_based(((1 + p) * x) % m for x in range(m))
     return _finish(
         "extraspecial(%d,-)" % p, [shift, twist], m, p**3, "exponent %d model" % (p * p)
     )
@@ -227,8 +223,7 @@ def _extraspecial_32(sign):
     z_left = (left.generators[0] ** 2).raw
     z_right = (right.generators[0] ** 2).raw
     fused = mul_raw(
-        tuple(z_left) + tuple(left.degree + i for i in range(right.degree)),
-        tuple(range(left.degree)) + tuple(left.degree + i for i in z_right),
+        block_raw(z_left, 0, big.degree), block_raw(z_right, left.degree, big.degree)
     )
     center_diag = FiniteGroup([Permutation._from_raw(fused)], degree=big.degree)
     q = quotient_by_normal(big, center_diag)
@@ -247,10 +242,10 @@ def _build_agl1(q):
     pts = list(F.elements)
     gens = []
     for b in F.additive_basis:
-        gens.append(_perm(tuple(F.add(x, b) for x in pts)))
+        gens.append(Permutation.from_zero_based(F.add(x, b) for x in pts))
     g = F.generator()
     if q > 2:
-        gens.append(_perm(tuple(F.mul(g, x) for x in pts)))
+        gens.append(Permutation.from_zero_based(F.mul(g, x) for x in pts))
     return _finish("agl1(%d)" % q, gens, q, q * (q - 1), "affine maps x -> ax + b")
 
 
@@ -260,10 +255,12 @@ def _build_asl2_4():
     index = {v: i for i, v in enumerate(pts)}
 
     def linear(M):
-        return _perm(tuple(index[M.apply_row(v)] for v in pts))
+        return Permutation.from_zero_based(index[M.apply_row(v)] for v in pts)
 
     def translation(t):
-        return _perm(tuple(index[(F.add(v[0], t[0]), F.add(v[1], t[1]))] for v in pts))
+        return Permutation.from_zero_based(
+            index[(F.add(v[0], t[0]), F.add(v[1], t[1]))] for v in pts
+        )
 
     a = 2
     gens = [
@@ -286,12 +283,12 @@ def _p1_points(F: GF):
 
 def _p1_translation(F, c):
     pts = _p1_points(F)
-    return _perm(tuple(0 if x is None else 1 + F.add(x, c) for x in pts))
+    return Permutation.from_zero_based(0 if x is None else 1 + F.add(x, c) for x in pts)
 
 
 def _p1_scaling(F, a):
     pts = _p1_points(F)
-    return _perm(tuple(0 if x is None else 1 + F.mul(a, x) for x in pts))
+    return Permutation.from_zero_based(0 if x is None else 1 + F.mul(a, x) for x in pts)
 
 
 def _p1_inversion(F):
@@ -305,12 +302,12 @@ def _p1_inversion(F):
             out.append(0)
         else:
             out.append(1 + F.neg(F.inv(x)))
-    return _perm(tuple(out))
+    return Permutation.from_zero_based(out)
 
 
 def _p1_frobenius(F):
     pts = _p1_points(F)
-    return _perm(tuple(0 if x is None else 1 + F.frobenius(x) for x in pts))
+    return Permutation.from_zero_based(0 if x is None else 1 + F.frobenius(x) for x in pts)
 
 
 def _psl2_gens(F):
@@ -415,13 +412,13 @@ def projective_permutation(M: Matrix, domain="points") -> Permutation:
         _PG24_INDEX[_normalize_projective(F, M.apply_row(v))] for v in _PG24_POINTS
     ]
     if domain == "points":
-        return _perm(tuple(point_part))
+        return Permutation.from_zero_based(point_part)
     if domain != "points_and_lines":
         raise AtlasError("domain must be 'points' or 'points_and_lines'")
     line_part = [
         21 + _PG24_INDEX[_normalize_projective(F, Minv_t.apply_row(w))] for w in _PG24_POINTS
     ]
-    return _perm(tuple(point_part + line_part))
+    return Permutation.from_zero_based(point_part + line_part)
 
 
 def frobenius_collineation(domain="points") -> Permutation:
@@ -432,13 +429,13 @@ def frobenius_collineation(domain="points") -> Permutation:
         for v in _PG24_POINTS
     ]
     if domain == "points":
-        return _perm(tuple(part))
-    return _perm(tuple(part + [21 + i for i in part]))
+        return Permutation.from_zero_based(part)
+    return Permutation.from_zero_based(part + [21 + i for i in part])
 
 
 def duality_collineation() -> Permutation:
     """The polarity swapping each point with the line of the same coordinates."""
-    return _perm(tuple([21 + i for i in range(21)] + list(range(21))))
+    return Permutation.from_zero_based([21 + i for i in range(21)] + list(range(21)))
 
 
 def _psl34_matrix_gens():
@@ -551,7 +548,8 @@ def _build_sz8():
     pts = sorted(orbit)
     index = {v: i for i, v in enumerate(pts)}
     gens = [
-        _perm(tuple(index[_normalize_projective(F, M.apply_row(v))] for v in pts)) for M in mats
+        Permutation.from_zero_based(index[_normalize_projective(F, M.apply_row(v))] for v in pts)
+        for M in mats
     ]
     return _finish("sz8", gens, 65, 29120, "action on the 65-point ovoid over F8")
 
@@ -564,9 +562,9 @@ def _direct_product_group(left: FiniteGroup, right: FiniteGroup) -> FiniteGroup:
     degree = left.degree + right.degree
     gens = []
     for g in left.generators:
-        gens.append(_perm(tuple(g.raw) + tuple(left.degree + i for i in range(right.degree))))
+        gens.append(Permutation._from_raw(block_raw(g.raw, 0, degree)))
     for g in right.generators:
-        gens.append(_perm(tuple(range(left.degree)) + tuple(left.degree + i for i in g.raw)))
+        gens.append(Permutation._from_raw(block_raw(g.raw, left.degree, degree)))
     return FiniteGroup(gens, degree=degree)
 
 

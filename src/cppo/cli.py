@@ -77,8 +77,8 @@ def _report_lines(rep) -> str:
 
 
 def _cmd_classify(args) -> int:
-    g = _load_group(args.group)
-    rep = classify(g, cap=args.cap)
+    g = _load_group(args.group, cap=args.cap)
+    rep = classify(g)
     if args.format == "structured":
         _emit(reports_to_text([rep]), args.out)
     else:

@@ -103,7 +103,7 @@ class FiniteGroup:
             if r != ident and r not in seen:
                 raw.append(r)
                 seen.add(r)
-        self._raw_gens: list[tuple] = raw
+        self._raw_gens: list = raw
         self._chain = None
         self._elements = None
         self._elem_dict = None
@@ -158,9 +158,12 @@ class FiniteGroup:
 
     # -- enumeration --------------------------------------------------------
 
-    def _raw_elements(self) -> list[tuple]:
+    def _raw_elements(self) -> list:
         if self._elements is None:
-            cap = self.cap
+            # the chain knows the order, so a group past the cap is refused
+            # before any element is formed
+            if self.order() > self.cap:
+                raise EnumerationCapError(self.cap, self.cap)
             ident = identity_raw(self.degree)
             seen = {ident}
             frontier = [ident]
@@ -171,8 +174,6 @@ class FiniteGroup:
                     for g in gens:
                         y = mul_raw(x, g)
                         if y not in seen:
-                            if len(seen) >= cap:
-                                raise EnumerationCapError(len(seen) + 1, cap)
                             seen.add(y)
                             new_frontier.append(y)
                 frontier = new_frontier
@@ -200,7 +201,6 @@ class FiniteGroup:
             elems = self._raw_elements()
             master = self._elem_dict
             gens = self._raw_gens
-            ginvs = [inv_raw(g) for g in gens]
             seen = set()
             out = []
             for x in elems:
@@ -211,8 +211,8 @@ class FiniteGroup:
                 while frontier:
                     new_frontier = []
                     for y in frontier:
-                        for g, gi in zip(gens, ginvs):
-                            z = master[mul_raw(mul_raw(gi, y), g)]
+                        for g in gens:
+                            z = master[conj_raw(y, g)]
                             if z not in orbit:
                                 orbit.add(z)
                                 new_frontier.append(z)
@@ -237,10 +237,9 @@ class FiniteGroup:
                 seen.add(gens)
                 yield gens
 
-    def _class_conjugator(self, rep: tuple, target: tuple) -> tuple:
+    def _class_conjugator(self, rep, target):
         """Some g with rep^g = target, retraced through the class orbit."""
         gens = self._raw_gens
-        ginvs = [inv_raw(g) for g in gens]
         ident = identity_raw(self.degree)
         conj_of = {rep: ident}
         if target == rep:
@@ -250,8 +249,8 @@ class FiniteGroup:
             new_frontier = []
             for y in frontier:
                 u = conj_of[y]
-                for g, gi in zip(gens, ginvs):
-                    z = mul_raw(mul_raw(gi, y), g)
+                for g in gens:
+                    z = conj_raw(y, g)
                     if z not in conj_of:
                         conj_of[z] = mul_raw(u, g)
                         if z == target:
@@ -309,13 +308,12 @@ class FiniteGroup:
         if key not in self._cache:
             cands = self._commutator_candidates()
             gens = self._raw_gens
-            ginvs = [inv_raw(g) for g in gens]
             frontier = list(cands)
             while frontier:
                 new_frontier = []
                 for y in frontier:
-                    for g, gi in zip(gens, ginvs):
-                        z = mul_raw(mul_raw(gi, y), g)
+                    for g in gens:
+                        z = conj_raw(y, g)
                         if z not in cands:
                             cands.add(z)
                             new_frontier.append(z)
@@ -543,7 +541,7 @@ class QuotientGroup(FiniteGroup):
             return self.source._raw_classes()
         return super()._raw_classes()
 
-    def _canonical(self, raw: tuple) -> tuple:
+    def _canonical(self, raw):
         nraw = self.kernel.group._raw_elements()
         return min(mul_raw(n, raw) for n in nraw)
 
@@ -554,8 +552,9 @@ class QuotientGroup(FiniteGroup):
         if self._identity_mode:
             return g
         raw = g.raw
-        images = tuple(self._index[self._canonical(mul_raw(r, raw))] for r in self._reps)
-        return Permutation._from_raw(images)
+        return Permutation.from_zero_based(
+            self._index[self._canonical(mul_raw(r, raw))] for r in self._reps
+        )
 
     def lift(self, q: Permutation) -> Permutation:
         """A source-group representative of the coset permutation q."""
@@ -565,7 +564,7 @@ class QuotientGroup(FiniteGroup):
             return q
         return Permutation._from_raw(self._reps[q.raw[0]])
 
-    def preimage_gens(self, sub) -> list[tuple]:
+    def preimage_gens(self, sub) -> list:
         """Raw generators of the source subgroup that maps onto sub: the kernel
         generators, then a lift of each generator of sub."""
         return self.kernel.group._raw_gens + [self.lift(g).raw for g in sub.group.generators]
@@ -622,7 +621,7 @@ def quotient_by_normal(G: FiniteGroup, N, name=None) -> QuotientGroup:
         pos += 1
     degree = len(reps)
     # images[gi] was filled row by row in rep order, one entry per coset
-    qgens = [Permutation._from_raw(tuple(img)) for img in images]
+    qgens = [Permutation.from_zero_based(img) for img in images]
     q = QuotientGroup(
         [g for g in qgens] or [Permutation.identity(degree)],
         degree,

@@ -27,6 +27,7 @@ from .fields import gf
 from .group import FiniteGroup, Subgroup, quotient_by_normal
 from .permutation import (
     Permutation,
+    block_raw,
     comm_raw,
     conj_raw,
     identity_raw,
@@ -68,36 +69,29 @@ class LemmaCheck:
 # instance builders
 
 
-def _raw_perm(images) -> Permutation:
-    return Permutation._from_raw(tuple(images))
-
-
 def _affine_line(q):
     """AGL(1,q) on q points with its translation and scaling parts split out."""
     F = gf(q)
     pts = list(F.elements)
-    trans = [_raw_perm(F.add(x, b) for x in pts) for b in F.additive_basis]
-    scale = _raw_perm(F.mul(F.generator(), x) for x in pts)
+    trans = [Permutation.from_zero_based(F.add(x, b) for x in pts) for b in F.additive_basis]
+    scale = Permutation.from_zero_based(F.mul(F.generator(), x) for x in pts)
     amb = FiniteGroup(trans + [scale], degree=q, name="agl1(%d)" % q)
     return amb, amb.subgroup(trans), scale
 
 
-def _block_raw(raw, offset, degree):
-    images = list(range(degree))
-    for i, img in enumerate(raw):
-        images[i + offset] = img + offset
-    return tuple(images)
+def _block_perm(images, offset, degree) -> Permutation:
+    return Permutation._from_raw(block_raw(images, offset, degree))
 
 
 def _affine_square(q):
     """Two independent affine lines side by side on 2q points."""
     F = gf(q)
     pts = list(F.elements)
-    line_trans = [tuple(F.add(x, b) for x in pts) for b in F.additive_basis]
-    line_scale = tuple(F.mul(F.generator(), x) for x in pts)
+    line_trans = [[F.add(x, b) for x in pts] for b in F.additive_basis]
+    line_scale = [F.mul(F.generator(), x) for x in pts]
     degree = 2 * q
-    trans = [_raw_perm(_block_raw(t, off, degree)) for off in (0, q) for t in line_trans]
-    scales = [_raw_perm(_block_raw(line_scale, off, degree)) for off in (0, q)]
+    trans = [_block_perm(t, off, degree) for off in (0, q) for t in line_trans]
+    scales = [_block_perm(line_scale, off, degree) for off in (0, q)]
     amb = FiniteGroup(trans + scales, degree=degree, name="agl1(%d)^2" % q)
     return amb, amb.subgroup(trans), scales
 
@@ -108,10 +102,10 @@ def _affine_plane_3():
     index = {v: i for i, v in enumerate(pts)}
 
     def translation(a, b):
-        return _raw_perm(index[((x + a) % 3, (y + b) % 3)] for x, y in pts)
+        return Permutation.from_zero_based(index[((x + a) % 3, (y + b) % 3)] for x, y in pts)
 
     def linear(m00, m01, m10, m11):
-        return _raw_perm(
+        return Permutation.from_zero_based(
             index[((x * m00 + y * m10) % 3, (x * m01 + y * m11) % 3)] for x, y in pts
         )
 
@@ -132,14 +126,14 @@ def _product_of_lines(q1, q2):
     """AGL(1,q1) x AGL(1,q2) with the joint translation part."""
     F1, F2 = gf(q1), gf(q2)
     degree = q1 + q2
-    t_parts = [tuple(F1.add(x, b) for x in F1.elements) for b in F1.additive_basis]
-    t_parts2 = [tuple(F2.add(x, b) for x in F2.elements) for b in F2.additive_basis]
-    s1 = tuple(F1.mul(F1.generator(), x) for x in F1.elements)
-    s2 = tuple(F2.mul(F2.generator(), x) for x in F2.elements)
-    trans = [_raw_perm(_block_raw(t, 0, degree)) for t in t_parts]
-    trans += [_raw_perm(_block_raw(t, q1, degree)) for t in t_parts2]
-    s1p = _raw_perm(_block_raw(s1, 0, degree))
-    s2p = _raw_perm(_block_raw(s2, q1, degree))
+    t_parts = [[F1.add(x, b) for x in F1.elements] for b in F1.additive_basis]
+    t_parts2 = [[F2.add(x, b) for x in F2.elements] for b in F2.additive_basis]
+    s1 = [F1.mul(F1.generator(), x) for x in F1.elements]
+    s2 = [F2.mul(F2.generator(), x) for x in F2.elements]
+    trans = [_block_perm(t, 0, degree) for t in t_parts]
+    trans += [_block_perm(t, q1, degree) for t in t_parts2]
+    s1p = _block_perm(s1, 0, degree)
+    s2p = _block_perm(s2, q1, degree)
     amb = FiniteGroup(trans + [s1p, s2p], degree=degree, name="agl1(%d)x(%d)" % (q1, q2))
     return amb, amb.subgroup(trans), s1p, s2p
 
@@ -182,12 +176,14 @@ def _heisenberg_with_flip():
     index = {v: i for i, v in enumerate(pts)}
 
     def aff(a, b, c):
-        return _raw_perm(index[((x + a) % 3, (y + c + b * x) % 3)] for x, y in pts)
+        return Permutation.from_zero_based(
+            index[((x + a) % 3, (y + c + b * x) % 3)] for x, y in pts
+        )
 
     P = FiniteGroup([aff(1, 0, 0), aff(0, 1, 0)], degree=9, name="heisenberg27")
     if P.order() != 27:
         raise GroupError("heisenberg instance built wrong")
-    flip = _raw_perm(index[((-x) % 3, y)] for x, y in pts)
+    flip = Permutation.from_zero_based(index[((-x) % 3, y)] for x, y in pts)
     return P, flip
 
 

@@ -1,10 +1,17 @@
 """Permutations of {1..n} stored as image tables.
 
 Points are 1-based in every public interface (cycle strings, image arrays).
-Internally an image table is a 0-based tuple so entries double as indices,
-which keeps composition a single map() pass.  Composition is left to right:
-(p * q) moves a point first through p, then through q, matching the
-conjugation convention x^y = y^-1 x y and [x, y] = x^-1 y^-1 x y.
+Internally a permutation is a raw image table of 0-based points, so entries
+double as indices.  This module is the only one that knows the raw format:
+up to degree 256 it is a bytes object of length n, so composition is one
+bytes.translate call and hashing is cached; above degree 256 it is a tuple
+of ints, composed by one map() pass.  The degree alone picks the format, and
+every raw permutation is made by raw_from_images, because a bytes table never
+equals a tuple one.  Both formats index, iterate and sort alike.
+
+Composition is left to right: (p * q) moves a point first through p, then
+through q, matching the conjugation convention x^y = y^-1 x y and
+[x, y] = x^-1 y^-1 x y.
 """
 
 from __future__ import annotations
@@ -15,40 +22,79 @@ import re
 from .errors import CycleParseError, DegreeMismatchError
 
 # ---------------------------------------------------------------------------
-# raw helpers on 0-based image tuples; the hot paths use these directly
+# the raw kernel; the hot paths of the other modules call these directly
 
-def identity_raw(degree: int) -> tuple:
-    return tuple(range(degree))
+BYTES_MAX_DEGREE = 256
+
+# _HEAD[d] is the degree-d identity; _TAIL[d] pads a degree-d table to the
+# 256 entries bytes.translate and bytes.maketrans need.
+_HEAD = [bytes(range(d)) for d in range(BYTES_MAX_DEGREE + 1)]
+_TAIL = [bytes(range(d, BYTES_MAX_DEGREE)) for d in range(BYTES_MAX_DEGREE + 1)]
 
 
-def mul_raw(a: tuple, b: tuple) -> tuple:
+def raw_from_images(images):
+    """The raw permutation with the given 0-based image table."""
+    img = tuple(images)
+    return bytes(img) if len(img) <= BYTES_MAX_DEGREE else img
+
+
+def identity_raw(degree: int):
+    return raw_from_images(range(degree))
+
+
+def block_raw(images, offset: int, degree: int):
+    """Acts as the 0-based table `images` on the points from `offset` on, fixes the rest."""
+    img = list(range(degree))
+    img[offset : offset + len(images)] = [v + offset for v in images]
+    return raw_from_images(img)
+
+
+def mul_raw(a, b):
     """Compose left to right: result[i] = b[a[i]]."""
+    n = len(b)
+    if n <= BYTES_MAX_DEGREE:
+        return a.translate(b + _TAIL[n])
     return tuple(map(b.__getitem__, a))
 
 
-def inv_raw(a: tuple) -> tuple:
-    out = [0] * len(a)
+def inv_raw(a):
+    n = len(a)
+    if n <= BYTES_MAX_DEGREE:
+        return bytes.maketrans(a, _HEAD[n])[:n]
+    out = [0] * n
     for i, ai in enumerate(a):
         out[ai] = i
     return tuple(out)
 
 
-def conj_raw(x: tuple, g: tuple) -> tuple:
-    """g^-1 * x * g without forming the inverse."""
-    out = [0] * len(x)
+def conj_raw(x, g):
+    """g^-1 * x * g without forming the inverse: the result maps g[i] to g[x[i]]."""
+    n = len(g)
+    if n <= BYTES_MAX_DEGREE:
+        return bytes.maketrans(g, x.translate(g + _TAIL[n]))[:n]
+    out = [0] * n
     for i, gi in enumerate(g):
         out[gi] = g[x[i]]
     return tuple(out)
 
 
-def comm_raw(x: tuple, y: tuple) -> tuple:
+def comm_raw(x, y):
     """[x, y] = x^-1 y^-1 x y."""
     return mul_raw(inv_raw(x), conj_raw(x, y))
 
 
-def order_raw(a: tuple) -> int:
+def order_raw(a) -> int:
     """Order as the lcm of cycle lengths."""
     n = len(a)
+    if n <= BYTES_MAX_DEGREE:
+        # A power costs one translate, about what the cycle walk below pays
+        # per point, and group elements mostly have order below their degree.
+        ident, table = _HEAD[n], a + _TAIL[n]
+        power = a
+        for k in range(1, n + 1):
+            if power == ident:
+                return k
+            power = power.translate(table)
     seen = bytearray(n)
     order = 1
     for i in range(n):
@@ -65,7 +111,7 @@ def order_raw(a: tuple) -> int:
     return order
 
 
-def cycles_raw(a: tuple) -> list[tuple[int, ...]]:
+def cycles_raw(a) -> list[tuple[int, ...]]:
     """Nontrivial cycles as 0-based tuples, least point first, sorted."""
     n = len(a)
     seen = bytearray(n)
@@ -92,19 +138,24 @@ class Permutation:
     __slots__ = ("_img",)
 
     def __init__(self, images):
-        img = tuple(int(v) - 1 for v in images)
+        img = [int(v) - 1 for v in images]
         n = len(img)
         if n == 0:
             raise CycleParseError("a permutation needs positive degree")
         if sorted(img) != list(range(n)):
             raise CycleParseError("image table %r is not a bijection of 1..%d" % (list(images), n))
-        self._img = img
+        self._img = raw_from_images(img)
 
     @staticmethod
-    def _from_raw(raw: tuple) -> "Permutation":
+    def _from_raw(raw) -> "Permutation":
         p = object.__new__(Permutation)
         p._img = raw
         return p
+
+    @staticmethod
+    def from_zero_based(images) -> "Permutation":
+        """Wrap a 0-based image table that is known to be a bijection."""
+        return Permutation._from_raw(raw_from_images(images))
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -124,7 +175,7 @@ class Permutation:
         return tuple(v + 1 for v in self._img)
 
     @property
-    def raw(self) -> tuple:
+    def raw(self):
         return self._img
 
     def __call__(self, point: int) -> int:
@@ -243,7 +294,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             pos += 1
     if not saw_cycle:
         raise CycleParseError("no cycles found in %r" % text)
-    return Permutation._from_raw(tuple(images))
+    return Permutation.from_zero_based(images)
 
 
 def commutator(x: Permutation, y: Permutation) -> Permutation:

@@ -20,7 +20,7 @@ from .errors import (
     NotSimpleError,
 )
 from .group import FiniteGroup, Subgroup, quotient_by_normal
-from .permutation import comm_raw, conj_raw, identity_raw, inv_raw, mul_raw, order_raw
+from .permutation import comm_raw, conj_raw, identity_raw, mul_raw, order_raw
 
 DEFAULT_CLASS_CAP = 60
 
@@ -135,8 +135,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         for y in p_elems:
             if chain.contains_raw(y):
                 continue
-            yi = inv_raw(y)
-            if all(chain.contains_raw(mul_raw(mul_raw(yi, g), y)) for g in gens):
+            if all(chain.contains_raw(conj_raw(g, y)) for g in gens):
                 gens.append(y)
                 chain.extend(y)
                 break

@@ -4,7 +4,7 @@ import random
 
 from cppo.bsgs import StabilizerChain
 from cppo.group import FiniteGroup
-from cppo.permutation import Permutation, conj_raw, identity_raw, mul_raw
+from cppo.permutation import Permutation, conj_raw, identity_raw, mul_raw, raw_from_images
 from cppo.structure import sylow_subgroup
 
 
@@ -24,7 +24,7 @@ def enumerate_raw(degree, gens):
     return seen
 
 
-CASES = [
+_TABLES = [
     ("trivial", 3, []),
     ("c2", 2, [(1, 0)]),
     ("s3", 3, [(1, 0, 2), (1, 2, 0)]),
@@ -36,6 +36,8 @@ CASES = [
     ("s4xc2", 6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)]),
     ("a6", 6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 3, 5, 4), (1, 0, 3, 2, 4, 5), (0, 2, 1, 4, 3, 5)]),
 ]
+CASES = [(name, degree, [raw_from_images(g) for g in gens]) for name, degree, gens in _TABLES]
+S5_GENS = [raw_from_images((1, 0, 2, 3, 4)), raw_from_images((1, 2, 3, 4, 0))]
 
 
 def test_order_matches_enumeration():
@@ -56,12 +58,12 @@ def test_membership_matches_enumeration():
         for _ in range(30):
             images = list(range(degree))
             rng.shuffle(images)
-            x = tuple(images)
+            x = raw_from_images(images)
             assert chain.contains_raw(x) == (x in elems), (name, x)
 
 
 def test_sift_gives_identity_exactly_for_members():
-    degree, gens = 5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+    degree, gens = 5, S5_GENS
     chain = StabilizerChain.from_raw_generators(degree, gens)
     ident = identity_raw(degree)
     for x in enumerate_raw(degree, gens):
@@ -69,7 +71,7 @@ def test_sift_gives_identity_exactly_for_members():
 
 
 def test_chain_orders_multiply_along_orbits():
-    degree, gens = 5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+    degree, gens = 5, S5_GENS
     chain = StabilizerChain.from_raw_generators(degree, gens)
     prod = 1
     for n in chain.orbit_sizes():
@@ -80,22 +82,22 @@ def test_chain_orders_multiply_along_orbits():
 def test_incremental_extension():
     chain = StabilizerChain(4)
     assert chain.order() == 1
-    assert chain.extend((1, 0, 2, 3))
+    assert chain.extend(raw_from_images((1, 0, 2, 3)))
     assert chain.order() == 2
-    assert chain.extend((0, 1, 3, 2))
+    assert chain.extend(raw_from_images((0, 1, 3, 2)))
     assert chain.order() == 4
     # already a member: the product of the two transpositions, and the identity
-    assert not chain.extend((1, 0, 3, 2))
-    assert not chain.extend((0, 1, 2, 3))
+    assert not chain.extend(raw_from_images((1, 0, 3, 2)))
+    assert not chain.extend(raw_from_images((0, 1, 2, 3)))
     assert chain.order() == 4
-    assert chain.extend((1, 2, 3, 0))
+    assert chain.extend(raw_from_images((1, 2, 3, 0)))
     assert chain.order() == 24
-    assert not chain.extend((3, 2, 1, 0))
+    assert not chain.extend(raw_from_images((3, 2, 1, 0)))
     assert chain.order() == 24
 
 
 def test_transversal_elements_do_what_they_claim():
-    degree, gens = 5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+    degree, gens = 5, S5_GENS
     chain = StabilizerChain.from_raw_generators(degree, gens)
     for level, b in enumerate(chain.base):
         for point in range(degree):
@@ -117,7 +119,7 @@ def test_random_subgroups_of_s6_agree_with_enumeration():
         for _ in range(k):
             images = list(range(degree))
             rng.shuffle(images)
-            gens.append(tuple(images))
+            gens.append(raw_from_images(images))
         chain = StabilizerChain.from_raw_generators(degree, gens)
         assert chain.order() == len(enumerate_raw(degree, gens))
 
@@ -136,7 +138,7 @@ def test_closure_matches_brute_force_normal_closure_in_s6():
     def random_perm():
         images = list(range(degree))
         rng.shuffle(images)
-        return tuple(images)
+        return raw_from_images(images)
 
     for _ in range(20):
         ambient_gens = [random_perm() for _ in range(rng.randint(1, 2))]
@@ -159,8 +161,10 @@ def test_closure_and_sylow_results_keep_their_chain(monkeypatch):
 
     monkeypatch.setattr(StabilizerChain, "from_raw_generators", counting)
     subs = [
-        s5._normal_closure_raw([(1, 2, 0, 3, 4)]),
-        s5._subgroup_from_raw_elements([(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)]),
+        s5._normal_closure_raw([raw_from_images((1, 2, 0, 3, 4))]),
+        s5._subgroup_from_raw_elements(
+            [raw_from_images((1, 0, 2, 3, 4)), raw_from_images((0, 1, 3, 4, 2))]
+        ),
         sylow_subgroup(s5, 2),
         sylow_subgroup(s5, 5),
     ]

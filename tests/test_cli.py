@@ -1,13 +1,20 @@
 """End-to-end runs of the command-line interface through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from cppo import FiniteGroup
 from cppo.atlas import catalog_names
 from cppo.cli import main
 from cppo.corpus import write_corpus_file
 from cppo.harness import SCHEMA_VERSION
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TINY_DOCS = [{"atlas": "q8"}, {"atlas": "s4"}, {"atlas": "alt", "params": [5]}]
 
@@ -109,6 +116,43 @@ def test_classify_beyond_the_group_cap(capsys):
     out = capsys.readouterr().out
     assert "radical_order: skipped: too large (cap=200000)" in out
     assert "theorem2: not_applicable" in out
+
+
+def test_classify_enumerates_within_the_cap_option(monkeypatch, capsys):
+    enumerated = []
+    raw_elements = FiniteGroup._raw_elements
+
+    def recording(self):
+        elems = raw_elements(self)
+        enumerated.append(len(elems))
+        return elems
+
+    monkeypatch.setattr(FiniteGroup, "_raw_elements", recording)
+    assert main(["--cap", "100", "classify", "atlas:psl2(7)"]) == 0
+    assert "radical_order: skipped: too large (cap=100)" in capsys.readouterr().out
+    assert main(["--cap", "100", "--strict", "classify", "atlas:psl2(7)"]) == 1
+    assert max(enumerated, default=0) <= 100
+
+
+# an insoluble group, two soluble groups whose reports carry a tower witness,
+# and one whose report carries a commutator witness
+@pytest.mark.parametrize(
+    "group", ["atlas:psl2(7)", "atlas:sl2_3", "atlas:s4", "atlas:dihedral(12)"]
+)
+def test_structured_report_does_not_depend_on_the_hash_seed(group):
+    # bytes hashes are salted per process and int tuples are not, so a set
+    # iteration order leaking into a report would show up here
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+        run = subprocess.run(
+            [sys.executable, "-m", "cppo.cli", "--format", "structured", "classify", group],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_lemmas_subset(capsys):

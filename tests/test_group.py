@@ -9,6 +9,8 @@ import random
 
 import pytest
 
+import cppo.bsgs
+import cppo.group
 from cppo import (
     EnumerationCapError,
     FiniteGroup,
@@ -19,7 +21,8 @@ from cppo import (
     quotient_by_normal,
 )
 from cppo.arith import is_prime_power
-from cppo.permutation import conj_raw
+from cppo.atlas import build
+from cppo.permutation import conj_raw, mul_raw
 
 
 def G(texts, degree, **kw):
@@ -214,6 +217,23 @@ def test_enumeration_cap_is_enforced():
     assert "cap=10" in str(info.value)
     # order never needs enumeration, so it still works
     assert group.order() == 24
+
+
+def test_a_group_past_the_cap_is_refused_before_any_element_is_formed(monkeypatch):
+    group = build("sym(9)").group
+    assert group.order() > group.cap  # the chain exists before counting starts
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return mul_raw(a, b)
+
+    for module in (cppo.group, cppo.bsgs):
+        monkeypatch.setattr(module, "mul_raw", counting)
+    with pytest.raises(EnumerationCapError) as info:
+        group._raw_elements()
+    assert info.value.cap == group.cap
+    assert calls == []
 
 
 def test_quotient_s4_by_v4_is_s3():

@@ -5,12 +5,27 @@ right action x^g = g^-1 x g and [x, y] = x^-1 y^-1 x y, so that
 [x, y] = x^-1 * x^y.
 """
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cppo import CycleParseError, DegreeMismatchError, Permutation, parse_permutation
-from cppo.permutation import commutator, element_order
+from cppo.corpus import corpus_groups
+from cppo.permutation import (
+    BYTES_MAX_DEGREE,
+    comm_raw,
+    commutator,
+    conj_raw,
+    cycles_raw,
+    element_order,
+    identity_raw,
+    inv_raw,
+    mul_raw,
+    order_raw,
+    raw_from_images,
+)
 
 
 def P(text, degree):
@@ -147,3 +162,72 @@ def test_order_annihilates(a):
     # and no smaller positive power does
     for k in range(1, a.order()):
         assert a**k != Permutation.identity(6)
+
+
+# ---------------------------------------------------------------------------
+# the raw kernel against plain tuple arithmetic, on both sides of the
+# degree where its format changes
+
+
+def ref_mul(a, b):
+    return tuple(b[i] for i in a)
+
+
+def ref_inv(a):
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        out[v] = i
+    return tuple(out)
+
+
+def ref_cycles(a):
+    out = []
+    done = set()
+    for i in range(len(a)):
+        if i in done or a[i] == i:
+            continue
+        cyc = [i]
+        while a[cyc[-1]] != i:
+            cyc.append(a[cyc[-1]])
+        done.update(cyc)
+        out.append(tuple(cyc))
+    return out
+
+
+def ref_order(a):
+    return math.lcm(1, *(len(c) for c in ref_cycles(a)))
+
+
+KERNEL_DEGREES = (1, 2, 8, 65, 255, 256, 257, 300)
+
+
+@pytest.mark.parametrize("degree", KERNEL_DEGREES)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_raw_kernel_matches_tuple_reference(degree, data):
+    a, b = (tuple(data.draw(st.permutations(range(degree)))) for _ in range(2))
+    ra, rb = raw_from_images(a), raw_from_images(b)
+    assert isinstance(ra, bytes) == (degree <= BYTES_MAX_DEGREE)
+    assert ra == Permutation([v + 1 for v in a]).raw
+    assert tuple(ra) == a
+    assert tuple(mul_raw(ra, rb)) == ref_mul(a, b)
+    assert tuple(inv_raw(ra)) == ref_inv(a)
+    assert tuple(conj_raw(ra, rb)) == ref_mul(ref_mul(ref_inv(b), a), b)
+    assert tuple(comm_raw(ra, rb)) == ref_mul(ref_inv(a), ref_mul(ref_mul(ref_inv(b), a), b))
+    assert order_raw(ra) == ref_order(a)
+    assert cycles_raw(ra) == ref_cycles(a)
+    # results stay in the kernel's format for the degree
+    for r in (mul_raw(ra, rb), inv_raw(ra), conj_raw(ra, rb), identity_raw(degree)):
+        assert type(r) is type(ra) and len(r) == degree
+    assert mul_raw(ra, inv_raw(ra)) == identity_raw(degree)
+
+
+def test_corpus_generators_use_the_format_of_their_degree():
+    formats = set()
+    for name, group in corpus_groups():
+        kind = type(identity_raw(group.degree))
+        assert all(type(g.raw) is kind for g in group.generators), name
+        assert all(type(r) is kind for r in group._raw_gens), name
+        formats.add(kind)
+    # the corpus has groups on both sides of the format change
+    assert formats == {bytes, tuple}

@@ -10,6 +10,7 @@ import pytest
 
 from cppo import FiniteGroup, parse_permutation
 from cppo.errors import InsolubleError, NotNilpotentError, NotPGroupError, NotSimpleError
+from cppo.permutation import raw_from_images
 from cppo.structure import (
     derived_series,
     fitting_height,
@@ -81,7 +82,7 @@ def s3xs3():
 
 
 def closure(elems, degree):
-    ident = tuple(range(degree))
+    ident = raw_from_images(range(degree))
     out = {ident}
     frontier = list(elems)
     while frontier:
@@ -90,7 +91,7 @@ def closure(elems, degree):
             continue
         out.add(x)
         for y in list(out):
-            for z in (tuple(y[i] for i in x), tuple(x[i] for i in y)):
+            for z in (raw_from_images(y[i] for i in x), raw_from_images(x[i] for i in y)):
                 if z not in out:
                     frontier.append(z)
     return frozenset(out)
@@ -99,7 +100,7 @@ def closure(elems, degree):
 def lattice(group):
     deg = group.degree
     elems = group._raw_elements()
-    ident = tuple(range(deg))
+    ident = raw_from_images(range(deg))
     subs = {frozenset([ident])}
     frontier = [frozenset([ident])]
     while frontier:
@@ -118,12 +119,12 @@ def inv_of(x):
     out = [0] * len(x)
     for i, v in enumerate(x):
         out[v] = i
-    return tuple(out)
+    return raw_from_images(out)
 
 
 def conj(x, g):
     gi = inv_of(g)
-    return tuple(g[x[gi[i]]] for i in range(len(x)))
+    return raw_from_images(g[x[gi[i]]] for i in range(len(x)))
 
 
 def oracle_normals(group):
@@ -137,9 +138,9 @@ def oracle_derived_closure(members, degree):
         xi = inv_of(x)
         for y in members:
             yi = inv_of(y)
-            xy = tuple(y[x[i]] for i in range(degree))
-            yx = tuple(x[y[i]] for i in range(degree))
-            comms.add(tuple(xy[yi[xi[i]]] for i in range(degree)))
+            xy = raw_from_images(y[x[i]] for i in range(degree))
+            yx = raw_from_images(x[y[i]] for i in range(degree))
+            comms.add(raw_from_images(xy[yi[xi[i]]] for i in range(degree)))
     return closure(comms, degree)
 
 
