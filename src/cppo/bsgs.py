@@ -1,10 +1,23 @@
-"""Deterministic Schreier-Sims stabilizer chains.
+"""Deterministic incremental Schreier-Sims stabilizer chains.
 
 A chain holds a base b_0, b_1, ... and, per level i, the strong generators
-fixing b_0..b_{i-1} together with a transversal of the orbit of b_i.  Orders
+fixing b_0..b_{i-1} in the order they were filed, with the orbit of b_i.
+Each orbit point q keeps the inverse u_q^-1 of its coset representative
+(u_q maps b_i to q): sifting only ever multiplies by inverses, so the chain
+stores those and makes a representative only when one is asked for.  Orders
 come from the product of orbit sizes and membership from sifting, so neither
-needs the group enumerated.  Everything iterates in a fixed order, which makes
-chains (and anything derived from them) reproducible run to run.
+needs the group enumerated.
+
+The chain only grows (Seress, Permutation Group Algorithms, 4.2).  A new
+generator extends each orbit it reaches by breadth-first search from the old
+orbit; old entries are never replaced.  Every (point p, generator s) pair
+that is not a search edge is queued once at its level and checked with one
+product: the Schreier generator u_p s u_q^-1 (q = p^s) is trivial when
+s^-1 u_p^-1 == u_q^-1.  Otherwise it is sifted through the levels below, and
+a nontrivial residue is filed as a new generator.  The deepest queue is
+served first; the chain is complete when all are empty.  Everything iterates
+in a fixed order, so chains (and anything derived from them) are
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -16,10 +29,9 @@ class StabilizerChain:
     def __init__(self, degree: int):
         self.degree = degree
         self.base: list[int] = []
-        # _gens_at[i] holds generators whose natural level is exactly i,
-        # i.e. they fix base[:i] but move base[i] (or extend the base).
-        self._gens_at: list[list[tuple]] = []
-        self._transversals: list[dict[int, tuple]] = []
+        self._gens: list[list] = []  # per level, (s, s^-1) for each generator fixing base[:i]
+        self._inverses: list[dict] = []  # per level, orbit point q -> u_q^-1
+        self._queues: list[list] = []  # per level, (p, q = p^s, s^-1) pairs to verify
         self._identity = identity_raw(degree)
 
     @classmethod
@@ -35,19 +47,21 @@ class StabilizerChain:
 
     def order(self) -> int:
         n = 1
-        for t in self._transversals:
+        for t in self._inverses:
             n *= len(t)
         return n
 
     def sift(self, p: tuple, start: int = 0) -> tuple:
         """Reduce p through the chain; identity residue means membership."""
         r = p
-        for lvl in range(start, len(self.base)):
-            d = r[self.base[lvl]]
-            u = self._transversals[lvl].get(d)
-            if u is None:
-                return r
-            r = mul_raw(r, inv_raw(u))
+        base, inverses = self.base, self._inverses
+        for lvl in range(start, len(base)):
+            d = r[base[lvl]]
+            if d != base[lvl]:
+                inv = inverses[lvl].get(d)
+                if inv is None:
+                    return r
+                r = mul_raw(r, inv)
         return r
 
     def contains_raw(self, p: tuple) -> bool:
@@ -56,10 +70,12 @@ class StabilizerChain:
         return self.sift(p) == self._identity
 
     def coset_representative(self, level: int, point: int) -> tuple | None:
-        return self._transversals[level].get(point)
+        """The u mapping base[level] to point, or None off the orbit."""
+        inv = self._inverses[level].get(point)
+        return None if inv is None else inv_raw(inv)
 
     def orbit_sizes(self) -> list[int]:
-        return [len(t) for t in self._transversals]
+        return [len(t) for t in self._inverses]
 
     # -- construction -------------------------------------------------------
 
@@ -71,65 +87,54 @@ class StabilizerChain:
         self._schreier_sims()
         return True
 
-    def _level_gens(self, i: int) -> list[tuple]:
-        out = []
-        for j in range(i, len(self._gens_at)):
-            out.extend(self._gens_at[j])
-        return out
-
-    def _rebuild_transversal(self, i: int):
-        base_pt = self.base[i]
-        gens = self._level_gens(i)
-        trans = {base_pt: self._identity}
-        frontier = [base_pt]
-        while frontier:
-            new_frontier = []
-            for p in frontier:
-                u = trans[p]
-                for s in gens:
-                    q = s[p]
-                    if q not in trans:
-                        trans[q] = mul_raw(u, s)
-                        new_frontier.append(q)
-            frontier = new_frontier
-        self._transversals[i] = trans
-
     def _insert(self, g: tuple) -> int:
-        """File a nontrivial element as a strong generator; returns its level."""
-        i = 0
-        while i < len(self.base) and g[self.base[i]] == self.base[i]:
-            i += 1
-        if i == len(self.base):
-            moved = min(p for p in range(self.degree) if g[p] != p)
-            self.base.append(moved)
-            self._gens_at.append([])
-            self._transversals.append({})
-        self._gens_at[i].append(g)
-        for j in range(i + 1):
-            self._rebuild_transversal(j)
-        return i
+        """File a nontrivial element as a strong generator; returns its level.
+
+        g joins every level whose earlier base points it fixes.  Old orbit
+        points meet g, new ones meet every generator, and each meeting that
+        does not reach a new point queues its pair.
+        """
+        base = self.base
+        j = 0
+        while j < len(base) and g[base[j]] == base[j]:
+            j += 1
+        if j == len(base):
+            b = next(p for p, q in enumerate(g) if p != q)
+            base.append(b)
+            self._gens.append([])
+            self._inverses.append({b: self._identity})
+            self._queues.append([])
+        pair = (g, inv_raw(g))
+        for lvl in range(j + 1):
+            gens, inverses, queue = self._gens[lvl], self._inverses[lvl], self._queues[lvl]
+            gens.append(pair)
+            # below level j, g fixes the base point b, and the pair (b, g) gives g
+            # itself, a generator of the next level; it is not queued
+            pending = [(p, (pair,)) for p in list(inverses)[1 if lvl < j else 0 :]]
+            for p, meets in pending:  # grows as new points are reached
+                v = inverses[p]
+                for s, s_inv in meets:
+                    q = s[p]
+                    if q in inverses:
+                        queue.append((p, q, s_inv))
+                    else:
+                        inverses[q] = mul_raw(s_inv, v)  # (u_p s)^-1
+                        pending.append((q, gens))
+        return j
 
     def _schreier_sims(self):
-        if not self.base:
-            return
-        i = len(self.base) - 1
-        while i >= 0:
-            inserted = self._verify_level(i)
-            if inserted is None:
-                i -= 1
-            else:
-                i = inserted
-
-    def _verify_level(self, i: int) -> int | None:
-        """Sift every Schreier generator of level i; file the first failure."""
-        trans = self._transversals[i]
-        gens = self._level_gens(i)
-        for p in list(trans):
-            u = trans[p]
-            for s in gens:
-                q = s[p]
-                schreier = mul_raw(mul_raw(u, s), inv_raw(trans[q]))
-                r = self.sift(schreier, start=i + 1)
+        """Verify queued pairs, deepest level first, until no queue is left."""
+        lvl = len(self.base) - 1
+        while lvl >= 0:
+            queue = self._queues[lvl]
+            if not queue:
+                lvl -= 1
+                continue
+            p, q, s_inv = queue.pop()
+            inverses = self._inverses[lvl]
+            h_inv = mul_raw(s_inv, inverses[p])  # (u_p s)^-1
+            if h_inv != inverses[q]:
+                # sifting u_p s from this level starts with u_p s u_q^-1, the Schreier generator
+                r = self.sift(inv_raw(h_inv), lvl)
                 if r != self._identity:
-                    return self._insert(r)
-        return None
+                    lvl = self._insert(r)

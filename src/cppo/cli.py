@@ -42,9 +42,7 @@ def _load_group(text: str, cap=None) -> FiniteGroup:
             except json.JSONDecodeError as e:
                 raise GroupError("group spec %s is not valid structured text: %s" % (text, e))
         g = load_group_spec(doc)
-    if cap is not None:
-        g = FiniteGroup(g.generators, degree=g.degree, cap=cap, name=g.name)
-    return g
+    return g.with_cap(cap)
 
 
 def _emit(text: str, out_path) -> None:

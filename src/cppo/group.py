@@ -124,6 +124,12 @@ class FiniteGroup:
     def order(self) -> int:
         return self.chain().order()
 
+    def with_cap(self, cap: int | None) -> "FiniteGroup":
+        """The same group carrying `cap` as its enumeration cap; itself when cap is None."""
+        if cap is None:
+            return self
+        return FiniteGroup(self.generators, degree=self.degree, cap=cap, name=self.name)
+
     def is_trivial(self) -> bool:
         return not self._raw_gens
 
@@ -189,10 +195,6 @@ class FiniteGroup:
 
     def elements(self) -> list[Permutation]:
         return [Permutation._from_raw(r) for r in self._raw_elements()]
-
-    def _raw_element_set(self):
-        self._raw_elements()
-        return self._elem_dict
 
     # -- conjugacy classes --------------------------------------------------
 

@@ -220,8 +220,8 @@ def run_theorem_suite(documents, cap: int | None = None, strict: bool = False) -
     failures = []
     skips = []
     for doc in documents:
-        g = load_group_spec(doc)
-        rep = classify(g, cap=cap)
+        # the group carries the suite's cap, so one budget governs R(G) too
+        rep = classify(load_group_spec(doc).with_cap(cap))
         reports.append(rep)
         for verdict, label in ((rep.theorem1, "theorem1"), (rep.theorem2, "theorem2")):
             if verdict == "fail":

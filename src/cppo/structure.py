@@ -127,7 +127,8 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         return G.trivial_subgroup()
     elems = G._raw_elements()
     orders = _element_orders(G)
-    p_elems = [x for x, o in zip(elems, orders) if o > 1 and p_part(o, p) == o]
+    p_powers = {o for o in set(orders) if o > 1 and p_part(o, p) == o}
+    p_elems = [x for x, o in zip(elems, orders) if o in p_powers]
     gens = [p_elems[0]]
     chain = StabilizerChain(G.degree)
     chain.extend(p_elems[0])

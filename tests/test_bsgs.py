@@ -2,9 +2,18 @@
 
 import random
 
+from cppo import atlas
 from cppo.bsgs import StabilizerChain
 from cppo.group import FiniteGroup
-from cppo.permutation import Permutation, conj_raw, identity_raw, mul_raw, raw_from_images
+from cppo.permutation import (
+    Permutation,
+    block_raw,
+    conj_raw,
+    identity_raw,
+    inv_raw,
+    mul_raw,
+    raw_from_images,
+)
 from cppo.structure import sylow_subgroup
 
 
@@ -172,3 +181,79 @@ def test_closure_and_sylow_results_keep_their_chain(monkeypatch):
     assert builds == []
     assert orders == [60, 6, 8, 5]
     assert orders == [build(5, sub.group._raw_gens).order() for sub in subs]
+
+
+def _random_images(rng, degree):
+    images = list(range(degree))
+    rng.shuffle(images)
+    return images
+
+
+def test_tuple_path_agrees_with_enumeration_on_lifted_s6_subgroups():
+    # degree 300 is past the bytes kernel, so chains hold tuples
+    rng = random.Random(300)
+    degree, offset = 300, 147
+    for _ in range(12):
+        small = [_random_images(rng, 6) for _ in range(rng.randint(1, 3))]
+        members = enumerate_raw(6, [raw_from_images(g) for g in small])
+        chain = StabilizerChain.from_raw_generators(
+            degree, [block_raw(g, offset, degree) for g in small]
+        )
+        assert type(chain.coset_representative(0, chain.base[0])) is tuple
+        assert chain.order() == len(members)
+        for x in members:
+            assert chain.contains_raw(block_raw(x, offset, degree))
+        for _ in range(20):
+            x = _random_images(rng, 6)
+            assert chain.contains_raw(block_raw(x, offset, degree)) == (
+                raw_from_images(x) in members
+            )
+        # a permutation moving points outside the block is never a member
+        assert not chain.contains_raw(block_raw([1, 0], offset + 6, degree))
+
+
+def _assert_chain_consistent(chain):
+    # each level stores u_q^-1 for its orbit points q
+    for level, b in enumerate(chain.base):
+        for point, inv in chain._inverses[level].items():
+            assert inv[point] == b
+            for earlier in chain.base[:level]:
+                assert inv[earlier] == earlier
+            u = chain.coset_representative(level, point)
+            assert mul_raw(u, inv) == identity_raw(chain.degree)
+
+
+def _random_short_cycle(rng, degree):
+    points = rng.sample(range(degree), rng.choice((2, 3)))
+    images = list(range(degree))
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    return raw_from_images(images)
+
+
+def test_each_extend_step_leaves_a_consistent_chain():
+    # short cycles make the group grow over several steps, and some of them
+    # are already members, so extend answers False too
+    rng = random.Random(5)
+    for degree in (7, 9):
+        chain = StabilizerChain(degree)
+        gens = []
+        for _ in range(12):
+            gens.append(_random_short_cycle(rng, degree))
+            chain.extend(gens[-1])
+            _assert_chain_consistent(chain)
+            assert chain.order() == StabilizerChain.from_raw_generators(degree, gens).order()
+
+
+def test_regular_sl2_9_chain():
+    gens = atlas.build("sl2_9").group._raw_gens
+    chain = StabilizerChain.from_raw_generators(720, gens)
+    assert chain.order() == 720
+    rng = random.Random(9)
+    for _ in range(25):
+        x = identity_raw(720)
+        for _ in range(rng.randint(1, 12)):
+            x = mul_raw(x, rng.choice(gens))
+        assert chain.contains_raw(x)
+        assert chain.contains_raw(inv_raw(x))
+    assert not chain.contains_raw(raw_from_images(_random_images(rng, 720)))

@@ -134,6 +134,25 @@ def test_classify_enumerates_within_the_cap_option(monkeypatch, capsys):
     assert max(enumerated, default=0) <= 100
 
 
+def test_verify_theorems_enumerates_within_the_cap_option(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus.json"
+    write_corpus_file(corpus, [{"atlas": "psl2", "params": [7]}])
+    enumerated = []
+    raw_elements = FiniteGroup._raw_elements
+
+    def recording(self):
+        elems = raw_elements(self)
+        enumerated.append(len(elems))
+        return elems
+
+    monkeypatch.setattr(FiniteGroup, "_raw_elements", recording)
+    argv = ["verify", "theorems", "--corpus", str(corpus)]
+    assert main(["--cap", "100"] + argv) == 0
+    assert "radical_order skipped: too large (cap=100)" in capsys.readouterr().out
+    assert main(["--cap", "100", "--strict"] + argv) == 1
+    assert max(enumerated, default=0) <= 100
+
+
 # an insoluble group, two soluble groups whose reports carry a tower witness,
 # and one whose report carries a commutator witness
 @pytest.mark.parametrize(
