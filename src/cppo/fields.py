@@ -213,13 +213,6 @@ class Matrix:
                     work[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(work[r], work[col])]
         return Matrix(F, [row[n:] for row in work])
 
-    def is_singular(self) -> bool:
-        try:
-            self.inverse()
-        except AtlasError:
-            return True
-        return False
-
     def is_identity(self) -> bool:
         return self == Matrix.identity(self.field, self.n)
 

@@ -464,9 +464,6 @@ class FiniteGroup:
             self._cache[key] = self.centralizer(self.generators)
         return self._cache[key]
 
-    def quotient(self, normal) -> "QuotientGroup":
-        return quotient_by_normal(self, normal)
-
 
 class Subgroup:
     """A subgroup remembered together with its ambient parent group."""

@@ -5,9 +5,10 @@ Internally a permutation is a raw image table of 0-based points, so entries
 double as indices.  This module is the only one that knows the raw format:
 up to degree 256 it is a bytes object of length n, so composition is one
 bytes.translate call and hashing is cached; above degree 256 it is a tuple
-of ints, composed by one map() pass.  The degree alone picks the format, and
-every raw permutation is made by raw_from_images, because a bytes table never
-equals a tuple one.  Both formats index, iterate and sort alike.
+of ints, composed by one operator.itemgetter call.  The degree alone picks
+the format, and every raw permutation is made by raw_from_images, because a
+bytes table never equals a tuple one.  Both formats index, iterate and sort
+alike.
 
 Composition is left to right: (p * q) moves a point first through p, then
 through q, matching the conjugation convention x^y = y^-1 x y and
@@ -17,6 +18,7 @@ through q, matching the conjugation convention x^y = y^-1 x y and
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 from .errors import CycleParseError, DegreeMismatchError
@@ -54,7 +56,7 @@ def mul_raw(a, b):
     n = len(b)
     if n <= BYTES_MAX_DEGREE:
         return a.translate(b + _TAIL[n])
-    return tuple(map(b.__getitem__, a))
+    return operator.itemgetter(*a)(b)
 
 
 def inv_raw(a):
@@ -183,9 +185,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return self._img == identity_raw(len(self._img))
-
-    def moved_points(self) -> list[int]:
-        return [i + 1 for i, v in enumerate(self._img) if i != v]
 
     # -- group operations ---------------------------------------------------
 

@@ -9,6 +9,14 @@ Fitting height; find_max_tower certifies that equality constructively.
 
 Stages are small p-groups, so kernels are computed by plain double loops
 over stage elements rather than anything clever.
+
+The exhaustive search behind tower_probe works on frozensets of raw
+elements and builds no group or stabilizer chain until it has a tower to
+return.  Subgroups are found by cyclic extension, each join closed as a
+plain set by _close_set; the candidates are indexed once, each with
+bitmasks of the candidates it normalizes and of those it also moves; and
+the kernels of a leaf are worked out on sets, memoized by the stages they
+depend on.  A tower it returns has still passed validate_tower.
 """
 
 from __future__ import annotations
@@ -48,9 +56,6 @@ class Tower:
     @property
     def height(self) -> int:
         return len(self.stages)
-
-    def stage_groups(self):
-        return [sub for _, sub in self.stages]
 
     def _structural_check(self):
         """Items 1, 2 and 4; returns (item, message) for the first failure."""
@@ -196,12 +201,7 @@ def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int, exhaustive: bool):
                         continue
                     if any(mul_raw(x, s) != mul_raw(s, x) for s in gens):
                         continue
-                    powers = [ident]
-                    y = x
-                    while y != ident:
-                        powers.append(y)
-                        y = mul_raw(y, x)
-                    grown = frozenset(mul_raw(m, q) for m in members for q in powers)
+                    grown = _close_set(members, gens + [x])
                     if grown not in seen:
                         seen[grown] = gens + [x]
                         new_frontier.append((grown, gens + [x]))
@@ -218,10 +218,9 @@ def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int, exhaustive: bool):
                 mul_raw(a, b) != mul_raw(b, a) for a, b in itertools.combinations(combo, 2)
             ):
                 continue
-            sub = FiniteGroup([Permutation._from_raw(c) for c in combo], degree=Q.degree)
-            if sub.order() != p**size:
+            key = _close_set([ident], combo)
+            if len(key) != p**size:
                 continue  # not independent, a smaller combo already covers it
-            key = frozenset(sub._raw_elements())
             if key not in seen_sets:
                 seen_sets.add(key)
                 out.append(list(combo))
@@ -393,8 +392,38 @@ def quotient_tower(t: Tower, q) -> Tower:
 # searching for towers
 
 
+def _close_set(members, gens):
+    """The subgroup generated by the element set `members` of a subgroup and
+    the raw elements `gens`, as a frozenset.
+
+    Breadth-first right multiplication by gens, starting from members.  A
+    member times a generator that is already a member stays inside members,
+    so the first round multiplies by the other generators only.
+    """
+    seen = set(members)
+    frontier = list(members)
+    step = [g for g in gens if g not in seen]
+    while frontier and step:
+        new_frontier = []
+        for y in frontier:
+            for g in step:
+                z = mul_raw(y, g)
+                if z not in seen:
+                    seen.add(z)
+                    new_frontier.append(z)
+        frontier = new_frontier
+        step = gens
+    return frozenset(seen)
+
+
 def _all_subgroups(P: FiniteGroup):
-    """Every subgroup of a small group, by cyclic extension, sorted by size."""
+    """Every subgroup of a small group as (element set, generator list), by
+    cyclic extension, sorted by size then by sorted elements.
+
+    Each subgroup H of the frontier is joined with each element x in element
+    order; x is skipped once the coset Hx of an earlier x has been tried,
+    since both give the same join.
+    """
     elems = P._raw_elements()
     ident = identity_raw(P.degree)
     seen = {frozenset([ident]): []}
@@ -402,52 +431,79 @@ def _all_subgroups(P: FiniteGroup):
     while frontier:
         new_frontier = []
         for members, gens in frontier:
+            tried = set(members)
             for x in elems:
-                if x in members:
+                if x in tried:
                     continue
+                tried.update(mul_raw(m, x) for m in members)
                 grown_gens = gens + [x]
-                sub = FiniteGroup(
-                    [Permutation._from_raw(g) for g in grown_gens], degree=P.degree
-                )
-                key = frozenset(sub._raw_elements())
+                key = _close_set(members, grown_gens)
                 if key not in seen:
                     seen[key] = grown_gens
                     new_frontier.append((key, grown_gens))
         frontier = new_frontier
-    out = sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    return out
+    return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
 
-def _p_subgroup_candidates(G: FiniteGroup, p: int):
-    """All nontrivial p-subgroups of G: subgroups of one Sylow group plus
-    their conjugates under the group generators."""
+def _p_subgroup_sets(G: FiniteGroup, p: int):
+    """All nontrivial p-subgroups of G as (element set, generator list),
+    sorted by size then by sorted elements: the subgroups of one Sylow group
+    plus their conjugates under the group generators."""
     syl = sylow_subgroup(G, p)
     if syl.order() == 1:
         return []
-    subs = _all_subgroups(syl.group)
     pool = {}
-    for members, gens in subs:
+    for members, gens in _all_subgroups(syl.group):
         if len(members) > 1:
             pool[members] = gens
     queue = list(pool.items())
-    while queue:
-        members, gens = queue.pop(0)
+    for members, gens in queue:
         for g in G._raw_gens:
-            conj_gens = [conj_raw(x, g) for x in gens]
             key = frozenset(conj_raw(x, g) for x in members)
             if key not in pool:
+                conj_gens = [conj_raw(x, g) for x in gens]
                 pool[key] = conj_gens
                 queue.append((key, conj_gens))
-    ordered = sorted(pool.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    return [G._subgroup_raw(gens) for _, gens in ordered]
+    return sorted(pool.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+
+
+def _p_subgroup_candidates(G: FiniteGroup, p: int):
+    """All nontrivial p-subgroups of G as subgroups, in _p_subgroup_sets order."""
+    return [G._subgroup_raw(gens) for _, gens in _p_subgroup_sets(G, p)]
+
+
+def _normalizes(upper_gens, members, gens):
+    """None when upper_gens do not normalize the subgroup <gens> with element
+    set members; otherwise whether some upper generator moves some gen."""
+    moves = False
+    for g in upper_gens:
+        for x in gens:
+            y = conj_raw(x, g)
+            if y not in members:
+                return None
+            moves = moves or y != x
+    return moves
 
 
 def tower_probe(G: FiniteGroup, min_height: int, order_cap: int = 500):
     """Bounded exhaustive search for a valid tower of at least the given height.
 
-    Stage candidates are the p-subgroups of G.  Intended as a falsification
-    oracle on small groups, not a production search; groups above the order
-    cap are refused.
+    Stage candidates are the p-subgroups of G, as element sets, indexed once:
+    primes in factorization order, then subgroups by size and sorted
+    elements.  The search fills stages top-down in that order, and the first
+    valid tower wins.  Two bitmask rows per candidate decide which candidates
+    may go below it: the ones it normalizes (item 2), and among those the
+    ones it does not centralize.  A row is filled once the candidate becomes
+    a stage, and only on the columns the search below it can still use.  A
+    stage that centralizes the stage below has K_i = P_i and fails item 3
+    whatever lies lower, so only the second row is offered directly below.
+    A full-height leaf checks item 3 on element sets, with K_i computed
+    bottom-up and memoized by the suffix of stage indices it depends on;
+    only a leaf that passes becomes a Tower, and it is returned only if
+    validate_tower accepts it.
+
+    Intended as a falsification oracle on small groups, not a production
+    search; groups above the order cap are refused.
     """
     if G.order() > order_cap:
         raise TowerDefectError(
@@ -456,27 +512,74 @@ def tower_probe(G: FiniteGroup, min_height: int, order_cap: int = 500):
     primes = [p for p, _ in factorization(G.order())]
     if min_height <= 0:
         return Tower(G, [])
-    candidates = {p: _p_subgroup_candidates(G, p) for p in primes}
+    cands = [(p, members, gens) for p in primes for members, gens in _p_subgroup_sets(G, p)]
+    prime_bits = {p: 0 for p in primes}
+    for i, (p, _, _) in enumerate(cands):
+        prime_bits[p] |= 1 << i
+    rows = {}  # candidate index -> [normalized mask, normalized and moved mask, filled mask]
+    trivial = frozenset([identity_raw(G.degree)])
+    kernels = {}  # stage-index suffix -> K of its top stage, or False if K is the stage
 
-    def extend(stages):
+    def below_rows(i, need):
+        """Candidate i's two rows, filled at least on the columns in need."""
+        row = rows.setdefault(i, [0, 0, 0])
+        todo = need & ~row[2]
+        row[2] |= todo
+        upper = cands[i][2]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            _, members, gens = cands[low.bit_length() - 1]
+            moves = _normalizes(upper, members, gens)
+            if moves is not None:
+                row[0] |= low
+                if moves:
+                    row[1] |= low
+        return row[0], row[1]
+
+    def kernel(suffix):
+        if suffix not in kernels:
+            members = cands[suffix[0]][1]
+            if len(suffix) == 1:
+                k = trivial
+            else:
+                below = kernel(suffix[1:])
+                if below is False:
+                    kernels[suffix] = False
+                    return False
+                lower = cands[suffix[1]][1]
+                k, gens = trivial, []
+                for x in members:
+                    if x not in k and all(comm_raw(y, x) in below for y in lower):
+                        gens.append(x)
+                        k = _close_set(k, gens)
+            kernels[suffix] = False if len(k) == len(members) else k
+        return kernels[suffix]
+
+    def extend(stages, normed):
+        """normed: the candidates that every stage above the last normalizes."""
         if len(stages) == min_height:
-            t = Tower(G, list(stages))
-            if validate_tower(t).valid:
-                return t
-            return None
-        last_prime = stages[-1][0] if stages else None
-        for p in primes:
-            if p == last_prime:
-                continue
-            for cand in candidates[p]:
-                if not all(cand.group.normalized_by(above.group._raw_gens) for _, above in stages):
-                    continue
-                found = extend(stages + [(p, cand)])
-                if found is not None:
-                    return found
+            if kernel(tuple(stages)) is False:
+                return None
+            t = Tower(G, [(cands[i][0], G._subgroup_raw(cands[i][2])) for i in stages])
+            return t if validate_tower(t).valid else None
+        allowed = normed
+        if stages:
+            last = stages[-1]
+            allowed &= ~prime_bits[cands[last][0]]
+            # only the next stage reads the rows when it is the last one
+            norm, moved = below_rows(last, allowed if len(stages) + 1 == min_height else normed)
+            normed &= norm
+            allowed &= moved
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            found = extend(stages + [low.bit_length() - 1], normed)
+            if found is not None:
+                return found
         return None
 
-    return extend([])
+    return extend([], (1 << len(cands)) - 1)
 
 
 def find_max_tower(G: FiniteGroup):

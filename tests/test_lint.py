@@ -1,5 +1,7 @@
-"""Every name a package module imports is used in that module, and every
-_private function is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+_private function is used somewhere in the package, and every public
+function, method or class is exported or used somewhere in the package, the
+tests or the benchmark.
 
 pyflakes would catch this, but it is not a dependency of the project, so
 the check is a short ast walk.  Names listed in a module's __all__ count as
@@ -12,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cppo"
+import cppo
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cppo"
 
 
 def _imported(tree):
@@ -43,23 +48,27 @@ def test_no_unused_imports(path):
     assert unused == [], "%s imports names it never uses: %s" % (path.name, ", ".join(unused))
 
 
-def _private_defs_and_refs():
-    """Each _private function or method, and how often its name is used outside its own body."""
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _unreferenced(kinds, wanted, paths):
+    """Each package definition of the given node kinds whose name `wanted`
+    accepts and that nothing in `paths` names outside its own body."""
     refs = Counter()
     defs = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         refs.update(_references(tree))
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name.startswith("_")
-                and not node.name.startswith("__")
-            ):
-                defs.append((path.name, node))
+        if path.parent == SRC:
+            defs.extend(
+                (path.name, node)
+                for node in ast.walk(tree)
+                if isinstance(node, kinds) and wanted(node.name)
+            )
     for module, node in defs:
         inside = sum(1 for name in _references(node) if name == node.name)
-        yield "%s:%d %s" % (module, node.lineno, node.name), refs[node.name] - inside
+        if refs[node.name] == inside:
+            yield "%s:%d %s" % (module, node.lineno, node.name)
 
 
 def _references(tree):
@@ -74,5 +83,22 @@ def _references(tree):
 
 
 def test_no_unreferenced_private_functions():
-    dead = [where for where, uses in _private_defs_and_refs() if uses == 0]
+    dead = list(
+        _unreferenced(
+            FUNCTIONS,
+            lambda name: name.startswith("_") and not name.startswith("__"),
+            sorted(SRC.glob("*.py")),
+        )
+    )
     assert dead == [], "private functions nothing in the package calls: %s" % ", ".join(dead)
+
+
+def test_no_unreferenced_public_code():
+    dead = list(
+        _unreferenced(
+            FUNCTIONS + (ast.ClassDef,),
+            lambda name: not name.startswith("_") and name not in cppo.__all__,
+            sorted(SRC.glob("*.py")) + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("bench/*.py")),
+        )
+    )
+    assert dead == [], "public code that is neither exported nor used: %s" % ", ".join(dead)

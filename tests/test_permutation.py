@@ -6,6 +6,7 @@ right action x^g = g^-1 x g and [x, y] = x^-1 y^-1 x y, so that
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,21 @@ def test_raw_kernel_matches_tuple_reference(degree, data):
     for r in (mul_raw(ra, rb), inv_raw(ra), conj_raw(ra, rb), identity_raw(degree)):
         assert type(r) is type(ra) and len(r) == degree
     assert mul_raw(ra, inv_raw(ra)) == identity_raw(degree)
+
+
+@pytest.mark.parametrize("degree", (257, 360, 720))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tuple_path_composition_laws(degree, seed):
+    # hypothesis draws a seed: it refuses st.permutations inputs this large
+    rng = random.Random(seed)
+    a, b, c = (raw_from_images(rng.sample(range(degree), degree)) for _ in range(3))
+    ab = mul_raw(a, b)
+    assert type(ab) is tuple and ab == ref_mul(a, b)
+    assert mul_raw(ab, c) == mul_raw(a, mul_raw(b, c)) == ref_mul(ab, c)
+    ident = identity_raw(degree)
+    assert mul_raw(a, ident) == a == mul_raw(ident, a)
+    assert mul_raw(a, inv_raw(a)) == ident == mul_raw(inv_raw(a), a)
 
 
 def test_corpus_generators_use_the_format_of_their_degree():

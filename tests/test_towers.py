@@ -1,14 +1,19 @@
-"""Tower validation, search, and certification against hand-built examples."""
+"""Tower validation, search, and certification against hand-built examples,
+and the set-based probe against the chain-based search it replaced."""
 
 import pytest
 
-from cppo.atlas import build
+from cppo.arith import factorization
+from cppo.atlas import build, load_group_spec
+from cppo.corpus import SOLUBLE_AND_SMALL
 from cppo.errors import InsolubleError, TowerDefectError
 from cppo.group import FiniteGroup, quotient_by_normal
-from cppo.permutation import parse_permutation
-from cppo.structure import fitting_height
+from cppo.permutation import Permutation, conj_raw, identity_raw, parse_permutation
+from cppo.structure import fitting_height, is_soluble, sylow_subgroup
 from cppo.towers import (
     Tower,
+    _all_subgroups,
+    _p_subgroup_candidates,
     effective_quotients,
     find_max_tower,
     is_irreducible_tower,
@@ -183,3 +188,129 @@ def test_quotient_tower_image(s4, s4_tower):
     assert image.height == 2
     assert [s.order() for _, s in image.stages] == [2, 3]
     assert validate_tower(image).valid
+
+
+# ---------------------------------------------------------------------------
+# the chain-based search the set-based probe replaced, kept as a reference:
+# one FiniteGroup and stabilizer chain per (subgroup, element) pair and per
+# candidate, normality through chains, validate_tower on every leaf
+
+
+def _ref_all_subgroups(P):
+    elems = P._raw_elements()
+    ident = identity_raw(P.degree)
+    seen = {frozenset([ident]): []}
+    frontier = [(frozenset([ident]), [])]
+    while frontier:
+        new_frontier = []
+        for members, gens in frontier:
+            for x in elems:
+                if x in members:
+                    continue
+                grown_gens = gens + [x]
+                sub = FiniteGroup(
+                    [Permutation._from_raw(g) for g in grown_gens], degree=P.degree
+                )
+                key = frozenset(sub._raw_elements())
+                if key not in seen:
+                    seen[key] = grown_gens
+                    new_frontier.append((key, grown_gens))
+        frontier = new_frontier
+    return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+
+
+def _ref_p_subgroup_candidates(G, p):
+    syl = sylow_subgroup(G, p)
+    if syl.order() == 1:
+        return []
+    pool = {}
+    for members, gens in _ref_all_subgroups(syl.group):
+        if len(members) > 1:
+            pool[members] = gens
+    queue = list(pool.items())
+    while queue:
+        members, gens = queue.pop(0)
+        for g in G._raw_gens:
+            conj_gens = [conj_raw(x, g) for x in gens]
+            key = frozenset(conj_raw(x, g) for x in members)
+            if key not in pool:
+                pool[key] = conj_gens
+                queue.append((key, conj_gens))
+    ordered = sorted(pool.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    return [G._subgroup_raw(gens) for _, gens in ordered]
+
+
+def _ref_tower_probe(G, min_height):
+    primes = [p for p, _ in factorization(G.order())]
+    candidates = {p: _ref_p_subgroup_candidates(G, p) for p in primes}
+
+    def extend(stages):
+        if len(stages) == min_height:
+            t = Tower(G, list(stages))
+            return t if validate_tower(t).valid else None
+        last_prime = stages[-1][0] if stages else None
+        for p in primes:
+            if p == last_prime:
+                continue
+            for cand in candidates[p]:
+                if not all(cand.group.normalized_by(up.group._raw_gens) for _, up in stages):
+                    continue
+                found = extend(stages + [(p, cand)])
+                if found is not None:
+                    return found
+        return None
+
+    return extend([])
+
+
+@pytest.fixture(scope="module", params=SOLUBLE_AND_SMALL, ids=str)
+def small_soluble(request):
+    g = load_group_spec(request.param)
+    assert is_soluble(g) and g.order() <= 500
+    return g
+
+
+def test_all_subgroups_match_the_chain_reference(small_soluble):
+    for p, _ in factorization(small_soluble.order()):
+        syl = sylow_subgroup(small_soluble, p).group
+        assert _all_subgroups(syl) == _ref_all_subgroups(syl), p
+
+
+def test_probe_matches_the_chain_reference(small_soluble):
+    """Same first tower, or none, at every height up to one above the maximum."""
+    h = fitting_height(small_soluble)
+    for height in range(1, h + 2):
+        got, want = (
+            None if t is None else tower_to_data(t)
+            for t in (tower_probe(small_soluble, height), _ref_tower_probe(small_soluble, height))
+        )
+        assert got == want, height
+        assert (got is None) == (height > h)
+
+
+@pytest.mark.parametrize(
+    "atlas_id,mixed_pairs",
+    [("s4", False), ("direct_product(sym(3),sym(3))", True), ("extraspecial(2,+)", False)],
+)
+def test_a_stage_centralizing_the_stage_below_fails(atlas_id, mixed_pairs):
+    """The probe offers a candidate directly below a stage only when the stage
+    normalizes it without centralizing it; this pins why that prune is safe.
+    In s4 and the 2-group every such pair shares its prime."""
+    g = build(atlas_id).group
+    subs = [(p, c) for p, _ in factorization(g.order()) for c in _p_subgroup_candidates(g, p)]
+    checked = mixed = 0
+    for p_up, upper in subs:
+        for p_low, lower in subs:
+            gens = upper.group._raw_gens
+            if not lower.group.normalized_by(gens) or not all(
+                conj_raw(x, u) == x for u in gens for x in lower.group._raw_gens
+            ):
+                continue
+            v = validate_tower(Tower(g, [(p_up, upper), (p_low, lower)]))
+            assert not v.valid
+            # a shared prime fails item 4 before the kernels are formed
+            failed = 3 if p_up != p_low else 4
+            assert [i for i, ok in v.items.items() if not ok] == [failed]
+            mixed += p_up != p_low
+            checked += 1
+    assert checked > 0 and (mixed > 0) == mixed_pairs
