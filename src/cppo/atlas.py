@@ -35,14 +35,14 @@ class BuiltGroup:
     extras: dict = field(default_factory=dict)
 
 
-def _finish(id_text, gens, degree, expected, notes="", extras=None):
+def _finish(id_text, gens, degree, expected, notes=""):
     group = FiniteGroup(gens, degree=degree, name=id_text)
     got = group.order()
     if got != expected:
         raise AtlasError(
             "construction %s came out with order %d, expected %d" % (id_text, got, expected)
         )
-    return BuiltGroup(id_text, group, expected, notes, extras or {})
+    return BuiltGroup(id_text, group, expected, notes)
 
 
 # ---------------------------------------------------------------------------

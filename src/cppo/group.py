@@ -372,26 +372,24 @@ class FiniteGroup:
 
     # -- subgroup constructions ---------------------------------------------
 
-    def subgroup(self, perms, name=None) -> "Subgroup":
+    def subgroup(self, perms) -> "FiniteGroup":
         for g in perms:
             if not self.contains(g):
                 raise NotInGroupError("%s is not an element here" % g)
-        inner = FiniteGroup(list(perms), degree=self.degree, cap=self.cap, name=name)
-        return Subgroup(self, inner)
+        return FiniteGroup(list(perms), degree=self.degree, cap=self.cap)
 
-    def _subgroup_raw(self, raw_gens, name=None) -> "Subgroup":
-        inner = FiniteGroup(
-            [Permutation._from_raw(r) for r in raw_gens],
-            degree=self.degree,
-            cap=self.cap,
-            name=name,
+    def _subgroup_raw(self, raw_gens) -> "FiniteGroup":
+        sub = FiniteGroup(
+            [Permutation._from_raw(r) for r in raw_gens], degree=self.degree, cap=self.cap
         )
-        return Subgroup(self, inner)
+        if not self.contains_group(sub):
+            raise NotInGroupError("subgroup generator outside the parent group")
+        return sub
 
-    def trivial_subgroup(self) -> "Subgroup":
+    def trivial_subgroup(self) -> "FiniteGroup":
         return self._subgroup_raw([])
 
-    def _closure_raw(self, raw_seeds, raw_conjugators) -> "Subgroup":
+    def _closure_raw(self, raw_seeds, raw_conjugators) -> "FiniteGroup":
         """Smallest subgroup containing the seeds and closed under the conjugators.
 
         One chain grows element by element; the seeds and conjugates that
@@ -405,14 +403,14 @@ class FiniteGroup:
                 if chain.extend(y):
                     gens.append(y)
         sub = self._subgroup_raw(gens)
-        sub.group._chain = chain
+        sub._chain = chain
         return sub
 
-    def _subgroup_from_raw_elements(self, raw_elems) -> "Subgroup":
+    def _subgroup_from_raw_elements(self, raw_elems) -> "FiniteGroup":
         """Reduce an element collection to a short generator list."""
         return self._closure_raw(sorted(raw_elems), ())
 
-    def normal_closure(self, perms) -> "Subgroup":
+    def normal_closure(self, perms) -> "FiniteGroup":
         """Smallest normal subgroup of this group containing the given elements."""
         seeds = []
         for g in perms:
@@ -422,10 +420,10 @@ class FiniteGroup:
                 seeds.append(g.raw)
         return self._normal_closure_raw(seeds)
 
-    def _normal_closure_raw(self, raw_seeds) -> "Subgroup":
+    def _normal_closure_raw(self, raw_seeds) -> "FiniteGroup":
         return self._closure_raw(raw_seeds, self._raw_gens)
 
-    def derived_subgroup(self) -> "Subgroup":
+    def derived_subgroup(self) -> "FiniteGroup":
         key = "derived"
         if key not in self._cache:
             gens = self._raw_gens
@@ -440,11 +438,11 @@ class FiniteGroup:
             # A perfect group is its own derived subgroup; handing back the
             # group itself keeps one copy of its elements, classes and radical.
             if derived.order() == self.order():
-                derived = Subgroup(self, self)
+                derived = self
             self._cache[key] = derived
         return self._cache[key]
 
-    def centralizer(self, perms) -> "Subgroup":
+    def centralizer(self, perms) -> "FiniteGroup":
         """Pointwise centralizer of the given elements, by enumeration filter."""
         targets = []
         for g in perms:
@@ -458,62 +456,18 @@ class FiniteGroup:
         ]
         return self._subgroup_from_raw_elements(kept)
 
-    def center(self) -> "Subgroup":
+    def center(self) -> "FiniteGroup":
         key = "center"
         if key not in self._cache:
             self._cache[key] = self.centralizer(self.generators)
         return self._cache[key]
 
 
-class Subgroup:
-    """A subgroup remembered together with its ambient parent group."""
-
-    __slots__ = ("parent", "group")
-
-    def __init__(self, parent: FiniteGroup, group: FiniteGroup):
-        if parent.degree != group.degree:
-            raise DegreeMismatchError("subgroup degree differs from parent degree")
-        for g in group._raw_gens:
-            if not parent.chain().contains_raw(g):
-                raise NotInGroupError("subgroup generator outside the parent group")
-        self.parent = parent
-        self.group = group
-
-    @property
-    def generators(self) -> list[Permutation]:
-        return self.group.generators
-
-    @property
-    def degree(self) -> int:
-        return self.group.degree
-
-    def order(self) -> int:
-        return self.group.order()
-
-    def elements(self) -> list[Permutation]:
-        return self.group.elements()
-
-    def contains(self, g: Permutation) -> bool:
-        return self.group.contains(g)
-
-    def is_trivial(self) -> bool:
-        return self.group.is_trivial()
-
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return self.group.contains_group(other.group)
-
-    def same_subgroup_as(self, other: "Subgroup") -> bool:
-        return self.group.same_group_as(other.group)
-
-    def __repr__(self):
-        return "Subgroup(order=%d, degree=%d)" % (self.order(), self.degree)
-
-
 class QuotientGroup(FiniteGroup):
     """Coset-action quotient G/N with its projection and a lifting section."""
 
-    def __init__(self, generators, degree, *, source, kernel, reps, index, cap, name=None):
-        super().__init__(generators, degree, cap=cap, name=name)
+    def __init__(self, generators, degree, *, source, kernel, reps, index, cap):
+        super().__init__(generators, degree, cap=cap)
         self.source = source
         self.kernel = kernel
         self._reps = reps
@@ -541,7 +495,7 @@ class QuotientGroup(FiniteGroup):
         return super()._raw_classes()
 
     def _canonical(self, raw):
-        nraw = self.kernel.group._raw_elements()
+        nraw = self.kernel._raw_elements()
         return min(mul_raw(n, raw) for n in nraw)
 
     def project(self, g: Permutation) -> Permutation:
@@ -566,38 +520,35 @@ class QuotientGroup(FiniteGroup):
     def preimage_gens(self, sub) -> list:
         """Raw generators of the source subgroup that maps onto sub: the kernel
         generators, then a lift of each generator of sub."""
-        return self.kernel.group._raw_gens + [self.lift(g).raw for g in sub.group.generators]
+        return self.kernel._raw_gens + [self.lift(g).raw for g in sub.generators]
 
 
-def quotient_by_normal(G: FiniteGroup, N, name=None) -> QuotientGroup:
+def quotient_by_normal(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
     """The quotient G/N as a permutation group on the right cosets of N.
 
     N must be normal in G.  With trivial N the group itself is returned in a
     QuotientGroup wrapper (identity projection) rather than the regular coset
     action, whose degree |G| would be useless at our sizes.
     """
-    if isinstance(N, Subgroup):
-        ngroup = N.group
-        nsub = N if N.parent is G else Subgroup(G, ngroup)
-    else:
-        ngroup = N
-        nsub = Subgroup(G, ngroup)
-    if not ngroup.normalized_by(G._raw_gens):
+    if N.degree != G.degree:
+        raise DegreeMismatchError("subgroup degree differs from parent degree")
+    if not G.contains_group(N):
+        raise NotInGroupError("subgroup generator outside the parent group")
+    if not N.normalized_by(G._raw_gens):
         raise NotNormalError("the given subgroup is not normal in the group")
 
-    if ngroup.is_trivial():
+    if N.is_trivial():
         return QuotientGroup(
             G.generators,
             G.degree,
             source=G,
-            kernel=nsub,
+            kernel=N,
             reps=None,
             index=None,
             cap=G.cap,
-            name=name,
         )
 
-    nraw = ngroup._raw_elements()
+    nraw = N._raw_elements()
     gens = G._raw_gens
     start = nraw[0]  # canonical representative of the coset N itself
     reps = [start]
@@ -625,12 +576,11 @@ def quotient_by_normal(G: FiniteGroup, N, name=None) -> QuotientGroup:
         [g for g in qgens] or [Permutation.identity(degree)],
         degree,
         source=G,
-        kernel=nsub,
+        kernel=N,
         reps=reps,
         index=index,
         cap=G.cap,
-        name=name,
     )
-    if ngroup.order() * q.order() != G.order():
+    if N.order() * q.order() != G.order():
         raise RuntimeError("coset action has the wrong order; normality check was fooled")
     return q

@@ -93,18 +93,16 @@ def _cppo_witness_data(w) -> dict:
     }
 
 
-def classify(G: FiniteGroup, name: str | None = None, cap: int | None = None) -> ClassificationReport:
+def classify(G: FiniteGroup) -> ClassificationReport:
     """A full structural report on one group.
 
-    Fields that need element or class enumeration are skipped past the cap
-    (the group's own enumeration cap unless one is given), and past the
-    group's own cap in any case, instead of failing; skipped verdicts leave
+    Fields that need element or class enumeration are skipped past the
+    group's own enumeration cap instead of failing; skipped verdicts leave
     the theorem fields not_applicable.
     """
-    cap = G.cap if cap is None else cap
     order = G.order()
     r = ClassificationReport(
-        name=name or G.name or "unnamed",
+        name=G.name or "unnamed",
         order=order,
         primes=prime_factors(order),
         is_soluble=is_soluble(G),
@@ -115,7 +113,8 @@ def classify(G: FiniteGroup, name: str | None = None, cap: int | None = None) ->
     r.derived_primes = prime_factors(derived.order())
     # R(G) comes from the upper Fitting series, which enumerates G.  Past
     # G's own cap it is skipped together with every field that needs G's
-    # elements; below it, nothing else here can hit that cap.
+    # elements; below it, nothing else here can hit that cap, since G', R(G')
+    # and G'/R(G') are no larger than G.
     radical = skipped = None
     try:
         radical = soluble_radical(G)
@@ -123,9 +122,8 @@ def classify(G: FiniteGroup, name: str | None = None, cap: int | None = None) ->
         skipped = _skip_marker(e.cap)
     r.radical_order = skipped or radical.order()
 
-    elements_skipped = _skip_marker(cap) if order > cap else skipped
-    if elements_skipped:
-        r.is_eppo = r.is_cppo = elements_skipped
+    if skipped:
+        r.is_eppo = r.is_cppo = skipped
     else:
         r.is_eppo = G.is_eppo()
         cw = G.cppo_witness()
@@ -137,15 +135,12 @@ def classify(G: FiniteGroup, name: str | None = None, cap: int | None = None) ->
             r.witnesses["eppo"] = {"element": str(ew.element), "order": ew.order}
         if r.is_cppo:
             # open data question: is the derived subgroup of a CPPO group EPPO?
-            if derived.order() > cap:
-                r.derived_is_eppo = _skip_marker(cap)
-            else:
-                r.derived_is_eppo = derived.group.is_eppo()
+            r.derived_is_eppo = derived.is_eppo()
 
     if r.is_soluble:
         r.fitting_height = skipped or fitting_height(G)
-        if elements_skipped:
-            r.tower_height = elements_skipped
+        if skipped:
+            r.tower_height = skipped
         else:
             try:
                 h, tower = find_max_tower(G)
@@ -157,29 +152,26 @@ def classify(G: FiniteGroup, name: str | None = None, cap: int | None = None) ->
         for fld in _DERIVED_RADICAL_FIELDS:
             setattr(r, fld, skipped)
     else:
-        second = derived.group.derived_subgroup()
+        second = derived.derived_subgroup()
         r.second_derived_equals_derived = second.order() == derived.order()
-        drad = soluble_radical(derived.group)
+        drad = soluble_radical(derived)
         r.derived_radical_order = drad.order()
         r.derived_radical_is_2_group = len(factorization(drad.order())) <= 1 and (
             drad.order() == 1 or factorization(drad.order())[0][0] == 2
         )
-        closure = _commutator_span(G, list(derived.group._raw_gens), radical.group)
+        closure = _commutator_span(G, list(derived._raw_gens), radical)
         r.derived_radical_closure_order = closure.order()
-        if derived.order() // drad.order() > cap:
-            r.simple_quotient = _skip_marker(cap)
-        else:
-            try:
-                sq = identify_simple_eppo(quotient_by_normal(derived.group, drad))
-                r.simple_quotient = sq.tag
-            except NotSimpleError:
-                r.simple_quotient = "NotSimple"
+        try:
+            sq = identify_simple_eppo(quotient_by_normal(derived, drad))
+            r.simple_quotient = sq.tag
+        except NotSimpleError:
+            r.simple_quotient = "NotSimple"
 
     if r.is_cppo is True:
         if r.is_soluble:
             ok = r.fitting_height <= 3 and len(r.derived_primes) <= 3
             r.theorem1 = "pass" if ok else "fail"
-        elif not (isinstance(r.simple_quotient, str) and r.simple_quotient.startswith("skipped")):
+        else:
             ok = (
                 r.second_derived_equals_derived
                 and r.derived_radical_is_2_group
@@ -254,10 +246,9 @@ class FullSuiteResult:
         return self.theorems.ok and all(c.status == "pass" for c in self.lemmas)
 
 
-def run_full_suite(documents, ids=None, seed: int = 0, cap: int | None = None,
-                   strict: bool = False) -> FullSuiteResult:
+def run_full_suite(documents, ids=None, seed: int = 0) -> FullSuiteResult:
     return FullSuiteResult(
-        theorems=run_theorem_suite(documents, cap=cap, strict=strict),
+        theorems=run_theorem_suite(documents),
         lemmas=run_lemma_suite(ids, seed=seed),
     )
 

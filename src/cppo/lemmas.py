@@ -24,7 +24,7 @@ from .atlas import build
 from .corpus import corpus_groups, default_corpus
 from .errors import GroupError
 from .fields import gf
-from .group import FiniteGroup, Subgroup, quotient_by_normal
+from .group import FiniteGroup, quotient_by_normal
 from .permutation import (
     Permutation,
     block_raw,
@@ -191,16 +191,16 @@ def _heisenberg_with_flip():
 # small computations shared by the checks
 
 
-def _centralizer_raws(sub: Subgroup, action_raws):
+def _centralizer_raws(sub: FiniteGroup, action_raws):
     ident = identity_raw(sub.degree)
     out = []
-    for x in sub.group._raw_elements():
+    for x in sub._raw_elements():
         if all(comm_raw(x, a) == ident for a in action_raws):
             out.append(x)
     return out
 
 
-def _join(ambient: FiniteGroup, *gen_lists) -> Subgroup:
+def _join(ambient: FiniteGroup, *gen_lists) -> FiniteGroup:
     gens = []
     for gl in gen_lists:
         gens.extend(gl)
@@ -211,19 +211,19 @@ def _subgroup_order_from_raws(ambient, raws):
     return ambient._subgroup_from_raw_elements(raws).order()
 
 
-def _nontrivial_elements(sub: Subgroup):
+def _nontrivial_elements(sub: FiniteGroup):
     ident = identity_raw(sub.degree)
-    return [x for x in sub.group._raw_elements() if x != ident]
+    return [x for x in sub._raw_elements() if x != ident]
 
 
-def _is_quaternion8(sub: Subgroup) -> bool:
+def _is_quaternion8(sub: FiniteGroup) -> bool:
     if sub.order() != 8:
         return False
-    invs = [x for x in sub.group._raw_elements() if order_raw(x) == 2]
+    invs = [x for x in sub._raw_elements() if order_raw(x) == 2]
     return len(invs) == 1
 
 
-def _coprime(sub_a: Subgroup, sub_g: Subgroup) -> bool:
+def _coprime(sub_a: FiniteGroup, sub_g: FiniteGroup) -> bool:
     return math.gcd(sub_a.order(), sub_g.order()) == 1
 
 
@@ -245,7 +245,7 @@ def _coprime_pairs():
             a = amb.subgroup([scale ** (n // d)])
             pairs.append(("agl1(%d) torus part of order %d on translations" % (q, d), amb, v, a))
     sl23 = build("sl2_3").group
-    q8 = sl23._subgroup_raw(sl23.derived_subgroup().group._raw_gens)
+    q8 = sl23.derived_subgroup()
     pairs.append(
         (
             "sl2_3 order-3 element on its quaternion subgroup",
@@ -273,14 +273,14 @@ def _noncyclic_abelian_pairs():
     return pairs
 
 
-def _comm_sub(amb, a_sub: Subgroup, g_sub: Subgroup) -> Subgroup:
-    return _commutator_span(amb, list(a_sub.group._raw_gens), g_sub.group)
+def _comm_sub(amb, a_sub: FiniteGroup, g_sub: FiniteGroup) -> FiniteGroup:
+    return _commutator_span(amb, list(a_sub._raw_gens), g_sub)
 
 
 def _check_action_preconditions(amb, g_sub, a_sub):
     if not _coprime(a_sub, g_sub):
         raise GroupError("instance is not coprime")
-    if not g_sub.group.normalized_by(a_sub.group._raw_gens):
+    if not g_sub.normalized_by(a_sub._raw_gens):
         raise GroupError("acting subgroup fails to normalize the instance")
 
 
@@ -293,12 +293,12 @@ def check_cc_i(seed=0):
     for tag, amb, g, a in _coprime_pairs():
         _check_action_preconditions(amb, g, a)
         comm = _comm_sub(amb, a, g)
-        cent = _centralizer_raws(g, a.group._raw_gens)
-        total = _join(amb, comm.group._raw_gens, cent)
+        cent = _centralizer_raws(g, a._raw_gens)
+        total = _join(amb, comm._raw_gens, cent)
         ok = total.order() == g.order()
         witness = {"comm_order": comm.order(), "cent_order": len(cent)}
-        if ok and g.group.is_abelian():
-            meet = set(comm.group._raw_elements()) & set(cent)
+        if ok and g.is_abelian():
+            meet = set(comm._raw_elements()) & set(cent)
             ok = len(meet) == 1
             witness["meet_order"] = len(meet)
         out.append(LemmaCheck("cc_i", tag, "pass" if ok else "fail", witness))
@@ -311,7 +311,7 @@ def check_cc_ii(seed=0):
         _check_action_preconditions(amb, g, a)
         once = _comm_sub(amb, a, g)
         twice = _comm_sub(amb, a, once)
-        ok = once.same_subgroup_as(twice)
+        ok = once.same_group_as(twice)
         out.append(
             LemmaCheck(
                 "cc_ii", tag, "pass" if ok else "fail",
@@ -327,7 +327,7 @@ def _cc_iii_instances():
     c5 = amb.subgroup([v.generators[0]])
     yield "c35 mod its c5 part", amb, v, amb._subgroup_raw([half]), c5
     sl23 = build("sl2_3").group
-    q8 = sl23._subgroup_raw(sl23.derived_subgroup().group._raw_gens)
+    q8 = sl23.derived_subgroup()
     a3 = sl23._subgroup_raw([_order3_rep(sl23)])
     yield "q8 mod its centre", sl23, q8, a3, sl23.center()
     amb4, v4, scales4 = _affine_square(4)
@@ -340,16 +340,16 @@ def check_cc_iii(seed=0):
     out = []
     for tag, amb, g, a, n in _cc_iii_instances():
         _check_action_preconditions(amb, g, a)
-        nchain = n.group.chain()
+        nchain = n.chain()
         # fixed points of the action on G/N, pulled back to G
         pulled = [
             x
-            for x in g.group._raw_elements()
-            if all(nchain.contains_raw(comm_raw(x, ag)) for ag in a.group._raw_gens)
+            for x in g._raw_elements()
+            if all(nchain.contains_raw(comm_raw(x, ag)) for ag in a._raw_gens)
         ]
         lhs = _subgroup_order_from_raws(amb, pulled)
-        cent = _centralizer_raws(g, a.group._raw_gens)
-        rhs = _join(amb, n.group._raw_gens, cent).order()
+        cent = _centralizer_raws(g, a._raw_gens)
+        rhs = _join(amb, n._raw_gens, cent).order()
         ok = lhs == rhs
         out.append(
             LemmaCheck("cc_iii", tag, "pass" if ok else "fail", {"lhs": lhs, "rhs": rhs})
@@ -361,7 +361,7 @@ def check_cc_v(seed=0):
     out = []
     for tag, amb, g, a in _noncyclic_abelian_pairs():
         _check_action_preconditions(amb, g, a)
-        if not is_nilpotent(g.group) or a.group.is_cyclic():
+        if not is_nilpotent(g) or a.is_cyclic():
             raise GroupError("cc_v instance out of scope")
         pieces = []
         for aelt in _nontrivial_elements(a):
@@ -388,7 +388,7 @@ def _cc_vi_instances():
     f21 = amb7.subgroup(list(v7.generators) + [scale7**2])
     yield "frobenius 21 under an involution", amb7, f21, amb7.subgroup([scale7**3])
     sl23 = build("sl2_3").group
-    q8 = sl23._subgroup_raw(sl23.derived_subgroup().group._raw_gens)
+    q8 = sl23.derived_subgroup()
     yield "quaternion group under an order-3 element", sl23, q8, sl23._subgroup_raw(
         [_order3_rep(sl23)]
     )
@@ -401,7 +401,7 @@ def check_cc_vi(seed=0):
         witness = {}
         ok = True
         for p in prime_factors(g.order()):
-            syl = sylow_subgroup(g.group, p)
+            syl = sylow_subgroup(g, p)
             found = _invariant_conjugate(amb, g, syl, a)
             witness[str(p)] = "found" if found else "missing"
             if not found:
@@ -410,11 +410,11 @@ def check_cc_vi(seed=0):
     return out
 
 
-def _invariant_conjugate(amb, g: Subgroup, syl: Subgroup, a: Subgroup):
+def _invariant_conjugate(amb, g: FiniteGroup, syl: FiniteGroup, a: FiniteGroup):
     """Some g-conjugate of the Sylow subgroup fixed by the acting subgroup."""
-    for gens in g.group._conjugate_gen_sets(syl.group._raw_gens):
+    for gens in g._conjugate_gen_sets(syl._raw_gens):
         cand = amb._subgroup_raw(list(gens))
-        if cand.group.normalized_by(a.group._raw_gens):
+        if cand.normalized_by(a._raw_gens):
             return cand
     return None
 
@@ -432,19 +432,19 @@ def check_kurzweil(seed=0):
         _check_action_preconditions(amb, v, a)
         if any(len(_centralizer_raws(v, [x])) > 1 for x in _nontrivial_elements(a)):
             raise GroupError("kurzweil instance is not fixed point free")
-        conditions = a.group.is_abelian() or (
+        conditions = a.is_abelian() or (
             len(factorization(a.order())) == 1
             and (a.order() % 2 == 1 or not _is_quaternion8(a))
         )
         if not conditions:
             raise GroupError("kurzweil instance misses every hypothesis")
-        ok = a.group.is_cyclic()
+        ok = a.is_cyclic()
         out.append(LemmaCheck("kurzweil", tag, "pass" if ok else "fail", {"a_order": a.order()}))
     amb, v, q8 = _affine_plane_3()
     _check_action_preconditions(amb, v, q8)
     if any(len(_centralizer_raws(v, [x])) > 1 for x in _nontrivial_elements(q8)):
         raise GroupError("quaternion instance is not fixed point free")
-    exception_ok = (not q8.group.is_cyclic()) and _is_quaternion8(q8)
+    exception_ok = (not q8.is_cyclic()) and _is_quaternion8(q8)
     out.append(
         LemmaCheck(
             "kurzweil",
@@ -464,18 +464,18 @@ def check_acnoncop(seed=0):
     for tag, amb, v, a in instances[:2]:
         elems = amb._raw_elements()
         c = elems[rng.randrange(len(elems))]
-        vv = amb._subgroup_raw([conj_raw(x, c) for x in v.group._raw_gens])
-        aa = amb._subgroup_raw([conj_raw(x, c) for x in a.group._raw_gens])
+        vv = amb._subgroup_raw([conj_raw(x, c) for x in v._raw_gens])
+        aa = amb._subgroup_raw([conj_raw(x, c) for x in a._raw_gens])
         extra.append((tag + ", conjugated", amb, vv, aa))
     out = []
     for tag, amb, v, a in instances + extra:
         _check_action_preconditions(amb, v, a)
-        if a.group.is_cyclic() or not a.group.is_abelian() or not v.group.is_abelian():
+        if a.is_cyclic() or not a.is_abelian() or not v.is_abelian():
             raise GroupError("acnoncop instance out of scope")
         meet = None
         for aelt in _nontrivial_elements(a):
             part = set(
-                _commutator_span(amb, [aelt], v.group).group._raw_elements()
+                _commutator_span(amb, [aelt], v)._raw_elements()
             )
             meet = part if meet is None else (meet & part)
         ok = meet is not None and len(meet) == 1
@@ -505,11 +505,11 @@ def check_orderofav(seed=0):
         n = v.order()
         if math.gcd(n, order_raw(a_raw)) != 1:
             raise GroupError("orderofav instance is not coprime")
-        comm = _commutator_span(amb, [a_raw], v.group)
-        chain = comm.group.chain()
+        comm = _commutator_span(amb, [a_raw], v)
+        chain = comm.chain()
         ok = True
         checked = 0
-        for velt in v.group._raw_elements():
+        for velt in v._raw_elements():
             if math.gcd(n, order_raw(mul_raw(a_raw, velt))) != 1:
                 continue
             checked += 1
@@ -537,7 +537,7 @@ def check_autoofextra(seed=0):
         whole = ambient._subgroup_raw(P._raw_gens)
         fixed = _centralizer_raws(whole, [phi_raw])
         frat = frattini_of_p_group(P)
-        hypo = sorted(fixed) == sorted(frat.group._raw_elements())
+        hypo = sorted(fixed) == sorted(frat._raw_elements())
         if not hypo:
             raise GroupError("fixed points differ from the frattini subgroup")
         values = {comm_raw(x, phi_raw) for x in P._raw_elements()}
@@ -550,7 +550,7 @@ def check_autoofextra(seed=0):
                 if z not in closed:
                     closed.add(z)
                     frontier.append(z)
-        frat_set = set(frat.group._raw_elements())
+        frat_set = set(frat._raw_elements())
         missing = [x for x in P._raw_elements() if x not in frat_set and x not in closed]
         out.append(
             LemmaCheck(
@@ -564,7 +564,7 @@ def check_autoofextra(seed=0):
     verify("heisenberg 27 under the inverting involution", P, flip.raw, amb)
 
     sl23 = build("sl2_3").group
-    q8 = sl23.derived_subgroup().group
+    q8 = sl23.derived_subgroup()
     verify("quaternion group under an order-3 automorphism", q8, _order3_rep(sl23), sl23)
     return out
 
@@ -658,7 +658,7 @@ def check_aaa_scenario(seed=0):
         c = elems[rng.randrange(len(elems))]
         stage_sets.append(
             tuple(
-                amb._subgroup_raw([conj_raw(x, c) for x in s.group._raw_gens])
+                amb._subgroup_raw([conj_raw(x, c) for x in s._raw_gens])
                 for s in (p1, p2, p3)
             )
         )
@@ -668,11 +668,11 @@ def check_aaa_scenario(seed=0):
         report = validate_tower(tower)
         hypo = (
             report.valid
-            and a1.group.is_cyclic()
-            and a2.group.is_abelian()
-            and not a2.group.is_cyclic()
-            and a3.group.is_abelian()
-            and _comm_sub(amb, a1, a2).same_subgroup_as(a2)
+            and a1.is_cyclic()
+            and a2.is_abelian()
+            and not a2.is_cyclic()
+            and a3.is_abelian()
+            and _comm_sub(amb, a1, a2).same_group_as(a2)
         )
         if not hypo:
             out.append(
@@ -713,18 +713,18 @@ def check_opelinha(seed=0):
         if not g.is_cppo():
             continue
         centre = g.center()
-        zchain = centre.group.chain()
+        zchain = centre.chain()
         count = 0
         for n in normal_subgroups(g):
-            if n.order() == 1 or not is_nilpotent(n.group):
+            if n.order() == 1 or not is_nilpotent(n):
                 continue
             count += 1
             if count > 8:  # keep reports readable on lattice-rich groups
                 break
             good_p = None
             for p in prime_factors(n.order()):
-                part = p_prime_part_of_nilpotent(n.group, p)
-                if all(zchain.contains_raw(x) for x in part.group._raw_gens):
+                part = p_prime_part_of_nilpotent(n, p)
+                if all(zchain.contains_raw(x) for x in part._raw_gens):
                     good_p = p
                     break
             out.append(
@@ -791,12 +791,12 @@ def check_solubleperfect(seed=0):
         n = g.center() if nkind == "centre" else fitting_subgroup(g)
         if g.derived_subgroup().order() != g.order():
             raise GroupError("instance group is not perfect")
-        if not is_soluble(n.group):
+        if not is_soluble(n):
             raise GroupError("chosen normal part is not soluble")
         q = quotient_by_normal(g, n)
         if not is_simple(q):
             raise GroupError("quotient by the normal part is not simple")
-        nchain = n.group.chain()
+        nchain = n.chain()
         elems = g._raw_elements()
         chosen = []
         while len(chosen) < 3:
@@ -805,7 +805,7 @@ def check_solubleperfect(seed=0):
                 chosen.append(x)
         for k, x in enumerate(chosen):
             qsub = g._subgroup_raw([x])
-            span = _commutator_span(g, list(qsub.group._raw_gens), g)
+            span = _commutator_span(g, list(qsub._raw_gens), g)
             ok = span.order() == g.order()
             out.append(
                 LemmaCheck(
@@ -850,7 +850,7 @@ def _find_covered_elem_abelian(g: FiniteGroup, qprime: int):
     candidates = [
         c
         for c in _p_subgroup_candidates(g, qprime)
-        if c.group.is_elementary_abelian()
+        if c.is_elementary_abelian()
     ]
     elems = g._raw_elements()
     for cand in candidates[:40]:
@@ -859,9 +859,9 @@ def _find_covered_elem_abelian(g: FiniteGroup, qprime: int):
             o = order_raw(a)
             if o == 1 or not is_prime_power(o) or o % qprime == 0:
                 continue
-            if not cand.group.normalized_by([a]):
+            if not cand.normalized_by([a]):
                 continue
-            span = _commutator_span(g, [a], cand.group)
+            span = _commutator_span(g, [a], cand)
             if span.order() == size:
                 return {"q_order": size, "a_order": o}
     return None
@@ -912,14 +912,14 @@ def check_casolo_quotient(seed=0):
         if h < 2:
             continue
         _, tower = find_max_tower(g)
-        stage_elems = [s.group._raw_elements() for _, s in tower.stages]
-        bottom_gens = tower.stages[-1][1].group._raw_gens
+        stage_elems = [s._raw_elements() for _, s in tower.stages]
+        bottom_gens = tower.stages[-1][1]._raw_gens
         ident = identity_raw(g.degree)
         taken = 0
         for n in normal_subgroups(g):
             if taken >= 4:
                 break
-            nchain = n.group.chain()
+            nchain = n.chain()
             hypo = True
             for i in range(len(tower.stages) - 1):
                 for x in stage_elems[i]:
@@ -958,7 +958,7 @@ def check_p3_noncyclic(seed=0):
         bad = [
             i + 1
             for i, (_, s) in enumerate(tower.stages)
-            if i + 1 >= 3 and s.group.is_cyclic()
+            if i + 1 >= 3 and s.is_cyclic()
         ]
         out.append(
             LemmaCheck(

@@ -19,7 +19,7 @@ from .errors import (
     NotPGroupError,
     NotSimpleError,
 )
-from .group import FiniteGroup, Subgroup, quotient_by_normal
+from .group import FiniteGroup, quotient_by_normal
 from .permutation import comm_raw, conj_raw, identity_raw, mul_raw, order_raw
 
 DEFAULT_CLASS_CAP = 60
@@ -28,16 +28,8 @@ DEFAULT_CLASS_CAP = 60
 @dataclass
 class SeriesChain:
     kind: str  # "derived", "lower_central" or "upper_fitting"
-    terms: list  # Subgroups of the ambient group; upper_fitting runs upward
+    terms: list  # subgroups of the ambient group; upper_fitting runs upward
     stabilized: bool = True
-
-
-def _as_group(x) -> FiniteGroup:
-    return x.group if isinstance(x, Subgroup) else x
-
-
-def _whole(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, G)
 
 
 def _element_orders(G: FiniteGroup):
@@ -53,12 +45,12 @@ def _element_orders(G: FiniteGroup):
 
 
 def derived_series(G: FiniteGroup) -> SeriesChain:
-    terms = [_whole(G)]
+    terms = [G]
     while True:
-        nxt = _as_group(terms[-1]).derived_subgroup()
+        nxt = terms[-1].derived_subgroup()
         if nxt.order() == terms[-1].order():
             break
-        terms.append(Subgroup(G, nxt.group))
+        terms.append(nxt)
         if nxt.order() == 1:
             break
     return SeriesChain("derived", terms)
@@ -77,11 +69,10 @@ def is_perfect(G: FiniteGroup) -> bool:
 
 def lower_central_series(G: FiniteGroup) -> SeriesChain:
     ident = identity_raw(G.degree)
-    terms = [_whole(G)]
+    terms = [G]
     while True:
-        cur = _as_group(terms[-1])
         seeds = set()
-        for a in cur._raw_gens:
+        for a in terms[-1]._raw_gens:
             for b in G._raw_gens:
                 c = comm_raw(a, b)
                 if c != ident:
@@ -102,17 +93,16 @@ def is_nilpotent(G: FiniteGroup) -> bool:
     return G._cache[key]
 
 
-def gamma_infinity(G: FiniteGroup) -> Subgroup:
+def gamma_infinity(G: FiniteGroup) -> FiniteGroup:
     """The stationary term of the lower central series."""
-    term = lower_central_series(G).terms[-1]
-    return term if isinstance(term, Subgroup) else _whole(G)
+    return lower_central_series(G).terms[-1]
 
 
 # ---------------------------------------------------------------------------
 # Sylow subgroups and cores
 
 
-def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
+def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup, grown by normalizer ascent from a p-element.
 
     While the current p-subgroup P is short of full p-part, some p-element
@@ -143,11 +133,11 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         else:
             raise RuntimeError("sylow ascent stalled below the full p-part")
     sub = G._subgroup_raw(gens)
-    sub.group._chain = chain
+    sub._chain = chain
     return sub
 
 
-def p_core(G: FiniteGroup, p: int) -> Subgroup:
+def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
     """O_p(G), the intersection of all conjugates of a Sylow p-subgroup.
 
     Computed by refinement: start with the Sylow group and intersect with a
@@ -158,7 +148,7 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
     syl = sylow_subgroup(G, p)
     if syl.order() == 1:
         return syl
-    K = set(syl.group._raw_elements())
+    K = set(syl._raw_elements())
     while True:
         clash = None
         for g in G._raw_gens:
@@ -172,13 +162,13 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
     return G._subgroup_from_raw_elements(K)
 
 
-def fitting_subgroup(G: FiniteGroup) -> Subgroup:
+def fitting_subgroup(G: FiniteGroup) -> FiniteGroup:
     """F(G), the product of the cores O_p(G) over the primes dividing |G|."""
     key = "fitting"
     if key not in G._cache:
         gens = []
         for p, _ in factorization(G.order()):
-            gens.extend(p_core(G, p).group._raw_gens)
+            gens.extend(p_core(G, p)._raw_gens)
         G._cache[key] = G._subgroup_raw(gens)
     return G._cache[key]
 
@@ -219,7 +209,7 @@ def fitting_height(G: FiniteGroup) -> int:
     return len(upper_fitting_series(G).terms) - 1
 
 
-def soluble_radical(G: FiniteGroup) -> Subgroup:
+def soluble_radical(G: FiniteGroup) -> FiniteGroup:
     return upper_fitting_series(G).terms[-1]
 
 
@@ -227,71 +217,67 @@ def soluble_radical(G: FiniteGroup) -> Subgroup:
 # odds and ends on nilpotent groups and p-groups
 
 
-def p_prime_part_of_nilpotent(N, p: int) -> Subgroup:
+def p_prime_part_of_nilpotent(N: FiniteGroup, p: int) -> FiniteGroup:
     """The subgroup of a nilpotent group generated by its p'-elements."""
     if not is_prime(p):
         raise ValueError("%d is not a prime" % p)
-    group = _as_group(N)
-    if not is_nilpotent(group):
+    if not is_nilpotent(N):
         raise NotNilpotentError("the p' part shortcut needs a nilpotent group")
-    elems = group._raw_elements()
-    orders = _element_orders(group)
+    elems = N._raw_elements()
+    orders = _element_orders(N)
     kept = [x for x, o in zip(elems, orders) if o % p != 0]
-    return group._subgroup_from_raw_elements(kept)
+    return N._subgroup_from_raw_elements(kept)
 
 
 def is_p_group(G: FiniteGroup) -> bool:
-    n = _as_group(G).order()
+    n = G.order()
     if n == 1:
         return True
     fact = factorization(n)
     return len(fact) == 1
 
 
-def frattini_of_p_group(P) -> Subgroup:
+def frattini_of_p_group(P: FiniteGroup) -> FiniteGroup:
     """The Frattini subgroup of a p-group: generated by p-th powers and commutators."""
-    group = _as_group(P)
-    if group.order() == 1:
-        return group.trivial_subgroup()
-    fact = factorization(group.order())
+    if P.order() == 1:
+        return P.trivial_subgroup()
+    fact = factorization(P.order())
     if len(fact) != 1:
         raise NotPGroupError("frattini shortcut applies to p-groups only")
     p = fact[0][0]
-    gens = set(group.derived_subgroup().group._raw_gens)
-    ident = identity_raw(group.degree)
-    for x in group._raw_elements():
+    gens = set(P.derived_subgroup()._raw_gens)
+    ident = identity_raw(P.degree)
+    for x in P._raw_elements():
         y = x
         for _ in range(p - 1):
             y = mul_raw(y, x)
         if y != ident:
             gens.add(y)
-    return group._subgroup_raw(sorted(gens))
+    return P._subgroup_raw(sorted(gens))
 
 
-def is_extraspecial(P) -> bool:
+def is_extraspecial(P: FiniteGroup) -> bool:
     """p-group with centre of order p and elementary abelian nontrivial quotient."""
-    group = _as_group(P)
-    fact = factorization(group.order())
-    if len(fact) != 1 or group.order() == 1:
+    fact = factorization(P.order())
+    if len(fact) != 1 or P.order() == 1:
         return False
     p = fact[0][0]
-    centre = group.center()
+    centre = P.center()
     if centre.order() != p:
         return False
-    q = quotient_by_normal(group, centre)
+    q = quotient_by_normal(P, centre)
     if q.order() == 1:
         return False
     if not q.is_elementary_abelian():
         return False
-    frat = frattini_of_p_group(group)
-    return frat.group.same_group_as(centre.group)
+    return frattini_of_p_group(P).same_group_as(centre)
 
 
 # ---------------------------------------------------------------------------
 # the normal subgroup lattice
 
 
-def normal_subgroups(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> list:
+def normal_subgroups(G: FiniteGroup) -> list:
     """Every normal subgroup, as the join closure of class normal closures.
 
     A normal subgroup is a union of conjugacy classes, so all of them arise
@@ -299,16 +285,16 @@ def normal_subgroups(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> list
     subgroup is keyed by the set of classes it swallows, which makes the
     closure loop terminate without ever comparing groups elementwise.
     """
-    key = ("normals", class_cap)
+    key = "normals"
     if key not in G._cache:
         classes = G._raw_classes()
-        if len(classes) > class_cap:
-            raise ClassCapError(len(classes), class_cap)
+        if len(classes) > DEFAULT_CLASS_CAP:
+            raise ClassCapError(len(classes), DEFAULT_CLASS_CAP)
         reps = [c.rep for c in classes]
         ident = identity_raw(G.degree)
 
-        def signature(sub: Subgroup):
-            chain = sub.group.chain()
+        def signature(sub: FiniteGroup):
+            chain = sub.chain()
             return frozenset(i for i, r in enumerate(reps) if chain.contains_raw(r))
 
         found = {}
@@ -329,7 +315,7 @@ def normal_subgroups(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> list
                 for asig, atom in atoms:
                     if asig <= sig:
                         continue
-                    join = G._subgroup_raw(base.group._raw_gens + atom.group._raw_gens)
+                    join = G._subgroup_raw(base._raw_gens + atom._raw_gens)
                     jsig = signature(join)
                     if jsig not in found:
                         found[jsig] = join
@@ -340,33 +326,31 @@ def normal_subgroups(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> list
     return G._cache[key]
 
 
-def minimal_normal_subgroups(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> list:
+def minimal_normal_subgroups(G: FiniteGroup) -> list:
     """Minimal members among the nontrivial normal subgroups (G itself if simple)."""
-    nontrivial = [n for n in normal_subgroups(G, class_cap) if n.order() > 1]
+    nontrivial = [n for n in normal_subgroups(G) if n.order() > 1]
     out = []
     for n in nontrivial:
-        if not any(m.order() < n.order() and n.contains_subgroup(m) for m in nontrivial):
+        if not any(m.order() < n.order() and n.contains_group(m) for m in nontrivial):
             out.append(n)
     return out
 
 
-def socle(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> Subgroup:
+def socle(G: FiniteGroup) -> FiniteGroup:
     gens = []
-    for m in minimal_normal_subgroups(G, class_cap):
-        gens.extend(m.group._raw_gens)
+    for m in minimal_normal_subgroups(G):
+        gens.extend(m._raw_gens)
     return G._subgroup_raw(gens)
 
 
-def is_simple(
-    G: FiniteGroup, allow_abelian_simple: bool = False, class_cap: int = DEFAULT_CLASS_CAP
-) -> bool:
+def is_simple(G: FiniteGroup, allow_abelian_simple: bool = False) -> bool:
     """Nonabelian simplicity by default; prime order counts only when flagged."""
     n = G.order()
     if n == 1:
         return False
     if G.is_abelian():
         return allow_abelian_simple and is_prime(n)
-    return len(normal_subgroups(G, class_cap)) == 2
+    return len(normal_subgroups(G)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +379,11 @@ _SIMPLE_EPPO_TABLE = {
 _SZ32_ORDER = 32537600
 
 
-def identify_simple_eppo(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> SimpleEppoId:
+def identify_simple_eppo(G: FiniteGroup) -> SimpleEppoId:
     """Match a simple group against the eight-group table by order and class orders."""
     if G.order() == _SZ32_ORDER:
         return SimpleEppoId("Sz32", order_only_match=True)
-    if not is_simple(G, class_cap=class_cap):
+    if not is_simple(G):
         raise NotSimpleError("identification applies to nonabelian simple groups")
     row = _SIMPLE_EPPO_TABLE.get(G.order())
     if row is not None and G.class_rep_orders() == row[1]:
@@ -407,7 +391,7 @@ def identify_simple_eppo(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> 
     return SimpleEppoId("NotInList")
 
 
-def is_quasisimple(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> bool:
+def is_quasisimple(G: FiniteGroup) -> bool:
     """Perfect with simple central quotient."""
     if not is_perfect(G):
         return False
@@ -415,4 +399,4 @@ def is_quasisimple(G: FiniteGroup, class_cap: int = DEFAULT_CLASS_CAP) -> bool:
     if centre.order() == G.order():
         return False
     q = quotient_by_normal(G, centre)
-    return is_simple(q, class_cap=class_cap)
+    return is_simple(q)

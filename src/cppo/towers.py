@@ -44,9 +44,14 @@ from .structure import (
     upper_fitting_series,
 )
 
+# is_irreducible_tower searches the elementary abelian subgroups of an
+# effective stage exhaustively below this order, and by bounded
+# combinations of commuting elements above it
+ELEMENTARY_SEARCH_CAP = 256
+
 
 class Tower:
-    """An ordered list of (prime, Subgroup) stages inside one ambient group."""
+    """An ordered list of (prime, subgroup) stages inside one ambient group."""
 
     def __init__(self, ambient: FiniteGroup, stages):
         self.ambient = ambient
@@ -60,7 +65,7 @@ class Tower:
     def _structural_check(self):
         """Items 1, 2 and 4; returns (item, message) for the first failure."""
         for idx, (p, sub) in enumerate(self.stages):
-            if not self.ambient.contains_group(sub.group):
+            if not self.ambient.contains_group(sub):
                 return 2, "stage %d does not lie in the ambient group" % (idx + 1)
             n = sub.order()
             if n == 1:
@@ -72,7 +77,7 @@ class Tower:
             for j in range(i + 1, len(self.stages)):
                 upper = self.stages[i][1]
                 lower = self.stages[j][1]
-                if not lower.group.normalized_by(upper.group._raw_gens):
+                if not lower.normalized_by(upper._raw_gens):
                     return 2, "stage %d does not normalize stage %d" % (i + 1, j + 1)
         for i in range(len(self.stages) - 1):
             if self.stages[i][0] == self.stages[i + 1][0]:
@@ -98,7 +103,7 @@ class Tower:
                     k = ambient.trivial_subgroup()
                 else:
                     kept = []
-                    for x in sub.group._raw_elements():
+                    for x in sub._raw_elements():
                         if all(
                             below_kernel_chain.contains_raw(comm_raw(y, x))
                             for y in below_elems
@@ -106,8 +111,8 @@ class Tower:
                             kept.append(x)
                     k = ambient._subgroup_from_raw_elements(kept)
                 kernels.append(k)
-                below_elems = sub.group._raw_elements()
-                below_kernel_chain = k.group.chain()
+                below_elems = sub._raw_elements()
+                below_kernel_chain = k.chain()
             kernels.reverse()
             self._kernels = kernels
         return self._kernels
@@ -134,7 +139,7 @@ def effective_quotients(t: Tower) -> list:
     kernels = t.kernels()
     out = []
     for (p, sub), k in zip(t.stages, kernels):
-        out.append(quotient_by_normal(sub.group, k.group))
+        out.append(quotient_by_normal(sub, k))
     return out
 
 
@@ -227,7 +232,7 @@ def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int, exhaustive: bool):
     return out, len(order_p) <= len(pool)
 
 
-def is_irreducible_tower(t: Tower, elementary_cap: int = 256) -> IrreducibilityReport:
+def is_irreducible_tower(t: Tower) -> IrreducibilityReport:
     """Check the four irreducibility conditions on a valid tower."""
     report = validate_tower(t)
     if not report.valid:
@@ -239,7 +244,7 @@ def is_irreducible_tower(t: Tower, elementary_cap: int = 256) -> IrreducibilityR
 
     # (2) the top stage is cyclic with effective action of prime order
     p1, top = t.stages[0]
-    if not top.group.is_cyclic():
+    if not top.is_cyclic():
         return IrreducibilityReport("no", ["item 2: the top stage is not cyclic"])
     if quotients[0].order() != p1:
         return IrreducibilityReport(
@@ -249,12 +254,12 @@ def is_irreducible_tower(t: Tower, elementary_cap: int = 256) -> IrreducibilityR
     for i, ((p, sub), q) in enumerate(zip(t.stages, quotients)):
         # (1) frattini conditions on the effective stage
         frat = frattini_of_p_group(q)
-        if frattini_of_p_group(frat.group).order() != 1:
+        if frattini_of_p_group(frat).order() != 1:
             return IrreducibilityReport(
                 "no", ["item 1: stage %d has a frattini subgroup that is not elementary" % (i + 1)]
             )
         centre = q.center()
-        if not centre.group.contains_group(frat.group):
+        if not centre.contains_group(frat):
             return IrreducibilityReport(
                 "no", ["item 1: stage %d frattini subgroup is not central" % (i + 1)]
             )
@@ -264,10 +269,10 @@ def is_irreducible_tower(t: Tower, elementary_cap: int = 256) -> IrreducibilityR
             )
         if i > 0:
             above = t.stages[i - 1][1]
-            k_chain = kernels[i].group.chain()
-            for fgen in frat.group.generators:
+            k_chain = kernels[i].chain()
+            for fgen in frat.generators:
                 lift = q.lift(fgen).raw
-                for g in above.group._raw_gens:
+                for g in above._raw_gens:
                     if not k_chain.contains_raw(comm_raw(lift, g)):
                         return IrreducibilityReport(
                             "no",
@@ -282,12 +287,11 @@ def is_irreducible_tower(t: Tower, elementary_cap: int = 256) -> IrreducibilityR
         p, sub = t.stages[i]
         q_above = quotients[i - 1]
         p_above = t.stages[i - 1][0]
-        stage_chain = sub.group.chain()
-        k_gens = kernels[i].group._raw_gens
+        k_gens = kernels[i]._raw_gens
 
         def covers(action_raws):
-            span = _commutator_span(t.ambient, action_raws, sub.group)
-            joined = t.ambient._subgroup_raw(span.group._raw_gens + list(k_gens))
+            span = _commutator_span(t.ambient, action_raws, sub)
+            joined = t.ambient._subgroup_raw(span._raw_gens + list(k_gens))
             return joined.order() == sub.order()
 
         full_gens = [q_above.lift(g).raw for g in q_above.generators]
@@ -296,7 +300,7 @@ def is_irreducible_tower(t: Tower, elementary_cap: int = 256) -> IrreducibilityR
                 "no",
                 ["item 3: even the whole stage %d fails to cover stage %d" % (i, i + 1)],
             )
-        exhaustive = q_above.order() < elementary_cap
+        exhaustive = q_above.order() < ELEMENTARY_SEARCH_CAP
         candidates, complete = _elementary_abelian_subgroup_gens(
             q_above, p_above, exhaustive
         )
@@ -323,11 +327,11 @@ def is_irreducible_tower(t: Tower, elementary_cap: int = 256) -> IrreducibilityR
         # (4) invariant closures of elements outside the frattini preimage fill the stage
         frat = frattini_of_p_group(q)
         pre = t.ambient._subgroup_raw(q.preimage_gens(frat))
-        pre_chain = pre.group.chain()
+        pre_chain = pre.chain()
         conjugators = []
         for j in range(i):
-            conjugators.extend(t.stages[j][1].group._raw_gens)
-        for x in sub.group._raw_elements():
+            conjugators.extend(t.stages[j][1]._raw_gens)
+        for x in sub._raw_elements():
             if pre_chain.contains_raw(x):
                 continue
             closure = _closure_under_conjugation(t.ambient, [x], conjugators)
@@ -362,8 +366,8 @@ def tower_contains(t_small: Tower, t_big: Tower) -> bool:
     def fits(i, j):
         sub = t_small.stages[i][1]
         big = t_big.stages[j][1]
-        chain = big.group.chain()
-        return all(chain.contains_raw(g) for g in sub.group._raw_gens)
+        chain = big.chain()
+        return all(chain.contains_raw(g) for g in sub._raw_gens)
 
     # table[i][j]: can stages i.. of the small tower go into stages j.. of the big
     table = [[False] * (m + 1) for _ in range(n + 1)]
@@ -383,7 +387,7 @@ def quotient_tower(t: Tower, q) -> Tower:
     """The image of the stages under a quotient projection of the ambient group."""
     stages = []
     for p, sub in t.stages:
-        gens = [q.project(g) for g in sub.group.generators]
+        gens = [q.project(g) for g in sub.generators]
         stages.append((p, q.subgroup([g for g in gens if not g.is_identity()] or gens)))
     return Tower(q, stages)
 
@@ -453,7 +457,7 @@ def _p_subgroup_sets(G: FiniteGroup, p: int):
     if syl.order() == 1:
         return []
     pool = {}
-    for members, gens in _all_subgroups(syl.group):
+    for members, gens in _all_subgroups(syl):
         if len(members) > 1:
             pool[members] = gens
     queue = list(pool.items())
@@ -590,8 +594,16 @@ def find_max_tower(G: FiniteGroup):
     of the pulled-back q-core of the quotient, conjugated until it
     normalizes everything chosen so far.  Prime choices per level are
     backtracked over; if no assignment produces a valid tower the bounded
-    exhaustive probe has the last word.
+    exhaustive probe has the last word.  The result is computed once per
+    group and cached on it; a search that raises caches nothing.
     """
+    key = "max_tower"
+    if key not in G._cache:
+        G._cache[key] = _max_tower(G)
+    return G._cache[key]
+
+
+def _max_tower(G: FiniteGroup):
     if not is_soluble(G):
         raise InsolubleError("towers certify fitting height for soluble groups only")
     series = upper_fitting_series(G)
@@ -652,7 +664,7 @@ def find_max_tower(G: FiniteGroup):
 def tower_to_data(t: Tower) -> list:
     """Stage list as (prime, generator cycle strings), for reports."""
     return [
-        [p, [str(g) for g in sub.group.generators]] for p, sub in t.stages
+        [p, [str(g) for g in sub.generators]] for p, sub in t.stages
     ]
 
 
@@ -665,7 +677,7 @@ def tower_from_data(ambient: FiniteGroup, data) -> Tower:
 
 
 def _normalizes_all(gens, chosen) -> bool:
-    return all(lower.group.normalized_by(gens) for _, lower in chosen)
+    return all(lower.normalized_by(gens) for _, lower in chosen)
 
 
 def _moves_stage_below(gens, chosen) -> bool:
@@ -674,9 +686,9 @@ def _moves_stage_below(gens, chosen) -> bool:
     if not chosen:
         return True
     below = chosen[-1][1]
-    ident = identity_raw(below.parent.degree)
+    ident = identity_raw(below.degree)
     for g in gens:
-        for x in below.group._raw_gens:
+        for x in below._raw_gens:
             if comm_raw(x, g) != ident:
                 return True
     return False
@@ -686,11 +698,11 @@ def _pick_stage(G, u: FiniteGroup, p: int, chosen):
     """First p-subgroup of u that normalizes every chosen stage and moves the
     one directly below: full Sylow conjugates are tried before smaller ones."""
     syl = sylow_subgroup(u, p)
-    for gens in u._conjugate_gen_sets(syl.group._raw_gens):
+    for gens in u._conjugate_gen_sets(syl._raw_gens):
         if _normalizes_all(gens, chosen) and _moves_stage_below(gens, chosen):
             return G._subgroup_raw(list(gens))
     for cand in sorted(_p_subgroup_candidates(u, p), key=lambda s: -s.order()):
-        gens = cand.group._raw_gens
+        gens = cand._raw_gens
         if _normalizes_all(gens, chosen) and _moves_stage_below(gens, chosen):
             return G._subgroup_raw(list(gens))
     return None

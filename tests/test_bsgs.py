@@ -180,7 +180,7 @@ def test_closure_and_sylow_results_keep_their_chain(monkeypatch):
     orders = [sub.order() for sub in subs]
     assert builds == []
     assert orders == [60, 6, 8, 5]
-    assert orders == [build(5, sub.group._raw_gens).order() for sub in subs]
+    assert orders == [build(5, sub._raw_gens).order() for sub in subs]
 
 
 def _random_images(rng, degree):

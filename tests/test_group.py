@@ -12,6 +12,7 @@ import pytest
 import cppo.bsgs
 import cppo.group
 from cppo import (
+    DegreeMismatchError,
     EnumerationCapError,
     FiniteGroup,
     NotInGroupError,
@@ -140,18 +141,18 @@ def test_derived_subgroup_matches_oracle():
         derived = group.derived_subgroup()
         closure = FiniteGroup(sorted(oracle_commutators(group)), degree=group.degree)
         assert derived.order() == closure.order() == want
-        assert derived.group.same_group_as(closure)
+        assert derived.same_group_as(closure)
 
 
 def test_perfect_group_is_its_own_derived_subgroup():
     group = a5()
     elems = group._raw_elements()
     derived = group.derived_subgroup()
-    assert derived.group is group
-    assert derived.group._raw_elements() is elems
+    assert derived is group
+    assert derived._raw_elements() is elems
     assert group.derived_subgroup() is derived
     # a non-perfect group keeps a proper subgroup of its own
-    assert s4().derived_subgroup().group.order() == 12
+    assert s4().derived_subgroup().order() == 12
 
 
 def test_derived_subgroup_is_normal():
@@ -188,7 +189,12 @@ def test_subgroup_membership_guard():
         a5().subgroup([parse_permutation("(1 2)", 5)])
     sub = s4().subgroup([parse_permutation("(1 2 3)", 4)])
     assert sub.order() == 3
-    assert sub.parent.order() == 24
+
+
+def test_raw_subgroup_membership_guard():
+    with pytest.raises(NotInGroupError):
+        a5()._subgroup_raw([parse_permutation("(1 2)", 5).raw])
+    assert s4()._subgroup_raw([parse_permutation("(1 2 3)", 4).raw]).order() == 3
 
 
 def test_abelian_cyclic_elementary_flags():
@@ -268,6 +274,15 @@ def test_quotient_rejects_non_normal():
     c2 = FiniteGroup([parse_permutation("(1 2)", 4)])
     with pytest.raises(NotNormalError):
         quotient_by_normal(group, c2)
+
+
+def test_quotient_rejects_a_kernel_outside_the_group():
+    group = G(["(1 2)"], 4)
+    # <(3 4)> is normalized by <(1 2)> but does not lie in it
+    with pytest.raises(NotInGroupError):
+        quotient_by_normal(group, G(["(3 4)"], 4))
+    with pytest.raises(DegreeMismatchError):
+        quotient_by_normal(group, G(["(3 4)"], 5))
 
 
 def test_quotient_by_trivial_shares_the_group():

@@ -78,34 +78,36 @@ def test_classify_quasisimple_near_miss():
 
 
 def test_low_cap_produces_skip_markers():
-    r = classify(build("s4").group, cap=10)
+    r = classify(build("s4").group.with_cap(10))
     marker = "skipped: too large (cap=10)"
     assert r.is_eppo == marker and r.is_cppo == marker
     assert r.tower_height == marker
-    # the cheap structural facts are still present
-    assert r.fitting_height == 3 and r.order == 24
+    # one budget: R(G) and the Fitting height need G's elements too
+    assert r.radical_order == marker and r.fitting_height == marker
+    # the chain-only structural facts are still present
+    assert r.order == 24 and r.derived_order == 12
     assert r.theorem1 == "not_applicable"
 
 
 def test_low_cap_skips_simple_quotient_identification():
-    r = classify(build("alt(5)").group, cap=30)
-    assert r.simple_quotient == "skipped: too large (cap=30)"
+    r = classify(build("alt(5)").group.with_cap(30))
+    marker = "skipped: too large (cap=30)"
+    assert r.radical_order == marker
+    assert r.simple_quotient == marker
     assert r.theorem2 == "not_applicable"
 
 
 def test_group_cap_below_the_order_gives_skip_markers():
     s4 = FiniteGroup(build("s4").group.generators, degree=4, cap=20)
     marker = "skipped: too large (cap=20)"
-    for cap in (None, 100):
-        # a report cap above the group's own cannot make it enumerate past that
-        r = classify(s4, cap=cap)
-        assert r.radical_order == marker and r.fitting_height == marker
-        assert r.is_eppo == marker and r.is_cppo == marker and r.tower_height == marker
-        assert r.order == 24 and r.derived_order == 12
-        assert r.theorem1 == "not_applicable" and r.theorem2 == "not_applicable"
-        assert [f for f, _ in skipped_fields(r)] == [
-            "is_eppo", "is_cppo", "radical_order", "fitting_height", "tower_height"
-        ]
+    r = classify(s4)
+    assert r.radical_order == marker and r.fitting_height == marker
+    assert r.is_eppo == marker and r.is_cppo == marker and r.tower_height == marker
+    assert r.order == 24 and r.derived_order == 12
+    assert r.theorem1 == "not_applicable" and r.theorem2 == "not_applicable"
+    assert [f for f, _ in skipped_fields(r)] == [
+        "is_eppo", "is_cppo", "radical_order", "fitting_height", "tower_height"
+    ]
 
 
 def test_group_cap_skips_the_derived_radical_block():

@@ -102,3 +102,145 @@ def test_no_unreferenced_public_code():
         )
     )
     assert dead == [], "public code that is neither exported nor used: %s" % ", ".join(dead)
+
+
+
+def _annotations(tree):
+    """Every node inside an annotation: naming a type is not a use."""
+    inside = set()
+    for node in ast.walk(tree):
+        notes = []
+        if isinstance(node, FUNCTIONS):
+            a = node.args
+            notes = [x.annotation for x in a.posonlyargs + a.args + a.kwonlyargs]
+            notes += [x.annotation for x in (a.vararg, a.kwarg) if x is not None]
+            notes.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        for note in notes:
+            if note is not None:
+                inside.update(id(n) for n in ast.walk(note))
+    return inside
+
+
+def _defaulted(node):
+    """(name, position or None) of each parameter with a default; a method's
+    positions count self."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(x.arg, i) for i, x in enumerate(positional) if i >= first]
+    out += [(x.arg, None) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _bound(node):
+    """Names a function binds itself: its parameters and assignment targets."""
+    a = node.args
+    names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x}
+    names.update(
+        n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    )
+    return names
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A parameter with a default that no call passes is a knob nobody sets.
+
+    Calls are matched to definitions by name (a class name calls its
+    __init__), so the check errs towards counting a parameter as passed.  A
+    call that forwards one of its caller's own defaulted parameters passes it
+    only if that caller's parameter is itself passed somewhere.  Functions
+    also named other than as a call target, such as the lemma checks in
+    REGISTRY, may be called with anything and are left out; a local variable
+    of the same name does not count.
+    """
+    paths = sorted(SRC.glob("*.py")) + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("bench/*.py"))
+    defs = {}  # (file, line) -> (called name, defaulted params, is a method)
+    by_name = {}  # called name -> keys of the definitions it reaches
+    passes = []  # (called name, position or keyword, forwarded (key, param) or None)
+    named = set()  # names read other than as a call target
+
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        skip = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        skip |= _annotations(tree)
+
+        def visit(node, scope, bound, cls):
+            # scope: enclosing package definitions as (key, defaulted names);
+            # bound: names the innermost enclosing function binds itself
+            if isinstance(node, ast.ClassDef):
+                for child in node.body:
+                    visit(child, scope, bound, node.name)
+                return
+            if isinstance(node, FUNCTIONS):
+                method = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+                )
+                called = cls if method and node.name == "__init__" else node.name
+                params = _defaulted(node)
+                if path.parent == SRC:
+                    key = (path.name, node.lineno)
+                    defs[key] = (called, params, method)
+                    by_name.setdefault(called, []).append(key)
+                    scope = [(key, {p for p, _ in params})] + scope
+                for child in ast.iter_child_nodes(node):
+                    visit(child, scope, _bound(node), None)
+                return
+            if id(node) not in skip:
+                if isinstance(node, ast.Name) and node.id not in bound:
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+                def forwarded(value):
+                    if isinstance(value, ast.Name):
+                        for key, params in scope:
+                            if value.id in params:
+                                return key, value.id
+                    return None
+
+                for i, arg in enumerate(node.args):
+                    if isinstance(arg, ast.Starred):
+                        passes.append((called, "*", None))
+                        break
+                    passes.append((called, i, forwarded(arg)))
+                for kw in node.keywords:
+                    passes.append((called, kw.arg or "**", forwarded(kw.value)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope, bound, cls)
+
+        visit(tree, [], set(), None)
+
+    # super().__init__(...) may reach any constructor
+    by_name["__init__"] = [k for k, (called, _, m) in defs.items() if m and called[:1].isupper()]
+
+    def reached(called, slot):
+        for key in by_name.get(called, []):
+            _, params, method = defs[key]
+            for pname, pos in params:
+                if slot in ("*", "**", pname) or (isinstance(slot, int) and slot + method == pos):
+                    yield key, pname
+
+    passed = set()
+    changed = True
+    while changed:
+        changed = False
+        for called, slot, source in passes:
+            if source is None or source in passed:
+                for hit in reached(called, slot):
+                    if hit not in passed:
+                        passed.add(hit)
+                        changed = True
+
+    unset = [
+        "%s:%d %s(%s=)" % (key[0], key[1], called, pname)
+        for key, (called, params, _) in sorted(defs.items())
+        if called not in named
+        for pname, _ in params
+        if (key, pname) not in passed
+    ]
+    assert unset == [], "defaulted parameters no call passes: %s" % ", ".join(unset)

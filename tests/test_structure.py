@@ -241,9 +241,9 @@ def test_derived_series_against_oracle(make):
     terms = derived_series(group).terms
     members = frozenset(group._raw_elements())
     for term in terms:
-        assert frozenset(term.group._raw_elements()) == members
+        assert frozenset(term._raw_elements()) == members
         members = oracle_derived_closure(members, group.degree)
-    assert members == frozenset(terms[-1].group._raw_elements())
+    assert members == frozenset(terms[-1]._raw_elements())
 
 
 @pytest.mark.parametrize("make", SMALL)
@@ -262,7 +262,7 @@ def test_sylow_orders_and_conjugate_counts():
     # Sylow's counting theorem as an independent cross-check
     raws = group._raw_elements()
     for syl, p in ((syl2, 2), (syl3, 3)):
-        base = frozenset(syl.group._raw_elements())
+        base = frozenset(syl._raw_elements())
         count = len({frozenset(conj(x, g) for x in base) for g in raws})
         assert count % p == 1 and group.order() % count == 0
 
@@ -278,12 +278,12 @@ def test_p_core_is_the_intersection_of_sylow_conjugates():
     for make, p in ((s4, 2), (d12, 2), (sl23, 2), (s3xs3, 3)):
         group = make()
         raws = group._raw_elements()
-        base = frozenset(sylow_subgroup(group, p).group._raw_elements())
+        base = frozenset(sylow_subgroup(group, p)._raw_elements())
         meet = None
         for g in raws:
             c = {conj(x, g) for x in base}
             meet = c if meet is None else (meet & c)
-        assert frozenset(p_core(group, p).group._raw_elements()) == meet
+        assert frozenset(p_core(group, p)._raw_elements()) == meet
 
 
 def test_fitting_heights():

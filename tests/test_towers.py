@@ -121,6 +121,12 @@ def test_find_max_tower_heights(atlas_id, height):
     assert validate_tower(t).valid
 
 
+def test_find_max_tower_is_computed_once_per_group():
+    g = build("s4").group
+    first = find_max_tower(g)
+    assert find_max_tower(g) is first
+
+
 def test_find_max_tower_trivial_group():
     h, t = find_max_tower(FiniteGroup([], degree=2))
     assert h == 0 and t.height == 0
@@ -224,7 +230,7 @@ def _ref_p_subgroup_candidates(G, p):
     if syl.order() == 1:
         return []
     pool = {}
-    for members, gens in _ref_all_subgroups(syl.group):
+    for members, gens in _ref_all_subgroups(syl):
         if len(members) > 1:
             pool[members] = gens
     queue = list(pool.items())
@@ -253,7 +259,7 @@ def _ref_tower_probe(G, min_height):
             if p == last_prime:
                 continue
             for cand in candidates[p]:
-                if not all(cand.group.normalized_by(up.group._raw_gens) for _, up in stages):
+                if not all(cand.normalized_by(up._raw_gens) for _, up in stages):
                     continue
                 found = extend(stages + [(p, cand)])
                 if found is not None:
@@ -272,7 +278,7 @@ def small_soluble(request):
 
 def test_all_subgroups_match_the_chain_reference(small_soluble):
     for p, _ in factorization(small_soluble.order()):
-        syl = sylow_subgroup(small_soluble, p).group
+        syl = sylow_subgroup(small_soluble, p)
         assert _all_subgroups(syl) == _ref_all_subgroups(syl), p
 
 
@@ -301,9 +307,9 @@ def test_a_stage_centralizing_the_stage_below_fails(atlas_id, mixed_pairs):
     checked = mixed = 0
     for p_up, upper in subs:
         for p_low, lower in subs:
-            gens = upper.group._raw_gens
-            if not lower.group.normalized_by(gens) or not all(
-                conj_raw(x, u) == x for u in gens for x in lower.group._raw_gens
+            gens = upper._raw_gens
+            if not lower.normalized_by(gens) or not all(
+                conj_raw(x, u) == x for u in gens for x in lower._raw_gens
             ):
                 continue
             v = validate_tower(Tower(g, [(p_up, upper), (p_low, lower)]))
