@@ -111,31 +111,39 @@ def _build_alt(n):
 
 
 def _matrix_group_elements(gens):
+    """The rows of every element of <gens>, sorted, and for each element the
+    rows of its right products x * g, one per generator, recorded during the
+    breadth-first search."""
     ident = Matrix.identity(gens[0].field, gens[0].n)
-    seen = {ident.rows: ident}
+    right = {}
+    seen = {ident.rows}
     frontier = [ident]
     while frontier:
         nxt = []
         for x in frontier:
+            prods = []
             for g in gens:
                 y = x * g
                 if y.rows not in seen:
-                    seen[y.rows] = y
+                    seen.add(y.rows)
                     nxt.append(y)
+                prods.append(y.rows)
+            right[x.rows] = prods
         frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+    return sorted(seen), right
 
 
 def _regular_rep(id_text, mat_gens, expected, notes=""):
-    elems = _matrix_group_elements(mat_gens)
+    elems, right = _matrix_group_elements(mat_gens)
     if len(elems) != expected:
         raise AtlasError(
             "matrix model for %s has %d elements, expected %d" % (id_text, len(elems), expected)
         )
-    index = {m.rows: i for i, m in enumerate(elems)}
-    perms = []
-    for g in mat_gens:
-        perms.append(Permutation.from_zero_based(index[(x * g).rows] for x in elems))
+    index = {rows: i for i, rows in enumerate(elems)}
+    perms = [
+        Permutation.from_zero_based(index[right[x][j]] for x in elems)
+        for j in range(len(mat_gens))
+    ]
     return _finish(id_text, perms, expected, expected, notes)
 
 

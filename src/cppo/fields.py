@@ -10,6 +10,10 @@ reducing polynomials are fixed once and for all:
 With these choices the F4 element a = 2 satisfies a^2 = 3 = a + 1, hence
 a * a^2 = 1 and a + a^2 = 1, the identities every matrix computation below
 leans on.  Prime fields are plain integers mod p.
+
+Every operation is a table lookup: addition, negation and multiplication are
+q x q (or length-q) tables filled once per field, and the base-p digits are
+used only while those tables are filled.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ class GF:
         self.k = k
         self.elements = range(q)
         self.additive_basis = [p**i for i in range(k)]
+        digits = [_digits(a, p, k) for a in range(q)]
+        self._add = [
+            [_undigits([(x + y) % p for x, y in zip(da, db)], p) for db in digits] for da in digits
+        ]
+        self._neg = [_undigits([(-x) % p for x in da], p) for da in digits]
         self._mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
         self._inv = [0] * q
         for a in range(1, q):
@@ -86,20 +95,13 @@ class GF:
         return _undigits(prod[:k], p)
 
     def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
-        da = _digits(a, self.p, self.k)
-        db = _digits(b, self.p, self.k)
-        return _undigits([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        return self._add[a][b]
 
     def neg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
-        da = _digits(a, self.p, self.k)
-        return _undigits([(-x) % self.p for x in da], self.p)
+        return self._neg[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._add[a][self._neg[b]]
 
     def mul(self, a, b):
         return self._mul[a][b]
@@ -172,6 +174,7 @@ class Matrix:
         F = self.field
         if other.field is not F:
             raise AtlasError("matrices over different fields")
+        add, mul = F._add, F._mul
         bt = list(zip(*other.rows))
         out = []
         for row in self.rows:
@@ -179,7 +182,7 @@ class Matrix:
             for col in bt:
                 s = 0
                 for x, y in zip(row, col):
-                    s = F.add(s, F.mul(x, y))
+                    s = add[s][mul[x][y]]
                 new.append(s)
             out.append(new)
         return Matrix(F, out)
@@ -228,12 +231,12 @@ class Matrix:
 
     def apply_row(self, vec):
         """Row vector times matrix, the right action used for projective points."""
-        F = self.field
+        add, mul = self.field._add, self.field._mul
         out = []
         for col in zip(*self.rows):
             s = 0
             for x, y in zip(vec, col):
-                s = F.add(s, F.mul(x, y))
+                s = add[s][mul[x][y]]
             out.append(s)
         return tuple(out)
 

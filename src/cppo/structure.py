@@ -8,7 +8,7 @@ the eight simple groups whose elements all have prime-power order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import factorization, is_prime, p_part
 from .bsgs import StabilizerChain
@@ -30,6 +30,8 @@ class SeriesChain:
     kind: str  # "derived", "lower_central" or "upper_fitting"
     terms: list  # subgroups of the ambient group; upper_fitting runs upward
     stabilized: bool = True
+    # upper_fitting of a soluble group only: i -> G / terms[i] for 0 < i < len(terms) - 1
+    quotients: dict = field(default_factory=dict)
 
 
 def _element_orders(G: FiniteGroup):
@@ -184,12 +186,15 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
     The stationary term is the soluble radical for every G, soluble or not:
     a minimal soluble normal subgroup above it would be elementary abelian
     and so would show up inside a nontrivial Fitting subgroup of the
-    quotient.  The series is computed once per group and cached on it.
+    quotient.  The series is computed once per group and cached on it.  For
+    a soluble group it keeps the quotients by its proper nontrivial terms,
+    which find_max_tower climbs through again.
     """
     key = "upper_fitting"
     if key in G._cache:
         return G._cache[key]
     terms = [G.trivial_subgroup()]
+    quotients = {}
     while True:
         q = quotient_by_normal(G, terms[-1])
         fq = fitting_subgroup(q)
@@ -198,8 +203,12 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
             raise RuntimeError("pullback of a quotient Fitting subgroup went wrong")
         if pulled.order() == terms[-1].order():
             break
+        if len(terms) > 1:
+            quotients[len(terms) - 1] = q
         terms.append(pulled)
-    G._cache[key] = SeriesChain("upper_fitting", terms)
+    if terms[-1].order() != G.order():
+        quotients = {}
+    G._cache[key] = SeriesChain("upper_fitting", terms, quotients=quotients)
     return G._cache[key]
 
 
@@ -321,7 +330,8 @@ def normal_subgroups(G: FiniteGroup) -> list:
                         found[jsig] = join
                         new_frontier.append(jsig)
             frontier = new_frontier
-        out = sorted(found.values(), key=lambda s: (s.order(), sorted(signature(s))))
+        ordered = sorted(found.items(), key=lambda item: (item[1].order(), sorted(item[0])))
+        out = [sub for _, sub in ordered]
         G._cache[key] = out
     return G._cache[key]
 

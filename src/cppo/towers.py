@@ -635,8 +635,7 @@ def _max_tower(G: FiniteGroup):
             if lvl == 1:
                 stage = p_core(G, p)
             else:
-                below_term = series.terms[lvl - 1]
-                q = quotient_by_normal(G, below_term)
+                q = series.quotients[lvl - 1]
                 core = p_core(q, p)
                 u = FiniteGroup(
                     [Permutation._from_raw(r) for r in sorted(set(q.preimage_gens(core)))],

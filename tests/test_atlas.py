@@ -3,6 +3,7 @@ about the projective-plane groups and the degree-10 model of S6."""
 
 import pytest
 
+from cppo import atlas
 from cppo.atlas import (
     Matrix,
     build,
@@ -71,6 +72,42 @@ def test_build_is_deterministic():
     a = build("psl3_4").group
     b = build("psl3_4").group
     assert [x.raw for x in a.generators] == [x.raw for x in b.generators]
+
+
+def _two_pass_images(mat_gens):
+    """Reference regular representation: close the generators under right
+    multiplication, sort the elements by rows, then multiply every element by
+    every generator a second time."""
+    ident = Matrix.identity(mat_gens[0].field, mat_gens[0].n)
+    seen = {ident.rows: ident}
+    todo = [ident]
+    while todo:
+        x = todo.pop()
+        for g in mat_gens:
+            y = x * g
+            if y.rows not in seen:
+                seen[y.rows] = y
+                todo.append(y)
+    elems = [seen[k] for k in sorted(seen)]
+    index = {m.rows: i for i, m in enumerate(elems)}
+    return [tuple(index[(x * g).rows] for x in elems) for g in mat_gens]
+
+
+@pytest.mark.parametrize("atlas_id", ["q8", "sl2_3", "sl2_5", "sl2_9"])
+def test_regular_rep_matches_the_two_pass_reference(atlas_id, monkeypatch):
+    calls = []
+    original = atlas._regular_rep
+
+    def recording(id_text, mat_gens, expected, notes=""):
+        calls.append((mat_gens, expected))
+        return original(id_text, mat_gens, expected, notes)
+
+    monkeypatch.setattr(atlas, "_regular_rep", recording)
+    built = build(atlas_id)
+    (mat_gens, expected), = calls
+    assert [tuple(g.raw) for g in built.group.generators] == _two_pass_images(mat_gens)
+    with pytest.raises(AtlasError):
+        original(atlas_id, mat_gens, expected + 1)
 
 
 def test_q8_has_unique_central_involution():

@@ -5,13 +5,58 @@ vectors elsewhere depend on the exact bit patterns), so a few products are
 pinned by hand here: F4 uses x^2+x+1, F8 uses x^3+x+1, F9 uses x^2+1.
 """
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cppo.errors import AtlasError
-from cppo.fields import gf
+from cppo.fields import Matrix, gf
 
 QS = [2, 3, 4, 5, 7, 8, 9, 13, 16, 17]
+
+# reducing polynomials as little-endian coefficient lists, from the module docstring
+REF_POLYS = {4: [1, 1, 1], 8: [1, 1, 0, 1], 9: [1, 0, 1], 16: [1, 1, 0, 0, 1]}
+
+
+def _ref_digits(a, p, k):
+    return [(a // p**i) % p for i in range(k)]
+
+
+def _ref_number(ds, p):
+    return sum(d * p**i for i, d in enumerate(ds))
+
+
+def _ref_add(F, a, b):
+    p, k = F.p, F.k
+    return _ref_number([(x + y) % p for x, y in zip(_ref_digits(a, p, k), _ref_digits(b, p, k))], p)
+
+
+def _ref_neg(F, a):
+    return _ref_number([(-x) % F.p for x in _ref_digits(a, F.p, F.k)], F.p)
+
+
+def _ref_mul(F, a, b):
+    p, k = F.p, F.k
+    if k == 1:
+        return a * b % p
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(_ref_digits(a, p, k)):
+        for j, y in enumerate(_ref_digits(b, p, k)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    poly = REF_POLYS[F.q]
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for j in range(k + 1):
+            prod[top - k + j] = (prod[top - k + j] - c * poly[j]) % p
+    return _ref_number(prod[:k], p)
+
+
+def _ref_dot(F, xs, ys):
+    s = 0
+    for x, y in zip(xs, ys):
+        s = _ref_add(F, s, _ref_mul(F, x, y))
+    return s
 
 
 @pytest.mark.parametrize("q", QS)
@@ -32,6 +77,43 @@ def test_field_axioms_by_exhaustion(q):
             for c in probe:
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
                 assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+
+
+@pytest.mark.parametrize("q", QS)
+def test_add_neg_sub_match_the_digitwise_reference(q):
+    F = gf(q)
+    for a in F.elements:
+        assert F.neg(a) == _ref_neg(F, a)
+        for b in F.elements:
+            assert F.add(a, b) == _ref_add(F, a, b)
+            assert F.sub(a, b) == _ref_add(F, a, _ref_neg(F, b))
+            assert F.mul(a, b) == _ref_mul(F, a, b)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_matrix_products_match_the_triple_loop_reference(q):
+    F = gf(q)
+    rng = random.Random(q)
+    for n in (2, 3, 4):
+        for _ in range(8):
+            a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            b = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            want = [
+                [_ref_dot(F, a[i], [b[t][j] for t in range(n)]) for j in range(n)]
+                for i in range(n)
+            ]
+            assert (Matrix(F, a) * Matrix(F, b)).rows == tuple(map(tuple, want))
+            v = a[0]
+            assert Matrix(F, b).apply_row(v) == tuple(
+                _ref_dot(F, v, [b[t][j] for t in range(n)]) for j in range(n)
+            )
+
+
+def test_matrix_guards():
+    with pytest.raises(AtlasError):
+        Matrix(gf(3), [[1, 0], [0, 1]]) * Matrix(gf(5), [[1, 0], [0, 1]])
+    with pytest.raises(AtlasError):
+        Matrix(gf(3), [[1, 0, 0], [0, 1, 0]])
 
 
 @pytest.mark.parametrize("q", QS)

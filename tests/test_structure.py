@@ -297,7 +297,17 @@ def test_fitting_heights():
 
 
 def test_upper_fitting_series_of_s4():
-    assert [t.order() for t in upper_fitting_series(s4()).terms] == [1, 4, 12, 24]
+    series = upper_fitting_series(s4())
+    assert [t.order() for t in series.terms] == [1, 4, 12, 24]
+    # a soluble group keeps the quotients by its proper nontrivial terms
+    assert {i: q.order() for i, q in series.quotients.items()} == {1: 6, 2: 2}
+
+
+def test_upper_fitting_series_keeps_no_quotients_of_an_insoluble_group():
+    # S4 x A5: the radical is the S4 factor, so the series climbs as in S4
+    series = upper_fitting_series(G(["(1 2)", "(1 2 3 4)", "(5 6 7)", "(5 6 7 8 9)"], 9))
+    assert [t.order() for t in series.terms] == [1, 4, 12, 24]
+    assert series.quotients == {}
 
 
 def test_upper_fitting_series_is_built_once_per_group():

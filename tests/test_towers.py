@@ -3,13 +3,14 @@ and the set-based probe against the chain-based search it replaced."""
 
 import pytest
 
+from cppo import towers
 from cppo.arith import factorization
 from cppo.atlas import build, load_group_spec
 from cppo.corpus import SOLUBLE_AND_SMALL
 from cppo.errors import InsolubleError, TowerDefectError
 from cppo.group import FiniteGroup, quotient_by_normal
 from cppo.permutation import Permutation, conj_raw, identity_raw, parse_permutation
-from cppo.structure import fitting_height, is_soluble, sylow_subgroup
+from cppo.structure import fitting_height, is_soluble, sylow_subgroup, upper_fitting_series
 from cppo.towers import (
     Tower,
     _all_subgroups,
@@ -125,6 +126,18 @@ def test_find_max_tower_is_computed_once_per_group():
     g = build("s4").group
     first = find_max_tower(g)
     assert find_max_tower(g) is first
+
+
+def test_find_max_tower_climbs_through_the_series_quotients(monkeypatch):
+    g = build("s4").group
+    upper_fitting_series(g)
+
+    def no_new_quotient(G, N):
+        raise AssertionError("find_max_tower formed a quotient the series already has")
+
+    monkeypatch.setattr(towers, "quotient_by_normal", no_new_quotient)
+    h, t = find_max_tower(g)
+    assert h == 3 and validate_tower(t).valid
 
 
 def test_find_max_tower_trivial_group():
