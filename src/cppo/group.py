@@ -473,6 +473,9 @@ class QuotientGroup(FiniteGroup):
         self._reps = reps
         self._index = index
         self._identity_mode = reps is None
+        if self._identity_mode:
+            # the same permutation group has the same p-cores (structure.p_core)
+            self._cache["p_cores"] = source._cache.setdefault("p_cores", {})
 
     # In identity mode (trivial kernel) the quotient shares the source's
     # heavy caches, since it is the same permutation group.

@@ -48,9 +48,8 @@ def _skip_marker(cap: int) -> str:
     return "skipped: too large (cap=%d)" % cap
 
 
-# the insoluble-group block, which needs R(G)
+# the insoluble-group block that needs R(G)
 _DERIVED_RADICAL_FIELDS = (
-    "second_derived_equals_derived",
     "derived_radical_order",
     "derived_radical_is_2_group",
     "derived_radical_closure_order",
@@ -148,24 +147,26 @@ def classify(G: FiniteGroup) -> ClassificationReport:
                 r.tower_witness = tower_to_data(tower)
             except (TowerDefectError, EnumerationCapError) as e:
                 r.tower_height = "defect: %s" % e
-    elif skipped:
-        for fld in _DERIVED_RADICAL_FIELDS:
-            setattr(r, fld, skipped)
     else:
+        # G'' is one more closure, so this field needs no enumeration
         second = derived.derived_subgroup()
         r.second_derived_equals_derived = second.order() == derived.order()
-        drad = soluble_radical(derived)
-        r.derived_radical_order = drad.order()
-        r.derived_radical_is_2_group = len(factorization(drad.order())) <= 1 and (
-            drad.order() == 1 or factorization(drad.order())[0][0] == 2
-        )
-        closure = _commutator_span(G, list(derived._raw_gens), radical)
-        r.derived_radical_closure_order = closure.order()
-        try:
-            sq = identify_simple_eppo(quotient_by_normal(derived, drad))
-            r.simple_quotient = sq.tag
-        except NotSimpleError:
-            r.simple_quotient = "NotSimple"
+        if skipped:
+            for fld in _DERIVED_RADICAL_FIELDS:
+                setattr(r, fld, skipped)
+        else:
+            drad = soluble_radical(derived)
+            r.derived_radical_order = drad.order()
+            r.derived_radical_is_2_group = len(factorization(drad.order())) <= 1 and (
+                drad.order() == 1 or factorization(drad.order())[0][0] == 2
+            )
+            closure = _commutator_span(G, list(derived._raw_gens), radical)
+            r.derived_radical_closure_order = closure.order()
+            try:
+                sq = identify_simple_eppo(quotient_by_normal(derived, drad))
+                r.simple_quotient = sq.tag
+            except NotSimpleError:
+                r.simple_quotient = "NotSimple"
 
     if r.is_cppo is True:
         if r.is_soluble:

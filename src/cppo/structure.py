@@ -145,10 +145,15 @@ def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
     Computed by refinement: start with the Sylow group and intersect with a
     conjugate under some non-normalizing generator until none is left.  The
     refined set always contains O_p, shrinks strictly, and stops exactly at
-    a normal p-subgroup, which must then be O_p itself.
+    a normal p-subgroup, which must then be O_p itself.  Each core is cached
+    on the group by prime.
     """
+    cores = G._cache.setdefault("p_cores", {})
+    if p in cores:
+        return cores[p]
     syl = sylow_subgroup(G, p)
     if syl.order() == 1:
+        cores[p] = syl
         return syl
     K = set(syl._raw_elements())
     while True:
@@ -161,7 +166,8 @@ def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
         if clash is None:
             break
         K &= clash
-    return G._subgroup_from_raw_elements(K)
+    cores[p] = G._subgroup_from_raw_elements(K)
+    return cores[p]
 
 
 def fitting_subgroup(G: FiniteGroup) -> FiniteGroup:
@@ -291,8 +297,15 @@ def normal_subgroups(G: FiniteGroup) -> list:
 
     A normal subgroup is a union of conjugacy classes, so all of them arise
     as joins of the normal closures of single class representatives.  Each
-    subgroup is keyed by the set of classes it swallows, which makes the
-    closure loop terminate without ever comparing groups elementwise.
+    subgroup is keyed by its signature, the set of classes it swallows, and
+    the list is sorted by (order, sorted signature).  An atom's signature
+    comes from sifting the class representatives through its chain.  A
+    join needs no chain: for normal N and M the join is N*M, the union of
+    the class products C_i*C_j over C_i in N and C_j in M.  The classes
+    meeting C_i*C_j are those of r_i*y for y in C_j, or equally of r_j*x
+    for x in C_i, so each class pair costs min(|C_i|, |C_j|) products and
+    lookups, is computed once, and a join's signature is a union of them.
+    A subgroup is formed only for a signature seen for the first time.
     """
     key = "normals"
     if key not in G._cache:
@@ -305,6 +318,19 @@ def normal_subgroups(G: FiniteGroup) -> list:
         def signature(sub: FiniteGroup):
             chain = sub.chain()
             return frozenset(i for i, r in enumerate(reps) if chain.contains_raw(r))
+
+        class_of = {}  # element -> class index, filled on the first product
+        products = {}  # (i, j) -> the classes meeting C_i * C_j
+
+        def product_support(i, j):
+            if (i, j) not in products:
+                if not class_of:
+                    class_of.update((x, k) for k, c in enumerate(classes) for x in c.members)
+                a, b = (i, j) if len(classes[j].members) <= len(classes[i].members) else (j, i)
+                r = reps[a]
+                s = frozenset(class_of[mul_raw(r, y)] for y in classes[b].members)
+                products[i, j] = products[j, i] = s
+            return products[i, j]
 
         found = {}
         triv = G.trivial_subgroup()
@@ -322,15 +348,19 @@ def normal_subgroups(G: FiniteGroup) -> list:
             for sig in frontier:
                 base = found[sig]
                 for asig, atom in atoms:
-                    if asig <= sig:
+                    # a join with a subgroup or overgroup is one of the two
+                    if asig <= sig or sig <= asig:
                         continue
-                    join = G._subgroup_raw(base._raw_gens + atom._raw_gens)
-                    jsig = signature(join)
+                    fresh = asig - sig
+                    jsig = sig.union(*(product_support(i, j) for i in sig for j in fresh))
                     if jsig not in found:
-                        found[jsig] = join
+                        found[jsig] = G._subgroup_raw(base._raw_gens + atom._raw_gens)
                         new_frontier.append(jsig)
             frontier = new_frontier
-        ordered = sorted(found.items(), key=lambda item: (item[1].order(), sorted(item[0])))
+        sizes = [len(c.members) for c in classes]
+        ordered = sorted(
+            found.items(), key=lambda item: (sum(sizes[i] for i in item[0]), sorted(item[0]))
+        )
         out = [sub for _, sub in ordered]
         G._cache[key] = out
     return G._cache[key]

@@ -115,7 +115,11 @@ def test_classify_beyond_the_group_cap(capsys):
     assert main(["classify", "atlas:sym(9)"]) == 0
     out = capsys.readouterr().out
     assert "radical_order: skipped: too large (cap=200000)" in out
+    assert "derived_radical_order: skipped: too large (cap=200000)" in out
+    # G'' comes from chain orders alone, so it is exact past the cap
+    assert "second_derived_equals_derived: True" in out
     assert "theorem2: not_applicable" in out
+    assert main(["--strict", "classify", "atlas:sym(9)"]) == 1
 
 
 def test_classify_enumerates_within_the_cap_option(monkeypatch, capsys):

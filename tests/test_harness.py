@@ -115,7 +115,8 @@ def test_group_cap_skips_the_derived_radical_block():
     r = classify(a5)
     marker = "skipped: too large (cap=30)"
     assert r.radical_order == marker and r.fitting_height is None
-    assert r.second_derived_equals_derived == marker
+    # G'' needs no enumeration, so it is exact past the cap
+    assert r.second_derived_equals_derived is True
     assert r.derived_radical_order == r.derived_radical_closure_order == marker
     assert r.derived_radical_is_2_group == r.simple_quotient == marker
     assert r.theorem2 == "not_applicable"

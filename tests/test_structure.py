@@ -7,10 +7,17 @@ from the code under test.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cppo import FiniteGroup, parse_permutation
+from cppo import FiniteGroup, parse_permutation, structure
+from cppo.atlas import load_group_spec
+from cppo.bsgs import StabilizerChain
+from cppo.corpus import corpus_groups, default_corpus
 from cppo.errors import InsolubleError, NotNilpotentError, NotPGroupError, NotSimpleError
-from cppo.permutation import raw_from_images
+from cppo.group import quotient_by_normal
+from cppo.harness import classify
+from cppo.permutation import Permutation, identity_raw, raw_from_images
 from cppo.structure import (
     derived_series,
     fitting_height,
@@ -211,12 +218,111 @@ def str_cycles(raw):
 SMALL = [s4, a4, d8, d12, q8, sl23, c12, s3xs3]
 
 
+def assert_normals_match_oracle(group):
+    normals = normal_subgroups(group)
+    got = [frozenset(n._raw_elements()) for n in normals]
+    assert len(set(got)) == len(got)
+    assert set(got) == oracle_normals(group)
+    assert [n.order() for n in normals] == sorted(len(s) for s in got)
+
+
 @pytest.mark.parametrize("make", SMALL)
 def test_normal_subgroups_match_lattice_oracle(make):
-    group = make()
-    got = sorted(n.order() for n in normal_subgroups(group))
-    want = sorted(len(s) for s in oracle_normals(group))
+    assert_normals_match_oracle(make())
+
+
+@st.composite
+def small_subgroups_of_s6(draw):
+    """Subgroups of S6 of order at most 24, where the lattice oracle is quick:
+    each drawn permutation joins the generators unless it would pass 24."""
+    gens = [Permutation.from_zero_based(draw(st.permutations(range(6))))]
+    for images in draw(st.lists(st.permutations(range(6)), max_size=3)):
+        bigger = gens + [Permutation.from_zero_based(images)]
+        if FiniteGroup(bigger, degree=6).order() <= 24:
+            gens = bigger
+    return FiniteGroup(gens, degree=6)
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_subgroups_of_s6())
+def test_normal_subgroups_of_drawn_s6_subgroups_match_lattice_oracle(group):
+    assert_normals_match_oracle(group)
+
+
+def chain_normal_subgroups(G):
+    """The lattice as it was computed before joins came from class products:
+    each join gets its own chain, and its signature comes from sifting every
+    class representative through that chain."""
+    reps = [c.rep for c in G._raw_classes()]
+    ident = identity_raw(G.degree)
+
+    def signature(sub):
+        chain = sub.chain()
+        return frozenset(i for i, r in enumerate(reps) if chain.contains_raw(r))
+
+    found = {}
+    triv = G.trivial_subgroup()
+    found[signature(triv)] = triv
+    atoms = []
+    for r in reps:
+        if r != ident:
+            sub = G._normal_closure_raw([r])
+            sig = signature(sub)
+            atoms.append((sig, sub))
+            found.setdefault(sig, sub)
+    frontier = list(found)
+    while frontier:
+        new_frontier = []
+        for sig in frontier:
+            base = found[sig]
+            for asig, atom in atoms:
+                if asig <= sig:
+                    continue
+                join = G._subgroup_raw(base._raw_gens + atom._raw_gens)
+                jsig = signature(join)
+                if jsig not in found:
+                    found[jsig] = join
+                    new_frontier.append(jsig)
+        frontier = new_frontier
+    ordered = sorted(found.items(), key=lambda item: (item[1].order(), sorted(item[0])))
+    return [sub for _, sub in ordered]
+
+
+LATTICE_GROUPS = [
+    (name, g)
+    for name, g in corpus_groups(default_corpus())
+    if g.order() <= 1000 and len(g._raw_classes()) <= structure.DEFAULT_CLASS_CAP
+]
+
+
+def test_reference_groups_include_the_lattice_rich_ones():
+    names = [name for name, _ in LATTICE_GROUPS]
+    for name in ("extraspecial(2,+)", "extraspecial(2,-)", "direct_product(q8,dihedral(4))"):
+        assert name in names
+
+
+@pytest.mark.parametrize("name, group", LATTICE_GROUPS, ids=[n for n, _ in LATTICE_GROUPS])
+def test_normal_subgroups_match_the_chain_based_reference(name, group):
+    got = [(n.order(), n._raw_gens) for n in normal_subgroups(group)]
+    want = [(n.order(), n._raw_gens) for n in chain_normal_subgroups(group)]
     assert got == want
+
+
+def test_normal_subgroups_build_no_chain_for_a_join(monkeypatch):
+    g = load_group_spec({"atlas": "direct_product", "params": ["q8", "dihedral(4)"]})
+    g._raw_classes()  # the group's own chain and classes come first
+    built = []
+    from_raw_generators = StabilizerChain.from_raw_generators.__func__
+
+    def counting(cls, degree, raw_gens):
+        built.append(len(raw_gens))
+        return from_raw_generators(cls, degree, raw_gens)
+
+    monkeypatch.setattr(StabilizerChain, "from_raw_generators", classmethod(counting))
+    normals = normal_subgroups(g)
+    assert len(normals) == 91
+    # at most the trivial subgroup's signature is read off a fresh chain
+    assert built in ([], [0])
 
 
 @pytest.mark.parametrize("make", SMALL)
@@ -284,6 +390,33 @@ def test_p_core_is_the_intersection_of_sylow_conjugates():
             c = {conj(x, g) for x in base}
             meet = c if meet is None else (meet & c)
         assert frozenset(p_core(group, p)._raw_elements()) == meet
+
+
+def test_classify_computes_each_p_core_once(monkeypatch):
+    # the soluble corpus groups of order at most 500; each p_core
+    # computation starts from one Sylow subgroup of the same group and prime
+    groups = [
+        g for _, g in corpus_groups(default_corpus()) if g.order() <= 500 and is_soluble(g)
+    ]
+    assert len(groups) == 25
+    sylow = structure.sylow_subgroup
+    for g in groups:
+        seen = []
+
+        def recording(G, p):
+            seen.append((tuple(G._raw_gens), G.degree, p))
+            return sylow(G, p)
+
+        monkeypatch.setattr(structure, "sylow_subgroup", recording)
+        classify(g)
+        assert seen and len(seen) == len(set(seen)), g.name
+
+
+def test_identity_quotient_shares_the_p_cores_of_its_source():
+    group = s4()
+    q = quotient_by_normal(group, group.trivial_subgroup())
+    assert p_core(q, 2) is p_core(group, 2)
+    assert p_core(group, 2) is p_core(group, 2)
 
 
 def test_fitting_heights():
