@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .arith import is_prime
 from .errors import AtlasError, SchemaError
 from .fields import GF, Matrix, gf
-from .group import FiniteGroup
+from .group import FiniteGroup, quotient_by_normal
 from .permutation import Permutation, block_raw, mul_raw, parse_permutation
 
 
@@ -59,8 +60,6 @@ def _build_cyclic(n):
 
 
 def _build_elem_abelian(p, k):
-    from .arith import is_prime
-
     if not is_prime(p) or k < 1 or p**k > 4096:
         raise AtlasError("elem_abelian(p, k) needs a prime p with p^k manageable")
     degree = p * k
@@ -214,8 +213,6 @@ def _build_extraspecial(p, sign):
 
 
 def _extraspecial_32(sign):
-    from .group import quotient_by_normal
-
     d8 = _build_dihedral(4)
     if sign == "+":
         other = _build_dihedral(4)

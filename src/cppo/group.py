@@ -10,9 +10,10 @@ table, classes by (size, least member).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .arith import is_prime_power
+from .arith import is_prime, is_prime_power
 from .bsgs import StabilizerChain
 from .errors import (
     DegreeMismatchError,
@@ -34,13 +35,15 @@ DEFAULT_ENUMERATION_CAP = 200_000
 
 
 class _RawClass:
-    """A conjugacy class: least member as representative, sorted members."""
+    """A conjugacy class: least member as representative, sorted members, and
+    the element order every member shares."""
 
-    __slots__ = ("rep", "members")
+    __slots__ = ("rep", "members", "order")
 
     def __init__(self, rep, members):
         self.rep = rep
         self.members = members
+        self.order = order_raw(rep)
 
 
 class ConjugacyClass:
@@ -261,34 +264,31 @@ class FiniteGroup:
             frontier = new_frontier
         raise NotInGroupError("%r is not conjugate to %r here" % (target, rep))
 
+    def _class_index(self) -> dict:
+        """Element -> index of its class in _raw_classes, built once per group."""
+        key = "class_index"
+        if key not in self._cache:
+            self._cache[key] = {
+                x: k for k, c in enumerate(self._raw_classes()) for x in c.members
+            }
+        return self._cache[key]
+
     def class_rep_orders(self) -> list[int]:
         """Orders of the class representatives, one entry per class."""
-        return sorted(order_raw(c.rep) for c in self._raw_classes())
+        return sorted(c.order for c in self._raw_classes())
 
     def exponent(self) -> int:
-        import math
-
-        e = 1
-        for c in self._raw_classes():
-            e = math.lcm(e, order_raw(c.rep))
-        return e
+        return math.lcm(*(c.order for c in self._raw_classes()))
 
     def is_cyclic(self) -> bool:
         n = self.order()
-        return any(order_raw(c.rep) == n for c in self._raw_classes())
+        return any(c.order == n for c in self._raw_classes())
 
     def is_elementary_abelian(self) -> bool:
-        if not self.is_abelian():
-            return False
-        if self.is_trivial():
-            return True
-        from .arith import factorization
-
-        fact = factorization(self.order())
-        if len(fact) != 1:
-            return False
-        p = fact[0][0]
-        return all(order_raw(g) == p for g in self._raw_gens)
+        """Abelian with every generator of one prime order p, so the group is
+        a product of cyclic groups of order p; no chain is needed."""
+        orders = {order_raw(g) for g in self._raw_gens}
+        return len(orders) <= 1 and all(is_prime(o) for o in orders) and self.is_abelian()
 
     # -- commutator machinery -----------------------------------------------
 
@@ -327,31 +327,33 @@ class FiniteGroup:
         """First commutator of non-prime-power order in scan order, if any.
 
         Orders are conjugation invariant, so scanning x^-1 * Cl(x) per class
-        covers every commutator order without closing under conjugation.
+        covers every commutator order without closing under conjugation, and
+        each commutator's order is read off its class.  With no class of
+        non-prime-power order there is nothing to scan.
         """
         key = "cppo_witness"
         if key not in self._cache:
+            classes = self._raw_classes()
+            bad = {k for k, c in enumerate(classes) if not is_prime_power(c.order)}
             witness = None
-            for c in self._raw_classes():
-                rinv = inv_raw(c.rep)
-                seen = set()
-                for s in c.members:
-                    w = mul_raw(rinv, s)
-                    if w in seen:
-                        continue
-                    seen.add(w)
-                    o = order_raw(w)
-                    if not is_prime_power(o):
-                        g = self._class_conjugator(c.rep, s)
-                        witness = CppoWitness(
-                            commutator=Permutation._from_raw(w),
-                            order=o,
-                            left=Permutation._from_raw(c.rep),
-                            right=Permutation._from_raw(g),
-                        )
+            if bad:
+                class_of = self._class_index()
+                for c in classes:
+                    rinv = inv_raw(c.rep)
+                    for s in c.members:
+                        w = mul_raw(rinv, s)
+                        k = class_of[w]
+                        if k in bad:
+                            g = self._class_conjugator(c.rep, s)
+                            witness = CppoWitness(
+                                commutator=Permutation._from_raw(w),
+                                order=classes[k].order,
+                                left=Permutation._from_raw(c.rep),
+                                right=Permutation._from_raw(g),
+                            )
+                            break
+                    if witness is not None:
                         break
-                if witness is not None:
-                    break
             self._cache[key] = witness
         return self._cache[key]
 
@@ -361,9 +363,8 @@ class FiniteGroup:
 
     def eppo_witness(self) -> EppoWitness | None:
         for c in self._raw_classes():
-            o = order_raw(c.rep)
-            if not is_prime_power(o):
-                return EppoWitness(element=Permutation._from_raw(c.rep), order=o)
+            if not is_prime_power(c.order):
+                return EppoWitness(element=Permutation._from_raw(c.rep), order=c.order)
         return None
 
     def is_eppo(self) -> bool:
@@ -389,15 +390,21 @@ class FiniteGroup:
     def trivial_subgroup(self) -> "FiniteGroup":
         return self._subgroup_raw([])
 
-    def _closure_raw(self, raw_seeds, raw_conjugators) -> "FiniteGroup":
+    def _closure_raw(self, raw_seeds, raw_conjugators, order_divides=0) -> "FiniteGroup | None":
         """Smallest subgroup containing the seeds and closed under the conjugators.
 
         One chain grows element by element; the seeds and conjugates that
         were new when met become the generators, in breadth-first order.
+        With order_divides set, growth stops with None once the order no
+        longer divides it.  The check runs before each generator's conjugates
+        are taken; the last generator's conjugates add no new one, so a
+        returned subgroup has been checked too.
         """
         chain = StabilizerChain(self.degree)
         gens = [s for s in raw_seeds if chain.extend(s)]
         for x in gens:
+            if order_divides and order_divides % chain.order():
+                return None
             for c in raw_conjugators:
                 y = conj_raw(x, c)
                 if chain.extend(y):

@@ -140,33 +140,30 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
 
 
 def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
-    """O_p(G), the intersection of all conjugates of a Sylow p-subgroup.
+    """O_p(G), the largest normal p-subgroup, as the union of the conjugacy
+    classes of p-power order whose normal closure is a p-group.
 
-    Computed by refinement: start with the Sylow group and intersect with a
-    conjugate under some non-normalizing generator until none is left.  The
-    refined set always contains O_p, shrinks strictly, and stops exactly at
-    a normal p-subgroup, which must then be O_p itself.  Each core is cached
-    on the group by prime.
+    This is the intersection of the Sylow p-subgroups: that intersection is
+    a normal p-subgroup, and every normal p-subgroup lies in each Sylow
+    p-subgroup.  If x lies in O_p then its normal closure <x^G> lies in O_p
+    too and is a p-group; conversely, a normal closure that is a p-group is
+    a normal p-subgroup and lies in O_p.  Membership is constant on a class,
+    so one closure per class decides it, and each closure stops growing as
+    soon as its order no longer divides |G|_p.  Each core is cached on the
+    group by prime.
     """
     cores = G._cache.setdefault("p_cores", {})
     if p in cores:
         return cores[p]
-    syl = sylow_subgroup(G, p)
-    if syl.order() == 1:
-        cores[p] = syl
-        return syl
-    K = set(syl._raw_elements())
-    while True:
-        clash = None
-        for g in G._raw_gens:
-            Kg = {conj_raw(x, g) for x in K}
-            if Kg != K:
-                clash = Kg
-                break
-        if clash is None:
-            break
-        K &= clash
-    cores[p] = G._subgroup_from_raw_elements(K)
+    if not is_prime(p):
+        raise ValueError("%d is not a prime" % p)
+    target = p_part(G.order(), p)
+    members = []
+    for c in G._raw_classes():
+        # an element order divides |G|, so it is a power of p iff it divides |G|_p
+        if target % c.order == 0 and G._closure_raw([c.rep], G._raw_gens, target) is not None:
+            members.extend(c.members)
+    cores[p] = G._subgroup_from_raw_elements(members)
     return cores[p]
 
 
@@ -319,13 +316,11 @@ def normal_subgroups(G: FiniteGroup) -> list:
             chain = sub.chain()
             return frozenset(i for i, r in enumerate(reps) if chain.contains_raw(r))
 
-        class_of = {}  # element -> class index, filled on the first product
         products = {}  # (i, j) -> the classes meeting C_i * C_j
 
         def product_support(i, j):
             if (i, j) not in products:
-                if not class_of:
-                    class_of.update((x, k) for k, c in enumerate(classes) for x in c.members)
+                class_of = G._class_index()
                 a, b = (i, j) if len(classes[j].members) <= len(classes[i].members) else (j, i)
                 r = reps[a]
                 s = frozenset(class_of[mul_raw(r, y)] for y in classes[b].members)

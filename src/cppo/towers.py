@@ -700,8 +700,8 @@ def _pick_stage(G, u: FiniteGroup, p: int, chosen):
     for gens in u._conjugate_gen_sets(syl._raw_gens):
         if _normalizes_all(gens, chosen) and _moves_stage_below(gens, chosen):
             return G._subgroup_raw(list(gens))
-    for cand in sorted(_p_subgroup_candidates(u, p), key=lambda s: -s.order()):
-        gens = cand._raw_gens
+    # largest first; the sort is stable, and a set's size is its order
+    for _, gens in sorted(_p_subgroup_sets(u, p), key=lambda kv: -len(kv[0])):
         if _normalizes_all(gens, chosen) and _moves_stage_below(gens, chosen):
             return G._subgroup_raw(list(gens))
     return None

@@ -22,8 +22,9 @@ from cppo import (
     quotient_by_normal,
 )
 from cppo.arith import is_prime_power
-from cppo.atlas import build
-from cppo.permutation import conj_raw, mul_raw
+from cppo.atlas import build, load_group_spec
+from cppo.corpus import default_corpus
+from cppo.permutation import conj_raw, inv_raw, mul_raw, order_raw
 
 
 def G(texts, degree, **kw):
@@ -126,6 +127,45 @@ def test_cppo_witness_on_a_group_with_order_six_commutator():
     assert not group.is_cppo()
 
 
+def per_element_order_witness(group):
+    """The CPPO scan with each distinct candidate's order computed afresh, as
+    it was before orders were read off the classes: (commutator, order,
+    left, right) of the first candidate of non-prime-power order, or None."""
+    for c in group._raw_classes():
+        rinv = inv_raw(c.rep)
+        seen = set()
+        for s in c.members:
+            w = mul_raw(rinv, s)
+            if w in seen:
+                continue
+            seen.add(w)
+            o = order_raw(w)
+            if not is_prime_power(o):
+                return w, o, c.rep, group._class_conjugator(c.rep, s)
+    return None
+
+
+# the corpus documents of groups of order at most 40320, loaded afresh in
+# each test so that no large group's elements outlive it
+WITNESS_DOCS = [
+    (g.name, doc) for doc in default_corpus() for g in [load_group_spec(doc)] if g.order() <= 40320
+]
+
+
+def test_witness_reference_covers_the_large_groups():
+    names = [name for name, _ in WITNESS_DOCS]
+    for name in ("sz8", "psl3_4", "alt(8)", "psl34_phi_ext", "sl2_9"):
+        assert name in names
+
+
+@pytest.mark.parametrize("name, doc", WITNESS_DOCS, ids=[n for n, _ in WITNESS_DOCS])
+def test_cppo_witness_matches_the_per_element_order_scan(name, doc):
+    group = load_group_spec(doc)
+    w = group.cppo_witness()
+    got = None if w is None else (w.commutator.raw, w.order, w.left.raw, w.right.raw)
+    assert got == per_element_order_witness(group)
+
+
 def test_eppo_witness():
     group = G(["(1 2)", "(3 4 5)"], 5)  # C2 x C3, an element of order 6 exists
     w = group.eppo_witness()
@@ -133,6 +173,17 @@ def test_eppo_witness():
     assert w.element.order() == 6
     assert a5().is_eppo()
     assert not a5().eppo_witness()
+
+
+def test_closure_stops_once_its_order_stops_dividing_the_bound():
+    group = s4()
+    double = parse_permutation("(1 2)(3 4)", 4).raw
+    transposition = parse_permutation("(1 2)", 4).raw
+    v4 = group._closure_raw([double], group._raw_gens, 8)
+    assert v4 is not None and v4.order() == 4
+    # the normal closure of a transposition is S4, of order 24, which 8 does not divide
+    assert group._closure_raw([transposition], group._raw_gens, 8) is None
+    assert group._closure_raw([transposition], group._raw_gens, 24).order() == 24
 
 
 def test_derived_subgroup_matches_oracle():
@@ -207,6 +258,23 @@ def test_abelian_cyclic_elementary_flags():
     assert not G(["(1 2 3 4)"], 4).is_elementary_abelian()
     assert FiniteGroup([], degree=3).is_trivial()
     assert FiniteGroup([], degree=3).is_elementary_abelian()
+    # abelian with generators of two primes, or of orders 2 and 4; then A4,
+    # whose generators share the prime 3 but do not commute
+    assert not G(["(1 2)", "(3 4 5)"], 5).is_elementary_abelian()
+    assert not G(["(1 2)(3 4)", "(1 3 2 4)"], 4).is_elementary_abelian()
+    assert not G(["(1 2 3)", "(2 3 4)"], 4).is_elementary_abelian()
+    assert G(["(1 2 3)", "(4 5 6)", "(1 2 3)(4 6 5)"], 6).is_elementary_abelian()
+
+
+def test_elementary_abelian_needs_no_chain(monkeypatch):
+    group = G(["(1 2)", "(3 4)", "(5 6)"], 6)
+
+    def refuse(*args):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(cppo.bsgs.StabilizerChain, "from_raw_generators", refuse)
+    monkeypatch.setattr(cppo.bsgs.StabilizerChain, "extend", refuse)
+    assert group.is_elementary_abelian()
 
 
 def test_exponent_and_rep_orders():

@@ -1,9 +1,11 @@
 """Classification reports, suite runners, and the structured results format."""
 
 import json
+import sys
 
 import pytest
 
+from cppo import permutation
 from cppo.arith import is_prime_power
 from cppo.atlas import build
 from cppo.errors import SchemaError
@@ -29,6 +31,27 @@ TINY_DOCS = [
     {"atlas": "dihedral", "params": [12]},
     {"atlas": "alt", "params": [5]},
 ]
+
+
+def test_classify_computes_element_orders_per_class(monkeypatch):
+    """Orders are constant on a class, so classify of the EPPO group sz8
+    (11 classes, 29120 elements) computes a few per class, not one per
+    element or commutator."""
+    calls = []
+    real = permutation.order_raw
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cppo") and getattr(module, "order_raw", None) is real:
+            monkeypatch.setattr(module, "order_raw", counting)
+    g = build("sz8").group
+    r = classify(g)
+    assert r.theorem2 == "pass"
+    assert len(g._raw_classes()) == 11
+    assert 0 < len(calls) <= 3 * 11
 
 
 def test_classify_s4():

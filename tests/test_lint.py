@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, every
-_private function is used somewhere in the package, and every public
+"""Every name a package module imports is used in that module and imported
+at module level, every _private function is used somewhere in the package, and every public
 function, method or class is exported or used somewhere in the package, the
 tests or the benchmark.
 
@@ -49,6 +49,20 @@ def test_no_unused_imports(path):
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    """Imports sit at module level, where a reader finds every dependency."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nested = [
+        "%s (line %d)" % (fn.name, node.lineno)
+        for fn in ast.walk(tree)
+        if isinstance(fn, FUNCTIONS)
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == [], "%s imports inside functions: %s" % (path.name, ", ".join(nested))
 
 
 def _unreferenced(kinds, wanted, paths):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cppo import FiniteGroup, parse_permutation, structure
+from cppo import FiniteGroup, parse_permutation, structure, towers
 from cppo.atlas import load_group_spec
 from cppo.bsgs import StabilizerChain
 from cppo.corpus import corpus_groups, default_corpus
@@ -288,10 +288,11 @@ def chain_normal_subgroups(G):
     return [sub for _, sub in ordered]
 
 
+SMALL_CORPUS = [(name, g) for name, g in corpus_groups(default_corpus()) if g.order() <= 1000]
 LATTICE_GROUPS = [
     (name, g)
-    for name, g in corpus_groups(default_corpus())
-    if g.order() <= 1000 and len(g._raw_classes()) <= structure.DEFAULT_CLASS_CAP
+    for name, g in SMALL_CORPUS
+    if len(g._raw_classes()) <= structure.DEFAULT_CLASS_CAP
 ]
 
 
@@ -380,34 +381,80 @@ def test_p_core_examples():
     assert p_core(d12(), 3).order() == 3
 
 
+def sylow_core(group, p):
+    """O_p as the intersection of the conjugates of one Sylow p-subgroup; the
+    conjugates are the orbit of its element set under the generators."""
+    base = frozenset(sylow_subgroup(group, p)._raw_elements())
+    conjugates = {base}
+    frontier = [base]
+    while frontier:
+        members = frontier.pop()
+        for g in group._raw_gens:
+            c = frozenset(conj(x, g) for x in members)
+            if c not in conjugates:
+                conjugates.add(c)
+                frontier.append(c)
+    return frozenset.intersection(*conjugates)
+
+
+def assert_cores_match_sylow_intersection(group):
+    # a trivial group has no prime divisor, and its O_2 is trivial
+    for p, _ in factor(group.order()) or [(2, 0)]:
+        want = sylow_core(group, p)
+        core = p_core(group, p)
+        assert frozenset(core._raw_elements()) == want, p
+        # the same generator list as reducing that element set
+        assert core._raw_gens == group._subgroup_from_raw_elements(want)._raw_gens
+
+
 def test_p_core_is_the_intersection_of_sylow_conjugates():
-    for make, p in ((s4, 2), (d12, 2), (sl23, 2), (s3xs3, 3)):
-        group = make()
-        raws = group._raw_elements()
-        base = frozenset(sylow_subgroup(group, p)._raw_elements())
-        meet = None
-        for g in raws:
-            c = {conj(x, g) for x in base}
-            meet = c if meet is None else (meet & c)
-        assert frozenset(p_core(group, p)._raw_elements()) == meet
+    for make in SMALL:
+        assert_cores_match_sylow_intersection(make())
+
+
+@pytest.mark.parametrize("name, group", SMALL_CORPUS, ids=[n for n, _ in SMALL_CORPUS])
+def test_p_core_of_corpus_groups_is_the_intersection_of_sylow_conjugates(name, group):
+    assert_cores_match_sylow_intersection(group)
+
+
+@st.composite
+def subgroups_of_s6(draw):
+    images = draw(st.lists(st.permutations(range(6)), min_size=1, max_size=3))
+    return FiniteGroup([Permutation.from_zero_based(x) for x in images], degree=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(subgroups_of_s6())
+def test_p_core_of_drawn_s6_subgroups_is_the_intersection_of_sylow_conjugates(group):
+    assert_cores_match_sylow_intersection(group)
+
+
+def test_p_core_of_a_prime_not_dividing_the_order_is_trivial():
+    assert p_core(s4(), 5).order() == 1
+    with pytest.raises(ValueError):
+        p_core(s4(), 4)
 
 
 def test_classify_computes_each_p_core_once(monkeypatch):
-    # the soluble corpus groups of order at most 500; each p_core
-    # computation starts from one Sylow subgroup of the same group and prime
+    # the soluble corpus groups of order at most 500: a p_core call that finds
+    # no core cached for its prime computes one, and no (generators, degree,
+    # prime) may be computed twice within one classify
     groups = [
         g for _, g in corpus_groups(default_corpus()) if g.order() <= 500 and is_soluble(g)
     ]
     assert len(groups) == 25
-    sylow = structure.sylow_subgroup
-    for g in groups:
-        seen = []
+    real = structure.p_core
+    seen = []
 
-        def recording(G, p):
+    def recording(G, p):
+        if p not in G._cache.get("p_cores", {}):
             seen.append((tuple(G._raw_gens), G.degree, p))
-            return sylow(G, p)
+        return real(G, p)
 
-        monkeypatch.setattr(structure, "sylow_subgroup", recording)
+    monkeypatch.setattr(structure, "p_core", recording)
+    monkeypatch.setattr(towers, "p_core", recording)
+    for g in groups:
+        seen.clear()
         classify(g)
         assert seen and len(seen) == len(set(seen)), g.name
 

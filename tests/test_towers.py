@@ -14,7 +14,10 @@ from cppo.structure import fitting_height, is_soluble, sylow_subgroup, upper_fit
 from cppo.towers import (
     Tower,
     _all_subgroups,
+    _moves_stage_below,
+    _normalizes_all,
     _p_subgroup_candidates,
+    _p_subgroup_sets,
     effective_quotients,
     find_max_tower,
     is_irreducible_tower,
@@ -293,6 +296,39 @@ def test_all_subgroups_match_the_chain_reference(small_soluble):
     for p, _ in factorization(small_soluble.order()):
         syl = sylow_subgroup(small_soluble, p)
         assert _all_subgroups(syl) == _ref_all_subgroups(syl), p
+
+
+def test_p_subgroup_sets_carry_their_generators_and_order(small_soluble):
+    """_pick_stage sorts the sets by size and forms a subgroup only for the
+    one it returns, so each generator list must be the subgroup's own and
+    each set's size its order."""
+    for p, _ in factorization(small_soluble.order()):
+        for members, gens in _p_subgroup_sets(small_soluble, p):
+            sub = small_soluble._subgroup_raw(gens)
+            assert sub._raw_gens == gens and sub.order() == len(members)
+
+
+def reference_pick_stage(G, u, p, chosen):
+    """_pick_stage as it was before it sorted element sets: every candidate
+    is formed as a subgroup and sorted by its chain order."""
+    syl = sylow_subgroup(u, p)
+    for gens in u._conjugate_gen_sets(syl._raw_gens):
+        if _normalizes_all(gens, chosen) and _moves_stage_below(gens, chosen):
+            return G._subgroup_raw(list(gens))
+    for cand in sorted(_p_subgroup_candidates(u, p), key=lambda s: -s.order()):
+        gens = cand._raw_gens
+        if _normalizes_all(gens, chosen) and _moves_stage_below(gens, chosen):
+            return G._subgroup_raw(list(gens))
+    return None
+
+
+@pytest.mark.parametrize("doc", SOLUBLE_AND_SMALL, ids=str)
+def test_max_tower_matches_the_subgroup_sorting_reference(doc, monkeypatch):
+    # direct_product(sym(3),s4) is a group whose tower comes from the
+    # candidates past the Sylow conjugates
+    got = tower_to_data(find_max_tower(load_group_spec(doc))[1])
+    monkeypatch.setattr(towers, "_pick_stage", reference_pick_stage)
+    assert got == tower_to_data(find_max_tower(load_group_spec(doc))[1])
 
 
 def test_probe_matches_the_chain_reference(small_soluble):
