@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .arith import factorization, prime_factors
+from .arith import prime_factors
 from .atlas import load_group_spec
 from .errors import (
     EnumerationCapError,
@@ -157,9 +157,7 @@ def classify(G: FiniteGroup) -> ClassificationReport:
         else:
             drad = soluble_radical(derived)
             r.derived_radical_order = drad.order()
-            r.derived_radical_is_2_group = len(factorization(drad.order())) <= 1 and (
-                drad.order() == 1 or factorization(drad.order())[0][0] == 2
-            )
+            r.derived_radical_is_2_group = prime_factors(drad.order()) in ([], [2])
             closure = _commutator_span(G, list(derived._raw_gens), radical)
             r.derived_radical_closure_order = closure.order()
             try:

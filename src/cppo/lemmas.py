@@ -23,11 +23,9 @@ from .arith import factorization, is_prime_power, prime_factors
 from .atlas import build
 from .corpus import corpus_groups, default_corpus
 from .errors import GroupError
-from .fields import gf
 from .group import FiniteGroup, quotient_by_normal
 from .permutation import (
     Permutation,
-    block_raw,
     comm_raw,
     conj_raw,
     identity_raw,
@@ -36,6 +34,7 @@ from .permutation import (
     order_raw,
 )
 from .structure import (
+    _element_orders,
     fitting_height,
     fitting_subgroup,
     frattini_of_p_group,
@@ -69,30 +68,21 @@ class LemmaCheck:
 # instance builders
 
 
-def _affine_line(q):
-    """AGL(1,q) on q points with its translation and scaling parts split out."""
-    F = gf(q)
-    pts = list(F.elements)
-    trans = [Permutation.from_zero_based(F.add(x, b) for x in pts) for b in F.additive_basis]
-    scale = Permutation.from_zero_based(F.mul(F.generator(), x) for x in pts)
-    amb = FiniteGroup(trans + [scale], degree=q, name="agl1(%d)" % q)
-    return amb, amb.subgroup(trans), scale
+def _affine(*qs):
+    """AGL(1,q), or AGL(1,q1) x AGL(1,q2), from the atlas, with its translation
+    subgroup and one scaling per factor.
 
-
-def _block_perm(images, offset, degree) -> Permutation:
-    return Permutation._from_raw(block_raw(images, offset, degree))
-
-
-def _affine_square(q):
-    """Two independent affine lines side by side on 2q points."""
-    F = gf(q)
-    pts = list(F.elements)
-    line_trans = [[F.add(x, b) for x in pts] for b in F.additive_basis]
-    line_scale = [F.mul(F.generator(), x) for x in pts]
-    degree = 2 * q
-    trans = [_block_perm(t, off, degree) for off in (0, q) for t in line_trans]
-    scales = [_block_perm(line_scale, off, degree) for off in (0, q)]
-    amb = FiniteGroup(trans + scales, degree=degree, name="agl1(%d)^2" % q)
+    Each factor's generators are the additive basis of GF(q) followed by
+    one scaling, so they split by position.
+    """
+    spec = "agl1(%d)" if len(qs) == 1 else "direct_product(agl1(%d),agl1(%d))"
+    amb = build(spec % qs).group
+    trans, scales, i = [], [], 0
+    for q in qs:
+        k = factorization(q)[0][1]
+        trans += amb.generators[i : i + k]
+        scales.append(amb.generators[i + k])
+        i += k + 1
     return amb, amb.subgroup(trans), scales
 
 
@@ -120,22 +110,6 @@ def _affine_plane_3():
     if q8.order() != 8:
         raise GroupError("quaternion part of the affine plane instance is off")
     return amb, v, q8
-
-
-def _product_of_lines(q1, q2):
-    """AGL(1,q1) x AGL(1,q2) with the joint translation part."""
-    F1, F2 = gf(q1), gf(q2)
-    degree = q1 + q2
-    t_parts = [[F1.add(x, b) for x in F1.elements] for b in F1.additive_basis]
-    t_parts2 = [[F2.add(x, b) for x in F2.elements] for b in F2.additive_basis]
-    s1 = [F1.mul(F1.generator(), x) for x in F1.elements]
-    s2 = [F2.mul(F2.generator(), x) for x in F2.elements]
-    trans = [_block_perm(t, 0, degree) for t in t_parts]
-    trans += [_block_perm(t, q1, degree) for t in t_parts2]
-    s1p = _block_perm(s1, 0, degree)
-    s2p = _block_perm(s2, q1, degree)
-    amb = FiniteGroup(trans + [s1p, s2p], degree=degree, name="agl1(%d)x(%d)" % (q1, q2))
-    return amb, amb.subgroup(trans), s1p, s2p
 
 
 def _s4_wreath_2():
@@ -191,15 +165,6 @@ def _heisenberg_with_flip():
 # small computations shared by the checks
 
 
-def _centralizer_raws(sub: FiniteGroup, action_raws):
-    ident = identity_raw(sub.degree)
-    out = []
-    for x in sub._raw_elements():
-        if all(comm_raw(x, a) == ident for a in action_raws):
-            out.append(x)
-    return out
-
-
 def _join(ambient: FiniteGroup, *gen_lists) -> FiniteGroup:
     gens = []
     for gl in gen_lists:
@@ -207,13 +172,8 @@ def _join(ambient: FiniteGroup, *gen_lists) -> FiniteGroup:
     return ambient._subgroup_raw(sorted(set(gens)))
 
 
-def _subgroup_order_from_raws(ambient, raws):
-    return ambient._subgroup_from_raw_elements(raws).order()
-
-
 def _nontrivial_elements(sub: FiniteGroup):
-    ident = identity_raw(sub.degree)
-    return [x for x in sub._raw_elements() if x != ident]
+    return [x for x in sub.elements() if not x.is_identity()]
 
 
 def _is_quaternion8(sub: FiniteGroup) -> bool:
@@ -221,10 +181,6 @@ def _is_quaternion8(sub: FiniteGroup) -> bool:
         return False
     invs = [x for x in sub._raw_elements() if order_raw(x) == 2]
     return len(invs) == 1
-
-
-def _coprime(sub_a: FiniteGroup, sub_g: FiniteGroup) -> bool:
-    return math.gcd(sub_a.order(), sub_g.order()) == 1
 
 
 def _order3_rep(g: FiniteGroup) -> tuple:
@@ -239,7 +195,7 @@ def _coprime_pairs():
     normalizes the acted-on one; both facts are asserted downstream."""
     pairs = []
     for q in (4, 5, 7, 8, 9):
-        amb, v, scale = _affine_line(q)
+        amb, v, (scale,) = _affine(q)
         n = q - 1
         for d in sorted(x for x in range(2, n + 1) if n % x == 0):
             a = amb.subgroup([scale ** (n // d)])
@@ -254,7 +210,7 @@ def _coprime_pairs():
             sl23._subgroup_raw([_order3_rep(sl23)]),
         )
     )
-    amb, v, s1, s2 = _product_of_lines(5, 7)
+    amb, v, (s1, s2) = _affine(5, 7)
     diag = mul_raw(s1.raw, s2.raw)
     pairs.append(("c35 under a diagonal of order 12", amb, v, amb._subgroup_raw([diag])))
     half = mul_raw((s1**2).raw, (s2**3).raw)
@@ -264,21 +220,17 @@ def _coprime_pairs():
 
 def _noncyclic_abelian_pairs():
     pairs = []
-    amb, v, scales = _affine_square(4)
+    amb, v, scales = _affine(4, 4)
     pairs.append(("c2^4 under c3 x c3", amb, v, amb.subgroup(scales)))
-    amb5, v5, scales5 = _affine_square(5)
+    amb5, v5, scales5 = _affine(5, 5)
     pairs.append(("c5^2 under c2 x c2", amb5, v5, amb5.subgroup([s**2 for s in scales5])))
-    amb9, v9, scales9 = _affine_square(9)
+    amb9, v9, scales9 = _affine(9, 9)
     pairs.append(("c3^4 under c2 x c2", amb9, v9, amb9.subgroup([s**4 for s in scales9])))
     return pairs
 
 
-def _comm_sub(amb, a_sub: FiniteGroup, g_sub: FiniteGroup) -> FiniteGroup:
-    return _commutator_span(amb, list(a_sub._raw_gens), g_sub)
-
-
 def _check_action_preconditions(amb, g_sub, a_sub):
-    if not _coprime(a_sub, g_sub):
+    if math.gcd(a_sub.order(), g_sub.order()) != 1:
         raise GroupError("instance is not coprime")
     if not g_sub.normalized_by(a_sub._raw_gens):
         raise GroupError("acting subgroup fails to normalize the instance")
@@ -292,13 +244,13 @@ def check_cc_i(seed=0):
     out = []
     for tag, amb, g, a in _coprime_pairs():
         _check_action_preconditions(amb, g, a)
-        comm = _comm_sub(amb, a, g)
-        cent = _centralizer_raws(g, a._raw_gens)
-        total = _join(amb, comm._raw_gens, cent)
+        comm = _commutator_span(amb, a._raw_gens, g)
+        cent = g.centralizer(a.generators)
+        total = _join(amb, comm._raw_gens, cent._raw_gens)
         ok = total.order() == g.order()
-        witness = {"comm_order": comm.order(), "cent_order": len(cent)}
+        witness = {"comm_order": comm.order(), "cent_order": cent.order()}
         if ok and g.is_abelian():
-            meet = set(comm._raw_elements()) & set(cent)
+            meet = set(comm._raw_elements()) & set(cent._raw_elements())
             ok = len(meet) == 1
             witness["meet_order"] = len(meet)
         out.append(LemmaCheck("cc_i", tag, "pass" if ok else "fail", witness))
@@ -309,8 +261,8 @@ def check_cc_ii(seed=0):
     out = []
     for tag, amb, g, a in _coprime_pairs():
         _check_action_preconditions(amb, g, a)
-        once = _comm_sub(amb, a, g)
-        twice = _comm_sub(amb, a, once)
+        once = _commutator_span(amb, a._raw_gens, g)
+        twice = _commutator_span(amb, a._raw_gens, once)
         ok = once.same_group_as(twice)
         out.append(
             LemmaCheck(
@@ -322,7 +274,7 @@ def check_cc_ii(seed=0):
 
 
 def _cc_iii_instances():
-    amb, v, s1, s2 = _product_of_lines(5, 7)
+    amb, v, (s1, s2) = _affine(5, 7)
     half = mul_raw((s1**2).raw, (s2**3).raw)
     c5 = amb.subgroup([v.generators[0]])
     yield "c35 mod its c5 part", amb, v, amb._subgroup_raw([half]), c5
@@ -330,7 +282,7 @@ def _cc_iii_instances():
     q8 = sl23.derived_subgroup()
     a3 = sl23._subgroup_raw([_order3_rep(sl23)])
     yield "q8 mod its centre", sl23, q8, a3, sl23.center()
-    amb4, v4, scales4 = _affine_square(4)
+    amb4, v4, scales4 = _affine(4, 4)
     a = amb4.subgroup(scales4)
     first_block = amb4.subgroup(v4.generators[:2])
     yield "c2^4 mod one block", amb4, v4, a, first_block
@@ -347,9 +299,9 @@ def check_cc_iii(seed=0):
             for x in g._raw_elements()
             if all(nchain.contains_raw(comm_raw(x, ag)) for ag in a._raw_gens)
         ]
-        lhs = _subgroup_order_from_raws(amb, pulled)
-        cent = _centralizer_raws(g, a._raw_gens)
-        rhs = _join(amb, n._raw_gens, cent).order()
+        lhs = amb._subgroup_from_raw_elements(pulled).order()
+        cent = g.centralizer(a.generators)
+        rhs = _join(amb, n._raw_gens, cent._raw_gens).order()
         ok = lhs == rhs
         out.append(
             LemmaCheck("cc_iii", tag, "pass" if ok else "fail", {"lhs": lhs, "rhs": rhs})
@@ -365,7 +317,7 @@ def check_cc_v(seed=0):
             raise GroupError("cc_v instance out of scope")
         pieces = []
         for aelt in _nontrivial_elements(a):
-            pieces.append(_centralizer_raws(g, [aelt]))
+            pieces.append(g.centralizer([aelt])._raw_gens)
         total = _join(amb, *pieces)
         ok = total.order() == g.order()
         out.append(
@@ -378,13 +330,13 @@ def check_cc_v(seed=0):
 
 
 def _cc_vi_instances():
-    amb, v, s1, s2 = _product_of_lines(5, 7)
+    amb, v, (s1, s2) = _affine(5, 7)
     diag = mul_raw(s1.raw, s2.raw)
     half = mul_raw((s1**2).raw, (s2**3).raw)
     yield "c35 with the order-12 diagonal", amb, v, amb._subgroup_raw([diag])
     yield "c35 with the diagonal involution", amb, v, amb._subgroup_raw([half])
     # nonabelian target: the Frobenius group of order 21 under an involution
-    amb7, v7, scale7 = _affine_line(7)
+    amb7, v7, (scale7,) = _affine(7)
     f21 = amb7.subgroup(list(v7.generators) + [scale7**2])
     yield "frobenius 21 under an involution", amb7, f21, amb7.subgroup([scale7**3])
     sl23 = build("sl2_3").group
@@ -423,14 +375,14 @@ def check_kurzweil(seed=0):
     out = []
     fpf = []
     for q in (4, 5, 7, 8, 9):
-        amb, v, scale = _affine_line(q)
+        amb, v, (scale,) = _affine(q)
         n = q - 1
         for d in sorted(x for x in range(2, n + 1) if n % x == 0):
             a = amb.subgroup([scale ** (n // d)])
             fpf.append(("agl1(%d) scaling subgroup of order %d" % (q, d), amb, v, a))
     for tag, amb, v, a in fpf:
         _check_action_preconditions(amb, v, a)
-        if any(len(_centralizer_raws(v, [x])) > 1 for x in _nontrivial_elements(a)):
+        if any(v.centralizer([x]).order() > 1 for x in _nontrivial_elements(a)):
             raise GroupError("kurzweil instance is not fixed point free")
         conditions = a.is_abelian() or (
             len(factorization(a.order())) == 1
@@ -442,7 +394,7 @@ def check_kurzweil(seed=0):
         out.append(LemmaCheck("kurzweil", tag, "pass" if ok else "fail", {"a_order": a.order()}))
     amb, v, q8 = _affine_plane_3()
     _check_action_preconditions(amb, v, q8)
-    if any(len(_centralizer_raws(v, [x])) > 1 for x in _nontrivial_elements(q8)):
+    if any(v.centralizer([x]).order() > 1 for x in _nontrivial_elements(q8)):
         raise GroupError("quaternion instance is not fixed point free")
     exception_ok = (not q8.is_cyclic()) and _is_quaternion8(q8)
     out.append(
@@ -475,7 +427,7 @@ def check_acnoncop(seed=0):
         meet = None
         for aelt in _nontrivial_elements(a):
             part = set(
-                _commutator_span(amb, [aelt], v)._raw_elements()
+                _commutator_span(amb, [aelt.raw], v)._raw_elements()
             )
             meet = part if meet is None else (meet & part)
         ok = meet is not None and len(meet) == 1
@@ -490,11 +442,11 @@ def check_acnoncop(seed=0):
 
 def _orderofav_instances():
     for q, powers in ((5, (1, 2)), (7, (1, 2, 3)), (8, (1,)), (9, (1, 2, 4))):
-        amb, v, scale = _affine_line(q)
+        amb, v, (scale,) = _affine(q)
         for k in powers:
             a = scale**k
             yield "agl1(%d) with a of order %d" % (q, a.order()), amb, v, a.raw
-    amb, v, s1, s2 = _product_of_lines(5, 7)
+    amb, v, (s1, s2) = _affine(5, 7)
     yield "c35 with a acting on the c5 part only", amb, v, s1.raw
     yield "c35 with a acting on the c7 part only", amb, v, (s2**2).raw
 
@@ -528,17 +480,14 @@ def check_orderofav(seed=0):
 def check_autoofextra(seed=0):
     out = []
 
-    def verify(tag, P, phi_raw, ambient):
+    def verify(tag, P, phi_raw):
         # the automorphism must normalize P and centralize exactly the frattini part
         if not P.normalized_by([phi_raw]):
             raise GroupError("automorphism fails to normalize the instance")
         if math.gcd(order_raw(phi_raw), P.order()) != 1:
             raise GroupError("automorphism order is not coprime")
-        whole = ambient._subgroup_raw(P._raw_gens)
-        fixed = _centralizer_raws(whole, [phi_raw])
         frat = frattini_of_p_group(P)
-        hypo = sorted(fixed) == sorted(frat._raw_elements())
-        if not hypo:
+        if not P.centralizer([Permutation._from_raw(phi_raw)]).same_group_as(frat):
             raise GroupError("fixed points differ from the frattini subgroup")
         values = {comm_raw(x, phi_raw) for x in P._raw_elements()}
         closed = set(values)
@@ -560,12 +509,11 @@ def check_autoofextra(seed=0):
         )
 
     P, flip = _heisenberg_with_flip()
-    amb = FiniteGroup(P.generators + [flip], degree=9)
-    verify("heisenberg 27 under the inverting involution", P, flip.raw, amb)
+    verify("heisenberg 27 under the inverting involution", P, flip.raw)
 
     sl23 = build("sl2_3").group
     q8 = sl23.derived_subgroup()
-    verify("quaternion group under an order-3 automorphism", q8, _order3_rep(sl23), sl23)
+    verify("quaternion group under an order-3 automorphism", q8, _order3_rep(sl23))
     return out
 
 
@@ -672,7 +620,7 @@ def check_aaa_scenario(seed=0):
             and a2.is_abelian()
             and not a2.is_cyclic()
             and a3.is_abelian()
-            and _comm_sub(amb, a1, a2).same_group_as(a2)
+            and _commutator_span(amb, a1._raw_gens, a2).same_group_as(a2)
         )
         if not hypo:
             out.append(
@@ -852,11 +800,11 @@ def _find_covered_elem_abelian(g: FiniteGroup, qprime: int):
         for c in _p_subgroup_candidates(g, qprime)
         if c.is_elementary_abelian()
     ]
-    elems = g._raw_elements()
+    # sylow_subgroup has filled the order table while listing the candidates
+    elems, orders = g._raw_elements(), _element_orders(g)
     for cand in candidates[:40]:
         size = cand.order()
-        for a in elems:
-            o = order_raw(a)
+        for a, o in zip(elems, orders):
             if o == 1 or not is_prime_power(o) or o % qprime == 0:
                 continue
             if not cand.normalized_by([a]):

@@ -3,7 +3,8 @@
 Derived, lower-central and upper-Fitting series; Sylow subgroups, p-cores,
 the Fitting subgroup and soluble radical; the normal subgroup lattice with
 simplicity, minimal normals and socle; and fingerprint identification of
-the eight simple groups whose elements all have prime-power order.
+seven of the eight simple groups whose elements all have prime-power order
+(all but Sz(32), which is too large to enumerate).
 """
 
 from __future__ import annotations
@@ -395,12 +396,13 @@ def is_simple(G: FiniteGroup, allow_abelian_simple: bool = False) -> bool:
 @dataclass
 class SimpleEppoId:
     tag: str
-    order_only_match: bool = False
 
 
-# fingerprint rows: order -> (tag, sorted class representative orders).
-# The desk-scale rows were generated from the atlas constructions and are
-# frozen here; Sz(32) is matched by order alone since it is never built.
+# fingerprint rows: order -> (tag, sorted class representative orders),
+# generated from the atlas constructions and frozen here.  Sz(32), the
+# eighth simple group with prime-power element orders, has no row: at order
+# 32,537,600 it is far past the enumeration cap, so its classes are never
+# computed and no fingerprint of it could be checked.
 _SIMPLE_EPPO_TABLE = {
     60: ("PSL2_4", [1, 2, 3, 5, 5]),
     168: ("PSL2_7", [1, 2, 3, 4, 7, 7]),
@@ -411,13 +413,11 @@ _SIMPLE_EPPO_TABLE = {
     29120: ("Sz8", [1, 2, 4, 4, 5, 7, 7, 7, 13, 13, 13]),
 }
 
-_SZ32_ORDER = 32537600
-
 
 def identify_simple_eppo(G: FiniteGroup) -> SimpleEppoId:
-    """Match a simple group against the eight-group table by order and class orders."""
-    if G.order() == _SZ32_ORDER:
-        return SimpleEppoId("Sz32", order_only_match=True)
+    """Match a nonabelian simple group against the seven fingerprint rows by
+    order and class representative orders; any other simple group is
+    "NotInList"."""
     if not is_simple(G):
         raise NotSimpleError("identification applies to nonabelian simple groups")
     row = _SIMPLE_EPPO_TABLE.get(G.order())

@@ -1,8 +1,17 @@
-"""The lemma check families: registry shape, determinism, and a clean sweep."""
+"""The lemma check families: registry shape, determinism, a clean sweep
+whose bytes match the benchmark's golden digests, and the affine instances."""
+
+import hashlib
+import json
+import math
+from pathlib import Path
 
 import pytest
 
-from cppo.lemmas import MICRO_SUITE, REGISTRY, LemmaCheck
+from cppo.harness import lemma_checks_to_doc
+from cppo.lemmas import MICRO_SUITE, REGISTRY, LemmaCheck, _affine
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 EXPECTED_IDS = {
     "cc_i",
@@ -66,6 +75,10 @@ def test_family_passes_cleanly(lemma_id):
         assert c.lemma_id == lemma_id
         assert c.instance
         assert c.status == "pass", (c.instance, c.witness)
+    # the report bytes are the ones the benchmark recorded; this only reads the file
+    text = json.dumps(lemma_checks_to_doc(checks), sort_keys=True)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["lemma_battery"]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == golden["seed0/" + lemma_id]
 
 
 def test_micro_suite_reaches_one_hundred_instances():
@@ -85,3 +98,16 @@ def test_kurzweil_notes_the_quaternion_exception():
     checks = REGISTRY["kurzweil"](seed=0)
     noted = [c for c in checks if "quaternion" in str(c.witness)]
     assert noted, "the Q8 fixed-point-free action should be flagged"
+
+
+@pytest.mark.parametrize("qs", [(4,), (5,), (7,), (8,), (9,), (5, 7), (4, 4), (5, 5), (9, 9)])
+def test_affine_splits_translations_from_scalings(qs):
+    amb, trans, scales = _affine(*qs)
+    assert amb.order() == math.prod(q * (q - 1) for q in qs)
+    assert trans.order() == math.prod(qs)
+    assert trans.is_abelian()
+    assert trans.normalized_by(amb._raw_gens)
+    assert len(scales) == len(qs)
+    for q, s in zip(qs, scales):
+        assert s.order() == q - 1
+        assert s in amb and s not in trans

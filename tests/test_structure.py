@@ -3,7 +3,7 @@
 For groups small enough to enumerate every subgroup, the oracle rebuilds
 the whole lattice by breadth-first element addition and derives normality,
 nilpotency, solubility, Fitting subgroup and radical from it with no help
-from the code under test.
+from the code under test.  Each group's lattice is computed once per run.
 """
 
 import pytest
@@ -89,6 +89,25 @@ def s3xs3():
 
 
 def closure(elems, degree):
+    """The subgroup generated by elems: every product of them, found
+    breadth-first from the identity by right multiplication (a finite
+    group needs no inverses)."""
+    gens = list(elems)
+    ident = raw_from_images(range(degree))
+    out = {ident}
+    frontier = [ident]
+    for y in frontier:
+        for x in gens:
+            z = raw_from_images(y[i] for i in x)
+            if z not in out:
+                out.add(z)
+                frontier.append(z)
+    return frozenset(out)
+
+
+def pairwise_closure(elems, degree):
+    """The closure by adding each new element's products with every element
+    met so far, on both sides; kept as a reference for closure."""
     ident = raw_from_images(range(degree))
     out = {ident}
     frontier = list(elems)
@@ -104,7 +123,13 @@ def closure(elems, degree):
     return frozenset(out)
 
 
+_LATTICES = {}  # (degree, generators) -> every subgroup as an element set
+
+
 def lattice(group):
+    key = (group.degree, tuple(group._raw_gens))
+    if key in _LATTICES:
+        return _LATTICES[key]
     deg = group.degree
     elems = group._raw_elements()
     ident = raw_from_images(range(deg))
@@ -119,7 +144,18 @@ def lattice(group):
             if bigger not in subs:
                 subs.add(bigger)
                 frontier.append(bigger)
+    _LATTICES[key] = subs
     return subs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.permutations(range(5)), max_size=3))
+def test_closure_matches_the_pairwise_reference(images):
+    elems = [raw_from_images(x) for x in images]
+    assert closure(elems, 5) == pairwise_closure(elems, 5)
+    assert len(closure(elems, 5)) == FiniteGroup(
+        [Permutation.from_zero_based(x) for x in images], degree=5
+    ).order()
 
 
 def inv_of(x):
@@ -529,6 +565,16 @@ def test_identify_simple_eppo_tags():
     assert identify_simple_eppo(build("psl2(11)").group).tag == "NotInList"
     with pytest.raises(NotSimpleError):
         identify_simple_eppo(s4())
+
+
+def test_identify_simple_eppo_gives_no_verdict_from_the_order_alone(monkeypatch):
+    # a group claiming the order of Sz(32) still takes the simplicity test;
+    # its lattice is computed first, since the claimed order is past the cap
+    g = s4()
+    normal_subgroups(g)
+    monkeypatch.setattr(g, "order", lambda: 32537600)
+    with pytest.raises(NotSimpleError):
+        identify_simple_eppo(g)
 
 
 def test_minimal_normals_and_socle():
