@@ -22,7 +22,9 @@ reproducible run to run.
 
 from __future__ import annotations
 
-from .permutation import identity_raw, inv_raw, mul_raw
+from itertools import islice
+
+from .permutation import identity_raw, inv_raw, mul_all, mul_raw
 
 
 class StabilizerChain:
@@ -76,6 +78,22 @@ class StabilizerChain:
 
     def orbit_sizes(self) -> list[int]:
         return [len(t) for t in self._inverses]
+
+    def elements(self) -> list:
+        """Every element of the group, each once, in no particular order.
+
+        Sifting g down the chain writes g = u_k ... u_0 with one coset
+        representative per level, so g^-1 = v_0 v_1 ... v_k with v_i = u_i^-1
+        taken from the stored inverses, and g^-1 runs over the group as g
+        does.  Each level multiplies every product so far by each of its
+        inverses but the first, which belongs to the base point and is the
+        identity, one batch per orbit point.
+        """
+        products = [self._identity]
+        for inverses in self._inverses:
+            others = islice(inverses.values(), 1, None)
+            products += [y for v in others for y in mul_all(products, v)]
+        return products
 
     # -- construction -------------------------------------------------------
 

@@ -3,7 +3,10 @@
 A FiniteGroup is a generator list plus lazy caches (stabilizer chain, element
 list, conjugacy classes).  Orders and membership go through the chain and
 never enumerate; anything that does enumerate honours the group's cap and
-raises EnumerationCapError beyond it.  All derived data is produced in a
+raises EnumerationCapError beyond it.  The elements themselves come from the
+chain, as products of one stored coset representative per level, so each is
+formed exactly once; conjugacy classes conjugate each search frontier by each
+generator in one batch kernel call.  All derived data is produced in a
 deterministic order: element lists are sorted lexicographically by image
 table, classes by (size, least member).
 """
@@ -25,8 +28,10 @@ from .permutation import (
     Permutation,
     comm_raw,
     conj_raw,
+    conjugator,
     identity_raw,
     inv_raw,
+    mul_all,
     mul_raw,
     order_raw,
 )
@@ -173,27 +178,14 @@ class FiniteGroup:
             # before any element is formed
             if self.order() > self.cap:
                 raise EnumerationCapError(self.cap, self.cap)
-            ident = identity_raw(self.degree)
-            seen = {ident}
-            frontier = [ident]
-            gens = self._raw_gens
-            while frontier:
-                new_frontier = []
-                for x in frontier:
-                    for g in gens:
-                        y = mul_raw(x, g)
-                        if y not in seen:
-                            seen.add(y)
-                            new_frontier.append(y)
-                frontier = new_frontier
-            elems = sorted(seen)
+            elems = {x: x for x in self.chain().elements()}
             if len(elems) != self.order():
                 raise RuntimeError(
-                    "enumeration found %d elements but the chain says %d"
+                    "enumeration found %d distinct elements but the chain says %d"
                     % (len(elems), self.order())
                 )
-            self._elements = elems
-            self._elem_dict = {x: x for x in elems}
+            self._elements = sorted(elems)
+            self._elem_dict = elems
         return self._elements
 
     def elements(self) -> list[Permutation]:
@@ -205,7 +197,7 @@ class FiniteGroup:
         if self._classes is None:
             elems = self._raw_elements()
             master = self._elem_dict
-            gens = self._raw_gens
+            conjugators = [conjugator(g) for g in self._raw_gens]
             seen = set()
             out = []
             for x in elems:
@@ -215,10 +207,10 @@ class FiniteGroup:
                 frontier = [x]
                 while frontier:
                     new_frontier = []
-                    for y in frontier:
-                        for g in gens:
-                            z = master[conj_raw(y, g)]
+                    for conj in conjugators:
+                        for z in conj(frontier):
                             if z not in orbit:
+                                z = master[z]  # keep one copy of each element
                                 orbit.add(z)
                                 new_frontier.append(z)
                     frontier = new_frontier
@@ -340,13 +332,14 @@ class FiniteGroup:
                 class_of = self._class_index()
                 for c in classes:
                     rinv = inv_raw(c.rep)
-                    for s in c.members:
-                        w = mul_raw(rinv, s)
-                        k = class_of[w]
+                    # s rep^-1 is conjugate to the commutator rep^-1 s, so
+                    # both lie in one class
+                    for s, t in zip(c.members, mul_all(c.members, rinv)):
+                        k = class_of[t]
                         if k in bad:
                             g = self._class_conjugator(c.rep, s)
                             witness = CppoWitness(
-                                commutator=Permutation._from_raw(w),
+                                commutator=Permutation._from_raw(mul_raw(rinv, s)),
                                 order=classes[k].order,
                                 left=Permutation._from_raw(c.rep),
                                 right=Permutation._from_raw(g),

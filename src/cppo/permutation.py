@@ -10,6 +10,11 @@ the format, and every raw permutation is made by raw_from_images, because a
 bytes table never equals a tuple one.  Both formats index, iterate and sort
 alike.
 
+Loops that multiply or conjugate a whole list by one permutation g call the
+batch forms, mul_all and conjugator: they form g's tables (the padded
+translate table, or g^-1's itemgetter above degree 256) once per list
+rather than once per product.
+
 Composition is left to right: (p * q) moves a point first through p, then
 through q, matching the conjugation convention x^y = y^-1 x y and
 [x, y] = x^-1 y^-1 x y.
@@ -78,6 +83,29 @@ def conj_raw(x, g):
     for i, gi in enumerate(g):
         out[gi] = g[x[i]]
     return tuple(out)
+
+
+def mul_all(xs, g):
+    """[mul_raw(x, g) for x in xs], with g's padded table formed once."""
+    n = len(g)
+    if n <= BYTES_MAX_DEGREE:
+        table = g + _TAIL[n]
+        return [x.translate(table) for x in xs]
+    return [operator.itemgetter(*x)(g) for x in xs]
+
+
+def conjugator(g):
+    """The batch form of conj_raw(., g): a function taking a list xs to
+    [conj_raw(x, g) for x in xs].  g's tables are formed here, once, so a
+    caller conjugating many lists by one g keeps the function."""
+    n = len(g)
+    if n <= BYTES_MAX_DEGREE:
+        table = g + _TAIL[n]
+        maketrans = bytes.maketrans
+        return lambda xs: [maketrans(g, x.translate(table))[:n] for x in xs]
+    # g^-1 x g, as two itemgetter products: pull(x) is g^-1 * x
+    pull = operator.itemgetter(*inv_raw(g))
+    return lambda xs: [operator.itemgetter(*pull(x))(g) for x in xs]
 
 
 def comm_raw(x, y):

@@ -2,9 +2,13 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cppo import atlas
 from cppo.bsgs import StabilizerChain
-from cppo.group import FiniteGroup
+from cppo.corpus import corpus_groups
+from cppo.group import FiniteGroup, quotient_by_normal
 from cppo.permutation import (
     Permutation,
     block_raw,
@@ -257,3 +261,34 @@ def test_regular_sl2_9_chain():
         assert chain.contains_raw(x)
         assert chain.contains_raw(inv_raw(x))
     assert not chain.contains_raw(raw_from_images(_random_images(rng, 720)))
+
+
+def test_chain_elements_match_enumeration_on_the_smaller_corpus_groups():
+    checked = 0
+    for name, group in corpus_groups():
+        if group.order() > 2000:
+            continue
+        elems = group.chain().elements()
+        assert len(elems) == group.order(), name
+        assert set(elems) == enumerate_raw(group.degree, group._raw_gens), name
+        checked += 1
+    assert checked == 40
+
+
+def test_chain_elements_match_enumeration_on_a_coset_action_quotient():
+    group = atlas.build("sl2_3").group
+    q = quotient_by_normal(group, group.center())
+    assert (q.degree, q.order()) == (12, 12)  # SL(2,3)/Z acting on the 12 cosets
+    elems = enumerate_raw(q.degree, q._raw_gens)
+    assert set(q.chain().elements()) == elems
+    assert q._raw_elements() == sorted(elems)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.permutations(range(6)), max_size=3))
+def test_chain_elements_match_enumeration_on_subgroups_of_s6(tables):
+    gens = [raw_from_images(t) for t in tables]
+    chain = StabilizerChain.from_raw_generators(6, gens)
+    elems = chain.elements()
+    assert len(elems) == chain.order()
+    assert set(elems) == enumerate_raw(6, gens)

@@ -24,7 +24,7 @@ from cppo import (
 from cppo.arith import is_prime_power
 from cppo.atlas import build, load_group_spec
 from cppo.corpus import default_corpus
-from cppo.permutation import conj_raw, inv_raw, mul_raw, order_raw
+from cppo.permutation import conj_raw, conjugator, inv_raw, mul_all, mul_raw, order_raw
 
 
 def G(texts, degree, **kw):
@@ -302,8 +302,17 @@ def test_a_group_past_the_cap_is_refused_before_any_element_is_formed(monkeypatc
         calls.append(1)
         return mul_raw(a, b)
 
+    def counting_batch(kernel):
+        def batch(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        return batch
+
     for module in (cppo.group, cppo.bsgs):
         monkeypatch.setattr(module, "mul_raw", counting)
+        monkeypatch.setattr(module, "mul_all", counting_batch(mul_all))
+    monkeypatch.setattr(cppo.group, "conjugator", counting_batch(conjugator))
     with pytest.raises(EnumerationCapError) as info:
         group._raw_elements()
     assert info.value.cap == group.cap
@@ -360,6 +369,22 @@ def test_quotient_by_trivial_shares_the_group():
     x = parse_permutation("(1 2 3)", 4)
     assert q.project(x) == x
     assert q.lift(x) == x
+
+
+def test_a_repeated_element_fails_the_enumeration_check(monkeypatch):
+    group = a5()
+    chain = group.chain()
+    elements = chain.elements
+
+    def repeating():
+        elems = elements()
+        return elems[:-1] + elems[:1]
+
+    monkeypatch.setattr(chain, "elements", repeating)
+    with pytest.raises(RuntimeError, match="59 distinct elements but the chain says 60"):
+        group._raw_elements()
+    # nothing half-built is left behind
+    assert group._elements is None and group._elem_dict is None
 
 
 def test_quotient_of_sl23_by_center():

@@ -258,3 +258,37 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         if (key, pname) not in passed
     ]
     assert unset == [], "defaulted parameters no call passes: %s" % ", ".join(unset)
+
+
+def _names_read_outside(owner, names):
+    """Each read of one of `names`, as an attribute, a bare name or an
+    imported name, in a package module other than `owner`."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == owner:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in names:
+                yield "%s:%d %s" % (path.name, node.lineno, name)
+
+
+def test_only_the_kernel_reads_raw_tables():
+    """translate, maketrans and itemgetter act on the raw format, which only
+    permutation.py knows; the other modules call its kernel functions."""
+    found = list(_names_read_outside("permutation.py", {"translate", "maketrans", "itemgetter"}))
+    assert found == [], "raw-table operations outside the kernel: %s" % ", ".join(found)
+
+
+def test_only_the_chain_reads_its_transversals():
+    """A chain's generators, stored coset inverses and Schreier queues are
+    read only inside bsgs.py, so its storage can change without callers."""
+    found = list(_names_read_outside("bsgs.py", {"_inverses", "_gens", "_queues"}))
+    assert found == [], "chain internals read outside bsgs.py: %s" % ", ".join(found)

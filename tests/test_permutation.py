@@ -19,10 +19,12 @@ from cppo.permutation import (
     comm_raw,
     commutator,
     conj_raw,
+    conjugator,
     cycles_raw,
     element_order,
     identity_raw,
     inv_raw,
+    mul_all,
     mul_raw,
     order_raw,
     raw_from_images,
@@ -236,6 +238,24 @@ def test_tuple_path_composition_laws(degree, seed):
     ident = identity_raw(degree)
     assert mul_raw(a, ident) == a == mul_raw(ident, a)
     assert mul_raw(a, inv_raw(a)) == ident == mul_raw(inv_raw(a), a)
+
+
+@pytest.mark.parametrize("degree", (1, 2, 8, 255, 256, 257, 300, 720))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 6))
+def test_batch_kernel_matches_one_product_at_a_time(degree, seed, count):
+    # a drawn seed again, for the degrees st.permutations refuses
+    rng = random.Random(seed)
+    g, *xs = (raw_from_images(rng.sample(range(degree), degree)) for _ in range(count + 1))
+    products, conjugates = mul_all(xs, g), conjugator(g)(xs)
+    assert products == [mul_raw(x, g) for x in xs]
+    assert conjugates == [conj_raw(x, g) for x in xs]
+    kind = bytes if degree <= BYTES_MAX_DEGREE else tuple
+    assert all(type(r) is kind and len(r) == degree for r in products + conjugates)
+    # one conjugator serves any number of lists, the empty one included
+    conj = conjugator(g)
+    assert conj([]) == [] == mul_all([], g)
+    assert conj(xs[:1]) + conj(xs[1:]) == conjugates
 
 
 def test_corpus_generators_use_the_format_of_their_degree():
