@@ -6,9 +6,13 @@ never enumerate; anything that does enumerate honours the group's cap and
 raises EnumerationCapError beyond it.  The elements themselves come from the
 chain, as products of one stored coset representative per level, so each is
 formed exactly once; conjugacy classes conjugate each search frontier by each
-generator in one batch kernel call.  All derived data is produced in a
-deterministic order: element lists are sorted lexicographically by image
-table, classes by (size, least member).
+generator in one batch kernel call.  Commutators are read off the class
+table: one scan names, for each class representative r and each s in its
+class, the class of the commutator r^-1 s.  The CPPO verdict reads orders off
+the classes it names, and the commutator set is the union of the classes the
+scan hits.  All derived data is produced in a deterministic order: element
+lists are sorted lexicographically by image table, classes by (size, least
+member).
 """
 
 from __future__ import annotations
@@ -284,44 +288,37 @@ class FiniteGroup:
 
     # -- commutator machinery -----------------------------------------------
 
-    def _commutator_candidates(self):
-        """The set {x^-1 * s : s in class of x}, one representative per class.
+    def _commutator_class_scan(self):
+        """Per class C with representative r, in class order: C, r^-1, and an
+        iterator over the class index of r^-1 s for each s in C.
 
-        Every commutator [x, y] = x^-1 x^y lies here, and the full commutator
-        set is the closure of this under conjugation.
+        Every commutator [x, y] = x^-1 x^y is conjugate to some r^-1 s, and
+        s r^-1 is conjugate (by r) to r^-1 s, so one batch product per class
+        names the class of each such commutator.
         """
-        cands = set()
+        class_of = self._class_index()
         for c in self._raw_classes():
             rinv = inv_raw(c.rep)
-            for s in c.members:
-                cands.add(mul_raw(rinv, s))
-        return cands
+            yield c, rinv, map(class_of.__getitem__, mul_all(c.members, rinv))
 
     def commutator_set(self) -> set[Permutation]:
+        """All commutators: the union of the classes the scan hits, which is
+        exact since the commutator set is closed under conjugation."""
         key = "commutator_set"
         if key not in self._cache:
-            cands = self._commutator_candidates()
-            gens = self._raw_gens
-            frontier = list(cands)
-            while frontier:
-                new_frontier = []
-                for y in frontier:
-                    for g in gens:
-                        z = conj_raw(y, g)
-                        if z not in cands:
-                            cands.add(z)
-                            new_frontier.append(z)
-                frontier = new_frontier
-            self._cache[key] = cands
+            hit = set()
+            for _, _, ks in self._commutator_class_scan():
+                hit.update(ks)
+            classes = self._raw_classes()
+            self._cache[key] = [x for k in hit for x in classes[k].members]
         return {Permutation._from_raw(t) for t in self._cache[key]}
 
     def cppo_witness(self) -> CppoWitness | None:
         """First commutator of non-prime-power order in scan order, if any.
 
-        Orders are conjugation invariant, so scanning x^-1 * Cl(x) per class
-        covers every commutator order without closing under conjugation, and
-        each commutator's order is read off its class.  With no class of
-        non-prime-power order there is nothing to scan.
+        Orders are conjugation invariant, so each commutator's order is read
+        off the class the scan names for it.  With no class of non-prime-power
+        order there is nothing to scan.
         """
         key = "cppo_witness"
         if key not in self._cache:
@@ -329,13 +326,8 @@ class FiniteGroup:
             bad = {k for k, c in enumerate(classes) if not is_prime_power(c.order)}
             witness = None
             if bad:
-                class_of = self._class_index()
-                for c in classes:
-                    rinv = inv_raw(c.rep)
-                    # s rep^-1 is conjugate to the commutator rep^-1 s, so
-                    # both lie in one class
-                    for s, t in zip(c.members, mul_all(c.members, rinv)):
-                        k = class_of[t]
+                for c, rinv, ks in self._commutator_class_scan():
+                    for s, k in zip(c.members, ks):
                         if k in bad:
                             g = self._class_conjugator(c.rep, s)
                             witness = CppoWitness(
@@ -473,9 +465,6 @@ class QuotientGroup(FiniteGroup):
         self._reps = reps
         self._index = index
         self._identity_mode = reps is None
-        if self._identity_mode:
-            # the same permutation group has the same p-cores (structure.p_core)
-            self._cache["p_cores"] = source._cache.setdefault("p_cores", {})
 
     # In identity mode (trivial kernel) the quotient shares the source's
     # heavy caches, since it is the same permutation group.

@@ -183,38 +183,45 @@ def _is_quaternion8(sub: FiniteGroup) -> bool:
     return len(invs) == 1
 
 
-def _order3_rep(g: FiniteGroup) -> tuple:
-    return next(
-        c.representative.raw for c in g.conjugacy_classes() if c.representative.order() == 3
-    )
+def _tori():
+    """(q, d, AGL(1,q), its translations, its scaling subgroup of order d)
+    for q in 4, 5, 7, 8, 9 and each d > 1 dividing q - 1."""
+    for q in (4, 5, 7, 8, 9):
+        amb, v, (scale,) = _affine(q)
+        n = q - 1
+        for d in sorted(x for x in range(2, n + 1) if n % x == 0):
+            yield q, d, amb, v, amb.subgroup([scale ** (n // d)])
+
+
+def _c35():
+    """AGL(1,5) x AGL(1,7) with its translations C35, the diagonal scaling of
+    order 12 and the diagonal involution."""
+    amb, v, (s1, s2) = _affine(5, 7)
+    diag = amb._subgroup_raw([mul_raw(s1.raw, s2.raw)])
+    half = amb._subgroup_raw([mul_raw((s1**2).raw, (s2**3).raw)])
+    return amb, v, diag, half
+
+
+def _sl23_on_q8():
+    """SL(2,3) with its quaternion subgroup and, acting on it, the subgroup
+    generated by the first order-3 class representative."""
+    sl23 = build("sl2_3").group
+    a = next(c.rep for c in sl23._raw_classes() if c.order == 3)
+    return sl23, sl23.derived_subgroup(), sl23._subgroup_raw([a])
 
 
 def _coprime_pairs():
     """(tag, ambient, acted-on subgroup, acting subgroup), acting part cyclic
     unless noted.  Every pair has coprime orders and the acting subgroup
     normalizes the acted-on one; both facts are asserted downstream."""
-    pairs = []
-    for q in (4, 5, 7, 8, 9):
-        amb, v, (scale,) = _affine(q)
-        n = q - 1
-        for d in sorted(x for x in range(2, n + 1) if n % x == 0):
-            a = amb.subgroup([scale ** (n // d)])
-            pairs.append(("agl1(%d) torus part of order %d on translations" % (q, d), amb, v, a))
-    sl23 = build("sl2_3").group
-    q8 = sl23.derived_subgroup()
-    pairs.append(
-        (
-            "sl2_3 order-3 element on its quaternion subgroup",
-            sl23,
-            q8,
-            sl23._subgroup_raw([_order3_rep(sl23)]),
-        )
-    )
-    amb, v, (s1, s2) = _affine(5, 7)
-    diag = mul_raw(s1.raw, s2.raw)
-    pairs.append(("c35 under a diagonal of order 12", amb, v, amb._subgroup_raw([diag])))
-    half = mul_raw((s1**2).raw, (s2**3).raw)
-    pairs.append(("c35 under the diagonal involution", amb, v, amb._subgroup_raw([half])))
+    pairs = [
+        ("agl1(%d) torus part of order %d on translations" % (q, d), amb, v, a)
+        for q, d, amb, v, a in _tori()
+    ]
+    pairs.append(("sl2_3 order-3 element on its quaternion subgroup", *_sl23_on_q8()))
+    amb, v, diag, half = _c35()
+    pairs.append(("c35 under a diagonal of order 12", amb, v, diag))
+    pairs.append(("c35 under the diagonal involution", amb, v, half))
     return pairs
 
 
@@ -274,13 +281,9 @@ def check_cc_ii(seed=0):
 
 
 def _cc_iii_instances():
-    amb, v, (s1, s2) = _affine(5, 7)
-    half = mul_raw((s1**2).raw, (s2**3).raw)
-    c5 = amb.subgroup([v.generators[0]])
-    yield "c35 mod its c5 part", amb, v, amb._subgroup_raw([half]), c5
-    sl23 = build("sl2_3").group
-    q8 = sl23.derived_subgroup()
-    a3 = sl23._subgroup_raw([_order3_rep(sl23)])
+    amb, v, _, half = _c35()
+    yield "c35 mod its c5 part", amb, v, half, amb.subgroup([v.generators[0]])
+    sl23, q8, a3 = _sl23_on_q8()
     yield "q8 mod its centre", sl23, q8, a3, sl23.center()
     amb4, v4, scales4 = _affine(4, 4)
     a = amb4.subgroup(scales4)
@@ -330,20 +333,14 @@ def check_cc_v(seed=0):
 
 
 def _cc_vi_instances():
-    amb, v, (s1, s2) = _affine(5, 7)
-    diag = mul_raw(s1.raw, s2.raw)
-    half = mul_raw((s1**2).raw, (s2**3).raw)
-    yield "c35 with the order-12 diagonal", amb, v, amb._subgroup_raw([diag])
-    yield "c35 with the diagonal involution", amb, v, amb._subgroup_raw([half])
+    amb, v, diag, half = _c35()
+    yield "c35 with the order-12 diagonal", amb, v, diag
+    yield "c35 with the diagonal involution", amb, v, half
     # nonabelian target: the Frobenius group of order 21 under an involution
     amb7, v7, (scale7,) = _affine(7)
     f21 = amb7.subgroup(list(v7.generators) + [scale7**2])
     yield "frobenius 21 under an involution", amb7, f21, amb7.subgroup([scale7**3])
-    sl23 = build("sl2_3").group
-    q8 = sl23.derived_subgroup()
-    yield "quaternion group under an order-3 element", sl23, q8, sl23._subgroup_raw(
-        [_order3_rep(sl23)]
-    )
+    yield ("quaternion group under an order-3 element", *_sl23_on_q8())
 
 
 def check_cc_vi(seed=0):
@@ -373,14 +370,8 @@ def _invariant_conjugate(amb, g: FiniteGroup, syl: FiniteGroup, a: FiniteGroup):
 
 def check_kurzweil(seed=0):
     out = []
-    fpf = []
-    for q in (4, 5, 7, 8, 9):
-        amb, v, (scale,) = _affine(q)
-        n = q - 1
-        for d in sorted(x for x in range(2, n + 1) if n % x == 0):
-            a = amb.subgroup([scale ** (n // d)])
-            fpf.append(("agl1(%d) scaling subgroup of order %d" % (q, d), amb, v, a))
-    for tag, amb, v, a in fpf:
+    for q, d, amb, v, a in _tori():
+        tag = "agl1(%d) scaling subgroup of order %d" % (q, d)
         _check_action_preconditions(amb, v, a)
         if any(v.centralizer([x]).order() > 1 for x in _nontrivial_elements(a)):
             raise GroupError("kurzweil instance is not fixed point free")
@@ -490,17 +481,14 @@ def check_autoofextra(seed=0):
         if not P.centralizer([Permutation._from_raw(phi_raw)]).same_group_as(frat):
             raise GroupError("fixed points differ from the frattini subgroup")
         values = {comm_raw(x, phi_raw) for x in P._raw_elements()}
-        closed = set(values)
-        frontier = list(values)
-        while frontier:
-            y = frontier.pop()
-            for g in P._raw_gens:
-                z = conj_raw(y, g)
-                if z not in closed:
-                    closed.add(z)
-                    frontier.append(z)
+        # the values lie in P, so their closure under P's conjugation is the
+        # union of the classes of P that they meet
+        class_of = P._class_index()
+        hit = {class_of[y] for y in values}
         frat_set = set(frat._raw_elements())
-        missing = [x for x in P._raw_elements() if x not in frat_set and x not in closed]
+        missing = [
+            x for x in P._raw_elements() if x not in frat_set and class_of[x] not in hit
+        ]
         out.append(
             LemmaCheck(
                 "autoofextra", tag, "pass" if not missing else "fail",
@@ -511,9 +499,8 @@ def check_autoofextra(seed=0):
     P, flip = _heisenberg_with_flip()
     verify("heisenberg 27 under the inverting involution", P, flip.raw)
 
-    sl23 = build("sl2_3").group
-    q8 = sl23.derived_subgroup()
-    verify("quaternion group under an order-3 automorphism", q8, _order3_rep(sl23))
+    _, q8, a3 = _sl23_on_q8()
+    verify("quaternion group under an order-3 automorphism", q8, a3._raw_gens[0])
     return out
 
 

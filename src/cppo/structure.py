@@ -184,9 +184,10 @@ def fitting_subgroup(G: FiniteGroup) -> FiniteGroup:
 
 
 def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
-    """1 = F0 <= F1 <= ... with F_{i+1}/F_i the Fitting subgroup of G/F_i.
+    """1 = F0 <= F1 = F(G) <= ... with F_{i+1}/F_i the Fitting subgroup of G/F_i.
 
-    The series climbs until the Fitting subgroup of the quotient is trivial.
+    The series starts at F(G), so it never forms G/1, and climbs until the
+    Fitting subgroup of the quotient is trivial or the series reaches G.
     The stationary term is the soluble radical for every G, soluble or not:
     a minimal soluble normal subgroup above it would be elementary abelian
     and so would show up inside a nontrivial Fitting subgroup of the
@@ -198,8 +199,11 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
     if key in G._cache:
         return G._cache[key]
     terms = [G.trivial_subgroup()]
+    fitting = fitting_subgroup(G)
+    if fitting.order() > 1:
+        terms.append(fitting)
     quotients = {}
-    while True:
+    while 1 < terms[-1].order() < G.order():
         q = quotient_by_normal(G, terms[-1])
         fq = fitting_subgroup(q)
         pulled = G._subgroup_raw(q.preimage_gens(fq))
@@ -207,8 +211,7 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
             raise RuntimeError("pullback of a quotient Fitting subgroup went wrong")
         if pulled.order() == terms[-1].order():
             break
-        if len(terms) > 1:
-            quotients[len(terms) - 1] = q
+        quotients[len(terms) - 1] = q
         terms.append(pulled)
     if terms[-1].order() != G.order():
         quotients = {}

@@ -7,8 +7,8 @@ K_i = { x in P_i : [P_{i+1}, x] <= K_{i+1} }, the groups P_i / K_i must all
 be nontrivial.  The maximum height of a tower of a soluble group equals its
 Fitting height; find_max_tower certifies that equality constructively.
 
-Stages are small p-groups, so kernels are computed by plain double loops
-over stage elements rather than anything clever.
+Stages are small p-groups, so kernels are computed on element sets by one
+routine, _kernel_set, which Tower.kernels and the tower_probe search share.
 
 The exhaustive search behind tower_probe works on frozensets of raw
 elements and builds no group or stabilizer chain until it has a tower to
@@ -95,26 +95,15 @@ class Tower:
             if defect is not None:
                 raise TowerDefectError("item %d: %s" % defect)
             ambient = self.ambient
-            kernels = []
-            below_elems = None
-            below_kernel_chain = None
-            for p, sub in reversed(self.stages):
-                if below_elems is None:
-                    k = ambient.trivial_subgroup()
-                else:
-                    kept = []
-                    for x in sub._raw_elements():
-                        if all(
-                            below_kernel_chain.contains_raw(comm_raw(y, x))
-                            for y in below_elems
-                        ):
-                            kept.append(x)
-                    k = ambient._subgroup_from_raw_elements(kept)
-                kernels.append(k)
-                below_elems = sub._raw_elements()
-                below_kernel_chain = k.chain()
-            kernels.reverse()
-            self._kernels = kernels
+            trivial = frozenset([identity_raw(ambient.degree)])
+            sets = []
+            lower = None
+            for _, sub in reversed(self.stages):
+                members = sub._raw_elements()
+                k = trivial if lower is None else _kernel_set(trivial, members, lower, sets[-1])
+                sets.append(k)
+                lower = members
+            self._kernels = [ambient._subgroup_from_raw_elements(k) for k in reversed(sets)]
         return self._kernels
 
     def __repr__(self):
@@ -190,6 +179,9 @@ def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int, exhaustive: bool):
 
     Exhaustive enumeration below the size cap; otherwise combinations of at
     most three commuting order-p elements drawn from the least elements.
+    The capped search is complete only when the pool holds every order-p
+    element and p^4 does not divide |Q|, so that no elementary abelian
+    subgroup has rank above three.
     """
     elems = Q._raw_elements()
     order_p = [x for x in elems if order_raw(x) == p]
@@ -229,7 +221,7 @@ def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int, exhaustive: bool):
             if key not in seen_sets:
                 seen_sets.add(key)
                 out.append(list(combo))
-    return out, len(order_p) <= len(pool)
+    return out, len(order_p) <= len(pool) and Q.order() % p**4 != 0
 
 
 def is_irreducible_tower(t: Tower) -> IrreducibilityReport:
@@ -420,6 +412,22 @@ def _close_set(members, gens):
     return frozenset(seen)
 
 
+def _kernel_set(trivial, members, lower, below):
+    """K = {x in members : [y, x] in below for all y in lower}, as a frozenset.
+
+    members is the element set of a stage P_i, lower that of the stage
+    P_{i+1} below it, below the set K_{i+1} and trivial the identity alone.
+    K is a subgroup, so it is grown with _close_set from the members that
+    pass, skipping those already inside.
+    """
+    k, gens = trivial, []
+    for x in members:
+        if x not in k and all(comm_raw(y, x) in below for y in lower):
+            gens.append(x)
+            k = _close_set(k, gens)
+    return k
+
+
 def _all_subgroups(P: FiniteGroup):
     """Every subgroup of a small group as (element set, generator list), by
     cyclic extension, sorted by size then by sorted elements.
@@ -551,12 +559,7 @@ def tower_probe(G: FiniteGroup, min_height: int, order_cap: int = 500):
                 if below is False:
                     kernels[suffix] = False
                     return False
-                lower = cands[suffix[1]][1]
-                k, gens = trivial, []
-                for x in members:
-                    if x not in k and all(comm_raw(y, x) in below for y in lower):
-                        gens.append(x)
-                        k = _close_set(k, gens)
+                k = _kernel_set(trivial, members, cands[suffix[1]][1], below)
             kernels[suffix] = False if len(k) == len(members) else k
         return kernels[suffix]
 

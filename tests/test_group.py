@@ -8,6 +8,8 @@ double loop over pairs, derived subgroups as the closure of those.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cppo.bsgs
 import cppo.group
@@ -24,7 +26,15 @@ from cppo import (
 from cppo.arith import is_prime_power
 from cppo.atlas import build, load_group_spec
 from cppo.corpus import default_corpus
-from cppo.permutation import conj_raw, conjugator, inv_raw, mul_all, mul_raw, order_raw
+from cppo.permutation import (
+    conj_raw,
+    conjugator,
+    inv_raw,
+    mul_all,
+    mul_raw,
+    order_raw,
+    raw_from_images,
+)
 
 
 def G(texts, degree, **kw):
@@ -161,6 +171,29 @@ def test_witness_reference_covers_the_large_groups():
 @pytest.mark.parametrize("name, doc", WITNESS_DOCS, ids=[n for n, _ in WITNESS_DOCS])
 def test_cppo_witness_matches_the_per_element_order_scan(name, doc):
     group = load_group_spec(doc)
+    w = group.cppo_witness()
+    got = None if w is None else (w.commutator.raw, w.order, w.left.raw, w.right.raw)
+    assert got == per_element_order_witness(group)
+
+
+def raw_commutators(group):
+    """The all-pairs oracle on raw tables: x^-1 x^y for every x and y, with
+    each y conjugating the whole element list in one batch."""
+    elems = group._raw_elements()
+    invs = [inv_raw(x) for x in elems]
+    out = set()
+    for y in elems:
+        out.update(map(mul_raw, invs, conjugator(y)(elems)))
+    return out
+
+
+# the drawn generators are those of tests/test_bsgs.py; half as many draws,
+# since the oracle costs about 0.2 s on each draw that gives A6 or S6
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.permutations(range(6)), max_size=3))
+def test_commutators_match_the_oracles_on_subgroups_of_s6(tables):
+    group = FiniteGroup([Permutation._from_raw(raw_from_images(t)) for t in tables], degree=6)
+    assert {c.raw for c in group.commutator_set()} == raw_commutators(group)
     w = group.cppo_witness()
     got = None if w is None else (w.commutator.raw, w.order, w.left.raw, w.right.raw)
     assert got == per_element_order_witness(group)

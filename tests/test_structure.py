@@ -495,11 +495,28 @@ def test_classify_computes_each_p_core_once(monkeypatch):
         assert seen and len(seen) == len(set(seen)), g.name
 
 
-def test_identity_quotient_shares_the_p_cores_of_its_source():
-    group = s4()
-    q = quotient_by_normal(group, group.trivial_subgroup())
-    assert p_core(q, 2) is p_core(group, 2)
-    assert p_core(group, 2) is p_core(group, 2)
+@pytest.mark.parametrize(
+    "gens, degree, kernels",
+    [
+        (["(1 2)", "(1 2 3 4)"], 4, [4, 12]),
+        (["(1 2)", "(1 2 3 4)", "(5 6 7)", "(5 6 7 8 9)"], 9, [4, 12, 24]),
+    ],
+    ids=["s4", "s4xa5"],
+)
+def test_upper_fitting_series_forms_no_quotient_by_the_trivial_group(
+    monkeypatch, gens, degree, kernels
+):
+    # the series starts at F(G), so G/1 is never formed, nor G/G
+    kernel_orders = []
+
+    def recording(group, kernel):
+        kernel_orders.append(kernel.order())
+        return quotient_by_normal(group, kernel)
+
+    monkeypatch.setattr(structure, "quotient_by_normal", recording)
+    series = upper_fitting_series(G(gens, degree))
+    assert [t.order() for t in series.terms] == [1, 4, 12, 24]
+    assert kernel_orders == kernels
 
 
 def test_fitting_heights():

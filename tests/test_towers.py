@@ -9,11 +9,13 @@ from cppo.atlas import build, load_group_spec
 from cppo.corpus import SOLUBLE_AND_SMALL
 from cppo.errors import InsolubleError, TowerDefectError
 from cppo.group import FiniteGroup, quotient_by_normal
-from cppo.permutation import Permutation, conj_raw, identity_raw, parse_permutation
+from cppo.lemmas import _s4_wreath_2
+from cppo.permutation import Permutation, comm_raw, conj_raw, identity_raw, parse_permutation
 from cppo.structure import fitting_height, is_soluble, sylow_subgroup, upper_fitting_series
 from cppo.towers import (
     Tower,
     _all_subgroups,
+    _elementary_abelian_subgroup_gens,
     _moves_stage_below,
     _normalizes_all,
     _p_subgroup_candidates,
@@ -53,6 +55,43 @@ def test_s4_max_tower_shape(s4_tower):
     # every stage acts faithfully on what lies below it
     assert [k.order() for k in s4_tower.kernels()] == [1, 1, 1]
     assert [q.order() for q in effective_quotients(s4_tower)] == [2, 3, 4]
+
+
+def element_set_kernels(t):
+    """K_i straight from the definition, bottom up: K_h = 1, and K_i holds
+    the x in P_i with [y, x] in K_{i+1} for every y in P_{i+1}."""
+    out = [{identity_raw(t.ambient.degree)}]
+    for (_, sub), (_, lower) in zip(t.stages[-2::-1], t.stages[:0:-1]):
+        below = out[-1]
+        out.append(
+            {
+                x
+                for x in sub._raw_elements()
+                if all(comm_raw(y, x) in below for y in lower._raw_elements())
+            }
+        )
+    return out[::-1]
+
+
+def assert_kernels_match_the_definition(t):
+    kernels = Tower(t.ambient, t.stages).kernels()
+    want = element_set_kernels(t)
+    assert [set(k._raw_elements()) for k in kernels] == want
+    # the generator lists are those of the element sets themselves
+    assert [k._raw_gens for k in kernels] == [
+        t.ambient._subgroup_from_raw_elements(w)._raw_gens for w in want
+    ]
+    return [len(w) for w in want]
+
+
+def test_kernels_match_the_definition_on_the_s4_wreath_tower_and_its_conjugates():
+    g, p1, p2, p3 = _s4_wreath_2()
+    stages = [(2, p1), (3, p2), (2, p3)]
+    for c in [identity_raw(g.degree)] + g._raw_gens:
+        conj = [(p, g._subgroup_raw([conj_raw(x, c) for x in s._raw_gens])) for p, s in stages]
+        t = Tower(g, conj)
+        assert validate_tower(t).valid
+        assert assert_kernels_match_the_definition(t) == [1, 1, 1]
 
 
 def test_s4_max_tower_is_irreducible(s4_tower):
@@ -329,6 +368,35 @@ def test_max_tower_matches_the_subgroup_sorting_reference(doc, monkeypatch):
     got = tower_to_data(find_max_tower(load_group_spec(doc))[1])
     monkeypatch.setattr(towers, "_pick_stage", reference_pick_stage)
     assert got == tower_to_data(find_max_tower(load_group_spec(doc))[1])
+
+
+def test_kernels_match_the_definition_on_the_max_towers(small_soluble):
+    h, t = find_max_tower(small_soluble)
+    sizes = assert_kernels_match_the_definition(t)
+    assert len(sizes) == h
+
+
+@pytest.mark.parametrize(
+    "atlas_id, kernel_orders",
+    [("dihedral(12)", [4, 1]), ("direct_product(sym(3),s4)", [2, 3, 1])],
+)
+def test_max_towers_with_unfaithful_stages(atlas_id, kernel_orders):
+    # the definition check above also meets nontrivial kernels
+    _, t = find_max_tower(build(atlas_id).group)
+    assert assert_kernels_match_the_definition(t) == kernel_orders
+
+
+def test_capped_elementary_abelian_search_is_incomplete_past_rank_three():
+    # C2^4 x C16 has 31 involutions, all in the pool, but holds C2^5; the
+    # search stops at three generators, so it cannot rule out a cover
+    q = build("direct_product(elem_abelian(2,4),cyclic(16))").group
+    assert q.order() == 256
+    found, complete = _elementary_abelian_subgroup_gens(q, 2, exhaustive=False)
+    assert max(len(gens) for gens in found) == 3
+    assert not complete
+    # with p^4 not dividing |Q| no elementary abelian subgroup has rank four
+    small = build("direct_product(elem_abelian(2,3),cyclic(3))").group
+    assert _elementary_abelian_subgroup_gens(small, 2, exhaustive=False)[1]
 
 
 def test_probe_matches_the_chain_reference(small_soluble):
