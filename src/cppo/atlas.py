@@ -583,32 +583,43 @@ def _build_direct_product(left_id, right_id):
     )
 
 
+def _is_int(a) -> bool:
+    """An int that is not a bool: JSON true would otherwise pass as 1."""
+    return isinstance(a, int) and not isinstance(a, bool)
+
+
+# parameter kinds: what an argument must be, and the test it must pass
+_INT = ("an integer", _is_int)
+_SIGN = ('a sign "+" or "-"', lambda a: a in ("+", "-"))
+_ID = ("an atlas id", lambda a: isinstance(a, str))
+
+# name -> (builder, the kinds of its parameters)
 _CATALOG = {
-    "cyclic": (_build_cyclic, 1),
-    "elem_abelian": (_build_elem_abelian, 2),
-    "dihedral": (_build_dihedral, 1),
-    "q8": (_build_q8, 0),
-    "sym": (_build_sym, 1),
-    "alt": (_build_alt, 1),
-    "s4": (lambda: _build_sym(4), 0),
-    "extraspecial": (_build_extraspecial, 2),
-    "sl2_3": (_build_sl2_3, 0),
-    "sl2_5": (_build_sl2_5, 0),
-    "sl2_9": (_build_sl2_9, 0),
-    "agl1": (_build_agl1, 1),
-    "asl2_4": (_build_asl2_4, 0),
-    "psl2": (_build_psl2, 1),
-    "psl3_4": (_build_psl3_4, 0),
-    "m10": (_build_m10, 0),
-    "pgl2_9": (_build_pgl2_9, 0),
-    "psigmal2_9": (_build_psigmal2_9, 0),
-    "pgammal2_9": (_build_pgammal2_9, 0),
-    "s6_in_pgammal29": (_build_s6_in_pgammal29, 0),
-    "psl34_g1": (_build_psl34_g1, 0),
-    "psl34_g2": (_build_psl34_g2, 0),
-    "psl34_phi_ext": (_build_psl34_phi_ext, 0),
-    "sz8": (_build_sz8, 0),
-    "direct_product": (_build_direct_product, 2),
+    "cyclic": (_build_cyclic, (_INT,)),
+    "elem_abelian": (_build_elem_abelian, (_INT, _INT)),
+    "dihedral": (_build_dihedral, (_INT,)),
+    "q8": (_build_q8, ()),
+    "sym": (_build_sym, (_INT,)),
+    "alt": (_build_alt, (_INT,)),
+    "s4": (lambda: _build_sym(4), ()),
+    "extraspecial": (_build_extraspecial, (_INT, _SIGN)),
+    "sl2_3": (_build_sl2_3, ()),
+    "sl2_5": (_build_sl2_5, ()),
+    "sl2_9": (_build_sl2_9, ()),
+    "agl1": (_build_agl1, (_INT,)),
+    "asl2_4": (_build_asl2_4, ()),
+    "psl2": (_build_psl2, (_INT,)),
+    "psl3_4": (_build_psl3_4, ()),
+    "m10": (_build_m10, ()),
+    "pgl2_9": (_build_pgl2_9, ()),
+    "psigmal2_9": (_build_psigmal2_9, ()),
+    "pgammal2_9": (_build_pgammal2_9, ()),
+    "s6_in_pgammal29": (_build_s6_in_pgammal29, ()),
+    "psl34_g1": (_build_psl34_g1, ()),
+    "psl34_g2": (_build_psl34_g2, ()),
+    "psl34_phi_ext": (_build_psl34_phi_ext, ()),
+    "sz8": (_build_sz8, ()),
+    "direct_product": (_build_direct_product, (_ID, _ID)),
 }
 
 
@@ -676,9 +687,12 @@ def build(atlas_id) -> BuiltGroup:
         name, args = atlas_id
     if name not in _CATALOG:
         raise AtlasError("unknown atlas id %r" % name)
-    builder, arity = _CATALOG[name]
-    if len(args) != arity:
-        raise AtlasError("%s expects %d parameter(s), got %d" % (name, arity, len(args)))
+    builder, kinds = _CATALOG[name]
+    if len(args) != len(kinds):
+        raise AtlasError("%s expects %d parameter(s), got %d" % (name, len(kinds), len(args)))
+    for i, (arg, (what, ok)) in enumerate(zip(args, kinds), 1):
+        if not ok(arg):
+            raise AtlasError("%s parameter %d must be %s, got %r" % (name, i, what, arg))
     return builder(*args)
 
 
@@ -699,7 +713,7 @@ def load_group_spec(document) -> FiniteGroup:
             if key not in document:
                 raise SchemaError("explicit group spec needs %r" % key)
         degree = document["degree"]
-        if not isinstance(degree, int) or degree < 1:
+        if not _is_int(degree) or degree < 1:
             raise SchemaError("degree must be a positive integer")
         gens = []
         for text in document["generators"]:
@@ -709,6 +723,8 @@ def load_group_spec(document) -> FiniteGroup:
                 raise SchemaError("bad generator %r: %s" % (text, exc)) from exc
         return FiniteGroup(gens, degree=degree, name=document["name"])
     if "atlas" in document:
+        if not isinstance(document["atlas"], str):
+            raise SchemaError("atlas must be a catalog name")
         params = document.get("params", [])
         if not isinstance(params, list):
             raise SchemaError("params must be a list")
@@ -766,18 +782,17 @@ def reproduce_psl34_commutators() -> dict:
     }
 
 
-def exceptional_automorphism_witness(probe_phi: Permutation | None = None):
+def exceptional_automorphism_witness():
     """Search the degree-10 model of S6 for an odd-order twisted commutator.
 
     With H the s6_in_pgammal29 group, A its socle and phi the designated
     element outside H, scan x in H minus A and y in A for [x, phi*y] of odd
     order greater than 1 and return (x, phi*y, order) minimizing the order,
-    ties broken by scan position.  Pass probe_phi to rerun the same scan
-    with a different twisting element; then None is possible.
+    ties broken by scan position.
     """
     built = build("s6_in_pgammal29")
     H = built.group
-    phi = built.extras["phi"] if probe_phi is None else probe_phi
+    phi = built.extras["phi"]
     socle = FiniteGroup(built.extras["socle_generators"], degree=10)
     a_elems = socle.elements()
     outer = [x for x in H.elements() if not socle.contains(x)]

@@ -47,7 +47,7 @@ class GF:
     """Arithmetic table for the field with q elements.  Use gf(q) to obtain one."""
 
     def __init__(self, q):
-        fact = factorization(q)
+        fact = factorization(q) if q > 1 else []
         if len(fact) != 1:
             raise AtlasError("%d is not a prime power, so there is no field" % q)
         p, k = fact[0]

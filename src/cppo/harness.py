@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
     TowerDefectError,
 )
-from .group import FiniteGroup, quotient_by_normal
+from .group import FiniteGroup
 from .lemmas import REGISTRY, LemmaCheck
 from .structure import (
     fitting_height,
@@ -38,6 +38,7 @@ from .structure import (
     is_perfect,
     is_soluble,
     soluble_radical,
+    upper_fitting_series,
 )
 from .towers import _commutator_span, find_max_tower, tower_to_data
 
@@ -155,14 +156,16 @@ def classify(G: FiniteGroup) -> ClassificationReport:
             for fld in _DERIVED_RADICAL_FIELDS:
                 setattr(r, fld, skipped)
         else:
-            drad = soluble_radical(derived)
+            series = upper_fitting_series(derived)
+            drad = series.terms[-1]
             r.derived_radical_order = drad.order()
             r.derived_radical_is_2_group = prime_factors(drad.order()) in ([], [2])
             closure = _commutator_span(G, list(derived._raw_gens), radical)
             r.derived_radical_closure_order = closure.order()
+            # the series keeps G'/R(G') when R(G') != 1, its top quotient
+            top = series.quotients[len(series.terms) - 1] if drad.order() > 1 else derived
             try:
-                sq = identify_simple_eppo(quotient_by_normal(derived, drad))
-                r.simple_quotient = sq.tag
+                r.simple_quotient = identify_simple_eppo(top).tag
             except NotSimpleError:
                 r.simple_quotient = "NotSimple"
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .arith import factorization, is_prime_power, prime_factors
 from .atlas import build
-from .corpus import corpus_groups, default_corpus
+from .corpus import corpus_groups
 from .errors import GroupError
 from .group import FiniteGroup, quotient_by_normal
 from .permutation import (
@@ -49,7 +49,8 @@ from .structure import (
 from .towers import (
     Tower,
     _commutator_span,
-    _p_subgroup_candidates,
+    _elementary_abelian_gens,
+    _p_subgroup_sets,
     find_max_tower,
     quotient_tower,
     validate_tower,
@@ -144,20 +145,11 @@ def _s4_wreath_2():
 
 
 def _heisenberg_with_flip():
-    """Extraspecial 3^3 of exponent 3 with an involutory point map inverting
-    both noncentral generators and fixing the centre pointwise."""
-    pts = [(x, y) for x in range(3) for y in range(3)]
-    index = {v: i for i, v in enumerate(pts)}
-
-    def aff(a, b, c):
-        return Permutation.from_zero_based(
-            index[((x + a) % 3, (y + c + b * x) % 3)] for x, y in pts
-        )
-
-    P = FiniteGroup([aff(1, 0, 0), aff(0, 1, 0)], degree=9, name="heisenberg27")
-    if P.order() != 27:
-        raise GroupError("heisenberg instance built wrong")
-    flip = Permutation.from_zero_based(index[((-x) % 3, y)] for x, y in pts)
+    """extraspecial(3,+), the Heisenberg model on the points (x, y) of
+    GF(3)^2 numbered 3x + y, with the involutory point map (x, y) -> (-x, y):
+    it inverts both noncentral generators and fixes the centre pointwise."""
+    P = build("extraspecial(3,+)").group
+    flip = Permutation.from_zero_based(3 * (-x % 3) + y for x in range(3) for y in range(3))
     return P, flip
 
 
@@ -634,12 +626,7 @@ def check_aaa_scenario(seed=0):
 
 
 def _corpus_upto(bound):
-    docs = [d for d in default_corpus()]
-    out = []
-    for name, g in corpus_groups(docs):
-        if g.order() <= bound:
-            out.append((name, g))
-    return out
+    return [(name, g) for name, g in corpus_groups() if g.order() <= bound]
 
 
 def check_opelinha(seed=0):
@@ -783,13 +770,12 @@ def _find_covered_elem_abelian(g: FiniteGroup, qprime: int):
     """An elementary abelian q-subgroup Q and a coprime prime-power element a
     with [Q, a] = Q, by direct search over small q-subgroups."""
     candidates = [
-        c
-        for c in _p_subgroup_candidates(g, qprime)
-        if c.is_elementary_abelian()
+        gens for _, gens in _p_subgroup_sets(g, qprime) if _elementary_abelian_gens(gens, qprime)
     ]
     # sylow_subgroup has filled the order table while listing the candidates
     elems, orders = g._raw_elements(), _element_orders(g)
-    for cand in candidates[:40]:
+    for gens in candidates[:40]:
+        cand = g._subgroup_raw(gens)
         size = cand.order()
         for a, o in zip(elems, orders):
             if o == 1 or not is_prime_power(o) or o % qprime == 0:

@@ -31,7 +31,7 @@ class SeriesChain:
     kind: str  # "derived", "lower_central" or "upper_fitting"
     terms: list  # subgroups of the ambient group; upper_fitting runs upward
     stabilized: bool = True
-    # upper_fitting of a soluble group only: i -> G / terms[i] for 0 < i < len(terms) - 1
+    # upper_fitting only: i -> G/terms[i] for each nontrivial proper term
     quotients: dict = field(default_factory=dict)
 
 
@@ -191,9 +191,10 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
     The stationary term is the soluble radical for every G, soluble or not:
     a minimal soluble normal subgroup above it would be elementary abelian
     and so would show up inside a nontrivial Fitting subgroup of the
-    quotient.  The series is computed once per group and cached on it.  For
-    a soluble group it keeps the quotients by its proper nontrivial terms,
-    which find_max_tower climbs through again.
+    quotient.  The series is computed once per group and cached on it, and
+    it keeps its quotient by each proper nontrivial term: find_max_tower
+    climbs through them again, and for an insoluble G with R(G) != 1 the
+    last one is G/R(G), which classify identifies.
     """
     key = "upper_fitting"
     if key in G._cache:
@@ -204,17 +205,14 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
         terms.append(fitting)
     quotients = {}
     while 1 < terms[-1].order() < G.order():
-        q = quotient_by_normal(G, terms[-1])
+        q = quotients[len(terms) - 1] = quotient_by_normal(G, terms[-1])
         fq = fitting_subgroup(q)
         pulled = G._subgroup_raw(q.preimage_gens(fq))
         if pulled.order() != terms[-1].order() * fq.order():
             raise RuntimeError("pullback of a quotient Fitting subgroup went wrong")
         if pulled.order() == terms[-1].order():
             break
-        quotients[len(terms) - 1] = q
         terms.append(pulled)
-    if terms[-1].order() != G.order():
-        quotients = {}
     G._cache[key] = SeriesChain("upper_fitting", terms, quotients=quotients)
     return G._cache[key]
 

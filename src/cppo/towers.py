@@ -49,6 +49,10 @@ from .structure import (
 # combinations of commuting elements above it
 ELEMENTARY_SEARCH_CAP = 256
 
+# tower_probe refuses groups above this order, and find_max_tower falls
+# back on it only up to this order
+PROBE_ORDER_CAP = 500
+
 
 class Tower:
     """An ordered list of (prime, subgroup) stages inside one ambient group."""
@@ -174,46 +178,35 @@ def _commutator_span(ambient, action_raws, target: FiniteGroup):
     )
 
 
-def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int, exhaustive: bool):
-    """Generator lists for elementary abelian subgroups of Q, smallest first.
+def _elementary_abelian_gens(gens, p: int) -> bool:
+    """Whether the raw elements gens have order p and commute, that is,
+    generate an elementary abelian p-group."""
+    return all(order_raw(x) == p for x in gens) and all(
+        mul_raw(a, b) == mul_raw(b, a) for a, b in itertools.combinations(gens, 2)
+    )
 
-    Exhaustive enumeration below the size cap; otherwise combinations of at
-    most three commuting order-p elements drawn from the least elements.
-    The capped search is complete only when the pool holds every order-p
-    element and p^4 does not divide |Q|, so that no elementary abelian
-    subgroup has rank above three.
+
+def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int):
+    """Generator lists for elementary abelian p-subgroups of Q, and whether
+    the list holds all of them.
+
+    Below ELEMENTARY_SEARCH_CAP the list holds every member of
+    _all_subgroups(Q) whose generators have order p and commute, so it is
+    complete.  Otherwise it holds combinations of at most three commuting
+    order-p elements drawn from the least elements; that search is complete
+    only when the pool holds every order-p element and p^4 does not divide
+    |Q|, so that no elementary abelian subgroup has rank above three.
     """
-    elems = Q._raw_elements()
-    order_p = [x for x in elems if order_raw(x) == p]
+    if Q.order() < ELEMENTARY_SEARCH_CAP:
+        return [gens for _, gens in _all_subgroups(Q) if _elementary_abelian_gens(gens, p)], True
+    order_p = [x for x in Q._raw_elements() if order_raw(x) == p]
     ident = identity_raw(Q.degree)
-    if exhaustive:
-        seen = {frozenset([ident]): []}
-        frontier = [(frozenset([ident]), [])]
-        out = [[]]
-        while frontier:
-            new_frontier = []
-            for members, gens in frontier:
-                for x in order_p:
-                    if x in members:
-                        continue
-                    if any(mul_raw(x, s) != mul_raw(s, x) for s in gens):
-                        continue
-                    grown = _close_set(members, gens + [x])
-                    if grown not in seen:
-                        seen[grown] = gens + [x]
-                        new_frontier.append((grown, gens + [x]))
-                        out.append(gens + [x])
-            frontier = new_frontier
-        out.sort(key=lambda g: (p ** len(g), g))
-        return out, True
     pool = order_p[:48]
     seen_sets = set()
     out = []
     for size in (1, 2, 3):
         for combo in itertools.combinations(pool, size):
-            if any(
-                mul_raw(a, b) != mul_raw(b, a) for a, b in itertools.combinations(combo, 2)
-            ):
+            if not _elementary_abelian_gens(combo, p):
                 continue
             key = _close_set([ident], combo)
             if len(key) != p**size:
@@ -292,10 +285,7 @@ def is_irreducible_tower(t: Tower) -> IrreducibilityReport:
                 "no",
                 ["item 3: even the whole stage %d fails to cover stage %d" % (i, i + 1)],
             )
-        exhaustive = q_above.order() < ELEMENTARY_SEARCH_CAP
-        candidates, complete = _elementary_abelian_subgroup_gens(
-            q_above, p_above, exhaustive
-        )
+        candidates, complete = _elementary_abelian_subgroup_gens(q_above, p_above)
         hit = None
         for cand in candidates:
             if not cand:
@@ -479,11 +469,6 @@ def _p_subgroup_sets(G: FiniteGroup, p: int):
     return sorted(pool.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
 
-def _p_subgroup_candidates(G: FiniteGroup, p: int):
-    """All nontrivial p-subgroups of G as subgroups, in _p_subgroup_sets order."""
-    return [G._subgroup_raw(gens) for _, gens in _p_subgroup_sets(G, p)]
-
-
 def _normalizes(upper_gens, members, gens):
     """None when upper_gens do not normalize the subgroup <gens> with element
     set members; otherwise whether some upper generator moves some gen."""
@@ -497,7 +482,7 @@ def _normalizes(upper_gens, members, gens):
     return moves
 
 
-def tower_probe(G: FiniteGroup, min_height: int, order_cap: int = 500):
+def tower_probe(G: FiniteGroup, min_height: int):
     """Bounded exhaustive search for a valid tower of at least the given height.
 
     Stage candidates are the p-subgroups of G, as element sets, indexed once:
@@ -515,11 +500,11 @@ def tower_probe(G: FiniteGroup, min_height: int, order_cap: int = 500):
     validate_tower accepts it.
 
     Intended as a falsification oracle on small groups, not a production
-    search; groups above the order cap are refused.
+    search; groups above PROBE_ORDER_CAP are refused.
     """
-    if G.order() > order_cap:
+    if G.order() > PROBE_ORDER_CAP:
         raise TowerDefectError(
-            "tower probe is limited to groups of order at most %d" % order_cap
+            "tower probe is limited to groups of order at most %d" % PROBE_ORDER_CAP
         )
     primes = [p for p, _ in factorization(G.order())]
     if min_height <= 0:
@@ -656,7 +641,7 @@ def _max_tower(G: FiniteGroup):
         if tower.height == h and validate_tower(tower).valid:
             return h, tower
 
-    if G.order() <= 500:
+    if G.order() <= PROBE_ORDER_CAP:
         probed = tower_probe(G, h)
         if probed is not None:
             return h, probed

@@ -6,14 +6,17 @@ the runtime.  The corpus-wide theorem and lemma sweep runs once in a module
 fixture; the determinism criterion repeats it from scratch.
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import pytest
 
 from cppo.arith import is_prime_power
 from cppo.atlas import build, exceptional_automorphism_witness, reproduce_psl34_commutators
 from cppo.corpus import corpus_groups, default_corpus
-from cppo.harness import full_suite_to_text, run_full_suite
+from cppo.harness import full_suite_to_text, reports_to_text, run_full_suite
 from cppo.lemmas import MICRO_SUITE
 from cppo.permutation import comm_raw
 from cppo.structure import fitting_height, is_soluble
@@ -23,6 +26,8 @@ from cppo.towers import (
     tower_probe,
     validate_tower,
 )
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +167,24 @@ def test_criterion_10_byte_identical_reports(full_run):
     assert result_a.ok and result_b.ok
     assert text_a.encode() == text_b.encode()
     print("criterion 10: PASS (%d bytes)" % len(text_a))
+
+
+def test_reports_match_the_benchmark_golden_digests(full_run):
+    # the benchmark's recorded sha256 of each corpus group's report text,
+    # keyed by its spec document; psl34_g1 is left out of the benchmark
+    result, _ = full_run
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)["corpus_theorems"]
+    docs = default_corpus()
+    reports = result.theorems.reports
+    assert len(reports) == len(docs)
+    undigested = []
+    for doc, rep in zip(docs, reports):
+        key = json.dumps(doc, sort_keys=True)
+        if key not in golden:
+            undigested.append(rep.name)
+            continue
+        text = reports_to_text([rep])
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == golden[key], rep.name
+    assert undigested == ["psl34_g1"]
+    assert len(golden) == len(docs) - 1

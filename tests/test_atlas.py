@@ -186,13 +186,6 @@ def test_exceptional_automorphism_witness_has_order_3():
     assert w.order() == 3
 
 
-def test_exceptional_witness_probe_mode_accepts_inner_elements():
-    built = build("s6_in_pgammal29")
-    # probing with an element of H itself has no contract; it just must not crash
-    result = exceptional_automorphism_witness(probe_phi=built.group.generators[0])
-    assert result is None or result[2] % 2 == 1
-
-
 def test_load_group_spec_documents():
     g = load_group_spec({"name": "S4", "degree": 4, "generators": ["(1 2)", "(1 2 3 4)"]})
     assert g.order() == 24 and g.name == "S4"
@@ -205,8 +198,33 @@ def test_load_group_spec_rejects_malformed_documents():
         load_group_spec({"degree": 4})
     with pytest.raises(SchemaError):
         load_group_spec({"name": "x", "degree": 4, "generators": "(1 2)"})
+    with pytest.raises(SchemaError):
+        load_group_spec({"name": "x", "degree": True, "generators": []})
     with pytest.raises(AtlasError):
         load_group_spec({"atlas": "no_such_entry_anywhere"})
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"atlas": "cyclic", "params": ["a"]},
+        {"atlas": "sym", "params": [True]},
+        {"atlas": "sym", "params": [3.0]},
+        {"atlas": "extraspecial", "params": [3, 1]},
+        {"atlas": "direct_product", "params": [3, 4]},
+        {"atlas": "direct_product", "params": [["sym", [3]], "q8"]},
+    ],
+    ids=str,
+)
+def test_load_group_spec_rejects_parameters_of_the_wrong_kind(document):
+    with pytest.raises(AtlasError):
+        load_group_spec(document)
+
+
+@pytest.mark.parametrize("name", [["x"], 5, None])
+def test_load_group_spec_rejects_a_non_string_atlas_name(name):
+    with pytest.raises(SchemaError):
+        load_group_spec({"atlas": name})
 
 
 def test_load_corpus_builds_every_document():
@@ -225,6 +243,22 @@ def test_unknown_and_malformed_ids():
         build("psl2(6)")
     with pytest.raises(AtlasError):
         build("psl2(")
+
+
+@pytest.mark.parametrize(
+    "atlas_id",
+    ["cyclic(a)", "direct_product(3,4)", "elem_abelian(+,2)", "extraspecial(3,5)",
+     "extraspecial(-,+)", "agl1(0)", "psl2(-1)"],
+)
+def test_parameters_of_the_wrong_kind_or_range_are_atlas_errors(atlas_id):
+    with pytest.raises(AtlasError):
+        build(atlas_id)
+
+
+def test_bools_are_not_integer_parameters():
+    with pytest.raises(AtlasError, match="must be an integer"):
+        build(("sym", [True]))
+    assert build(("sym", [1])).group.order() == 1
 
 
 def test_direct_product_nests():

@@ -85,6 +85,24 @@ def test_classify_unknown_atlas_id(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("atlas_id", ["cyclic(a)", "direct_product(3,4)", "elem_abelian(+,2)"])
+def test_atlas_build_rejects_parameters_of_the_wrong_kind(atlas_id, capsys):
+    assert main(["atlas", "build", atlas_id]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"atlas": ["x"]}, {"atlas": "cyclic", "params": ["a"]}, {"atlas": "sym", "params": [True]}],
+    ids=str,
+)
+def test_classify_rejects_malformed_atlas_specs(tmp_path, capsys, spec):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    assert main(["classify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_theorems_tiny_corpus(tiny_corpus, capsys):
     assert main(["verify", "theorems", "--corpus", tiny_corpus]) == 0
     out = capsys.readouterr().out

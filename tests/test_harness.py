@@ -5,11 +5,11 @@ import sys
 
 import pytest
 
-from cppo import permutation
+from cppo import harness, permutation
 from cppo.arith import is_prime_power
 from cppo.atlas import build
 from cppo.errors import SchemaError
-from cppo.group import FiniteGroup
+from cppo.group import FiniteGroup, QuotientGroup
 from cppo.harness import (
     SCHEMA_VERSION,
     ClassificationReport,
@@ -25,6 +25,7 @@ from cppo.harness import (
     skipped_fields,
     theorem_suite_to_text,
 )
+from cppo.structure import identify_simple_eppo, upper_fitting_series
 
 TINY_DOCS = [
     {"atlas": "q8"},
@@ -52,6 +53,39 @@ def test_classify_computes_element_orders_per_class(monkeypatch):
     assert r.theorem2 == "pass"
     assert len(g._raw_classes()) == 11
     assert 0 < len(calls) <= 3 * 11
+
+
+@pytest.mark.parametrize("atlas_id, kernel_orders", [("sl2_5", [2]), ("sym(5)", [])])
+def test_classify_forms_only_the_quotients_of_the_series(monkeypatch, atlas_id, kernel_orders):
+    # SL(2,5) is perfect with R = Z(SL(2,5)) of order 2, so its series forms
+    # G/R once and classify reads G'/R(G') from it; S5 and A5 have trivial
+    # radicals, so no quotient is formed at all
+    kernels = []
+    init = QuotientGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        kernels.append(kwargs["kernel"].order())
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuotientGroup, "__init__", counting)
+    classify(build(atlas_id).group)
+    assert kernels == kernel_orders
+
+
+def test_classify_identifies_the_top_quotient_of_the_series(monkeypatch):
+    received = []
+
+    def recording(group):
+        received.append(group)
+        return identify_simple_eppo(group)
+
+    monkeypatch.setattr(harness, "identify_simple_eppo", recording)
+    g = build("sl2_5").group
+    r = classify(g)
+    series = upper_fitting_series(g.derived_subgroup())
+    assert len(received) == 1
+    assert received[0] is series.quotients[len(series.terms) - 1]
+    assert r.simple_quotient == "PSL2_4" and r.derived_radical_order == 2
 
 
 def test_classify_s4():

@@ -10,7 +10,15 @@ from cppo.corpus import SOLUBLE_AND_SMALL
 from cppo.errors import InsolubleError, TowerDefectError
 from cppo.group import FiniteGroup, quotient_by_normal
 from cppo.lemmas import _s4_wreath_2
-from cppo.permutation import Permutation, comm_raw, conj_raw, identity_raw, parse_permutation
+from cppo.permutation import (
+    Permutation,
+    comm_raw,
+    conj_raw,
+    identity_raw,
+    mul_raw,
+    order_raw,
+    parse_permutation,
+)
 from cppo.structure import fitting_height, is_soluble, sylow_subgroup, upper_fitting_series
 from cppo.towers import (
     Tower,
@@ -18,7 +26,6 @@ from cppo.towers import (
     _elementary_abelian_subgroup_gens,
     _moves_stage_below,
     _normalizes_all,
-    _p_subgroup_candidates,
     _p_subgroup_sets,
     effective_quotients,
     find_max_tower,
@@ -30,6 +37,11 @@ from cppo.towers import (
     tower_to_data,
     validate_tower,
 )
+
+
+def _p_subgroup_candidates(G, p):
+    """All nontrivial p-subgroups of G as subgroups, in _p_subgroup_sets order."""
+    return [G._subgroup_raw(gens) for _, gens in _p_subgroup_sets(G, p)]
 
 
 def _perms(degree, *texts):
@@ -224,12 +236,13 @@ def test_probe_finds_and_refutes(s4):
     assert tower_probe(a4, 3) is None
 
 
-def test_probe_respects_the_order_cap():
+def test_probe_respects_the_order_cap(monkeypatch):
     big = build("direct_product(s4,s4)").group
     with pytest.raises(TowerDefectError):
         tower_probe(big, 1)
-    # explicit caps widen the search when asked
-    assert tower_probe(big, 1, order_cap=600) is not None
+    # a wider cap lets the same search through
+    monkeypatch.setattr(towers, "PROBE_ORDER_CAP", 600)
+    assert tower_probe(big, 1) is not None
 
 
 def test_serialization_roundtrip(s4, s4_tower):
@@ -391,12 +404,32 @@ def test_capped_elementary_abelian_search_is_incomplete_past_rank_three():
     # search stops at three generators, so it cannot rule out a cover
     q = build("direct_product(elem_abelian(2,4),cyclic(16))").group
     assert q.order() == 256
-    found, complete = _elementary_abelian_subgroup_gens(q, 2, exhaustive=False)
+    found, complete = _elementary_abelian_subgroup_gens(q, 2)
     assert max(len(gens) for gens in found) == 3
     assert not complete
     # with p^4 not dividing |Q| no elementary abelian subgroup has rank four
-    small = build("direct_product(elem_abelian(2,3),cyclic(3))").group
-    assert _elementary_abelian_subgroup_gens(small, 2, exhaustive=False)[1]
+    big = build("direct_product(elem_abelian(2,3),cyclic(243))").group
+    assert big.order() == 1944
+    assert _elementary_abelian_subgroup_gens(big, 2)[1]
+
+
+@pytest.mark.parametrize(
+    "atlas_id, p",
+    [("dihedral(4)", 2), ("q8", 2), ("elem_abelian(2,3)", 2), ("extraspecial(2,-)", 2),
+     ("extraspecial(3,+)", 3), ("s4", 2), ("s4", 3)],
+)
+def test_elementary_abelian_search_below_the_cap_finds_every_subgroup(atlas_id, p):
+    # the element-level definition, on every subgroup of the chain reference
+    g = build(atlas_id).group
+    found, complete = _elementary_abelian_subgroup_gens(g, p)
+    want = {
+        members
+        for members, _ in _ref_all_subgroups(g)
+        if all(order_raw(x) in (1, p) for x in members)
+        and all(mul_raw(x, y) == mul_raw(y, x) for x in members for y in members)
+    }
+    got = [frozenset(g._subgroup_raw(gens)._raw_elements()) for gens in found]
+    assert complete and len(got) == len(set(got)) and set(got) == want
 
 
 def test_probe_matches_the_chain_reference(small_soluble):
