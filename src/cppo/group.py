@@ -375,21 +375,15 @@ class FiniteGroup:
     def trivial_subgroup(self) -> "FiniteGroup":
         return self._subgroup_raw([])
 
-    def _closure_raw(self, raw_seeds, raw_conjugators, order_divides=0) -> "FiniteGroup | None":
+    def _closure_raw(self, raw_seeds, raw_conjugators) -> "FiniteGroup":
         """Smallest subgroup containing the seeds and closed under the conjugators.
 
         One chain grows element by element; the seeds and conjugates that
         were new when met become the generators, in breadth-first order.
-        With order_divides set, growth stops with None once the order no
-        longer divides it.  The check runs before each generator's conjugates
-        are taken; the last generator's conjugates add no new one, so a
-        returned subgroup has been checked too.
         """
         chain = StabilizerChain(self.degree)
         gens = [s for s in raw_seeds if chain.extend(s)]
         for x in gens:
-            if order_divides and order_divides % chain.order():
-                return None
             for c in raw_conjugators:
                 y = conj_raw(x, c)
                 if chain.extend(y):
@@ -435,17 +429,17 @@ class FiniteGroup:
         return self._cache[key]
 
     def centralizer(self, perms) -> "FiniteGroup":
-        """Pointwise centralizer of the given elements, by enumeration filter."""
+        """Pointwise centralizer of the given elements, by enumeration filter:
+        x commutes with t iff x^t == x, and each target conjugates the
+        elements that are left in one batch kernel call."""
         targets = []
         for g in perms:
             if g.degree != self.degree:
                 raise DegreeMismatchError("centralizer target has the wrong degree")
             targets.append(g.raw)
-        kept = [
-            x
-            for x in self._raw_elements()
-            if all(mul_raw(x, t) == mul_raw(t, x) for t in targets)
-        ]
+        kept = self._raw_elements()
+        for t in targets:
+            kept = [x for x, y in zip(kept, conjugator(t)(kept)) if x == y]
         return self._subgroup_from_raw_elements(kept)
 
     def center(self) -> "FiniteGroup":

@@ -21,7 +21,7 @@ from .errors import (
     NotSimpleError,
 )
 from .group import FiniteGroup, quotient_by_normal
-from .permutation import comm_raw, conj_raw, identity_raw, mul_raw, order_raw
+from .permutation import comm_raw, conj_raw, identity_raw, mul_all, mul_raw, order_raw
 
 DEFAULT_CLASS_CAP = 60
 
@@ -140,6 +140,56 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     return sub
 
 
+def _class_product(G: FiniteGroup, i: int, j: int) -> frozenset:
+    """The classes meeting C_i*C_j, memoized on the group.
+
+    Every product x*y (x in C_i, y in C_j) is conjugate to y'*r for the
+    representative r of the larger class and some y' in the smaller one,
+    and x*y is conjugate to y*x, so one batch product over the smaller class
+    names them all.
+    """
+    products = G._cache.setdefault("class_products", {})
+    if (i, j) not in products:
+        classes = G._raw_classes()
+        a, b = (i, j) if len(classes[j].members) <= len(classes[i].members) else (j, i)
+        class_of = G._class_index()
+        s = frozenset(map(class_of.__getitem__, mul_all(classes[b].members, classes[a].rep)))
+        products[i, j] = products[j, i] = s
+    return products[i, j]
+
+
+def _class_closure(G: FiniteGroup, k: int, allowed=None, bound=None) -> frozenset | None:
+    """The classes of the normal closure <C_k>, read off class products.
+
+    <C_k> is the union of the powers of C_k, and the classes of C_k^(n+1)
+    are those meeting C_i*C_k for the classes C_i of C_k^n, so products with
+    C_k alone reach them all.  Growth stops with None at a class outside
+    `allowed` or once the classes met hold more than `bound` elements.  With
+    no bound, more than |G|/2 elements lie in no proper subgroup, so the
+    closure is all of G.  C_k itself must lie in `allowed`.
+    """
+    classes = G._raw_classes()
+    limit = G.order() // 2 if bound is None else bound
+    met = {k}
+    size = len(classes[k].members)
+    frontier = [k]
+    for i in frontier:
+        for c in _class_product(G, i, k):
+            if c in met:
+                continue
+            if allowed is not None and c not in allowed:
+                return None
+            met.add(c)
+            size += len(classes[c].members)
+            if size > limit:
+                if bound is not None:
+                    return None
+                whole = frozenset(range(len(classes)))
+                return whole if allowed is None or whole <= allowed else None
+            frontier.append(c)
+    return frozenset(met)
+
+
 def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
     """O_p(G), the largest normal p-subgroup, as the union of the conjugacy
     classes of p-power order whose normal closure is a p-group.
@@ -149,9 +199,11 @@ def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
     p-subgroup.  If x lies in O_p then its normal closure <x^G> lies in O_p
     too and is a p-group; conversely, a normal closure that is a p-group is
     a normal p-subgroup and lies in O_p.  Membership is constant on a class,
-    so one closure per class decides it, and each closure stops growing as
-    soon as its order no longer divides |G|_p.  Each core is cached on the
-    group by prime.
+    so one closure per class decides it.  Each closure is read off class
+    products: it fails at its first class whose order is not a power of p,
+    or once it holds more than |G|_p elements, and a class already inside
+    the core needs none.  No chain is built but the core's own, and a
+    trivial core needs none.  Each core is cached on the group by prime.
     """
     cores = G._cache.setdefault("p_cores", {})
     if p in cores:
@@ -159,12 +211,17 @@ def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
     if not is_prime(p):
         raise ValueError("%d is not a prime" % p)
     target = p_part(G.order(), p)
-    members = []
-    for c in G._raw_classes():
-        # an element order divides |G|, so it is a power of p iff it divides |G|_p
-        if target % c.order == 0 and G._closure_raw([c.rep], G._raw_gens, target) is not None:
-            members.extend(c.members)
-    cores[p] = G._subgroup_from_raw_elements(members)
+    classes = G._raw_classes()
+    # an element order divides |G|, so it is a power of p iff it divides |G|_p
+    allowed = frozenset(k for k, c in enumerate(classes) if target % c.order == 0)
+    core = set()
+    for k in sorted(allowed):
+        if k not in core:
+            core.update(_class_closure(G, k, allowed, target) or ())
+    if len(core) == 1:
+        cores[p] = G.trivial_subgroup()
+    else:
+        cores[p] = G._subgroup_from_raw_elements([x for k in core for x in classes[k].members])
     return cores[p]
 
 
@@ -297,61 +354,49 @@ def normal_subgroups(G: FiniteGroup) -> list:
     A normal subgroup is a union of conjugacy classes, so all of them arise
     as joins of the normal closures of single class representatives.  Each
     subgroup is keyed by its signature, the set of classes it swallows, and
-    the list is sorted by (order, sorted signature).  An atom's signature
-    comes from sifting the class representatives through its chain.  A
-    join needs no chain: for normal N and M the join is N*M, the union of
-    the class products C_i*C_j over C_i in N and C_j in M.  The classes
-    meeting C_i*C_j are those of r_i*y for y in C_j, or equally of r_j*x
-    for x in C_i, so each class pair costs min(|C_i|, |C_j|) products and
-    lookups, is computed once, and a join's signature is a union of them.
-    A subgroup is formed only for a signature seen for the first time.
+    the list is sorted by (order, sorted signature).  No signature needs a
+    chain.  An atom's signature is its class closure, read off the class
+    products C_i*C_k.  For normal N and M the join is N*M, the union of the
+    class products C_i*C_j over C_i in N and C_j in M, so a join's signature
+    is a union of class products.  An atom's subgroup is formed only when
+    its signature is new or a new join needs its generators, and a join's
+    only when its signature is new.
     """
     key = "normals"
     if key not in G._cache:
         classes = G._raw_classes()
         if len(classes) > DEFAULT_CLASS_CAP:
             raise ClassCapError(len(classes), DEFAULT_CLASS_CAP)
-        reps = [c.rep for c in classes]
         ident = identity_raw(G.degree)
+        formed = {}  # class index -> the normal closure of its representative
 
-        def signature(sub: FiniteGroup):
-            chain = sub.chain()
-            return frozenset(i for i, r in enumerate(reps) if chain.contains_raw(r))
+        def atom(k):
+            if k not in formed:
+                formed[k] = G._normal_closure_raw([classes[k].rep])
+            return formed[k]
 
-        products = {}  # (i, j) -> the classes meeting C_i * C_j
-
-        def product_support(i, j):
-            if (i, j) not in products:
-                class_of = G._class_index()
-                a, b = (i, j) if len(classes[j].members) <= len(classes[i].members) else (j, i)
-                r = reps[a]
-                s = frozenset(class_of[mul_raw(r, y)] for y in classes[b].members)
-                products[i, j] = products[j, i] = s
-            return products[i, j]
-
-        found = {}
-        triv = G.trivial_subgroup()
-        found[signature(triv)] = triv
+        trivial = frozenset(k for k, c in enumerate(classes) if c.rep == ident)
+        found = {trivial: G.trivial_subgroup()}
         atoms = []
-        for r in reps:
-            if r != ident:
-                sub = G._normal_closure_raw([r])
-                sig = signature(sub)
-                atoms.append((sig, sub))
-                found.setdefault(sig, sub)
+        for k, c in enumerate(classes):
+            if c.rep != ident:
+                sig = _class_closure(G, k)
+                atoms.append((sig, k))
+                if sig not in found:
+                    found[sig] = atom(k)
         frontier = list(found)
         while frontier:
             new_frontier = []
             for sig in frontier:
                 base = found[sig]
-                for asig, atom in atoms:
+                for asig, k in atoms:
                     # a join with a subgroup or overgroup is one of the two
                     if asig <= sig or sig <= asig:
                         continue
                     fresh = asig - sig
-                    jsig = sig.union(*(product_support(i, j) for i in sig for j in fresh))
+                    jsig = sig.union(*(_class_product(G, i, j) for i in sig for j in fresh))
                     if jsig not in found:
-                        found[jsig] = G._subgroup_raw(base._raw_gens + atom._raw_gens)
+                        found[jsig] = G._subgroup_raw(base._raw_gens + atom(k)._raw_gens)
                         new_frontier.append(jsig)
             frontier = new_frontier
         sizes = [len(c.members) for c in classes]

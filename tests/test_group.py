@@ -208,17 +208,6 @@ def test_eppo_witness():
     assert not a5().eppo_witness()
 
 
-def test_closure_stops_once_its_order_stops_dividing_the_bound():
-    group = s4()
-    double = parse_permutation("(1 2)(3 4)", 4).raw
-    transposition = parse_permutation("(1 2)", 4).raw
-    v4 = group._closure_raw([double], group._raw_gens, 8)
-    assert v4 is not None and v4.order() == 4
-    # the normal closure of a transposition is S4, of order 24, which 8 does not divide
-    assert group._closure_raw([transposition], group._raw_gens, 8) is None
-    assert group._closure_raw([transposition], group._raw_gens, 24).order() == 24
-
-
 def test_derived_subgroup_matches_oracle():
     for make, want in [(s4, 12), (a5, 60), (d10, 5), (q8, 2), (sl23, 8)]:
         group = make()
@@ -256,6 +245,33 @@ def test_center_and_centralizer():
     assert cent.order() == 5
     elems = group.elements()
     assert sorted(cent.elements()) == sorted(x for x in elems if x * r == r * x)
+
+
+def pairwise_centralizer(group, targets):
+    """The centralizer as it was filtered before the batch kernel: every
+    element against every target, by two products."""
+    kept = [
+        x
+        for x in group._raw_elements()
+        if all(mul_raw(x, t) == mul_raw(t, x) for t in targets)
+    ]
+    return group._subgroup_from_raw_elements(kept)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.permutations(range(6)), min_size=1, max_size=3),
+    st.lists(st.permutations(range(6)), max_size=3),
+)
+def test_centralizer_matches_the_pairwise_filter_on_subgroups_of_s6(tables, targets):
+    group = FiniteGroup([Permutation._from_raw(raw_from_images(t)) for t in tables], degree=6)
+    perms = [Permutation._from_raw(raw_from_images(t)) for t in targets]
+    got = group.centralizer(perms)
+    want = pairwise_centralizer(group, [p.raw for p in perms])
+    assert got._raw_gens == want._raw_gens
+    assert got.order() == want.order()
+    # the centre, with the group's own generators as targets
+    assert group.center()._raw_gens == pairwise_centralizer(group, group._raw_gens)._raw_gens
 
 
 def test_normal_closure():

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cppo import FiniteGroup, parse_permutation, structure, towers
-from cppo.atlas import load_group_spec
+from cppo.arith import factorization
+from cppo.atlas import build, load_group_spec
 from cppo.bsgs import StabilizerChain
 from cppo.corpus import corpus_groups, default_corpus
 from cppo.errors import InsolubleError, NotNilpotentError, NotPGroupError, NotSimpleError
@@ -362,6 +363,43 @@ def test_normal_subgroups_build_no_chain_for_a_join(monkeypatch):
     assert built in ([], [0])
 
 
+def chain_signature(G, sub):
+    """The classes of G whose representative sifts through sub's chain."""
+    chain = sub.chain()
+    return frozenset(k for k, c in enumerate(G._raw_classes()) if chain.contains_raw(c.rep))
+
+
+def assert_class_closures_match_chains(G):
+    for k, c in enumerate(G._raw_classes()):
+        want = chain_signature(G, G._normal_closure_raw([c.rep]))
+        assert structure._class_closure(G, k) == want, k
+
+
+@pytest.mark.parametrize("name, group", LATTICE_GROUPS, ids=[n for n, _ in LATTICE_GROUPS])
+def test_class_closures_match_chain_signatures(name, group):
+    assert_class_closures_match_chains(group)
+
+
+def test_class_closure_stops_early():
+    g = s4()
+    classes = g._raw_classes()
+    index = {(len(c.members), c.order): k for k, c in enumerate(classes)}
+    double, transposition = index[3, 2], index[6, 2]
+    everything = frozenset(range(len(classes)))
+    two_power = frozenset(k for k, c in enumerate(classes) if 8 % c.order == 0)
+    assert structure._class_closure(g, double, two_power, 8) == {0, double}
+    # transpositions multiply to 3-cycles, which lie outside `allowed`
+    assert structure._class_closure(g, transposition, two_power, 24) is None
+    # their closure is S4, past a bound of 8 elements
+    assert structure._class_closure(g, transposition, everything, 8) is None
+    assert structure._class_closure(g, transposition, everything, 24) == everything
+    # with no bound, the first product passes 12 elements, so the closure is
+    # S4 although no product has met the 4-cycles yet
+    fresh = s4()
+    assert structure._class_closure(fresh, transposition) == everything
+    assert set(fresh._cache["class_products"]) == {(transposition, transposition)}
+
+
 @pytest.mark.parametrize("make", SMALL)
 def test_fitting_subgroup_is_largest_nilpotent_normal(make):
     group = make()
@@ -463,6 +501,66 @@ def subgroups_of_s6(draw):
 @given(subgroups_of_s6())
 def test_p_core_of_drawn_s6_subgroups_is_the_intersection_of_sylow_conjugates(group):
     assert_cores_match_sylow_intersection(group)
+
+
+def assert_radical_and_fitting_are_class_unions(G):
+    """R(G) is the union of the classes whose normal closure is soluble, and
+    F(G) of those whose normal closure is nilpotent: a class lies in a normal
+    subgroup exactly when its normal closure does."""
+    soluble, nilpotent = set(), set()
+    for c in G._raw_classes():
+        closure = G._normal_closure_raw([c.rep])
+        if is_soluble(closure):
+            soluble.update(c.members)
+        if is_nilpotent(closure):
+            nilpotent.update(c.members)
+    assert set(soluble_radical(G)._raw_elements()) == soluble
+    assert set(fitting_subgroup(G)._raw_elements()) == nilpotent
+
+
+@pytest.mark.parametrize("name, group", SMALL_CORPUS, ids=[n for n, _ in SMALL_CORPUS])
+def test_radical_and_fitting_of_corpus_groups_are_class_unions(name, group):
+    assert_radical_and_fitting_are_class_unions(group)
+
+
+@settings(max_examples=30, deadline=None)
+@given(subgroups_of_s6())
+def test_radical_and_fitting_of_drawn_s6_subgroups_are_class_unions(group):
+    assert_radical_and_fitting_are_class_unions(group)
+
+
+@settings(max_examples=30, deadline=None)
+@given(subgroups_of_s6())
+def test_class_closures_of_drawn_s6_subgroups_match_chain_signatures(group):
+    assert_class_closures_match_chains(group)
+
+
+@pytest.mark.parametrize(
+    "atlas_id",
+    ["direct_product(q8,dihedral(4))", "extraspecial(2,+)", "extraspecial(2,-)", "cyclic(512)"],
+)
+def test_p_core_of_a_2_group_is_the_group(atlas_id):
+    # the core may hold all of |G|_p elements, which for a p-group is |G|
+    g = build(atlas_id).group
+    assert p_core(g, 2).order() == g.order()
+
+
+def test_p_cores_and_simplicity_of_sz8_build_at_most_one_chain(monkeypatch):
+    g = build("sz8").group
+    g._raw_classes()  # the group's own chain and classes come first
+    built = []
+    init = StabilizerChain.__init__
+
+    def counting(self, degree):
+        built.append(degree)
+        init(self, degree)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counting)
+    for p, _ in factorization(g.order()):
+        assert p_core(g, p).is_trivial()
+    assert is_simple(g)
+    # the one chain is the first atom's, whose signature is all of sz8
+    assert len(built) <= 1
 
 
 def test_p_core_of_a_prime_not_dividing_the_order_is_trivial():
