@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_prime, is_prime_power
+from .arith import is_prime_power
 from .bsgs import StabilizerChain
 from .errors import (
     DegreeMismatchError,
@@ -279,12 +279,6 @@ class FiniteGroup:
     def is_cyclic(self) -> bool:
         n = self.order()
         return any(c.order == n for c in self._raw_classes())
-
-    def is_elementary_abelian(self) -> bool:
-        """Abelian with every generator of one prime order p, so the group is
-        a product of cyclic groups of order p; no chain is needed."""
-        orders = {order_raw(g) for g in self._raw_gens}
-        return len(orders) <= 1 and all(is_prime(o) for o in orders) and self.is_abelian()
 
     # -- commutator machinery -----------------------------------------------
 

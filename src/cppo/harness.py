@@ -156,14 +156,16 @@ def classify(G: FiniteGroup) -> ClassificationReport:
             for fld in _DERIVED_RADICAL_FIELDS:
                 setattr(r, fld, skipped)
         else:
-            series = upper_fitting_series(derived)
-            drad = series.terms[-1]
-            r.derived_radical_order = drad.order()
-            r.derived_radical_is_2_group = prime_factors(drad.order()) in ([], [2])
+            # R(G') = G' n R(G), so G'/R(G') is (G/R(G))', read off the last
+            # quotient that G's own series keeps
+            top = derived
+            if radical.order() > 1:
+                series = upper_fitting_series(G)
+                top = series.quotients[len(series.terms) - 1].derived_subgroup()
+            r.derived_radical_order = derived.order() // top.order()
+            r.derived_radical_is_2_group = prime_factors(r.derived_radical_order) in ([], [2])
             closure = _commutator_span(G, list(derived._raw_gens), radical)
             r.derived_radical_closure_order = closure.order()
-            # the series keeps G'/R(G') when R(G') != 1, its top quotient
-            top = series.quotients[len(series.terms) - 1] if drad.order() > 1 else derived
             try:
                 r.simple_quotient = identify_simple_eppo(top).tag
             except NotSimpleError:

@@ -2,7 +2,8 @@
 
 Derived, lower-central and upper-Fitting series; Sylow subgroups, p-cores,
 the Fitting subgroup and soluble radical; the normal subgroup lattice with
-simplicity, minimal normals and socle; and fingerprint identification of
+minimal normals and socle; simplicity and quasisimplicity read off class
+closures, with no lattice or quotient; and fingerprint identification of
 seven of the eight simple groups whose elements all have prime-power order
 (all but Sz(32), which is too large to enumerate).
 """
@@ -30,7 +31,6 @@ DEFAULT_CLASS_CAP = 60
 class SeriesChain:
     kind: str  # "derived", "lower_central" or "upper_fitting"
     terms: list  # subgroups of the ambient group; upper_fitting runs upward
-    stabilized: bool = True
     # upper_fitting only: i -> G/terms[i] for each nontrivial proper term
     quotients: dict = field(default_factory=dict)
 
@@ -251,7 +251,8 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
     quotient.  The series is computed once per group and cached on it, and
     it keeps its quotient by each proper nontrivial term: find_max_tower
     climbs through them again, and for an insoluble G with R(G) != 1 the
-    last one is G/R(G), which classify identifies.
+    last one is G/R(G), whose derived subgroup (G/R(G))' = G'/R(G') classify
+    identifies.
     """
     key = "upper_fitting"
     if key in G._cache:
@@ -328,18 +329,13 @@ def frattini_of_p_group(P: FiniteGroup) -> FiniteGroup:
 
 
 def is_extraspecial(P: FiniteGroup) -> bool:
-    """p-group with centre of order p and elementary abelian nontrivial quotient."""
+    """p-group with centre of order p equal to its Frattini subgroup, which
+    makes P/Z(P) elementary abelian and nontrivial."""
     fact = factorization(P.order())
     if len(fact) != 1 or P.order() == 1:
         return False
-    p = fact[0][0]
     centre = P.center()
-    if centre.order() != p:
-        return False
-    q = quotient_by_normal(P, centre)
-    if q.order() == 1:
-        return False
-    if not q.is_elementary_abelian():
+    if centre.order() != fact[0][0]:
         return False
     return frattini_of_p_group(P).same_group_as(centre)
 
@@ -426,13 +422,16 @@ def socle(G: FiniteGroup) -> FiniteGroup:
 
 
 def is_simple(G: FiniteGroup, allow_abelian_simple: bool = False) -> bool:
-    """Nonabelian simplicity by default; prime order counts only when flagged."""
+    """Nonabelian simplicity by default; prime order counts only when flagged.
+    Nonabelian G is simple iff each nontrivial class has class closure G."""
     n = G.order()
     if n == 1:
         return False
     if G.is_abelian():
         return allow_abelian_simple and is_prime(n)
-    return len(normal_subgroups(G)) == 2
+    # classes sort by (size, least member), so the identity's comes first
+    whole = len(G._raw_classes())
+    return all(len(_class_closure(G, k)) == whole for k in range(1, whole))
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +472,15 @@ def identify_simple_eppo(G: FiniteGroup) -> SimpleEppoId:
 
 
 def is_quasisimple(G: FiniteGroup) -> bool:
-    """Perfect with simple central quotient."""
+    """Perfect with simple central quotient: for perfect G, G/Z(G) is simple
+    iff each class outside Z = Z(G) != G normally generates G, since a
+    normal N not inside Z has NZ = G, so G = G' = N' <= N."""
     if not is_perfect(G):
         return False
     centre = G.center()
     if centre.order() == G.order():
         return False
-    q = quotient_by_normal(G, centre)
-    return is_simple(q)
+    inside = centre.chain().contains_raw
+    classes = G._raw_classes()
+    outside = [k for k, c in enumerate(classes) if not inside(c.rep)]
+    return all(len(_class_closure(G, k)) == len(classes) for k in outside)

@@ -140,6 +140,23 @@ def test_classify_beyond_the_group_cap(capsys):
     assert main(["--strict", "classify", "atlas:sym(9)"]) == 1
 
 
+# 63 classes, more than the normal-subgroup lattice takes, yet well within
+# the enumeration cap; simplicity is read off class closures, so it classifies
+PSL29_X_PSL28 = {"atlas": "direct_product", "params": ["psl2(9)", "psl2(8)"]}
+
+
+def test_classify_past_the_class_lattice_cap(capsys):
+    assert main(["classify", "atlas:direct_product(psl2(9),psl2(8))"]) == 0
+    assert "simple_quotient: NotSimple" in capsys.readouterr().out
+
+
+def test_verify_theorems_past_the_class_lattice_cap(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    write_corpus_file(corpus, [PSL29_X_PSL28, {"atlas": "s4"}])
+    assert main(["verify", "theorems", "--corpus", str(corpus)]) == 0
+    assert "2 group(s), 0 failure(s), 0 skip(s)" in capsys.readouterr().out
+
+
 def test_classify_enumerates_within_the_cap_option(monkeypatch, capsys):
     enumerated = []
     raw_elements = FiniteGroup._raw_elements

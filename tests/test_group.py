@@ -297,33 +297,13 @@ def test_raw_subgroup_membership_guard():
     assert s4()._subgroup_raw([parse_permutation("(1 2 3)", 4).raw]).order() == 3
 
 
-def test_abelian_cyclic_elementary_flags():
+def test_abelian_cyclic_trivial_flags():
     assert G(["(1 2 3 4 5 6)"], 6).is_cyclic()
     assert G(["(1 2 3 4 5 6)"], 6).is_abelian()
     assert not s4().is_abelian()
     v4 = G(["(1 2)(3 4)", "(1 3)(2 4)"], 4)
-    assert v4.is_elementary_abelian()
     assert not v4.is_cyclic()
-    assert not G(["(1 2 3 4)"], 4).is_elementary_abelian()
     assert FiniteGroup([], degree=3).is_trivial()
-    assert FiniteGroup([], degree=3).is_elementary_abelian()
-    # abelian with generators of two primes, or of orders 2 and 4; then A4,
-    # whose generators share the prime 3 but do not commute
-    assert not G(["(1 2)", "(3 4 5)"], 5).is_elementary_abelian()
-    assert not G(["(1 2)(3 4)", "(1 3 2 4)"], 4).is_elementary_abelian()
-    assert not G(["(1 2 3)", "(2 3 4)"], 4).is_elementary_abelian()
-    assert G(["(1 2 3)", "(4 5 6)", "(1 2 3)(4 6 5)"], 6).is_elementary_abelian()
-
-
-def test_elementary_abelian_needs_no_chain(monkeypatch):
-    group = G(["(1 2)", "(3 4)", "(5 6)"], 6)
-
-    def refuse(*args):
-        raise AssertionError("a stabilizer chain was built")
-
-    monkeypatch.setattr(cppo.bsgs.StabilizerChain, "from_raw_generators", refuse)
-    monkeypatch.setattr(cppo.bsgs.StabilizerChain, "extend", refuse)
-    assert group.is_elementary_abelian()
 
 
 def test_exponent_and_rep_orders():

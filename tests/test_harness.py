@@ -1,13 +1,16 @@
 """Classification reports, suite runners, and the structured results format."""
 
+import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from cppo import harness, permutation
+from cppo import harness, permutation, structure
 from cppo.arith import is_prime_power
-from cppo.atlas import build
+from cppo.atlas import build, load_group_spec
+from cppo.corpus import INSOLUBLE_AND_LARGE
 from cppo.errors import SchemaError
 from cppo.group import FiniteGroup, QuotientGroup
 from cppo.harness import (
@@ -25,7 +28,9 @@ from cppo.harness import (
     skipped_fields,
     theorem_suite_to_text,
 )
-from cppo.structure import identify_simple_eppo, upper_fitting_series
+from cppo.structure import SeriesChain, identify_simple_eppo, upper_fitting_series
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 TINY_DOCS = [
     {"atlas": "q8"},
@@ -72,7 +77,13 @@ def test_classify_forms_only_the_quotients_of_the_series(monkeypatch, atlas_id, 
     assert kernels == kernel_orders
 
 
-def test_classify_identifies_the_top_quotient_of_the_series(monkeypatch):
+@pytest.mark.parametrize(
+    "atlas_id, radical_order",
+    [("sl2_5", 2), ("direct_product(sym(4),alt(5))", 12)],
+)
+def test_classify_identifies_the_top_quotient_of_the_series(monkeypatch, atlas_id, radical_order):
+    # G'/R(G') is (G/R(G))', the derived subgroup of the last quotient of G's
+    # own series; for the perfect SL(2,5) that is the quotient itself
     received = []
 
     def recording(group):
@@ -80,12 +91,65 @@ def test_classify_identifies_the_top_quotient_of_the_series(monkeypatch):
         return identify_simple_eppo(group)
 
     monkeypatch.setattr(harness, "identify_simple_eppo", recording)
-    g = build("sl2_5").group
+    g = build(atlas_id).group
     r = classify(g)
-    series = upper_fitting_series(g.derived_subgroup())
+    series = upper_fitting_series(g)
     assert len(received) == 1
-    assert received[0] is series.quotients[len(series.terms) - 1]
-    assert r.simple_quotient == "PSL2_4" and r.derived_radical_order == 2
+    assert received[0] is series.quotients[len(series.terms) - 1].derived_subgroup()
+    assert r.simple_quotient == "PSL2_4" and r.derived_radical_order == radical_order
+
+
+@pytest.mark.parametrize(
+    "atlas_id, fields",
+    [
+        ("direct_product(sym(4),alt(5))", (12, False, 12, "PSL2_4")),
+        ("direct_product(sl2_3,sym(5))", (8, True, 8, "PSL2_4")),
+        ("direct_product(q8,pgl2_9)", (2, True, 1, "PSL2_9")),
+    ],
+)
+def test_classify_reads_the_derived_radical_off_the_radical_of_g(atlas_id, fields):
+    # insoluble, not perfect and R(G) != 1, which no corpus group is:
+    # R(G') = G' n R(G), so |R(G')| = |G'| / |(G/R(G))'|
+    r = classify(build(atlas_id).group)
+    assert not r.is_perfect and r.radical_order > 1
+    assert (
+        r.derived_radical_order,
+        r.derived_radical_is_2_group,
+        r.derived_radical_closure_order,
+        r.simple_quotient,
+    ) == fields
+
+
+@pytest.mark.parametrize("atlas_id", ["pgl2_9", "direct_product(sym(4),alt(5))"])
+def test_classify_builds_one_upper_fitting_series(monkeypatch, atlas_id):
+    kinds = []
+    init = SeriesChain.__init__
+
+    def counting(self, kind, *args, **kwargs):
+        kinds.append(kind)
+        init(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(SeriesChain, "__init__", counting)
+    classify(build(atlas_id).group)
+    assert kinds.count("upper_fitting") == 1
+
+
+def test_classify_of_insoluble_corpus_groups_needs_no_normal_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the normal-subgroup lattice was computed")
+
+    monkeypatch.setattr(structure, "normal_subgroups", refuse)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["corpus_theorems"]
+    checked = 0
+    for doc in INSOLUBLE_AND_LARGE:
+        g = load_group_spec(dict(doc))
+        if g.order() > 30_000:
+            continue
+        text = reports_to_text([classify(g)])
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == golden[json.dumps(doc, sort_keys=True)], g.name
+        checked += 1
+    assert checked == 20
 
 
 def test_classify_s4():

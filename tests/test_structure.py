@@ -18,7 +18,7 @@ from cppo.corpus import corpus_groups, default_corpus
 from cppo.errors import InsolubleError, NotNilpotentError, NotPGroupError, NotSimpleError
 from cppo.group import quotient_by_normal
 from cppo.harness import classify
-from cppo.permutation import Permutation, identity_raw, raw_from_images
+from cppo.permutation import Permutation, identity_raw, order_raw, raw_from_images
 from cppo.structure import (
     derived_series,
     fitting_height,
@@ -325,7 +325,8 @@ def chain_normal_subgroups(G):
     return [sub for _, sub in ordered]
 
 
-SMALL_CORPUS = [(name, g) for name, g in corpus_groups(default_corpus()) if g.order() <= 1000]
+CORPUS = corpus_groups(default_corpus())
+SMALL_CORPUS = [(name, g) for name, g in CORPUS if g.order() <= 1000]
 LATTICE_GROUPS = [
     (name, g)
     for name, g in SMALL_CORPUS
@@ -545,7 +546,7 @@ def test_p_core_of_a_2_group_is_the_group(atlas_id):
     assert p_core(g, 2).order() == g.order()
 
 
-def test_p_cores_and_simplicity_of_sz8_build_at_most_one_chain(monkeypatch):
+def test_p_cores_and_simplicity_of_sz8_build_no_chain(monkeypatch):
     g = build("sz8").group
     g._raw_classes()  # the group's own chain and classes come first
     built = []
@@ -559,8 +560,8 @@ def test_p_cores_and_simplicity_of_sz8_build_at_most_one_chain(monkeypatch):
     for p, _ in factorization(g.order()):
         assert p_core(g, p).is_trivial()
     assert is_simple(g)
-    # the one chain is the first atom's, whose signature is all of sz8
-    assert len(built) <= 1
+    # simplicity is read off class closures, which build no chain
+    assert built == []
 
 
 def test_p_core_of_a_prime_not_dividing_the_order_is_trivial():
@@ -685,12 +686,100 @@ def test_identify_simple_eppo_tags():
 
 def test_identify_simple_eppo_gives_no_verdict_from_the_order_alone(monkeypatch):
     # a group claiming the order of Sz(32) still takes the simplicity test;
-    # its lattice is computed first, since the claimed order is past the cap
+    # its classes are computed first, since the claimed order is past the cap
     g = s4()
-    normal_subgroups(g)
+    g._raw_classes()
     monkeypatch.setattr(g, "order", lambda: 32537600)
     with pytest.raises(NotSimpleError):
         identify_simple_eppo(g)
+
+
+def lattice_is_simple(G):
+    """is_simple as it was decided on the normal-subgroup lattice."""
+    return G.order() > 1 and not G.is_abelian() and len(normal_subgroups(G)) == 2
+
+
+def quotient_is_quasisimple(G):
+    """is_quasisimple as it was decided on the central quotient."""
+    if not is_perfect(G) or G.center().order() == G.order():
+        return False
+    return lattice_is_simple(quotient_by_normal(G, G.center()))
+
+
+def assert_simplicity_matches_the_lattice(G):
+    assert is_simple(G) == lattice_is_simple(G)
+    assert is_quasisimple(G) == quotient_is_quasisimple(G)
+
+
+@pytest.mark.parametrize("name, group", CORPUS, ids=[n for n, _ in CORPUS])
+def test_simplicity_of_corpus_groups_matches_the_lattice(name, group):
+    # the lattice reference refuses groups with more classes than the cap
+    assert len(group._raw_classes()) <= structure.DEFAULT_CLASS_CAP
+    assert_simplicity_matches_the_lattice(group)
+
+
+def test_simplicity_matches_the_lattice_on_quasisimple_and_simple_groups():
+    # the corpus holds both kinds, so neither oracle compares only False
+    verdicts = {(is_simple(g), is_quasisimple(g)) for _, g in CORPUS}
+    assert {(True, True), (False, True), (False, False)} <= verdicts
+
+
+@settings(max_examples=30, deadline=None)
+@given(subgroups_of_s6())
+def test_simplicity_of_drawn_s6_subgroups_matches_the_lattice(group):
+    assert_simplicity_matches_the_lattice(group)
+
+
+def quotient_is_extraspecial(P):
+    """is_extraspecial as it was decided on P/Z(P): centre of order p, the
+    quotient nontrivial, abelian and generated by elements of order p, and
+    the Frattini subgroup equal to the centre."""
+    fact = factorization(P.order())
+    if len(fact) != 1 or P.order() == 1:
+        return False
+    p = fact[0][0]
+    centre = P.center()
+    if centre.order() != p:
+        return False
+    q = quotient_by_normal(P, centre)
+    if q.order() == 1 or not q.is_abelian():
+        return False
+    if any(order_raw(x) != p for x in q._raw_gens):
+        return False
+    return frattini_of_p_group(P).same_group_as(centre)
+
+
+@pytest.mark.parametrize(
+    "atlas_id, want",
+    [
+        ("extraspecial(2,+)", True),
+        ("extraspecial(2,-)", True),
+        ("extraspecial(3,+)", True),
+        ("extraspecial(3,-)", True),
+        ("extraspecial(5,+)", True),
+        ("extraspecial(5,-)", True),
+        ("q8", True),
+        ("dihedral(4)", True),
+        ("direct_product(q8,dihedral(4))", False),
+        ("cyclic(8)", False),
+        ("cyclic(2)", False),
+        ("elem_abelian(2,3)", False),
+    ],
+)
+def test_extraspecial_matches_the_central_quotient_check(atlas_id, want):
+    g = build(atlas_id).group
+    assert is_extraspecial(g) == quotient_is_extraspecial(g) == want
+
+
+def test_quasisimple_and_extraspecial_form_no_quotient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a quotient was formed")
+
+    monkeypatch.setattr(structure, "quotient_by_normal", refuse)
+    for atlas_id in ("sl2_5", "sl2_9", "alt(5)"):
+        assert is_quasisimple(build(atlas_id).group), atlas_id
+    for atlas_id in ("q8", "extraspecial(3,+)"):
+        assert is_extraspecial(build(atlas_id).group), atlas_id
 
 
 def test_minimal_normals_and_socle():
