@@ -5,8 +5,10 @@ list, conjugacy classes).  Orders and membership go through the chain and
 never enumerate; anything that does enumerate honours the group's cap and
 raises EnumerationCapError beyond it.  The elements themselves come from the
 chain, as products of one stored coset representative per level, so each is
-formed exactly once; conjugacy classes conjugate each search frontier by each
-generator in one batch kernel call.  Commutators are read off the class
+formed exactly once.  Conjugacy classes form no conjugate: an element is
+fixed by its images of the chain's base, so each generator acts on element
+indices through a table read off those images, and the classes are the
+orbits of the index tables.  Commutators are read off the class
 table: one scan names, for each class representative r and each s in its
 class, the class of the commutator r^-1 s.  The CPPO verdict reads orders off
 the classes it names, and the commutator set is the union of the classes the
@@ -32,6 +34,7 @@ from .permutation import (
     Permutation,
     comm_raw,
     conj_raw,
+    conjugation_tables,
     conjugator,
     identity_raw,
     inv_raw,
@@ -118,7 +121,6 @@ class FiniteGroup:
         self._raw_gens: list = raw
         self._chain = None
         self._elements = None
-        self._elem_dict = None
         self._classes = None
         self._cache: dict = {}
 
@@ -182,14 +184,13 @@ class FiniteGroup:
             # before any element is formed
             if self.order() > self.cap:
                 raise EnumerationCapError(self.cap, self.cap)
-            elems = {x: x for x in self.chain().elements()}
+            elems = set(self.chain().elements())
             if len(elems) != self.order():
                 raise RuntimeError(
                     "enumeration found %d distinct elements but the chain says %d"
                     % (len(elems), self.order())
                 )
             self._elements = sorted(elems)
-            self._elem_dict = elems
         return self._elements
 
     def elements(self) -> list[Permutation]:
@@ -200,26 +201,23 @@ class FiniteGroup:
     def _raw_classes(self) -> list[_RawClass]:
         if self._classes is None:
             elems = self._raw_elements()
-            master = self._elem_dict
-            conjugators = [conjugator(g) for g in self._raw_gens]
-            seen = set()
+            # moves[i][j] is the index of elems[j]'s conjugate by the i-th generator
+            moves = conjugation_tables(elems, self.chain().base, self._raw_gens)
+            seen = bytearray(len(elems))
             out = []
-            for x in elems:
-                if x in seen:
+            for i, x in enumerate(elems):
+                if seen[i]:
                     continue
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    new_frontier = []
-                    for conj in conjugators:
-                        for z in conj(frontier):
-                            if z not in orbit:
-                                z = master[z]  # keep one copy of each element
-                                orbit.add(z)
-                                new_frontier.append(z)
-                    frontier = new_frontier
-                out.append(_RawClass(x, sorted(orbit)))
-                seen |= orbit
+                seen[i] = 1
+                orbit = [i]
+                for j in orbit:
+                    for move in moves:
+                        k = move[j]
+                        if not seen[k]:
+                            seen[k] = 1
+                            orbit.append(k)
+                orbit.sort()
+                out.append(_RawClass(x, [elems[j] for j in orbit]))
             out.sort(key=lambda c: (len(c.members), c.rep))
             self._classes = out
         return self._classes
@@ -465,7 +463,6 @@ class QuotientGroup(FiniteGroup):
         if self._identity_mode:
             elems = self.source._raw_elements()
             self._elements = elems
-            self._elem_dict = self.source._elem_dict
             return elems
         return super()._raw_elements()
 

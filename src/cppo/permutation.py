@@ -13,7 +13,11 @@ alike.
 Loops that multiply or conjugate a whole list by one permutation g call the
 batch forms, mul_all and conjugator: they form g's tables (the padded
 translate table, or g^-1's itemgetter above degree 256) once per list
-rather than once per product.
+rather than once per product.  A loop that only needs to know which member
+of a group's element list each conjugate x^g is calls conjugation_tables:
+it reads the conjugates' images of a base off one column of the list per
+base point, g applied to the column in one translate, so no conjugate is
+formed.
 
 Composition is left to right: (p * q) moves a point first through p, then
 through q, matching the conjugation convention x^y = y^-1 x y and
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from array import array
 
 from .errors import CycleParseError, DegreeMismatchError
 
@@ -37,6 +42,9 @@ BYTES_MAX_DEGREE = 256
 # 256 entries bytes.translate and bytes.maketrans need.
 _HEAD = [bytes(range(d)) for d in range(BYTES_MAX_DEGREE + 1)]
 _TAIL = [bytes(range(d, BYTES_MAX_DEGREE)) for d in range(BYTES_MAX_DEGREE + 1)]
+
+# array typecodes by item size in bytes
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def raw_from_images(images):
@@ -106,6 +114,46 @@ def conjugator(g):
     # g^-1 x g, as two itemgetter products: pull(x) is g^-1 * x
     pull = operator.itemgetter(*inv_raw(g))
     return lambda xs: [operator.itemgetter(*pull(x))(g) for x in xs]
+
+
+def conjugation_tables(xs, base, gens):
+    """For each g in gens, the list t with xs[t[j]] == xs[j]^g.
+
+    xs must be closed under conjugation by each g, and its members must
+    differ somewhere on the points in base, as a group's elements do on a
+    base of its stabilizer chain.  No conjugate is formed: (x^g)[b] =
+    g[x[g^-1[b]]], so the base images of every x^g are g's images of one
+    column of xs per base point, one translate (one map above degree 256)
+    each.  Up to 8 bytes of base images pack into one int key, read off an
+    interleaved buffer in one pass (wider keys are tuples), and one dict
+    lookup per member turns a key into an index.
+    """
+    n = len(xs[0])
+    size = 1 if n <= BYTES_MAX_DEGREE else 2 if n <= 1 << 16 else 4
+    flat = b"".join(xs) if size == 1 else None  # column p is flat[p::n]
+
+    def keys(g):
+        ginv = inv_raw(g)
+        if size == 1:
+            table = g + _TAIL[n]
+            columns = [flat[ginv[b] :: n].translate(table) for b in base]
+        else:
+            columns = [
+                array(_CODES[size], map(g.__getitem__, map(operator.itemgetter(ginv[b]), xs)))
+                for b in base
+            ]
+        width = size * len(columns)
+        if width > 8:
+            return zip(*columns)
+        width = next(w for w in (1, 2, 4, 8) if w >= width)
+        buf = bytearray(width * len(xs))
+        view = memoryview(buf).cast(_CODES[size])
+        for j, column in enumerate(columns):
+            view[j :: width // size] = column
+        return memoryview(buf).cast(_CODES[width])
+
+    index = dict(zip(keys(identity_raw(n)), range(len(xs)))).__getitem__
+    return [list(map(index, keys(g))) for g in gens]
 
 
 def comm_raw(x, y):

@@ -110,6 +110,76 @@ def test_classes_match_oracle(make):
         assert c.representative == min(c.members())
 
 
+def bfs_classes(group):
+    """The classes as (rep, sorted members) in class order, by the breadth-first
+    search the package used before it read conjugates off base images: each
+    search frontier is conjugated by each generator, and the classes are the
+    orbits of the conjugates."""
+    elems = group._raw_elements()
+    conjugators = [conjugator(g) for g in group._raw_gens]
+    seen = set()
+    out = []
+    for x in elems:
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            new_frontier = []
+            for conj in conjugators:
+                for z in conj(frontier):
+                    if z not in orbit:
+                        orbit.add(z)
+                        new_frontier.append(z)
+            frontier = new_frontier
+        out.append((x, sorted(orbit)))
+        seen |= orbit
+    out.sort(key=lambda c: (len(c[1]), c[0]))
+    return out
+
+
+def _drawn_subgroups_of_s6(count):
+    rng = random.Random(17)
+    for _ in range(count):
+        tables = [rng.sample(range(6), 6) for _ in range(rng.randint(1, 3))]
+        yield FiniteGroup([Permutation._from_raw(raw_from_images(t)) for t in tables], degree=6)
+
+
+def _sl29_mod_centre():
+    group = build("sl2_9").group
+    return quotient_by_normal(group, group.center())
+
+
+# one base point at degree 720 (tuple tables), two at degree 722, four and
+# nine (wider than one int key) at small degree, an empty base, a coset-action
+# quotient, and base lengths 1 to 5 of subgroups of S6
+CLASS_GUARD_GROUPS = {
+    "sl2_9": lambda: [build("sl2_9").group],
+    "sl2_9xC2": lambda: [build("direct_product(sl2_9,cyclic(2))").group],
+    "psl3_4": lambda: [build("psl3_4").group],
+    "elem_abelian(2,9)": lambda: [build("elem_abelian(2,9)").group],
+    "derived(cyclic(12))": lambda: [build("cyclic(12)").group.derived_subgroup()],
+    "sl2_9/Z": lambda: [_sl29_mod_centre()],
+    "s6_draws": lambda: list(_drawn_subgroups_of_s6(30)),
+    # points past 2^16 need 4-byte base images
+    "transposition_d65540": lambda: [G(["(65537 65539)"], 65540)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_GUARD_GROUPS))
+def test_classes_form_no_conjugate_and_match_the_frontier_search(name, monkeypatch):
+    groups = CLASS_GUARD_GROUPS[name]()
+    expected = [bfs_classes(group) for group in groups]
+
+    def refuse(*args):
+        raise AssertionError("the class computation formed a conjugate")
+
+    monkeypatch.setattr(cppo.group, "conjugator", refuse)
+    monkeypatch.setattr(cppo.group, "conj_raw", refuse)
+    for group, want in zip(groups, expected):
+        assert [(c.rep, c.members) for c in group._raw_classes()] == want
+
+
 @pytest.mark.parametrize("make", [s4, a5, d10, q8, sl23])
 def test_commutator_set_matches_double_loop(make):
     group = make()
@@ -413,7 +483,7 @@ def test_a_repeated_element_fails_the_enumeration_check(monkeypatch):
     with pytest.raises(RuntimeError, match="59 distinct elements but the chain says 60"):
         group._raw_elements()
     # nothing half-built is left behind
-    assert group._elements is None and group._elem_dict is None
+    assert group._elements is None
 
 
 def test_quotient_of_sl23_by_center():

@@ -281,9 +281,11 @@ def _names_read_outside(owner, names):
 
 
 def test_only_the_kernel_reads_raw_tables():
-    """translate, maketrans and itemgetter act on the raw format, which only
-    permutation.py knows; the other modules call its kernel functions."""
-    found = list(_names_read_outside("permutation.py", {"translate", "maketrans", "itemgetter"}))
+    """translate, maketrans and itemgetter act on the raw format, and
+    BYTES_MAX_DEGREE picks it; only permutation.py knows that format, and the
+    other modules call its kernel functions, conjugation_tables included."""
+    raw_names = {"translate", "maketrans", "itemgetter", "BYTES_MAX_DEGREE"}
+    found = list(_names_read_outside("permutation.py", raw_names))
     assert found == [], "raw-table operations outside the kernel: %s" % ", ".join(found)
 
 
