@@ -18,6 +18,17 @@ a nontrivial residue is filed as a new generator.  The deepest queue is
 served first; the chain is complete when all are empty.  Everything iterates
 in a fixed order, so chains (and anything derived from them) are
 reproducible run to run.
+
+A chain may be given a proven upper bound on the order of the group it
+builds, such as |G| for a subgroup of G or |G|_p for a p-subgroup.  The
+product of the orbit sizes never exceeds the order of the group generated,
+and it equals that order only when each orbit is the whole orbit of the
+base point's stabilizer and no nontrivial element fixes every base point.
+So once the product reaches the bound the chain is complete: every pair
+still queued would give a Schreier generator that sifts to the identity,
+and the build drops the queues instead of checking them (the known-order
+stop, Seress 4.3).  Those checks would file no generator, so the base,
+orbits and strong generators are the ones a full run leaves.
 """
 
 from __future__ import annotations
@@ -28,8 +39,9 @@ from .permutation import identity_raw, inv_raw, mul_all, mul_raw
 
 
 class StabilizerChain:
-    def __init__(self, degree: int):
+    def __init__(self, degree: int, bound: int | None = None):
         self.degree = degree
+        self._bound = bound  # a proven upper bound on the order, or None
         self.base: list[int] = []
         self._gens: list[list] = []  # per level, (s, s^-1) for each generator fixing base[:i]
         self._inverses: list[dict] = []  # per level, orbit point q -> u_q^-1
@@ -141,8 +153,9 @@ class StabilizerChain:
         return j
 
     def _schreier_sims(self):
-        """Verify queued pairs, deepest level first, until no queue is left."""
-        lvl = len(self.base) - 1
+        """Verify queued pairs, deepest level first, until no queue is left
+        or the order reaches the bound, which drops the pairs still queued."""
+        lvl = len(self.base) - 1 if self.order() != self._bound else -1
         while lvl >= 0:
             queue = self._queues[lvl]
             if not queue:
@@ -156,3 +169,7 @@ class StabilizerChain:
                 r = self.sift(inv_raw(h_inv), lvl)
                 if r != self._identity:
                     lvl = self._insert(r)
+                    if self.order() == self._bound:
+                        lvl = -1
+        for queue in self._queues:
+            queue.clear()

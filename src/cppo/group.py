@@ -52,10 +52,10 @@ class _RawClass:
 
     __slots__ = ("rep", "members", "order")
 
-    def __init__(self, rep, members):
+    def __init__(self, rep, members, base):
         self.rep = rep
         self.members = members
-        self.order = order_raw(rep)
+        self.order = order_raw(rep, base)
 
 
 class ConjugacyClass:
@@ -202,7 +202,8 @@ class FiniteGroup:
         if self._classes is None:
             elems = self._raw_elements()
             # moves[i][j] is the index of elems[j]'s conjugate by the i-th generator
-            moves = conjugation_tables(elems, self.chain().base, self._raw_gens)
+            base = self.chain().base
+            moves = conjugation_tables(elems, base, self._raw_gens)
             seen = bytearray(len(elems))
             out = []
             for i, x in enumerate(elems):
@@ -217,7 +218,7 @@ class FiniteGroup:
                             seen[k] = 1
                             orbit.append(k)
                 orbit.sort()
-                out.append(_RawClass(x, [elems[j] for j in orbit]))
+                out.append(_RawClass(x, [elems[j] for j in orbit], base))
             out.sort(key=lambda c: (len(c.members), c.rep))
             self._classes = out
         return self._classes
@@ -372,8 +373,10 @@ class FiniteGroup:
 
         One chain grows element by element; the seeds and conjugates that
         were new when met become the generators, in breadth-first order.
+        The chain is bounded by |G|, which is sound because the closing
+        containment check refuses any seed or conjugate outside G.
         """
-        chain = StabilizerChain(self.degree)
+        chain = StabilizerChain(self.degree, self.order())
         gens = [s for s in raw_seeds if chain.extend(s)]
         for x in gens:
             for c in raw_conjugators:

@@ -142,7 +142,7 @@ def conjugation_tables(xs, base, gens):
                 array(_CODES[size], map(g.__getitem__, map(operator.itemgetter(ginv[b]), xs)))
                 for b in base
             ]
-        width = size * len(columns)
+        width = size * max(len(columns), 1)  # with no base (a trivial group) every key is 0
         if width > 8:
             return zip(*columns)
         width = next(w for w in (1, 2, 4, 8) if w >= width)
@@ -161,8 +161,15 @@ def comm_raw(x, y):
     return mul_raw(inv_raw(x), conj_raw(x, y))
 
 
-def order_raw(a) -> int:
-    """Order as the lcm of cycle lengths."""
+def order_raw(a, base=None) -> int:
+    """Order as the lcm of cycle lengths.
+
+    With a base of a group that a belongs to, only the cycles through base
+    points are walked above degree 256: a power of a that fixes every base
+    point is the identity, so they alone give the order.  For a permutation
+    outside every group with that base the answer can be too small.  Up to
+    degree 256 the base is not needed and is ignored.
+    """
     n = len(a)
     if n <= BYTES_MAX_DEGREE:
         # A power costs one translate, about what the cycle walk below pays
@@ -175,7 +182,7 @@ def order_raw(a) -> int:
             power = power.translate(table)
     seen = bytearray(n)
     order = 1
-    for i in range(n):
+    for i in range(n) if base is None else base:
         if seen[i]:
             continue
         length = 0

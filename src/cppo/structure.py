@@ -39,7 +39,8 @@ def _element_orders(G: FiniteGroup):
     """Orders of G's elements, parallel to _raw_elements, cached on the group."""
     key = "element_orders"
     if key not in G._cache:
-        G._cache[key] = [order_raw(x) for x in G._raw_elements()]
+        base = G.chain().base
+        G._cache[key] = [order_raw(x, base) for x in G._raw_elements()]
     return G._cache[key]
 
 
@@ -111,7 +112,8 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     While the current p-subgroup P is short of full p-part, some p-element
     outside P normalizes it (P is proper in a Sylow group S, and the
     normalizer of P in S is strictly bigger than P), so scanning p-elements
-    for a normalizing one and extending always makes progress.
+    for a normalizing one and extending always makes progress.  P<y> is a
+    p-group, so |G|_p bounds the chain and its last build stops there.
     """
     if not is_prime(p):
         raise ValueError("%d is not a prime" % p)
@@ -123,7 +125,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     p_powers = {o for o in set(orders) if o > 1 and p_part(o, p) == o}
     p_elems = [x for x, o in zip(elems, orders) if o in p_powers]
     gens = [p_elems[0]]
-    chain = StabilizerChain(G.degree)
+    chain = StabilizerChain(G.degree, target)
     chain.extend(p_elems[0])
     while chain.order() < target:
         for y in p_elems:

@@ -2,12 +2,16 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cppo.bsgs
 from cppo import atlas
+from cppo.arith import factorization
 from cppo.bsgs import StabilizerChain
 from cppo.corpus import corpus_groups
+from cppo.errors import NotInGroupError
 from cppo.group import FiniteGroup, quotient_by_normal
 from cppo.permutation import (
     Permutation,
@@ -16,9 +20,12 @@ from cppo.permutation import (
     identity_raw,
     inv_raw,
     mul_raw,
+    order_raw,
+    parse_permutation,
     raw_from_images,
 )
 from cppo.structure import sylow_subgroup
+from cppo.towers import _commutator_span
 
 
 def enumerate_raw(degree, gens):
@@ -292,3 +299,140 @@ def test_chain_elements_match_enumeration_on_subgroups_of_s6(tables):
     elems = chain.elements()
     assert len(elems) == chain.order()
     assert set(elems) == enumerate_raw(6, gens)
+
+
+# -- the order bound ----------------------------------------------------------
+
+
+def unbounded_closure(degree, raw_seeds, raw_conjugators):
+    """The closure loop of FiniteGroup._closure_raw on a chain with no order
+    bound: the generators it keeps, and the chain."""
+    chain = StabilizerChain(degree)
+    gens = [s for s in raw_seeds if chain.extend(s)]
+    for x in gens:
+        for c in raw_conjugators:
+            y = conj_raw(x, c)
+            if chain.extend(y):
+                gens.append(y)
+    return gens, chain
+
+
+def chain_state(chain):
+    """Base, each level's orbit points with their stored inverses in filing
+    order, and each level's strong generators; every queue must be empty."""
+    assert not any(chain._queues)
+    return (
+        list(chain.base),
+        [list(inverses.items()) for inverses in chain._inverses],
+        [[s for s, _ in gens] for gens in chain._gens],
+    )
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """Records each _closure_raw call as (group, seeds, conjugators, result)."""
+    calls = []
+    bounded = FiniteGroup._closure_raw
+
+    def recording(self, raw_seeds, raw_conjugators):
+        seeds, conjugators = list(raw_seeds), list(raw_conjugators)
+        sub = bounded(self, seeds, conjugators)
+        calls.append((self, seeds, conjugators, sub))
+        return sub
+
+    monkeypatch.setattr(FiniteGroup, "_closure_raw", recording)
+    return calls
+
+
+def assert_closures_match_unbounded(calls):
+    """Each bounded closure keeps the generators and chain of an unbounded one;
+    returns how many of them reached the bound."""
+    full = 0
+    for group, seeds, conjugators, sub in calls:
+        gens, chain = unbounded_closure(group.degree, seeds, conjugators)
+        assert sub._raw_gens == gens
+        assert chain_state(sub.chain()) == chain_state(chain)
+        full += sub.order() == group.order()
+    return full
+
+
+def assert_sylows_match_unbounded_replay(group):
+    """Each Sylow subgroup's chain equals one that extends by its generators,
+    in order, with no bound."""
+    for p, k in factorization(group.order()):
+        sub = sylow_subgroup(group, p)
+        assert sub.order() == p**k
+        chain = StabilizerChain(group.degree)
+        assert all(chain.extend(y) for y in sub._raw_gens)
+        assert chain_state(sub.chain()) == chain_state(chain)
+
+
+def close_derived_and_class_reps(group):
+    group.derived_subgroup()
+    for c in group._raw_classes():
+        if c.order > 1:
+            group._normal_closure_raw([c.rep])
+
+
+def test_bounded_closures_in_sl2_9_match_unbounded(closures):
+    group = atlas.build("sl2_9").group
+    group.derived_subgroup()
+    rng = random.Random(18)
+    for x in rng.sample(group._raw_elements(), 3):
+        _commutator_span(group, [x], group)
+    assert len(closures) == 4
+    assert assert_closures_match_unbounded(closures) >= 1
+    assert_sylows_match_unbounded_replay(group)
+
+
+MIDSIZE_CORPUS = [(n, g) for n, g in corpus_groups() if g.order() <= 30_000]
+
+
+@pytest.mark.parametrize("name, group", MIDSIZE_CORPUS, ids=[n for n, _ in MIDSIZE_CORPUS])
+def test_bounded_closures_and_sylows_of_corpus_groups_match_unbounded(closures, name, group):
+    close_derived_and_class_reps(group)
+    assert_closures_match_unbounded(closures)
+    assert_sylows_match_unbounded_replay(group)
+
+
+def test_bounded_closures_and_sylows_of_drawn_s6_subgroups_match_unbounded(closures):
+    rng = random.Random(618)
+    full = 0
+    for _ in range(30):
+        tables = [_random_images(rng, 6) for _ in range(rng.randint(1, 3))]
+        group = FiniteGroup([Permutation.from_zero_based(t) for t in tables], degree=6)
+        close_derived_and_class_reps(group)
+        full += assert_closures_match_unbounded(closures)
+        assert_sylows_match_unbounded_replay(group)
+        closures.clear()
+    # some closures stop at the bound and some stay below it
+    assert full > 0
+
+
+def test_derived_subgroup_of_sl2_9_stops_at_its_order(monkeypatch):
+    group = atlas.build("sl2_9").group
+    group.chain()
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return mul_raw(a, b)
+
+    monkeypatch.setattr(cppo.bsgs, "mul_raw", counting)
+    assert group.derived_subgroup() is group
+    # the unbounded closure made 2,171 products here
+    assert len(calls) <= 1000
+
+
+def test_order_from_base_cycles_reads_only_the_cycles_through_the_base():
+    x = parse_permutation("(1 2)(5 6 7)", 720).raw
+    assert order_raw(x) == 6
+    # x is no member of a group with base [0], so the answer is too small
+    assert order_raw(x, [0]) == 2
+
+
+def test_closure_outside_the_group_still_raises_once_the_order_is_reached():
+    group = FiniteGroup([parse_permutation("(1 2)(3 4)", 4)])
+    g = group._raw_gens[0]
+    with pytest.raises(NotInGroupError):
+        group._closure_raw([g], [parse_permutation("(1 3)", 4).raw])

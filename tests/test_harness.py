@@ -46,9 +46,9 @@ def test_classify_computes_element_orders_per_class(monkeypatch):
     calls = []
     real = permutation.order_raw
 
-    def counting(x):
+    def counting(x, base=None):
         calls.append(x)
-        return real(x)
+        return real(x, base)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("cppo") and getattr(module, "order_raw", None) is real:
@@ -58,6 +58,12 @@ def test_classify_computes_element_orders_per_class(monkeypatch):
     assert r.theorem2 == "pass"
     assert len(g._raw_classes()) == 11
     assert 0 < len(calls) <= 3 * 11
+
+
+def test_classify_the_trivial_group_past_the_bytes_kernel():
+    # degree 300 holds tuples, and the trivial group's chain has no base point
+    r = classify(FiniteGroup([], degree=300))
+    assert (r.order, r.is_cppo, r.theorem1) == (1, True, "pass")
 
 
 @pytest.mark.parametrize("atlas_id, kernel_orders", [("sl2_5", [2]), ("sym(5)", [])])

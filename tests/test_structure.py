@@ -6,6 +6,8 @@ nilpotency, solubility, Fitting subgroup and radical from it with no help
 from the code under test.  Each group's lattice is computed once per run.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +20,9 @@ from cppo.corpus import corpus_groups, default_corpus
 from cppo.errors import InsolubleError, NotNilpotentError, NotPGroupError, NotSimpleError
 from cppo.group import quotient_by_normal
 from cppo.harness import classify
-from cppo.permutation import Permutation, identity_raw, order_raw, raw_from_images
+from cppo.permutation import Permutation, block_raw, identity_raw, order_raw, raw_from_images
 from cppo.structure import (
+    _element_orders,
     derived_series,
     fitting_height,
     fitting_subgroup,
@@ -454,6 +457,33 @@ def test_p_core_examples():
     assert p_core(s4(), 3).order() == 1
     assert p_core(a4(), 2).order() == 4
     assert p_core(d12(), 3).order() == 3
+
+
+def _lifted_s6_subgroups(count, degree=300, offset=147):
+    rng = random.Random(300)
+    for _ in range(count):
+        tables = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(6))
+            rng.shuffle(images)
+            tables.append(block_raw(images, offset, degree))
+        yield FiniteGroup([Permutation._from_raw(t) for t in tables], degree=degree)
+
+
+def test_orders_from_base_cycles_match_whole_cycle_walks():
+    groups = [
+        build("sl2_9").group,
+        build("direct_product(sl2_9,cyclic(2))").group,  # degree 722, two base points
+        *_lifted_s6_subgroups(12),  # degree 300, past the bytes kernel
+        FiniteGroup([], degree=300),  # the empty base
+    ]
+    assert len(groups[1].chain().base) == 2 and groups[-1].chain().base == []
+    for group in groups:
+        elems = group._raw_elements()
+        assert _element_orders(group) == [order_raw(x) for x in elems]
+        assert [c.order for c in group._raw_classes()] == [
+            order_raw(c.rep) for c in group._raw_classes()
+        ]
 
 
 def sylow_core(group, p):
