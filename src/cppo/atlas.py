@@ -7,6 +7,15 @@ handful of direct and central products.  Each build states its expected
 order up front and fails loudly if the computed order disagrees, so a broken
 construction can never masquerade as data.
 
+A regular representation acts on the elements E of a matrix group, found by
+a closure in which each generator maps row vectors through one table.  Its
+product tables are certified regular at the permutation level: they are
+transitive, and for each image a of one point under a generator, some map
+commuting with every table sends the point to a.  That proves the order is
+|E| without trusting the matrix arithmetic, so the stabilizer chain is
+bounded by |E| and keeps only its transversal.  Without the certificate the
+chain is built in full; the expected order is checked either way.
+
 Conventions.  Projective points are row vectors normalized so the leftmost
 nonzero coordinate is 1, sorted lexicographically.  Matrices act on the
 right (v -> vM), which makes M -> permutation a homomorphism under our
@@ -17,10 +26,12 @@ coordinate vector.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from .arith import is_prime
+from .bsgs import StabilizerChain
 from .errors import AtlasError, SchemaError
 from .fields import GF, Matrix, gf
 from .group import FiniteGroup, quotient_by_normal
@@ -36,8 +47,13 @@ class BuiltGroup:
     extras: dict = field(default_factory=dict)
 
 
-def _finish(id_text, gens, degree, expected, notes=""):
+def _finish(id_text, gens, degree, expected, notes="", bound=None):
+    """Wrap the generators as a group and check its order against expected.
+    A proven bound on the order bounds the group's stabilizer chain; the
+    expected order is what the check verifies, so it is never used as one."""
     group = FiniteGroup(gens, degree=degree, name=id_text)
+    if bound is not None:
+        group._chain = StabilizerChain.from_raw_generators(degree, group._raw_gens, bound)
     got = group.order()
     if got != expected:
         raise AtlasError(
@@ -112,38 +128,89 @@ def _build_alt(n):
 def _matrix_group_elements(gens):
     """The rows of every element of <gens>, sorted, and for each element the
     rows of its right products x * g, one per generator, recorded during the
-    breadth-first search."""
-    ident = Matrix.identity(gens[0].field, gens[0].n)
+    breadth-first search.  Each generator acts on the q^n row vectors through
+    one table, so x * g is one lookup per row of x."""
+    F, n = gens[0].field, gens[0].n
+    vectors = list(itertools.product(F.elements, repeat=n))
+    row_maps = [{v: g.apply_row(v) for v in vectors} for g in gens]
+    ident = Matrix.identity(F, n).rows
     right = {}
-    seen = {ident.rows}
+    seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for x in frontier:
             prods = []
-            for g in gens:
-                y = x * g
-                if y.rows not in seen:
-                    seen.add(y.rows)
+            for row_map in row_maps:
+                y = tuple(map(row_map.__getitem__, x))
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
-                prods.append(y.rows)
-            right[x.rows] = prods
+                prods.append(y)
+            right[x] = prods
         frontier = nxt
     return sorted(seen), right
 
 
+def _is_regular(tables, root):
+    """Whether the bijections with these 0-based image tables generate a
+    regular group, decided on the tables alone.
+
+    The tables must move root to every point; the breadth-first search that
+    shows it records a Schreier tree.  For each image a of root under a
+    table t, the map lambda_a that sends root to a and commutes with the
+    tree's edges must commute with every table, and so with the group.  Then
+    whatever fixes root fixes lambda_a(root) = a too, so the stabilizer of
+    root is the stabilizer of a, its conjugate by t: every table normalizes
+    it.  A normal point stabilizer of a transitive group fixes every point,
+    so it is trivial, the group is regular, and its order is the number of
+    points.
+    """
+    n = len(tables[0])
+    parent = {root: None}  # point -> (previous point, table) along the tree
+    order = [root]
+    for p in order:
+        for t in tables:
+            if t[p] not in parent:
+                parent[t[p]] = (p, t)
+                order.append(t[p])
+    if len(order) != n:
+        return False
+    for a in {t[root] for t in tables}:
+        lam = [0] * n
+        lam[root] = a
+        for p in order[1:]:
+            q, t = parent[p]
+            lam[p] = t[lam[q]]
+        if any([lam[x] for x in t] != [t[x] for x in lam] for t in tables):
+            return False
+    return True
+
+
 def _regular_rep(id_text, mat_gens, expected, notes=""):
+    """The right regular representation of <mat_gens> on its sorted elements.
+
+    Each generator's product table must be a bijection.  When the tables
+    certify a regular group (_is_regular), its order is the number of
+    elements, so the chain is built with that bound and keeps only its
+    transversal; otherwise it is built in full.  Either way _finish checks
+    the order against expected.
+    """
     elems, right = _matrix_group_elements(mat_gens)
     if len(elems) != expected:
         raise AtlasError(
             "matrix model for %s has %d elements, expected %d" % (id_text, len(elems), expected)
         )
     index = {rows: i for i, rows in enumerate(elems)}
-    perms = [
-        Permutation.from_zero_based(index[right[x][j]] for x in elems)
-        for j in range(len(mat_gens))
-    ]
-    return _finish(id_text, perms, expected, expected, notes)
+    tables = [[index[right[x][j]] for x in elems] for j in range(len(mat_gens))]
+    if any(len(set(t)) != len(elems) for t in tables):
+        raise AtlasError(
+            "matrix model for %s has a product table that is not a bijection" % id_text
+        )
+    root = index[Matrix.identity(mat_gens[0].field, mat_gens[0].n).rows]
+    bound = len(elems) if _is_regular(tables, root) else None
+    perms = [Permutation.from_zero_based(t) for t in tables]
+    return _finish(id_text, perms, expected, expected, notes, bound)
 
 
 def _q8_matrix_gens():

@@ -49,8 +49,10 @@ class StabilizerChain:
         self._identity = identity_raw(degree)
 
     @classmethod
-    def from_raw_generators(cls, degree: int, raw_gens) -> "StabilizerChain":
-        chain = cls(degree)
+    def from_raw_generators(
+        cls, degree: int, raw_gens, bound: int | None = None
+    ) -> "StabilizerChain":
+        chain = cls(degree, bound)
         for g in raw_gens:
             if g != chain._identity:
                 chain._insert(g)

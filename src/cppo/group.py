@@ -12,9 +12,10 @@ orbits of the index tables.  Commutators are read off the class
 table: one scan names, for each class representative r and each s in its
 class, the class of the commutator r^-1 s.  The CPPO verdict reads orders off
 the classes it names, and the commutator set is the union of the classes the
-scan hits.  All derived data is produced in a deterministic order: element
-lists are sorted lexicographically by image table, classes by (size, least
-member).
+scan hits.  A quotient G/N acts on the right cosets of N, each named by the
+least row of its elements' images of G's base.  All derived data is
+produced in a deterministic order: element lists are sorted
+lexicographically by image table, classes by (size, least member).
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from .errors import (
 )
 from .permutation import (
     Permutation,
+    base_rows,
     comm_raw,
     conj_raw,
     conjugation_tables,
     conjugator,
     identity_raw,
     inv_raw,
+    map_rows,
     mul_all,
     mul_raw,
     order_raw,
@@ -530,22 +533,31 @@ def quotient_by_normal(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
 
     nraw = N._raw_elements()
     gens = G._raw_gens
+    # Elements of G differ on G's base, so the least row of base images over
+    # a coset names it: N r g is looked up by the least (g[r[n[b]]] for b in
+    # the base) over n in N, and products are formed only for a coset met
+    # for the first time, to find its canonical representative.
+    n_rows = base_rows(nraw, G.chain().base)
     start = nraw[0]  # canonical representative of the coset N itself
     reps = [start]
     index = {start: 0}
+    by_key = {min(n_rows): 0}
     images = [[] for _ in gens]
     pos = 0
     while pos < len(reps):
         r = reps[pos]
+        r_rows = map_rows(n_rows, r)
         for gi, g in enumerate(gens):
-            t = mul_raw(r, g)
-            c = min(mul_raw(n, t) for n in nraw)
-            j = index.get(c)
+            key = min(map_rows(r_rows, g))
+            j = by_key.get(key)
             if j is None:
                 if len(reps) >= G.cap:
                     raise EnumerationCapError(len(reps) + 1, G.cap)
+                t = mul_raw(r, g)
+                c = min(mul_raw(n, t) for n in nraw)
                 j = len(reps)
                 index[c] = j
+                by_key[key] = j
                 reps.append(c)
             images[gi].append(j)
         pos += 1

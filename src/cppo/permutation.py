@@ -17,7 +17,8 @@ rather than once per product.  A loop that only needs to know which member
 of a group's element list each conjugate x^g is calls conjugation_tables:
 it reads the conjugates' images of a base off one column of the list per
 base point, g applied to the column in one translate, so no conjugate is
-formed.
+formed.  Rows of base images (base_rows) are mapped through g by map_rows,
+the form of mul_all for rows shorter than a table.
 
 Composition is left to right: (p * q) moves a point first through p, then
 through q, matching the conjugation convention x^y = y^-1 x y and
@@ -114,6 +115,24 @@ def conjugator(g):
     # g^-1 x g, as two itemgetter products: pull(x) is g^-1 * x
     pull = operator.itemgetter(*inv_raw(g))
     return lambda xs: [operator.itemgetter(*pull(x))(g) for x in xs]
+
+
+def base_rows(xs, base):
+    """Each x's images of the base points, x[b] for b in base, as a row that
+    map_rows can map through a permutation of the same degree."""
+    if len(xs[0]) <= BYTES_MAX_DEGREE:
+        return [bytes(x[b] for b in base) for x in xs]
+    return [tuple(x[b] for b in base) for x in xs]
+
+
+def map_rows(rows, g):
+    """Each row with every point p replaced by g[p]: mul_all for rows shorter
+    than a whole table, such as base_rows."""
+    n = len(g)
+    if n <= BYTES_MAX_DEGREE:
+        table = g + _TAIL[n]
+        return [x.translate(table) for x in rows]
+    return [tuple(map(g.__getitem__, x)) for x in rows]
 
 
 def conjugation_tables(xs, base, gens):

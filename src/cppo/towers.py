@@ -31,6 +31,7 @@ from .permutation import (
     Permutation,
     comm_raw,
     conj_raw,
+    conjugator,
     identity_raw,
     mul_raw,
     order_raw,
@@ -459,11 +460,12 @@ def _p_subgroup_sets(G: FiniteGroup, p: int):
         if len(members) > 1:
             pool[members] = gens
     queue = list(pool.items())
+    conjugators = [conjugator(g) for g in G._raw_gens]
     for members, gens in queue:
-        for g in G._raw_gens:
-            key = frozenset(conj_raw(x, g) for x in members)
+        for conj in conjugators:
+            key = frozenset(conj(members))
             if key not in pool:
-                conj_gens = [conj_raw(x, g) for x in gens]
+                conj_gens = conj(gens)
                 pool[key] = conj_gens
                 queue.append((key, conj_gens))
     return sorted(pool.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))

@@ -3,6 +3,7 @@ about the projective-plane groups and the degree-10 model of S6."""
 
 import pytest
 
+import cppo.bsgs
 from cppo import atlas
 from cppo.atlas import (
     Matrix,
@@ -17,6 +18,8 @@ from cppo.atlas import (
 )
 from cppo.errors import AtlasError, SchemaError
 from cppo.fields import gf
+from cppo.group import FiniteGroup
+from cppo.permutation import mul_raw, parse_permutation
 from cppo.structure import is_simple
 
 # one concrete id per catalog entry, with its expected order
@@ -264,3 +267,102 @@ def test_bools_are_not_integer_parameters():
 def test_direct_product_nests():
     g = build("direct_product(sym(3),direct_product(q8,cyclic(2)))").group
     assert g.order() == 6 * 8 * 2
+
+
+# -- regular representations: the certificate and the bounded chain ----------
+
+
+def _tables(group):
+    return [list(g.raw) for g in group.generators]
+
+
+def _orbit_size(tables, root):
+    orbit = {root}
+    frontier = [root]
+    for p in frontier:
+        for t in tables:
+            if t[p] not in orbit:
+                orbit.add(t[p])
+                frontier.append(t[p])
+    return len(orbit)
+
+
+def test_certificate_accepts_regular_tables_from_any_root():
+    tables = _tables(build("sl2_9").group)
+    assert all(atlas._is_regular(tables, root) for root in (0, 359, 719))
+
+
+def test_certificate_rejects_transitive_groups_that_are_not_regular():
+    a4 = FiniteGroup([parse_permutation("(1 2 3)", 4), parse_permutation("(2 3 4)", 4)])
+    psl27 = build("psl2(7)").group
+    for group in (a4, psl27):
+        assert _orbit_size(_tables(group), 0) == group.degree < group.order()
+        assert not any(atlas._is_regular(_tables(group), p) for p in range(group.degree))
+
+
+def test_certificate_rejects_sl2_9_with_a_generator_swapped_for_a_non_commuting_one():
+    tables = _tables(build("sl2_9").group)
+    for k in range(3):
+        # the k-th table composed with a transposition: still transitive, but
+        # no longer commuting with the left translations
+        swapped = list(tables)
+        swapped[k] = tables[k][:]
+        swapped[k][5], swapped[k][6] = swapped[k][6], swapped[k][5]
+        assert _orbit_size(swapped, 0) == 720
+        assert not atlas._is_regular(swapped, 0)
+        # a bare transposition in its place leaves the group intransitive
+        swapped[k] = [1, 0] + list(range(2, 720))
+        assert _orbit_size(swapped, 0) < 720
+        assert not atlas._is_regular(swapped, 0)
+
+
+def test_certificate_rejects_tables_that_fix_the_root():
+    # transitivity is checked first: every map sending all points to the
+    # fixed root commutes with the tables
+    assert not atlas._is_regular([[0, 2, 1]], 0)
+
+
+def test_wrong_products_still_raise_through_the_unbounded_path(monkeypatch):
+    original, certify = atlas._matrix_group_elements, atlas._is_regular
+    certified = []
+
+    def recording(tables, root):
+        certified.append(certify(tables, root))
+        return certified[-1]
+
+    monkeypatch.setattr(atlas, "_is_regular", recording)
+
+    def swapping(gens):
+        # x*g and y*g trade places for one generator: the tables stay bijections
+        elems, right = original(gens)
+        x, y = elems[1], elems[2]
+        right[x][0], right[y][0] = right[y][0], right[x][0]
+        return elems, right
+
+    monkeypatch.setattr(atlas, "_matrix_group_elements", swapping)
+    with pytest.raises(AtlasError, match="expected 24"):
+        build("sl2_3")
+    assert certified == [False]
+
+    def overwriting(gens):
+        elems, right = original(gens)
+        right[elems[1]][0] = right[elems[2]][0]
+        return elems, right
+
+    monkeypatch.setattr(atlas, "_matrix_group_elements", overwriting)
+    with pytest.raises(AtlasError, match="not a bijection"):
+        build("sl2_3")
+
+
+def test_sl2_9_builds_its_chain_from_the_transversal_alone(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return mul_raw(a, b)
+
+    monkeypatch.setattr(cppo.bsgs, "mul_raw", counting)
+    assert build("sl2_9").group.order() == 720
+    # one product per orbit point past the base point; checking every
+    # Schreier generator made 2,160
+    assert len(calls) <= 800

@@ -424,6 +424,16 @@ def test_derived_subgroup_of_sl2_9_stops_at_its_order(monkeypatch):
     assert len(calls) <= 1000
 
 
+@pytest.mark.parametrize("atlas_id", ["q8", "sl2_3", "sl2_5", "sl2_9"])
+def test_certified_regular_chain_equals_the_unbounded_one(atlas_id):
+    group = atlas.build(atlas_id).group
+    chain = group.chain()
+    assert chain._bound == group.order()
+    full = StabilizerChain.from_raw_generators(group.degree, group._raw_gens)
+    assert full._bound is None
+    assert chain_state(chain) == chain_state(full)
+
+
 def test_order_from_base_cycles_reads_only_the_cycles_through_the_base():
     x = parse_permutation("(1 2)(5 6 7)", 720).raw
     assert order_raw(x) == 6

@@ -35,6 +35,7 @@ from cppo.permutation import (
     order_raw,
     raw_from_images,
 )
+from cppo.structure import derived_series, normal_subgroups, upper_fitting_series
 
 
 def G(texts, degree, **kw):
@@ -544,3 +545,78 @@ def test_preimage_gens_pull_a_quotient_subgroup_back():
         pre = group._subgroup_raw(q.preimage_gens(sub))
         assert pre.order() == v4.order() * sub.order()
         assert all(sub.contains(q.project(g)) for g in pre.generators)
+
+
+# -- quotients: cosets looked up by base images ---------------------------------
+
+
+def reference_quotient(G, N):
+    """The coset loop of quotient_by_normal before it looked cosets up by base
+    images: each (coset, generator) pair forms the coset's least element.
+    Returns the degree, the generators' raw tables, the representatives and
+    the representative -> coset index map."""
+    nraw = N._raw_elements()
+    reps = [nraw[0]]
+    index = {nraw[0]: 0}
+    images = [[] for _ in G._raw_gens]
+    for r in reps:  # grows while it is walked
+        for gi, g in enumerate(G._raw_gens):
+            t = mul_raw(r, g)
+            c = min(mul_raw(n, t) for n in nraw)
+            if c not in index:
+                index[c] = len(reps)
+                reps.append(c)
+            images[gi].append(index[c])
+    return len(reps), [raw_from_images(img) for img in images], reps, list(index.items())
+
+
+def assert_quotient_matches_reference(G, N):
+    q = quotient_by_normal(G, N)
+    if N.is_trivial():
+        return
+    got = (q.degree, [g.raw for g in q.generators], q._reps, list(q._index.items()))
+    assert got == reference_quotient(G, N)
+
+
+def _series_terms(group):
+    return upper_fitting_series(group).terms + derived_series(group).terms
+
+
+@pytest.mark.parametrize(
+    "group, kernels",
+    [
+        (lambda: build("sl2_9").group, lambda g: [g.center()]),
+        (lambda: build("sl2_5").group, lambda g: [g.center()]),
+        (s4, lambda g: [G(["(1 2)(3 4)", "(1 3)(2 4)"], 4)]),
+        (lambda: build("direct_product(s4,alt(5))").group, _series_terms),
+    ],
+    ids=["sl2_9/Z", "sl2_5/Z", "S4/V4", "S4xA5 series"],
+)
+def test_quotient_matches_the_product_loop(group, kernels):
+    g = group()
+    for n in kernels(g):
+        assert_quotient_matches_reference(g, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.permutations(range(6)), min_size=1, max_size=3))
+def test_quotients_of_drawn_s6_subgroups_match_the_product_loop(tables):
+    g = FiniteGroup([Permutation.from_zero_based(t) for t in tables], degree=6)
+    for n in normal_subgroups(g):
+        assert_quotient_matches_reference(g, n)
+
+
+def test_sl2_9_mod_centre_forms_products_only_for_new_cosets(monkeypatch):
+    group = build("sl2_9").group
+    centre = group.center()
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return mul_raw(a, b)
+
+    monkeypatch.setattr(cppo.group, "mul_raw", counting)
+    assert quotient_by_normal(group, centre).degree == 360
+    # three products for each of the 359 new cosets; the product loop made
+    # three for each of the 1,080 (coset, generator) pairs
+    assert len(calls) <= 1100

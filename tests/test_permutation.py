@@ -16,6 +16,7 @@ from cppo import CycleParseError, DegreeMismatchError, Permutation, parse_permut
 from cppo.corpus import corpus_groups
 from cppo.permutation import (
     BYTES_MAX_DEGREE,
+    base_rows,
     comm_raw,
     commutator,
     conj_raw,
@@ -24,6 +25,7 @@ from cppo.permutation import (
     element_order,
     identity_raw,
     inv_raw,
+    map_rows,
     mul_all,
     mul_raw,
     order_raw,
@@ -256,6 +258,22 @@ def test_batch_kernel_matches_one_product_at_a_time(degree, seed, count):
     conj = conjugator(g)
     assert conj([]) == [] == mul_all([], g)
     assert conj(xs[:1]) + conj(xs[1:]) == conjugates
+
+
+@pytest.mark.parametrize("degree", (1, 2, 8, 255, 256, 257, 300, 720))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6), width=st.integers(1, 5))
+def test_base_rows_map_like_whole_products(degree, seed, count, width):
+    rng = random.Random(seed)
+    g, *xs = (raw_from_images(rng.sample(range(degree), degree)) for _ in range(count + 1))
+    base = [rng.randrange(degree) for _ in range(width)]
+    rows = map_rows(base_rows(xs, base), g)
+    assert rows == base_rows(mul_all(xs, g), base)
+    assert [tuple(r) for r in rows] == [tuple(g[x[b]] for b in base) for x in xs]
+    # one-point rows stay rows, so they can be mapped again
+    assert map_rows(map_rows(base_rows(xs, base[:1]), g), g) == base_rows(
+        [mul_raw(mul_raw(x, g), g) for x in xs], base[:1]
+    )
 
 
 def test_corpus_generators_use_the_format_of_their_degree():

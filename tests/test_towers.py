@@ -6,7 +6,7 @@ import pytest
 from cppo import towers
 from cppo.arith import factorization
 from cppo.atlas import build, load_group_spec
-from cppo.corpus import SOLUBLE_AND_SMALL
+from cppo.corpus import SOLUBLE_AND_SMALL, corpus_groups
 from cppo.errors import InsolubleError, TowerDefectError
 from cppo.group import FiniteGroup, quotient_by_normal
 from cppo.lemmas import _s4_wreath_2
@@ -358,6 +358,38 @@ def test_p_subgroup_sets_carry_their_generators_and_order(small_soluble):
         for members, gens in _p_subgroup_sets(small_soluble, p):
             sub = small_soluble._subgroup_raw(gens)
             assert sub._raw_gens == gens and sub.order() == len(members)
+
+
+def reference_p_subgroup_sets(G, p):
+    """_p_subgroup_sets as it was before it conjugated whole lists through one
+    conjugator per generator: one conj_raw per member and per generator."""
+    syl = sylow_subgroup(G, p)
+    if syl.order() == 1:
+        return []
+    pool = {members: gens for members, gens in _all_subgroups(syl) if len(members) > 1}
+    queue = list(pool.items())
+    for members, gens in queue:
+        for g in G._raw_gens:
+            key = frozenset(conj_raw(x, g) for x in members)
+            if key not in pool:
+                conj_gens = [conj_raw(x, g) for x in gens]
+                pool[key] = conj_gens
+                queue.append((key, conj_gens))
+    return sorted(pool.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+
+
+CORPUS_UPTO_500 = [(n, g) for n, g in corpus_groups() if g.order() <= 500]
+
+
+@pytest.mark.parametrize("name, group", CORPUS_UPTO_500, ids=[n for n, _ in CORPUS_UPTO_500])
+def test_p_subgroup_sets_match_the_conj_raw_reference(name, group):
+    for p, _ in factorization(group.order()):
+        assert _p_subgroup_sets(group, p) == reference_p_subgroup_sets(group, p), p
+
+
+def test_p_subgroup_sets_of_sl2_9_match_the_conj_raw_reference():
+    group = build("sl2_9").group
+    assert _p_subgroup_sets(group, 3) == reference_p_subgroup_sets(group, 3)
 
 
 def reference_pick_stage(G, u, p, chosen):
