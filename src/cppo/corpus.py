@@ -15,61 +15,68 @@ import json
 from .atlas import load_group_spec
 from .errors import SchemaError
 
-# Soluble and small.  Orders are noted for the reader; the builders assert them.
-SOLUBLE_AND_SMALL = [
-    {"atlas": "cyclic", "params": [12]},  # 12
-    {"atlas": "cyclic", "params": [30]},  # 30
-    {"atlas": "elem_abelian", "params": [2, 3]},  # 8
-    {"atlas": "elem_abelian", "params": [3, 2]},  # 9
-    {"atlas": "dihedral", "params": [4]},  # 8
-    {"atlas": "dihedral", "params": [5]},  # 10
-    {"atlas": "dihedral", "params": [12]},  # 24
-    {"atlas": "dihedral", "params": [15]},  # 30
-    {"atlas": "sym", "params": [3]},  # 6
-    {"atlas": "alt", "params": [4]},  # 12
-    {"name": "s4_explicit", "degree": 4, "generators": ["(1 2)", "(1 2 3 4)"]},  # 24
-    {"atlas": "s4"},  # 24
-    {"atlas": "q8"},  # 8
-    {"atlas": "sl2_3"},  # 24
-    {"atlas": "extraspecial", "params": [3, "+"]},  # 27
-    {"atlas": "extraspecial", "params": [3, "-"]},  # 27
-    {"atlas": "extraspecial", "params": [2, "+"]},  # 32
-    {"atlas": "extraspecial", "params": [2, "-"]},  # 32
-    {"atlas": "agl1", "params": [5]},  # 20
-    {"atlas": "agl1", "params": [7]},  # 42
-    {"atlas": "agl1", "params": [8]},  # 56
-    {"atlas": "agl1", "params": [9]},  # 72
-    {"atlas": "direct_product", "params": ["sym(3)", "sym(3)"]},  # 36
-    {"atlas": "direct_product", "params": ["q8", "dihedral(4)"]},  # 64
-    {"atlas": "direct_product", "params": ["sym(3)", "s4"]},  # 144, not CPPO
+# Each document with the order of its group, so that a caller wanting only
+# the small groups can drop the others before building them.  The builders
+# assert the orders.
+
+# Soluble and small.
+_SOLUBLE = [
+    (12, {"atlas": "cyclic", "params": [12]}),
+    (30, {"atlas": "cyclic", "params": [30]}),
+    (8, {"atlas": "elem_abelian", "params": [2, 3]}),
+    (9, {"atlas": "elem_abelian", "params": [3, 2]}),
+    (8, {"atlas": "dihedral", "params": [4]}),
+    (10, {"atlas": "dihedral", "params": [5]}),
+    (24, {"atlas": "dihedral", "params": [12]}),
+    (30, {"atlas": "dihedral", "params": [15]}),
+    (6, {"atlas": "sym", "params": [3]}),
+    (12, {"atlas": "alt", "params": [4]}),
+    (24, {"name": "s4_explicit", "degree": 4, "generators": ["(1 2)", "(1 2 3 4)"]}),
+    (24, {"atlas": "s4"}),
+    (8, {"atlas": "q8"}),
+    (24, {"atlas": "sl2_3"}),
+    (27, {"atlas": "extraspecial", "params": [3, "+"]}),
+    (27, {"atlas": "extraspecial", "params": [3, "-"]}),
+    (32, {"atlas": "extraspecial", "params": [2, "+"]}),
+    (32, {"atlas": "extraspecial", "params": [2, "-"]}),
+    (20, {"atlas": "agl1", "params": [5]}),
+    (42, {"atlas": "agl1", "params": [7]}),
+    (56, {"atlas": "agl1", "params": [8]}),
+    (72, {"atlas": "agl1", "params": [9]}),
+    (36, {"atlas": "direct_product", "params": ["sym(3)", "sym(3)"]}),
+    (64, {"atlas": "direct_product", "params": ["q8", "dihedral(4)"]}),
+    (144, {"atlas": "direct_product", "params": ["sym(3)", "s4"]}),  # not CPPO
 ]
 
 # Insoluble, including every group on the prime-power-element-order list,
 # the four standard near misses, and the extensions with order-6 commutators.
-INSOLUBLE_AND_LARGE = [
-    {"atlas": "alt", "params": [5]},  # 60
-    {"atlas": "psl2", "params": [4]},  # 60
-    {"atlas": "psl2", "params": [5]},  # 60
-    {"atlas": "psl2", "params": [7]},  # 168
-    {"atlas": "psl2", "params": [8]},  # 504
-    {"atlas": "psl2", "params": [9]},  # 360
-    {"atlas": "psl2", "params": [17]},  # 2448
-    {"atlas": "psl2", "params": [11]},  # 660, has order-6 elements
-    {"atlas": "psl2", "params": [13]},  # 1092, has order-6 elements
-    {"atlas": "alt", "params": [7]},  # 2520
-    {"atlas": "alt", "params": [8]},  # 20160
-    {"atlas": "psl3_4"},  # 20160
-    {"atlas": "sz8"},  # 29120
-    {"atlas": "sl2_5"},  # 120, quasisimple but not simple
-    {"atlas": "sl2_9"},  # 720, quasisimple but not simple
-    {"atlas": "asl2_4"},  # 960
-    {"atlas": "m10"},  # 720
-    {"atlas": "pgl2_9"},  # 720
-    {"atlas": "psigmal2_9"},  # 720
-    {"atlas": "pgammal2_9"},  # 1440
-    {"atlas": "psl34_phi_ext"},  # 40320
-    {"atlas": "psl34_g1"},  # 120960, the order-6 commutator witness
+_INSOLUBLE = [
+    (60, {"atlas": "alt", "params": [5]}),
+    (60, {"atlas": "psl2", "params": [4]}),
+    (60, {"atlas": "psl2", "params": [5]}),
+    (168, {"atlas": "psl2", "params": [7]}),
+    (504, {"atlas": "psl2", "params": [8]}),
+    (360, {"atlas": "psl2", "params": [9]}),
+    (2448, {"atlas": "psl2", "params": [17]}),
+    (660, {"atlas": "psl2", "params": [11]}),  # has order-6 elements
+    (1092, {"atlas": "psl2", "params": [13]}),  # has order-6 elements
+    (2520, {"atlas": "alt", "params": [7]}),
+    (20160, {"atlas": "alt", "params": [8]}),
+    (20160, {"atlas": "psl3_4"}),
+    (29120, {"atlas": "sz8"}),
+    (120, {"atlas": "sl2_5"}),  # quasisimple but not simple
+    (720, {"atlas": "sl2_9"}),  # quasisimple but not simple
+    (960, {"atlas": "asl2_4"}),
+    (720, {"atlas": "m10"}),
+    (720, {"atlas": "pgl2_9"}),
+    (720, {"atlas": "psigmal2_9"}),
+    (1440, {"atlas": "pgammal2_9"}),
+    (40320, {"atlas": "psl34_phi_ext"}),
+    (120960, {"atlas": "psl34_g1"}),  # the order-6 commutator witness
 ]
+
+SOLUBLE_AND_SMALL = [doc for _, doc in _SOLUBLE]
+INSOLUBLE_AND_LARGE = [doc for _, doc in _INSOLUBLE]
 
 
 def default_corpus() -> list:
@@ -86,6 +93,12 @@ def corpus_groups(documents=None) -> list:
         g = load_group_spec(doc)
         out.append((g.name or "unnamed", g))
     return out
+
+
+def corpus_groups_upto(bound: int) -> list:
+    """corpus_groups() of the default corpus for the groups of order at most
+    bound; the other documents are dropped by their recorded order, unbuilt."""
+    return corpus_groups([dict(doc) for order, doc in _SOLUBLE + _INSOLUBLE if order <= bound])
 
 
 def write_corpus_file(path, documents=None) -> None:

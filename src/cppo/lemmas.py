@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .arith import factorization, is_prime_power, prime_factors
 from .atlas import build
-from .corpus import corpus_groups
+from .corpus import corpus_groups_upto
 from .errors import GroupError
 from .group import FiniteGroup, quotient_by_normal
 from .permutation import (
@@ -625,13 +625,9 @@ def check_aaa_scenario(seed=0):
     return out
 
 
-def _corpus_upto(bound):
-    return [(name, g) for name, g in corpus_groups() if g.order() <= bound]
-
-
 def check_opelinha(seed=0):
     out = []
-    for name, g in _corpus_upto(1000):
+    for name, g in corpus_groups_upto(1000):
         if not g.is_cppo():
             continue
         centre = g.center()
@@ -826,7 +822,7 @@ def check_ore_spotcheck(seed=0):
 
 def check_casolo_quotient(seed=0):
     out = []
-    for name, g in _corpus_upto(500):
+    for name, g in corpus_groups_upto(500):
         if not is_soluble(g):
             continue
         h = fitting_height(g)
@@ -870,7 +866,7 @@ def check_casolo_quotient(seed=0):
 def check_p3_noncyclic(seed=0):
     out = []
     towers = []
-    for name, g in _corpus_upto(500):
+    for name, g in corpus_groups_upto(500):
         if is_soluble(g) and fitting_height(g) >= 3:
             towers.append((name, find_max_tower(g)[1]))
     amb, p1, p2, p3 = _s4_wreath_2()

@@ -17,8 +17,10 @@ rather than once per product.  A loop that only needs to know which member
 of a group's element list each conjugate x^g is calls conjugation_tables:
 it reads the conjugates' images of a base off one column of the list per
 base point, g applied to the column in one translate, so no conjugate is
-formed.  Rows of base images (base_rows) are mapped through g by map_rows,
-the form of mul_all for rows shorter than a table.
+formed.  multiplication_tables does the same for the products x * g, whose
+base images are g applied to the base columns themselves.  Rows of base
+images (base_rows) are mapped through g by map_rows, the form of mul_all
+for rows shorter than a table.
 
 Composition is left to right: (p * q) moves a point first through p, then
 through q, matching the conjugation convention x^y = y^-1 x y and
@@ -135,6 +137,48 @@ def map_rows(rows, g):
     return [tuple(map(g.__getitem__, x)) for x in rows]
 
 
+def _index_tables(xs, base, moves):
+    """For each (g, points) in moves, the list t with t[j] the index of the
+    member of xs whose images of base are g's images of xs[j]'s images of
+    points: the columns of xs at points, mapped through g.
+
+    The members of xs must differ somewhere on base, and each such image
+    must be some member's.  Column p of xs is cut once, as one slice of the
+    joined tables (one itemgetter map above degree 256), and mapped through
+    g in one translate (one map).  Up to 8 bytes of base images pack into
+    one int key, read off an interleaved buffer in one pass (wider keys are
+    tuples), and one dict lookup per member turns a key into an index.
+    """
+    n = len(xs[0])
+    size = 1 if n <= BYTES_MAX_DEGREE else 2 if n <= 1 << 16 else 4
+    flat = b"".join(xs) if size == 1 else None  # column p is flat[p::n]
+    cut = {}
+
+    def column(p):
+        if p not in cut:
+            cut[p] = flat[p::n] if size == 1 else list(map(operator.itemgetter(p), xs))
+        return cut[p]
+
+    def keys(g, points):
+        if size == 1:
+            table = g + _TAIL[n]
+            columns = [column(p).translate(table) for p in points]
+        else:
+            columns = [array(_CODES[size], map(g.__getitem__, column(p))) for p in points]
+        width = size * max(len(columns), 1)  # with no base (a trivial group) every key is 0
+        if width > 8:
+            return zip(*columns)
+        width = next(w for w in (1, 2, 4, 8) if w >= width)
+        buf = bytearray(width * len(xs))
+        view = memoryview(buf).cast(_CODES[size])
+        for j, col in enumerate(columns):
+            view[j :: width // size] = col
+        return memoryview(buf).cast(_CODES[width])
+
+    index = dict(zip(keys(identity_raw(n), base), range(len(xs)))).__getitem__
+    return [list(map(index, keys(g, points))) for g, points in moves]
+
+
 def conjugation_tables(xs, base, gens):
     """For each g in gens, the list t with xs[t[j]] == xs[j]^g.
 
@@ -142,37 +186,24 @@ def conjugation_tables(xs, base, gens):
     differ somewhere on the points in base, as a group's elements do on a
     base of its stabilizer chain.  No conjugate is formed: (x^g)[b] =
     g[x[g^-1[b]]], so the base images of every x^g are g's images of one
-    column of xs per base point, one translate (one map above degree 256)
-    each.  Up to 8 bytes of base images pack into one int key, read off an
-    interleaved buffer in one pass (wider keys are tuples), and one dict
-    lookup per member turns a key into an index.
+    column of xs per base point.
     """
-    n = len(xs[0])
-    size = 1 if n <= BYTES_MAX_DEGREE else 2 if n <= 1 << 16 else 4
-    flat = b"".join(xs) if size == 1 else None  # column p is flat[p::n]
-
-    def keys(g):
+    moves = []
+    for g in gens:
         ginv = inv_raw(g)
-        if size == 1:
-            table = g + _TAIL[n]
-            columns = [flat[ginv[b] :: n].translate(table) for b in base]
-        else:
-            columns = [
-                array(_CODES[size], map(g.__getitem__, map(operator.itemgetter(ginv[b]), xs)))
-                for b in base
-            ]
-        width = size * max(len(columns), 1)  # with no base (a trivial group) every key is 0
-        if width > 8:
-            return zip(*columns)
-        width = next(w for w in (1, 2, 4, 8) if w >= width)
-        buf = bytearray(width * len(xs))
-        view = memoryview(buf).cast(_CODES[size])
-        for j, column in enumerate(columns):
-            view[j :: width // size] = column
-        return memoryview(buf).cast(_CODES[width])
+        moves.append((g, [ginv[b] for b in base]))
+    return _index_tables(xs, base, moves)
 
-    index = dict(zip(keys(identity_raw(n)), range(len(xs)))).__getitem__
-    return [list(map(index, keys(g))) for g in gens]
+
+def multiplication_tables(xs, base, gens):
+    """For each g in gens, the list t with xs[t[j]] == xs[j] * g.
+
+    The conditions of conjugation_tables hold with xs closed under right
+    multiplication by each g.  No product is formed: (x * g)[b] = g[x[b]],
+    so the base images of every x * g are g's images of the base columns
+    of xs, which are cut once for all of gens.
+    """
+    return _index_tables(xs, base, [(g, base) for g in gens])
 
 
 def comm_raw(x, y):

@@ -7,16 +7,22 @@ K_i = { x in P_i : [P_{i+1}, x] <= K_{i+1} }, the groups P_i / K_i must all
 be nontrivial.  The maximum height of a tower of a soluble group equals its
 Fitting height; find_max_tower certifies that equality constructively.
 
-Stages are small p-groups, so kernels are computed on element sets by one
-routine, _kernel_set, which Tower.kernels and the tower_probe search share.
+Stages are small p-groups, so kernels are computed on element lists by one
+routine, _kernel_set, which Tower.kernels and the tower_probe search share:
+it reads K_i off the conjugation tables of P_i on the element list of
+P_{i+1}.
 
-The exhaustive search behind tower_probe works on frozensets of raw
-elements and builds no group or stabilizer chain until it has a tower to
-return.  Subgroups are found by cyclic extension, each join closed as a
-plain set by _close_set; the candidates are indexed once, each with
-bitmasks of the candidates it normalizes and of those it also moves; and
-the kernels of a leaf are worked out on sets, memoized by the stages they
-depend on.  A tower it returns has still passed validate_tower.
+The exhaustive search behind tower_probe works on indices into G's sorted
+element list, so it forms no permutation and builds no group or stabilizer
+chain until it has a tower to return.  Subgroups are index sets, found by
+cyclic extension over the Sylow group's multiplication tables, each join
+closed coset by coset by _close_set; since the indices follow element
+order, sorting index sets sorts the element sets alike.  The candidates
+are indexed once, and one conjugation_tables call per probe gives the
+tables of all their generators, from which the masks of the candidates
+each generator normalizes and centralizes are filled as the search needs
+them.  The kernels of a leaf are memoized by the stages they depend on.  A
+tower it returns has still passed validate_tower.
 """
 
 from __future__ import annotations
@@ -30,10 +36,11 @@ from .group import FiniteGroup, quotient_by_normal
 from .permutation import (
     Permutation,
     comm_raw,
-    conj_raw,
-    conjugator,
+    conjugation_tables,
     identity_raw,
+    mul_all,
     mul_raw,
+    multiplication_tables,
     order_raw,
     parse_permutation,
 )
@@ -100,15 +107,16 @@ class Tower:
             if defect is not None:
                 raise TowerDefectError("item %d: %s" % defect)
             ambient = self.ambient
-            trivial = frozenset([identity_raw(ambient.degree)])
-            sets = []
-            lower = None
-            for _, sub in reversed(self.stages):
-                members = sub._raw_elements()
-                k = trivial if lower is None else _kernel_set(trivial, members, lower, sets[-1])
-                sets.append(k)
-                lower = members
-            self._kernels = [ambient._subgroup_from_raw_elements(k) for k in reversed(sets)]
+            base = ambient.chain().base
+            bottom_up = [sub._raw_elements() for _, sub in reversed(self.stages)]
+            # K_h = 1, and the identity sorts first
+            sets = [frozenset([0])] if bottom_up else []
+            for lower, members in zip(bottom_up, bottom_up[1:]):
+                sets.append(_kernel_set(members, lower, sets[-1], base))
+            self._kernels = [
+                ambient._subgroup_from_raw_elements([members[j] for j in k])
+                for members, k in zip(reversed(bottom_up), reversed(sets))
+            ]
         return self._kernels
 
     def __repr__(self):
@@ -209,9 +217,16 @@ def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int):
         for combo in itertools.combinations(pool, size):
             if not _elementary_abelian_gens(combo, p):
                 continue
-            key = _close_set([ident], combo)
+            # commuting elements of order p: the group is the product of their powers
+            key = {ident}
+            for g in combo:
+                layer = list(key)
+                for _ in range(p - 1):
+                    layer = mul_all(layer, g)
+                    key.update(layer)
             if len(key) != p**size:
                 continue  # not independent, a smaller combo already covers it
+            key = frozenset(key)
             if key not in seen_sets:
                 seen_sets.add(key)
                 out.append(list(combo))
@@ -379,124 +394,145 @@ def quotient_tower(t: Tower, q) -> Tower:
 # searching for towers
 
 
-def _close_set(members, gens):
-    """The subgroup generated by the element set `members` of a subgroup and
-    the raw elements `gens`, as a frozenset.
+def _right_rows(elems, base, xs):
+    """Index -> its right-multiplication table, for the indices xs:
+    rows[x][j] is the index of elems[j] * elems[x]."""
+    return dict(zip(xs, multiplication_tables(elems, base, [elems[x] for x in xs])))
 
-    Breadth-first right multiplication by gens, starting from members.  A
-    member times a generator that is already a member stays inside members,
-    so the first round multiplies by the other generators only.
+
+def _close_set(members, gens, rows):
+    """The subgroup generated by the index set `members` of a subgroup H and
+    the indices `gens`, as a frozenset of indices; rows[z] is z's
+    right-multiplication table, for every z in the result.
+
+    The result is a union of right cosets H z, one map of rows[z] over H
+    each, so the walk runs over coset representatives: a coset H r is
+    joined to H r g for each generator g.
     """
     seen = set(members)
-    frontier = list(members)
-    step = [g for g in gens if g not in seen]
-    while frontier and step:
-        new_frontier = []
-        for y in frontier:
-            for g in step:
-                z = mul_raw(y, g)
-                if z not in seen:
-                    seen.add(z)
-                    new_frontier.append(z)
-        frontier = new_frontier
-        step = gens
+    subgroup = list(members)
+    reps = subgroup[:1]
+    for r in reps:
+        for g in gens:
+            z = rows[g][r]
+            if z not in seen:
+                seen.update(map(rows[z].__getitem__, subgroup))
+                reps.append(z)
     return frozenset(seen)
 
 
-def _kernel_set(trivial, members, lower, below):
-    """K = {x in members : [y, x] in below for all y in lower}, as a frozenset.
+def _kernel_set(members, lower, below, base):
+    """The positions j in members with [y, members[j]] in below for every y
+    in lower, as a frozenset.
 
-    members is the element set of a stage P_i, lower that of the stage
-    P_{i+1} below it, below the set K_{i+1} and trivial the identity alone.
-    K is a subgroup, so it is grown with _close_set from the members that
-    pass, skipping those already inside.
+    members and lower are the sorted element lists of a stage P_i and of the
+    stage P_{i+1} below it, below is K_{i+1} as positions in lower, and the
+    elements of lower differ on base.  [y, x] lies in below exactly when y^x
+    lies in the left coset y below, so each y is labelled with the least
+    position in its left coset, and x passes when conjugation by x keeps
+    every label.  P_i normalizes every stage below it (item 2), so it
+    normalizes P_{i+1} and K_{i+1}: the conjugates lie in lower, and the
+    members that pass form a subgroup, K_i.
     """
-    k, gens = trivial, []
-    for x in members:
-        if x not in k and all(comm_raw(y, x) in below for y in lower):
-            gens.append(x)
-            k = _close_set(k, gens)
-    return k
+    label = list(map(min, zip(*multiplication_tables(lower, base, [lower[b] for b in below]))))
+    moves = conjugation_tables(lower, base, members)
+    return frozenset(j for j, t in enumerate(moves) if list(map(label.__getitem__, t)) == label)
 
 
-def _all_subgroups(P: FiniteGroup):
-    """Every subgroup of a small group as (element set, generator list), by
-    cyclic extension, sorted by size then by sorted elements.
+def _by_size(sets):
+    """The (index set, generator list) items of a dict, by size and then by
+    sorted indices, which is the order of the sorted element sets."""
+    return sorted(sets.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
-    Each subgroup H of the frontier is joined with each element x in element
-    order; x is skipped once the coset Hx of an earlier x has been tried,
-    since both give the same join.
+
+def _cyclic_extension(xs, rows):
+    """Every subgroup of the group whose element indices are xs, in element
+    order, as a dict from index set to generator index list.
+
+    Each subgroup H of the frontier is joined with each x of xs in turn; x is
+    skipped once the coset Hx of an earlier x has been tried, since both give
+    the same join.  rows[x] is x's right-multiplication table.  The identity
+    sorts first, so its index is 0.
     """
-    elems = P._raw_elements()
-    ident = identity_raw(P.degree)
-    seen = {frozenset([ident]): []}
-    frontier = [(frozenset([ident]), [])]
+    trivial = frozenset([0])
+    seen = {trivial: []}
+    frontier = [(trivial, [])]
     while frontier:
         new_frontier = []
         for members, gens in frontier:
             tried = set(members)
-            for x in elems:
+            for x in xs:
                 if x in tried:
                     continue
-                tried.update(mul_raw(m, x) for m in members)
+                tried.update(map(rows[x].__getitem__, members))
                 grown_gens = gens + [x]
-                key = _close_set(members, grown_gens)
+                key = _close_set(members, grown_gens, rows)
                 if key not in seen:
                     seen[key] = grown_gens
                     new_frontier.append((key, grown_gens))
         frontier = new_frontier
-    return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    return seen
+
+
+def _as_raw(elems, sets):
+    """(index set, generator indices) pairs as (element set, raw generators)."""
+    return [(frozenset(map(elems.__getitem__, k)), [elems[x] for x in gens]) for k, gens in sets]
+
+
+def _all_subgroups(P: FiniteGroup):
+    """Every subgroup of a small group as (element set, generator list), by
+    cyclic extension over P's multiplication table, sorted by size then by
+    sorted elements."""
+    elems = P._raw_elements()
+    xs = range(len(elems))
+    found = _cyclic_extension(xs, _right_rows(elems, P.chain().base, xs))
+    return _as_raw(elems, _by_size(found))
+
+
+def _p_subgroup_index_sets(G: FiniteGroup, p: int, conj):
+    """_p_subgroup_sets as (index set, generator indices) pairs over G's
+    sorted elements; conj holds the conjugation table of each generator of
+    G.  Only the Sylow group's elements get right-multiplication tables."""
+    elems = G._raw_elements()
+    index = dict(zip(elems, range(len(elems))))
+    xs = sorted(map(index.__getitem__, sylow_subgroup(G, p)._raw_elements()))
+    found = _cyclic_extension(xs, _right_rows(elems, G.chain().base, xs))
+    pool = {k: gens for k, gens in _by_size(found) if len(k) > 1}
+    queue = list(pool.items())
+    for members, gens in queue:
+        for t in conj:
+            key = frozenset(map(t.__getitem__, members))
+            if key not in pool:
+                conj_gens = [t[x] for x in gens]
+                pool[key] = conj_gens
+                queue.append((key, conj_gens))
+    return _by_size(pool)
 
 
 def _p_subgroup_sets(G: FiniteGroup, p: int):
     """All nontrivial p-subgroups of G as (element set, generator list),
     sorted by size then by sorted elements: the subgroups of one Sylow group
     plus their conjugates under the group generators."""
-    syl = sylow_subgroup(G, p)
-    if syl.order() == 1:
-        return []
-    pool = {}
-    for members, gens in _all_subgroups(syl):
-        if len(members) > 1:
-            pool[members] = gens
-    queue = list(pool.items())
-    conjugators = [conjugator(g) for g in G._raw_gens]
-    for members, gens in queue:
-        for conj in conjugators:
-            key = frozenset(conj(members))
-            if key not in pool:
-                conj_gens = conj(gens)
-                pool[key] = conj_gens
-                queue.append((key, conj_gens))
-    return sorted(pool.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-
-
-def _normalizes(upper_gens, members, gens):
-    """None when upper_gens do not normalize the subgroup <gens> with element
-    set members; otherwise whether some upper generator moves some gen."""
-    moves = False
-    for g in upper_gens:
-        for x in gens:
-            y = conj_raw(x, g)
-            if y not in members:
-                return None
-            moves = moves or y != x
-    return moves
+    elems = G._raw_elements()
+    conj = conjugation_tables(elems, G.chain().base, G._raw_gens)
+    return _as_raw(elems, _p_subgroup_index_sets(G, p, conj))
 
 
 def tower_probe(G: FiniteGroup, min_height: int):
     """Bounded exhaustive search for a valid tower of at least the given height.
 
-    Stage candidates are the p-subgroups of G, as element sets, indexed once:
-    primes in factorization order, then subgroups by size and sorted
-    elements.  The search fills stages top-down in that order, and the first
-    valid tower wins.  Two bitmask rows per candidate decide which candidates
-    may go below it: the ones it normalizes (item 2), and among those the
-    ones it does not centralize.  A row is filled once the candidate becomes
-    a stage, and only on the columns the search below it can still use.  A
-    stage that centralizes the stage below has K_i = P_i and fails item 3
-    whatever lies lower, so only the second row is offered directly below.
-    A full-height leaf checks item 3 on element sets, with K_i computed
+    Stage candidates are the p-subgroups of G, as sets of element indices,
+    indexed once: primes in factorization order, then subgroups by size and
+    sorted elements.  The search fills stages top-down in that order, and
+    the first valid tower wins.  Two bitmasks decide which candidates may go
+    below a stage: the ones it normalizes (item 2), and among those the ones
+    it does not centralize.  They are the AND of masks kept per generator,
+    of the candidates whose generators it maps into the candidate and of
+    those whose generators it fixes, read off its conjugation table; a
+    generator's masks are filled only on the columns a search below it can
+    still use.  A stage that centralizes the stage below has K_i = P_i and
+    fails item 3 whatever lies lower, so only the second mask is offered
+    directly below.  A full-height leaf checks item 3 with K_i computed
     bottom-up and memoized by the suffix of stage indices it depends on;
     only a leaf that passes becomes a Tower, and it is returned only if
     validate_tower accepts it.
@@ -511,42 +547,60 @@ def tower_probe(G: FiniteGroup, min_height: int):
     primes = [p for p, _ in factorization(G.order())]
     if min_height <= 0:
         return Tower(G, [])
-    cands = [(p, members, gens) for p in primes for members, gens in _p_subgroup_sets(G, p)]
+    elems = G._raw_elements()
+    base = G.chain().base
+    gen_conj = conjugation_tables(elems, base, G._raw_gens)
+    cands = [
+        (p, members, gens)
+        for p in primes
+        for members, gens in _p_subgroup_index_sets(G, p, gen_conj)
+    ]
+    movers = sorted({x for _, _, gens in cands for x in gens})
+    conj = dict(zip(movers, conjugation_tables(elems, base, [elems[x] for x in movers])))
     prime_bits = {p: 0 for p in primes}
     for i, (p, _, _) in enumerate(cands):
         prime_bits[p] |= 1 << i
-    rows = {}  # candidate index -> [normalized mask, normalized and moved mask, filled mask]
-    trivial = frozenset([identity_raw(G.degree)])
+    acts = {}  # mover -> [normalized mask, centralized mask, filled mask]
     kernels = {}  # stage-index suffix -> K of its top stage, or False if K is the stage
 
-    def below_rows(i, need):
-        """Candidate i's two rows, filled at least on the columns in need."""
-        row = rows.setdefault(i, [0, 0, 0])
-        todo = need & ~row[2]
-        row[2] |= todo
-        upper = cands[i][2]
+    def act(x, need):
+        """Mover x's masks, filled at least on the columns in need."""
+        masks = acts.setdefault(x, [0, 0, 0])
+        todo = need & ~masks[2]
+        masks[2] |= todo
+        t = conj[x]
         while todo:
             low = todo & -todo
             todo ^= low
             _, members, gens = cands[low.bit_length() - 1]
-            moves = _normalizes(upper, members, gens)
-            if moves is not None:
-                row[0] |= low
-                if moves:
-                    row[1] |= low
-        return row[0], row[1]
+            images = [t[y] for y in gens]
+            if members.issuperset(images):
+                masks[0] |= low
+                if images == gens:
+                    masks[1] |= low
+        return masks
+
+    def below_rows(i, need):
+        """Within need, the candidates i normalizes, and those it also moves."""
+        norm = fixed = need
+        for x in cands[i][2]:
+            masks = act(x, norm)
+            norm &= masks[0]
+            fixed &= masks[1]
+        return norm, norm & ~fixed
 
     def kernel(suffix):
         if suffix not in kernels:
-            members = cands[suffix[0]][1]
+            members = sorted(map(elems.__getitem__, cands[suffix[0]][1]))
             if len(suffix) == 1:
-                k = trivial
+                k = frozenset([0])  # the identity sorts first
             else:
                 below = kernel(suffix[1:])
                 if below is False:
                     kernels[suffix] = False
                     return False
-                k = _kernel_set(trivial, members, cands[suffix[1]][1], below)
+                lower = sorted(map(elems.__getitem__, cands[suffix[1]][1]))
+                k = _kernel_set(members, lower, below, base)
             kernels[suffix] = False if len(k) == len(members) else k
         return kernels[suffix]
 
@@ -555,7 +609,9 @@ def tower_probe(G: FiniteGroup, min_height: int):
         if len(stages) == min_height:
             if kernel(tuple(stages)) is False:
                 return None
-            t = Tower(G, [(cands[i][0], G._subgroup_raw(cands[i][2])) for i in stages])
+            t = Tower(
+                G, [(cands[i][0], G._subgroup_raw([elems[x] for x in cands[i][2]])) for i in stages]
+            )
             return t if validate_tower(t).valid else None
         allowed = normed
         if stages:

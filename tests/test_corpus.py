@@ -2,8 +2,11 @@
 
 import pytest
 
+from cppo import corpus
+from cppo.atlas import load_group_spec
 from cppo.corpus import (
     corpus_groups,
+    corpus_groups_upto,
     default_corpus,
     read_corpus_file,
     write_corpus_file,
@@ -40,6 +43,31 @@ def test_default_corpus_returns_fresh_copies():
     docs = default_corpus()
     docs[0]["atlas"] = "clobbered"
     assert default_corpus()[0]["atlas"] != "clobbered"
+
+
+def test_recorded_orders_match_the_built_groups():
+    recorded = corpus._SOLUBLE + corpus._INSOLUBLE
+    # the documents themselves carry no order, so corpus files stay the same
+    assert [doc for _, doc in recorded] == default_corpus()
+    for order, doc in recorded:
+        assert load_group_spec(dict(doc)).order() == order, doc
+
+
+@pytest.mark.parametrize("bound", [0, 30, 500, 1000, 10**6])
+def test_corpus_groups_upto_builds_only_the_groups_within_the_bound(bound, monkeypatch):
+    built = []
+
+    def counted(doc):
+        g = load_group_spec(doc)
+        built.append(g.order())
+        return g
+
+    monkeypatch.setattr(corpus, "load_group_spec", counted)
+    got = corpus_groups_upto(bound)
+    assert all(order <= bound for order in built) and len(built) == len(got)
+    monkeypatch.undo()
+    want = [(n, g) for n, g in corpus_groups() if g.order() <= bound]
+    assert [(n, g._raw_gens) for n, g in got] == [(n, g._raw_gens) for n, g in want]
 
 
 def test_explicit_generator_document_builds():

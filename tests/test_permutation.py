@@ -12,14 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cppo import CycleParseError, DegreeMismatchError, Permutation, parse_permutation
+from cppo import CycleParseError, DegreeMismatchError, FiniteGroup, Permutation, parse_permutation
+from cppo.atlas import build
 from cppo.corpus import corpus_groups
 from cppo.permutation import (
     BYTES_MAX_DEGREE,
     base_rows,
+    block_raw,
     comm_raw,
     commutator,
     conj_raw,
+    conjugation_tables,
     conjugator,
     cycles_raw,
     element_order,
@@ -28,6 +31,7 @@ from cppo.permutation import (
     map_rows,
     mul_all,
     mul_raw,
+    multiplication_tables,
     order_raw,
     raw_from_images,
 )
@@ -274,6 +278,39 @@ def test_base_rows_map_like_whole_products(degree, seed, count, width):
     assert map_rows(map_rows(base_rows(xs, base[:1]), g), g) == base_rows(
         [mul_raw(mul_raw(x, g), g) for x in xs], base[:1]
     )
+
+
+def _lifted(group, degree=300, offset=147):
+    """The same group acting on points offset.. of a larger degree."""
+    return FiniteGroup(
+        [Permutation._from_raw(block_raw(g, offset, degree)) for g in group._raw_gens],
+        degree=degree,
+    )
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        build("s4").group,  # bytes, a three-point base
+        build("q8").group,  # bytes, a one-point base
+        _lifted(build("s4").group),  # tuples
+        _lifted(build("q8").group),  # tuples, a one-point base
+        build("sl2_9").group,  # tuples at degree 720, a one-point base
+        FiniteGroup([], degree=5),  # bytes, the empty base of a trivial group
+        FiniteGroup([], degree=300),  # tuples, the empty base
+    ],
+    ids=lambda g: "order %d degree %d" % (g.order(), g.degree),
+)
+def test_index_tables_match_one_product_at_a_time(group):
+    xs = group._raw_elements()
+    base = group.chain().base
+    assert len(base) == {24: 3, 8: 1, 720: 1, 1: 0}[group.order()]
+    gens = xs if len(xs) <= 24 else xs[:: len(xs) // 24]
+    for table, g in zip(multiplication_tables(xs, base, gens), gens):
+        assert [xs[j] for j in table] == [mul_raw(x, g) for x in xs]
+    for table, g in zip(conjugation_tables(xs, base, gens), gens):
+        assert [xs[j] for j in table] == [conj_raw(x, g) for x in xs]
+    assert multiplication_tables(xs, base, []) == []
 
 
 def test_corpus_generators_use_the_format_of_their_degree():

@@ -452,6 +452,23 @@ def test_sylow_orders_and_conjugate_counts():
         assert count % p == 1 and group.order() % count == 0
 
 
+SYLOW_CORPUS = [(n, g) for n, g in CORPUS if g.order() <= 30_000]
+
+
+@pytest.mark.parametrize("name, group", SYLOW_CORPUS, ids=[n for n, _ in SYLOW_CORPUS])
+def test_sylow_subgroups_are_self_consistent(name, group):
+    """For each prime p of |G|, the Sylow p-subgroup P has order |G|_p, its
+    generators lie in G and have p-power order, and the conjugate of P by
+    each generator of G has the same order."""
+    for p, e in factorization(group.order()):
+        syl = sylow_subgroup(group, p)
+        assert syl.order() == p**e and group.contains_group(syl), p
+        assert all(p**e % order_raw(x) == 0 for x in syl._raw_gens), p
+        for g in group._raw_gens:
+            moved = group._subgroup_raw([conj(x, g) for x in syl._raw_gens])
+            assert moved.order() == p**e, p
+
+
 def test_p_core_examples():
     assert p_core(s4(), 2).order() == 4
     assert p_core(s4(), 3).order() == 1

@@ -1,9 +1,12 @@
 """Tower validation, search, and certification against hand-built examples,
 and the set-based probe against the chain-based search it replaced."""
 
+import random
+from collections import Counter
+
 import pytest
 
-from cppo import towers
+from cppo import permutation, towers
 from cppo.arith import factorization
 from cppo.atlas import build, load_group_spec
 from cppo.corpus import SOLUBLE_AND_SMALL, corpus_groups
@@ -12,6 +15,7 @@ from cppo.group import FiniteGroup, quotient_by_normal
 from cppo.lemmas import _s4_wreath_2
 from cppo.permutation import (
     Permutation,
+    block_raw,
     comm_raw,
     conj_raw,
     identity_raw,
@@ -348,6 +352,70 @@ def test_all_subgroups_match_the_chain_reference(small_soluble):
     for p, _ in factorization(small_soluble.order()):
         syl = sylow_subgroup(small_soluble, p)
         assert _all_subgroups(syl) == _ref_all_subgroups(syl), p
+
+
+def _lifted_s6_subgroups(count):
+    """Drawn two-generator subgroups of S6 of order 6 to 24, acting on points
+    147..152 of degree 300, past the bytes kernel, so their elements are
+    tuples."""
+    rng = random.Random(300)
+    while count:
+        tables = []
+        for _ in range(2):
+            images = list(range(6))
+            rng.shuffle(images)
+            tables.append(block_raw(images, 147, 300))
+        g = FiniteGroup([Permutation._from_raw(t) for t in tables], degree=300)
+        if 6 <= g.order() <= 24:
+            count -= 1
+            yield g
+
+
+def _quotient(atlas_id, normal):
+    g = build(atlas_id).group
+    return quotient_by_normal(g, normal(g))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        *_lifted_s6_subgroups(6),
+        # coset actions of quotients, as is_irreducible_tower passes them on
+        _quotient("direct_product(q8,dihedral(4))", FiniteGroup.center),
+        _quotient("s4", lambda g: g.derived_subgroup().derived_subgroup()),
+    ],
+    ids=lambda g: "order %d degree %d" % (g.order(), g.degree),
+)
+def test_all_subgroups_match_the_chain_reference_past_the_bytes_kernel_and_on_quotients(group):
+    assert _all_subgroups(group) == _ref_all_subgroups(group)
+
+
+@pytest.mark.parametrize("atlas_id", ["direct_product(q8,dihedral(4))", "agl1(8)"])
+def test_probe_search_forms_no_permutation(atlas_id, monkeypatch):
+    """The search works on element indices; only validate_tower, on a tower
+    it returns, may multiply permutations."""
+    g = build(atlas_id).group
+    h = fitting_height(g)
+    calls = Counter()
+    for name in ("mul_raw", "conj_raw", "comm_raw"):
+
+        def counted(*args, _kernel=getattr(permutation, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(towers, name, counted, raising=False)
+    assert tower_probe(g, h + 1) is None
+    assert calls == Counter()
+    before_validation = []
+    validate = towers.validate_tower
+
+    def first_validation(t):
+        before_validation.append(sum(calls.values()))
+        return validate(t)
+
+    monkeypatch.setattr(towers, "validate_tower", first_validation)
+    assert tower_probe(g, h).height == h
+    assert before_validation[:1] == [0]
 
 
 def test_p_subgroup_sets_carry_their_generators_and_order(small_soluble):
