@@ -63,8 +63,3 @@ def p_part(n: int, p: int) -> int:
         n //= p
         part *= p
     return part
-
-
-def p_prime_part(n: int, p: int) -> int:
-    """n divided by its p-part."""
-    return n // p_part(n, p)

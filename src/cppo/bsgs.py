@@ -85,14 +85,6 @@ class StabilizerChain:
             return False
         return self.sift(p) == self._identity
 
-    def coset_representative(self, level: int, point: int) -> tuple | None:
-        """The u mapping base[level] to point, or None off the orbit."""
-        inv = self._inverses[level].get(point)
-        return None if inv is None else inv_raw(inv)
-
-    def orbit_sizes(self) -> list[int]:
-        return [len(t) for t in self._inverses]
-
     def elements(self) -> list:
         """Every element of the group, each once, in no particular order.
 

@@ -394,16 +394,6 @@ class FiniteGroup:
         """Reduce an element collection to a short generator list."""
         return self._closure_raw(sorted(raw_elems), ())
 
-    def normal_closure(self, perms) -> "FiniteGroup":
-        """Smallest normal subgroup of this group containing the given elements."""
-        seeds = []
-        for g in perms:
-            if not self.contains(g):
-                raise NotInGroupError("%s is not an element here" % g)
-            if not g.is_identity():
-                seeds.append(g.raw)
-        return self._normal_closure_raw(seeds)
-
     def _normal_closure_raw(self, raw_seeds) -> "FiniteGroup":
         return self._closure_raw(raw_seeds, self._raw_gens)
 
@@ -450,12 +440,12 @@ class FiniteGroup:
 class QuotientGroup(FiniteGroup):
     """Coset-action quotient G/N with its projection and a lifting section."""
 
-    def __init__(self, generators, degree, *, source, kernel, reps, index, cap):
+    def __init__(self, generators, degree, *, source, kernel, reps, by_key, cap):
         super().__init__(generators, degree, cap=cap)
         self.source = source
         self.kernel = kernel
         self._reps = reps
-        self._index = index
+        self._by_key = by_key
         self._identity_mode = reps is None
 
     # In identity mode (trivial kernel) the quotient shares the source's
@@ -477,19 +467,17 @@ class QuotientGroup(FiniteGroup):
             return self.source._raw_classes()
         return super()._raw_classes()
 
-    def _canonical(self, raw):
-        nraw = self.kernel._raw_elements()
-        return min(mul_raw(n, raw) for n in nraw)
-
     def project(self, g: Permutation) -> Permutation:
-        """Image of g under the coset action; kernel elements map to identity."""
+        """Image of g under the coset action; kernel elements map to identity.
+        Coset N r g is looked up by its least row of base images, as
+        quotient_by_normal names it."""
         if not self.source.contains(g):
             raise NotInGroupError("%s is not in the source group" % g)
         if self._identity_mode:
             return g
-        raw = g.raw
+        n_rows = base_rows(self.kernel._raw_elements(), self.source.chain().base)
         return Permutation.from_zero_based(
-            self._index[self._canonical(mul_raw(r, raw))] for r in self._reps
+            self._by_key[min(map_rows(map_rows(n_rows, r), g.raw))] for r in self._reps
         )
 
     def lift(self, q: Permutation) -> Permutation:
@@ -527,7 +515,7 @@ def quotient_by_normal(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
             source=G,
             kernel=N,
             reps=None,
-            index=None,
+            by_key=None,
             cap=G.cap,
         )
 
@@ -540,7 +528,6 @@ def quotient_by_normal(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
     n_rows = base_rows(nraw, G.chain().base)
     start = nraw[0]  # canonical representative of the coset N itself
     reps = [start]
-    index = {start: 0}
     by_key = {min(n_rows): 0}
     images = [[] for _ in gens]
     pos = 0
@@ -556,7 +543,6 @@ def quotient_by_normal(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
                 t = mul_raw(r, g)
                 c = min(mul_raw(n, t) for n in nraw)
                 j = len(reps)
-                index[c] = j
                 by_key[key] = j
                 reps.append(c)
             images[gi].append(j)
@@ -570,7 +556,7 @@ def quotient_by_normal(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
         source=G,
         kernel=N,
         reps=reps,
-        index=index,
+        by_key=by_key,
         cap=G.cap,
     )
     if N.order() * q.order() != G.order():

@@ -97,11 +97,6 @@ def is_nilpotent(G: FiniteGroup) -> bool:
     return G._cache[key]
 
 
-def gamma_infinity(G: FiniteGroup) -> FiniteGroup:
-    """The stationary term of the lower central series."""
-    return lower_central_series(G).terms[-1]
-
-
 # ---------------------------------------------------------------------------
 # Sylow subgroups and cores
 
@@ -303,14 +298,6 @@ def p_prime_part_of_nilpotent(N: FiniteGroup, p: int) -> FiniteGroup:
     return N._subgroup_from_raw_elements(kept)
 
 
-def is_p_group(G: FiniteGroup) -> bool:
-    n = G.order()
-    if n == 1:
-        return True
-    fact = factorization(n)
-    return len(fact) == 1
-
-
 def frattini_of_p_group(P: FiniteGroup) -> FiniteGroup:
     """The Frattini subgroup of a p-group: generated by p-th powers and commutators."""
     if P.order() == 1:
@@ -328,18 +315,6 @@ def frattini_of_p_group(P: FiniteGroup) -> FiniteGroup:
         if y != ident:
             gens.add(y)
     return P._subgroup_raw(sorted(gens))
-
-
-def is_extraspecial(P: FiniteGroup) -> bool:
-    """p-group with centre of order p equal to its Frattini subgroup, which
-    makes P/Z(P) elementary abelian and nontrivial."""
-    fact = factorization(P.order())
-    if len(fact) != 1 or P.order() == 1:
-        return False
-    centre = P.center()
-    if centre.order() != fact[0][0]:
-        return False
-    return frattini_of_p_group(P).same_group_as(centre)
 
 
 # ---------------------------------------------------------------------------

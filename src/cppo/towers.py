@@ -42,7 +42,6 @@ from .permutation import (
     mul_raw,
     multiplication_tables,
     order_raw,
-    parse_permutation,
 )
 from .structure import (
     frattini_of_p_group,
@@ -348,36 +347,6 @@ def is_irreducible_tower(t: Tower) -> IrreducibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# containment
-
-
-def tower_contains(t_small: Tower, t_big: Tower) -> bool:
-    """Whether an increasing stage injection embeds t_small into t_big."""
-    if t_small.ambient is not t_big.ambient and not (
-        t_small.ambient.same_group_as(t_big.ambient)
-    ):
-        return False
-    n, m = t_small.height, t_big.height
-    if n > m:
-        return False
-
-    def fits(i, j):
-        sub = t_small.stages[i][1]
-        big = t_big.stages[j][1]
-        chain = big.chain()
-        return all(chain.contains_raw(g) for g in sub._raw_gens)
-
-    # table[i][j]: can stages i.. of the small tower go into stages j.. of the big
-    table = [[False] * (m + 1) for _ in range(n + 1)]
-    for j in range(m + 1):
-        table[n][j] = True
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            table[i][j] = table[i][j + 1] or (fits(i, j) and table[i + 1][j + 1])
-    return table[0][0]
-
-
-# ---------------------------------------------------------------------------
 # quotient image of a tower
 
 
@@ -432,9 +401,13 @@ def _kernel_set(members, lower, below, base):
     position in its left coset, and x passes when conjugation by x keeps
     every label.  P_i normalizes every stage below it (item 2), so it
     normalizes P_{i+1} and K_{i+1}: the conjugates lie in lower, and the
-    members that pass form a subgroup, K_i.
+    members that pass form a subgroup, K_i.  When K_{i+1} is trivial each
+    coset is one element, so the labels are the positions themselves.
     """
-    label = list(map(min, zip(*multiplication_tables(lower, base, [lower[b] for b in below]))))
+    if len(below) == 1:
+        label = list(range(len(lower)))
+    else:
+        label = list(map(min, zip(*multiplication_tables(lower, base, [lower[b] for b in below]))))
     moves = conjugation_tables(lower, base, members)
     return frozenset(j for j, t in enumerate(moves) if list(map(label.__getitem__, t)) == label)
 
@@ -711,14 +684,6 @@ def tower_to_data(t: Tower) -> list:
     return [
         [p, [str(g) for g in sub.generators]] for p, sub in t.stages
     ]
-
-
-def tower_from_data(ambient: FiniteGroup, data) -> Tower:
-    stages = []
-    for p, gen_strs in data:
-        gens = [parse_permutation(s, degree=ambient.degree) for s in gen_strs]
-        stages.append((int(p), ambient.subgroup(gens)))
-    return Tower(ambient, stages)
 
 
 def _normalizes_all(gens, chosen) -> bool:

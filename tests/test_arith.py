@@ -5,7 +5,6 @@ from cppo.arith import (
     is_prime,
     is_prime_power,
     p_part,
-    p_prime_part,
     prime_factors,
 )
 
@@ -67,4 +66,3 @@ def test_is_prime_power_rejects_mixed():
 )
 def test_p_part(n, p, part):
     assert p_part(n, p) == part
-    assert p_prime_part(n, p) == n // part

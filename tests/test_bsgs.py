@@ -90,15 +90,6 @@ def test_sift_gives_identity_exactly_for_members():
         assert chain.sift(x) == ident
 
 
-def test_chain_orders_multiply_along_orbits():
-    degree, gens = 5, S5_GENS
-    chain = StabilizerChain.from_raw_generators(degree, gens)
-    prod = 1
-    for n in chain.orbit_sizes():
-        prod *= n
-    assert prod == 120
-
-
 def test_incremental_extension():
     chain = StabilizerChain(4)
     assert chain.order() == 1
@@ -116,15 +107,31 @@ def test_incremental_extension():
     assert chain.order() == 24
 
 
+def test_chain_orders_multiply_along_orbits():
+    degree, gens = 5, S5_GENS
+    chain = StabilizerChain.from_raw_generators(degree, gens)
+    prod = 1
+    for level, b in enumerate(chain.base):
+        # the orbit of base[level] under that level's strong generators
+        orbit, frontier = {b}, [b]
+        for p in frontier:
+            for s, _ in chain._gens[level]:
+                if s[p] not in orbit:
+                    orbit.add(s[p])
+                    frontier.append(s[p])
+        assert orbit == set(chain._inverses[level])
+        prod *= len(orbit)
+    assert prod == chain.order() == 120
+
+
 def test_transversal_elements_do_what_they_claim():
     degree, gens = 5, S5_GENS
     chain = StabilizerChain.from_raw_generators(degree, gens)
     for level, b in enumerate(chain.base):
-        for point in range(degree):
-            u = chain.coset_representative(level, point)
-            if u is None:
-                continue
+        for point, inv in chain._inverses[level].items():
+            u = inv_raw(inv)
             assert u[b] == point
+            assert chain.contains_raw(u)
             # representatives at deeper levels fix the earlier base points
             for earlier in chain.base[:level]:
                 assert u[earlier] == earlier
@@ -210,7 +217,7 @@ def test_tuple_path_agrees_with_enumeration_on_lifted_s6_subgroups():
         chain = StabilizerChain.from_raw_generators(
             degree, [block_raw(g, offset, degree) for g in small]
         )
-        assert type(chain.coset_representative(0, chain.base[0])) is tuple
+        assert type(chain._inverses[0][chain.base[0]]) is tuple
         assert chain.order() == len(members)
         for x in members:
             assert chain.contains_raw(block_raw(x, offset, degree))
@@ -230,8 +237,6 @@ def _assert_chain_consistent(chain):
             assert inv[point] == b
             for earlier in chain.base[:level]:
                 assert inv[earlier] == earlier
-            u = chain.coset_representative(level, point)
-            assert mul_raw(u, inv) == identity_raw(chain.degree)
 
 
 def _random_short_cycle(rng, degree):

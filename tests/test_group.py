@@ -345,14 +345,10 @@ def test_centralizer_matches_the_pairwise_filter_on_subgroups_of_s6(tables, targ
     assert group.center()._raw_gens == pairwise_centralizer(group, group._raw_gens)._raw_gens
 
 
-def test_normal_closure():
+def test_normal_closures_in_s4():
     group = s4()
-    t = parse_permutation("(1 2)(3 4)", 4)
-    assert group.normal_closure([t]).order() == 4
-    assert group.normal_closure([parse_permutation("(1 2)", 4)]).order() == 24
-    assert group.normal_closure([parse_permutation("(1 2 3)", 4)]).order() == 12
-    with pytest.raises(NotInGroupError):
-        a5().normal_closure([parse_permutation("(1 2)", 5)])
+    for text, order in (("(1 2)(3 4)", 4), ("(1 2)", 24), ("(1 2 3)", 12)):
+        assert group._normal_closure_raw([parse_permutation(text, 4).raw]).order() == order
 
 
 def test_subgroup_membership_guard():
@@ -460,6 +456,17 @@ def test_quotient_rejects_a_kernel_outside_the_group():
         quotient_by_normal(group, G(["(3 4)"], 4))
     with pytest.raises(DegreeMismatchError):
         quotient_by_normal(group, G(["(3 4)"], 5))
+
+
+def test_quotient_project_and_lift_refuse_non_members():
+    a4 = G(["(1 2 3)", "(1 2)(3 4)"], 4)
+    q = quotient_by_normal(a4, G(["(1 2)(3 4)", "(1 3)(2 4)"], 4))
+    assert q.order() == 3
+    with pytest.raises(NotInGroupError):
+        q.project(parse_permutation("(1 2)", 4))
+    # a transposition of the three cosets is not in the cyclic quotient
+    with pytest.raises(NotInGroupError):
+        q.lift(parse_permutation("(1 2)", 3))
 
 
 def test_quotient_by_trivial_shares_the_group():
@@ -574,8 +581,16 @@ def assert_quotient_matches_reference(G, N):
     q = quotient_by_normal(G, N)
     if N.is_trivial():
         return
-    got = (q.degree, [g.raw for g in q.generators], q._reps, list(q._index.items()))
-    assert got == reference_quotient(G, N)
+    degree, gens, reps, index = reference_quotient(G, N)
+    assert (q.degree, [g.raw for g in q.generators], q._reps) == (degree, gens, reps)
+    assert [(r, i) for i, r in enumerate(q._reps)] == index
+    # project: x sends coset N r to the coset of the least element of N r x
+    nraw, coset_of = N._raw_elements(), dict(index)
+    rng = random.Random(20)
+    elems = G._raw_elements()
+    for x in G._raw_gens + [rng.choice(elems) for _ in range(20)]:
+        images = [coset_of[min(mul_raw(n, mul_raw(r, x)) for n in nraw)] for r in reps]
+        assert q.project(Permutation._from_raw(x)) == Permutation.from_zero_based(images)
 
 
 def _series_terms(group):

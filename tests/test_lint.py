@@ -118,6 +118,35 @@ def test_no_unreferenced_public_code():
     assert dead == [], "public code that is neither exported nor used: %s" % ", ".join(dead)
 
 
+# Public entry points that only the tests call: the acceptance tests
+# reproduce the PSL(3,4) commutators and the exceptional automorphism witness
+# and print a suite with full_suite_to_text, and the brute-force oracles use
+# conjugacy_classes and Permutation.conjugate.
+TEST_ENTRY_POINTS = {
+    "reproduce_psl34_commutators",
+    "exceptional_automorphism_witness",
+    "full_suite_to_text",
+    "conjugacy_classes",
+    "conjugate",
+}
+
+
+def test_public_code_has_a_caller_besides_its_tests():
+    """Every public definition is exported, one of the entry points above, or
+    named by the package or the benchmark: a function that only its own unit
+    test calls is deleted with that test rather than kept."""
+    dead = list(
+        _unreferenced(
+            FUNCTIONS + (ast.ClassDef,),
+            lambda name: not name.startswith("_")
+            and name not in cppo.__all__
+            and name not in TEST_ENTRY_POINTS,
+            sorted(SRC.glob("*.py")) + sorted(ROOT.glob("bench/*.py")),
+        )
+    )
+    assert dead == [], "public code only the tests call: %s" % ", ".join(dead)
+
+
 
 def _annotations(tree):
     """Every node inside an annotation: naming a type is not a use."""

@@ -27,11 +27,8 @@ from cppo.structure import (
     fitting_height,
     fitting_subgroup,
     frattini_of_p_group,
-    gamma_infinity,
     identify_simple_eppo,
-    is_extraspecial,
     is_nilpotent,
-    is_p_group,
     is_perfect,
     is_quasisimple,
     is_simple,
@@ -697,10 +694,10 @@ def test_upper_fitting_series_is_built_once_per_group():
     assert soluble_radical(group) is series.terms[-1]
 
 
-def test_lower_central_series_and_gamma_infinity():
+def test_lower_central_series():
     assert [t.order() for t in lower_central_series(d8()).terms] == [8, 2, 1]
-    assert gamma_infinity(s4()).order() == 12
-    assert gamma_infinity(d8()).order() == 1
+    # S4 stops at A4, which is its own commutator with S4
+    assert [t.order() for t in lower_central_series(s4()).terms] == [24, 12]
 
 
 def test_perfect_and_simple_flags():
@@ -778,9 +775,9 @@ def test_simplicity_of_drawn_s6_subgroups_matches_the_lattice(group):
 
 
 def quotient_is_extraspecial(P):
-    """is_extraspecial as it was decided on P/Z(P): centre of order p, the
-    quotient nontrivial, abelian and generated by elements of order p, and
-    the Frattini subgroup equal to the centre."""
+    """Extraspecial as decided on P/Z(P): centre of order p, the quotient
+    nontrivial, abelian and generated by elements of order p, and the
+    Frattini subgroup equal to the centre."""
     fact = factorization(P.order())
     if len(fact) != 1 or P.order() == 1:
         return False
@@ -794,6 +791,20 @@ def quotient_is_extraspecial(P):
     if any(order_raw(x) != p for x in q._raw_gens):
         return False
     return frattini_of_p_group(P).same_group_as(centre)
+
+
+def defined_extraspecial(P):
+    """The definition: a p-group whose centre, derived subgroup and Frattini
+    subgroup are one subgroup of order p."""
+    fact = factorization(P.order())
+    if len(fact) != 1:
+        return False
+    centre = P.center()
+    return (
+        centre.order() == fact[0][0]
+        and P.derived_subgroup().same_group_as(centre)
+        and frattini_of_p_group(P).same_group_as(centre)
+    )
 
 
 @pytest.mark.parametrize(
@@ -815,18 +826,16 @@ def quotient_is_extraspecial(P):
 )
 def test_extraspecial_matches_the_central_quotient_check(atlas_id, want):
     g = build(atlas_id).group
-    assert is_extraspecial(g) == quotient_is_extraspecial(g) == want
+    assert defined_extraspecial(g) == quotient_is_extraspecial(g) == want
 
 
-def test_quasisimple_and_extraspecial_form_no_quotient(monkeypatch):
+def test_quasisimple_forms_no_quotient(monkeypatch):
     def refuse(*args):
         raise AssertionError("a quotient was formed")
 
     monkeypatch.setattr(structure, "quotient_by_normal", refuse)
     for atlas_id in ("sl2_5", "sl2_9", "alt(5)"):
         assert is_quasisimple(build(atlas_id).group), atlas_id
-    for atlas_id in ("q8", "extraspecial(3,+)"):
-        assert is_extraspecial(build(atlas_id).group), atlas_id
 
 
 def test_minimal_normals_and_socle():
@@ -838,11 +847,10 @@ def test_minimal_normals_and_socle():
     assert socle(s3xs3()).order() == 9
 
 
-def test_frattini_and_extraspecial():
+def test_frattini_of_p_group():
     assert frattini_of_p_group(q8()).order() == 2
     assert frattini_of_p_group(d8()).order() == 2
-    assert is_extraspecial(q8()) and is_extraspecial(d8())
-    assert not is_extraspecial(G(["(1 2)", "(3 4)"], 4))
+    assert frattini_of_p_group(G(["(1 2)", "(3 4)"], 4)).order() == 1
     with pytest.raises(NotPGroupError):
         frattini_of_p_group(s4())
 
@@ -853,8 +861,3 @@ def test_p_prime_part_of_nilpotent():
     assert p_prime_part_of_nilpotent(q8(), 2).order() == 1
     with pytest.raises(NotNilpotentError):
         p_prime_part_of_nilpotent(s4(), 2)
-
-
-def test_is_p_group():
-    assert is_p_group(q8()) and is_p_group(d8())
-    assert not is_p_group(s4())
