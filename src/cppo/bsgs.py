@@ -91,12 +91,15 @@ class StabilizerChain:
         Sifting g down the chain writes g = u_k ... u_0 with one coset
         representative per level, so g^-1 = v_0 v_1 ... v_k with v_i = u_i^-1
         taken from the stored inverses, and g^-1 runs over the group as g
-        does.  Each level multiplies every product so far by each of its
-        inverses but the first, which belongs to the base point and is the
-        identity, one batch per orbit point.
+        does.  Level 0's inverses are the products v_0 as they stand, the
+        stored objects themselves.  Each later level multiplies every product
+        so far by each of its inverses but the first, which belongs to the
+        base point and is the identity, one batch per orbit point.
         """
-        products = [self._identity]
-        for inverses in self._inverses:
+        if not self._inverses:
+            return [self._identity]
+        products = list(self._inverses[0].values())
+        for inverses in self._inverses[1:]:
             others = islice(inverses.values(), 1, None)
             products += [y for v in others for y in mul_all(products, v)]
         return products

@@ -5,23 +5,29 @@ list, conjugacy classes).  Orders and membership go through the chain and
 never enumerate; anything that does enumerate honours the group's cap and
 raises EnumerationCapError beyond it.  The elements themselves come from the
 chain, as products of one stored coset representative per level, so each is
-formed exactly once.  Conjugacy classes form no conjugate: an element is
-fixed by its images of the chain's base, so each generator acts on element
-indices through a table read off those images, and the classes are the
-orbits of the index tables.  Commutators are read off the class
-table: one scan names, for each class representative r and each s in its
-class, the class of the commutator r^-1 s.  The CPPO verdict reads orders off
-the classes it names, and the commutator set is the union of the classes the
-scan hits.  A quotient G/N acts on the right cosets of N, each named by the
-least row of its elements' images of G's base.  All derived data is
-produced in a deterministic order: element lists are sorted
+formed at most once, and those of the first level are the stored inverses
+themselves.  Conjugacy classes form no conjugate: an element is fixed by its
+images of the chain's base, so each generator acts on element indices
+through a table read off those images, and the classes are the orbits of
+the index tables.  The tables cost one row per element per generator, so a
+group with more than two generators and |G| > degree^2 sweeps on a pair of
+elements checked to generate it, when one is found.  Commutators are read
+off the class table: one scan names, for each class representative r and
+each s in its class, the class of the commutator r^-1 s.  The CPPO verdict
+reads orders off the classes it names, and the commutator set is the union
+of the classes the scan hits.  A quotient G/N acts on the right cosets of
+N, each named by the least row of its elements' images of G's base.  All
+derived data is produced in a deterministic order: element lists are sorted
 lexicographically by image table, classes by (size, least member).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
 
 from .arith import is_prime_power
 from .bsgs import StabilizerChain
@@ -187,13 +193,15 @@ class FiniteGroup:
             # before any element is formed
             if self.order() > self.cap:
                 raise EnumerationCapError(self.cap, self.cap)
-            elems = set(self.chain().elements())
-            if len(elems) != self.order():
+            elems = sorted(self.chain().elements())
+            # equal elements sit side by side once sorted
+            distinct = len(elems) - sum(map(operator.eq, elems, islice(elems, 1, None)))
+            if distinct != self.order():
                 raise RuntimeError(
                     "enumeration found %d distinct elements but the chain says %d"
-                    % (len(elems), self.order())
+                    % (distinct, self.order())
                 )
-            self._elements = sorted(elems)
+            self._elements = elems
         return self._elements
 
     def elements(self) -> list[Permutation]:
@@ -204,9 +212,9 @@ class FiniteGroup:
     def _raw_classes(self) -> list[_RawClass]:
         if self._classes is None:
             elems = self._raw_elements()
-            # moves[i][j] is the index of elems[j]'s conjugate by the i-th generator
+            # moves[i][j] is the index of elems[j]'s conjugate by the i-th class generator
             base = self.chain().base
-            moves = conjugation_tables(elems, base, self._raw_gens)
+            moves = conjugation_tables(elems, base, self._class_gens())
             seen = bytearray(len(elems))
             out = []
             for i, x in enumerate(elems):
@@ -225,6 +233,24 @@ class FiniteGroup:
             out.sort(key=lambda c: (len(c.members), c.rep))
             self._classes = out
         return self._classes
+
+    def _class_gens(self) -> list:
+        """A generating list for the class sweep, which pays one table row per
+        element per generator: a pair (g_i, w), w the product of all the
+        generators, when one is checked to generate the group, else them all.
+
+        The check is a chain bounded by |G| (sound, as the pair lies in G),
+        which costs up to about `degree` points per level and saves k - 2
+        rows per element, so it is tried only for k > 2 and |G| > degree^2.
+        """
+        gens = self._raw_gens
+        n = self.order()
+        if len(gens) > 2 and n > self.degree**2:
+            w = reduce(mul_raw, gens)
+            for g in gens:
+                if StabilizerChain.from_raw_generators(self.degree, [g, w], n).order() == n:
+                    return [g, w]
+        return gens
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
         return [

@@ -163,7 +163,9 @@ def _class_closure(G: FiniteGroup, k: int, allowed=None, bound=None) -> frozense
     C_k alone reach them all.  Growth stops with None at a class outside
     `allowed` or once the classes met hold more than `bound` elements.  With
     no bound, more than |G|/2 elements lie in no proper subgroup, so the
-    closure is all of G.  C_k itself must lie in `allowed`.
+    closure is all of G.  C_k itself must lie in `allowed`.  The size is
+    tested before each product, the first included, so a class that alone
+    holds more than `bound` elements forms none.
     """
     classes = G._raw_classes()
     limit = G.order() // 2 if bound is None else bound
@@ -171,6 +173,11 @@ def _class_closure(G: FiniteGroup, k: int, allowed=None, bound=None) -> frozense
     size = len(classes[k].members)
     frontier = [k]
     for i in frontier:
+        if size > limit:
+            if bound is not None:
+                return None
+            whole = frozenset(range(len(classes)))
+            return whole if allowed is None or whole <= allowed else None
         for c in _class_product(G, i, k):
             if c in met:
                 continue
@@ -178,11 +185,6 @@ def _class_closure(G: FiniteGroup, k: int, allowed=None, bound=None) -> frozense
                 return None
             met.add(c)
             size += len(classes[c].members)
-            if size > limit:
-                if bound is not None:
-                    return None
-                whole = frozenset(range(len(classes)))
-                return whole if allowed is None or whole <= allowed else None
             frontier.append(c)
     return frozenset(met)
 

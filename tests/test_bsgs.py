@@ -1,6 +1,7 @@
 """Stabilizer chain cross-checked against plain breadth-first enumeration."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from cppo.permutation import (
     conj_raw,
     identity_raw,
     inv_raw,
+    mul_all,
     mul_raw,
     order_raw,
     parse_permutation,
@@ -275,9 +277,12 @@ def test_regular_sl2_9_chain():
     assert not chain.contains_raw(raw_from_images(_random_images(rng, 720)))
 
 
+CORPUS = corpus_groups()
+
+
 def test_chain_elements_match_enumeration_on_the_smaller_corpus_groups():
     checked = 0
-    for name, group in corpus_groups():
+    for name, group in CORPUS:
         if group.order() > 2000:
             continue
         elems = group.chain().elements()
@@ -285,6 +290,35 @@ def test_chain_elements_match_enumeration_on_the_smaller_corpus_groups():
         assert set(elems) == enumerate_raw(group.degree, group._raw_gens), name
         checked += 1
     assert checked == 40
+
+
+def elements_from_identity(chain):
+    """chain.elements() as it was formed before level 0 took its inverses as
+    they stand: every level, the first included, multiplies the products so
+    far by each of its inverses but the first."""
+    products = [chain._identity]
+    for inverses in chain._inverses:
+        others = islice(inverses.values(), 1, None)
+        products += [y for v in others for y in mul_all(products, v)]
+    return products
+
+
+@pytest.mark.parametrize("name, group", CORPUS, ids=[n for n, _ in CORPUS])
+def test_chain_elements_keep_the_order_of_the_identity_products(name, group):
+    chain = group.chain()
+    assert chain.elements() == elements_from_identity(chain)
+
+
+def test_a_one_level_chain_lists_its_elements_without_a_product(monkeypatch):
+    chain = atlas.build("sl2_9").group.chain()
+    assert (chain.degree, len(chain.base)) == (720, 1)
+    want = elements_from_identity(chain)
+
+    def refuse(*args):
+        raise AssertionError("a one-level chain formed a product")
+
+    monkeypatch.setattr(cppo.bsgs, "mul_all", refuse)
+    assert chain.elements() == want
 
 
 def test_chain_elements_match_enumeration_on_a_coset_action_quotient():

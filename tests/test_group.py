@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import cppo.bsgs
 import cppo.group
+from cppo.bsgs import StabilizerChain
 from cppo import (
     DegreeMismatchError,
     EnumerationCapError,
@@ -25,7 +26,7 @@ from cppo import (
 )
 from cppo.arith import is_prime_power
 from cppo.atlas import build, load_group_spec
-from cppo.corpus import default_corpus
+from cppo.corpus import corpus_groups, default_corpus
 from cppo.permutation import (
     conj_raw,
     conjugator,
@@ -142,7 +143,7 @@ def bfs_classes(group):
 def _drawn_subgroups_of_s6(count):
     rng = random.Random(17)
     for _ in range(count):
-        tables = [rng.sample(range(6), 6) for _ in range(rng.randint(1, 3))]
+        tables = [rng.sample(range(6), 6) for _ in range(rng.randint(1, 4))]
         yield FiniteGroup([Permutation._from_raw(raw_from_images(t)) for t in tables], degree=6)
 
 
@@ -153,7 +154,8 @@ def _sl29_mod_centre():
 
 # one base point at degree 720 (tuple tables), two at degree 722, four and
 # nine (wider than one int key) at small degree, an empty base, a coset-action
-# quotient, and base lengths 1 to 5 of subgroups of S6
+# quotient, base lengths 1 to 5 of subgroups of S6 on 1 to 4 generators, and
+# the corpus groups, whose 3 to 5 generators the sweep trades for a pair
 CLASS_GUARD_GROUPS = {
     "sl2_9": lambda: [build("sl2_9").group],
     "sl2_9xC2": lambda: [build("direct_product(sl2_9,cyclic(2))").group],
@@ -161,10 +163,14 @@ CLASS_GUARD_GROUPS = {
     "elem_abelian(2,9)": lambda: [build("elem_abelian(2,9)").group],
     "derived(cyclic(12))": lambda: [build("cyclic(12)").group.derived_subgroup()],
     "sl2_9/Z": lambda: [_sl29_mod_centre()],
-    "s6_draws": lambda: list(_drawn_subgroups_of_s6(30)),
+    "s6_draws": lambda: list(_drawn_subgroups_of_s6(40)),
     # points past 2^16 need 4-byte base images
     "transposition_d65540": lambda: [G(["(65537 65539)"], 65540)],
 }
+CORPUS = corpus_groups()
+# psl34_g1 is left out for time; it takes the pair path as psl34_phi_ext does
+SWEPT_CORPUS = [(n, g) for n, g in CORPUS if n != "psl34_g1"]
+CLASS_GUARD_GROUPS.update(("corpus:" + n, lambda g=g: [g]) for n, g in SWEPT_CORPUS)
 
 
 @pytest.mark.parametrize("name", sorted(CLASS_GUARD_GROUPS))
@@ -178,7 +184,69 @@ def test_classes_form_no_conjugate_and_match_the_frontier_search(name, monkeypat
     monkeypatch.setattr(cppo.group, "conjugator", refuse)
     monkeypatch.setattr(cppo.group, "conj_raw", refuse)
     for group, want in zip(groups, expected):
-        assert [(c.rep, c.members) for c in group._raw_classes()] == want
+        classes = group._raw_classes()
+        assert [(c.rep, c.members) for c in classes] == want
+        assert [c.order for c in classes] == [order_raw(rep) for rep, _ in want]
+
+
+def test_pair_sweeps_are_taken_where_the_guard_allows():
+    groups = [g for _, g in SWEPT_CORPUS] + list(_drawn_subgroups_of_s6(40))
+    paired = {g.name or "s6_draw_%d" % i for i, g in enumerate(groups)
+              if len(g._class_gens()) < len(g._raw_gens)}
+    assert {"psl3_4", "sz8", "psl34_phi_ext", "pgammal2_9", "psl2(8)"} <= paired
+    assert sum(n.startswith("s6_draw") for n in paired) >= 4
+
+
+@pytest.mark.parametrize("name, group", CORPUS, ids=[n for n, _ in CORPUS])
+def test_class_generators_generate_the_group(name, group):
+    gens = group._class_gens()
+    assert StabilizerChain.from_raw_generators(group.degree, gens).order() == group.order()
+    assert all(group.chain().contains_raw(g) for g in gens)
+
+
+def chains_built_by(call, monkeypatch):
+    """call()'s result, and the generator list of each chain it built."""
+    built = []
+    real = StabilizerChain.from_raw_generators.__func__
+
+    def counting(cls, degree, raw_gens, bound=None):
+        built.append(list(raw_gens))
+        return real(cls, degree, raw_gens, bound)
+
+    with monkeypatch.context() as m:
+        m.setattr(StabilizerChain, "from_raw_generators", classmethod(counting))
+        return call(), built
+
+
+def test_class_generators_fall_back_to_the_full_list(monkeypatch):
+    # 2^3 needs its three generators, and |G| = 8 <= 6^2, so no pair is tried
+    e8 = build("elem_abelian(2,3)").group
+    e8.chain()
+    assert chains_built_by(e8._class_gens, monkeypatch) == (e8._raw_gens, [])
+    # 2^3 x A5 needs three generators too, and 480 > 11^2: every pair fails
+    e8xa5 = G(["(1 2)", "(3 4)", "(5 6)", "(7 8 9)", "(7 8 9 10 11)"], 11)
+    e8xa5.chain()
+    gens, built = chains_built_by(e8xa5._class_gens, monkeypatch)
+    assert gens == e8xa5._raw_gens and len(built) == 5
+    # ASL(2,4) is 2-generated, but by none of its candidate pairs, and by no
+    # pair of its own generators either
+    asl = build("asl2_4").group
+    asl.chain()
+    gens, built = chains_built_by(asl._class_gens, monkeypatch)
+    assert gens == asl._raw_gens and len(built) == len(asl._raw_gens) == 4
+    for i, a in enumerate(asl._raw_gens):
+        for b in asl._raw_gens[i + 1 :]:
+            assert StabilizerChain.from_raw_generators(16, [a, b]).order() < asl.order()
+    assert [(c.rep, c.members) for c in asl._raw_classes()] == bfs_classes(asl)
+
+
+def test_a_regular_representation_keeps_its_generators_and_builds_no_chain(monkeypatch):
+    # sl2_9 acts regularly on 720 points: |G| = 720 <= 720^2
+    group = build("sl2_9").group
+    group.chain()
+    _, built = chains_built_by(group._raw_classes, monkeypatch)
+    assert built == []
+    assert group._class_gens() == group._raw_gens and len(group._raw_gens) == 3
 
 
 @pytest.mark.parametrize("make", [s4, a5, d10, q8, sl23])

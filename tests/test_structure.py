@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cppo import FiniteGroup, parse_permutation, structure, towers
-from cppo.arith import factorization
+from cppo.arith import factorization, p_part
 from cppo.atlas import build, load_group_spec
 from cppo.bsgs import StabilizerChain
 from cppo.corpus import corpus_groups, default_corpus
@@ -394,6 +394,10 @@ def test_class_closure_stops_early():
     # their closure is S4, past a bound of 8 elements
     assert structure._class_closure(g, transposition, everything, 8) is None
     assert structure._class_closure(g, transposition, everything, 24) == everything
+    # six transpositions are past a bound of 4 before any product
+    alone = s4()
+    assert structure._class_closure(alone, transposition, everything, 4) is None
+    assert "class_products" not in alone._cache
     # with no bound, the first product passes 12 elements, so the closure is
     # S4 although no product has met the 4-cycles yet
     fresh = s4()
@@ -534,6 +538,60 @@ def test_p_core_is_the_intersection_of_sylow_conjugates():
 @pytest.mark.parametrize("name, group", SMALL_CORPUS, ids=[n for n, _ in SMALL_CORPUS])
 def test_p_core_of_corpus_groups_is_the_intersection_of_sylow_conjugates(name, group):
     assert_cores_match_sylow_intersection(group)
+
+
+def class_closure_testing_size_after_each_class(G, k, allowed, bound):
+    """_class_closure with a bound, as it was before the size test ran ahead
+    of each product: only each added class is tested."""
+    classes = G._raw_classes()
+    met = {k}
+    size = len(classes[k].members)
+    frontier = [k]
+    for i in frontier:
+        for c in structure._class_product(G, i, k):
+            if c in met:
+                continue
+            if c not in allowed:
+                return None
+            met.add(c)
+            size += len(classes[c].members)
+            if size > bound:
+                return None
+            frontier.append(c)
+    return frozenset(met)
+
+
+def core_classes_testing_size_after_each_class(G, p):
+    target = p_part(G.order(), p)
+    classes = G._raw_classes()
+    allowed = frozenset(k for k, c in enumerate(classes) if target % c.order == 0)
+    core = set()
+    for k in sorted(allowed):
+        if k not in core:
+            core.update(class_closure_testing_size_after_each_class(G, k, allowed, target) or ())
+    return core
+
+
+CAPPED_CORPUS = [(n, g) for n, g in CORPUS if g.order() <= g.cap]
+
+
+@pytest.mark.parametrize("name, group", CAPPED_CORPUS, ids=[n for n, _ in CAPPED_CORPUS])
+def test_p_cores_of_corpus_groups_match_the_size_test_after_each_class(name, group):
+    classes = group._raw_classes()
+    for p, _ in factor(group.order()) + [(101, 1)]:
+        want = core_classes_testing_size_after_each_class(group, p)
+        core = p_core(group, p)
+        assert sorted(core._raw_elements()) == sorted(x for k in want for x in classes[k].members)
+
+
+def test_p_core_forms_no_product_for_a_class_past_the_p_part():
+    g = build("psl3_4").group
+    classes = g._raw_classes()
+    involutions = [k for k, c in enumerate(classes) if c.order == 2]
+    # one class of 315 involutions, past |G|_2 = 64
+    assert [len(classes[k].members) for k in involutions] == [315]
+    assert p_core(g, 2).is_trivial()
+    assert not any(involutions[0] in pair for pair in g._cache.get("class_products", {}))
 
 
 @st.composite
