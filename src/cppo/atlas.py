@@ -493,15 +493,13 @@ def projective_permutation(M: Matrix, domain="points") -> Permutation:
     return Permutation.from_zero_based(point_part + line_part)
 
 
-def frobenius_collineation(domain="points") -> Permutation:
-    """Coordinate-wise squaring on PG(2, 4), on points or on points and lines."""
+def frobenius_collineation() -> Permutation:
+    """Coordinate-wise squaring on PG(2, 4), on its points and then its lines."""
     F = _PG24_FIELD
     part = [
         _PG24_INDEX[_normalize_projective(F, tuple(F.frobenius(c) for c in v))]
         for v in _PG24_POINTS
     ]
-    if domain == "points":
-        return Permutation.from_zero_based(part)
     return Permutation.from_zero_based(part + [21 + i for i in part])
 
 
@@ -534,13 +532,13 @@ def _psl34_42_gens():
 
 
 def _build_psl34_phi_ext():
-    gens = _psl34_42_gens() + [frobenius_collineation("points_and_lines")]
+    gens = _psl34_42_gens() + [frobenius_collineation()]
     return _finish("psl34_phi_ext", gens, 42, 40320, "socle extended by the field squaring")
 
 
 def _build_psl34_g1():
     delta = projective_permutation(_delta_matrix(), "points_and_lines")
-    gens = _psl34_42_gens() + [delta, frobenius_collineation("points_and_lines")]
+    gens = _psl34_42_gens() + [delta, frobenius_collineation()]
     return _finish(
         "psl34_g1",
         gens,
@@ -834,7 +832,7 @@ def reproduce_psl34_commutators() -> dict:
     if c2 != Matrix(F, [[1, 0, 0], [0, a2, a], [0, a, a2]]):
         raise AtlasError("the polarity commutator of A2 has the wrong matrix")
 
-    phi = frobenius_collineation("points_and_lines")
+    phi = frobenius_collineation()
     beta = duality_collineation()
     x1 = projective_permutation(A1 * D, "points_and_lines")
     x2 = projective_permutation(A2 * D, "points_and_lines")

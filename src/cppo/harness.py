@@ -261,10 +261,6 @@ def run_full_suite(documents, ids=None, seed: int = 0) -> FullSuiteResult:
 # canonical serialization
 
 
-def _report_to_doc(rep: ClassificationReport) -> dict:
-    return asdict(rep)
-
-
 def _report_from_doc(doc: dict) -> ClassificationReport:
     known = {f: doc[f] for f in ClassificationReport.__dataclass_fields__ if f in doc}
     missing = set(doc) - set(known)
@@ -280,7 +276,7 @@ def _to_text(**sections) -> str:
 
 def reports_to_text(reports) -> str:
     """The reports alone, as persist_results writes them."""
-    return _to_text(reports=[_report_to_doc(r) for r in reports])
+    return _to_text(reports=[asdict(r) for r in reports])
 
 
 def persist_results(reports, path) -> None:
@@ -304,20 +300,12 @@ def load_results(path) -> list[ClassificationReport]:
 
 
 def lemma_checks_to_doc(checks) -> list:
-    return [
-        {
-            "lemma_id": c.lemma_id,
-            "instance": c.instance,
-            "status": c.status,
-            "witness": c.witness,
-        }
-        for c in checks
-    ]
+    return [asdict(c) for c in checks]
 
 
 def theorem_suite_to_text(suite: SuiteResult) -> str:
     return _to_text(
-        reports=[_report_to_doc(r) for r in suite.reports],
+        reports=[asdict(r) for r in suite.reports],
         failures=suite.failures,
         skips=suite.skips,
     )
@@ -329,7 +317,7 @@ def lemma_suite_to_text(checks) -> str:
 
 def full_suite_to_text(result: FullSuiteResult) -> str:
     return _to_text(
-        reports=[_report_to_doc(r) for r in result.theorems.reports],
+        reports=[asdict(r) for r in result.theorems.reports],
         failures=result.theorems.failures,
         skips=result.theorems.skips,
         lemma_checks=lemma_checks_to_doc(result.lemmas),

@@ -11,6 +11,11 @@ pass.
 Corpus-driven families (opelinha, casolo_quotient, the perfect-group
 lemmas) restrict to corpus groups of order at most 1000 so the whole suite
 stays in seconds; the bound is an instance policy, not a correctness cap.
+
+Each family check_<id>(seed) is a generator of (instance, passed, witness)
+triples, one per instance.  REGISTRY maps each lemma id to run(seed), which
+drains its family and makes the LemmaCheck records, in the order yielded;
+no family names its id or a status.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from .towers import (
 class LemmaCheck:
     lemma_id: str
     instance: str
-    status: str  # "pass", "fail" or "undecided"
+    status: str  # "pass" or "fail"
     witness: dict = field(default_factory=dict)
 
 
@@ -236,11 +241,10 @@ def _check_action_preconditions(amb, g_sub, a_sub):
 
 
 # ---------------------------------------------------------------------------
-# check families
+# check families: each yields (instance, passed, witness) per instance
 
 
-def check_cc_i(seed=0):
-    out = []
+def check_cc_i(seed):
     for tag, amb, g, a in _coprime_pairs():
         _check_action_preconditions(amb, g, a)
         comm = _commutator_span(amb, a._raw_gens, g)
@@ -252,24 +256,15 @@ def check_cc_i(seed=0):
             meet = set(comm._raw_elements()) & set(cent._raw_elements())
             ok = len(meet) == 1
             witness["meet_order"] = len(meet)
-        out.append(LemmaCheck("cc_i", tag, "pass" if ok else "fail", witness))
-    return out
+        yield tag, ok, witness
 
 
-def check_cc_ii(seed=0):
-    out = []
+def check_cc_ii(seed):
     for tag, amb, g, a in _coprime_pairs():
         _check_action_preconditions(amb, g, a)
         once = _commutator_span(amb, a._raw_gens, g)
         twice = _commutator_span(amb, a._raw_gens, once)
-        ok = once.same_group_as(twice)
-        out.append(
-            LemmaCheck(
-                "cc_ii", tag, "pass" if ok else "fail",
-                {"once": once.order(), "twice": twice.order()},
-            )
-        )
-    return out
+        yield tag, once.same_group_as(twice), {"once": once.order(), "twice": twice.order()}
 
 
 def _cc_iii_instances():
@@ -283,8 +278,7 @@ def _cc_iii_instances():
     yield "c2^4 mod one block", amb4, v4, a, first_block
 
 
-def check_cc_iii(seed=0):
-    out = []
+def check_cc_iii(seed):
     for tag, amb, g, a, n in _cc_iii_instances():
         _check_action_preconditions(amb, g, a)
         nchain = n.chain()
@@ -297,15 +291,10 @@ def check_cc_iii(seed=0):
         lhs = amb._subgroup_from_raw_elements(pulled).order()
         cent = g.centralizer(a.generators)
         rhs = _join(amb, n._raw_gens, cent._raw_gens).order()
-        ok = lhs == rhs
-        out.append(
-            LemmaCheck("cc_iii", tag, "pass" if ok else "fail", {"lhs": lhs, "rhs": rhs})
-        )
-    return out
+        yield tag, lhs == rhs, {"lhs": lhs, "rhs": rhs}
 
 
-def check_cc_v(seed=0):
-    out = []
+def check_cc_v(seed):
     for tag, amb, g, a in _noncyclic_abelian_pairs():
         _check_action_preconditions(amb, g, a)
         if not is_nilpotent(g) or a.is_cyclic():
@@ -314,14 +303,11 @@ def check_cc_v(seed=0):
         for aelt in _nontrivial_elements(a):
             pieces.append(g.centralizer([aelt])._raw_gens)
         total = _join(amb, *pieces)
-        ok = total.order() == g.order()
-        out.append(
-            LemmaCheck(
-                "cc_v", tag, "pass" if ok else "fail",
-                {"product_order": total.order(), "group_order": g.order()},
-            )
+        yield (
+            tag,
+            total.order() == g.order(),
+            {"product_order": total.order(), "group_order": g.order()},
         )
-    return out
 
 
 def _cc_vi_instances():
@@ -335,20 +321,15 @@ def _cc_vi_instances():
     yield ("quaternion group under an order-3 element", *_sl23_on_q8())
 
 
-def check_cc_vi(seed=0):
-    out = []
+def check_cc_vi(seed):
     for tag, amb, g, a in _cc_vi_instances():
         _check_action_preconditions(amb, g, a)
         witness = {}
-        ok = True
         for p in prime_factors(g.order()):
             syl = sylow_subgroup(g, p)
             found = _invariant_conjugate(amb, g, syl, a)
             witness[str(p)] = "found" if found else "missing"
-            if not found:
-                ok = False
-        out.append(LemmaCheck("cc_vi", tag, "pass" if ok else "fail", witness))
-    return out
+        yield tag, "missing" not in witness.values(), witness
 
 
 def _invariant_conjugate(amb, g: FiniteGroup, syl: FiniteGroup, a: FiniteGroup):
@@ -360,10 +341,8 @@ def _invariant_conjugate(amb, g: FiniteGroup, syl: FiniteGroup, a: FiniteGroup):
     return None
 
 
-def check_kurzweil(seed=0):
-    out = []
+def check_kurzweil(seed):
     for q, d, amb, v, a in _tori():
-        tag = "agl1(%d) scaling subgroup of order %d" % (q, d)
         _check_action_preconditions(amb, v, a)
         if any(v.centralizer([x]).order() > 1 for x in _nontrivial_elements(a)):
             raise GroupError("kurzweil instance is not fixed point free")
@@ -373,25 +352,23 @@ def check_kurzweil(seed=0):
         )
         if not conditions:
             raise GroupError("kurzweil instance misses every hypothesis")
-        ok = a.is_cyclic()
-        out.append(LemmaCheck("kurzweil", tag, "pass" if ok else "fail", {"a_order": a.order()}))
+        yield (
+            "agl1(%d) scaling subgroup of order %d" % (q, d),
+            a.is_cyclic(),
+            {"a_order": a.order()},
+        )
     amb, v, q8 = _affine_plane_3()
     _check_action_preconditions(amb, v, q8)
     if any(v.centralizer([x]).order() > 1 for x in _nontrivial_elements(q8)):
         raise GroupError("quaternion instance is not fixed point free")
-    exception_ok = (not q8.is_cyclic()) and _is_quaternion8(q8)
-    out.append(
-        LemmaCheck(
-            "kurzweil",
-            "q8 acting freely on c3 x c3",
-            "pass" if exception_ok else "fail",
-            {"note": "the permitted quaternion exception: noncyclic yet fixed point free"},
-        )
+    yield (
+        "q8 acting freely on c3 x c3",
+        not q8.is_cyclic() and _is_quaternion8(q8),
+        {"note": "the permitted quaternion exception: noncyclic yet fixed point free"},
     )
-    return out
 
 
-def check_acnoncop(seed=0):
+def check_acnoncop(seed):
     rng = random.Random(seed)
     instances = list(_noncyclic_abelian_pairs())
     # conjugated copies are genuinely different subgroup pairs of the ambient
@@ -402,7 +379,6 @@ def check_acnoncop(seed=0):
         vv = amb._subgroup_raw([conj_raw(x, c) for x in v._raw_gens])
         aa = amb._subgroup_raw([conj_raw(x, c) for x in a._raw_gens])
         extra.append((tag + ", conjugated", amb, vv, aa))
-    out = []
     for tag, amb, v, a in instances + extra:
         _check_action_preconditions(amb, v, a)
         if a.is_cyclic() or not a.is_abelian() or not v.is_abelian():
@@ -413,14 +389,11 @@ def check_acnoncop(seed=0):
                 _commutator_span(amb, [aelt.raw], v)._raw_elements()
             )
             meet = part if meet is None else (meet & part)
-        ok = meet is not None and len(meet) == 1
-        out.append(
-            LemmaCheck(
-                "acnoncop", tag, "pass" if ok else "fail",
-                {"intersection_order": len(meet) if meet else 0},
-            )
+        yield (
+            tag,
+            meet is not None and len(meet) == 1,
+            {"intersection_order": len(meet) if meet else 0},
         )
-    return out
 
 
 def _orderofav_instances():
@@ -434,8 +407,7 @@ def _orderofav_instances():
     yield "c35 with a acting on the c7 part only", amb, v, (s2**2).raw
 
 
-def check_orderofav(seed=0):
-    out = []
+def check_orderofav(seed):
     for tag, amb, v, a_raw in _orderofav_instances():
         n = v.order()
         if math.gcd(n, order_raw(a_raw)) != 1:
@@ -451,19 +423,16 @@ def check_orderofav(seed=0):
             if not chain.contains_raw(velt):
                 ok = False
                 break
-        out.append(
-            LemmaCheck(
-                "orderofav", tag, "pass" if ok else "fail",
-                {"qualifying_elements": checked, "comm_order": comm.order()},
-            )
-        )
-    return out
+        yield tag, ok, {"qualifying_elements": checked, "comm_order": comm.order()}
 
 
-def check_autoofextra(seed=0):
-    out = []
-
-    def verify(tag, P, phi_raw):
+def check_autoofextra(seed):
+    heisenberg, flip = _heisenberg_with_flip()
+    _, q8, a3 = _sl23_on_q8()
+    for tag, P, phi_raw in (
+        ("heisenberg 27 under the inverting involution", heisenberg, flip.raw),
+        ("quaternion group under an order-3 automorphism", q8, a3._raw_gens[0]),
+    ):
         # the automorphism must normalize P and centralize exactly the frattini part
         if not P.normalized_by([phi_raw]):
             raise GroupError("automorphism fails to normalize the instance")
@@ -481,19 +450,7 @@ def check_autoofextra(seed=0):
         missing = [
             x for x in P._raw_elements() if x not in frat_set and class_of[x] not in hit
         ]
-        out.append(
-            LemmaCheck(
-                "autoofextra", tag, "pass" if not missing else "fail",
-                {"value_count": len(values), "missed": len(missing)},
-            )
-        )
-
-    P, flip = _heisenberg_with_flip()
-    verify("heisenberg 27 under the inverting involution", P, flip.raw)
-
-    _, q8, a3 = _sl23_on_q8()
-    verify("quaternion group under an order-3 automorphism", q8, a3._raw_gens[0])
-    return out
+        yield tag, not missing, {"value_count": len(values), "missed": len(missing)}
 
 
 def _q8_automorphisms():
@@ -545,38 +502,23 @@ def _q8_automorphisms():
     return q8, elems, auts
 
 
-def check_autodoquaternion(seed=0):
+def check_autodoquaternion(seed):
     q8, elems, auts = _q8_automorphisms()
     z = next(x for x in elems if order_raw(x) == 2)
     involutory = [
         phi for phi in auts if all(phi[phi[x]] == x for x in elems) and any(phi[x] != x for x in elems)
     ]
-    out = [
-        LemmaCheck(
-            "autodoquaternion",
-            "automorphism group size",
-            "pass" if len(auts) == 24 else "fail",
-            {"count": len(auts), "involutory": len(involutory)},
-        )
-    ]
+    yield (
+        "automorphism group size",
+        len(auts) == 24,
+        {"count": len(auts), "involutory": len(involutory)},
+    )
     for k, phi in enumerate(involutory):
-        hit = None
-        for u in elems:
-            if mul_raw(inv_raw(u), phi[u]) == z:
-                hit = u
-                break
-        out.append(
-            LemmaCheck(
-                "autodoquaternion",
-                "involutory automorphism %d" % (k + 1),
-                "pass" if hit is not None else "fail",
-                {"u_found": hit is not None},
-            )
-        )
-    return out
+        found = any(mul_raw(inv_raw(u), phi[u]) == z for u in elems)
+        yield "involutory automorphism %d" % (k + 1), found, {"u_found": found}
 
 
-def check_aaa_scenario(seed=0):
+def check_aaa_scenario(seed):
     rng = random.Random(seed)
     amb, p1, p2, p3 = _s4_wreath_2()
     stage_sets = [(p1, p2, p3)]
@@ -589,8 +531,8 @@ def check_aaa_scenario(seed=0):
                 for s in (p1, p2, p3)
             )
         )
-    out = []
     for k, (a1, a2, a3) in enumerate(stage_sets):
+        tag = "instance %d" % (k + 1)
         tower = Tower(amb, [(2, a1), (3, a2), (2, a3)])
         report = validate_tower(tower)
         hypo = (
@@ -602,31 +544,20 @@ def check_aaa_scenario(seed=0):
             and _commutator_span(amb, a1._raw_gens, a2).same_group_as(a2)
         )
         if not hypo:
-            out.append(
-                LemmaCheck("aaa_scenario", "instance %d" % (k + 1), "fail", {"hypotheses": False})
-            )
+            yield tag, False, {"hypotheses": False}
             continue
         scope = FiniteGroup(
             a1.generators + a2.generators + a3.generators, degree=amb.degree
         )
         wit = scope.cppo_witness()
-        ok = wit is not None and not is_prime_power(wit.order)
-        out.append(
-            LemmaCheck(
-                "aaa_scenario",
-                "instance %d" % (k + 1),
-                "pass" if ok else "fail",
-                {
-                    "scope_order": scope.order(),
-                    "witness_order": wit.order if wit else None,
-                },
-            )
+        yield (
+            tag,
+            wit is not None and not is_prime_power(wit.order),
+            {"scope_order": scope.order(), "witness_order": wit.order if wit else None},
         )
-    return out
 
 
-def check_opelinha(seed=0):
-    out = []
+def check_opelinha(seed):
     for name, g in corpus_groups_upto(1000):
         if not g.is_cppo():
             continue
@@ -645,18 +576,14 @@ def check_opelinha(seed=0):
                 if all(zchain.contains_raw(x) for x in part._raw_gens):
                     good_p = p
                     break
-            out.append(
-                LemmaCheck(
-                    "opelinha",
-                    "%s, nilpotent normal of order %d" % (name, n.order()),
-                    "pass" if good_p is not None else "fail",
-                    {"p": good_p},
-                )
+            yield (
+                "%s, nilpotent normal of order %d" % (name, n.order()),
+                good_p is not None,
+                {"p": good_p},
             )
-    return out
 
 
-def check_directproduct(seed=0):
+def check_directproduct(seed):
     rng = random.Random(seed)
     pool = ["q8", "dihedral(4)", "sl2_3", "extraspecial(3,+)"]
     picks = [
@@ -668,7 +595,6 @@ def check_directproduct(seed=0):
     ]
     for _ in range(2):
         picks.append((rng.choice(pool), rng.choice(pool)))
-    out = []
     seen = set()
     for left, right in picks:
         key = (left, right)
@@ -682,28 +608,14 @@ def check_directproduct(seed=0):
         tag = "%s x %s" % (left, right)
         if not g.is_cppo():
             wit = g.cppo_witness()
-            out.append(
-                LemmaCheck(
-                    "directproduct", tag, "pass",
-                    {"note": "not cppo, out of scope", "witness_order": wit.order},
-                )
-            )
+            yield tag, True, {"note": "not cppo, out of scope", "witness_order": wit.order}
             continue
         d = g.derived_subgroup()
-        fact = factorization(d.order())
-        ok = len(fact) == 1
-        out.append(
-            LemmaCheck(
-                "directproduct", tag, "pass" if ok else "fail",
-                {"derived_order": d.order()},
-            )
-        )
-    return out
+        yield tag, len(factorization(d.order())) == 1, {"derived_order": d.order()}
 
 
-def check_solubleperfect(seed=0):
+def check_solubleperfect(seed):
     rng = random.Random(seed)
-    out = []
     for gid, nkind in (("sl2_5", "centre"), ("sl2_9", "centre"), ("asl2_4", "fitting")):
         g = build(gid).group
         n = g.center() if nkind == "centre" else fitting_subgroup(g)
@@ -724,19 +636,14 @@ def check_solubleperfect(seed=0):
         for k, x in enumerate(chosen):
             qsub = g._subgroup_raw([x])
             span = _commutator_span(g, list(qsub._raw_gens), g)
-            ok = span.order() == g.order()
-            out.append(
-                LemmaCheck(
-                    "solubleperfect",
-                    "%s with cyclic q of order %d, sample %d" % (gid, order_raw(x), k + 1),
-                    "pass" if ok else "fail",
-                    {"span_order": span.order()},
-                )
+            yield (
+                "%s with cyclic q of order %d, sample %d" % (gid, order_raw(x), k + 1),
+                span.order() == g.order(),
+                {"span_order": span.order()},
             )
-    return out
 
 
-def check_existelemabelqsub(seed=0):
+def check_existelemabelqsub(seed):
     # primes listed per group avoid the soluble part: for the quasisimple and
     # affine cases only primes outside the relevant normal subgroup qualify
     cases = [
@@ -746,20 +653,11 @@ def check_existelemabelqsub(seed=0):
         ("sl2_5", (3, 5)),
         ("sl2_9", (3, 5)),
     ]
-    out = []
     for gid, qs in cases:
         g = build(gid).group
         for qprime in qs:
             found = _find_covered_elem_abelian(g, qprime)
-            out.append(
-                LemmaCheck(
-                    "existelemabelqsub",
-                    "%s with q = %d" % (gid, qprime),
-                    "pass" if found else "fail",
-                    found or {},
-                )
-            )
-    return out
+            yield "%s with q = %d" % (gid, qprime), found is not None, found or {}
 
 
 def _find_covered_elem_abelian(g: FiniteGroup, qprime: int):
@@ -784,44 +682,31 @@ def _find_covered_elem_abelian(g: FiniteGroup, qprime: int):
     return None
 
 
-def check_quasisimple_negative(seed=0):
-    out = []
+def check_quasisimple_negative(seed):
     for gid in ("sl2_5", "sl2_9"):
         g = build(gid).group
         if not is_quasisimple(g):
             raise GroupError("%s should be quasisimple" % gid)
         wit = g.cppo_witness()
-        ok = wit is not None and not is_prime_power(wit.order)
-        out.append(
-            LemmaCheck(
-                "quasisimple_negative",
-                gid,
-                "pass" if ok else "fail",
-                {"witness_order": wit.order if wit else None},
-            )
+        yield (
+            gid,
+            wit is not None and not is_prime_power(wit.order),
+            {"witness_order": wit.order if wit else None},
         )
-    return out
 
 
-def check_ore_spotcheck(seed=0):
-    out = []
+def check_ore_spotcheck(seed):
     for q in (4, 5, 7, 8, 9):
         g = build(("psl2", [q])).group
         comm = g.commutator_set()
-        ok = len(comm) == g.order()
-        out.append(
-            LemmaCheck(
-                "ore_spotcheck",
-                "psl2(%d)" % q,
-                "pass" if ok else "fail",
-                {"commutators": len(comm), "order": g.order()},
-            )
+        yield (
+            "psl2(%d)" % q,
+            len(comm) == g.order(),
+            {"commutators": len(comm), "order": g.order()},
         )
-    return out
 
 
-def check_casolo_quotient(seed=0):
-    out = []
+def check_casolo_quotient(seed):
     for name, g in corpus_groups_upto(500):
         if not is_soluble(g):
             continue
@@ -851,20 +736,14 @@ def check_casolo_quotient(seed=0):
             taken += 1
             quo = quotient_by_normal(g, n)
             img = quotient_tower(Tower(g, tower.stages[:-1]), quo)
-            ok = validate_tower(img).valid
-            out.append(
-                LemmaCheck(
-                    "casolo_quotient",
-                    "%s mod normal of order %d" % (name, n.order()),
-                    "pass" if ok else "fail",
-                    {"image_height": img.height},
-                )
+            yield (
+                "%s mod normal of order %d" % (name, n.order()),
+                validate_tower(img).valid,
+                {"image_height": img.height},
             )
-    return out
 
 
-def check_p3_noncyclic(seed=0):
-    out = []
+def check_p3_noncyclic(seed):
     towers = []
     for name, g in corpus_groups_upto(500):
         if is_soluble(g) and fitting_height(g) >= 3:
@@ -877,38 +756,47 @@ def check_p3_noncyclic(seed=0):
             for i, (_, s) in enumerate(tower.stages)
             if i + 1 >= 3 and s.is_cyclic()
         ]
-        out.append(
-            LemmaCheck(
-                "p3_noncyclic",
-                "%s, height %d" % (name, tower.height),
-                "pass" if not bad else "fail",
-                {"cyclic_stages": bad},
-            )
-        )
-    return out
+        yield "%s, height %d" % (name, tower.height), not bad, {"cyclic_stages": bad}
+
+
+def _records(lemma_id, family):
+    """The registry entry for one family: run(seed) drains the family and
+    returns its LemmaCheck records as a list, in the order yielded."""
+
+    def run(seed):
+        return [
+            LemmaCheck(lemma_id, instance, "pass" if passed else "fail", witness)
+            for instance, passed, witness in family(seed)
+        ]
+
+    return run
 
 
 REGISTRY = {
-    "cc_i": check_cc_i,
-    "cc_ii": check_cc_ii,
-    "cc_iii": check_cc_iii,
-    "cc_v": check_cc_v,
-    "cc_vi": check_cc_vi,
-    "kurzweil": check_kurzweil,
-    "acnoncop": check_acnoncop,
-    "orderofav": check_orderofav,
-    "autoofextra": check_autoofextra,
-    "autodoquaternion": check_autodoquaternion,
-    "aaa_scenario": check_aaa_scenario,
-    "opelinha": check_opelinha,
-    "directproduct": check_directproduct,
-    "solubleperfect": check_solubleperfect,
-    "existelemabelqsub": check_existelemabelqsub,
-    "quasisimple_negative": check_quasisimple_negative,
-    "ore_spotcheck": check_ore_spotcheck,
-    "casolo_quotient": check_casolo_quotient,
-    "p3_noncyclic": check_p3_noncyclic,
+    lemma_id: _records(lemma_id, family)
+    for lemma_id, family in {
+        "cc_i": check_cc_i,
+        "cc_ii": check_cc_ii,
+        "cc_iii": check_cc_iii,
+        "cc_v": check_cc_v,
+        "cc_vi": check_cc_vi,
+        "kurzweil": check_kurzweil,
+        "acnoncop": check_acnoncop,
+        "orderofav": check_orderofav,
+        "autoofextra": check_autoofextra,
+        "autodoquaternion": check_autodoquaternion,
+        "aaa_scenario": check_aaa_scenario,
+        "opelinha": check_opelinha,
+        "directproduct": check_directproduct,
+        "solubleperfect": check_solubleperfect,
+        "existelemabelqsub": check_existelemabelqsub,
+        "quasisimple_negative": check_quasisimple_negative,
+        "ore_spotcheck": check_ore_spotcheck,
+        "casolo_quotient": check_casolo_quotient,
+        "p3_noncyclic": check_p3_noncyclic,
+    }.items()
 }
+
 
 MICRO_SUITE = (
     "autodoquaternion",

@@ -305,11 +305,6 @@ class Permutation:
         return len(self._img)
 
     @property
-    def images(self) -> tuple[int, ...]:
-        """1-based image table: images[i-1] is where point i goes."""
-        return tuple(v + 1 for v in self._img)
-
-    @property
     def raw(self):
         return self._img
 

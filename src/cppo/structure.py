@@ -1,11 +1,11 @@
 """Structural series and recognition for finite permutation groups.
 
 Derived, lower-central and upper-Fitting series; Sylow subgroups, p-cores,
-the Fitting subgroup and soluble radical; the normal subgroup lattice with
-minimal normals and socle; simplicity and quasisimplicity read off class
-closures, with no lattice or quotient; and fingerprint identification of
-seven of the eight simple groups whose elements all have prime-power order
-(all but Sz(32), which is too large to enumerate).
+the Fitting subgroup and soluble radical; the normal subgroup lattice;
+simplicity and quasisimplicity read off class closures, with no lattice or
+quotient; and fingerprint identification of seven of the eight simple
+groups whose elements all have prime-power order (all but Sz(32), which is
+too large to enumerate).
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ DEFAULT_CLASS_CAP = 60
 
 @dataclass
 class SeriesChain:
-    kind: str  # "derived", "lower_central" or "upper_fitting"
-    terms: list  # subgroups of the ambient group; upper_fitting runs upward
-    # upper_fitting only: i -> G/terms[i] for each nontrivial proper term
+    terms: list  # subgroups of the ambient group; the upper Fitting series runs upward
+    # the upper Fitting series only: i -> G/terms[i] for each nontrivial proper term
     quotients: dict = field(default_factory=dict)
 
 
@@ -57,7 +56,7 @@ def derived_series(G: FiniteGroup) -> SeriesChain:
         terms.append(nxt)
         if nxt.order() == 1:
             break
-    return SeriesChain("derived", terms)
+    return SeriesChain(terms)
 
 
 def is_soluble(G: FiniteGroup) -> bool:
@@ -87,7 +86,7 @@ def lower_central_series(G: FiniteGroup) -> SeriesChain:
         terms.append(nxt)
         if nxt.order() == 1:
             break
-    return SeriesChain("lower_central", terms)
+    return SeriesChain(terms)
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
@@ -270,7 +269,7 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
         if pulled.order() == terms[-1].order():
             break
         terms.append(pulled)
-    G._cache[key] = SeriesChain("upper_fitting", terms, quotients=quotients)
+    G._cache[key] = SeriesChain(terms, quotients=quotients)
     return G._cache[key]
 
 
@@ -383,31 +382,11 @@ def normal_subgroups(G: FiniteGroup) -> list:
     return G._cache[key]
 
 
-def minimal_normal_subgroups(G: FiniteGroup) -> list:
-    """Minimal members among the nontrivial normal subgroups (G itself if simple)."""
-    nontrivial = [n for n in normal_subgroups(G) if n.order() > 1]
-    out = []
-    for n in nontrivial:
-        if not any(m.order() < n.order() and n.contains_group(m) for m in nontrivial):
-            out.append(n)
-    return out
-
-
-def socle(G: FiniteGroup) -> FiniteGroup:
-    gens = []
-    for m in minimal_normal_subgroups(G):
-        gens.extend(m._raw_gens)
-    return G._subgroup_raw(gens)
-
-
-def is_simple(G: FiniteGroup, allow_abelian_simple: bool = False) -> bool:
-    """Nonabelian simplicity by default; prime order counts only when flagged.
+def is_simple(G: FiniteGroup) -> bool:
+    """Nonabelian simplicity: a group of prime order does not count.
     Nonabelian G is simple iff each nontrivial class has class closure G."""
-    n = G.order()
-    if n == 1:
+    if G.order() == 1 or G.is_abelian():
         return False
-    if G.is_abelian():
-        return allow_abelian_simple and is_prime(n)
     # classes sort by (size, least member), so the identity's comes first
     whole = len(G._raw_classes())
     return all(len(_class_closure(G, k)) == whole for k in range(1, whole))

@@ -132,10 +132,10 @@ def test_psl3_4_is_simple_eppo_with_the_right_order_set():
 
 def test_pgammal29_mod_socle_is_klein_four():
     from cppo.group import quotient_by_normal
-    from cppo.structure import socle
 
+    # the socle PSL(2,9) is PGammaL(2,9)'
     g = build("pgammal2_9").group
-    s = socle(g)
+    s = g.derived_subgroup()
     assert s.order() == 360
     q = quotient_by_normal(g, s)
     assert q.order() == 4

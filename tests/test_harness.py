@@ -128,16 +128,17 @@ def test_classify_reads_the_derived_radical_off_the_radical_of_g(atlas_id, field
 
 @pytest.mark.parametrize("atlas_id", ["pgl2_9", "direct_product(sym(4),alt(5))"])
 def test_classify_builds_one_upper_fitting_series(monkeypatch, atlas_id):
-    kinds = []
+    built = []
     init = SeriesChain.__init__
 
-    def counting(self, kind, *args, **kwargs):
-        kinds.append(kind)
-        init(self, kind, *args, **kwargs)
+    def counting(self, *args, **kwargs):
+        # only the upper Fitting series keeps quotients
+        built.append("quotients" in kwargs)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(SeriesChain, "__init__", counting)
     classify(build(atlas_id).group)
-    assert kinds.count("upper_fitting") == 1
+    assert built.count(True) == 1
 
 
 def test_classify_of_insoluble_corpus_groups_needs_no_normal_lattice(monkeypatch):

@@ -1,6 +1,8 @@
-"""The lemma check families: registry shape, determinism, a clean sweep
-whose bytes match the benchmark's golden digests, and the affine instances."""
+"""The lemma check families: registry shape, the registry as the one maker
+of records, determinism, a clean sweep whose bytes match the benchmark's
+golden digests, and the affine instances."""
 
+import ast
 import hashlib
 import json
 import math
@@ -11,7 +13,9 @@ import pytest
 from cppo.harness import lemma_checks_to_doc
 from cppo.lemmas import MICRO_SUITE, REGISTRY, LemmaCheck, _affine
 
-GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "bench" / "golden.json"
+LEMMAS = ROOT / "src" / "cppo" / "lemmas.py"
 
 EXPECTED_IDS = {
     "cc_i",
@@ -79,6 +83,34 @@ def test_family_passes_cleanly(lemma_id):
     text = json.dumps(lemma_checks_to_doc(checks), sort_keys=True)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["lemma_battery"]
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == golden["seed0/" + lemma_id]
+
+
+def test_the_registry_makes_every_record():
+    """Families yield verdicts; one call in the package builds a LemmaCheck,
+    and no family names its lemma id or a status."""
+    sites = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(LEMMAS.parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LemmaCheck"
+    ]
+    assert len(sites) == 1 and sites[0].startswith("lemmas.py:"), sites
+    tree = ast.parse(LEMMAS.read_text(encoding="utf-8"))
+    forbidden = set(REGISTRY) | {"pass", "fail"}
+    named = [
+        (fn.name, node.value)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("check_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Constant) and node.value in forbidden
+    ]
+    assert named == []
+
+
+def test_each_registry_entry_returns_a_list():
+    """The entries run eagerly, so a timer wrapped around one sees all its work."""
+    for lemma_id, run in REGISTRY.items():
+        assert isinstance(run(seed=0), list), lemma_id
 
 
 def test_micro_suite_reaches_one_hundred_instances():

@@ -85,15 +85,21 @@ def _unreferenced(kinds, wanted, paths):
             yield "%s:%d %s" % (module, node.lineno, node.name)
 
 
-def _references(tree):
-    """Every name the tree reads: bare names, attributes, and string constants (getattr)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+def _references(node, bound=frozenset()):
+    """Every name the tree reads: bare names, attributes, and string constants
+    (getattr).  A bare name that the innermost enclosing function binds, as a
+    parameter or a local, is that function's own and names no definition."""
+    if isinstance(node, FUNCTIONS):
+        bound = _bound(node)
+    elif isinstance(node, ast.Name):
+        if node.id not in bound:
             yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, bound)
 
 
 def test_no_unreferenced_private_functions():

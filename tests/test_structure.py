@@ -34,11 +34,9 @@ from cppo.structure import (
     is_simple,
     is_soluble,
     lower_central_series,
-    minimal_normal_subgroups,
     normal_subgroups,
     p_core,
     p_prime_part_of_nilpotent,
-    socle,
     soluble_radical,
     sylow_subgroup,
     upper_fitting_series,
@@ -761,10 +759,9 @@ def test_lower_central_series():
 def test_perfect_and_simple_flags():
     assert is_perfect(a5()) and not is_perfect(s4())
     assert is_simple(a5()) and not is_simple(a4())
-    # prime cyclic groups count as simple only under the explicit flag
+    # prime cyclic groups do not count as simple
     c3 = G(["(1 2 3)"], 3)
     assert not is_simple(c3)
-    assert is_simple(c3, allow_abelian_simple=True)
 
 
 def test_quasisimple():
@@ -894,15 +891,6 @@ def test_quasisimple_forms_no_quotient(monkeypatch):
     monkeypatch.setattr(structure, "quotient_by_normal", refuse)
     for atlas_id in ("sl2_5", "sl2_9", "alt(5)"):
         assert is_quasisimple(build(atlas_id).group), atlas_id
-
-
-def test_minimal_normals_and_socle():
-    mins = minimal_normal_subgroups(s4())
-    assert [m.order() for m in mins] == [4]
-    assert socle(s4()).order() == 4
-    assert socle(a5()).order() == 60
-    assert sorted(m.order() for m in minimal_normal_subgroups(s3xs3())) == [3, 3]
-    assert socle(s3xs3()).order() == 9
 
 
 def test_frattini_of_p_group():
