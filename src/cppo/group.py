@@ -19,6 +19,10 @@ of the classes the scan hits.  A quotient G/N acts on the right cosets of
 N, each named by the least row of its elements' images of G's base.  All
 derived data is produced in a deterministic order: element lists are sorted
 lexicographically by image table, classes by (size, least member).
+
+Every other result a group keeps, here or in structure and towers, is
+memoized on it by one decorator, `cached`, so only this module knows how a
+group stores its results.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 from itertools import islice
 
 from .arith import is_prime_power
@@ -53,6 +57,23 @@ from .permutation import (
 )
 
 DEFAULT_ENUMERATION_CAP = 200_000
+
+
+def cached(fn):
+    """Memoize fn(G, *args) on the group G: computed once per group and per
+    positional arguments, stored in G._cache under (fn.__qualname__, *args).
+    A call that raises stores nothing."""
+    name = fn.__qualname__
+
+    @wraps(fn)
+    def memo(G, *args):
+        key = (name, *args)
+        cache = G._cache
+        if key not in cache:
+            cache[key] = fn(G, *args)
+        return cache[key]
+
+    return memo
 
 
 class _RawClass:
@@ -288,14 +309,10 @@ class FiniteGroup:
             frontier = new_frontier
         raise NotInGroupError("%r is not conjugate to %r here" % (target, rep))
 
+    @cached
     def _class_index(self) -> dict:
-        """Element -> index of its class in _raw_classes, built once per group."""
-        key = "class_index"
-        if key not in self._cache:
-            self._cache[key] = {
-                x: k for k, c in enumerate(self._raw_classes()) for x in c.members
-            }
-        return self._cache[key]
+        """Element -> index of its class in _raw_classes."""
+        return {x: k for k, c in enumerate(self._raw_classes()) for x in c.members}
 
     def class_rep_orders(self) -> list[int]:
         """Orders of the class representatives, one entry per class."""
@@ -326,15 +343,13 @@ class FiniteGroup:
     def commutator_set(self) -> set[Permutation]:
         """All commutators: the union of the classes the scan hits, which is
         exact since the commutator set is closed under conjugation."""
-        key = "commutator_set"
-        if key not in self._cache:
-            hit = set()
-            for _, _, ks in self._commutator_class_scan():
-                hit.update(ks)
-            classes = self._raw_classes()
-            self._cache[key] = [x for k in hit for x in classes[k].members]
-        return {Permutation._from_raw(t) for t in self._cache[key]}
+        hit = set()
+        for _, _, ks in self._commutator_class_scan():
+            hit.update(ks)
+        classes = self._raw_classes()
+        return {Permutation._from_raw(x) for k in hit for x in classes[k].members}
 
+    @cached
     def cppo_witness(self) -> CppoWitness | None:
         """First commutator of non-prime-power order in scan order, if any.
 
@@ -342,27 +357,20 @@ class FiniteGroup:
         off the class the scan names for it.  With no class of non-prime-power
         order there is nothing to scan.
         """
-        key = "cppo_witness"
-        if key not in self._cache:
-            classes = self._raw_classes()
-            bad = {k for k, c in enumerate(classes) if not is_prime_power(c.order)}
-            witness = None
-            if bad:
-                for c, rinv, ks in self._commutator_class_scan():
-                    for s, k in zip(c.members, ks):
-                        if k in bad:
-                            g = self._class_conjugator(c.rep, s)
-                            witness = CppoWitness(
-                                commutator=Permutation._from_raw(mul_raw(rinv, s)),
-                                order=classes[k].order,
-                                left=Permutation._from_raw(c.rep),
-                                right=Permutation._from_raw(g),
-                            )
-                            break
-                    if witness is not None:
-                        break
-            self._cache[key] = witness
-        return self._cache[key]
+        classes = self._raw_classes()
+        bad = {k for k, c in enumerate(classes) if not is_prime_power(c.order)}
+        if not bad:
+            return None
+        for c, rinv, ks in self._commutator_class_scan():
+            for s, k in zip(c.members, ks):
+                if k in bad:
+                    return CppoWitness(
+                        commutator=Permutation._from_raw(mul_raw(rinv, s)),
+                        order=classes[k].order,
+                        left=Permutation._from_raw(c.rep),
+                        right=Permutation._from_raw(self._class_conjugator(c.rep, s)),
+                    )
+        return None
 
     def is_cppo(self) -> bool:
         """True when every commutator has prime-power order (1 included)."""
@@ -423,24 +431,20 @@ class FiniteGroup:
     def _normal_closure_raw(self, raw_seeds) -> "FiniteGroup":
         return self._closure_raw(raw_seeds, self._raw_gens)
 
+    @cached
     def derived_subgroup(self) -> "FiniteGroup":
-        key = "derived"
-        if key not in self._cache:
-            gens = self._raw_gens
-            ident = identity_raw(self.degree)
-            seeds = set()
-            for i, a in enumerate(gens):
-                for b in gens[i + 1 :]:
-                    c = comm_raw(a, b)
-                    if c != ident:
-                        seeds.add(c)
-            derived = self._normal_closure_raw(sorted(seeds))
-            # A perfect group is its own derived subgroup; handing back the
-            # group itself keeps one copy of its elements, classes and radical.
-            if derived.order() == self.order():
-                derived = self
-            self._cache[key] = derived
-        return self._cache[key]
+        gens = self._raw_gens
+        ident = identity_raw(self.degree)
+        seeds = set()
+        for i, a in enumerate(gens):
+            for b in gens[i + 1 :]:
+                c = comm_raw(a, b)
+                if c != ident:
+                    seeds.add(c)
+        derived = self._normal_closure_raw(sorted(seeds))
+        # A perfect group is its own derived subgroup; handing back the
+        # group itself keeps one copy of its elements, classes and radical.
+        return self if derived.order() == self.order() else derived
 
     def centralizer(self, perms) -> "FiniteGroup":
         """Pointwise centralizer of the given elements, by enumeration filter:
@@ -456,11 +460,9 @@ class FiniteGroup:
             kept = [x for x, y in zip(kept, conjugator(t)(kept)) if x == y]
         return self._subgroup_from_raw_elements(kept)
 
+    @cached
     def center(self) -> "FiniteGroup":
-        key = "center"
-        if key not in self._cache:
-            self._cache[key] = self.centralizer(self.generators)
-        return self._cache[key]
+        return self.centralizer(self.generators)
 
 
 class QuotientGroup(FiniteGroup):

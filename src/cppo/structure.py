@@ -5,7 +5,8 @@ the Fitting subgroup and soluble radical; the normal subgroup lattice;
 simplicity and quasisimplicity read off class closures, with no lattice or
 quotient; and fingerprint identification of seven of the eight simple
 groups whose elements all have prime-power order (all but Sz(32), which is
-too large to enumerate).
+too large to enumerate).  Results kept per group are memoized on it by
+group.py's `cached`, so this module never touches a group's storage.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     NotPGroupError,
     NotSimpleError,
 )
-from .group import FiniteGroup, quotient_by_normal
+from .group import FiniteGroup, cached, quotient_by_normal
 from .permutation import comm_raw, conj_raw, identity_raw, mul_all, mul_raw, order_raw
 
 DEFAULT_CLASS_CAP = 60
@@ -34,13 +35,11 @@ class SeriesChain:
     quotients: dict = field(default_factory=dict)
 
 
+@cached
 def _element_orders(G: FiniteGroup):
-    """Orders of G's elements, parallel to _raw_elements, cached on the group."""
-    key = "element_orders"
-    if key not in G._cache:
-        base = G.chain().base
-        G._cache[key] = [order_raw(x, base) for x in G._raw_elements()]
-    return G._cache[key]
+    """Orders of G's elements, parallel to _raw_elements."""
+    base = G.chain().base
+    return [order_raw(x, base) for x in G._raw_elements()]
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +58,9 @@ def derived_series(G: FiniteGroup) -> SeriesChain:
     return SeriesChain(terms)
 
 
+@cached
 def is_soluble(G: FiniteGroup) -> bool:
-    key = "is_soluble"
-    if key not in G._cache:
-        G._cache[key] = derived_series(G).terms[-1].order() == 1
-    return G._cache[key]
+    return derived_series(G).terms[-1].order() == 1
 
 
 def is_perfect(G: FiniteGroup) -> bool:
@@ -89,11 +86,9 @@ def lower_central_series(G: FiniteGroup) -> SeriesChain:
     return SeriesChain(terms)
 
 
+@cached
 def is_nilpotent(G: FiniteGroup) -> bool:
-    key = "is_nilpotent"
-    if key not in G._cache:
-        G._cache[key] = lower_central_series(G).terms[-1].order() == 1
-    return G._cache[key]
+    return lower_central_series(G).terms[-1].order() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +132,21 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
 
 
 def _class_product(G: FiniteGroup, i: int, j: int) -> frozenset:
-    """The classes meeting C_i*C_j, memoized on the group.
+    """The classes meeting C_i*C_j, memoized on the unordered pair: x*y is
+    conjugate to y*x, so C_i*C_j and C_j*C_i meet the same classes."""
+    return _sorted_class_product(G, i, j) if i <= j else _sorted_class_product(G, j, i)
 
-    Every product x*y (x in C_i, y in C_j) is conjugate to y'*r for the
-    representative r of the larger class and some y' in the smaller one,
-    and x*y is conjugate to y*x, so one batch product over the smaller class
-    names them all.
+
+@cached
+def _sorted_class_product(G: FiniteGroup, i: int, j: int) -> frozenset:
+    """The classes meeting C_i*C_j for i <= j, so that C_i is no larger than
+    C_j (classes sort by size).  Every product x*y (x in C_i, y in C_j) is
+    conjugate to x'*r for the representative r of C_j and some x' in C_i,
+    so one batch product over C_i names them all.
     """
-    products = G._cache.setdefault("class_products", {})
-    if (i, j) not in products:
-        classes = G._raw_classes()
-        a, b = (i, j) if len(classes[j].members) <= len(classes[i].members) else (j, i)
-        class_of = G._class_index()
-        s = frozenset(map(class_of.__getitem__, mul_all(classes[b].members, classes[a].rep)))
-        products[i, j] = products[j, i] = s
-    return products[i, j]
+    classes = G._raw_classes()
+    class_of = G._class_index()
+    return frozenset(map(class_of.__getitem__, mul_all(classes[i].members, classes[j].rep)))
 
 
 def _class_closure(G: FiniteGroup, k: int, allowed=None, bound=None) -> frozenset | None:
@@ -188,6 +183,7 @@ def _class_closure(G: FiniteGroup, k: int, allowed=None, bound=None) -> frozense
     return frozenset(met)
 
 
+@cached
 def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
     """O_p(G), the largest normal p-subgroup, as the union of the conjugacy
     classes of p-power order whose normal closure is a p-group.
@@ -201,11 +197,8 @@ def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
     products: it fails at its first class whose order is not a power of p,
     or once it holds more than |G|_p elements, and a class already inside
     the core needs none.  No chain is built but the core's own, and a
-    trivial core needs none.  Each core is cached on the group by prime.
+    trivial core needs none.
     """
-    cores = G._cache.setdefault("p_cores", {})
-    if p in cores:
-        return cores[p]
     if not is_prime(p):
         raise ValueError("%d is not a prime" % p)
     target = p_part(G.order(), p)
@@ -217,27 +210,24 @@ def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
         if k not in core:
             core.update(_class_closure(G, k, allowed, target) or ())
     if len(core) == 1:
-        cores[p] = G.trivial_subgroup()
-    else:
-        cores[p] = G._subgroup_from_raw_elements([x for k in core for x in classes[k].members])
-    return cores[p]
+        return G.trivial_subgroup()
+    return G._subgroup_from_raw_elements([x for k in core for x in classes[k].members])
 
 
+@cached
 def fitting_subgroup(G: FiniteGroup) -> FiniteGroup:
     """F(G), the product of the cores O_p(G) over the primes dividing |G|."""
-    key = "fitting"
-    if key not in G._cache:
-        gens = []
-        for p, _ in factorization(G.order()):
-            gens.extend(p_core(G, p)._raw_gens)
-        G._cache[key] = G._subgroup_raw(gens)
-    return G._cache[key]
+    gens = []
+    for p, _ in factorization(G.order()):
+        gens.extend(p_core(G, p)._raw_gens)
+    return G._subgroup_raw(gens)
 
 
 # ---------------------------------------------------------------------------
 # the upper Fitting series, Fitting height and the soluble radical
 
 
+@cached
 def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
     """1 = F0 <= F1 = F(G) <= ... with F_{i+1}/F_i the Fitting subgroup of G/F_i.
 
@@ -246,15 +236,11 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
     The stationary term is the soluble radical for every G, soluble or not:
     a minimal soluble normal subgroup above it would be elementary abelian
     and so would show up inside a nontrivial Fitting subgroup of the
-    quotient.  The series is computed once per group and cached on it, and
-    it keeps its quotient by each proper nontrivial term: find_max_tower
-    climbs through them again, and for an insoluble G with R(G) != 1 the
-    last one is G/R(G), whose derived subgroup (G/R(G))' = G'/R(G') classify
-    identifies.
+    quotient.  The series keeps its quotient by each proper nontrivial
+    term: find_max_tower climbs through them again, and for an insoluble G
+    with R(G) != 1 the last one is G/R(G), whose derived subgroup
+    (G/R(G))' = G'/R(G') classify identifies.
     """
-    key = "upper_fitting"
-    if key in G._cache:
-        return G._cache[key]
     terms = [G.trivial_subgroup()]
     fitting = fitting_subgroup(G)
     if fitting.order() > 1:
@@ -269,8 +255,7 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
         if pulled.order() == terms[-1].order():
             break
         terms.append(pulled)
-    G._cache[key] = SeriesChain(terms, quotients=quotients)
-    return G._cache[key]
+    return SeriesChain(terms, quotients=quotients)
 
 
 def fitting_height(G: FiniteGroup) -> int:
@@ -322,6 +307,7 @@ def frattini_of_p_group(P: FiniteGroup) -> FiniteGroup:
 # the normal subgroup lattice
 
 
+@cached
 def normal_subgroups(G: FiniteGroup) -> list:
     """Every normal subgroup, as the join closure of class normal closures.
 
@@ -336,50 +322,46 @@ def normal_subgroups(G: FiniteGroup) -> list:
     its signature is new or a new join needs its generators, and a join's
     only when its signature is new.
     """
-    key = "normals"
-    if key not in G._cache:
-        classes = G._raw_classes()
-        if len(classes) > DEFAULT_CLASS_CAP:
-            raise ClassCapError(len(classes), DEFAULT_CLASS_CAP)
-        ident = identity_raw(G.degree)
-        formed = {}  # class index -> the normal closure of its representative
+    classes = G._raw_classes()
+    if len(classes) > DEFAULT_CLASS_CAP:
+        raise ClassCapError(len(classes), DEFAULT_CLASS_CAP)
+    ident = identity_raw(G.degree)
+    formed = {}  # class index -> the normal closure of its representative
 
-        def atom(k):
-            if k not in formed:
-                formed[k] = G._normal_closure_raw([classes[k].rep])
-            return formed[k]
+    def atom(k):
+        if k not in formed:
+            formed[k] = G._normal_closure_raw([classes[k].rep])
+        return formed[k]
 
-        trivial = frozenset(k for k, c in enumerate(classes) if c.rep == ident)
-        found = {trivial: G.trivial_subgroup()}
-        atoms = []
-        for k, c in enumerate(classes):
-            if c.rep != ident:
-                sig = _class_closure(G, k)
-                atoms.append((sig, k))
-                if sig not in found:
-                    found[sig] = atom(k)
-        frontier = list(found)
-        while frontier:
-            new_frontier = []
-            for sig in frontier:
-                base = found[sig]
-                for asig, k in atoms:
-                    # a join with a subgroup or overgroup is one of the two
-                    if asig <= sig or sig <= asig:
-                        continue
-                    fresh = asig - sig
-                    jsig = sig.union(*(_class_product(G, i, j) for i in sig for j in fresh))
-                    if jsig not in found:
-                        found[jsig] = G._subgroup_raw(base._raw_gens + atom(k)._raw_gens)
-                        new_frontier.append(jsig)
-            frontier = new_frontier
-        sizes = [len(c.members) for c in classes]
-        ordered = sorted(
-            found.items(), key=lambda item: (sum(sizes[i] for i in item[0]), sorted(item[0]))
-        )
-        out = [sub for _, sub in ordered]
-        G._cache[key] = out
-    return G._cache[key]
+    trivial = frozenset(k for k, c in enumerate(classes) if c.rep == ident)
+    found = {trivial: G.trivial_subgroup()}
+    atoms = []
+    for k, c in enumerate(classes):
+        if c.rep != ident:
+            sig = _class_closure(G, k)
+            atoms.append((sig, k))
+            if sig not in found:
+                found[sig] = atom(k)
+    frontier = list(found)
+    while frontier:
+        new_frontier = []
+        for sig in frontier:
+            base = found[sig]
+            for asig, k in atoms:
+                # a join with a subgroup or overgroup is one of the two
+                if asig <= sig or sig <= asig:
+                    continue
+                fresh = asig - sig
+                jsig = sig.union(*(_class_product(G, i, j) for i in sig for j in fresh))
+                if jsig not in found:
+                    found[jsig] = G._subgroup_raw(base._raw_gens + atom(k)._raw_gens)
+                    new_frontier.append(jsig)
+        frontier = new_frontier
+    sizes = [len(c.members) for c in classes]
+    ordered = sorted(
+        found.items(), key=lambda item: (sum(sizes[i] for i in item[0]), sorted(item[0]))
+    )
+    return [sub for _, sub in ordered]
 
 
 def is_simple(G: FiniteGroup) -> bool:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .arith import factorization
 from .errors import InsolubleError, TowerDefectError
-from .group import FiniteGroup, quotient_by_normal
+from .group import FiniteGroup, cached, quotient_by_normal
 from .permutation import (
     Permutation,
     comm_raw,
@@ -605,6 +605,7 @@ def tower_probe(G: FiniteGroup, min_height: int):
     return extend([], (1 << len(cands)) - 1)
 
 
+@cached
 def find_max_tower(G: FiniteGroup):
     """A tower whose height equals the Fitting height, with that height.
 
@@ -613,16 +614,8 @@ def find_max_tower(G: FiniteGroup):
     of the pulled-back q-core of the quotient, conjugated until it
     normalizes everything chosen so far.  Prime choices per level are
     backtracked over; if no assignment produces a valid tower the bounded
-    exhaustive probe has the last word.  The result is computed once per
-    group and cached on it; a search that raises caches nothing.
+    exhaustive probe has the last word.
     """
-    key = "max_tower"
-    if key not in G._cache:
-        G._cache[key] = _max_tower(G)
-    return G._cache[key]
-
-
-def _max_tower(G: FiniteGroup):
     if not is_soluble(G):
         raise InsolubleError("towers certify fitting height for soluble groups only")
     series = upper_fitting_series(G)

@@ -216,7 +216,7 @@ def test_structured_report_does_not_depend_on_the_hash_seed(group):
 def test_verify_lemmas_subset(capsys):
     assert main(["verify", "lemmas", "--ids", "cc_iii"]) == 0
     out = capsys.readouterr().out
-    assert "0 failed, 0 undecided" in out
+    assert out.endswith("check(s), 0 failed\n")
 
 
 def test_verify_lemmas_unknown_id(capsys):

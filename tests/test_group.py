@@ -262,6 +262,28 @@ def test_cppo_flag_matches_direct_order_scan(make):
     assert group.is_cppo() == (not bad)
 
 
+def test_cached_computes_once_per_group_and_arguments_and_keeps_no_failure():
+    calls = []
+
+    @cppo.group.cached
+    def shifted_order(G, k):
+        calls.append(k)
+        if k < 0:
+            raise ValueError(k)
+        return G.order() + k
+
+    g, h = build("s4").group, build("s4").group
+    assert [shifted_order(g, 1), shifted_order(g, 1), shifted_order(g, 2)] == [25, 25, 26]
+    assert shifted_order(h, 1) == 25
+    assert calls == [1, 2, 1]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            shifted_order(g, -1)
+    assert calls == [1, 2, 1, -1, -1]
+    name = shifted_order.__qualname__
+    assert {key for key in g._cache if key[0] == name} == {(name, 1), (name, 2)}
+
+
 def test_cppo_witness_on_a_group_with_order_six_commutator():
     # commutators of S3 x S4 fill A3 x A4, which holds a (3-cycle, double
     # transposition) pair of order 6

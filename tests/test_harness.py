@@ -11,7 +11,7 @@ from cppo import harness, permutation, structure
 from cppo.arith import is_prime_power
 from cppo.atlas import build, load_group_spec
 from cppo.corpus import INSOLUBLE_AND_LARGE
-from cppo.errors import SchemaError
+from cppo.errors import SchemaError, TowerDefectError
 from cppo.group import FiniteGroup, QuotientGroup
 from cppo.harness import (
     SCHEMA_VERSION,
@@ -172,6 +172,17 @@ def test_classify_s4():
     assert [p for p, _ in r.tower_witness] == [2, 3, 2]
     assert r.theorem1 == "pass" and r.theorem2 == "not_applicable"
     assert r.witnesses == {}
+
+
+def test_classify_reports_a_tower_defect_and_still_checks_theorem1(monkeypatch):
+    def defect(G):
+        raise TowerDefectError("no tower realizing fitting height 3 was found")
+
+    monkeypatch.setattr(harness, "find_max_tower", defect)
+    r = classify(build("s4").group)
+    assert r.tower_height == "defect: no tower realizing fitting height 3 was found"
+    assert r.tower_witness is None
+    assert r.fitting_height == 3 and r.theorem1 == "pass"
 
 
 def test_classify_commutator_counterexample():

@@ -329,3 +329,11 @@ def test_only_the_chain_reads_its_transversals():
     read only inside bsgs.py, so its storage can change without callers."""
     found = list(_names_read_outside("bsgs.py", {"_inverses", "_gens", "_queues"}))
     assert found == [], "chain internals read outside bsgs.py: %s" % ", ".join(found)
+
+
+def test_only_the_memo_reads_a_group_cache():
+    """Per-group derived results are memoized by group.cached, so only
+    group.py names a group's _cache, and how a group stores them can change
+    without callers."""
+    found = list(_names_read_outside("group.py", {"_cache"}))
+    assert found == [], "group memo read outside group.py: %s" % ", ".join(found)

@@ -17,7 +17,13 @@ from cppo.arith import factorization, p_part
 from cppo.atlas import build, load_group_spec
 from cppo.bsgs import StabilizerChain
 from cppo.corpus import corpus_groups, default_corpus
-from cppo.errors import InsolubleError, NotNilpotentError, NotPGroupError, NotSimpleError
+from cppo.errors import (
+    ClassCapError,
+    InsolubleError,
+    NotNilpotentError,
+    NotPGroupError,
+    NotSimpleError,
+)
 from cppo.group import quotient_by_normal
 from cppo.harness import classify
 from cppo.permutation import Permutation, block_raw, identity_raw, order_raw, raw_from_images
@@ -45,6 +51,11 @@ from cppo.structure import (
 
 def G(texts, degree):
     return FiniteGroup([parse_permutation(t, degree) for t in texts], degree=degree)
+
+
+def memoized(group, fn):
+    """The argument tuples of the calls fn has memoized on the group."""
+    return {key[1:] for key in group._cache if key[0] == fn.__qualname__}
 
 
 def s4():
@@ -362,6 +373,14 @@ def test_normal_subgroups_build_no_chain_for_a_join(monkeypatch):
     assert built in ([], [0])
 
 
+def test_normal_subgroups_refuse_a_group_past_the_class_cap():
+    g = build("elem_abelian(2,6)").group
+    assert len(g._raw_classes()) == 64 > structure.DEFAULT_CLASS_CAP
+    with pytest.raises(ClassCapError):
+        normal_subgroups(g)
+    assert memoized(g, normal_subgroups) == set()
+
+
 def chain_signature(G, sub):
     """The classes of G whose representative sifts through sub's chain."""
     chain = sub.chain()
@@ -395,12 +414,12 @@ def test_class_closure_stops_early():
     # six transpositions are past a bound of 4 before any product
     alone = s4()
     assert structure._class_closure(alone, transposition, everything, 4) is None
-    assert "class_products" not in alone._cache
+    assert memoized(alone, structure._sorted_class_product) == set()
     # with no bound, the first product passes 12 elements, so the closure is
     # S4 although no product has met the 4-cycles yet
     fresh = s4()
     assert structure._class_closure(fresh, transposition) == everything
-    assert set(fresh._cache["class_products"]) == {(transposition, transposition)}
+    assert memoized(fresh, structure._sorted_class_product) == {(transposition, transposition)}
 
 
 @pytest.mark.parametrize("make", SMALL)
@@ -589,7 +608,8 @@ def test_p_core_forms_no_product_for_a_class_past_the_p_part():
     # one class of 315 involutions, past |G|_2 = 64
     assert [len(classes[k].members) for k in involutions] == [315]
     assert p_core(g, 2).is_trivial()
-    assert not any(involutions[0] in pair for pair in g._cache.get("class_products", {}))
+    products = memoized(g, structure._sorted_class_product)
+    assert products and not any(involutions[0] in pair for pair in products)
 
 
 @st.composite
@@ -682,7 +702,7 @@ def test_classify_computes_each_p_core_once(monkeypatch):
     seen = []
 
     def recording(G, p):
-        if p not in G._cache.get("p_cores", {}):
+        if (p,) not in memoized(G, real):
             seen.append((tuple(G._raw_gens), G.degree, p))
         return real(G, p)
 

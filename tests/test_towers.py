@@ -224,6 +224,49 @@ def test_find_max_tower_refuses_insoluble_groups():
         find_max_tower(build("alt(5)").group)
 
 
+def test_find_max_tower_backtracks_to_the_next_prime_assignment(monkeypatch):
+    # C3 x D10 has F = C15 below C2; the involution centralizes C3, so the
+    # assignment (3, 2) has no top stage and (5, 2) gives the tower
+    g = build("direct_product(cyclic(3),dihedral(5))").group
+    real = towers._pick_stage
+    picked = []
+
+    def recording(G, u, p, chosen):
+        stage = real(G, u, p, chosen)
+        picked.append(([q for q, _ in chosen], p, stage is not None))
+        return stage
+
+    def no_probe(G, min_height):
+        raise AssertionError("the probe ran although an assignment succeeds")
+
+    monkeypatch.setattr(towers, "_pick_stage", recording)
+    monkeypatch.setattr(towers, "tower_probe", no_probe)
+    h, t = find_max_tower(g)
+    assert picked == [([3], 2, False), ([5], 2, True)]
+    assert h == 2 == fitting_height(g)
+    assert [p for p, _ in t.stages] == [2, 5]
+    assert validate_tower(t).valid
+
+
+def test_find_max_tower_falls_back_on_the_probe(monkeypatch):
+    g = build("s4").group
+    monkeypatch.setattr(towers, "_pick_stage", lambda G, u, p, chosen: None)
+    h, t = find_max_tower(g)
+    assert h == 3 and t.height == 3
+    assert validate_tower(t).valid
+
+
+def test_find_max_tower_without_a_stage_or_probe_is_a_defect_and_caches_nothing(monkeypatch):
+    g = build("s4").group
+    monkeypatch.setattr(towers, "_pick_stage", lambda G, u, p, chosen: None)
+    monkeypatch.setattr(towers, "PROBE_ORDER_CAP", g.order() - 1)
+    with pytest.raises(TowerDefectError, match="no tower realizing fitting height 3"):
+        find_max_tower(g)
+    monkeypatch.undo()
+    h, t = find_max_tower(g)
+    assert h == 3 and validate_tower(t).valid
+
+
 def test_probe_finds_and_refutes(s4):
     t = tower_probe(s4, 3)
     assert t is not None and t.height == 3
