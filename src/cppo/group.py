@@ -154,11 +154,7 @@ class FiniteGroup:
         self._classes = None
         self._cache: dict = {}
 
-    # -- identity and orders ------------------------------------------------
-
-    @property
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
+    # -- orders -------------------------------------------------------------
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:

@@ -12,6 +12,12 @@ routine, _kernel_set, which Tower.kernels and the tower_probe search share:
 it reads K_i off the conjugation tables of P_i on the element list of
 P_{i+1}.
 
+is_irreducible_tower is one ordered pass over the failed conditions of a
+valid tower (item 2, item 1 stage by stage, item 3, item 4), in which each
+stage's effective quotient and its frattini subgroup are formed once.  The
+verdict is "no" with the first failure, "undecided" when only a capped
+cover search came up empty, and "yes" otherwise.
+
 The exhaustive search behind tower_probe works on indices into G's sorted
 element list, so it forms no permutation and builds no group or stabilizer
 chain until it has a tower to return.  Subgroups are index sets, found by
@@ -137,11 +143,7 @@ class IrreducibilityReport:
 
 def effective_quotients(t: Tower) -> list:
     """The stage actions P_i / K_i as explicit coset-action groups."""
-    kernels = t.kernels()
-    out = []
-    for (p, sub), k in zip(t.stages, kernels):
-        out.append(quotient_by_normal(sub, k))
-    return out
+    return [quotient_by_normal(sub, k) for (_, sub), k in zip(t.stages, t.kernels())]
 
 
 def validate_tower(t: Tower) -> TowerValidity:
@@ -232,118 +234,93 @@ def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int):
     return out, len(order_p) <= len(pool) and Q.order() % p**4 != 0
 
 
+def _failed_conditions(t: Tower):
+    """The failed irreducibility conditions of a valid tower, as (decided,
+    detail) pairs in the order they are checked: item 2, item 1 stage by
+    stage, item 3, item 4.  A cover search that found nothing only because
+    it was capped is not decided.  Items 1 and 4 share each stage's
+    frattini subgroup."""
+    stages, ambient = t.stages, t.ambient
+    kernels = t.kernels()
+    quotients = effective_quotients(t)
+
+    # (2) the top stage is cyclic with effective action of prime order
+    if not stages[0][1].is_cyclic():
+        yield True, "item 2: the top stage is not cyclic"
+    if quotients[0].order() != stages[0][0]:
+        yield True, "item 2: the top stage acts with order %d, not prime" % quotients[0].order()
+
+    # (1) frattini conditions on the effective stage
+    frattinis = []
+    for i, ((p, _), q) in enumerate(zip(stages, quotients)):
+        frat = frattini_of_p_group(q)
+        frattinis.append(frat)
+        if frattini_of_p_group(frat).order() != 1:
+            yield True, "item 1: stage %d has a frattini subgroup that is not elementary" % (i + 1)
+        if not q.center().contains_group(frat):
+            yield True, "item 1: stage %d frattini subgroup is not central" % (i + 1)
+        if p != 2 and q.exponent() != p:
+            yield True, "item 1: stage %d has exponent %d, wanted %d" % (i + 1, q.exponent(), p)
+        if i and not all(
+            kernels[i].chain().contains_raw(comm_raw(q.lift(f).raw, g))
+            for f in frat.generators
+            for g in stages[i - 1][1]._raw_gens
+        ):
+            detail = "item 1: stage %d does not centralize the frattini subgroup of stage %d"
+            yield True, detail % (i, i + 1)
+
+    # (3) an elementary abelian chunk of the stage above covers this stage
+    for i in range(1, len(stages)):
+        p_above, q_above = stages[i - 1][0], quotients[i - 1]
+        sub, k_gens = stages[i][1], kernels[i]._raw_gens
+
+        def covers(action_raws):
+            span = _commutator_span(ambient, action_raws, sub)
+            return ambient._subgroup_raw(span._raw_gens + k_gens).order() == sub.order()
+
+        if not covers([q_above.lift(g).raw for g in q_above.generators]):
+            yield True, "item 3: even the whole stage %d fails to cover stage %d" % (i, i + 1)
+        candidates, complete = _elementary_abelian_subgroup_gens(q_above, p_above)
+        if not any(
+            covers([q_above.lift(Permutation._from_raw(c)).raw for c in cand])
+            for cand in candidates
+            if cand
+        ):
+            yield complete, (
+                "item 3: no elementary abelian subgroup above covers stage %d"
+                if complete
+                else "item 3: stage %d search capped before finding a cover"
+            ) % (i + 1)
+
+    # (4) invariant closures of elements outside the frattini preimage fill the stage
+    conjugators = []
+    for i, ((_, sub), q, frat) in enumerate(zip(stages, quotients, frattinis)):
+        pre_chain = ambient._subgroup_raw(q.preimage_gens(frat)).chain()
+        if any(
+            _closure_under_conjugation(ambient, [x], conjugators).order() != sub.order()
+            for x in sub._raw_elements()
+            if not pre_chain.contains_raw(x)
+        ):
+            yield True, (
+                "item 4: stage %d has a proper invariant subgroup outside the frattini preimage"
+                % (i + 1)
+            )
+        conjugators += sub._raw_gens
+
+
 def is_irreducible_tower(t: Tower) -> IrreducibilityReport:
-    """Check the four irreducibility conditions on a valid tower."""
+    """Check the four irreducibility conditions on a valid tower: "no" with
+    the first failed condition, "undecided" when only capped cover searches
+    came up empty, "yes" otherwise."""
     report = validate_tower(t)
     if not report.valid:
         raise TowerDefectError("irreducibility applies to valid towers only: %s" % report.detail)
-    kernels = t.kernels()
-    quotients = effective_quotients(t)
     details = []
-    undecided = False
-
-    # (2) the top stage is cyclic with effective action of prime order
-    p1, top = t.stages[0]
-    if not top.is_cyclic():
-        return IrreducibilityReport("no", ["item 2: the top stage is not cyclic"])
-    if quotients[0].order() != p1:
-        return IrreducibilityReport(
-            "no", ["item 2: the top stage acts with order %d, not prime" % quotients[0].order()]
-        )
-
-    for i, ((p, sub), q) in enumerate(zip(t.stages, quotients)):
-        # (1) frattini conditions on the effective stage
-        frat = frattini_of_p_group(q)
-        if frattini_of_p_group(frat).order() != 1:
-            return IrreducibilityReport(
-                "no", ["item 1: stage %d has a frattini subgroup that is not elementary" % (i + 1)]
-            )
-        centre = q.center()
-        if not centre.contains_group(frat):
-            return IrreducibilityReport(
-                "no", ["item 1: stage %d frattini subgroup is not central" % (i + 1)]
-            )
-        if p != 2 and q.order() > 1 and q.exponent() != p:
-            return IrreducibilityReport(
-                "no", ["item 1: stage %d has exponent %d, wanted %d" % (i + 1, q.exponent(), p)]
-            )
-        if i > 0:
-            above = t.stages[i - 1][1]
-            k_chain = kernels[i].chain()
-            for fgen in frat.generators:
-                lift = q.lift(fgen).raw
-                for g in above._raw_gens:
-                    if not k_chain.contains_raw(comm_raw(lift, g)):
-                        return IrreducibilityReport(
-                            "no",
-                            [
-                                "item 1: stage %d does not centralize the frattini "
-                                "subgroup of stage %d" % (i, i + 1)
-                            ],
-                        )
-
-    for i in range(1, len(t.stages)):
-        # (3) an elementary abelian chunk of the stage above covers this stage
-        p, sub = t.stages[i]
-        q_above = quotients[i - 1]
-        p_above = t.stages[i - 1][0]
-        k_gens = kernels[i]._raw_gens
-
-        def covers(action_raws):
-            span = _commutator_span(t.ambient, action_raws, sub)
-            joined = t.ambient._subgroup_raw(span._raw_gens + list(k_gens))
-            return joined.order() == sub.order()
-
-        full_gens = [q_above.lift(g).raw for g in q_above.generators]
-        if not covers(full_gens):
-            return IrreducibilityReport(
-                "no",
-                ["item 3: even the whole stage %d fails to cover stage %d" % (i, i + 1)],
-            )
-        candidates, complete = _elementary_abelian_subgroup_gens(q_above, p_above)
-        hit = None
-        for cand in candidates:
-            if not cand:
-                continue
-            lifted = [q_above.lift(Permutation._from_raw(c)).raw for c in cand]
-            if covers(lifted):
-                hit = cand
-                break
-        if hit is None:
-            if complete:
-                return IrreducibilityReport(
-                    "no",
-                    ["item 3: no elementary abelian subgroup above covers stage %d" % (i + 1)],
-                )
-            undecided = True
-            details.append(
-                "item 3: stage %d search capped before finding a cover" % (i + 1)
-            )
-
-    for i, ((p, sub), q) in enumerate(zip(t.stages, quotients)):
-        # (4) invariant closures of elements outside the frattini preimage fill the stage
-        frat = frattini_of_p_group(q)
-        pre = t.ambient._subgroup_raw(q.preimage_gens(frat))
-        pre_chain = pre.chain()
-        conjugators = []
-        for j in range(i):
-            conjugators.extend(t.stages[j][1]._raw_gens)
-        for x in sub._raw_elements():
-            if pre_chain.contains_raw(x):
-                continue
-            closure = _closure_under_conjugation(t.ambient, [x], conjugators)
-            if closure.order() != sub.order():
-                return IrreducibilityReport(
-                    "no",
-                    [
-                        "item 4: stage %d has a proper invariant subgroup outside "
-                        "the frattini preimage" % (i + 1)
-                    ],
-                )
-
-    if undecided:
-        return IrreducibilityReport("undecided", details)
-    return IrreducibilityReport("yes", details)
+    for decided, detail in _failed_conditions(t):
+        if decided:
+            return IrreducibilityReport("no", [detail])
+        details.append(detail)
+    return IrreducibilityReport("undecided" if details else "yes", details)
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +589,9 @@ def find_max_tower(G: FiniteGroup):
     Stages are assembled bottom-up along the upper Fitting series: the
     bottom stage is a core O_q(G), and each later stage is a Sylow subgroup
     of the pulled-back q-core of the quotient, conjugated until it
-    normalizes everything chosen so far.  Prime choices per level are
-    backtracked over; if no assignment produces a valid tower the bounded
+    normalizes everything chosen so far.  Prime assignments, one prime of
+    each factor of the series, are tried in product order, skipping those
+    with equal adjacent primes; if none produces a valid tower the bounded
     exhaustive probe has the last word.
     """
     if not is_soluble(G):
@@ -622,48 +600,25 @@ def find_max_tower(G: FiniteGroup):
     h = len(series.terms) - 1
     if h == 0:
         return 0, Tower(G, [])
-    factor_primes = []
-    for lvl in range(1, h + 1):
-        below = series.terms[lvl - 1].order()
-        here = series.terms[lvl].order()
-        factor_primes.append([p for p, _ in factorization(here // below)])
-
-    def assignments(level, chosen):
-        if level == h:
-            yield list(chosen)
-            return
-        for p in factor_primes[level]:
-            if chosen and chosen[-1] == p:
-                continue
-            chosen.append(p)
-            yield from assignments(level + 1, chosen)
-            chosen.pop()
-
-    for primes in assignments(0, []):
-        stages_bottom_up = []
-        good = True
-        for lvl in range(1, h + 1):
-            p = primes[lvl - 1]
-            if lvl == 1:
-                stage = p_core(G, p)
-            else:
-                q = series.quotients[lvl - 1]
-                core = p_core(q, p)
-                u = FiniteGroup(
-                    [Permutation._from_raw(r) for r in sorted(set(q.preimage_gens(core)))],
-                    degree=G.degree,
-                    cap=G.cap,
-                )
-                stage = _pick_stage(G, u, p, stages_bottom_up)
-                if stage is None:
-                    good = False
-                    break
-            stages_bottom_up.append((p, stage))
-        if not good:
+    factor_primes = [
+        [p for p, _ in factorization(here.order() // below.order())]
+        for below, here in zip(series.terms, series.terms[1:])
+    ]
+    for primes in itertools.product(*factor_primes):
+        if any(a == b for a, b in zip(primes, primes[1:])):
             continue
-        tower = Tower(G, list(reversed(stages_bottom_up)))
-        if tower.height == h and validate_tower(tower).valid:
-            return h, tower
+        stages_bottom_up = [(primes[0], p_core(G, primes[0]))]
+        for lvl, p in enumerate(primes[1:], 1):
+            q = series.quotients[lvl]
+            u = G._subgroup_raw(sorted(set(q.preimage_gens(p_core(q, p)))))
+            stage = _pick_stage(G, u, p, stages_bottom_up)
+            if stage is None:
+                break
+            stages_bottom_up.append((p, stage))
+        else:
+            tower = Tower(G, stages_bottom_up[::-1])
+            if validate_tower(tower).valid:
+                return h, tower
 
     if G.order() <= PROBE_ORDER_CAP:
         probed = tower_probe(G, h)

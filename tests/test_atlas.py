@@ -1,6 +1,8 @@
 """Catalog constructions: orders, determinism, and the hand-checkable facts
 about the projective-plane groups and the degree-10 model of S6."""
 
+import re
+
 import pytest
 
 import cppo.bsgs
@@ -256,6 +258,82 @@ def test_unknown_and_malformed_ids():
 def test_parameters_of_the_wrong_kind_or_range_are_atlas_errors(atlas_id):
     with pytest.raises(AtlasError):
         build(atlas_id)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("   ", "empty atlas id"),
+        ("s 4", "malformed atlas id 's 4'"),
+        ("sym(4", "malformed atlas id 'sym(4'"),
+        ("(4)", "malformed atlas id '(4)'"),
+        ("sym(4))", "unbalanced parentheses in 'sym(4))'"),
+        ("direct_product(sym(3,q8)", "unbalanced parentheses in 'direct_product(sym(3,q8)'"),
+        ("dihedral(4,)", "empty argument in 'dihedral(4,)'"),
+        ("dihedral(,4)", "empty argument in 'dihedral(,4)'"),
+    ],
+)
+def test_parse_atlas_id_names_each_malformation(text, message):
+    with pytest.raises(AtlasError, match="^%s$" % re.escape(message)):
+        parse_atlas_id(text)
+
+
+@pytest.mark.parametrize(
+    "atlas_id,message",
+    [
+        ("sym", "sym expects 1 parameter(s), got 0"),
+        ("q8(1)", "q8 expects 0 parameter(s), got 1"),
+        ("extraspecial(3)", "extraspecial expects 2 parameter(s), got 1"),
+        ("sym(+)", "sym parameter 1 must be an integer, got '+'"),
+        ("extraspecial(3,3)", 'extraspecial parameter 2 must be a sign "+" or "-", got 3'),
+        ("cyclic(0)", "cyclic(n) needs n >= 1"),
+        ("elem_abelian(4,2)", "elem_abelian(p, k) needs a prime p with p^k manageable"),
+        ("elem_abelian(2,0)", "elem_abelian(p, k) needs a prime p with p^k manageable"),
+        ("elem_abelian(2,13)", "elem_abelian(p, k) needs a prime p with p^k manageable"),
+        ("dihedral(1)", "dihedral(n) needs n >= 2"),
+        ("sym(0)", "sym(n) supported for 1 <= n <= 12"),
+        ("sym(13)", "sym(n) supported for 1 <= n <= 12"),
+        ("alt(2)", "alt(n) supported for 3 <= n <= 12"),
+        ("alt(13)", "alt(n) supported for 3 <= n <= 12"),
+        ("extraspecial(7,+)", "extraspecial(p, sign) needs p in {2,3,5} and sign + or -"),
+    ],
+)
+def test_build_names_each_bad_parameter(atlas_id, message):
+    with pytest.raises(AtlasError, match="^%s$" % re.escape(message)):
+        build(atlas_id)
+
+
+def test_cyclic_1_is_the_trivial_group_on_one_point():
+    g = build("cyclic(1)").group
+    assert (g.name, g.degree, g.order()) == ("cyclic(1)", 1, 1)
+
+
+@pytest.mark.parametrize(
+    "document,message",
+    [
+        ([{"atlas": "q8"}], "group spec must be a mapping"),
+        ({"degree": 4, "generators": []}, "explicit group spec needs 'name'"),
+        ({"name": "x", "generators": []}, "explicit group spec needs 'degree'"),
+        ({"atlas": "sym", "params": 4}, "params must be a list"),
+        ({"atlas": "sym", "params": "4"}, "params must be a list"),
+    ],
+    ids=str,
+)
+def test_load_group_spec_names_each_schema_error(document, message):
+    with pytest.raises(SchemaError, match="^%s$" % re.escape(message)):
+        load_group_spec(document)
+
+
+def test_load_group_spec_renames_an_atlas_group():
+    g = load_group_spec({"atlas": "dihedral", "params": [4], "name": "square"})
+    assert g.name == "square" and g.order() == 8
+    assert load_group_spec({"atlas": "dihedral", "params": [4]}).name == "dihedral(4)"
+
+
+@pytest.mark.parametrize("documents", [{"atlas": "q8"}, "q8", None], ids=str)
+def test_load_corpus_refuses_anything_but_a_list(documents):
+    with pytest.raises(SchemaError, match="^corpus must be a list of group specs$"):
+        load_corpus(documents)
 
 
 def test_bools_are_not_integer_parameters():

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface through main(argv)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from cppo import FiniteGroup
+from cppo import FiniteGroup, harness
 from cppo.atlas import catalog_names
 from cppo.cli import main
 from cppo.corpus import write_corpus_file
-from cppo.harness import SCHEMA_VERSION
+from cppo.harness import SCHEMA_VERSION, lemma_suite_to_text, run_lemma_suite
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -114,6 +115,20 @@ def test_verify_theorems_structured(tiny_corpus, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [r["name"] for r in payload["reports"]] == ["q8", "sym(4)", "alt(5)"]
     assert payload["failures"] == []
+
+
+def test_verify_theorems_reports_a_violation_and_exits_1(tiny_corpus, monkeypatch, capsys):
+    real = harness.classify
+
+    def classify_with_a_violation(G):
+        rep = real(G)
+        return dataclasses.replace(rep, theorem1="fail") if rep.name == "q8" else rep
+
+    monkeypatch.setattr(harness, "classify", classify_with_a_violation)
+    assert main(["verify", "theorems", "--corpus", tiny_corpus]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: q8: theorem1 violated\n" in out
+    assert out.endswith("3 group(s), 1 failure(s), 0 skip(s)\n")
 
 
 def test_verify_theorems_strict_cap(tiny_corpus, capsys):
@@ -219,6 +234,16 @@ def test_verify_lemmas_subset(capsys):
     assert out.endswith("check(s), 0 failed\n")
 
 
+def test_verify_lemmas_structured(capsys):
+    assert main(["--format", "structured", "verify", "lemmas", "--ids", "cc_iii"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema_version"] == SCHEMA_VERSION
+    checks = run_lemma_suite(["cc_iii"])
+    assert payload["lemma_checks"] == json.loads(lemma_suite_to_text(checks))["lemma_checks"]
+    assert [c["instance"] for c in payload["lemma_checks"]] == [c.instance for c in checks]
+    assert {c["status"] for c in payload["lemma_checks"]} == {"pass"}
+
+
 def test_verify_lemmas_unknown_id(capsys):
     assert main(["verify", "lemmas", "--ids", "made_up"]) == 2
     assert "unknown lemma id" in capsys.readouterr().err
@@ -242,6 +267,15 @@ def test_commutators_orders_only(capsys):
     assert "order 1: 1 commutator(s)" in out
     assert "order 2: 1 commutator(s)" in out
     assert "2 commutator(s) in a group of order 8" in out
+
+
+def test_commutators_lists_each_commutator(capsys):
+    assert main(["commutators", "atlas:q8"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "()",
+        "(1 2)(3 6)(4 8)(5 7)",
+        "2 commutator(s) in a group of order 8",
+    ]
 
 
 def test_out_flag_redirects_everything(tmp_path, capsys):

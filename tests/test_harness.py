@@ -1,5 +1,6 @@
 """Classification reports, suite runners, and the structured results format."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -267,6 +268,25 @@ def test_theorem_suite_on_a_tiny_corpus():
     assert [r.name for r in suite.reports] == ["q8", "dihedral(12)", "alt(5)"]
     assert [r.theorem1 for r in suite.reports] == ["pass", "not_applicable", "not_applicable"]
     assert [r.theorem2 for r in suite.reports] == ["not_applicable", "not_applicable", "pass"]
+
+
+def _q8_violates_theorem1(monkeypatch):
+    """Make harness.classify report a theorem 1 violation for q8."""
+    real = harness.classify
+
+    def classify_with_a_violation(G):
+        rep = real(G)
+        return dataclasses.replace(rep, theorem1="fail") if rep.name == "q8" else rep
+
+    monkeypatch.setattr(harness, "classify", classify_with_a_violation)
+
+
+def test_a_theorem_violation_is_a_suite_failure(monkeypatch):
+    _q8_violates_theorem1(monkeypatch)
+    suite = run_theorem_suite(TINY_DOCS)
+    assert not suite.ok
+    assert suite.failures == ["q8: theorem1 violated"]
+    assert [r.theorem1 for r in suite.reports] == ["fail", "not_applicable", "not_applicable"]
 
 
 def test_strict_mode_promotes_skips():

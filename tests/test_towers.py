@@ -129,6 +129,186 @@ def test_s4_max_tower_is_irreducible(s4_tower):
     assert is_irreducible_tower(s4_tower).verdict == "yes"
 
 
+def test_irreducibility_forms_each_stage_frattini_subgroup_once(s4_tower, monkeypatch):
+    # one frattini subgroup per stage and one of it, to test it is elementary
+    calls = []
+    frattini = towers.frattini_of_p_group
+
+    def counted(P):
+        calls.append(P.order())
+        return frattini(P)
+
+    monkeypatch.setattr(towers, "frattini_of_p_group", counted)
+    assert is_irreducible_tower(Tower(s4_tower.ambient, s4_tower.stages)).verdict == "yes"
+    assert len(calls) == 6
+
+
+def _irreducibility(t):
+    r = is_irreducible_tower(t)
+    return r.verdict, r.details
+
+
+@pytest.mark.parametrize(
+    "atlas_id,detail",
+    [
+        ("q8", "item 2: the top stage is not cyclic"),
+        ("cyclic(12)", "item 2: the top stage acts with order 4, not prime"),
+    ],
+)
+def test_a_max_tower_whose_top_stage_fails_item_2(atlas_id, detail):
+    _, t = find_max_tower(build(atlas_id).group)
+    assert _irreducibility(t) == ("no", [detail])
+
+
+@pytest.mark.parametrize(
+    "n,detail",
+    [
+        (9, "item 1: stage 2 has exponent 9, wanted 3"),
+        (27, "item 1: stage 2 has a frattini subgroup that is not elementary"),
+    ],
+)
+def test_a_dihedral_tower_whose_rotations_fail_item_1(n, detail):
+    g = build("dihedral(%d)" % n).group
+    rot, ref = g.generators
+    t = Tower(g, [(2, g.subgroup([ref])), (3, g.subgroup([rot]))])
+    assert validate_tower(t).valid
+    assert _irreducibility(t) == ("no", [detail])
+
+
+def test_a_tower_of_affine_maps_whose_frattini_subgroup_is_not_central():
+    # C3 wr C3 on 9 points, below an involution inverting each base 3-cycle:
+    # its frattini subgroup is the derived group, of order 9 and not central
+    s9 = build("sym(9)").group
+    two, wreath = _perms(9, "(2 3)(5 6)(8 9)"), _perms(9, "(1 2 3)", "(1 4 7)(2 5 8)(3 6 9)")
+    t = Tower(s9, [(2, s9.subgroup(two)), (3, s9.subgroup(wreath))])
+    assert validate_tower(t).valid and t.stages[1][1].order() == 81
+    assert _irreducibility(t) == ("no", ["item 1: stage 2 frattini subgroup is not central"])
+
+
+def _affine_f3_square(matrix, shift=(0, 0)):
+    """The 0-based image table of v -> v matrix + shift on F_3^2, with
+    (u, w) as the point u + 3w."""
+    (a, b), (c, d) = matrix
+    return [
+        (a * u + c * w + shift[0]) % 3 + 3 * ((b * u + d * w + shift[1]) % 3)
+        for w in range(3)
+        for u in range(3)
+    ]
+
+
+def test_a_tower_whose_top_stage_inverts_the_centre_of_the_stage_below():
+    # the Heisenberg group of order 27 as affine maps, below the involution
+    # (u, w) -> (-u, w), which inverts its centre, the shifts along u
+    shear, shift, flip = (
+        Permutation.from_zero_based(_affine_f3_square(*args))
+        for args in [(((1, 0), (1, 1)),), (((1, 0), (0, 1)), (0, 1)), (((2, 0), (0, 1)),)]
+    )
+    g = FiniteGroup([shear, shift, flip], degree=9)
+    t = Tower(g, [(2, g.subgroup([flip])), (3, g.subgroup([shear, shift]))])
+    assert validate_tower(t).valid and t.stages[1][1].order() == 27
+    assert _irreducibility(t) == (
+        "no",
+        ["item 1: stage 1 does not centralize the frattini subgroup of stage 2"],
+    )
+
+
+def test_a_tower_whose_second_stage_covers_only_as_a_whole():
+    g = build("direct_product(sym(3),sym(3))").group
+    two, three = _perms(6, "(5 6)"), _perms(6, "(4 5 6)", "(1 2 3)")
+    t = Tower(g, [(2, g.subgroup(two)), (3, g.subgroup(three))])
+    assert validate_tower(t).valid
+    assert _irreducibility(t) == ("no", ["item 3: even the whole stage 1 fails to cover stage 2"])
+
+
+def _sl2_3_on_two_modules():
+    """F_3^2 x F_3^3 extended by SL(2,3) on 18 points, and its tower
+    [(3, <w>), (2, Q8), (3, F_3^2 x F_3^3)].
+
+    Points 0..8 are F_3^2, on which SL(2,3) acts by matrices.  Points
+    9 + 3c + v hold the value v of coordinate c of F_3^3, one coordinate per
+    cyclic subgroup of order 4 of Q8 = <i, j>: an element of Q8 negates the
+    coordinates of the subgroups it does not lie in, and w permutes the
+    coordinates as it permutes the subgroups.  So the centre of Q8 acts as
+    -1 on F_3^2 and trivially on F_3^3.
+    """
+
+    def mul(x, y):
+        return tuple(
+            tuple(sum(x[r][k] * y[k][c] for k in range(2)) % 3 for c in range(2)) for r in range(2)
+        )
+
+    def powers(x):
+        out = [x]
+        while len(out) < 4:
+            out.append(mul(out[-1], x))
+        return set(out)
+
+    def on_coordinates(image):
+        """The table of points 9..17 under (c, v) -> image(c, v)."""
+        return [9 + 3 * c2 + v2 for c in range(3) for v in range(3) for c2, v2 in [image(c, v)]]
+
+    i, j, w = ((0, 2), (1, 0)), ((1, 1), (1, 2)), ((1, 1), (0, 1))
+    lines = [powers(x) for x in (i, j, mul(i, j))]
+    w_inv = mul(w, w)
+    turned = [lines.index({mul(mul(w_inv, x), w) for x in line}) for line in lines]
+    signs = {x: [1 if x in line else 2 for line in lines] for x in (i, j)}
+    top = Permutation.from_zero_based(
+        _affine_f3_square(w) + on_coordinates(lambda c, v: (turned[c], v))
+    )
+    q8 = [
+        Permutation.from_zero_based(
+            _affine_f3_square(x) + on_coordinates(lambda c, v, x=x: (c, v * signs[x][c] % 3))
+        )
+        for x in (i, j)
+    ]
+    one = ((1, 0), (0, 1))
+    shifts = [
+        Permutation.from_zero_based(_affine_f3_square(one, s) + list(range(9, 18)))
+        for s in ((1, 0), (0, 1))
+    ] + [
+        Permutation.from_zero_based(
+            list(range(9)) + on_coordinates(lambda c, v, k=k: (c, (v + (c == k)) % 3))
+        )
+        for k in range(3)
+    ]
+    g = FiniteGroup(shifts + q8 + [top], degree=18)
+    return g, Tower(g, [(3, g.subgroup([top])), (2, g.subgroup(q8)), (3, g.subgroup(shifts))])
+
+
+def test_a_tower_whose_third_stage_no_elementary_abelian_subgroup_covers():
+    # the centre of Q8, its one elementary abelian subgroup, moves only F_3^2
+    g, t = _sl2_3_on_two_modules()
+    assert g.order() == 243 * 24
+    assert [s.order() for _, s in t.stages] == [3, 8, 243]
+    assert validate_tower(t).valid
+    assert _irreducibility(t) == (
+        "no", ["item 3: no elementary abelian subgroup above covers stage 3"]
+    )
+
+
+def test_an_agl1_9_tower_fails_item_4():
+    g = build("agl1(9)").group
+    two = _perms(9, "(2 3)(4 7)(5 9)(6 8)")
+    three = _perms(9, "(1 2 3)(4 5 6)(7 8 9)", "(1 4 7)(2 5 8)(3 6 9)")
+    t = Tower(g, [(2, g.subgroup(two)), (3, g.subgroup(three))])
+    assert validate_tower(t).valid
+    assert _irreducibility(t) == (
+        "no",
+        ["item 4: stage 2 has a proper invariant subgroup outside the frattini preimage"],
+    )
+
+
+def test_a_capped_cover_search_leaves_the_verdict_undecided(s4_tower, monkeypatch):
+    monkeypatch.setattr(towers, "_elementary_abelian_subgroup_gens", lambda Q, p: ([], False))
+    assert _irreducibility(s4_tower) == (
+        "undecided",
+        [
+            "item 3: stage 2 search capped before finding a cover",
+            "item 3: stage 3 search capped before finding a cover",
+        ],
+    )
+
+
 def test_disjoint_supports_fail_item_3():
     s5 = build("sym(5)").group
     t = Tower(
