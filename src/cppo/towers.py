@@ -12,12 +12,6 @@ routine, _kernel_set, which Tower.kernels and the tower_probe search share:
 it reads K_i off the conjugation tables of P_i on the element list of
 P_{i+1}.
 
-is_irreducible_tower is one ordered pass over the failed conditions of a
-valid tower (item 2, item 1 stage by stage, item 3, item 4), in which each
-stage's effective quotient and its frattini subgroup are formed once.  The
-verdict is "no" with the first failure, "undecided" when only a capped
-cover search came up empty, and "yes" otherwise.
-
 The exhaustive search behind tower_probe works on indices into G's sorted
 element list, so it forms no permutation and builds no group or stabilizer
 chain until it has a tower to return.  Subgroups are index sets, found by
@@ -236,10 +230,8 @@ def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int):
 
 def _failed_conditions(t: Tower):
     """The failed irreducibility conditions of a valid tower, as (decided,
-    detail) pairs in the order they are checked: item 2, item 1 stage by
-    stage, item 3, item 4.  A cover search that found nothing only because
-    it was capped is not decided.  Items 1 and 4 share each stage's
-    frattini subgroup."""
+    detail) pairs; a cover search that found nothing only because it was
+    capped is not decided."""
     stages, ambient = t.stages, t.ambient
     kernels = t.kernels()
     quotients = effective_quotients(t)
@@ -261,13 +253,15 @@ def _failed_conditions(t: Tower):
             yield True, "item 1: stage %d frattini subgroup is not central" % (i + 1)
         if p != 2 and q.exponent() != p:
             yield True, "item 1: stage %d has exponent %d, wanted %d" % (i + 1, q.exponent(), p)
-        if i and not all(
-            kernels[i].chain().contains_raw(comm_raw(q.lift(f).raw, g))
-            for f in frat.generators
-            for g in stages[i - 1][1]._raw_gens
-        ):
-            detail = "item 1: stage %d does not centralize the frattini subgroup of stage %d"
-            yield True, detail % (i, i + 1)
+        if i:
+            lifts = [q.lift(f).raw for f in frat.generators]
+            if not all(
+                kernels[i].chain().contains_raw(comm_raw(f, g))
+                for f in lifts
+                for g in stages[i - 1][1]._raw_gens
+            ):
+                detail = "item 1: stage %d does not centralize the frattini subgroup of stage %d"
+                yield True, detail % (i, i + 1)
 
     # (3) an elementary abelian chunk of the stage above covers this stage
     for i in range(1, len(stages)):
@@ -309,7 +303,9 @@ def _failed_conditions(t: Tower):
 
 
 def is_irreducible_tower(t: Tower) -> IrreducibilityReport:
-    """Check the four irreducibility conditions on a valid tower: "no" with
+    """Check the four irreducibility conditions on a valid tower in one
+    ordered pass (item 2, item 1 stage by stage, item 3, item 4) that forms
+    each stage's effective quotient and frattini subgroup once: "no" with
     the first failed condition, "undecided" when only capped cover searches
     came up empty, "yes" otherwise."""
     report = validate_tower(t)

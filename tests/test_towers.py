@@ -175,7 +175,7 @@ def test_a_dihedral_tower_whose_rotations_fail_item_1(n, detail):
     assert _irreducibility(t) == ("no", [detail])
 
 
-def test_a_tower_of_affine_maps_whose_frattini_subgroup_is_not_central():
+def test_a_wreath_product_tower_whose_frattini_subgroup_is_not_central():
     # C3 wr C3 on 9 points, below an involution inverting each base 3-cycle:
     # its frattini subgroup is the derived group, of order 9 and not central
     s9 = build("sym(9)").group
