@@ -801,12 +801,6 @@ def load_group_spec(document) -> FiniteGroup:
     raise SchemaError("group spec needs either 'generators' or 'atlas'")
 
 
-def load_corpus(documents) -> list[FiniteGroup]:
-    if not isinstance(documents, list):
-        raise SchemaError("corpus must be a list of group specs")
-    return [load_group_spec(doc) for doc in documents]
-
-
 # ---------------------------------------------------------------------------
 # the two hand-checked computations
 

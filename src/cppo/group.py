@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce, wraps
-from itertools import islice
+from itertools import combinations, islice
 
 from .arith import is_prime_power
 from .bsgs import StabilizerChain
@@ -74,6 +74,11 @@ def cached(fn):
         return cache[key]
 
     return memo
+
+
+def _commutator_seeds(degree, pairs) -> list:
+    """The distinct nontrivial commutators [x, y] over the raw pairs (x, y), sorted."""
+    return sorted({comm_raw(x, y) for x, y in pairs} - {identity_raw(degree)})
 
 
 class _RawClass:
@@ -429,15 +434,9 @@ class FiniteGroup:
 
     @cached
     def derived_subgroup(self) -> "FiniteGroup":
-        gens = self._raw_gens
-        ident = identity_raw(self.degree)
-        seeds = set()
-        for i, a in enumerate(gens):
-            for b in gens[i + 1 :]:
-                c = comm_raw(a, b)
-                if c != ident:
-                    seeds.add(c)
-        derived = self._normal_closure_raw(sorted(seeds))
+        # [b, a] = [a, b]^-1 lies in the normal closure, so one order of each pair suffices
+        seeds = _commutator_seeds(self.degree, combinations(self._raw_gens, 2))
+        derived = self._normal_closure_raw(seeds)
         # A perfect group is its own derived subgroup; handing back the
         # group itself keeps one copy of its elements, classes and radical.
         return self if derived.order() == self.order() else derived

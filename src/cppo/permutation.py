@@ -211,6 +211,17 @@ def comm_raw(x, y):
     return mul_raw(inv_raw(x), conj_raw(x, y))
 
 
+def pow_raw(a, n: int):
+    """a^n for n >= 0, by repeated squaring."""
+    result = identity_raw(len(a))
+    while n:
+        if n & 1:
+            result = mul_raw(result, a)
+        a = mul_raw(a, a)
+        n >>= 1
+    return result
+
+
 def order_raw(a, base=None) -> int:
     """Order as the lcm of cycle lengths.
 
@@ -332,14 +343,7 @@ class Permutation:
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
             return (~self) ** (-n)
-        result = identity_raw(len(self._img))
-        base = self._img
-        while n:
-            if n & 1:
-                result = mul_raw(result, base)
-            base = mul_raw(base, base)
-            n >>= 1
-        return Permutation._from_raw(result)
+        return Permutation._from_raw(pow_raw(self._img, n))
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """self^g = g^-1 * self * g."""
@@ -422,13 +426,3 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     if not saw_cycle:
         raise CycleParseError("no cycles found in %r" % text)
     return Permutation.from_zero_based(images)
-
-
-def commutator(x: Permutation, y: Permutation) -> Permutation:
-    """[x, y] = x^-1 y^-1 x y."""
-    x._check_degree(y)
-    return Permutation._from_raw(comm_raw(x._img, y._img))
-
-
-def element_order(g: Permutation) -> int:
-    return g.order()

@@ -12,6 +12,7 @@ group.py's `cached`, so this module never touches a group's storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .arith import factorization, is_prime, p_part
 from .bsgs import StabilizerChain
@@ -22,8 +23,8 @@ from .errors import (
     NotPGroupError,
     NotSimpleError,
 )
-from .group import FiniteGroup, cached, quotient_by_normal
-from .permutation import comm_raw, conj_raw, identity_raw, mul_all, mul_raw, order_raw
+from .group import FiniteGroup, _commutator_seeds, cached, quotient_by_normal
+from .permutation import conj_raw, identity_raw, mul_all, order_raw, pow_raw
 
 DEFAULT_CLASS_CAP = 60
 
@@ -68,16 +69,10 @@ def is_perfect(G: FiniteGroup) -> bool:
 
 
 def lower_central_series(G: FiniteGroup) -> SeriesChain:
-    ident = identity_raw(G.degree)
     terms = [G]
     while True:
-        seeds = set()
-        for a in terms[-1]._raw_gens:
-            for b in G._raw_gens:
-                c = comm_raw(a, b)
-                if c != ident:
-                    seeds.add(c)
-        nxt = G._normal_closure_raw(sorted(seeds))
+        seeds = _commutator_seeds(G.degree, product(terms[-1]._raw_gens, G._raw_gens))
+        nxt = G._normal_closure_raw(seeds)
         if nxt.order() == terms[-1].order():
             break
         terms.append(nxt)
@@ -273,34 +268,31 @@ def soluble_radical(G: FiniteGroup) -> FiniteGroup:
 
 
 def p_prime_part_of_nilpotent(N: FiniteGroup, p: int) -> FiniteGroup:
-    """The subgroup of a nilpotent group generated by its p'-elements."""
+    """The subgroup of a nilpotent group generated by its p'-elements:
+    <x^m : x a generator of N> with m = |N|_p.  N is the direct product of
+    its Sylow subgroups, so x^m is the m-th power of x's p'-component, which
+    generates the same cyclic group as that component, and the components
+    of the generators generate the p'-part."""
     if not is_prime(p):
         raise ValueError("%d is not a prime" % p)
     if not is_nilpotent(N):
         raise NotNilpotentError("the p' part shortcut needs a nilpotent group")
-    elems = N._raw_elements()
-    orders = _element_orders(N)
-    kept = [x for x, o in zip(elems, orders) if o % p != 0]
-    return N._subgroup_from_raw_elements(kept)
+    m = p_part(N.order(), p)
+    return N._subgroup_raw(sorted({pow_raw(x, m) for x in N._raw_gens} - {identity_raw(N.degree)}))
 
 
 def frattini_of_p_group(P: FiniteGroup) -> FiniteGroup:
-    """The Frattini subgroup of a p-group: generated by p-th powers and commutators."""
+    """The Frattini subgroup of a p-group, P' P^p = <P', x^p : x a generator
+    of P>: P' is normal and P/P' is abelian, so the p-th powers of the
+    generators generate (P/P')^p."""
     if P.order() == 1:
         return P.trivial_subgroup()
     fact = factorization(P.order())
     if len(fact) != 1:
         raise NotPGroupError("frattini shortcut applies to p-groups only")
     p = fact[0][0]
-    gens = set(P.derived_subgroup()._raw_gens)
-    ident = identity_raw(P.degree)
-    for x in P._raw_elements():
-        y = x
-        for _ in range(p - 1):
-            y = mul_raw(y, x)
-        if y != ident:
-            gens.add(y)
-    return P._subgroup_raw(sorted(gens))
+    gens = set(P.derived_subgroup()._raw_gens) | {pow_raw(x, p) for x in P._raw_gens}
+    return P._subgroup_raw(sorted(gens - {identity_raw(P.degree)}))
 
 
 # ---------------------------------------------------------------------------

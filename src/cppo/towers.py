@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .arith import factorization
 from .errors import InsolubleError, TowerDefectError
-from .group import FiniteGroup, cached, quotient_by_normal
+from .group import FiniteGroup, _commutator_seeds, cached, quotient_by_normal
 from .permutation import (
     Permutation,
     comm_raw,
@@ -170,16 +170,8 @@ def _commutator_span(ambient, action_raws, target: FiniteGroup):
     """[A, T]: generated by commutators of the action gens with target elements,
     closed under conjugation by both sides.  Lands inside the target when the
     action gens normalize it."""
-    ident = identity_raw(ambient.degree)
-    seeds = set()
-    for h in action_raws:
-        for y in target._raw_gens:
-            c = comm_raw(h, y)
-            if c != ident:
-                seeds.add(c)
-    return _closure_under_conjugation(
-        ambient, sorted(seeds), list(action_raws) + list(target._raw_gens)
-    )
+    seeds = _commutator_seeds(ambient.degree, itertools.product(action_raws, target._raw_gens))
+    return _closure_under_conjugation(ambient, seeds, list(action_raws) + target._raw_gens)
 
 
 def _elementary_abelian_gens(gens, p: int) -> bool:
@@ -191,18 +183,20 @@ def _elementary_abelian_gens(gens, p: int) -> bool:
 
 
 def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int):
-    """Generator lists for elementary abelian p-subgroups of Q, and whether
-    the list holds all of them.
+    """Generator lists for nontrivial elementary abelian p-subgroups of Q,
+    and whether the list holds all of them.
 
     Below ELEMENTARY_SEARCH_CAP the list holds every member of
-    _all_subgroups(Q) whose generators have order p and commute, so it is
-    complete.  Otherwise it holds combinations of at most three commuting
+    _p_subgroup_sets(Q, p) whose generators have order p and commute; Q is
+    a p-group there, so those are all its nontrivial subgroups, and the list
+    is complete.  Otherwise it holds combinations of at most three commuting
     order-p elements drawn from the least elements; that search is complete
     only when the pool holds every order-p element and p^4 does not divide
     |Q|, so that no elementary abelian subgroup has rank above three.
     """
     if Q.order() < ELEMENTARY_SEARCH_CAP:
-        return [gens for _, gens in _all_subgroups(Q) if _elementary_abelian_gens(gens, p)], True
+        subgroups = _p_subgroup_sets(Q, p)
+        return [gens for _, gens in subgroups if _elementary_abelian_gens(gens, p)], True
     order_p = [x for x in Q._raw_elements() if order_raw(x) == p]
     ident = identity_raw(Q.degree)
     pool = order_p[:48]
@@ -278,7 +272,6 @@ def _failed_conditions(t: Tower):
         if not any(
             covers([q_above.lift(Permutation._from_raw(c)).raw for c in cand])
             for cand in candidates
-            if cand
         ):
             yield complete, (
                 "item 3: no elementary abelian subgroup above covers stage %d"
@@ -423,16 +416,6 @@ def _cyclic_extension(xs, rows):
 def _as_raw(elems, sets):
     """(index set, generator indices) pairs as (element set, raw generators)."""
     return [(frozenset(map(elems.__getitem__, k)), [elems[x] for x in gens]) for k, gens in sets]
-
-
-def _all_subgroups(P: FiniteGroup):
-    """Every subgroup of a small group as (element set, generator list), by
-    cyclic extension over P's multiplication table, sorted by size then by
-    sorted elements."""
-    elems = P._raw_elements()
-    xs = range(len(elems))
-    found = _cyclic_extension(xs, _right_rows(elems, P.chain().base, xs))
-    return _as_raw(elems, _by_size(found))
 
 
 def _p_subgroup_index_sets(G: FiniteGroup, p: int, conj):
@@ -637,8 +620,6 @@ def _normalizes_all(gens, chosen) -> bool:
 def _moves_stage_below(gens, chosen) -> bool:
     """A stage whose generators all centralize the stage below acts trivially
     on it; such a candidate can never pass validation."""
-    if not chosen:
-        return True
     below = chosen[-1][1]
     ident = identity_raw(below.degree)
     for g in gens:

@@ -12,7 +12,6 @@ from cppo.atlas import (
     build,
     catalog_names,
     exceptional_automorphism_witness,
-    load_corpus,
     load_group_spec,
     parse_atlas_id,
     projective_permutation,
@@ -232,15 +231,6 @@ def test_load_group_spec_rejects_a_non_string_atlas_name(name):
         load_group_spec({"atlas": name})
 
 
-def test_load_corpus_builds_every_document():
-    docs = [
-        {"atlas": "q8"},
-        {"name": "C5", "degree": 5, "generators": ["(1 2 3 4 5)"]},
-    ]
-    groups = load_corpus(docs)
-    assert [g.order() for g in groups] == [8, 5]
-
-
 def test_unknown_and_malformed_ids():
     with pytest.raises(AtlasError):
         build("made_up_group")
@@ -328,12 +318,6 @@ def test_load_group_spec_renames_an_atlas_group():
     g = load_group_spec({"atlas": "dihedral", "params": [4], "name": "square"})
     assert g.name == "square" and g.order() == 8
     assert load_group_spec({"atlas": "dihedral", "params": [4]}).name == "dihedral(4)"
-
-
-@pytest.mark.parametrize("documents", [{"atlas": "q8"}, "q8", None], ids=str)
-def test_load_corpus_refuses_anything_but_a_list(documents):
-    with pytest.raises(SchemaError, match="^corpus must be a list of group specs$"):
-        load_corpus(documents)
 
 
 def test_bools_are_not_integer_parameters():

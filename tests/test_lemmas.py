@@ -1,6 +1,7 @@
 """The lemma check families: registry shape, the registry as the one maker
 of records, determinism, a clean sweep whose bytes match the benchmark's
-golden digests, and the affine instances."""
+golden digests, the affine instances, and families reporting a failure on
+instances where the claimed identity is false."""
 
 import ast
 import hashlib
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from cppo import lemmas
+from cppo.atlas import build
 from cppo.harness import lemma_checks_to_doc
 from cppo.lemmas import MICRO_SUITE, REGISTRY, LemmaCheck, _affine
 
@@ -143,3 +146,47 @@ def test_affine_splits_translations_from_scalings(qs):
     for q, s in zip(qs, scales):
         assert s.order() == q - 1
         assert s in amb and s not in trans
+
+
+# ---------------------------------------------------------------------------
+# families that can fail: each instance source is swapped for one on which
+# the claimed identity is false, so the family must report it
+
+
+def _d8_rotations_and_a_reflection():
+    """D8 with G = <r> and A = <s>: not a coprime pair, so [G, A, A] < [G, A]
+    and the fixed points of A on G/<r^2> are more than N C_G(A)."""
+    d8 = build("dihedral(4)").group
+    rot, ref = d8.generators
+    return d8, d8.subgroup([rot]), d8.subgroup([ref]), d8.subgroup([rot * rot])
+
+
+def test_cc_ii_reports_a_pair_whose_commutator_span_shrinks(monkeypatch):
+    amb, g, a, _ = _d8_rotations_and_a_reflection()
+    monkeypatch.setattr(lemmas, "_coprime_pairs", lambda: [("d8", amb, g, a)])
+    monkeypatch.setattr(lemmas, "_check_action_preconditions", lambda amb, g, a: None)
+    assert list(lemmas.check_cc_ii(0)) == [("d8", False, {"once": 2, "twice": 1})]
+
+
+def test_cc_iii_reports_fixed_points_beyond_n_times_the_centralizer(monkeypatch):
+    amb, g, a, n = _d8_rotations_and_a_reflection()
+    monkeypatch.setattr(lemmas, "_cc_iii_instances", lambda: [("d8", amb, g, a, n)])
+    monkeypatch.setattr(lemmas, "_check_action_preconditions", lambda amb, g, a: None)
+    assert list(lemmas.check_cc_iii(0)) == [("d8", False, {"lhs": 4, "rhs": 2})]
+
+
+def test_ore_spotcheck_reports_a_group_with_non_commutators(monkeypatch):
+    monkeypatch.setattr(lemmas, "build", lambda spec: build("sym(3)"))
+    results = list(lemmas.check_ore_spotcheck(0))
+    assert results and all(
+        not passed and witness == {"commutators": 3, "order": 6} for _, passed, witness in results
+    )
+
+
+def test_quasisimple_negative_reports_a_cppo_quasisimple_group(monkeypatch):
+    # PSL(2,7) is simple, so quasisimple, and all its commutators have prime-power order
+    monkeypatch.setattr(lemmas, "build", lambda spec: build(("psl2", [7])))
+    results = list(lemmas.check_quasisimple_negative(0))
+    assert results and all(
+        not passed and witness == {"witness_order": None} for _, passed, witness in results
+    )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cppo import FiniteGroup, parse_permutation, structure, towers
+from cppo import FiniteGroup, lemmas, parse_permutation, structure, towers
 from cppo.arith import factorization, p_part
 from cppo.atlas import build, load_group_spec
 from cppo.bsgs import StabilizerChain
@@ -26,7 +26,15 @@ from cppo.errors import (
 )
 from cppo.group import quotient_by_normal
 from cppo.harness import classify
-from cppo.permutation import Permutation, block_raw, identity_raw, order_raw, raw_from_images
+from cppo.permutation import (
+    Permutation,
+    block_raw,
+    comm_raw,
+    identity_raw,
+    mul_raw,
+    order_raw,
+    raw_from_images,
+)
 from cppo.structure import (
     _element_orders,
     derived_series,
@@ -927,3 +935,97 @@ def test_p_prime_part_of_nilpotent():
     assert p_prime_part_of_nilpotent(q8(), 2).order() == 1
     with pytest.raises(NotNilpotentError):
         p_prime_part_of_nilpotent(s4(), 2)
+    with pytest.raises(ValueError):
+        p_prime_part_of_nilpotent(c12(), 4)
+
+
+# ---------------------------------------------------------------------------
+# the constructions as they were, by enumeration and by hand-written seed
+# loops, kept as references for the generator-level ones
+
+
+def reference_derived_subgroup(G):
+    ident = identity_raw(G.degree)
+    gens = G._raw_gens
+    seeds = set()
+    for i, a in enumerate(gens):
+        for b in gens[i + 1 :]:
+            c = comm_raw(a, b)
+            if c != ident:
+                seeds.add(c)
+    derived = G._normal_closure_raw(sorted(seeds))
+    return G if derived.order() == G.order() else derived
+
+
+def reference_lower_central_series(G):
+    ident = identity_raw(G.degree)
+    terms = [G]
+    while True:
+        seeds = set()
+        for a in terms[-1]._raw_gens:
+            for b in G._raw_gens:
+                c = comm_raw(a, b)
+                if c != ident:
+                    seeds.add(c)
+        nxt = G._normal_closure_raw(sorted(seeds))
+        if nxt.order() == terms[-1].order():
+            return terms
+        terms.append(nxt)
+        if nxt.order() == 1:
+            return terms
+
+
+def reference_frattini(P):
+    """<P', x^p for every x in P>."""
+    p = factorization(P.order())[0][0]
+    gens = set(reference_derived_subgroup(P)._raw_gens)
+    ident = identity_raw(P.degree)
+    for x in P._raw_elements():
+        y = x
+        for _ in range(p - 1):
+            y = mul_raw(y, x)
+        if y != ident:
+            gens.add(y)
+    return P._subgroup_raw(sorted(gens))
+
+
+def reference_p_prime_part(N, p):
+    """The closure of the p'-elements of N."""
+    return N._subgroup_from_raw_elements([x for x in N._raw_elements() if order_raw(x) % p])
+
+
+def _sylow_subgroups(group):
+    return [sylow_subgroup(group, p) for p, _ in factorization(group.order())]
+
+
+@pytest.mark.parametrize("name, group", SMALL_CORPUS, ids=[n for n, _ in SMALL_CORPUS])
+def test_frattini_subgroups_of_sylow_subgroups_match_the_enumerating_reference(name, group):
+    for P in _sylow_subgroups(group):
+        assert frattini_of_p_group(P).same_group_as(reference_frattini(P)), P.order()
+
+
+@pytest.mark.parametrize("name, group", SMALL_CORPUS, ids=[n for n, _ in SMALL_CORPUS])
+def test_commutator_subgroups_keep_the_generators_of_the_seed_loops(name, group):
+    for H in [group] + _sylow_subgroups(group):
+        assert H.derived_subgroup()._raw_gens == reference_derived_subgroup(H)._raw_gens
+        assert [t._raw_gens for t in lower_central_series(H).terms] == [
+            t._raw_gens for t in reference_lower_central_series(H)
+        ]
+
+
+def test_p_prime_parts_the_opelinha_check_takes_match_the_enumerating_reference(monkeypatch):
+    visited = []
+    real = lemmas.p_prime_part_of_nilpotent
+
+    def recording(N, p):
+        visited.append(N)
+        return real(N, p)
+
+    monkeypatch.setattr(lemmas, "p_prime_part_of_nilpotent", recording)
+    assert len(list(lemmas.check_opelinha(0))) >= 80
+    checked = 0
+    for N in {id(N): N for N in visited}.values():
+        for p, _ in factorization(N.order()):
+            assert p_prime_part_of_nilpotent(N, p).same_group_as(reference_p_prime_part(N, p))
+            checked += 1
+    assert checked >= 80

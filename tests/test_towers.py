@@ -1,6 +1,9 @@
 """Tower validation, search, and certification against hand-built examples,
-and the set-based probe against the chain-based search it replaced."""
+the set-based probe against the chain-based search it replaced, and the
+irreducibility verdicts over every small tower of candidate stages."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -26,7 +29,6 @@ from cppo.permutation import (
 from cppo.structure import fitting_height, is_soluble, sylow_subgroup, upper_fitting_series
 from cppo.towers import (
     Tower,
-    _all_subgroups,
     _elementary_abelian_subgroup_gens,
     _moves_stage_below,
     _normalizes_all,
@@ -309,6 +311,47 @@ def test_a_capped_cover_search_leaves_the_verdict_undecided(s4_tower, monkeypatc
     )
 
 
+SWEEP_IDS = [
+    "s4", "sym(3)", "alt(4)", "sl2_3", "dihedral(12)", "agl1(7)", "agl1(8)", "agl1(9)",
+    "direct_product(sym(3),sym(3))", "direct_product(cyclic(3),dihedral(5))",
+    "extraspecial(3,+)", "direct_product(q8,cyclic(3))",
+]
+
+
+def _valid_towers(g, candidates, height=3):
+    """Every valid tower of at most the given height whose stages are among
+    the (prime, subgroup) candidates, grown top-down from valid towers: a
+    valid tower's top stages form a valid tower too."""
+    level = [[]]
+    for _ in range(height):
+        grown = []
+        for stages in level:
+            for c in candidates:
+                t = Tower(g, stages + [c])
+                if validate_tower(t).valid:
+                    grown.append(stages + [c])
+                    yield t
+        level = grown
+
+
+def test_irreducibility_verdicts_over_every_small_tower_of_candidate_stages():
+    groups = [(i, build(i).group) for i in SWEEP_IDS] + [("s4wr2", _s4_wreath_2()[0])]
+    rows = []
+    for name, g in groups:
+        candidates = [
+            (p, g._subgroup_raw(gens))
+            for p, _ in factorization(g.order())
+            for _, gens in _p_subgroup_sets(g, p)
+        ]
+        for t in _valid_towers(g, candidates[:60] if name == "s4wr2" else candidates):
+            report = is_irreducible_tower(t)
+            rows.append([name, t.height, report.verdict, report.details])
+    kinds = Counter(details[0][:6] if details else verdict for _, _, verdict, details in rows)
+    assert kinds == {"yes": 343, "item 2": 125, "item 4": 18, "item 3": 6}
+    digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+    assert digest == "744bf9eaa84a11fd5ee5dabe86b40009778eb7910f61a0887bb1b31f92931b9c"
+
+
 def test_disjoint_supports_fail_item_3():
     s5 = build("sym(5)").group
     t = Tower(
@@ -455,6 +498,11 @@ def test_probe_finds_and_refutes(s4):
     assert tower_probe(a4, 3) is None
 
 
+def test_probe_of_height_zero_is_the_empty_tower(s4):
+    t = tower_probe(s4, 0)
+    assert t.height == 0 and t.ambient is s4
+
+
 def test_probe_respects_the_order_cap(monkeypatch):
     big = build("direct_product(s4,s4)").group
     with pytest.raises(TowerDefectError):
@@ -560,10 +608,15 @@ def small_soluble(request):
     return g
 
 
-def test_all_subgroups_match_the_chain_reference(small_soluble):
-    for p, _ in factorization(small_soluble.order()):
-        syl = sylow_subgroup(small_soluble, p)
-        assert _all_subgroups(syl) == _ref_all_subgroups(syl), p
+def assert_sylow_p_subgroup_sets_match_the_chain_reference(group):
+    # a p-group's nontrivial p-subgroups are all its subgroups but the trivial one
+    for p, _ in factorization(group.order()):
+        syl = sylow_subgroup(group, p)
+        assert _p_subgroup_sets(syl, p) == _ref_all_subgroups(syl)[1:], p
+
+
+def test_sylow_p_subgroup_sets_match_the_chain_reference(small_soluble):
+    assert_sylow_p_subgroup_sets_match_the_chain_reference(small_soluble)
 
 
 def _lifted_s6_subgroups(count):
@@ -598,8 +651,10 @@ def _quotient(atlas_id, normal):
     ],
     ids=lambda g: "order %d degree %d" % (g.order(), g.degree),
 )
-def test_all_subgroups_match_the_chain_reference_past_the_bytes_kernel_and_on_quotients(group):
-    assert _all_subgroups(group) == _ref_all_subgroups(group)
+def test_sylow_p_subgroup_sets_match_the_chain_reference_past_the_bytes_kernel_and_on_quotients(
+    group,
+):
+    assert_sylow_p_subgroup_sets_match_the_chain_reference(group)
 
 
 @pytest.mark.parametrize("atlas_id", ["direct_product(q8,dihedral(4))", "agl1(8)"])
@@ -646,7 +701,7 @@ def reference_p_subgroup_sets(G, p):
     syl = sylow_subgroup(G, p)
     if syl.order() == 1:
         return []
-    pool = {members: gens for members, gens in _all_subgroups(syl) if len(members) > 1}
+    pool = {members: gens for members, gens in _ref_all_subgroups(syl) if len(members) > 1}
     queue = list(pool.items())
     for members, gens in queue:
         for g in G._raw_gens:
@@ -731,12 +786,12 @@ def test_capped_elementary_abelian_search_is_incomplete_past_rank_three():
      ("extraspecial(3,+)", 3), ("s4", 2), ("s4", 3)],
 )
 def test_elementary_abelian_search_below_the_cap_finds_every_subgroup(atlas_id, p):
-    # the element-level definition, on every subgroup of the chain reference
+    # the element-level definition, on every nontrivial subgroup of the chain reference
     g = build(atlas_id).group
     found, complete = _elementary_abelian_subgroup_gens(g, p)
     want = {
         members
-        for members, _ in _ref_all_subgroups(g)
+        for members, _ in _ref_all_subgroups(g)[1:]
         if all(order_raw(x) in (1, p) for x in members)
         and all(mul_raw(x, y) == mul_raw(y, x) for x in members for y in members)
     }
