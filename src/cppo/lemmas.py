@@ -12,14 +12,20 @@ Corpus-driven families (opelinha, casolo_quotient, the perfect-group
 lemmas) restrict to corpus groups of order at most 1000 so the whole suite
 stays in seconds; the bound is an instance policy, not a correctness cap.
 
-Each family check_<id>(seed) is a generator of (instance, passed, witness)
-triples, one per instance.  REGISTRY maps each lemma id to run(seed), which
-drains its family and makes the LemmaCheck records, in the order yielded;
-no family names its id or a status.
+Each family is a source and a verdict.  The source _<id>_instances(seed)
+(cc_i and cc_ii share _coprime_pairs) yields (instance, *args) for each
+instance once it meets the lemma's hypotheses, and raises GroupError on one
+that does not; the sources of coprime actions share one check, _actions.
+The verdict <id>(*args) returns (passed, witness) and checks no hypothesis,
+so it runs on an instance that breaks its lemma too.  _records makes the
+REGISTRY entry run(seed): it calls the verdict on each instance and makes
+the LemmaCheck records in the order yielded; no source or verdict names
+its id or a status.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -159,14 +165,11 @@ def _heisenberg_with_flip():
 
 
 # ---------------------------------------------------------------------------
-# small computations shared by the checks
+# small computations shared by the families
 
 
 def _join(ambient: FiniteGroup, *gen_lists) -> FiniteGroup:
-    gens = []
-    for gl in gen_lists:
-        gens.extend(gl)
-    return ambient._subgroup_raw(sorted(set(gens)))
+    return ambient._subgroup_raw(sorted(set().union(*gen_lists)))
 
 
 def _nontrivial_elements(sub: FiniteGroup):
@@ -207,21 +210,6 @@ def _sl23_on_q8():
     return sl23, sl23.derived_subgroup(), sl23._subgroup_raw([a])
 
 
-def _coprime_pairs():
-    """(tag, ambient, acted-on subgroup, acting subgroup), acting part cyclic
-    unless noted.  Every pair has coprime orders and the acting subgroup
-    normalizes the acted-on one; both facts are asserted downstream."""
-    pairs = [
-        ("agl1(%d) torus part of order %d on translations" % (q, d), amb, v, a)
-        for q, d, amb, v, a in _tori()
-    ]
-    pairs.append(("sl2_3 order-3 element on its quaternion subgroup", *_sl23_on_q8()))
-    amb, v, diag, half = _c35()
-    pairs.append(("c35 under a diagonal of order 12", amb, v, diag))
-    pairs.append(("c35 under the diagonal involution", amb, v, half))
-    return pairs
-
-
 def _noncyclic_abelian_pairs():
     pairs = []
     amb, v, scales = _affine(4, 4)
@@ -233,357 +221,343 @@ def _noncyclic_abelian_pairs():
     return pairs
 
 
-def _check_action_preconditions(amb, g_sub, a_sub):
-    if math.gcd(a_sub.order(), g_sub.order()) != 1:
-        raise GroupError("instance is not coprime")
-    if not g_sub.normalized_by(a_sub._raw_gens):
-        raise GroupError("acting subgroup fails to normalize the instance")
-
-
-# ---------------------------------------------------------------------------
-# check families: each yields (instance, passed, witness) per instance
-
-
-def check_cc_i(seed):
-    for tag, amb, g, a in _coprime_pairs():
-        _check_action_preconditions(amb, g, a)
-        comm = _commutator_span(amb, a._raw_gens, g)
-        cent = g.centralizer(a.generators)
-        total = _join(amb, comm._raw_gens, cent._raw_gens)
-        ok = total.order() == g.order()
-        witness = {"comm_order": comm.order(), "cent_order": cent.order()}
-        if ok and g.is_abelian():
-            meet = set(comm._raw_elements()) & set(cent._raw_elements())
-            ok = len(meet) == 1
-            witness["meet_order"] = len(meet)
-        yield tag, ok, witness
-
-
-def check_cc_ii(seed):
-    for tag, amb, g, a in _coprime_pairs():
-        _check_action_preconditions(amb, g, a)
-        once = _commutator_span(amb, a._raw_gens, g)
-        twice = _commutator_span(amb, a._raw_gens, once)
-        yield tag, once.same_group_as(twice), {"once": once.order(), "twice": twice.order()}
-
-
-def _cc_iii_instances():
-    amb, v, _, half = _c35()
-    yield "c35 mod its c5 part", amb, v, half, amb.subgroup([v.generators[0]])
-    sl23, q8, a3 = _sl23_on_q8()
-    yield "q8 mod its centre", sl23, q8, a3, sl23.center()
-    amb4, v4, scales4 = _affine(4, 4)
-    a = amb4.subgroup(scales4)
-    first_block = amb4.subgroup(v4.generators[:2])
-    yield "c2^4 mod one block", amb4, v4, a, first_block
-
-
-def check_cc_iii(seed):
-    for tag, amb, g, a, n in _cc_iii_instances():
-        _check_action_preconditions(amb, g, a)
-        nchain = n.chain()
-        # fixed points of the action on G/N, pulled back to G
-        pulled = [
-            x
-            for x in g._raw_elements()
-            if all(nchain.contains_raw(comm_raw(x, ag)) for ag in a._raw_gens)
-        ]
-        lhs = amb._subgroup_from_raw_elements(pulled).order()
-        cent = g.centralizer(a.generators)
-        rhs = _join(amb, n._raw_gens, cent._raw_gens).order()
-        yield tag, lhs == rhs, {"lhs": lhs, "rhs": rhs}
-
-
-def check_cc_v(seed):
-    for tag, amb, g, a in _noncyclic_abelian_pairs():
-        _check_action_preconditions(amb, g, a)
-        if not is_nilpotent(g) or a.is_cyclic():
-            raise GroupError("cc_v instance out of scope")
-        pieces = []
-        for aelt in _nontrivial_elements(a):
-            pieces.append(g.centralizer([aelt])._raw_gens)
-        total = _join(amb, *pieces)
-        yield (
-            tag,
-            total.order() == g.order(),
-            {"product_order": total.order(), "group_order": g.order()},
-        )
-
-
-def _cc_vi_instances():
-    amb, v, diag, half = _c35()
-    yield "c35 with the order-12 diagonal", amb, v, diag
-    yield "c35 with the diagonal involution", amb, v, half
-    # nonabelian target: the Frobenius group of order 21 under an involution
-    amb7, v7, (scale7,) = _affine(7)
-    f21 = amb7.subgroup(list(v7.generators) + [scale7**2])
-    yield "frobenius 21 under an involution", amb7, f21, amb7.subgroup([scale7**3])
-    yield ("quaternion group under an order-3 element", *_sl23_on_q8())
-
-
-def check_cc_vi(seed):
-    for tag, amb, g, a in _cc_vi_instances():
-        _check_action_preconditions(amb, g, a)
-        witness = {}
-        for p in prime_factors(g.order()):
-            syl = sylow_subgroup(g, p)
-            found = _invariant_conjugate(amb, g, syl, a)
-            witness[str(p)] = "found" if found else "missing"
-        yield tag, "missing" not in witness.values(), witness
-
-
-def _invariant_conjugate(amb, g: FiniteGroup, syl: FiniteGroup, a: FiniteGroup):
-    """Some g-conjugate of the Sylow subgroup fixed by the acting subgroup."""
-    for gens in g._conjugate_gen_sets(syl._raw_gens):
-        cand = amb._subgroup_raw(list(gens))
-        if cand.normalized_by(a._raw_gens):
-            return cand
-    return None
-
-
-def check_kurzweil(seed):
-    for q, d, amb, v, a in _tori():
-        _check_action_preconditions(amb, v, a)
-        if any(v.centralizer([x]).order() > 1 for x in _nontrivial_elements(a)):
-            raise GroupError("kurzweil instance is not fixed point free")
-        conditions = a.is_abelian() or (
-            len(factorization(a.order())) == 1
-            and (a.order() % 2 == 1 or not _is_quaternion8(a))
-        )
-        if not conditions:
-            raise GroupError("kurzweil instance misses every hypothesis")
-        yield (
-            "agl1(%d) scaling subgroup of order %d" % (q, d),
-            a.is_cyclic(),
-            {"a_order": a.order()},
-        )
-    amb, v, q8 = _affine_plane_3()
-    _check_action_preconditions(amb, v, q8)
-    if any(v.centralizer([x]).order() > 1 for x in _nontrivial_elements(q8)):
-        raise GroupError("quaternion instance is not fixed point free")
-    yield (
-        "q8 acting freely on c3 x c3",
-        not q8.is_cyclic() and _is_quaternion8(q8),
-        {"note": "the permitted quaternion exception: noncyclic yet fixed point free"},
-    )
-
-
-def check_acnoncop(seed):
-    rng = random.Random(seed)
-    instances = list(_noncyclic_abelian_pairs())
-    # conjugated copies are genuinely different subgroup pairs of the ambient
-    extra = []
-    for tag, amb, v, a in instances[:2]:
-        elems = amb._raw_elements()
-        c = elems[rng.randrange(len(elems))]
-        vv = amb._subgroup_raw([conj_raw(x, c) for x in v._raw_gens])
-        aa = amb._subgroup_raw([conj_raw(x, c) for x in a._raw_gens])
-        extra.append((tag + ", conjugated", amb, vv, aa))
-    for tag, amb, v, a in instances + extra:
-        _check_action_preconditions(amb, v, a)
-        if a.is_cyclic() or not a.is_abelian() or not v.is_abelian():
-            raise GroupError("acnoncop instance out of scope")
-        meet = None
-        for aelt in _nontrivial_elements(a):
-            part = set(
-                _commutator_span(amb, [aelt.raw], v)._raw_elements()
-            )
-            meet = part if meet is None else (meet & part)
-        yield (
-            tag,
-            meet is not None and len(meet) == 1,
-            {"intersection_order": len(meet) if meet else 0},
-        )
-
-
-def _orderofav_instances():
-    for q, powers in ((5, (1, 2)), (7, (1, 2, 3)), (8, (1,)), (9, (1, 2, 4))):
-        amb, v, (scale,) = _affine(q)
-        for k in powers:
-            a = scale**k
-            yield "agl1(%d) with a of order %d" % (q, a.order()), amb, v, a.raw
-    amb, v, (s1, s2) = _affine(5, 7)
-    yield "c35 with a acting on the c5 part only", amb, v, s1.raw
-    yield "c35 with a acting on the c7 part only", amb, v, (s2**2).raw
-
-
-def check_orderofav(seed):
-    for tag, amb, v, a_raw in _orderofav_instances():
-        n = v.order()
-        if math.gcd(n, order_raw(a_raw)) != 1:
-            raise GroupError("orderofav instance is not coprime")
-        comm = _commutator_span(amb, [a_raw], v)
-        chain = comm.chain()
-        ok = True
-        checked = 0
-        for velt in v._raw_elements():
-            if math.gcd(n, order_raw(mul_raw(a_raw, velt))) != 1:
-                continue
-            checked += 1
-            if not chain.contains_raw(velt):
-                ok = False
-                break
-        yield tag, ok, {"qualifying_elements": checked, "comm_order": comm.order()}
-
-
-def check_autoofextra(seed):
-    heisenberg, flip = _heisenberg_with_flip()
-    _, q8, a3 = _sl23_on_q8()
-    for tag, P, phi_raw in (
-        ("heisenberg 27 under the inverting involution", heisenberg, flip.raw),
-        ("quaternion group under an order-3 automorphism", q8, a3._raw_gens[0]),
-    ):
-        # the automorphism must normalize P and centralize exactly the frattini part
-        if not P.normalized_by([phi_raw]):
-            raise GroupError("automorphism fails to normalize the instance")
-        if math.gcd(order_raw(phi_raw), P.order()) != 1:
-            raise GroupError("automorphism order is not coprime")
-        frat = frattini_of_p_group(P)
-        if not P.centralizer([Permutation._from_raw(phi_raw)]).same_group_as(frat):
-            raise GroupError("fixed points differ from the frattini subgroup")
-        values = {comm_raw(x, phi_raw) for x in P._raw_elements()}
-        # the values lie in P, so their closure under P's conjugation is the
-        # union of the classes of P that they meet
-        class_of = P._class_index()
-        hit = {class_of[y] for y in values}
-        frat_set = set(frat._raw_elements())
-        missing = [
-            x for x in P._raw_elements() if x not in frat_set and class_of[x] not in hit
-        ]
-        yield tag, not missing, {"value_count": len(values), "missed": len(missing)}
-
-
 def _q8_automorphisms():
     """All automorphisms of the quaternion group of order 8 as element maps."""
     q8 = build("q8").group
     elems = sorted(q8._raw_elements())
-    ident = identity_raw(q8.degree)
     order4 = [x for x in elems if order_raw(x) == 4]
     i0 = order4[0]
     j0 = next(x for x in order4 if x not in (i0, inv_raw(i0)))
-    words = {}
-    for a in range(4):
-        for b in range(2):
-            w = ident
-            for _ in range(a):
-                w = mul_raw(w, i0)
-            if b:
-                w = mul_raw(w, j0)
-            words[(a, b)] = w
-    if len(set(words.values())) != 8:
+    shape = [(a, b) for a in range(4) for b in range(2)]
+
+    def word(x, y, a, b):
+        w = identity_raw(q8.degree)
+        for _ in range(a):
+            w = mul_raw(w, x)
+        return mul_raw(w, y) if b else w
+
+    words = [word(i0, j0, a, b) for a, b in shape]
+    if len(set(words)) != 8:
         raise GroupError("quaternion word table is wrong")
     auts = []
     for u in order4:
         for v in order4:
             if v in (u, inv_raw(u)):
                 continue
-            phi = {}
-            good = True
-            for (a, b), w in words.items():
-                img = ident
-                for _ in range(a):
-                    img = mul_raw(img, u)
-                if b:
-                    img = mul_raw(img, v)
-                phi[w] = img
-            if len(set(phi.values())) != 8:
-                continue
-            for x in elems:
-                for y in elems:
-                    if phi[mul_raw(x, y)] != mul_raw(phi[x], phi[y]):
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
+            phi = {w: word(u, v, a, b) for w, (a, b) in zip(words, shape)}
+            if len(set(phi.values())) == 8 and all(
+                phi[mul_raw(x, y)] == mul_raw(phi[x], phi[y]) for x in elems for y in elems
+            ):
                 auts.append(phi)
     if len(auts) != 24:
         raise GroupError("expected 24 automorphisms of q8, found %d" % len(auts))
-    return q8, elems, auts
+    return elems, auts
 
 
-def check_autodoquaternion(seed):
-    q8, elems, auts = _q8_automorphisms()
-    z = next(x for x in elems if order_raw(x) == 2)
-    involutory = [
+def _involutions(elems, auts):
+    return [
         phi for phi in auts if all(phi[phi[x]] == x for x in elems) and any(phi[x] != x for x in elems)
     ]
-    yield (
-        "automorphism group size",
-        len(auts) == 24,
-        {"count": len(auts), "involutory": len(involutory)},
-    )
-    for k, phi in enumerate(involutory):
-        found = any(mul_raw(inv_raw(u), phi[u]) == z for u in elems)
-        yield "involutory automorphism %d" % (k + 1), found, {"u_found": found}
 
 
-def check_aaa_scenario(seed):
+# ---------------------------------------------------------------------------
+# lemma families.  A source yields (instance, *args) for each instance that
+# meets the lemma's hypotheses and raises GroupError on one that does not;
+# the verdict <id>(*args) returns (passed, witness) and checks no hypothesis.
+
+
+def _actions(instances):
+    """Each (tag, ambient, G, A, ...) instance unchanged, once A is checked
+    to act coprimely on G: the orders are coprime and A normalizes G."""
+    for instance in instances:
+        g, a = instance[2:4]
+        if math.gcd(a.order(), g.order()) != 1:
+            raise GroupError("instance is not coprime")
+        if not g.normalized_by(a._raw_gens):
+            raise GroupError("acting subgroup fails to normalize the instance")
+        yield instance
+
+
+def _coprime_pairs(seed):
+    """(tag, ambient, acted-on subgroup, acting subgroup), acting part cyclic unless noted."""
+    pairs = [
+        ("agl1(%d) torus part of order %d on translations" % (q, d), amb, v, a)
+        for q, d, amb, v, a in _tori()
+    ]
+    pairs.append(("sl2_3 order-3 element on its quaternion subgroup", *_sl23_on_q8()))
+    amb, v, diag, half = _c35()
+    pairs.append(("c35 under a diagonal of order 12", amb, v, diag))
+    pairs.append(("c35 under the diagonal involution", amb, v, half))
+    return _actions(pairs)
+
+
+def cc_i(amb, g, a):
+    comm = _commutator_span(amb, a._raw_gens, g)
+    cent = g.centralizer(a.generators)
+    total = _join(amb, comm._raw_gens, cent._raw_gens)
+    ok = total.order() == g.order()
+    witness = {"comm_order": comm.order(), "cent_order": cent.order()}
+    if ok and g.is_abelian():
+        meet = set(comm._raw_elements()) & set(cent._raw_elements())
+        ok = len(meet) == 1
+        witness["meet_order"] = len(meet)
+    return ok, witness
+
+
+def cc_ii(amb, g, a):
+    once = _commutator_span(amb, a._raw_gens, g)
+    twice = _commutator_span(amb, a._raw_gens, once)
+    return once.same_group_as(twice), {"once": once.order(), "twice": twice.order()}
+
+
+def _cc_iii_instances(seed):
+    amb, v, _, half = _c35()
+    sl23, q8, a3 = _sl23_on_q8()
+    amb4, v4, scales4 = _affine(4, 4)
+    first_block = amb4.subgroup(v4.generators[:2])
+    instances = [
+        ("c35 mod its c5 part", amb, v, half, amb.subgroup([v.generators[0]])),
+        ("q8 mod its centre", sl23, q8, a3, sl23.center()),
+        ("c2^4 mod one block", amb4, v4, amb4.subgroup(scales4), first_block),
+    ]
+    return _actions(instances)
+
+
+def cc_iii(amb, g, a, n):
+    nchain = n.chain()
+    # fixed points of the action on G/N, pulled back to G
+    pulled = [
+        x
+        for x in g._raw_elements()
+        if all(nchain.contains_raw(comm_raw(x, ag)) for ag in a._raw_gens)
+    ]
+    lhs = amb._subgroup_from_raw_elements(pulled).order()
+    cent = g.centralizer(a.generators)
+    rhs = _join(amb, n._raw_gens, cent._raw_gens).order()
+    return lhs == rhs, {"lhs": lhs, "rhs": rhs}
+
+
+def _cc_v_instances(seed):
+    for instance in _actions(_noncyclic_abelian_pairs()):
+        _, _, g, a = instance
+        if not is_nilpotent(g) or a.is_cyclic():
+            raise GroupError("cc_v instance out of scope")
+        yield instance
+
+
+def cc_v(amb, g, a):
+    total = _join(amb, *(g.centralizer([x])._raw_gens for x in _nontrivial_elements(a)))
+    return total.order() == g.order(), {"product_order": total.order(), "group_order": g.order()}
+
+
+def _cc_vi_instances(seed):
+    amb, v, diag, half = _c35()
+    # nonabelian target: the Frobenius group of order 21 under an involution
+    amb7, v7, (scale7,) = _affine(7)
+    f21 = amb7.subgroup(list(v7.generators) + [scale7**2])
+    instances = [
+        ("c35 with the order-12 diagonal", amb, v, diag),
+        ("c35 with the diagonal involution", amb, v, half),
+        ("frobenius 21 under an involution", amb7, f21, amb7.subgroup([scale7**3])),
+        ("quaternion group under an order-3 element", *_sl23_on_q8()),
+    ]
+    return _actions(instances)
+
+
+def cc_vi(amb, g, a):
+    """Whether each Sylow subgroup of G has a G-conjugate that A normalizes."""
+    witness = {}
+    for p in prime_factors(g.order()):
+        found = any(
+            amb._subgroup_raw(list(gens)).normalized_by(a._raw_gens)
+            for gens in g._conjugate_gen_sets(sylow_subgroup(g, p)._raw_gens)
+        )
+        witness[str(p)] = "found" if found else "missing"
+    return "missing" not in witness.values(), witness
+
+
+def _kurzweil_instances(seed):
+    """Tori scalings and Q8 on F3^2: fixed point free, and abelian or a p-group."""
+    actions = [
+        ("agl1(%d) scaling subgroup of order %d" % (q, d), amb, v, a)
+        for q, d, amb, v, a in _tori()
+    ]
+    actions.append(("q8 acting freely on c3 x c3", *_affine_plane_3()))
+    for tag, _, v, a in _actions(actions):
+        if any(v.centralizer([x]).order() > 1 for x in _nontrivial_elements(a)):
+            raise GroupError("kurzweil instance is not fixed point free")
+        if not (a.is_abelian() or len(factorization(a.order())) == 1):
+            raise GroupError("kurzweil instance misses every hypothesis")
+        yield tag, a
+
+
+def kurzweil(a):
+    """A acting fixed point freely is cyclic, or else Q8."""
+    if a.is_cyclic():
+        return True, {"a_order": a.order()}
+    return _is_quaternion8(a), {
+        "note": "the permitted quaternion exception: noncyclic yet fixed point free"
+    }
+
+
+def _acnoncop_instances(seed):
     rng = random.Random(seed)
-    amb, p1, p2, p3 = _s4_wreath_2()
-    stage_sets = [(p1, p2, p3)]
-    elems = amb._raw_elements()
-    for _ in range(3):
+    instances = _noncyclic_abelian_pairs()
+    # conjugated copies are genuinely different subgroup pairs of the ambient
+    for tag, amb, v, a in instances[:2]:
+        elems = amb._raw_elements()
         c = elems[rng.randrange(len(elems))]
-        stage_sets.append(
-            tuple(
-                amb._subgroup_raw([conj_raw(x, c) for x in s._raw_gens])
-                for s in (p1, p2, p3)
-            )
-        )
-    for k, (a1, a2, a3) in enumerate(stage_sets):
-        tag = "instance %d" % (k + 1)
-        tower = Tower(amb, [(2, a1), (3, a2), (2, a3)])
-        report = validate_tower(tower)
-        hypo = (
-            report.valid
-            and a1.is_cyclic()
-            and a2.is_abelian()
-            and not a2.is_cyclic()
-            and a3.is_abelian()
-            and _commutator_span(amb, a1._raw_gens, a2).same_group_as(a2)
-        )
-        if not hypo:
-            yield tag, False, {"hypotheses": False}
+        vv = amb._subgroup_raw([conj_raw(x, c) for x in v._raw_gens])
+        aa = amb._subgroup_raw([conj_raw(x, c) for x in a._raw_gens])
+        instances.append((tag + ", conjugated", amb, vv, aa))
+    for instance in _actions(instances):
+        _, _, v, a = instance
+        if a.is_cyclic() or not a.is_abelian() or not v.is_abelian():
+            raise GroupError("acnoncop instance out of scope")
+        yield instance
+
+
+def acnoncop(amb, v, a):
+    parts = [set(_commutator_span(amb, [x.raw], v)._raw_elements()) for x in _nontrivial_elements(a)]
+    meet = set.intersection(*parts) if parts else set()
+    return len(meet) == 1, {"intersection_order": len(meet)}
+
+
+def _orderofav_instances(seed):
+    instances = []
+    for q, powers in ((5, (1, 2)), (7, (1, 2, 3)), (8, (1,)), (9, (1, 2, 4))):
+        amb, v, (scale,) = _affine(q)
+        for k in powers:
+            a = scale**k
+            instances.append(("agl1(%d) with a of order %d" % (q, a.order()), amb, v, a.raw))
+    amb, v, (s1, s2) = _affine(5, 7)
+    instances.append(("c35 with a acting on the c5 part only", amb, v, s1.raw))
+    instances.append(("c35 with a acting on the c7 part only", amb, v, (s2**2).raw))
+    for instance in instances:
+        _, _, v, a_raw = instance
+        if math.gcd(v.order(), order_raw(a_raw)) != 1:
+            raise GroupError("orderofav instance is not coprime")
+        yield instance
+
+
+def orderofav(amb, v, a_raw):
+    """Every v in V with a*v of order prime to |V| lies in [V, a]."""
+    n = v.order()
+    comm = _commutator_span(amb, [a_raw], v)
+    chain = comm.chain()
+    ok = True
+    checked = 0
+    for velt in v._raw_elements():
+        if math.gcd(n, order_raw(mul_raw(a_raw, velt))) != 1:
             continue
-        scope = FiniteGroup(
-            a1.generators + a2.generators + a3.generators, degree=amb.degree
-        )
-        wit = scope.cppo_witness()
-        yield (
-            tag,
-            wit is not None and not is_prime_power(wit.order),
-            {"scope_order": scope.order(), "witness_order": wit.order if wit else None},
+        checked += 1
+        if not chain.contains_raw(velt):
+            ok = False
+            break
+    return ok, {"qualifying_elements": checked, "comm_order": comm.order()}
+
+
+def _autoofextra_instances(seed):
+    heisenberg, flip = _heisenberg_with_flip()
+    _, q8, a3 = _sl23_on_q8()
+    for instance in (
+        ("heisenberg 27 under the inverting involution", heisenberg, flip.raw),
+        ("quaternion group under an order-3 automorphism", q8, a3._raw_gens[0]),
+    ):
+        _, P, phi_raw = instance
+        # the automorphism must normalize P and centralize exactly the frattini part
+        if not P.normalized_by([phi_raw]):
+            raise GroupError("automorphism fails to normalize the instance")
+        if math.gcd(order_raw(phi_raw), P.order()) != 1:
+            raise GroupError("automorphism order is not coprime")
+        fixed = P.centralizer([Permutation._from_raw(phi_raw)])
+        if not fixed.same_group_as(frattini_of_p_group(P)):
+            raise GroupError("fixed points differ from the frattini subgroup")
+        yield instance
+
+
+def autoofextra(P, phi_raw):
+    """Each element of P outside Phi(P) is P-conjugate to some [x, phi]."""
+    values = {comm_raw(x, phi_raw) for x in P._raw_elements()}
+    # the values lie in P, so their closure under P's conjugation is the
+    # union of the classes of P that they meet
+    class_of = P._class_index()
+    hit = {class_of[y] for y in values}
+    frat_set = set(frattini_of_p_group(P)._raw_elements())
+    missing = [x for x in P._raw_elements() if x not in frat_set and class_of[x] not in hit]
+    return not missing, {"value_count": len(values), "missed": len(missing)}
+
+
+def _autodoquaternion_instances(seed):
+    elems, auts = _q8_automorphisms()
+    yield "automorphism group size", elems, auts
+    for k, phi in enumerate(_involutions(elems, auts)):
+        yield "involutory automorphism %d" % (k + 1), elems, [phi]
+
+
+def autodoquaternion(elems, auts):
+    """Given every automorphism of Q8, that there are 24; given one involutory
+    automorphism phi, that u^-1 u^phi is the central involution z for some u."""
+    if len(auts) == 1:
+        z = next(x for x in elems if order_raw(x) == 2)
+        found = any(mul_raw(inv_raw(u), auts[0][u]) == z for u in elems)
+        return found, {"u_found": found}
+    return len(auts) == 24, {"count": len(auts), "involutory": len(_involutions(elems, auts))}
+
+
+def _aaa_scenario_instances(seed):
+    rng = random.Random(seed)
+    amb, *stages = _s4_wreath_2()
+    yield "instance 1", amb, *stages
+    elems = amb._raw_elements()
+    for k in range(2, 5):
+        c = elems[rng.randrange(len(elems))]
+        yield "instance %d" % k, amb, *(
+            amb._subgroup_raw([conj_raw(x, c) for x in s._raw_gens]) for s in stages
         )
 
 
-def check_opelinha(seed):
+def aaa_scenario(amb, a1, a2, a3):
+    """If the stages meet the scenario's hypotheses, a commutator of non-prime-power order."""
+    hypo = (
+        validate_tower(Tower(amb, [(2, a1), (3, a2), (2, a3)])).valid
+        and a1.is_cyclic()
+        and a2.is_abelian()
+        and not a2.is_cyclic()
+        and a3.is_abelian()
+        and _commutator_span(amb, a1._raw_gens, a2).same_group_as(a2)
+    )
+    if not hypo:
+        return False, {"hypotheses": False}
+    scope = FiniteGroup(a1.generators + a2.generators + a3.generators, degree=amb.degree)
+    wit = scope.cppo_witness()
+    return (
+        wit is not None and not is_prime_power(wit.order),
+        {"scope_order": scope.order(), "witness_order": wit.order if wit else None},
+    )
+
+
+def _opelinha_instances(seed):
     for name, g in corpus_groups_upto(1000):
         if not g.is_cppo():
             continue
         centre = g.center()
-        zchain = centre.chain()
-        count = 0
-        for n in normal_subgroups(g):
-            if n.order() == 1 or not is_nilpotent(n):
-                continue
-            count += 1
-            if count > 8:  # keep reports readable on lattice-rich groups
-                break
-            good_p = None
-            for p in prime_factors(n.order()):
-                part = p_prime_part_of_nilpotent(n, p)
-                if all(zchain.contains_raw(x) for x in part._raw_gens):
-                    good_p = p
-                    break
-            yield (
-                "%s, nilpotent normal of order %d" % (name, n.order()),
-                good_p is not None,
-                {"p": good_p},
-            )
+        nilpotent = (n for n in normal_subgroups(g) if n.order() > 1 and is_nilpotent(n))
+        # eight per group keep reports readable on lattice-rich groups
+        for n in itertools.islice(nilpotent, 8):
+            yield "%s, nilpotent normal of order %d" % (name, n.order()), n, centre
 
 
-def check_directproduct(seed):
+def opelinha(n, centre):
+    """Some p has the p'-part of the nilpotent normal subgroup N central."""
+    zchain = centre.chain()
+    for p in prime_factors(n.order()):
+        if all(zchain.contains_raw(x) for x in p_prime_part_of_nilpotent(n, p)._raw_gens):
+            return True, {"p": p}
+    return False, {"p": None}
+
+
+def _directproduct_instances(seed):
     rng = random.Random(seed)
     pool = ["q8", "dihedral(4)", "sl2_3", "extraspecial(3,+)"]
     picks = [
@@ -595,26 +569,22 @@ def check_directproduct(seed):
     ]
     for _ in range(2):
         picks.append((rng.choice(pool), rng.choice(pool)))
-    seen = set()
-    for left, right in picks:
-        key = (left, right)
-        if key in seen:
-            continue
-        seen.add(key)
+    for left, right in dict.fromkeys(picks):
         g = build("direct_product(%s,%s)" % (left, right)).group
-        factors = (build(left).group, build(right).group)
-        if any(f.is_abelian() for f in factors):
+        if any(build(f).group.is_abelian() for f in (left, right)):
             raise GroupError("direct product instance needs nonabelian factors")
-        tag = "%s x %s" % (left, right)
-        if not g.is_cppo():
-            wit = g.cppo_witness()
-            yield tag, True, {"note": "not cppo, out of scope", "witness_order": wit.order}
-            continue
-        d = g.derived_subgroup()
-        yield tag, len(factorization(d.order())) == 1, {"derived_order": d.order()}
+        yield "%s x %s" % (left, right), g
 
 
-def check_solubleperfect(seed):
+def directproduct(g):
+    """A CPPO product of nonabelian groups has G' of prime-power order; others are out of scope."""
+    if not g.is_cppo():
+        return True, {"note": "not cppo, out of scope", "witness_order": g.cppo_witness().order}
+    d = g.derived_subgroup()
+    return len(factorization(d.order())) == 1, {"derived_order": d.order()}
+
+
+def _solubleperfect_instances(seed):
     rng = random.Random(seed)
     for gid, nkind in (("sl2_5", "centre"), ("sl2_9", "centre"), ("asl2_4", "fitting")):
         g = build(gid).group
@@ -623,8 +593,7 @@ def check_solubleperfect(seed):
             raise GroupError("instance group is not perfect")
         if not is_soluble(n):
             raise GroupError("chosen normal part is not soluble")
-        q = quotient_by_normal(g, n)
-        if not is_simple(q):
+        if not is_simple(quotient_by_normal(g, n)):
             raise GroupError("quotient by the normal part is not simple")
         nchain = n.chain()
         elems = g._raw_elements()
@@ -634,16 +603,16 @@ def check_solubleperfect(seed):
             if not nchain.contains_raw(x):
                 chosen.append(x)
         for k, x in enumerate(chosen):
-            qsub = g._subgroup_raw([x])
-            span = _commutator_span(g, list(qsub._raw_gens), g)
-            yield (
-                "%s with cyclic q of order %d, sample %d" % (gid, order_raw(x), k + 1),
-                span.order() == g.order(),
-                {"span_order": span.order()},
-            )
+            yield "%s with cyclic q of order %d, sample %d" % (gid, order_raw(x), k + 1), g, x
 
 
-def check_existelemabelqsub(seed):
+def solubleperfect(g, x):
+    """[G, <x>] = G for x outside the soluble normal part."""
+    span = _commutator_span(g, list(g._subgroup_raw([x])._raw_gens), g)
+    return span.order() == g.order(), {"span_order": span.order()}
+
+
+def _existelemabelqsub_instances(seed):
     # primes listed per group avoid the soluble part: for the quasisimple and
     # affine cases only primes outside the relevant normal subgroup qualify
     cases = [
@@ -656,11 +625,10 @@ def check_existelemabelqsub(seed):
     for gid, qs in cases:
         g = build(gid).group
         for qprime in qs:
-            found = _find_covered_elem_abelian(g, qprime)
-            yield "%s with q = %d" % (gid, qprime), found is not None, found or {}
+            yield "%s with q = %d" % (gid, qprime), g, qprime
 
 
-def _find_covered_elem_abelian(g: FiniteGroup, qprime: int):
+def existelemabelqsub(g, qprime):
     """An elementary abelian q-subgroup Q and a coprime prime-power element a
     with [Q, a] = Q, by direct search over small q-subgroups."""
     candidates = [
@@ -678,123 +646,123 @@ def _find_covered_elem_abelian(g: FiniteGroup, qprime: int):
                 continue
             span = _commutator_span(g, [a], cand)
             if span.order() == size:
-                return {"q_order": size, "a_order": o}
-    return None
+                return True, {"q_order": size, "a_order": o}
+    return False, {}
 
 
-def check_quasisimple_negative(seed):
+def _quasisimple_negative_instances(seed):
     for gid in ("sl2_5", "sl2_9"):
         g = build(gid).group
         if not is_quasisimple(g):
             raise GroupError("%s should be quasisimple" % gid)
-        wit = g.cppo_witness()
-        yield (
-            gid,
-            wit is not None and not is_prime_power(wit.order),
-            {"witness_order": wit.order if wit else None},
-        )
+        yield gid, g
 
 
-def check_ore_spotcheck(seed):
+def quasisimple_negative(g):
+    """A quasisimple group with Z(G) > 1 has a commutator of non-prime-power order."""
+    wit = g.cppo_witness()
+    return (
+        wit is not None and not is_prime_power(wit.order),
+        {"witness_order": wit.order if wit else None},
+    )
+
+
+def _ore_spotcheck_instances(seed):
     for q in (4, 5, 7, 8, 9):
-        g = build(("psl2", [q])).group
-        comm = g.commutator_set()
-        yield (
-            "psl2(%d)" % q,
-            len(comm) == g.order(),
-            {"commutators": len(comm), "order": g.order()},
-        )
+        yield "psl2(%d)" % q, build(("psl2", [q])).group
 
 
-def check_casolo_quotient(seed):
+def ore_spotcheck(g):
+    """Every element is a commutator."""
+    comm = g.commutator_set()
+    return len(comm) == g.order(), {"commutators": len(comm), "order": g.order()}
+
+
+def _casolo_quotient_instances(seed):
+    """Max towers of height >= 2, each with up to four normal N in which the
+    bottom stage centralizes every element of N in the stages above it."""
     for name, g in corpus_groups_upto(500):
-        if not is_soluble(g):
-            continue
-        h = fitting_height(g)
-        if h < 2:
+        if not is_soluble(g) or fitting_height(g) < 2:
             continue
         _, tower = find_max_tower(g)
-        stage_elems = [s._raw_elements() for _, s in tower.stages]
+        stage_elems = [s._raw_elements() for _, s in tower.stages[:-1]]
         bottom_gens = tower.stages[-1][1]._raw_gens
         ident = identity_raw(g.degree)
-        taken = 0
-        for n in normal_subgroups(g):
-            if taken >= 4:
-                break
+
+        def centralized(n):
             nchain = n.chain()
-            hypo = True
-            for i in range(len(tower.stages) - 1):
-                for x in stage_elems[i]:
-                    if nchain.contains_raw(x):
-                        if any(comm_raw(b, x) != ident for b in bottom_gens):
-                            hypo = False
-                            break
-                if not hypo:
-                    break
-            if not hypo:
-                continue
-            taken += 1
-            quo = quotient_by_normal(g, n)
-            img = quotient_tower(Tower(g, tower.stages[:-1]), quo)
-            yield (
-                "%s mod normal of order %d" % (name, n.order()),
-                validate_tower(img).valid,
-                {"image_height": img.height},
+            return all(
+                comm_raw(b, x) == ident
+                for elems in stage_elems
+                for x in elems
+                if nchain.contains_raw(x)
+                for b in bottom_gens
             )
 
+        for n in itertools.islice(filter(centralized, normal_subgroups(g)), 4):
+            yield "%s mod normal of order %d" % (name, n.order()), g, tower, n
 
-def check_p3_noncyclic(seed):
-    towers = []
+
+def casolo_quotient(g, tower, n):
+    """The tower without its bottom stage maps to a valid tower of G/N."""
+    img = quotient_tower(Tower(g, tower.stages[:-1]), quotient_by_normal(g, n))
+    return validate_tower(img).valid, {"image_height": img.height}
+
+
+def _p3_noncyclic_instances(seed):
     for name, g in corpus_groups_upto(500):
         if is_soluble(g) and fitting_height(g) >= 3:
-            towers.append((name, find_max_tower(g)[1]))
+            tower = find_max_tower(g)[1]
+            yield "%s, height %d" % (name, tower.height), tower
     amb, p1, p2, p3 = _s4_wreath_2()
-    towers.append(("s4wr2 abelian tower", Tower(amb, [(2, p1), (3, p2), (2, p3)])))
-    for name, tower in towers:
-        bad = [
-            i + 1
-            for i, (_, s) in enumerate(tower.stages)
-            if i + 1 >= 3 and s.is_cyclic()
-        ]
-        yield "%s, height %d" % (name, tower.height), not bad, {"cyclic_stages": bad}
+    tower = Tower(amb, [(2, p1), (3, p2), (2, p3)])
+    yield "s4wr2 abelian tower, height %d" % tower.height, tower
 
 
-def _records(lemma_id, family):
-    """The registry entry for one family: run(seed) drains the family and
-    returns its LemmaCheck records as a list, in the order yielded."""
+def p3_noncyclic(tower):
+    """No stage from the third on is cyclic."""
+    bad = [i + 1 for i, (_, s) in enumerate(tower.stages) if i + 1 >= 3 and s.is_cyclic()]
+    return not bad, {"cyclic_stages": bad}
+
+
+def _records(lemma_id, source, verdict):
+    """The registry entry for one family: run(seed) calls the verdict on each
+    instance the source yields and returns the LemmaCheck records as a list,
+    in the order yielded."""
 
     def run(seed):
-        return [
-            LemmaCheck(lemma_id, instance, "pass" if passed else "fail", witness)
-            for instance, passed, witness in family(seed)
-        ]
+        records = []
+        for instance, *args in source(seed):
+            passed, witness = verdict(*args)
+            records.append(LemmaCheck(lemma_id, instance, "pass" if passed else "fail", witness))
+        return records
 
     return run
 
 
 REGISTRY = {
-    lemma_id: _records(lemma_id, family)
-    for lemma_id, family in {
-        "cc_i": check_cc_i,
-        "cc_ii": check_cc_ii,
-        "cc_iii": check_cc_iii,
-        "cc_v": check_cc_v,
-        "cc_vi": check_cc_vi,
-        "kurzweil": check_kurzweil,
-        "acnoncop": check_acnoncop,
-        "orderofav": check_orderofav,
-        "autoofextra": check_autoofextra,
-        "autodoquaternion": check_autodoquaternion,
-        "aaa_scenario": check_aaa_scenario,
-        "opelinha": check_opelinha,
-        "directproduct": check_directproduct,
-        "solubleperfect": check_solubleperfect,
-        "existelemabelqsub": check_existelemabelqsub,
-        "quasisimple_negative": check_quasisimple_negative,
-        "ore_spotcheck": check_ore_spotcheck,
-        "casolo_quotient": check_casolo_quotient,
-        "p3_noncyclic": check_p3_noncyclic,
-    }.items()
+    lemma_id: _records(lemma_id, source, verdict)
+    for lemma_id, source, verdict in (
+        ("cc_i", _coprime_pairs, cc_i),
+        ("cc_ii", _coprime_pairs, cc_ii),
+        ("cc_iii", _cc_iii_instances, cc_iii),
+        ("cc_v", _cc_v_instances, cc_v),
+        ("cc_vi", _cc_vi_instances, cc_vi),
+        ("kurzweil", _kurzweil_instances, kurzweil),
+        ("acnoncop", _acnoncop_instances, acnoncop),
+        ("orderofav", _orderofav_instances, orderofav),
+        ("autoofextra", _autoofextra_instances, autoofextra),
+        ("autodoquaternion", _autodoquaternion_instances, autodoquaternion),
+        ("aaa_scenario", _aaa_scenario_instances, aaa_scenario),
+        ("opelinha", _opelinha_instances, opelinha),
+        ("directproduct", _directproduct_instances, directproduct),
+        ("solubleperfect", _solubleperfect_instances, solubleperfect),
+        ("existelemabelqsub", _existelemabelqsub_instances, existelemabelqsub),
+        ("quasisimple_negative", _quasisimple_negative_instances, quasisimple_negative),
+        ("ore_spotcheck", _ore_spotcheck_instances, ore_spotcheck),
+        ("casolo_quotient", _casolo_quotient_instances, casolo_quotient),
+        ("p3_noncyclic", _p3_noncyclic_instances, p3_noncyclic),
+    )
 }
 
 

@@ -1022,7 +1022,7 @@ def test_p_prime_parts_the_opelinha_check_takes_match_the_enumerating_reference(
         return real(N, p)
 
     monkeypatch.setattr(lemmas, "p_prime_part_of_nilpotent", recording)
-    assert len(list(lemmas.check_opelinha(0))) >= 80
+    assert len(lemmas.REGISTRY["opelinha"](0)) >= 80
     checked = 0
     for N in {id(N): N for N in visited}.values():
         for p, _ in factorization(N.order()):
