@@ -16,12 +16,19 @@ commuting with every table sends the point to a.  That proves the order is
 bounded by |E| and keeps only its transversal.  Without the certificate the
 chain is built in full; the expected order is checked either way.
 
-Conventions.  Projective points are row vectors normalized so the leftmost
-nonzero coordinate is 1, sorted lexicographically.  Matrices act on the
-right (v -> vM), which makes M -> permutation a homomorphism under our
-left-to-right composition.  Line coordinates transform by the inverse
-transpose, and the duality swaps the point <v> with the line of the same
-coordinate vector.
+Conventions.  Every point action is built one way: _induced(points, maps)
+numbers the points by their position in one sorted list and returns the
+permutation each map induces on them.  Affine points are the vectors of
+F_q^n, moved by v -> vM + t; projective points are the vectors whose
+leftmost nonzero coordinate is 1, moved by v -> vM normalized; the Frobenius
+map raises each coordinate to the p-th power.  Matrices act on the right,
+which makes M -> permutation a homomorphism under our left-to-right
+composition.  The projective line is PG(1, q): its point (0, 1) is infinity
+and comes first, then (1, x) for x in field order.  PG(2, 4) is one list of
+pairs, (0, v) for its 21 points and then (1, v) for its 21 lines; line
+coordinates transform by the inverse transpose, and the duality swaps the
+point <v> with the line of the same coordinate vector.  The Suzuki ovoid is
+the sorted orbit of (1, 0, 0, 0) in PG(3, 8).
 """
 
 from __future__ import annotations
@@ -60,6 +67,56 @@ def _finish(id_text, gens, degree, expected, notes="", bound=None):
             "construction %s came out with order %d, expected %d" % (id_text, got, expected)
         )
     return BuiltGroup(id_text, group, expected, notes)
+
+
+# ---------------------------------------------------------------------------
+# point actions: one point list, numbered by position, and maps on its points
+
+
+def _induced(points, maps):
+    """The permutation each map induces on points, a point numbered by its
+    position in the list."""
+    index = {v: i for i, v in enumerate(points)}
+    return [Permutation.from_zero_based(index[f(v)] for v in points) for f in maps]
+
+
+def _affine_points(F: GF, n):
+    """The vectors of F_q^n, sorted."""
+    return list(itertools.product(F.elements, repeat=n))
+
+
+def _projective_points(F: GF, n):
+    """The points of PG(n-1, q): the vectors of F_q^n whose leftmost nonzero
+    coordinate is 1, sorted."""
+    return [v for v in _affine_points(F, n) if next((c for c in v if c), 0) == 1]
+
+
+def _normalize_projective(F: GF, vec):
+    """The multiple of a nonzero vector whose leftmost nonzero coordinate is 1."""
+    lead = next(c for c in vec if c)
+    if lead == 1:
+        return tuple(vec)
+    s = F.inv(lead)
+    return tuple(F.mul(s, x) for x in vec)
+
+
+def _affine_map(M: Matrix, t=None):
+    """v -> vM + t on F_q^n; t defaults to the zero vector."""
+    if t is None:
+        return M.apply_row
+    add = M.field._add
+    return lambda v: tuple(add[x][y] for x, y in zip(M.apply_row(v), t))
+
+
+def _projective_map(M: Matrix):
+    """v -> vM on projective points, normalized."""
+    F = M.field
+    return lambda v: _normalize_projective(F, M.apply_row(v))
+
+
+def _frobenius_map(F: GF):
+    """v -> v^p coordinate-wise, on affine or projective points."""
+    return lambda v: tuple(map(F.frobenius, v))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +188,7 @@ def _matrix_group_elements(gens):
     breadth-first search.  Each generator acts on the q^n row vectors through
     one table, so x * g is one lookup per row of x."""
     F, n = gens[0].field, gens[0].n
-    vectors = list(itertools.product(F.elements, repeat=n))
+    vectors = _affine_points(F, n)
     row_maps = [{v: g.apply_row(v) for v in vectors} for g in gens]
     ident = Matrix.identity(F, n).rows
     right = {}
@@ -258,15 +315,12 @@ def _build_extraspecial(p, sign):
         return _extraspecial_32(sign)
     if sign == "+":
         # Heisenberg model: affine maps (x, y) -> (x + a, y + c + b*x) on p^2 points
-        pts = [(x, y) for x in range(p) for y in range(p)]
-        index = {v: i for i, v in enumerate(pts)}
-
-        def aff(a, b, c):
-            return Permutation.from_zero_based(
-                index[((x + a) % p, (y + c + b * x) % p)] for x, y in pts
-            )
-
-        gens = [aff(1, 0, 0), aff(0, 1, 0)]
+        F = gf(p)
+        maps = [
+            _affine_map(Matrix.identity(F, 2), (1, 0)),
+            _affine_map(Matrix(F, [[1, 1], [0, 1]])),
+        ]
+        gens = _induced(_affine_points(F, 2), maps)
         return _finish(
             "extraspecial(%d,+)" % p, gens, p * p, p**3, "Heisenberg model, exponent %d" % p
         )
@@ -299,10 +353,7 @@ def _extraspecial_32(sign):
     )
     center_diag = FiniteGroup([Permutation._from_raw(fused)], degree=big.degree)
     q = quotient_by_normal(big, center_diag)
-    if q.order() != 32:
-        raise AtlasError("central product came out with order %d" % q.order())
-    group = FiniteGroup(q.generators, degree=q.degree, name=label)
-    return _finish(label, group.generators, group.degree, 32, notes)
+    return _finish(label, q.generators, q.degree, 32, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -311,36 +362,23 @@ def _extraspecial_32(sign):
 
 def _build_agl1(q):
     F = gf(q)
-    pts = list(F.elements)
-    gens = []
-    for b in F.additive_basis:
-        gens.append(Permutation.from_zero_based(F.add(x, b) for x in pts))
-    g = F.generator()
+    maps = [_affine_map(Matrix.identity(F, 1), (b,)) for b in F.additive_basis]
     if q > 2:
-        gens.append(Permutation.from_zero_based(F.mul(g, x) for x in pts))
+        maps.append(_affine_map(Matrix(F, [[F.generator()]])))
+    gens = _induced(_affine_points(F, 1), maps)
     return _finish("agl1(%d)" % q, gens, q, q * (q - 1), "affine maps x -> ax + b")
 
 
 def _build_asl2_4():
     F = gf(4)
-    pts = [(x, y) for x in F.elements for y in F.elements]
-    index = {v: i for i, v in enumerate(pts)}
-
-    def linear(M):
-        return Permutation.from_zero_based(index[M.apply_row(v)] for v in pts)
-
-    def translation(t):
-        return Permutation.from_zero_based(
-            index[(F.add(v[0], t[0]), F.add(v[1], t[1]))] for v in pts
-        )
-
     a = 2
-    gens = [
-        linear(Matrix(F, [[1, 1], [0, 1]])),
-        linear(Matrix(F, [[1, a], [0, 1]])),
-        linear(Matrix(F, [[0, 1], [1, 0]])),
-        translation((1, 0)),
+    maps = [
+        _affine_map(Matrix(F, [[1, 1], [0, 1]])),
+        _affine_map(Matrix(F, [[1, a], [0, 1]])),
+        _affine_map(Matrix(F, [[0, 1], [1, 0]])),
+        _affine_map(Matrix.identity(F, 2), (1, 0)),
     ]
+    gens = _induced(_affine_points(F, 2), maps)
     return _finish("asl2_4", gens, 16, 960, "F4^2 translations extended by SL(2,4)")
 
 
@@ -348,44 +386,23 @@ def _build_asl2_4():
 # projective lines: PSL(2, q) and the four groups between PSL(2,9) and PGammaL(2,9)
 
 
-def _p1_points(F: GF):
-    # index 0 is the point at infinity, then field elements in integer order
-    return [None] + list(F.elements)
+def _psl2_maps(F: GF):
+    """x -> x + b for b in the additive basis and x -> -1/x, as maps of
+    PG(1, q), whose point (1, x) is x and (0, 1) is infinity."""
+    maps = [_projective_map(Matrix(F, [[1, b], [0, 1]])) for b in F.additive_basis]
+    maps.append(_projective_map(Matrix(F, [[0, F.neg(1)], [1, 0]])))
+    return maps
 
 
-def _p1_translation(F, c):
-    pts = _p1_points(F)
-    return Permutation.from_zero_based(0 if x is None else 1 + F.add(x, c) for x in pts)
-
-
-def _p1_scaling(F, a):
-    pts = _p1_points(F)
-    return Permutation.from_zero_based(0 if x is None else 1 + F.mul(a, x) for x in pts)
-
-
-def _p1_inversion(F):
-    # x -> -1/x, infinity <-> 0
-    pts = _p1_points(F)
-    out = []
-    for x in pts:
-        if x is None:
-            out.append(1)
-        elif x == 0:
-            out.append(0)
-        else:
-            out.append(1 + F.neg(F.inv(x)))
-    return Permutation.from_zero_based(out)
-
-
-def _p1_frobenius(F):
-    pts = _p1_points(F)
-    return Permutation.from_zero_based(0 if x is None else 1 + F.frobenius(x) for x in pts)
-
-
-def _psl2_gens(F):
-    gens = [_p1_translation(F, b) for b in F.additive_basis]
-    gens.append(_p1_inversion(F))
-    return gens
+def _pgammal2_9_gens():
+    """PSL(2,9)'s generators on PG(1, 9), then the scaling x -> gx by the
+    least primitive element g and the Frobenius map."""
+    F = gf(9)
+    scaling = _projective_map(Matrix(F, [[1, 0], [0, F.generator()]]))
+    *socle, scale, frob = _induced(
+        _projective_points(F, 2), _psl2_maps(F) + [scaling, _frobenius_map(F)]
+    )
+    return socle, scale, frob
 
 
 def _psl2_order(q):
@@ -394,48 +411,42 @@ def _psl2_order(q):
 
 def _build_psl2(q):
     F = gf(q)
-    return _finish(
-        "psl2(%d)" % q, _psl2_gens(F), q + 1, _psl2_order(q), "projective line, %d points" % (q + 1)
-    )
+    gens = _induced(_projective_points(F, 2), _psl2_maps(F))
+    notes = "projective line, %d points" % (q + 1)
+    return _finish("psl2(%d)" % q, gens, q + 1, _psl2_order(q), notes)
 
 
 def _build_pgl2_9():
-    F = gf(9)
-    gens = _psl2_gens(F) + [_p1_scaling(F, F.generator())]
-    return _finish("pgl2_9", gens, 10, 720)
+    socle, scale, _ = _pgammal2_9_gens()
+    return _finish("pgl2_9", socle + [scale], 10, 720)
 
 
 def _build_psigmal2_9():
-    F = gf(9)
-    gens = _psl2_gens(F) + [_p1_frobenius(F)]
-    return _finish("psigmal2_9", gens, 10, 720)
+    socle, _, frob = _pgammal2_9_gens()
+    return _finish("psigmal2_9", socle + [frob], 10, 720)
 
 
 def _build_m10():
-    F = gf(9)
-    twisted = _p1_scaling(F, F.generator()) * _p1_frobenius(F)
-    gens = _psl2_gens(F) + [twisted]
+    socle, scale, frob = _pgammal2_9_gens()
+    gens = socle + [scale * frob]
     return _finish("m10", gens, 10, 720, "socle extension by scaling-then-frobenius")
 
 
 def _build_pgammal2_9():
-    F = gf(9)
-    gens = _psl2_gens(F) + [_p1_scaling(F, F.generator()), _p1_frobenius(F)]
-    return _finish("pgammal2_9", gens, 10, 1440)
+    socle, scale, frob = _pgammal2_9_gens()
+    return _finish("pgammal2_9", socle + [scale, frob], 10, 1440)
 
 
 def _build_s6_in_pgammal29():
-    F = gf(9)
-    socle = _psl2_gens(F)
-    gens = socle + [_p1_frobenius(F)]
+    socle, scale, frob = _pgammal2_9_gens()
     built = _finish(
         "s6_in_pgammal29",
-        gens,
+        socle + [frob],
         10,
         720,
         "the subgroup of pgammal2_9 generated by the socle and the frobenius map",
     )
-    built.extras["phi"] = _p1_scaling(F, F.generator())
+    built.extras["phi"] = scale
     built.extras["socle_generators"] = socle
     return built
 
@@ -444,29 +455,9 @@ def _build_s6_in_pgammal29():
 # the projective plane over F4 and the groups around PSL(3, 4)
 
 
-def _normalize_projective(F, vec):
-    for c in vec:
-        if c != 0:
-            if c == 1:
-                return tuple(vec)
-            s = F.inv(c)
-            return tuple(F.mul(s, x) for x in vec)
-    raise AtlasError("zero vector cannot be normalized")
-
-
-def _pg2_points(F):
-    pts = set()
-    for x in F.elements:
-        for y in F.elements:
-            for z in F.elements:
-                if x or y or z:
-                    pts.add(_normalize_projective(F, (x, y, z)))
-    return sorted(pts)
-
-
 _PG24_FIELD = gf(4)
-_PG24_POINTS = _pg2_points(_PG24_FIELD)
-_PG24_INDEX = {v: i for i, v in enumerate(_PG24_POINTS)}
+# the 21 points (0, v) of PG(2, 4), then its 21 lines (1, v)
+_PG24 = [(kind, v) for kind in (0, 1) for v in _projective_points(_PG24_FIELD, 3)]
 
 
 def projective_permutation(M: Matrix, domain="points") -> Permutation:
@@ -479,33 +470,22 @@ def projective_permutation(M: Matrix, domain="points") -> Permutation:
     F = M.field
     if F.q != 4 or M.n != 3:
         raise AtlasError("projective_permutation expects a 3x3 matrix over F4")
-    Minv_t = M.inverse().transpose()
-    point_part = [
-        _PG24_INDEX[_normalize_projective(F, M.apply_row(v))] for v in _PG24_POINTS
-    ]
-    if domain == "points":
-        return Permutation.from_zero_based(point_part)
-    if domain != "points_and_lines":
+    on_kind = (_projective_map(M), _projective_map(M.inverse().transpose()))
+    if domain not in ("points", "points_and_lines"):
         raise AtlasError("domain must be 'points' or 'points_and_lines'")
-    line_part = [
-        21 + _PG24_INDEX[_normalize_projective(F, Minv_t.apply_row(w))] for w in _PG24_POINTS
-    ]
-    return Permutation.from_zero_based(point_part + line_part)
+    flags = _PG24[:21] if domain == "points" else _PG24
+    return _induced(flags, [lambda f: (f[0], on_kind[f[0]](f[1]))])[0]
 
 
 def frobenius_collineation() -> Permutation:
     """Coordinate-wise squaring on PG(2, 4), on its points and then its lines."""
-    F = _PG24_FIELD
-    part = [
-        _PG24_INDEX[_normalize_projective(F, tuple(F.frobenius(c) for c in v))]
-        for v in _PG24_POINTS
-    ]
-    return Permutation.from_zero_based(part + [21 + i for i in part])
+    frob = _frobenius_map(_PG24_FIELD)
+    return _induced(_PG24, [lambda f: (f[0], frob(f[1]))])[0]
 
 
 def duality_collineation() -> Permutation:
     """The polarity swapping each point with the line of the same coordinates."""
-    return Permutation.from_zero_based([21 + i for i in range(21)] + list(range(21)))
+    return _induced(_PG24, [lambda f: (1 - f[0], f[1])])[0]
 
 
 def _psl34_matrix_gens():
@@ -601,26 +581,18 @@ def _build_sz8():
         _sz8_torus(F, F.generator()),
         _sz8_flip(F),
     ]
-    start = _normalize_projective(F, (1, 0, 0, 0))
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for M in mats:
-                w = _normalize_projective(F, M.apply_row(v))
-                if w not in orbit:
-                    orbit.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    maps = [_projective_map(M) for M in mats]
+    orbit = [(1, 0, 0, 0)]
+    seen = set(orbit)
+    for v in orbit:
+        for f in maps:
+            w = f(v)
+            if w not in seen:
+                seen.add(w)
+                orbit.append(w)
     if len(orbit) != 65:
         raise AtlasError("ovoid orbit has %d points, expected 65" % len(orbit))
-    pts = sorted(orbit)
-    index = {v: i for i, v in enumerate(pts)}
-    gens = [
-        Permutation.from_zero_based(index[_normalize_projective(F, M.apply_row(v))] for v in pts)
-        for M in mats
-    ]
+    gens = _induced(sorted(orbit), maps)
     return _finish("sz8", gens, 65, 29120, "action on the 65-point ovoid over F8")
 
 

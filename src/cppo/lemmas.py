@@ -31,9 +31,10 @@ import random
 from dataclasses import dataclass, field
 
 from .arith import factorization, is_prime_power, prime_factors
-from .atlas import build
+from .atlas import _affine_map, _affine_points, _induced, _q8_matrix_gens, build
 from .corpus import corpus_groups_upto
 from .errors import GroupError
+from .fields import Matrix, gf
 from .group import FiniteGroup, quotient_by_normal
 from .permutation import (
     Permutation,
@@ -100,20 +101,11 @@ def _affine(*qs):
 
 def _affine_plane_3():
     """F3^2 with its translations and the quaternion subgroup of SL(2,3)."""
-    pts = [(x, y) for x in range(3) for y in range(3)]
-    index = {v: i for i, v in enumerate(pts)}
-
-    def translation(a, b):
-        return Permutation.from_zero_based(index[((x + a) % 3, (y + b) % 3)] for x, y in pts)
-
-    def linear(m00, m01, m10, m11):
-        return Permutation.from_zero_based(
-            index[((x * m00 + y * m10) % 3, (x * m01 + y * m11) % 3)] for x, y in pts
-        )
-
-    t1, t2 = translation(1, 0), translation(0, 1)
-    mi = linear(0, 1, 2, 0)
-    mj = linear(1, 1, 1, 2)
+    F3 = gf(3)
+    one = Matrix.identity(F3, 2)
+    maps = [_affine_map(one, (1, 0)), _affine_map(one, (0, 1))]
+    maps += [_affine_map(M) for M in _q8_matrix_gens()]
+    t1, t2, mi, mj = _induced(_affine_points(F3, 2), maps)
     amb = FiniteGroup([t1, t2, mi, mj], degree=9, name="f3^2:q8")
     if amb.order() != 72:
         raise GroupError("affine plane instance built wrong")
@@ -159,8 +151,9 @@ def _heisenberg_with_flip():
     """extraspecial(3,+), the Heisenberg model on the points (x, y) of
     GF(3)^2 numbered 3x + y, with the involutory point map (x, y) -> (-x, y):
     it inverts both noncentral generators and fixes the centre pointwise."""
+    F3 = gf(3)
     P = build("extraspecial(3,+)").group
-    flip = Permutation.from_zero_based(3 * (-x % 3) + y for x in range(3) for y in range(3))
+    (flip,) = _induced(_affine_points(F3, 2), [_affine_map(Matrix(F3, [[2, 0], [0, 1]]))])
     return P, flip
 
 

@@ -378,10 +378,6 @@ class Permutation:
         self._check_degree(other)
         return self._img < other._img
 
-    def __le__(self, other: "Permutation") -> bool:
-        self._check_degree(other)
-        return self._img <= other._img
-
 
 # ---------------------------------------------------------------------------
 # parsing

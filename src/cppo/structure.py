@@ -47,16 +47,20 @@ def _element_orders(G: FiniteGroup):
 # descending series
 
 
-def derived_series(G: FiniteGroup) -> SeriesChain:
+def _descending_series(G: FiniteGroup, step) -> SeriesChain:
+    """The series G, step(G), step(step(G)), ..., stopping once a term is
+    trivial or step leaves its order unchanged."""
     terms = [G]
-    while True:
-        nxt = terms[-1].derived_subgroup()
+    while terms[-1].order() > 1:
+        nxt = step(terms[-1])
         if nxt.order() == terms[-1].order():
             break
         terms.append(nxt)
-        if nxt.order() == 1:
-            break
     return SeriesChain(terms)
+
+
+def derived_series(G: FiniteGroup) -> SeriesChain:
+    return _descending_series(G, lambda H: H.derived_subgroup())
 
 
 @cached
@@ -69,16 +73,10 @@ def is_perfect(G: FiniteGroup) -> bool:
 
 
 def lower_central_series(G: FiniteGroup) -> SeriesChain:
-    terms = [G]
-    while True:
-        seeds = _commutator_seeds(G.degree, product(terms[-1]._raw_gens, G._raw_gens))
-        nxt = G._normal_closure_raw(seeds)
-        if nxt.order() == terms[-1].order():
-            break
-        terms.append(nxt)
-        if nxt.order() == 1:
-            break
-    return SeriesChain(terms)
+    def step(H):
+        return G._normal_closure_raw(_commutator_seeds(G.degree, product(H._raw_gens, G._raw_gens)))
+
+    return _descending_series(G, step)
 
 
 @cached

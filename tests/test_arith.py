@@ -30,6 +30,11 @@ def test_factorization_reconstructs_and_is_sorted():
         assert [p for p, _ in fact] == sorted({p for p, _ in fact})
 
 
+def test_factorization_refuses_a_non_positive_integer():
+    with pytest.raises(ValueError):
+        factorization(0)
+
+
 def test_prime_factors():
     assert prime_factors(1) == []
     assert prime_factors(12) == [2, 3]

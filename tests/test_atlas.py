@@ -1,12 +1,14 @@
 """Catalog constructions: orders, determinism, and the hand-checkable facts
 about the projective-plane groups and the degree-10 model of S6."""
 
+import hashlib
+import json
 import re
 
 import pytest
 
 import cppo.bsgs
-from cppo import atlas
+from cppo import atlas, lemmas
 from cppo.atlas import (
     Matrix,
     build,
@@ -17,6 +19,7 @@ from cppo.atlas import (
     projective_permutation,
     reproduce_psl34_commutators,
 )
+from cppo.corpus import default_corpus
 from cppo.errors import AtlasError, SchemaError
 from cppo.fields import gf
 from cppo.group import FiniteGroup
@@ -76,6 +79,35 @@ def test_build_is_deterministic():
     a = build("psl3_4").group
     b = build("psl3_4").group
     assert [x.raw for x in a.generators] == [x.raw for x in b.generators]
+
+
+def _pinned_generators():
+    """(id, degree, raw generator tables) for every group whose generators the
+    pin below fixes: the catalog samples, the corpus documents, PSL(2,q) at
+    eight q, the S6 model's extras and the two hand-built lemma instances."""
+    out = []
+    for atlas_id in [i for i, _ in SAMPLES] + ["psl2(%d)" % q for q in (4, 5, 7, 8, 9, 11, 13, 17)]:
+        g = build(atlas_id).group
+        out.append((atlas_id, g.degree, [list(x.raw) for x in g.generators]))
+    for doc in default_corpus():
+        g = load_group_spec(doc)
+        out.append((json.dumps(doc, sort_keys=True), g.degree, [list(x.raw) for x in g.generators]))
+    extras = build("s6_in_pgammal29").extras
+    out.append(("s6 phi", 10, [list(extras["phi"].raw)]))
+    out.append(("s6 socle", 10, [list(x.raw) for x in extras["socle_generators"]]))
+    amb, _, _ = lemmas._affine_plane_3()
+    out.append(("affine plane 3", amb.degree, [list(x.raw) for x in amb.generators]))
+    P, flip = lemmas._heisenberg_with_flip()
+    out.append(("heisenberg with flip", 9, [list(x.raw) for x in P.generators + [flip]]))
+    return out
+
+
+def test_generators_match_the_pinned_digest():
+    # every generator table, byte for byte, as the constructions first made them
+    text = json.dumps(_pinned_generators())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "ad950db27c9162d81c7f7e687e3ac0164b305776d20428997bfd39a95795b405"
+    )
 
 
 def _two_pass_images(mat_gens):
@@ -170,6 +202,19 @@ def test_projective_permutation_rejects_singular_matrices():
     F = gf(4)
     with pytest.raises(AtlasError):
         projective_permutation(Matrix(F, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]), "points")
+
+
+@pytest.mark.parametrize(
+    "matrix,domain,message",
+    [
+        (Matrix.identity(gf(8), 3), "points", "expects a 3x3 matrix over F4"),
+        (Matrix.identity(gf(4), 2), "points", "expects a 3x3 matrix over F4"),
+        (Matrix.identity(gf(4), 3), "lines", "domain must be"),
+    ],
+)
+def test_projective_permutation_names_each_bad_input(matrix, domain, message):
+    with pytest.raises(AtlasError, match=message):
+        projective_permutation(matrix, domain)
 
 
 def test_psl34_commutator_reproduction():

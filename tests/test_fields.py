@@ -180,6 +180,11 @@ def test_prime_power_without_polynomial_on_file_rejected():
         gf(25)
 
 
+def test_prime_field_outside_the_supported_range_rejected():
+    with pytest.raises(AtlasError, match="outside the supported range"):
+        gf(19)
+
+
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         gf(5).inv(0)

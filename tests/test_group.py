@@ -505,6 +505,23 @@ def test_a_group_past_the_cap_is_refused_before_any_element_is_formed(monkeypatc
     assert calls == []
 
 
+def test_membership_and_centralizer_check_the_degree():
+    group = s4()
+    wrong = parse_permutation("(1 2)", 5)
+    assert not group.contains(wrong)
+    with pytest.raises(DegreeMismatchError):
+        group.centralizer([wrong])
+
+
+def test_a_quotient_with_more_cosets_than_the_cap_is_refused():
+    group = G(["(1 2)", "(1 2 3 4)"], 4, cap=4)
+    v4 = G(["(1 2)(3 4)", "(1 3)(2 4)"], 4)
+    # S4/V4 has six cosets; the fifth one found is past the cap
+    with pytest.raises(EnumerationCapError) as info:
+        quotient_by_normal(group, v4)
+    assert info.value.cap == 4
+
+
 def test_quotient_s4_by_v4_is_s3():
     group = s4()
     v4 = FiniteGroup(

@@ -383,6 +383,11 @@ def test_structural_defects(s4):
     c3 = s4.subgroup(_perms(4, "(2 3 4)"))
     v = validate_tower(Tower(s4, [(2, c2), (3, c3)]))
     assert not v.valid and not v.items[2]
+    # a stage outside the ambient group
+    a4 = s4.subgroup(_perms(4, "(1 2 3)", "(1 2)(3 4)"))
+    v = validate_tower(Tower(a4, [(2, c2)]))
+    assert not v.valid and not v.items[2]
+    assert v.detail == "item 2: stage 1 does not lie in the ambient group"
 
 
 def test_kernels_refuse_defective_towers(s4):
