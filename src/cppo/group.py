@@ -46,8 +46,8 @@ from .permutation import (
     base_rows,
     comm_raw,
     conj_raw,
+    conjugation_sieve,
     conjugation_tables,
-    conjugator,
     identity_raw,
     inv_raw,
     map_rows,
@@ -442,17 +442,24 @@ class FiniteGroup:
         return self if derived.order() == self.order() else derived
 
     def centralizer(self, perms) -> "FiniteGroup":
-        """Pointwise centralizer of the given elements, by enumeration filter:
-        x commutes with t iff x^t == x, and each target conjugates the
-        elements that are left in one batch kernel call."""
+        """Pointwise centralizer of the given elements, read off base images.
+
+        x commutes with t iff x^t == x.  conjugation_sieve keeps the elements
+        whose conjugate by each target agrees with them on the chain's base,
+        and forms no conjugate.  An element of G is fixed by its base images,
+        but x^t lies in G only when t normalizes G, so each element the sieve
+        leaves is confirmed with one conj_raw per target.
+        """
         targets = []
         for g in perms:
             if g.degree != self.degree:
                 raise DegreeMismatchError("centralizer target has the wrong degree")
             targets.append(g.raw)
+        base = self.chain().base
         kept = self._raw_elements()
         for t in targets:
-            kept = [x for x, y in zip(kept, conjugator(t)(kept)) if x == y]
+            kept = conjugation_sieve(kept, base, t)
+        kept = [x for x in kept if all(conj_raw(x, t) == x for t in targets)]
         return self._subgroup_from_raw_elements(kept)
 
     @cached

@@ -10,17 +10,18 @@ the format, and every raw permutation is made by raw_from_images, because a
 bytes table never equals a tuple one.  Both formats index, iterate and sort
 alike.
 
-Loops that multiply or conjugate a whole list by one permutation g call the
-batch forms, mul_all and conjugator: they form g's tables (the padded
-translate table, or g^-1's itemgetter above degree 256) once per list
-rather than once per product.  A loop that only needs to know which member
-of a group's element list each conjugate x^g is calls conjugation_tables:
-it reads the conjugates' images of a base off one column of the list per
-base point, g applied to the column in one translate, so no conjugate is
-formed.  multiplication_tables does the same for the products x * g, whose
-base images are g applied to the base columns themselves.  Rows of base
-images (base_rows) are mapped through g by map_rows, the form of mul_all
-for rows shorter than a table.
+A loop that multiplies a whole list by one permutation g calls the batch
+form mul_all: it forms g's padded translate table once per list rather than
+once per product.  A loop that only needs to know which member of a group's
+element list each conjugate x^g is calls conjugation_tables: it reads the
+conjugates' images of a base off one column of the list per base point, g
+applied to the column in one translate, so no conjugate is formed.
+multiplication_tables does the same for the products x * g, whose base
+images are g applied to the base columns themselves, and conjugation_sieve
+keeps the members whose conjugates agree with them on the base, comparing
+one such column per base point.  Rows of base images (base_rows) are
+mapped through g by map_rows, the form of mul_all for rows shorter than a
+table.
 
 Composition is left to right: (p * q) moves a point first through p, then
 through q, matching the conjugation convention x^y = y^-1 x y and
@@ -33,6 +34,7 @@ import math
 import operator
 import re
 from array import array
+from itertools import compress
 
 from .errors import CycleParseError, DegreeMismatchError
 
@@ -105,18 +107,19 @@ def mul_all(xs, g):
     return [operator.itemgetter(*x)(g) for x in xs]
 
 
-def conjugator(g):
-    """The batch form of conj_raw(., g): a function taking a list xs to
-    [conj_raw(x, g) for x in xs].  g's tables are formed here, once, so a
-    caller conjugating many lists by one g keeps the function."""
-    n = len(g)
-    if n <= BYTES_MAX_DEGREE:
-        table = g + _TAIL[n]
-        maketrans = bytes.maketrans
-        return lambda xs: [maketrans(g, x.translate(table))[:n] for x in xs]
-    # g^-1 x g, as two itemgetter products: pull(x) is g^-1 * x
-    pull = operator.itemgetter(*inv_raw(g))
-    return lambda xs: [operator.itemgetter(*pull(x))(g) for x in xs]
+def conjugation_sieve(xs, base, g):
+    """The members x of xs whose conjugate x^g has x's images of base, in
+    order.  No conjugate is formed: (x^g)[b] = g[x[g^-1[b]]], so column
+    g^-1[b] of xs, mapped through g, is compared with column b, one base
+    point at a time on the members still left.  When xs lie in a group
+    with that base and g normalizes it, a member is left exactly when g
+    centralizes it; otherwise x^g may agree with x on base without being x.
+    """
+    ginv = inv_raw(g)
+    for b in base:
+        moved = map(g.__getitem__, map(operator.itemgetter(ginv[b]), xs))
+        xs = list(compress(xs, map(operator.eq, map(operator.itemgetter(b), xs), moved)))
+    return xs
 
 
 def base_rows(xs, base):

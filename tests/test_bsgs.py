@@ -14,6 +14,7 @@ from cppo.bsgs import StabilizerChain
 from cppo.corpus import corpus_groups
 from cppo.errors import NotInGroupError
 from cppo.group import FiniteGroup, quotient_by_normal
+from cppo.lemmas import _solubleperfect_instances
 from cppo.permutation import (
     Permutation,
     block_raw,
@@ -28,6 +29,12 @@ from cppo.permutation import (
 )
 from cppo.structure import sylow_subgroup
 from cppo.towers import _commutator_span
+
+
+def transversal(chain, level):
+    """Each orbit point of the level with u_q^-1, in orbit order, every
+    inverse formed through the chain."""
+    return [(q, chain._inverse(level, q)) for q in chain._tree[level]]
 
 
 def enumerate_raw(degree, gens):
@@ -121,7 +128,7 @@ def test_chain_orders_multiply_along_orbits():
                 if s[p] not in orbit:
                     orbit.add(s[p])
                     frontier.append(s[p])
-        assert orbit == set(chain._inverses[level])
+        assert orbit == set(chain._tree[level])
         prod *= len(orbit)
     assert prod == chain.order() == 120
 
@@ -130,9 +137,20 @@ def test_transversal_elements_do_what_they_claim():
     degree, gens = 5, S5_GENS
     chain = StabilizerChain.from_raw_generators(degree, gens)
     for level, b in enumerate(chain.base):
-        for point, inv in chain._inverses[level].items():
+        tree = chain._tree[level]
+        reached = list(tree)
+        for point, inv in transversal(chain, level):
             u = inv_raw(inv)
             assert u[b] == point
+            # each point but the base point links to one reached before it
+            # by a strong generator of the level
+            if point == b:
+                assert tree[point] is None
+            else:
+                parent, s_inv = tree[point]
+                assert reached.index(parent) < reached.index(point)
+                assert (inv_raw(s_inv), s_inv) in chain._gens[level]
+                assert s_inv[point] == parent
             assert chain.contains_raw(u)
             # representatives at deeper levels fix the earlier base points
             for earlier in chain.base[:level]:
@@ -219,7 +237,7 @@ def test_tuple_path_agrees_with_enumeration_on_lifted_s6_subgroups():
         chain = StabilizerChain.from_raw_generators(
             degree, [block_raw(g, offset, degree) for g in small]
         )
-        assert type(chain._inverses[0][chain.base[0]]) is tuple
+        assert all(type(inv) is tuple for _, inv in transversal(chain, 0))
         assert chain.order() == len(members)
         for x in members:
             assert chain.contains_raw(block_raw(x, offset, degree))
@@ -233,9 +251,9 @@ def test_tuple_path_agrees_with_enumeration_on_lifted_s6_subgroups():
 
 
 def _assert_chain_consistent(chain):
-    # each level stores u_q^-1 for its orbit points q
+    # each level forms u_q^-1 for its orbit points q
     for level, b in enumerate(chain.base):
-        for point, inv in chain._inverses[level].items():
+        for point, inv in transversal(chain, level):
             assert inv[point] == b
             for earlier in chain.base[:level]:
                 assert inv[earlier] == earlier
@@ -297,9 +315,9 @@ def elements_from_identity(chain):
     they stand: every level, the first included, multiplies the products so
     far by each of its inverses but the first."""
     products = [chain._identity]
-    for inverses in chain._inverses:
-        others = islice(inverses.values(), 1, None)
-        products += [y for v in others for y in mul_all(products, v)]
+    for level in range(len(chain.base)):
+        others = islice(transversal(chain, level), 1, None)
+        products += [y for _, v in others for y in mul_all(products, v)]
     return products
 
 
@@ -317,7 +335,9 @@ def test_a_one_level_chain_lists_its_elements_without_a_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("a one-level chain formed a product")
 
+    # every inverse is formed by now, and level 0's are the elements
     monkeypatch.setattr(cppo.bsgs, "mul_all", refuse)
+    monkeypatch.setattr(cppo.bsgs, "mul_raw", refuse)
     assert chain.elements() == want
 
 
@@ -357,12 +377,14 @@ def unbounded_closure(degree, raw_seeds, raw_conjugators):
 
 
 def chain_state(chain):
-    """Base, each level's orbit points with their stored inverses in filing
-    order, and each level's strong generators; every queue must be empty."""
+    """Base, each level's orbit points with their tree links and inverses in
+    filing order (every inverse formed through the chain), and each level's
+    strong generators; every queue must be empty."""
     assert not any(chain._queues)
     return (
         list(chain.base),
-        [list(inverses.items()) for inverses in chain._inverses],
+        [list(tree.items()) for tree in chain._tree],
+        [transversal(chain, level) for level in range(len(chain.base))],
         [[s for s, _ in gens] for gens in chain._gens],
     )
 
@@ -448,19 +470,26 @@ def test_bounded_closures_and_sylows_of_drawn_s6_subgroups_match_unbounded(closu
     assert full > 0
 
 
-def test_derived_subgroup_of_sl2_9_stops_at_its_order(monkeypatch):
-    group = atlas.build("sl2_9").group
-    group.chain()
+def counting_products(monkeypatch, degree):
+    """Counts the products of the given degree that the chain module forms."""
     calls = []
 
     def counting(a, b):
-        calls.append(1)
+        calls.append(len(a) == degree)
         return mul_raw(a, b)
 
     monkeypatch.setattr(cppo.bsgs, "mul_raw", counting)
+    return calls
+
+
+def test_derived_subgroup_of_sl2_9_stops_at_its_order(monkeypatch):
+    group = atlas.build("sl2_9").group
+    group.chain()
+    calls = counting_products(monkeypatch, 720)
     assert group.derived_subgroup() is group
-    # the unbounded closure made 2,171 products here
-    assert len(calls) <= 1000
+    # the unbounded closure made 2,171 products here, and the bounded one
+    # 851 while it formed each inverse as its orbit point was reached
+    assert len(calls) <= 300
 
 
 @pytest.mark.parametrize("atlas_id", ["q8", "sl2_3", "sl2_5", "sl2_9"])
@@ -471,6 +500,53 @@ def test_certified_regular_chain_equals_the_unbounded_one(atlas_id):
     full = StabilizerChain.from_raw_generators(group.degree, group._raw_gens)
     assert full._bound is None
     assert chain_state(chain) == chain_state(full)
+
+
+def test_a_chain_that_reaches_its_bound_forms_no_inverse():
+    # the atlas bounds SL(2,9) by its proven order, so the Schreier pairs
+    # its build queued are dropped unchecked and only the base point's
+    # inverse exists
+    chain = atlas.build("sl2_9").group.chain()
+    assert chain._bound == chain.order() == 720
+    assert [len(inverses) for inverses in chain._inverses] == [1]
+    x = chain.elements()[5]  # lists the elements, forming every inverse
+    assert [len(inverses) for inverses in chain._inverses] == [720]
+    assert chain.sift(x) == chain._identity
+
+
+def test_solubleperfect_spans_in_sl2_9_form_few_products(monkeypatch):
+    spans = [(g, x) for _, g, x in _solubleperfect_instances(0) if g.degree == 720]
+    assert len(spans) == 3
+    counts = []
+    for g, x in spans:
+        g.chain()
+        calls = counting_products(monkeypatch, 720)
+        assert _commutator_span(g, [x], g).order() == 720
+        counts.append(sum(calls))
+    # Forming every inverse, as each orbit point was reached, took 731, 744
+    # and 855 products.  The first two spans reach the bound with the
+    # insert that fills the orbit, so only sifts form inverses.  The third
+    # passes through an order-120 subgroup whose 121 Schreier pairs are
+    # checked, forming its 120 inverses, before the third seed completes it.
+    assert counts[0] < 100 and counts[1] < 100
+    assert counts[2] < 300
+
+
+def test_a_deep_schreier_tree_forms_its_inverses_without_recursion():
+    # one 1000-cycle: the orbit of its base point is a path of depth 999
+    degree = 1000
+    c = raw_from_images([(i + 1) % degree for i in range(degree)])
+    chain = StabilizerChain.from_raw_generators(degree, [c], degree)
+    assert chain.order() == degree
+    assert [len(inverses) for inverses in chain._inverses] == [1]
+    deepest = list(chain._tree[0])[-1]
+    x = inv_raw(c)
+    assert x[chain.base[0]] == deepest
+    assert chain.sift(x) == chain._identity
+    powers = [chain._identity]
+    for _ in range(degree - 1):
+        powers.append(mul_raw(powers[-1], c))
+    assert sorted(chain.elements()) == sorted(powers)
 
 
 def test_order_from_base_cycles_reads_only_the_cycles_through_the_base():

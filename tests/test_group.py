@@ -29,7 +29,7 @@ from cppo.atlas import build, load_group_spec
 from cppo.corpus import corpus_groups, default_corpus
 from cppo.permutation import (
     conj_raw,
-    conjugator,
+    conjugation_sieve,
     inv_raw,
     mul_all,
     mul_raw,
@@ -118,7 +118,6 @@ def bfs_classes(group):
     search frontier is conjugated by each generator, and the classes are the
     orbits of the conjugates."""
     elems = group._raw_elements()
-    conjugators = [conjugator(g) for g in group._raw_gens]
     seen = set()
     out = []
     for x in elems:
@@ -128,8 +127,8 @@ def bfs_classes(group):
         frontier = [x]
         while frontier:
             new_frontier = []
-            for conj in conjugators:
-                for z in conj(frontier):
+            for g in group._raw_gens:
+                for z in (conj_raw(y, g) for y in frontier):
                     if z not in orbit:
                         orbit.add(z)
                         new_frontier.append(z)
@@ -181,7 +180,6 @@ def test_classes_form_no_conjugate_and_match_the_frontier_search(name, monkeypat
     def refuse(*args):
         raise AssertionError("the class computation formed a conjugate")
 
-    monkeypatch.setattr(cppo.group, "conjugator", refuse)
     monkeypatch.setattr(cppo.group, "conj_raw", refuse)
     for group, want in zip(groups, expected):
         classes = group._raw_classes()
@@ -338,13 +336,12 @@ def test_cppo_witness_matches_the_per_element_order_scan(name, doc):
 
 
 def raw_commutators(group):
-    """The all-pairs oracle on raw tables: x^-1 x^y for every x and y, with
-    each y conjugating the whole element list in one batch."""
+    """The all-pairs oracle on raw tables: x^-1 x^y for every x and y."""
     elems = group._raw_elements()
     invs = [inv_raw(x) for x in elems]
     out = set()
     for y in elems:
-        out.update(map(mul_raw, invs, conjugator(y)(elems)))
+        out.update(map(mul_raw, invs, (conj_raw(x, y) for x in elems)))
     return out
 
 
@@ -406,6 +403,45 @@ def test_center_and_centralizer():
     assert cent.order() == 5
     elems = group.elements()
     assert sorted(cent.elements()) == sorted(x for x in elems if x * r == r * x)
+
+
+def test_centralizer_confirms_what_the_base_images_keep():
+    # (1 2 3) and its conjugate (1 2 4) by t = (3 4) both send G's base
+    # point 1 to 2, yet t normalizes nothing here and centralizes only 1
+    group = G(["(1 2 3)"], 4)
+    assert group.chain().base == [0]
+    t = parse_permutation("(3 4)", 4)
+    x = parse_permutation("(1 2 3)", 4).raw
+    assert x in conjugation_sieve(group._raw_elements(), [0], t.raw)
+    assert group.centralizer([t]).order() == 1
+    assert group.centralizer([t, Permutation._from_raw(x)]).order() == 1
+    # (1 2) normalizes G and inverts it; the identity centralizes all of it
+    assert group.centralizer([parse_permutation("(1 2)", 4)]).order() == 1
+    assert group.centralizer([Permutation.identity(4)]).order() == 3
+
+
+def test_centre_of_sl2_9_conjugates_only_its_centre(monkeypatch):
+    group = build("sl2_9").group
+    group._raw_elements()
+    left, conjugations = [], []
+
+    def sieving(xs, base, g):
+        kept = conjugation_sieve(xs, base, g)
+        left.append(len(kept))
+        return kept
+
+    def counting(x, g):
+        conjugations.append(1)
+        return conj_raw(x, g)
+
+    monkeypatch.setattr(cppo.group, "conjugation_sieve", sieving)
+    monkeypatch.setattr(cppo.group, "conj_raw", counting)
+    centre = group.center()
+    # the generators normalize G, so the base images alone narrow its 720
+    # elements to the centre, and only its members are conjugated
+    assert centre.order() == 2 and len(group._raw_gens) == 3
+    assert left[-1] == 2
+    assert len(conjugations) <= 3 * 2
 
 
 def pairwise_centralizer(group, targets):
@@ -498,7 +534,7 @@ def test_a_group_past_the_cap_is_refused_before_any_element_is_formed(monkeypatc
     for module in (cppo.group, cppo.bsgs):
         monkeypatch.setattr(module, "mul_raw", counting)
         monkeypatch.setattr(module, "mul_all", counting_batch(mul_all))
-    monkeypatch.setattr(cppo.group, "conjugator", counting_batch(conjugator))
+    monkeypatch.setattr(cppo.group, "conj_raw", counting_batch(conj_raw))
     with pytest.raises(EnumerationCapError) as info:
         group._raw_elements()
     assert info.value.cap == group.cap

@@ -325,9 +325,10 @@ def test_only_the_kernel_reads_raw_tables():
 
 
 def test_only_the_chain_reads_its_transversals():
-    """A chain's generators, stored coset inverses and Schreier queues are
-    read only inside bsgs.py, so its storage can change without callers."""
-    found = list(_names_read_outside("bsgs.py", {"_inverses", "_gens", "_queues"}))
+    """A chain's generators, Schreier tree, formed coset inverses and
+    Schreier queues are read only inside bsgs.py, so its storage can change
+    without callers."""
+    found = list(_names_read_outside("bsgs.py", {"_inverses", "_tree", "_gens", "_queues"}))
     assert found == [], "chain internals read outside bsgs.py: %s" % ", ".join(found)
 
 

@@ -84,6 +84,17 @@ def test_conjugacy_classes_agree_with_sympy():
         assert ours == theirs, g.name
 
 
+def test_centralizers_of_class_representatives_agree_with_sympy():
+    groups = _corpus_groups(lambda g: g.degree <= 120 and g.order() <= 1500)
+    assert len(groups) == 39
+    for g in groups:
+        oracle = _oracle(g)
+        for c in g.conjugacy_classes():
+            rep = c.representative
+            theirs = oracle.centralizer(combinatorics.Permutation(list(rep.raw))).order()
+            assert g.centralizer([rep]).order() == theirs == g.order() // c.size, (g.name, rep)
+
+
 def test_derived_series_and_centre_agree_with_sympy():
     groups = _corpus_groups(lambda g: g.degree <= 120)
     assert len(groups) == 46

@@ -21,8 +21,8 @@ from cppo.permutation import (
     block_raw,
     comm_raw,
     conj_raw,
+    conjugation_sieve,
     conjugation_tables,
-    conjugator,
     cycles_raw,
     identity_raw,
     inv_raw,
@@ -255,15 +255,25 @@ def test_batch_kernel_matches_one_product_at_a_time(degree, seed, count):
     # a drawn seed again, for the degrees st.permutations refuses
     rng = random.Random(seed)
     g, *xs = (raw_from_images(rng.sample(range(degree), degree)) for _ in range(count + 1))
-    products, conjugates = mul_all(xs, g), conjugator(g)(xs)
+    products = mul_all(xs, g)
     assert products == [mul_raw(x, g) for x in xs]
-    assert conjugates == [conj_raw(x, g) for x in xs]
     kind = bytes if degree <= BYTES_MAX_DEGREE else tuple
-    assert all(type(r) is kind and len(r) == degree for r in products + conjugates)
-    # one conjugator serves any number of lists, the empty one included
-    conj = conjugator(g)
-    assert conj([]) == [] == mul_all([], g)
-    assert conj(xs[:1]) + conj(xs[1:]) == conjugates
+    assert all(type(r) is kind and len(r) == degree for r in products)
+    assert mul_all([], g) == []
+
+
+@pytest.mark.parametrize("degree", (1, 2, 8, 255, 256, 257, 300, 720))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 6), width=st.integers(0, 4))
+def test_conjugation_sieve_keeps_the_conjugates_agreeing_on_the_base(degree, seed, count, width):
+    rng = random.Random(seed)
+    g, *xs = (raw_from_images(rng.sample(range(degree), degree)) for _ in range(count + 1))
+    # members that g centralizes, its powers, are kept on any base
+    xs += [g, mul_raw(g, g)]
+    base = [rng.randrange(degree) for _ in range(width)]
+    want = [x for x in xs if all(conj_raw(x, g)[b] == x[b] for b in base)]
+    assert conjugation_sieve(xs, base, g) == want
+    assert conjugation_sieve(xs, [], g) == xs
 
 
 @pytest.mark.parametrize("degree", (1, 2, 8, 255, 256, 257, 300, 720))
