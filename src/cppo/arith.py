@@ -43,6 +43,14 @@ def factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending, built from its factorization."""
+    out = [1]
+    for p, e in factorization(n):
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
 def is_prime_power(n: int) -> bool:
     """True when n = p^k for a prime p and k >= 0.
 

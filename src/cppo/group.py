@@ -13,12 +13,15 @@ the index tables.  The tables cost one row per element per generator, so a
 group with more than two generators and |G| > degree^2 sweeps on a pair of
 elements checked to generate it, when one is found.  Commutators are read
 off the class table: one scan names, for each class representative r and
-each s in its class, the class of the commutator r^-1 s.  The CPPO verdict
-reads orders off the classes it names, and the commutator set is the union
-of the classes the scan hits.  A quotient G/N acts on the right cosets of
-N, each named by the least row of its elements' images of G's base.  All
-derived data is produced in a deterministic order: element lists are sorted
-lexicographically by image table, classes by (size, least member).
+each s in its class, the class of the commutator r^-1 s.  The commutator
+set is the union of the classes the scan hits.  The CPPO verdict looks at
+G' first when |G| exceeds the degree: every commutator lies in G', so only
+the classes of non-prime-power order inside G' can break CPPO, and with
+none of them the verdict needs no scan; otherwise it reads orders off the
+classes the scan names.  A quotient G/N acts on the right cosets of N,
+each named by the least row of its elements' images of G's base.  All
+derived data is produced in a deterministic order: element lists are
+sorted lexicographically by image table, classes by (size, least member).
 
 Every other result a group keeps, here or in structure and towers, is
 memoized on it by one decorator, `cached`, so only this module knows how a
@@ -355,11 +358,22 @@ class FiniteGroup:
         """First commutator of non-prime-power order in scan order, if any.
 
         Orders are conjugation invariant, so each commutator's order is read
-        off the class the scan names for it.  With no class of non-prime-power
-        order there is nothing to scan.
+        off the class the scan names for it.  Every commutator lies in G',
+        so only a class of non-prime-power order inside G' can be hit, and
+        one membership test of its representative in G' decides that.  With
+        no such class there is nothing to scan, and the scan finds the same
+        first witness as one over every class of non-prime-power order.
+
+        G' is consulted only when |G| > degree.  Its closure builds a chain
+        whose orbits hold up to `degree` points, while a scan forms at most
+        |G| products and stops at its first witness, so a group no larger
+        than its degree (a regular one, say) scans without it.
         """
         classes = self._raw_classes()
         bad = {k for k, c in enumerate(classes) if not is_prime_power(c.order)}
+        if bad and self.order() > self.degree:
+            inside = self.derived_subgroup().chain().contains_raw
+            bad = {k for k in bad if inside(classes[k].rep)}
         if not bad:
             return None
         for c, rinv, ks in self._commutator_class_scan():

@@ -125,12 +125,12 @@ def classify(G: FiniteGroup) -> ClassificationReport:
     if skipped:
         r.is_eppo = r.is_cppo = skipped
     else:
-        r.is_eppo = G.is_eppo()
+        ew = G.eppo_witness()
+        r.is_eppo = ew is None
         cw = G.cppo_witness()
         r.is_cppo = cw is None
         if cw is not None:
             r.witnesses["cppo"] = _cppo_witness_data(cw)
-        ew = G.eppo_witness()
         if ew is not None:
             r.witnesses["eppo"] = {"element": str(ew.element), "order": ew.order}
         if r.is_cppo:

@@ -3,10 +3,14 @@
 Derived, lower-central and upper-Fitting series; Sylow subgroups, p-cores,
 the Fitting subgroup and soluble radical; the normal subgroup lattice;
 simplicity and quasisimplicity read off class closures, with no lattice or
-quotient; and fingerprint identification of seven of the eight simple
-groups whose elements all have prime-power order (all but Sz(32), which is
-too large to enumerate).  Results kept per group are memoized on it by
-group.py's `cached`, so this module never touches a group's storage.
+quotient.  Simplicity, quasisimplicity and p-cores count before they
+multiply: a normal subgroup is a union of classes, so its order is a sum
+of class sizes, and when no such sum is an order it could have, the
+verdict needs no class product.  Last comes fingerprint identification of
+seven of the eight simple groups whose elements all have prime-power order
+(all but Sz(32), which is too large to enumerate).  Results kept per group
+are memoized on it by group.py's `cached`, so this module never touches a
+group's storage.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .arith import factorization, is_prime, p_part
+from .arith import divisors, factorization, is_prime, p_part
 from .bsgs import StabilizerChain
 from .errors import (
     ClassCapError,
@@ -176,6 +180,23 @@ def _class_closure(G: FiniteGroup, k: int, allowed=None, bound=None) -> frozense
     return frozenset(met)
 
 
+def _class_sums_meet(base, sizes, targets) -> bool:
+    """Whether base plus the sizes of some of the given classes, each taken
+    at most once, is one of the targets.
+
+    A normal subgroup is a union of classes, so its order is such a sum,
+    with base the number of elements it must hold (1 for the identity, or
+    |Z| for a subgroup over the centre Z).  The sums are the set bits of one
+    int, grown by reach |= reach << size per class and cut at the largest
+    target, so no class product is formed.
+    """
+    mask = (2 << max(targets, default=0)) - 1
+    reach = 1 << base
+    for size in sizes:
+        reach |= (reach << size) & mask
+    return any(reach >> t & 1 for t in targets)
+
+
 @cached
 def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
     """O_p(G), the largest normal p-subgroup, as the union of the conjugacy
@@ -189,8 +210,11 @@ def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
     so one closure per class decides it.  Each closure is read off class
     products: it fails at its first class whose order is not a power of p,
     or once it holds more than |G|_p elements, and a class already inside
-    the core needs none.  No chain is built but the core's own, and a
-    trivial core needs none.
+    the core needs none.  Counting comes before any closure: a nontrivial
+    core has order p^a <= |G|_p and is the identity together with some
+    classes of p-power order, so when no such sum of class sizes is a
+    power p^a, the core is trivial and no class product is formed.  No
+    chain is built but the core's own, and a trivial core needs none.
     """
     if not is_prime(p):
         raise ValueError("%d is not a prime" % p)
@@ -198,7 +222,11 @@ def p_core(G: FiniteGroup, p: int) -> FiniteGroup:
     classes = G._raw_classes()
     # an element order divides |G|, so it is a power of p iff it divides |G|_p
     allowed = frozenset(k for k, c in enumerate(classes) if target % c.order == 0)
-    core = set()
+    # the identity's class is the first, since classes sort by (size, least member)
+    sizes = [len(classes[k].members) for k in allowed if k]
+    if not _class_sums_meet(1, sizes, [d for d in divisors(target) if d > 1]):
+        return G.trivial_subgroup()
+    core = {0}
     for k in sorted(allowed):
         if k not in core:
             core.update(_class_closure(G, k, allowed, target) or ())
@@ -356,11 +384,22 @@ def normal_subgroups(G: FiniteGroup) -> list:
 
 def is_simple(G: FiniteGroup) -> bool:
     """Nonabelian simplicity: a group of prime order does not count.
-    Nonabelian G is simple iff each nontrivial class has class closure G."""
-    if G.order() == 1 or G.is_abelian():
+
+    Counting comes first: a proper nontrivial normal subgroup has order d
+    with 1 < d < |G| and d dividing |G|, and d is 1 plus the sizes of some
+    nontrivial classes.  When no such sum is a proper divisor, nonabelian G
+    is simple and no class product is formed.  Otherwise nonabelian G is
+    simple iff each nontrivial class has class closure G.
+    """
+    n = G.order()
+    if n == 1 or G.is_abelian():
         return False
     # classes sort by (size, least member), so the identity's comes first
-    whole = len(G._raw_classes())
+    classes = G._raw_classes()
+    proper = [d for d in divisors(n) if 1 < d < n]
+    if not _class_sums_meet(1, [len(c.members) for c in classes[1:]], proper):
+        return True
+    whole = len(classes)
     return all(len(_class_closure(G, k)) == whole for k in range(1, whole))
 
 
@@ -402,15 +441,26 @@ def identify_simple_eppo(G: FiniteGroup) -> SimpleEppoId:
 
 
 def is_quasisimple(G: FiniteGroup) -> bool:
-    """Perfect with simple central quotient: for perfect G, G/Z(G) is simple
-    iff each class outside Z = Z(G) != G normally generates G, since a
-    normal N not inside Z has NZ = G, so G = G' = N' <= N."""
+    """Perfect with simple central quotient.
+
+    For perfect G and Z = Z(G) != G, counting comes first: a normal
+    subgroup strictly between Z and G holds Z and some classes outside it,
+    and its order is a proper multiple of |Z| dividing |G|.  When no such
+    sum of class sizes is such an order, G/Z is simple and no class product
+    is formed.  Otherwise G/Z is simple iff each class outside Z normally
+    generates G, since a normal N not inside Z has NZ = G, so
+    G = G' = N' <= N.
+    """
     if not is_perfect(G):
         return False
     centre = G.center()
-    if centre.order() == G.order():
+    n, z = G.order(), centre.order()
+    if z == n:
         return False
     inside = centre.chain().contains_raw
     classes = G._raw_classes()
     outside = [k for k, c in enumerate(classes) if not inside(c.rep)]
+    between = [d for d in divisors(n) if z < d < n and d % z == 0]
+    if not _class_sums_meet(z, [len(classes[k].members) for k in outside], between):
+        return True
     return all(len(_class_closure(G, k)) == len(classes) for k in outside)

@@ -1,6 +1,7 @@
 import pytest
 
 from cppo.arith import (
+    divisors,
     factorization,
     is_prime,
     is_prime_power,
@@ -33,6 +34,12 @@ def test_factorization_reconstructs_and_is_sorted():
 def test_factorization_refuses_a_non_positive_integer():
     with pytest.raises(ValueError):
         factorization(0)
+
+
+def test_divisors_match_a_trial_division_scan():
+    for n in range(1, 2000):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    assert divisors(20160)[-3:] == [6720, 10080, 20160]
 
 
 def test_prime_factors():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import cppo.bsgs
 import cppo.group
+import cppo.structure
 from cppo.bsgs import StabilizerChain
 from cppo import (
     DegreeMismatchError,
@@ -36,7 +37,12 @@ from cppo.permutation import (
     order_raw,
     raw_from_images,
 )
-from cppo.structure import derived_series, normal_subgroups, upper_fitting_series
+from cppo.structure import (
+    derived_series,
+    fitting_subgroup,
+    normal_subgroups,
+    upper_fitting_series,
+)
 
 
 def G(texts, degree, **kw):
@@ -314,11 +320,16 @@ def per_element_order_witness(group):
     return None
 
 
-# the corpus documents of groups of order at most 40320, loaded afresh in
-# each test so that no large group's elements outlive it
-WITNESS_DOCS = [
-    (g.name, doc) for doc in default_corpus() for g in [load_group_spec(doc)] if g.order() <= 40320
+# (name, document, order) for each corpus group within its cap; each test
+# loads its group afresh, so that no large group's elements outlive it
+CAPPED_DOCS = [
+    (g.name, doc, g.order())
+    for doc in default_corpus()
+    for g in [load_group_spec(doc)]
+    if g.order() <= g.cap
 ]
+# the documents of groups of order at most 40320
+WITNESS_DOCS = [(name, doc) for name, doc, order in CAPPED_DOCS if order <= 40320]
 
 
 def test_witness_reference_covers_the_large_groups():
@@ -333,6 +344,74 @@ def test_cppo_witness_matches_the_per_element_order_scan(name, doc):
     w = group.cppo_witness()
     got = None if w is None else (w.commutator.raw, w.order, w.left.raw, w.right.raw)
     assert got == per_element_order_witness(group)
+
+
+def full_scan_cppo_witness(group):
+    """cppo_witness as it was before the classes outside G' were dropped:
+    the scan looks for every class of non-prime-power order."""
+    classes = group._raw_classes()
+    bad = {k for k, c in enumerate(classes) if not is_prime_power(c.order)}
+    if not bad:
+        return None
+    for c, rinv, ks in group._commutator_class_scan():
+        for s, k in zip(c.members, ks):
+            if k in bad:
+                right = group._class_conjugator(c.rep, s)
+                return mul_raw(rinv, s), classes[k].order, c.rep, right
+    return None
+
+
+def assert_witness_matches_the_full_scan(group):
+    w = group.cppo_witness()
+    want = full_scan_cppo_witness(group)
+    if want is None:
+        assert w is None
+        return
+    commutator, order, left, right = want
+    assert w.commutator.raw == commutator
+    assert w.order == order
+    assert w.left.raw == left
+    assert w.right.raw == right
+
+
+@pytest.mark.parametrize("name, doc, order", CAPPED_DOCS, ids=[n for n, _, _ in CAPPED_DOCS])
+def test_cppo_witness_matches_the_full_scan_on_corpus_groups(name, doc, order):
+    assert_witness_matches_the_full_scan(load_group_spec(doc))
+
+
+def test_cppo_witness_matches_the_full_scan_on_solubleperfect_quotients():
+    for gid in ("sl2_5", "sl2_9"):
+        g = build(gid).group
+        assert_witness_matches_the_full_scan(quotient_by_normal(g, g.center()))
+    g = build("asl2_4").group
+    assert_witness_matches_the_full_scan(quotient_by_normal(g, fitting_subgroup(g)))
+
+
+def test_cppo_witness_skips_the_scan_when_no_bad_class_lies_in_the_derived_subgroup(monkeypatch):
+    group = build("psl34_phi_ext").group
+    classes = group._raw_classes()
+    calls = []
+
+    def counting(xs, g):
+        calls.append(g)
+        return mul_all(xs, g)
+
+    for module in (cppo.group, cppo.structure, cppo.bsgs):
+        monkeypatch.setattr(module, "mul_all", counting)
+    assert group.cppo_witness() is None
+    assert calls == []
+    # the group has classes of non-prime-power order, all outside G'
+    inside = group.derived_subgroup().chain().contains_raw
+    bad = [c for c in classes if not is_prime_power(c.order)]
+    assert len(bad) == 3 and not any(inside(c.rep) for c in bad)
+
+
+def test_cppo_witness_of_a_group_no_larger_than_its_degree_forms_no_derived_subgroup():
+    # SL(2,5) acts regularly on 120 points and has commutators of order 10
+    group = build("sl2_5").group
+    assert group.order() == group.degree == 120
+    assert group.cppo_witness().order == 10
+    assert not any(key[0] == "FiniteGroup.derived_subgroup" for key in group._cache)
 
 
 def raw_commutators(group):
@@ -355,6 +434,7 @@ def test_commutators_match_the_oracles_on_subgroups_of_s6(tables):
     w = group.cppo_witness()
     got = None if w is None else (w.commutator.raw, w.order, w.left.raw, w.right.raw)
     assert got == per_element_order_witness(group)
+    assert_witness_matches_the_full_scan(group)
 
 
 def test_eppo_witness():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cppo import FiniteGroup, lemmas, parse_permutation, structure, towers
-from cppo.arith import factorization, p_part
+from cppo.arith import factorization, is_prime, p_part
 from cppo.atlas import build, load_group_spec
 from cppo.bsgs import StabilizerChain
 from cppo.corpus import corpus_groups, default_corpus
@@ -612,12 +612,133 @@ def test_p_cores_of_corpus_groups_match_the_size_test_after_each_class(name, gro
 def test_p_core_forms_no_product_for_a_class_past_the_p_part():
     g = build("psl3_4").group
     classes = g._raw_classes()
-    involutions = [k for k, c in enumerate(classes) if c.order == 2]
-    # one class of 315 involutions, past |G|_2 = 64
-    assert [len(classes[k].members) for k in involutions] == [315]
+    # one class of 315 involutions, past |G|_2 = 64; no sum of the sizes of
+    # the classes of 2-power order is a power of 2, so no product at all
+    assert [len(c.members) for c in classes if c.order == 2] == [315]
     assert p_core(g, 2).is_trivial()
+    assert not memoized(g, structure._sorted_class_product)
+    # SL(2,5): the central involution spans O_2 through class products, and
+    # the class of 30 elements of order 4, past |G|_2 = 8, forms none
+    g = build("sl2_5").group
+    classes = g._raw_classes()
+    fours = [k for k, c in enumerate(classes) if c.order == 4]
+    assert [len(classes[k].members) for k in fours] == [30]
+    assert p_core(g, 2).order() == 2
     products = memoized(g, structure._sorted_class_product)
-    assert products and not any(involutions[0] in pair for pair in products)
+    assert products and not any(fours[0] in pair for pair in products)
+
+
+def test_a_nontrivial_p_core_memoizes_class_products():
+    # the memo reads above see products wherever a closure forms them
+    g = s4()
+    assert p_core(g, 2).order() == 4
+    assert memoized(g, structure._sorted_class_product)
+
+
+def closure_only_p_core(G, p):
+    """p_core as it was before counting: one class closure per class of
+    p-power order, whatever the class sizes."""
+    target = p_part(G.order(), p)
+    classes = G._raw_classes()
+    allowed = frozenset(k for k, c in enumerate(classes) if target % c.order == 0)
+    core = set()
+    for k in sorted(allowed):
+        if k not in core:
+            core.update(structure._class_closure(G, k, allowed, target) or ())
+    if len(core) == 1:
+        return G.trivial_subgroup()
+    return G._subgroup_from_raw_elements([x for k in core for x in classes[k].members])
+
+
+def closure_only_is_simple(G):
+    """is_simple as it was before counting: every nontrivial class closure is G."""
+    if G.order() == 1 or G.is_abelian():
+        return False
+    whole = len(G._raw_classes())
+    return all(len(structure._class_closure(G, k)) == whole for k in range(1, whole))
+
+
+def closure_only_is_quasisimple(G):
+    """is_quasisimple as it was before counting: perfect, with every class
+    outside Z(G) != G normally generating G."""
+    if not is_perfect(G) or G.center().order() == G.order():
+        return False
+    inside = G.center().chain().contains_raw
+    classes = G._raw_classes()
+    outside = [k for k, c in enumerate(classes) if not inside(c.rep)]
+    return all(len(structure._class_closure(G, k)) == len(classes) for k in outside)
+
+
+def least_prime_not_dividing(n):
+    return next(p for p in range(2, n + 3) if is_prime(p) and n % p)
+
+
+def assert_counting_matches_the_closures(G):
+    """is_simple, is_quasisimple and every p_core, for each prime of |G| and
+    one prime not dividing it, against the closure-only references."""
+    assert is_simple(G) == closure_only_is_simple(G)
+    assert is_quasisimple(G) == closure_only_is_quasisimple(G)
+    primes = [p for p, _ in factorization(G.order())] + [least_prime_not_dividing(G.order())]
+    for p in primes:
+        core, want = p_core(G, p), closure_only_p_core(G, p)
+        assert core._raw_gens == want._raw_gens, p
+        assert core.order() == want.order(), p
+
+
+@pytest.mark.parametrize("name, group", CAPPED_CORPUS, ids=[n for n, _ in CAPPED_CORPUS])
+def test_counting_matches_the_closures_on_corpus_groups(name, group):
+    assert_counting_matches_the_closures(group)
+
+
+def solubleperfect_quotients():
+    """The simple quotients G/N that the solubleperfect lemma checks."""
+    for gid, kind in (("sl2_5", "centre"), ("sl2_9", "centre"), ("asl2_4", "fitting")):
+        g = build(gid).group
+        n = g.center() if kind == "centre" else fitting_subgroup(g)
+        yield gid, quotient_by_normal(g, n)
+
+
+@pytest.mark.parametrize("gid, quotient", list(solubleperfect_quotients()))
+def test_counting_matches_the_closures_on_solubleperfect_quotients(gid, quotient):
+    assert is_simple(quotient)
+    assert_counting_matches_the_closures(quotient)
+
+
+@pytest.mark.parametrize("atlas_id", ["psl3_4", "sz8", "alt(8)", "psl34_phi_ext"])
+def test_simplicity_from_class_sizes_forms_no_class_product(atlas_id):
+    # these four simple groups (for psl34_phi_ext, its derived subgroup) have
+    # no sum 1 + |C_1| + ... + |C_k| that properly divides the order
+    g = build(atlas_id).group.derived_subgroup()
+    g._raw_classes()
+    assert is_simple(g)
+    assert not memoized(g, structure._sorted_class_product)
+
+
+@pytest.mark.parametrize("atlas_id", ["sl2_5", "sl2_9"])
+def test_quasisimplicity_from_class_sizes_forms_no_class_product(atlas_id):
+    # no sum |Z| + |C_1| + ... + |C_k| over classes outside the centre Z of
+    # order 2 is a proper multiple of |Z| dividing the order
+    g = build(atlas_id).group
+    g._raw_classes()
+    assert is_quasisimple(g)
+    assert not memoized(g, structure._sorted_class_product)
+
+
+def test_quasisimplicity_of_asl2_4_falls_back_to_class_closures():
+    # ASL(2,4) is perfect with trivial centre, and its normal 2^4 has order
+    # 16 = 1 + 15, so the class sizes hit a proper divisor
+    g = build("asl2_4").group
+    assert is_perfect(g) and g.center().order() == 1
+    assert not is_quasisimple(g)
+    assert memoized(g, structure._sorted_class_product)
+
+
+def test_simplicity_of_m10_falls_back_to_class_closures():
+    # M10 has A6 of order 360 = 1 + 45 + 80 + 90 + 144 as a normal subgroup,
+    # so the class sizes hit a proper divisor and the closures decide
+    g = build("m10").group
+    assert not is_simple(g)
+    assert memoized(g, structure._sorted_class_product)
 
 
 @st.composite
@@ -630,6 +751,12 @@ def subgroups_of_s6(draw):
 @given(subgroups_of_s6())
 def test_p_core_of_drawn_s6_subgroups_is_the_intersection_of_sylow_conjugates(group):
     assert_cores_match_sylow_intersection(group)
+
+
+@settings(max_examples=30, deadline=None)
+@given(subgroups_of_s6())
+def test_counting_matches_the_closures_on_drawn_s6_subgroups(group):
+    assert_counting_matches_the_closures(group)
 
 
 def assert_radical_and_fitting_are_class_unions(G):
