@@ -19,7 +19,9 @@ G' first when |G| exceeds the degree: every commutator lies in G', so only
 the classes of non-prime-power order inside G' can break CPPO, and with
 none of them the verdict needs no scan; otherwise it reads orders off the
 classes the scan names.  A quotient G/N acts on the right cosets of N,
-each named by the least row of its elements' images of G's base.  All
+each named by the least row of its elements' images of G's base; the
+cosets are walked on those rows alone, with no product formed, and a
+coset's least element is formed only when a lift first needs it.  All
 derived data is produced in a deterministic order: element lists are
 sorted lexicographically by image table, classes by (size, least member).
 
@@ -34,7 +36,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce, wraps
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 
 from .arith import is_prime_power
 from .bsgs import StabilizerChain
@@ -482,22 +484,32 @@ class FiniteGroup:
 
 
 class QuotientGroup(FiniteGroup):
-    """Coset-action quotient G/N with its projection and a lifting section."""
+    """Coset-action quotient G/N with its projection and a lifting section.
 
-    def __init__(self, generators, degree, *, source, kernel, reps, by_key, cap):
+    Coset 0 is N, and every other coset j was met from an earlier coset
+    through one generator of G: links[j] = (parent, generator index).  A
+    coset's least element is formed by representative() on first use.
+    """
+
+    def __init__(self, generators, degree, *, source, kernel, links, by_key, cap):
         super().__init__(generators, degree, cap=cap)
         self.source = source
         self.kernel = kernel
-        self._reps = reps
+        self._links = links
         self._by_key = by_key
-        self._identity_mode = reps is None
+        self._identity_mode = links is None
+        self._least = {0: identity_raw(source.degree)}  # coset N holds the identity
 
     # In identity mode (trivial kernel) the quotient shares the source's
     # heavy caches, since it is the same permutation group.
     def chain(self):
         if self._identity_mode:
             return self.source.chain()
-        return super().chain()
+        if self._chain is None:
+            # N fixes every coset, so the image has order at most |G:N|
+            bound = self.source.order() // self.kernel.order()
+            self._chain = StabilizerChain.from_raw_generators(self.degree, self._raw_gens, bound)
+        return self._chain
 
     def _raw_elements(self):
         if self._identity_mode:
@@ -511,18 +523,47 @@ class QuotientGroup(FiniteGroup):
             return self.source._raw_classes()
         return super()._raw_classes()
 
+    def representative(self, j: int):
+        """The least element of coset j, raw, formed on first use and kept.
+
+        The links are followed up to the nearest coset whose least element r
+        is formed (N's identity at worst).  Each coset below it on the path
+        holds t = r g, g its link's generator, and its least element is the
+        least n t over n in N: since (n t)[i] = t[n[i]], N is narrowed column
+        by column to that one n, and one product forms it.
+        """
+        least, links = self._least, self._links
+        path = []
+        while j not in least:
+            path.append(j)
+            j = links[j][0]
+        r = least[j]
+        gens, nraw = self.source._raw_gens, self.kernel._raw_elements()
+        for j in reversed(path):
+            t = mul_raw(r, gens[links[j][1]])
+            ns = nraw
+            i = 0
+            while len(ns) > 1:
+                column = [t[n[i]] for n in ns]
+                ns = list(compress(ns, map(min(column).__eq__, column)))
+                i += 1
+            r = least[j] = mul_raw(ns[0], t)
+        return r
+
     def project(self, g: Permutation) -> Permutation:
         """Image of g under the coset action; kernel elements map to identity.
         Coset N r g is looked up by its least row of base images, as
-        quotient_by_normal names it."""
+        quotient_by_normal names it; the rows of each coset are replayed
+        from N's along the links, one map_rows per coset."""
         if not self.source.contains(g):
             raise NotInGroupError("%s is not in the source group" % g)
         if self._identity_mode:
             return g
-        n_rows = base_rows(self.kernel._raw_elements(), self.source.chain().base)
-        return Permutation.from_zero_based(
-            self._by_key[min(map_rows(map_rows(n_rows, r), g.raw))] for r in self._reps
-        )
+        gens = self.source._raw_gens
+        rows = [base_rows(self.kernel._raw_elements(), self.source.chain().base)]
+        for parent, gi in self._links[1:]:
+            rows.append(map_rows(rows[parent], gens[gi]))
+        return Permutation.from_zero_based(self._by_key[min(map_rows(r, g.raw))] for r in rows)
 
     def lift(self, q: Permutation) -> Permutation:
         """A source-group representative of the coset permutation q."""
@@ -530,7 +571,7 @@ class QuotientGroup(FiniteGroup):
             raise NotInGroupError("%s is not in the quotient" % q)
         if self._identity_mode:
             return q
-        return Permutation._from_raw(self._reps[q.raw[0]])
+        return Permutation._from_raw(self.representative(q.raw[0]))
 
     def preimage_gens(self, sub) -> list:
         """Raw generators of the source subgroup that maps onto sub: the kernel
@@ -543,7 +584,9 @@ def quotient_by_normal(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
 
     N must be normal in G.  With trivial N the group itself is returned in a
     QuotientGroup wrapper (identity projection) rather than the regular coset
-    action, whose degree |G| would be useless at our sizes.
+    action, whose degree |G| would be useless at our sizes.  The cosets are
+    walked on rows of base images alone and form no product; a coset keeps
+    only its link to the coset it was met from.
     """
     if N.degree != G.degree:
         raise DegreeMismatchError("subgroup degree differs from parent degree")
@@ -558,48 +601,44 @@ def quotient_by_normal(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
             G.degree,
             source=G,
             kernel=N,
-            reps=None,
+            links=None,
             by_key=None,
             cap=G.cap,
         )
 
-    nraw = N._raw_elements()
     gens = G._raw_gens
     # Elements of G differ on G's base, so the least row of base images over
-    # a coset names it: N r g is looked up by the least (g[r[n[b]]] for b in
-    # the base) over n in N, and products are formed only for a coset met
-    # for the first time, to find its canonical representative.
-    n_rows = base_rows(nraw, G.chain().base)
-    start = nraw[0]  # canonical representative of the coset N itself
-    reps = [start]
+    # a coset names it.  The rows of N r g are those of N r mapped through
+    # g, so a coset's rows are kept from the walk step that meets it until
+    # the walk reaches it.
+    n_rows = base_rows(N._raw_elements(), G.chain().base)
     by_key = {min(n_rows): 0}
+    links = [None]
+    pending = {0: n_rows}
     images = [[] for _ in gens]
-    pos = 0
-    while pos < len(reps):
-        r = reps[pos]
-        r_rows = map_rows(n_rows, r)
+    for pos, _ in enumerate(links):  # grows while it is walked
+        r_rows = pending.pop(pos)
         for gi, g in enumerate(gens):
-            key = min(map_rows(r_rows, g))
+            rows = map_rows(r_rows, g)
+            key = min(rows)
             j = by_key.get(key)
             if j is None:
-                if len(reps) >= G.cap:
-                    raise EnumerationCapError(len(reps) + 1, G.cap)
-                t = mul_raw(r, g)
-                c = min(mul_raw(n, t) for n in nraw)
-                j = len(reps)
+                if len(links) >= G.cap:
+                    raise EnumerationCapError(len(links) + 1, G.cap)
+                j = len(links)
                 by_key[key] = j
-                reps.append(c)
+                links.append((pos, gi))
+                pending[j] = rows
             images[gi].append(j)
-        pos += 1
-    degree = len(reps)
-    # images[gi] was filled row by row in rep order, one entry per coset
+    degree = len(links)
+    # images[gi] was filled row by row in coset order, one entry per coset
     qgens = [Permutation.from_zero_based(img) for img in images]
     q = QuotientGroup(
-        [g for g in qgens] or [Permutation.identity(degree)],
+        qgens,
         degree,
         source=G,
         kernel=N,
-        reps=reps,
+        links=links,
         by_key=by_key,
         cap=G.cap,
     )

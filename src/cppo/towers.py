@@ -23,6 +23,15 @@ tables of all their generators, from which the masks of the candidates
 each generator normalizes and centralizes are filled as the search needs
 them.  The kernels of a leaf are memoized by the stages they depend on.  A
 tower it returns has still passed validate_tower.
+
+The probe searches up to conjugacy, with no appeal to Fitting height.
+Adjacent stages have distinct primes and every stage is nontrivial, so a
+group of prime-power order has no tower above height one, and the probe
+says so before listing a candidate.  Conjugation by an element of G maps
+towers to towers and the candidates onto themselves, so the first tower
+the full search would find has the least top stage of its class: a lesser
+conjugate would top the conjugate tower, found earlier.  The top stage is
+therefore drawn from one candidate per class, and the answer is the same.
 """
 
 from __future__ import annotations
@@ -447,6 +456,33 @@ def _p_subgroup_sets(G: FiniteGroup, p: int):
     return _as_raw(elems, _p_subgroup_index_sets(G, p, conj))
 
 
+def _class_roots(cands, conj):
+    """The mask of the least candidate of each conjugacy class.
+
+    cands are (prime, index set, generators) triples, closed under the
+    conjugation tables conj of G's generators.  Classes are the orbits of
+    those tables, walked in candidate order, so the candidate that starts
+    an orbit is its least member.
+    """
+    where = {(p, members): i for i, (p, members, _) in enumerate(cands)}
+    seen = set()
+    roots = 0
+    for i in range(len(cands)):
+        if i in seen:
+            continue
+        roots |= 1 << i
+        seen.add(i)
+        orbit = [i]
+        for j in orbit:
+            p, members, _ = cands[j]
+            for t in conj:
+                k = where[p, frozenset(map(t.__getitem__, members))]
+                if k not in seen:
+                    seen.add(k)
+                    orbit.append(k)
+    return roots
+
+
 def tower_probe(G: FiniteGroup, min_height: int):
     """Bounded exhaustive search for a valid tower of at least the given height.
 
@@ -466,6 +502,13 @@ def tower_probe(G: FiniteGroup, min_height: int):
     only a leaf that passes becomes a Tower, and it is returned only if
     validate_tower accepts it.
 
+    Above height one a group with a single prime divisor answers None
+    before any candidate is listed, and the top stage is offered only the
+    least candidate of each conjugacy class (_class_roots); the module
+    docstring says why neither changes the answer.  Deeper stages are
+    searched in full: the top stage normalizes each of them, so
+    conjugating by its elements moves none.
+
     Intended as a falsification oracle on small groups, not a production
     search; groups above PROBE_ORDER_CAP are refused.
     """
@@ -476,6 +519,8 @@ def tower_probe(G: FiniteGroup, min_height: int):
     primes = [p for p, _ in factorization(G.order())]
     if min_height <= 0:
         return Tower(G, [])
+    if min_height > 1 and len(primes) < 2:
+        return None  # adjacent stages need distinct primes
     elems = G._raw_elements()
     base = G.chain().base
     gen_conj = conjugation_tables(elems, base, G._raw_gens)
@@ -484,6 +529,7 @@ def tower_probe(G: FiniteGroup, min_height: int):
         for p in primes
         for members, gens in _p_subgroup_index_sets(G, p, gen_conj)
     ]
+    tops = _class_roots(cands, gen_conj)
     movers = sorted({x for _, _, gens in cands for x in gens})
     conj = dict(zip(movers, conjugation_tables(elems, base, [elems[x] for x in movers])))
     prime_bits = {p: 0 for p in primes}
@@ -542,10 +588,11 @@ def tower_probe(G: FiniteGroup, min_height: int):
                 G, [(cands[i][0], G._subgroup_raw([elems[x] for x in cands[i][2]])) for i in stages]
             )
             return t if validate_tower(t).valid else None
-        allowed = normed
-        if stages:
+        if not stages:
+            allowed = tops
+        else:
             last = stages[-1]
-            allowed &= ~prime_bits[cands[last][0]]
+            allowed = normed & ~prime_bits[cands[last][0]]
             # only the next stage reads the rows when it is the last one
             norm, moved = below_rows(last, allowed if len(stages) + 1 == min_height else normed)
             normed &= norm

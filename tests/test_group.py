@@ -805,8 +805,9 @@ def assert_quotient_matches_reference(G, N):
     if N.is_trivial():
         return
     degree, gens, reps, index = reference_quotient(G, N)
-    assert (q.degree, [g.raw for g in q.generators], q._reps) == (degree, gens, reps)
-    assert [(r, i) for i, r in enumerate(q._reps)] == index
+    got_reps = [q.representative(j) for j in range(q.degree)]
+    assert (q.degree, [g.raw for g in q.generators], got_reps) == (degree, gens, reps)
+    assert [(r, i) for i, r in enumerate(got_reps)] == index
     # project: x sends coset N r to the coset of the least element of N r x
     nraw, coset_of = N._raw_elements(), dict(index)
     rng = random.Random(20)
@@ -844,17 +845,26 @@ def test_quotients_of_drawn_s6_subgroups_match_the_product_loop(tables):
         assert_quotient_matches_reference(g, n)
 
 
-def test_sl2_9_mod_centre_forms_products_only_for_new_cosets(monkeypatch):
+def test_sl2_9_mod_centre_forms_no_product_before_a_lift(monkeypatch):
     group = build("sl2_9").group
     centre = group.center()
-    calls = []
+    degrees = []
+    for name in ("mul_raw", "mul_all"):
 
-    def counting(a, b):
-        calls.append(1)
-        return mul_raw(a, b)
+        def counting(a, b, _kernel=getattr(cppo.group, name)):
+            degrees.append(len(b))
+            return _kernel(a, b)
 
-    monkeypatch.setattr(cppo.group, "mul_raw", counting)
-    assert quotient_by_normal(group, centre).degree == 360
-    # three products for each of the 359 new cosets; the product loop made
-    # three for each of the 1,080 (coset, generator) pairs
-    assert len(calls) <= 1100
+        monkeypatch.setattr(cppo.group, name, counting)
+    q = quotient_by_normal(group, centre)
+    assert q.degree == 360 and q.order() == 360
+    # the walk maps base rows only, and N's identity is the one element known
+    assert degrees == [] and q._least == {0: centre._raw_elements()[0]}
+    # a lift forms the least element of each coset on its link path, with two
+    # products each (t = r g, then the least n t), and keeps them
+    z = q.generators[0] * q.generators[-1]
+    lifted = q.lift(z)
+    assert q.project(lifted) == z
+    assert degrees == [720] * 2 * (len(q._least) - 1) and len(q._least) > 1
+    q.lift(z)
+    assert len(degrees) == 2 * (len(q._least) - 1)

@@ -5,9 +5,12 @@ irreducibility verdicts over every small tower of candidate stages."""
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cppo import permutation, towers
 from cppo.arith import factorization
@@ -814,6 +817,100 @@ def test_probe_matches_the_chain_reference(small_soluble):
         )
         assert got == want, height
         assert (got is None) == (height > h)
+
+
+@pytest.mark.parametrize("group", list(_lifted_s6_subgroups(6)), ids=lambda g: "order %d" % g.order())
+def test_probe_matches_the_chain_reference_past_the_bytes_kernel(group):
+    assert is_soluble(group)
+    test_probe_matches_the_chain_reference(group)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([5, 6]).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=2)
+    )
+)
+def test_probe_matches_the_chain_reference_on_drawn_soluble_subgroups(tables):
+    g = FiniteGroup([Permutation.from_zero_based(t) for t in tables], degree=len(tables[0]))
+    assume(is_soluble(g))
+    test_probe_matches_the_chain_reference(g)
+
+
+@pytest.mark.parametrize(
+    "atlas_id",
+    ["q8", "dihedral(4)", "extraspecial(2,+)", "extraspecial(2,-)", "extraspecial(3,+)",
+     "extraspecial(3,-)", "direct_product(q8,dihedral(4))"],
+)
+def test_probe_of_a_p_group_lists_no_p_subgroup_above_height_one(atlas_id, monkeypatch):
+    """Adjacent stages need distinct primes, so a group of prime-power order
+    has no tower of height two, and the probe says so before any candidate
+    is listed."""
+    g = build(atlas_id).group
+    assert tower_probe(g, 1).height == 1
+
+    def refused(*args):
+        raise AssertionError("a p-subgroup was listed")
+
+    monkeypatch.setattr(towers, "_p_subgroup_index_sets", refused)
+    assert tower_probe(g, 2) is None and tower_probe(g, 3) is None
+
+
+def _conj_raw_class_count(g):
+    """The number of conjugacy classes of nontrivial p-subgroups, p over the
+    primes of |g|, by conjugating element sets by every element."""
+    count = 0
+    for p, _ in factorization(g.order()):
+        left = {members for members, _ in _p_subgroup_sets(g, p)}
+        while left:
+            members = left.pop()
+            count += 1
+            for c in g._raw_elements():
+                left.discard(frozenset(conj_raw(x, c) for x in members))
+    return count
+
+
+@pytest.mark.parametrize(
+    "atlas_id, classes", [("s4", 7), ("agl1(9)", 5), ("direct_product(sym(3),s4)", 26)]
+)
+def test_probe_tries_one_top_stage_per_conjugacy_class(atlas_id, classes):
+    """A conjugate of a tower is a tower, so the search offers on top only
+    the least candidate of each class; one height above the maximum it
+    tries them all and finds nothing."""
+    g = build(atlas_id).group
+    tops = []
+
+    def watch(frame, event, arg):
+        # each top stage tried opens one search level with a one-stage prefix
+        if event == "call" and frame.f_code.co_name == "extend":
+            if frame.f_globals["__name__"] == towers.__name__ and len(frame.f_locals["stages"]) == 1:
+                tops.append(frame.f_locals["stages"][0])
+
+    h = fitting_height(g)
+    profiler = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        assert tower_probe(g, h + 1) is None
+    finally:
+        sys.setprofile(profiler)
+    assert len(tops) == len(set(tops)) == classes == _conj_raw_class_count(g)
+
+
+def test_capped_elementary_abelian_search_skips_non_commuting_pairs():
+    # past the cap the pool of 48 involutions holds non-commuting pairs,
+    # which are skipped; every list kept is independent and commuting
+    q = build("direct_product(dihedral(4),extraspecial(2,+))").group
+    assert (q.order(), q.degree) == (256, 36)
+    found, complete = _elementary_abelian_subgroup_gens(q, 2)
+    sets = []
+    for gens in found:
+        members = q._subgroup_raw(gens)._raw_elements()
+        assert len(members) == 2 ** len(gens)
+        assert all(order_raw(x) <= 2 for x in members)
+        assert all(mul_raw(x, y) == mul_raw(y, x) for x in gens for y in gens)
+        sets.append(frozenset(members))
+    assert len(sets) == len(set(sets)) > 0
+    assert not complete
 
 
 @pytest.mark.parametrize(
