@@ -8,22 +8,23 @@ chain, as products of one stored coset representative per level, so each is
 formed at most once, and those of the first level are the stored inverses
 themselves.  Conjugacy classes form no conjugate: an element is fixed by its
 images of the chain's base, so each generator acts on element indices
-through a table read off those images, and the classes are the orbits of
-the index tables.  The tables cost one row per element per generator, so a
-group with more than two generators and |G| > degree^2 sweeps on a pair of
-elements checked to generate it, when one is found.  Commutators are read
-off the class table: one scan names, for each class representative r and
-each s in its class, the class of the commutator r^-1 s.  The commutator
-set is the union of the classes the scan hits.  The CPPO verdict looks at
-G' first when |G| exceeds the degree: every commutator lies in G', so only
-the classes of non-prime-power order inside G' can break CPPO, and with
-none of them the verdict needs no scan; otherwise it reads orders off the
-classes the scan names.  A quotient G/N acts on the right cosets of N,
-each named by the least row of its elements' images of G's base; the
-cosets are walked on those rows alone, with no product formed, and a
-coset's least element is formed only when a lift first needs it.  All
-derived data is produced in a deterministic order: element lists are
-sorted lexicographically by image table, classes by (size, least member).
+through a table read off those images, and the classes are the orbits of the
+index tables, walked by orbits, the one sweep that also gives the tower
+probe its candidate classes.  The tables cost one row per element per
+generator, so a group with more than two generators and |G| > degree^2
+sweeps on a pair of elements checked to generate it, when one is found.
+Commutators are read off the class table: one scan names, for each class
+representative r and each s in its class, the class of the commutator
+r^-1 s.  The commutator set is the union of the classes the scan hits.  The
+CPPO verdict looks at G' first when |G| exceeds the degree: every commutator
+lies in G', so only the classes of non-prime-power order inside G' can break
+CPPO, and with none of them the verdict needs no scan; otherwise it reads
+orders off the classes the scan names.  A quotient G/N acts on the right
+cosets of N, each named by the least row of its elements' images of G's
+base; the cosets are walked on those rows alone, with no product formed, and
+a coset's least element is formed only when a lift first needs it.  All
+derived data is produced in a deterministic order: element lists are sorted
+lexicographically by image table, classes by (size, least member).
 
 Every other result a group keeps, here or in structure and towers, is
 memoized on it by one decorator, `cached`, so only this module knows how a
@@ -59,6 +60,7 @@ from .permutation import (
     mul_all,
     mul_raw,
     order_raw,
+    orbits,
 )
 
 DEFAULT_ENUMERATION_CAP = 200_000
@@ -175,10 +177,13 @@ class FiniteGroup:
         return self.chain().order()
 
     def with_cap(self, cap: int | None) -> "FiniteGroup":
-        """The same group carrying `cap` as its enumeration cap; itself when cap is None."""
+        """The same group carrying `cap` as its enumeration cap; itself when
+        cap is None.  It shares this group's chain, but enumerates afresh."""
         if cap is None:
             return self
-        return FiniteGroup(self.generators, degree=self.degree, cap=cap, name=self.name)
+        capped = FiniteGroup(self.generators, degree=self.degree, cap=cap, name=self.name)
+        capped._chain = self._chain
+        return capped
 
     def is_trivial(self) -> bool:
         return not self._raw_gens
@@ -242,21 +247,10 @@ class FiniteGroup:
             # moves[i][j] is the index of elems[j]'s conjugate by the i-th class generator
             base = self.chain().base
             moves = conjugation_tables(elems, base, self._class_gens())
-            seen = bytearray(len(elems))
-            out = []
-            for i, x in enumerate(elems):
-                if seen[i]:
-                    continue
-                seen[i] = 1
-                orbit = [i]
-                for j in orbit:
-                    for move in moves:
-                        k = move[j]
-                        if not seen[k]:
-                            seen[k] = 1
-                            orbit.append(k)
-                orbit.sort()
-                out.append(_RawClass(x, [elems[j] for j in orbit], base))
+            out = [
+                _RawClass(elems[orbit[0]], [elems[j] for j in orbit], base)
+                for orbit in orbits(moves, len(elems))
+            ]
             out.sort(key=lambda c: (len(c.members), c.rep))
             self._classes = out
         return self._classes

@@ -21,7 +21,8 @@ images are g applied to the base columns themselves, and conjugation_sieve
 keeps the members whose conjugates agree with them on the base, comparing
 one such column per base point.  Rows of base images (base_rows) are
 mapped through g by map_rows, the form of mul_all for rows shorter than a
-table.
+table.  orbits walks the orbits of index tables: a group's conjugacy
+classes, and the classes of any family of index sets it conjugates.
 
 Composition is left to right: (p * q) moves a point first through p, then
 through q, matching the conjugation convention x^y = y^-1 x y and
@@ -207,6 +208,28 @@ def multiplication_tables(xs, base, gens):
     of xs, which are cut once for all of gens.
     """
     return _index_tables(xs, base, [(g, base) for g in gens])
+
+
+def orbits(tables, n):
+    """The orbits of range(n) under the index tables, each a sorted list, in
+    order of least member; each table maps range(n) onto itself, as the
+    tables of conjugation_tables do on a list closed under conjugation."""
+    seen = bytearray(n)
+    out = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orbit = [i]
+        for j in orbit:
+            for move in tables:
+                k = move[j]
+                if not seen[k]:
+                    seen[k] = 1
+                    orbit.append(k)
+        orbit.sort()
+        out.append(orbit)
+    return out
 
 
 def comm_raw(x, y):
@@ -402,12 +425,10 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     pos = 0
     images = list(range(degree))
     used = set()
-    saw_cycle = False
     while pos < len(s):
         m = _CYCLE_RE.match(s, pos)
         if m is None:
             raise CycleParseError("malformed cycle notation at %r" % s[pos:])
-        saw_cycle = True
         body = m.group(1)
         if body:
             points = [int(tok) for tok in body.split()]
@@ -422,6 +443,4 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         pos = m.end()
         while pos < len(s) and s[pos].isspace():
             pos += 1
-    if not saw_cycle:
-        raise CycleParseError("no cycles found in %r" % text)
     return Permutation.from_zero_based(images)

@@ -32,12 +32,16 @@ towers to towers and the candidates onto themselves, so the first tower
 the full search would find has the least top stage of its class: a lesser
 conjugate would top the conjugate tower, found earlier.  The top stage is
 therefore drawn from one candidate per class, and the answer is the same.
+The classes are the orbits of the candidates' conjugation tables, kept
+from the closure that adds the conjugates to them, under the sweep that
+gives G's element classes (orbits): each top stage is an orbit's least.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arith import factorization
 from .errors import InsolubleError, TowerDefectError
@@ -51,6 +55,7 @@ from .permutation import (
     mul_raw,
     multiplication_tables,
     order_raw,
+    orbits,
 )
 from .structure import (
     frattini_of_p_group,
@@ -82,8 +87,10 @@ class Tower:
     def height(self) -> int:
         return len(self.stages)
 
-    def _structural_check(self):
-        """Items 1, 2 and 4; returns (item, message) for the first failure."""
+    @cached_property
+    def _defect(self):
+        """Items 1, 2 and 4: (item, message) for the first failure, or None;
+        checked once per tower, like its kernels."""
         for idx, (p, sub) in enumerate(self.stages):
             if not self.ambient.contains_group(sub):
                 return 2, "stage %d does not lie in the ambient group" % (idx + 1)
@@ -111,9 +118,8 @@ class Tower:
     def kernels(self):
         """K_i per stage, computed from the bottom stage upward."""
         if self._kernels is None:
-            defect = self._structural_check()
-            if defect is not None:
-                raise TowerDefectError("item %d: %s" % defect)
+            if self._defect is not None:
+                raise TowerDefectError("item %d: %s" % self._defect)
             ambient = self.ambient
             base = ambient.chain().base
             bottom_up = [sub._raw_elements() for _, sub in reversed(self.stages)]
@@ -151,9 +157,8 @@ def effective_quotients(t: Tower) -> list:
 
 def validate_tower(t: Tower) -> TowerValidity:
     items = {1: True, 2: True, 3: True, 4: True}
-    defect = t._structural_check()
-    if defect is not None:
-        item, message = defect
+    if t._defect is not None:
+        item, message = t._defect
         items[item] = False
         # item 3 is unknowable without the structure; leave it optimistic
         return TowerValidity(False, items, "item %d: %s" % (item, message))
@@ -429,22 +434,30 @@ def _as_raw(elems, sets):
 
 def _p_subgroup_index_sets(G: FiniteGroup, p: int, conj):
     """_p_subgroup_sets as (index set, generator indices) pairs over G's
-    sorted elements; conj holds the conjugation table of each generator of
-    G.  Only the Sylow group's elements get right-multiplication tables."""
+    sorted elements, and tables moves with moves[g][i] the position of pair
+    i's conjugate under conj[g], the conjugation table of G's g-th
+    generator.  Only the Sylow group's elements get right-multiplication
+    tables."""
     elems = G._raw_elements()
     index = dict(zip(elems, range(len(elems))))
     xs = sorted(map(index.__getitem__, sylow_subgroup(G, p)._raw_elements()))
     found = _cyclic_extension(xs, _right_rows(elems, G.chain().base, xs))
     pool = {k: gens for k, gens in _by_size(found) if len(k) > 1}
     queue = list(pool.items())
+    images = {}
     for members, gens in queue:
+        images[members] = row = []
         for t in conj:
             key = frozenset(map(t.__getitem__, members))
+            row.append(key)
             if key not in pool:
                 conj_gens = [t[x] for x in gens]
                 pool[key] = conj_gens
                 queue.append((key, conj_gens))
-    return _by_size(pool)
+    pairs = _by_size(pool)
+    position = {k: i for i, (k, _) in enumerate(pairs)}
+    moves = list(zip(*(map(position.__getitem__, images[k]) for k, _ in pairs)))
+    return pairs, moves
 
 
 def _p_subgroup_sets(G: FiniteGroup, p: int):
@@ -453,34 +466,7 @@ def _p_subgroup_sets(G: FiniteGroup, p: int):
     plus their conjugates under the group generators."""
     elems = G._raw_elements()
     conj = conjugation_tables(elems, G.chain().base, G._raw_gens)
-    return _as_raw(elems, _p_subgroup_index_sets(G, p, conj))
-
-
-def _class_roots(cands, conj):
-    """The mask of the least candidate of each conjugacy class.
-
-    cands are (prime, index set, generators) triples, closed under the
-    conjugation tables conj of G's generators.  Classes are the orbits of
-    those tables, walked in candidate order, so the candidate that starts
-    an orbit is its least member.
-    """
-    where = {(p, members): i for i, (p, members, _) in enumerate(cands)}
-    seen = set()
-    roots = 0
-    for i in range(len(cands)):
-        if i in seen:
-            continue
-        roots |= 1 << i
-        seen.add(i)
-        orbit = [i]
-        for j in orbit:
-            p, members, _ = cands[j]
-            for t in conj:
-                k = where[p, frozenset(map(t.__getitem__, members))]
-                if k not in seen:
-                    seen.add(k)
-                    orbit.append(k)
-    return roots
+    return _as_raw(elems, _p_subgroup_index_sets(G, p, conj)[0])
 
 
 def tower_probe(G: FiniteGroup, min_height: int):
@@ -504,10 +490,11 @@ def tower_probe(G: FiniteGroup, min_height: int):
 
     Above height one a group with a single prime divisor answers None
     before any candidate is listed, and the top stage is offered only the
-    least candidate of each conjugacy class (_class_roots); the module
-    docstring says why neither changes the answer.  Deeper stages are
-    searched in full: the top stage normalizes each of them, so
-    conjugating by its elements moves none.
+    least candidate of each conjugacy class, the least of its orbit under
+    the candidates' conjugation tables; the module docstring says why
+    neither changes the answer.  Deeper stages are searched in full: the
+    top stage normalizes each of them, so conjugating by its elements
+    moves none.
 
     Intended as a falsification oracle on small groups, not a production
     search; groups above PROBE_ORDER_CAP are refused.
@@ -524,12 +511,15 @@ def tower_probe(G: FiniteGroup, min_height: int):
     elems = G._raw_elements()
     base = G.chain().base
     gen_conj = conjugation_tables(elems, base, G._raw_gens)
-    cands = [
-        (p, members, gens)
-        for p in primes
-        for members, gens in _p_subgroup_index_sets(G, p, gen_conj)
-    ]
-    tops = _class_roots(cands, gen_conj)
+    cands = []
+    moves = [[] for _ in gen_conj]
+    for p in primes:
+        pairs, tables = _p_subgroup_index_sets(G, p, gen_conj)
+        # conjugation keeps the prime, so each prime's tables shift by its offset
+        for row, t in zip(moves, tables):
+            row.extend(i + len(cands) for i in t)
+        cands += [(p, members, gens) for members, gens in pairs]
+    tops = sum(1 << orbit[0] for orbit in orbits(moves, len(cands)))
     movers = sorted({x for _, _, gens in cands for x in gens})
     conj = dict(zip(movers, conjugation_tables(elems, base, [elems[x] for x in movers])))
     prime_bits = {p: 0 for p in primes}

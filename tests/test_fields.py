@@ -188,3 +188,13 @@ def test_prime_field_outside_the_supported_range_rejected():
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         gf(5).inv(0)
+    with pytest.raises(ZeroDivisionError):
+        gf(5).multiplicative_order(0)
+
+
+def test_reprs_name_the_field_and_rows():
+    F = gf(5)
+    m = Matrix(F, [[1, 2], [0, 4]])
+    assert repr(F) == "GF(5)"
+    assert repr(m) == "Matrix(GF(5), [[1, 2], [0, 4]])"
+    assert hash(m) == hash(Matrix(F, [[1, 2], [0, 4]]))

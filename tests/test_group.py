@@ -253,6 +253,17 @@ def test_a_regular_representation_keeps_its_generators_and_builds_no_chain(monke
     assert group._class_gens() == group._raw_gens and len(group._raw_gens) == 3
 
 
+def test_with_cap_shares_the_chain_and_enumerates_afresh(monkeypatch):
+    group = build("sl2_9").group
+    group._raw_elements()
+    order, built = chains_built_by(lambda: group.with_cap(10**6).order(), monkeypatch)
+    assert (order, built) == (720, [])
+    capped = group.with_cap(100)
+    assert capped.chain() is group.chain()
+    with pytest.raises(EnumerationCapError):
+        capped._raw_elements()
+
+
 @pytest.mark.parametrize("make", [s4, a5, d10, q8, sl23])
 def test_commutator_set_matches_double_loop(make):
     group = make()
@@ -619,6 +630,21 @@ def test_a_group_past_the_cap_is_refused_before_any_element_is_formed(monkeypatc
         group._raw_elements()
     assert info.value.cap == group.cap
     assert calls == []
+
+
+def test_the_constructor_checks_the_degree():
+    with pytest.raises(DegreeMismatchError, match="explicit degree"):
+        FiniteGroup([])
+    assert FiniteGroup([], degree=3).order() == 1
+    with pytest.raises(DegreeMismatchError, match="degree 5 does not match group degree 4"):
+        FiniteGroup([parse_permutation("(1 2)", 4), parse_permutation("(1 2)", 5)])
+
+
+def test_conjugacy_class_repr_names_rep_and_size():
+    assert [repr(c) for c in s4().conjugacy_classes()[:2]] == [
+        "ConjugacyClass(rep=(), size=1)",
+        "ConjugacyClass(rep=(1 2)(3 4), size=3)",
+    ]
 
 
 def test_membership_and_centralizer_check_the_degree():

@@ -124,6 +124,20 @@ def test_parse_rejects_malformed_input(bad):
         parse_permutation(bad, 4)
 
 
+def test_degree_zero_is_refused():
+    with pytest.raises(CycleParseError):
+        Permutation([])
+    with pytest.raises(CycleParseError):
+        Permutation.identity(0)
+    with pytest.raises(CycleParseError):
+        parse_permutation("()", 0)
+
+
+def test_repr_names_degree_and_cycles():
+    assert repr(P("(1 2 3)", 4)) == "Permutation[4] (1 2 3)"
+    assert repr(Permutation.identity(2)) == "Permutation[2] ()"
+
+
 def test_degree_mismatch_raises():
     with pytest.raises(DegreeMismatchError):
         P("(1 2)", 3) * P("(1 2)", 4)

@@ -478,6 +478,11 @@ def test_sylow_orders_and_conjugate_counts():
         assert count % p == 1 and group.order() % count == 0
 
 
+def test_sylow_subgroup_refuses_a_prime_power():
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        sylow_subgroup(s4(), 4)
+
+
 SYLOW_CORPUS = [(n, g) for n, g in CORPUS if g.order() <= 30_000]
 
 

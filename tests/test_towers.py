@@ -391,6 +391,26 @@ def test_structural_defects(s4):
     v = validate_tower(Tower(a4, [(2, c2)]))
     assert not v.valid and not v.items[2]
     assert v.detail == "item 2: stage 1 does not lie in the ambient group"
+    # a stage of another degree lies in no group of this one
+    c2_on_5 = FiniteGroup(_perms(5, "(1 2)"))
+    v = validate_tower(Tower(s4, [(2, c2_on_5)]))
+    assert v.detail == "item 2: stage 1 does not lie in the ambient group"
+
+
+def test_a_fresh_validation_checks_the_structure_once(s4_tower, monkeypatch):
+    calls = []
+    real = FiniteGroup.normalized_by
+
+    def counting(self, raw_gens):
+        calls.append(self)
+        return real(self, raw_gens)
+
+    monkeypatch.setattr(FiniteGroup, "normalized_by", counting)
+    t = Tower(s4_tower.ambient, s4_tower.stages)
+    assert validate_tower(t).valid and [k.order() for k in t.kernels()] == [1, 1, 1]
+    # one call per pair of stages, each an upper stage normalizing a lower one
+    assert len(calls) == 3
+    assert repr(t) == "Tower(height=3, primes=[2, 3, 2])"
 
 
 def test_kernels_refuse_defective_towers(s4):
