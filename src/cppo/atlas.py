@@ -16,6 +16,11 @@ commuting with every table sends the point to a.  That proves the order is
 bounded by |E| and keeps only its transversal.  Without the certificate the
 chain is built in full; the expected order is checked either way.
 
+Families.  SL(2, q) for q in {3, 5, 9}, the groups between PSL(2,9) and
+PGammaL(2,9), and PSL(3,4) extended by collineations of PG(2, 4) are each one
+builder and one table of members, id -> row.  The catalog entry of a member
+calls the builder with its id and its row, so a new member is a new row.
+
 Conventions.  Every point action is built one way: _induced(points, maps)
 numbers the points by their position in one sorted list and returns the
 permutation each map induces on them.  Affine points are the vectors of
@@ -33,6 +38,7 @@ the sorted orbit of (1, 0, 0, 0) in PG(3, 8).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -146,8 +152,8 @@ def _build_elem_abelian(p, k):
 
 
 def _build_dihedral(n):
-    if n < 2:
-        raise AtlasError("dihedral(n) needs n >= 2")
+    if n < 3:
+        raise AtlasError("dihedral(n) needs n >= 3")
     rot = Permutation.from_zero_based(list(range(1, n)) + [0])
     ref = Permutation.from_zero_based((n - i) % n for i in range(n))
     return _finish("dihedral(%d)" % n, [rot, ref], n, 2 * n)
@@ -281,27 +287,17 @@ def _build_q8():
     return _regular_rep("q8", _q8_matrix_gens(), 8, "regular representation")
 
 
-def _build_sl2_3():
-    F3 = gf(3)
-    gens = [Matrix(F3, [[1, 1], [0, 1]]), Matrix(F3, [[0, 1], [2, 0]])]
-    return _regular_rep("sl2_3", gens, 24, "regular representation")
+# SL(2, q) in its regular representation: id -> (q,)
+_SL2 = {"sl2_%d" % q: (q,) for q in (3, 5, 9)}
 
 
-def _build_sl2_5():
-    F5 = gf(5)
-    gens = [Matrix(F5, [[1, 1], [0, 1]]), Matrix(F5, [[0, 1], [4, 0]])]
-    return _regular_rep("sl2_5", gens, 120, "regular representation")
-
-
-def _build_sl2_9():
-    F9 = gf(9)
-    a = 3  # the square root of -1 in our coding
-    gens = [
-        Matrix(F9, [[1, 1], [0, 1]]),
-        Matrix(F9, [[1, a], [0, 1]]),
-        Matrix(F9, [[0, 1], [2, 0]]),
-    ]
-    return _regular_rep("sl2_9", gens, 720, "regular representation")
+def _build_sl2(id_text, q):
+    """SL(2, q) on its q(q^2 - 1) elements, generated by [[1, b], [0, 1]] for
+    b in the additive basis of F_q and [[0, 1], [-1, 0]]."""
+    F = gf(q)
+    gens = [Matrix(F, [[1, b], [0, 1]]) for b in F.additive_basis]
+    gens.append(Matrix(F, [[0, 1], [F.neg(1), 0]]))
+    return _regular_rep(id_text, gens, q * (q * q - 1), "regular representation")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +379,7 @@ def _build_asl2_4():
 
 
 # ---------------------------------------------------------------------------
-# projective lines: PSL(2, q) and the four groups between PSL(2,9) and PGammaL(2,9)
+# projective lines: PSL(2, q) and the groups between PSL(2,9) and PGammaL(2,9)
 
 
 def _psl2_maps(F: GF):
@@ -392,17 +388,6 @@ def _psl2_maps(F: GF):
     maps = [_projective_map(Matrix(F, [[1, b], [0, 1]])) for b in F.additive_basis]
     maps.append(_projective_map(Matrix(F, [[0, F.neg(1)], [1, 0]])))
     return maps
-
-
-def _pgammal2_9_gens():
-    """PSL(2,9)'s generators on PG(1, 9), then the scaling x -> gx by the
-    least primitive element g and the Frobenius map."""
-    F = gf(9)
-    scaling = _projective_map(Matrix(F, [[1, 0], [0, F.generator()]]))
-    *socle, scale, frob = _induced(
-        _projective_points(F, 2), _psl2_maps(F) + [scaling, _frobenius_map(F)]
-    )
-    return socle, scale, frob
 
 
 def _psl2_order(q):
@@ -416,38 +401,33 @@ def _build_psl2(q):
     return _finish("psl2(%d)" % q, gens, q + 1, _psl2_order(q), notes)
 
 
-def _build_pgl2_9():
-    socle, scale, _ = _pgammal2_9_gens()
-    return _finish("pgl2_9", socle + [scale], 10, 720)
-
-
-def _build_psigmal2_9():
-    socle, _, frob = _pgammal2_9_gens()
-    return _finish("psigmal2_9", socle + [frob], 10, 720)
-
-
-def _build_m10():
-    socle, scale, frob = _pgammal2_9_gens()
-    gens = socle + [scale * frob]
-    return _finish("m10", gens, 10, 720, "socle extension by scaling-then-frobenius")
-
-
-def _build_pgammal2_9():
-    socle, scale, frob = _pgammal2_9_gens()
-    return _finish("pgammal2_9", socle + [scale, frob], 10, 1440)
-
-
-def _build_s6_in_pgammal29():
-    socle, scale, frob = _pgammal2_9_gens()
-    built = _finish(
-        "s6_in_pgammal29",
-        socle + [frob],
-        10,
+# the groups between PSL(2,9) and PGammaL(2,9): id -> (outer generators,
+# each a pair (i, j) standing for scale^i * frob^j; order; notes)
+_PSL2_9_EXTENSIONS = {
+    "pgl2_9": (((1, 0),), 720, ""),
+    "psigmal2_9": (((0, 1),), 720, ""),
+    "m10": (((1, 1),), 720, "socle extension by scaling-then-frobenius"),
+    "pgammal2_9": (((1, 0), (0, 1)), 1440, ""),
+    "s6_in_pgammal29": (
+        ((0, 1),),
         720,
         "the subgroup of pgammal2_9 generated by the socle and the frobenius map",
+    ),
+}
+
+
+def _build_psl2_9_extension(id_text, outer, order, notes):
+    """PSL(2,9)'s generators on PG(1, 9), then scale^i * frob^j for each
+    (i, j) in outer, where scale is x -> gx by the least primitive element g
+    and frob is the Frobenius map.  The extras keep phi, the scaling, and the
+    socle generators."""
+    F = gf(9)
+    scaling = _projective_map(Matrix(F, [[1, 0], [0, F.generator()]]))
+    *socle, scale, frob = _induced(
+        _projective_points(F, 2), _psl2_maps(F) + [scaling, _frobenius_map(F)]
     )
-    built.extras["phi"] = scale
-    built.extras["socle_generators"] = socle
+    built = _finish(id_text, socle + [scale**i * frob**j for i, j in outer], 10, order, notes)
+    built.extras.update(phi=scale, socle_generators=socle)
     return built
 
 
@@ -507,37 +487,30 @@ def _build_psl3_4():
     return _finish("psl3_4", gens, 21, 20160, "21 points of the projective plane over F4")
 
 
-def _psl34_42_gens():
-    return [projective_permutation(M, "points_and_lines") for M in _psl34_matrix_gens()]
+def _delta_collineation():
+    return projective_permutation(_delta_matrix(), "points_and_lines")
 
 
-def _build_psl34_phi_ext():
-    gens = _psl34_42_gens() + [frobenius_collineation()]
-    return _finish("psl34_phi_ext", gens, 42, 40320, "socle extended by the field squaring")
-
-
-def _build_psl34_g1():
-    delta = projective_permutation(_delta_matrix(), "points_and_lines")
-    gens = _psl34_42_gens() + [delta, frobenius_collineation()]
-    return _finish(
-        "psl34_g1",
-        gens,
-        42,
+# PSL(3,4) extended by collineations, on points and lines: id -> (the
+# collineations added to the socle; order; notes)
+_PSL34_EXTENSIONS = {
+    "psl34_phi_ext": ((frobenius_collineation,), 40320, "socle extended by the field squaring"),
+    "psl34_g1": (
+        (_delta_collineation, frobenius_collineation),
         120960,
         "socle with the order-3 diagonal collineation and the field squaring",
-    )
-
-
-def _build_psl34_g2():
-    delta = projective_permutation(_delta_matrix(), "points_and_lines")
-    gens = _psl34_42_gens() + [delta, duality_collineation()]
-    return _finish(
-        "psl34_g2",
-        gens,
-        42,
+    ),
+    "psl34_g2": (
+        (_delta_collineation, duality_collineation),
         120960,
         "socle with the order-3 diagonal collineation and the polarity",
-    )
+    ),
+}
+
+
+def _build_psl34_extension(id_text, outer, order, notes):
+    gens = [projective_permutation(M, "points_and_lines") for M in _psl34_matrix_gens()]
+    return _finish(id_text, gens + [f() for f in outer], 42, order, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +601,12 @@ _INT = ("an integer", _is_int)
 _SIGN = ('a sign "+" or "-"', lambda a: a in ("+", "-"))
 _ID = ("an atlas id", lambda a: isinstance(a, str))
 
+
+def _members(builder, family):
+    """Catalog entries for a family's members, each built from its own row."""
+    return {name: (functools.partial(builder, name, *row), ()) for name, row in family.items()}
+
+
 # name -> (builder, the kinds of its parameters)
 _CATALOG = {
     "cyclic": (_build_cyclic, (_INT,)),
@@ -638,21 +617,13 @@ _CATALOG = {
     "alt": (_build_alt, (_INT,)),
     "s4": (lambda: _build_sym(4), ()),
     "extraspecial": (_build_extraspecial, (_INT, _SIGN)),
-    "sl2_3": (_build_sl2_3, ()),
-    "sl2_5": (_build_sl2_5, ()),
-    "sl2_9": (_build_sl2_9, ()),
+    **_members(_build_sl2, _SL2),
     "agl1": (_build_agl1, (_INT,)),
     "asl2_4": (_build_asl2_4, ()),
     "psl2": (_build_psl2, (_INT,)),
     "psl3_4": (_build_psl3_4, ()),
-    "m10": (_build_m10, ()),
-    "pgl2_9": (_build_pgl2_9, ()),
-    "psigmal2_9": (_build_psigmal2_9, ()),
-    "pgammal2_9": (_build_pgammal2_9, ()),
-    "s6_in_pgammal29": (_build_s6_in_pgammal29, ()),
-    "psl34_g1": (_build_psl34_g1, ()),
-    "psl34_g2": (_build_psl34_g2, ()),
-    "psl34_phi_ext": (_build_psl34_phi_ext, ()),
+    **_members(_build_psl2_9_extension, _PSL2_9_EXTENSIONS),
+    **_members(_build_psl34_extension, _PSL34_EXTENSIONS),
     "sz8": (_build_sz8, ()),
     "direct_product": (_build_direct_product, (_ID, _ID)),
 }
@@ -743,6 +714,8 @@ def load_group_spec(document) -> FiniteGroup:
     """
     if not isinstance(document, dict):
         raise SchemaError("group spec must be a mapping")
+    if not isinstance(document.get("name", ""), str):
+        raise SchemaError("name must be a string")
     if "generators" in document:
         for key in ("name", "degree"):
             if key not in document:
@@ -750,8 +723,11 @@ def load_group_spec(document) -> FiniteGroup:
         degree = document["degree"]
         if not _is_int(degree) or degree < 1:
             raise SchemaError("degree must be a positive integer")
+        texts = document["generators"]
+        if not isinstance(texts, list) or not all(isinstance(text, str) for text in texts):
+            raise SchemaError("generators must be a list of strings")
         gens = []
-        for text in document["generators"]:
+        for text in texts:
             try:
                 gens.append(parse_permutation(text, degree))
             except Exception as exc:
@@ -812,12 +788,12 @@ def reproduce_psl34_commutators() -> dict:
 
 
 def exceptional_automorphism_witness():
-    """Search the degree-10 model of S6 for an odd-order twisted commutator.
+    """Search the degree-10 model of S6 for a twisted commutator of order 3.
 
     With H the s6_in_pgammal29 group, A its socle and phi the designated
-    element outside H, scan x in H minus A and y in A for [x, phi*y] of odd
-    order greater than 1 and return (x, phi*y, order) minimizing the order,
-    ties broken by scan position.
+    element outside H, scan x in H minus A and y in A, and return
+    (x, phi*y, 3) for the first pair whose commutator [x, phi*y] has order 3,
+    the least odd order greater than 1.  AtlasError if no pair has one.
     """
     built = build("s6_in_pgammal29")
     H = built.group
@@ -825,16 +801,10 @@ def exceptional_automorphism_witness():
     socle = FiniteGroup(built.extras["socle_generators"], degree=10)
     a_elems = socle.elements()
     outer = [x for x in H.elements() if not socle.contains(x)]
-    best = None
     for x in outer:
         xinv = ~x
         for y in a_elems:
             t = phi * y
-            w = xinv * ~t * x * t
-            o = w.order()
-            if o > 1 and o % 2 == 1:
-                if best is None or o < best[2]:
-                    best = (x, t, o)
-                    if o == 3:
-                        return best
-    return best
+            if (xinv * ~t * x * t).order() == 3:
+                return x, t, 3
+    raise AtlasError("no twisted commutator of order 3 in the S6 model")

@@ -262,11 +262,16 @@ def run_full_suite(documents, ids=None, seed: int = 0) -> FullSuiteResult:
 
 
 def _report_from_doc(doc: dict) -> ClassificationReport:
+    if not isinstance(doc, dict):
+        raise SchemaError("a report must be a mapping, got %r" % (doc,))
     known = {f: doc[f] for f in ClassificationReport.__dataclass_fields__ if f in doc}
     missing = set(doc) - set(known)
     if missing:
         raise SchemaError("unknown report fields: %s" % sorted(missing))
-    return ClassificationReport(**known)
+    try:
+        return ClassificationReport(**known)
+    except TypeError as e:  # a field without a default is absent
+        raise SchemaError("report lacks required fields: %s" % e)
 
 
 def _to_text(**sections) -> str:
@@ -296,7 +301,10 @@ def load_results(path) -> list[ClassificationReport]:
         raise SchemaError(
             "results schema version %r is not %d" % (payload["schema_version"], SCHEMA_VERSION)
         )
-    return [_report_from_doc(d) for d in payload.get("reports", [])]
+    reports = payload.get("reports", [])
+    if not isinstance(reports, list):
+        raise SchemaError("reports must be a list")
+    return [_report_from_doc(d) for d in reports]
 
 
 def lemma_checks_to_doc(checks) -> list:

@@ -112,19 +112,8 @@ def _affine_plane_3():
 
 def _s4_wreath_2():
     """S4 wr C2 on 8 points with an abelian three-stage tower inside it."""
-    g = FiniteGroup(
-        [
-            Permutation([2, 1, 3, 4, 5, 6, 7, 8]),
-            Permutation([2, 3, 4, 1, 5, 6, 7, 8]),
-            Permutation([1, 2, 3, 4, 6, 5, 7, 8]),
-            Permutation([1, 2, 3, 4, 6, 7, 8, 5]),
-            Permutation([5, 6, 7, 8, 1, 2, 3, 4]),
-        ],
-        degree=8,
-        name="s4wr2",
-    )
-    if g.order() != 1152:
-        raise GroupError("wreath ambient built wrong")
+    base = build("direct_product(s4,s4)").group.generators
+    g = FiniteGroup(base + [Permutation([5, 6, 7, 8, 1, 2, 3, 4])], degree=8, name="s4wr2")
     swap = g.generators[4].raw
     t12 = g.generators[0].raw
     x = Permutation._from_raw(mul_raw(swap, t12))  # (1 5 2 6)(3 7)(4 8)

@@ -65,6 +65,63 @@ def test_catalog_orders(atlas_id, order):
     assert build(atlas_id).group.order() == order
 
 
+# id -> (id text, degree, notes) for each sample: `cppo atlas build` prints
+# these beside the order, and the generator digest below does not cover them
+CATALOG_FACTS = {
+    "agl1(8)": ("agl1(8)", 8, "affine maps x -> ax + b"),
+    "alt(6)": ("alt(6)", 6, ""),
+    "asl2_4": ("asl2_4", 16, "F4^2 translations extended by SL(2,4)"),
+    "cyclic(9)": ("cyclic(9)", 9, ""),
+    "dihedral(7)": ("dihedral(7)", 7, ""),
+    "direct_product(q8,cyclic(3))": ("direct_product(q8,cyclic(3))", 11, ""),
+    "elem_abelian(5,2)": ("elem_abelian(5,2)", 10, ""),
+    "extraspecial(2,+)": (
+        "extraspecial(2,+)",
+        32,
+        "central product of two "
+        "dihedral groups of order 8",
+    ),
+    "extraspecial(2,-)": ("extraspecial(2,-)", 32, "central product of dihedral order 8 with q8"),
+    "extraspecial(3,+)": ("extraspecial(3,+)", 9, "Heisenberg model, exponent 3"),
+    "extraspecial(3,-)": ("extraspecial(3,-)", 9, "exponent 9 model"),
+    "extraspecial(5,+)": ("extraspecial(5,+)", 25, "Heisenberg model, exponent 5"),
+    "m10": ("m10", 10, "socle extension by scaling-then-frobenius"),
+    "pgammal2_9": ("pgammal2_9", 10, ""),
+    "pgl2_9": ("pgl2_9", 10, ""),
+    "psigmal2_9": ("psigmal2_9", 10, ""),
+    "psl2(17)": ("psl2(17)", 18, "projective line, 18 points"),
+    "psl34_g1": (
+        "psl34_g1",
+        42,
+        "socle with the order-3 diagonal "
+        "collineation and the field squaring",
+    ),
+    "psl34_g2": ("psl34_g2", 42, "socle with the order-3 diagonal collineation and the polarity"),
+    "psl34_phi_ext": ("psl34_phi_ext", 42, "socle extended by the field squaring"),
+    "psl3_4": ("psl3_4", 21, "21 points of the projective plane over F4"),
+    "q8": ("q8", 8, "regular representation"),
+    "s4": ("sym(4)", 4, ""),
+    "s6_in_pgammal29": (
+        "s6_in_pgammal29",
+        10,
+        "the subgroup of pgammal2_9 generated by "
+        "the socle and the frobenius map",
+    ),
+    "sl2_3": ("sl2_3", 24, "regular representation"),
+    "sl2_5": ("sl2_5", 120, "regular representation"),
+    "sl2_9": ("sl2_9", 720, "regular representation"),
+    "sym(5)": ("sym(5)", 5, ""),
+    "sz8": ("sz8", 65, "action on the 65-point ovoid over F8"),
+}
+
+
+@pytest.mark.parametrize("atlas_id,order", SAMPLES)
+def test_catalog_facts(atlas_id, order):
+    built = build(atlas_id)
+    assert (built.id_text, built.group.degree, built.notes) == CATALOG_FACTS[atlas_id]
+    assert built.expected_order == order
+
+
 def test_every_catalog_name_is_sampled():
     sampled = {parse_atlas_id(i)[0] for i, _ in SAMPLES}
     assert sampled == set(catalog_names())
@@ -230,9 +287,19 @@ def test_psl34_commutator_reproduction():
 
 def test_exceptional_automorphism_witness_has_order_3():
     x, t, order = exceptional_automorphism_witness()
-    assert order == 3
+    assert (str(x), str(t), order) == ("(2 3 4)(5 9 7 8 6 10)", "(1 2 3 6 10 7 4 5 8 9)", 3)
     w = ~x * ~t * x * t
     assert w.order() == 3
+
+
+def test_exceptional_automorphism_witness_raises_when_the_scan_finds_none(monkeypatch):
+    # with H cut down to its socle there is no x in H minus A to scan
+    built = build("s6_in_pgammal29")
+    socle = FiniteGroup(built.extras["socle_generators"], degree=10)
+    stand_in = atlas.BuiltGroup("socle", socle, 360, extras=built.extras)
+    monkeypatch.setattr(atlas, "build", lambda atlas_id: stand_in)
+    with pytest.raises(AtlasError, match="order 3"):
+        exceptional_automorphism_witness()
 
 
 def test_load_group_spec_documents():
@@ -247,6 +314,8 @@ def test_load_group_spec_rejects_malformed_documents():
         load_group_spec({"degree": 4})
     with pytest.raises(SchemaError):
         load_group_spec({"name": "x", "degree": 4, "generators": "(1 2)"})
+    with pytest.raises(SchemaError, match="^bad generator '\\(1 5\\)': "):
+        load_group_spec({"name": "x", "degree": 4, "generators": ["(1 5)"]})
     with pytest.raises(SchemaError):
         load_group_spec({"name": "x", "degree": True, "generators": []})
     with pytest.raises(AtlasError):
@@ -325,7 +394,8 @@ def test_parse_atlas_id_names_each_malformation(text, message):
         ("elem_abelian(4,2)", "elem_abelian(p, k) needs a prime p with p^k manageable"),
         ("elem_abelian(2,0)", "elem_abelian(p, k) needs a prime p with p^k manageable"),
         ("elem_abelian(2,13)", "elem_abelian(p, k) needs a prime p with p^k manageable"),
-        ("dihedral(1)", "dihedral(n) needs n >= 2"),
+        ("dihedral(1)", "dihedral(n) needs n >= 3"),
+        ("dihedral(2)", "dihedral(n) needs n >= 3"),
         ("sym(0)", "sym(n) supported for 1 <= n <= 12"),
         ("sym(13)", "sym(n) supported for 1 <= n <= 12"),
         ("alt(2)", "alt(n) supported for 3 <= n <= 12"),
@@ -351,6 +421,11 @@ def test_cyclic_1_is_the_trivial_group_on_one_point():
         ({"name": "x", "generators": []}, "explicit group spec needs 'degree'"),
         ({"atlas": "sym", "params": 4}, "params must be a list"),
         ({"atlas": "sym", "params": "4"}, "params must be a list"),
+        ({"atlas": "sym", "params": [3], "name": 5}, "name must be a string"),
+        ({"name": "x", "degree": 3, "generators": 5}, "generators must be a list of strings"),
+        ({"name": "x", "degree": 3, "generators": "(1 2)"}, "generators must be a list of strings"),
+        ({"name": "x", "degree": 3, "generators": [12]}, "generators must be a list of strings"),
+        ({"name": None, "degree": 3, "generators": []}, "name must be a string"),
     ],
     ids=str,
 )

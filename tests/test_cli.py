@@ -94,7 +94,16 @@ def test_atlas_build_rejects_parameters_of_the_wrong_kind(atlas_id, capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    [{"atlas": ["x"]}, {"atlas": "cyclic", "params": ["a"]}, {"atlas": "sym", "params": [True]}],
+    [
+        {"atlas": ["x"]},
+        {"atlas": "cyclic", "params": ["a"]},
+        {"atlas": "sym", "params": [True]},
+        {"atlas": "sym", "params": [3], "name": 5},
+        {"name": "x", "degree": 3, "generators": 5},
+        {"name": "x", "degree": 3, "generators": "(1 2)"},
+        {"name": "x", "degree": 3, "generators": [12]},
+        {"name": 5, "degree": 3, "generators": ["(1 2)"]},
+    ],
     ids=str,
 )
 def test_classify_rejects_malformed_atlas_specs(tmp_path, capsys, spec):

@@ -360,6 +360,12 @@ def test_load_results_schema_validation(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_results(path)
+    # a report lacking required fields, a report that is not a mapping, and
+    # reports given as a mapping rather than a list
+    for reports in ([{"name": "x"}], [5], {"name": "x"}):
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "reports": reports}))
+        with pytest.raises(SchemaError):
+            load_results(path)
 
 
 def test_structured_text_is_deterministic():

@@ -167,6 +167,18 @@ def test_affine_splits_translations_from_scalings(qs):
         assert s in amb and s not in trans
 
 
+def test_s4_wreath_2_ambient_is_pinned():
+    # S4 x S4 on points 1-4 and 5-8, each by (1 2) and (1 2 3 4), then the block swap
+    amb = lemmas._s4_wreath_2()[0]
+    assert [list(g.raw) for g in amb.generators] == [
+        [1, 0, 2, 3, 4, 5, 6, 7],
+        [1, 2, 3, 0, 4, 5, 6, 7],
+        [0, 1, 2, 3, 5, 4, 6, 7],
+        [0, 1, 2, 3, 5, 6, 7, 4],
+        [4, 5, 6, 7, 0, 1, 2, 3],
+    ]
+    assert (amb.name, amb.degree, amb.order()) == ("s4wr2", 8, 1152)
+
 
 
 # ---------------------------------------------------------------------------
