@@ -176,6 +176,10 @@ def _cmd_commutators(args) -> int:
     return 0
 
 
+# the commands with a structured output form
+_STRUCTURED = (_cmd_classify, _cmd_verify_theorems, _cmd_verify_lemmas)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cppo",
@@ -224,7 +228,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.cap is not None and args.cap < 1:
+        parser.error("--cap must be at least 1, got %d" % args.cap)
+    if args.format == "structured" and args.func not in _STRUCTURED:
+        parser.error("--format structured applies to classify and verify only")
     try:
         return args.func(args)
     except (GroupError, OSError) as e:

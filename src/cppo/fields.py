@@ -66,12 +66,7 @@ class GF:
         ]
         self._neg = [_undigits([(-x) % p for x in da], p) for da in digits]
         self._mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     def _poly_mul(self, a, b):
         p, k = self.p, self.k
@@ -171,21 +166,9 @@ class Matrix:
         return len(self.rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        F = self.field
-        if other.field is not F:
+        if other.field is not self.field:
             raise AtlasError("matrices over different fields")
-        add, mul = F._add, F._mul
-        bt = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new = []
-            for col in bt:
-                s = 0
-                for x, y in zip(row, col):
-                    s = add[s][mul[x][y]]
-                new.append(s)
-            out.append(new)
-        return Matrix(F, out)
+        return Matrix(self.field, [other.apply_row(r) for r in self.rows])
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.rows)))

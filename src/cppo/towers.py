@@ -8,9 +8,9 @@ be nontrivial.  The maximum height of a tower of a soluble group equals its
 Fitting height; find_max_tower certifies that equality constructively.
 
 Stages are small p-groups, so kernels are computed on element lists by one
-routine, _kernel_set, which Tower.kernels and the tower_probe search share:
-it reads K_i off the conjugation tables of P_i on the element list of
-P_{i+1}.
+bottom-up recurrence, _kernel_sets, which Tower.kernels and the tower_probe
+search share: each step reads K_i off the conjugation tables of P_i on the
+element list of P_{i+1}.
 
 The exhaustive search behind tower_probe works on indices into G's sorted
 element list, so it forms no permutation and builds no group or stabilizer
@@ -19,9 +19,8 @@ cyclic extension over the Sylow group's multiplication tables, each join
 closed coset by coset by _close_set; since the indices follow element
 order, sorting index sets sorts the element sets alike.  The candidates
 are indexed once, and one conjugation_tables call per probe gives the
-tables of all their generators, from which the masks of the candidates
-each generator normalizes and centralizes are filled as the search needs
-them.  The kernels of a leaf are memoized by the stages they depend on.  A
+tables of all their generators; a generator's masks, of the candidates it
+normalizes and of those it centralizes, are filled on its first use.  A
 tower it returns has still passed validate_tower.
 
 The probe searches up to conjugacy, with no appeal to Fitting height.
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .arith import factorization
 from .errors import InsolubleError, TowerDefectError
@@ -121,12 +120,8 @@ class Tower:
             if self._defect is not None:
                 raise TowerDefectError("item %d: %s" % self._defect)
             ambient = self.ambient
-            base = ambient.chain().base
             bottom_up = [sub._raw_elements() for _, sub in reversed(self.stages)]
-            # K_h = 1, and the identity sorts first
-            sets = [frozenset([0])] if bottom_up else []
-            for lower, members in zip(bottom_up, bottom_up[1:]):
-                sets.append(_kernel_set(members, lower, sets[-1], base))
+            sets = list(_kernel_sets(bottom_up, ambient.chain().base))
             self._kernels = [
                 ambient._subgroup_from_raw_elements([members[j] for j in k])
                 for members, k in zip(reversed(bottom_up), reversed(sets))
@@ -392,6 +387,18 @@ def _kernel_set(members, lower, below, base):
     return frozenset(j for j, t in enumerate(moves) if list(map(label.__getitem__, t)) == label)
 
 
+def _kernel_sets(bottom_up, base):
+    """K_h, ..., K_1 as position sets, one at a time: bottom_up holds the
+    sorted element lists of the stages from the bottom one up, K_h = 1 is
+    {0} since the identity sorts first, and each K_i comes from the K_{i+1}
+    below it by _kernel_set."""
+    k = frozenset([0])
+    for i, members in enumerate(bottom_up):
+        if i:
+            k = _kernel_set(members, bottom_up[i - 1], k, base)
+        yield k
+
+
 def _by_size(sets):
     """The (index set, generator list) items of a dict, by size and then by
     sorted indices, which is the order of the sorted element sets."""
@@ -479,14 +486,12 @@ def tower_probe(G: FiniteGroup, min_height: int):
     below a stage: the ones it normalizes (item 2), and among those the ones
     it does not centralize.  They are the AND of masks kept per generator,
     of the candidates whose generators it maps into the candidate and of
-    those whose generators it fixes, read off its conjugation table; a
-    generator's masks are filled only on the columns a search below it can
-    still use.  A stage that centralizes the stage below has K_i = P_i and
-    fails item 3 whatever lies lower, so only the second mask is offered
-    directly below.  A full-height leaf checks item 3 with K_i computed
-    bottom-up and memoized by the suffix of stage indices it depends on;
-    only a leaf that passes becomes a Tower, and it is returned only if
-    validate_tower accepts it.
+    those whose generators it fixes, read off its conjugation table over
+    every candidate.  A stage that centralizes the stage below has K_i = P_i
+    and fails item 3 whatever lies lower, so only the second mask is offered
+    directly below.  A full-height leaf checks item 3 up the _kernel_sets
+    recurrence, which stops at the first K_i = P_i; only a leaf that passes
+    becomes a Tower, and it is returned only if validate_tower accepts it.
 
     Above height one a group with a single prime divisor answers None
     before any candidate is listed, and the top stage is offered only the
@@ -525,54 +530,35 @@ def tower_probe(G: FiniteGroup, min_height: int):
     prime_bits = {p: 0 for p in primes}
     for i, (p, _, _) in enumerate(cands):
         prime_bits[p] |= 1 << i
-    acts = {}  # mover -> [normalized mask, centralized mask, filled mask]
-    kernels = {}  # stage-index suffix -> K of its top stage, or False if K is the stage
 
-    def act(x, need):
-        """Mover x's masks, filled at least on the columns in need."""
-        masks = acts.setdefault(x, [0, 0, 0])
-        todo = need & ~masks[2]
-        masks[2] |= todo
+    @cache
+    def masks(x):
+        """The candidates mover x normalizes, and those it centralizes."""
         t = conj[x]
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            _, members, gens = cands[low.bit_length() - 1]
+        norm = fixed = 0
+        for j, (_, members, gens) in enumerate(cands):
             images = [t[y] for y in gens]
             if members.issuperset(images):
-                masks[0] |= low
+                norm |= 1 << j
                 if images == gens:
-                    masks[1] |= low
-        return masks
+                    fixed |= 1 << j
+        return norm, fixed
 
-    def below_rows(i, need):
-        """Within need, the candidates i normalizes, and those it also moves."""
-        norm = fixed = need
+    def below_rows(i):
+        """The candidates i normalizes, and those it also moves."""
+        norm = fixed = -1  # every bit set
         for x in cands[i][2]:
-            masks = act(x, norm)
-            norm &= masks[0]
-            fixed &= masks[1]
+            x_norm, x_fixed = masks(x)
+            norm &= x_norm
+            fixed &= x_fixed
         return norm, norm & ~fixed
-
-    def kernel(suffix):
-        if suffix not in kernels:
-            members = sorted(map(elems.__getitem__, cands[suffix[0]][1]))
-            if len(suffix) == 1:
-                k = frozenset([0])  # the identity sorts first
-            else:
-                below = kernel(suffix[1:])
-                if below is False:
-                    kernels[suffix] = False
-                    return False
-                lower = sorted(map(elems.__getitem__, cands[suffix[1]][1]))
-                k = _kernel_set(members, lower, below, base)
-            kernels[suffix] = False if len(k) == len(members) else k
-        return kernels[suffix]
 
     def extend(stages, normed):
         """normed: the candidates that every stage above the last normalizes."""
         if len(stages) == min_height:
-            if kernel(tuple(stages)) is False:
+            bottom_up = [[elems[j] for j in sorted(cands[i][1])] for i in reversed(stages)]
+            kernels = _kernel_sets(bottom_up, base)
+            if any(len(k) == len(members) for k, members in zip(kernels, bottom_up)):
                 return None
             t = Tower(
                 G, [(cands[i][0], G._subgroup_raw([elems[x] for x in cands[i][2]])) for i in stages]
@@ -582,11 +568,9 @@ def tower_probe(G: FiniteGroup, min_height: int):
             allowed = tops
         else:
             last = stages[-1]
-            allowed = normed & ~prime_bits[cands[last][0]]
-            # only the next stage reads the rows when it is the last one
-            norm, moved = below_rows(last, allowed if len(stages) + 1 == min_height else normed)
+            norm, moved = below_rows(last)
             normed &= norm
-            allowed &= moved
+            allowed = normed & moved & ~prime_bits[cands[last][0]]
         while allowed:
             low = allowed & -allowed
             allowed ^= low

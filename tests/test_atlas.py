@@ -285,6 +285,17 @@ def test_psl34_commutator_reproduction():
     }
 
 
+def test_the_psl34_commutators_are_the_fixed_matrices():
+    # A1 and A2 as reproduce_psl34_commutators builds them, over F4 with
+    # a = 2 and a^2 = 3
+    F = gf(4)
+    A1 = Matrix(F, [[1, 0, 0], [0, 1, 2], [0, 0, 1]])
+    A2 = Matrix(F, [[1, 0, 0], [0, 2, 1], [0, 0, 3]])
+    assert A1.inverse() * A1.frobenius() == Matrix(F, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    c2 = A2.inverse() * A2.transpose().inverse()
+    assert c2 == Matrix(F, [[1, 0, 0], [0, 3, 2], [0, 2, 3]])
+
+
 def test_exceptional_automorphism_witness_has_order_3():
     x, t, order = exceptional_automorphism_witness()
     assert (str(x), str(t), order) == ("(2 3 4)(5 9 7 8 6 10)", "(1 2 3 6 10 7 4 5 8 9)", 3)
@@ -426,6 +437,14 @@ def test_cyclic_1_is_the_trivial_group_on_one_point():
         ({"name": "x", "degree": 3, "generators": "(1 2)"}, "generators must be a list of strings"),
         ({"name": "x", "degree": 3, "generators": [12]}, "generators must be a list of strings"),
         ({"name": None, "degree": 3, "generators": []}, "name must be a string"),
+        (
+            {"atlas": "sym", "params": [5], "name": "x", "degree": 2, "generators": ["(1 2)"]},
+            "group spec mixes 'generators'/'degree' with 'atlas'/'params'",
+        ),
+        (
+            {"atlas": "sym", "params": [5], "degree": 2},
+            "group spec mixes 'generators'/'degree' with 'atlas'/'params'",
+        ),
     ],
     ids=str,
 )

@@ -103,6 +103,8 @@ def test_atlas_build_rejects_parameters_of_the_wrong_kind(atlas_id, capsys):
         {"name": "x", "degree": 3, "generators": "(1 2)"},
         {"name": "x", "degree": 3, "generators": [12]},
         {"name": 5, "degree": 3, "generators": ["(1 2)"]},
+        {"atlas": "sym", "params": [5], "name": "x", "degree": 2, "generators": ["(1 2)"]},
+        {"atlas": "sym", "params": [5], "degree": 2},
     ],
     ids=str,
 )
@@ -151,6 +153,37 @@ def test_classify_strict_cap(capsys):
     assert main(["--cap", "10", "classify", "atlas:s4"]) == 0
     assert "skipped: too large (cap=10)" in capsys.readouterr().out
     assert main(["--cap", "10", "--strict", "classify", "atlas:s4"]) == 1
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_a_cap_below_one_is_refused(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cap", cap, "classify", "atlas:s4"])
+    assert exc.value.code == 2
+    assert "--cap must be at least 1, got %s" % cap in capsys.readouterr().err
+
+
+def test_a_cap_of_one_is_accepted(capsys):
+    assert main(["--cap", "1", "classify", "atlas:cyclic(1)"]) == 0
+    assert "skipped:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["atlas", "list"],
+        ["atlas", "build", "s4"],
+        ["tower", "find", "atlas:s4"],
+        ["commutators", "atlas:q8"],
+    ],
+    ids=" ".join,
+)
+def test_structured_format_is_refused_by_the_text_only_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "structured"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--format structured applies to classify and verify only" in err
 
 
 def test_classify_beyond_the_group_cap(capsys):
