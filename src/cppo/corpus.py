@@ -95,10 +95,14 @@ def corpus_groups(documents=None) -> list:
     return out
 
 
-def corpus_groups_upto(bound: int) -> list:
+def corpus_groups_upto(bound: int):
     """corpus_groups() of the default corpus for the groups of order at most
-    bound; the other documents are dropped by their recorded order, unbuilt."""
-    return corpus_groups([dict(doc) for order, doc in _SOLUBLE + _INSOLUBLE if order <= bound])
+    bound, lazily: each group is built when the caller reaches it and none
+    is kept here, so a caller that drops each group in turn holds one at a
+    time.  The other documents are dropped by their recorded order, unbuilt."""
+    for order, doc in _SOLUBLE + _INSOLUBLE:
+        if order <= bound:
+            yield from corpus_groups([dict(doc)])
 
 
 def write_corpus_file(path, documents=None) -> None:

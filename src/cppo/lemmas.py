@@ -11,6 +11,8 @@ pass.
 Corpus-driven families (opelinha, casolo_quotient, the perfect-group
 lemmas) restrict to corpus groups of order at most 1000 so the whole suite
 stays in seconds; the bound is an instance policy, not a correctness cap.
+corpus_groups_upto builds those groups one at a time, so each such source
+holds one group and its caches at a time.
 
 Each family is a source and a verdict.  The source _<id>_instances(seed)
 (cc_i and cc_ii share _coprime_pairs) yields (instance, *args) for each
@@ -52,10 +54,10 @@ from .structure import (
     frattini_of_p_group,
     is_nilpotent,
     is_quasisimple,
-    is_simple,
     is_soluble,
     normal_subgroups,
     p_prime_part_of_nilpotent,
+    quotient_is_simple,
     sylow_subgroup,
 )
 from .towers import (
@@ -569,7 +571,7 @@ def _solubleperfect_instances(seed):
             raise GroupError("instance group is not perfect")
         if not is_soluble(n):
             raise GroupError("chosen normal part is not soluble")
-        if not is_simple(quotient_by_normal(g, n)):
+        if not quotient_is_simple(g, n):
             raise GroupError("quotient by the normal part is not simple")
         nchain = n.chain()
         elems = g._raw_elements()

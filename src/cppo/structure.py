@@ -2,8 +2,9 @@
 
 Derived, lower-central and upper-Fitting series; Sylow subgroups, p-cores,
 the Fitting subgroup and soluble radical; the normal subgroup lattice;
-simplicity and quasisimplicity read off class closures, with no lattice or
-quotient.  Simplicity, quasisimplicity and p-cores count before they
+whether a quotient G/N is simple, read off G's class closures with no
+lattice or quotient built, by one routine that simplicity (G/1) and
+quasisimplicity (G/Z(G)) call.  That routine and p-cores count before they
 multiply: a normal subgroup is a union of classes, so its order is a sum
 of class sizes, and when no such sum is an order it could have, the
 verdict needs no class product.  Last comes fingerprint identification of
@@ -16,7 +17,7 @@ group's storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 from .arith import divisors, factorization, is_prime, p_part
 from .bsgs import StabilizerChain
@@ -28,7 +29,7 @@ from .errors import (
     NotSimpleError,
 )
 from .group import FiniteGroup, _commutator_seeds, cached, quotient_by_normal
-from .permutation import conj_raw, identity_raw, mul_all, order_raw, pow_raw
+from .permutation import comm_raw, conj_raw, identity_raw, mul_all, order_raw, pow_raw
 
 DEFAULT_CLASS_CAP = 60
 
@@ -382,25 +383,47 @@ def normal_subgroups(G: FiniteGroup) -> list:
     return [sub for _, sub in ordered]
 
 
-def is_simple(G: FiniteGroup) -> bool:
-    """Nonabelian simplicity: a group of prime order does not count.
+def quotient_is_simple(G: FiniteGroup, N: FiniteGroup) -> bool:
+    """Whether G/N is nonabelian simple, for N normal in G, read off G's
+    classes: no quotient is built.
 
-    Counting comes first: a proper nontrivial normal subgroup has order d
-    with 1 < d < |G| and d dividing |G|, and d is 1 plus the sizes of some
-    nontrivial classes.  When no such sum is a proper divisor, nonabelian G
-    is simple and no class product is formed.  Otherwise nonabelian G is
-    simple iff each nontrivial class has class closure G.
+    G/N is abelian, so not simple here, when every commutator of two
+    generators of G lies in N; N = G leaves the trivial quotient.  Counting
+    comes next: a normal subgroup strictly between N and G is N together
+    with some classes outside N, so its order is |N| plus their sizes, and
+    a proper multiple of |N| dividing |G|.  When no such sum is such an
+    order, G/N is simple and no class product is formed.  Otherwise G/N is
+    simple iff each class C outside N has <C>^G N = G, that is
+    |<C>^G| |N| / |<C>^G & N| = |G|, where all three orders are sums of
+    class sizes: a normal M not inside N holds some such C.
     """
     n = G.order()
-    if n == 1 or G.is_abelian():
+    if N.is_trivial():  # no chain for N = 1
+        m, inside = 1, identity_raw(G.degree).__eq__
+    else:
+        m, inside = N.order(), N.chain().contains_raw
+    if m == n or all(inside(comm_raw(a, b)) for a, b in combinations(G._raw_gens, 2)):
         return False
-    # classes sort by (size, least member), so the identity's comes first
     classes = G._raw_classes()
-    proper = [d for d in divisors(n) if 1 < d < n]
-    if not _class_sums_meet(1, [len(c.members) for c in classes[1:]], proper):
+    sizes = [len(c.members) for c in classes]
+    outside = [k for k, c in enumerate(classes) if not inside(c.rep)]
+    between = [d for d in divisors(n) if m < d < n and d % m == 0]
+    if not _class_sums_meet(m, [sizes[k] for k in outside], between):
         return True
-    whole = len(classes)
-    return all(len(_class_closure(G, k)) == whole for k in range(1, whole))
+    out = frozenset(outside)
+
+    def fills_quotient(k):
+        closure = _class_closure(G, k)
+        meet = sum(sizes[i] for i in closure - out)
+        return sum(sizes[i] for i in closure) * m == n * meet
+
+    return all(map(fills_quotient, outside))
+
+
+def is_simple(G: FiniteGroup) -> bool:
+    """Nonabelian simplicity, G/1 by quotient_is_simple: a group of prime
+    order does not count."""
+    return quotient_is_simple(G, G.trivial_subgroup())
 
 
 # ---------------------------------------------------------------------------
@@ -441,26 +464,10 @@ def identify_simple_eppo(G: FiniteGroup) -> SimpleEppoId:
 
 
 def is_quasisimple(G: FiniteGroup) -> bool:
-    """Perfect with simple central quotient.
+    """Perfect with simple central quotient, G/Z(G) by quotient_is_simple.
 
-    For perfect G and Z = Z(G) != G, counting comes first: a normal
-    subgroup strictly between Z and G holds Z and some classes outside it,
-    and its order is a proper multiple of |Z| dividing |G|.  When no such
-    sum of class sizes is such an order, G/Z is simple and no class product
-    is formed.  Otherwise G/Z is simple iff each class outside Z normally
-    generates G, since a normal N not inside Z has NZ = G, so
+    For perfect G the closure test there asks whether each class outside
+    Z = Z(G) normally generates G: a normal N with NZ = G has
     G = G' = N' <= N.
     """
-    if not is_perfect(G):
-        return False
-    centre = G.center()
-    n, z = G.order(), centre.order()
-    if z == n:
-        return False
-    inside = centre.chain().contains_raw
-    classes = G._raw_classes()
-    outside = [k for k, c in enumerate(classes) if not inside(c.rep)]
-    between = [d for d in divisors(n) if z < d < n and d % z == 0]
-    if not _class_sums_meet(z, [len(classes[k].members) for k in outside], between):
-        return True
-    return all(len(_class_closure(G, k)) == len(classes) for k in outside)
+    return is_perfect(G) and quotient_is_simple(G, G.center())

@@ -53,8 +53,8 @@ from .permutation import (
     mul_all,
     mul_raw,
     multiplication_tables,
-    order_raw,
     orbits,
+    pow_raw,
 )
 from .structure import (
     frattini_of_p_group,
@@ -183,10 +183,16 @@ def _commutator_span(ambient, action_raws, target: FiniteGroup):
     return _closure_under_conjugation(ambient, seeds, list(action_raws) + target._raw_gens)
 
 
+def _has_order_p(x, p: int) -> bool:
+    """Whether the raw element x has prime order p: x != 1 and x^p = 1.  No
+    cycle walk, which past degree 256 and with no base visits every point."""
+    return pow_raw(x, p) == identity_raw(len(x)) != x
+
+
 def _elementary_abelian_gens(gens, p: int) -> bool:
-    """Whether the raw elements gens have order p and commute, that is,
-    generate an elementary abelian p-group."""
-    return all(order_raw(x) == p for x in gens) and all(
+    """Whether the raw elements gens have prime order p and commute, that
+    is, generate an elementary abelian p-group."""
+    return all(_has_order_p(x, p) for x in gens) and all(
         mul_raw(a, b) == mul_raw(b, a) for a, b in itertools.combinations(gens, 2)
     )
 
@@ -206,7 +212,7 @@ def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int):
     if Q.order() < ELEMENTARY_SEARCH_CAP:
         subgroups = _p_subgroup_sets(Q, p)
         return [gens for _, gens in subgroups if _elementary_abelian_gens(gens, p)], True
-    order_p = [x for x in Q._raw_elements() if order_raw(x) == p]
+    order_p = [x for x in Q._raw_elements() if _has_order_p(x, p)]
     ident = identity_raw(Q.degree)
     pool = order_p[:48]
     seen_sets = set()

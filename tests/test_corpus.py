@@ -63,8 +63,14 @@ def test_corpus_groups_upto_builds_only_the_groups_within_the_bound(bound, monke
         return g
 
     monkeypatch.setattr(corpus, "load_group_spec", counted)
-    got = corpus_groups_upto(bound)
+    got = list(corpus_groups_upto(bound))
     assert all(order <= bound for order in built) and len(built) == len(got)
+    # lazy: each group is built when the caller reaches it
+    built.clear()
+    lazy = corpus_groups_upto(bound)
+    if got:
+        next(lazy)
+    assert len(built) == min(1, len(got))
     monkeypatch.undo()
     want = [(n, g) for n, g in corpus_groups() if g.order() <= bound]
     assert [(n, g._raw_gens) for n, g in got] == [(n, g._raw_gens) for n, g in want]

@@ -5,9 +5,11 @@ an instance where the claimed identity is false, and every instance check
 a source makes refusing a bad instance."""
 
 import ast
+import gc
 import hashlib
 import json
 import math
+import weakref
 from pathlib import Path
 
 import pytest
@@ -433,3 +435,25 @@ def test_quasisimple_negative_source_refuses_a_group_that_is_not_quasisimple(mon
     monkeypatch.setattr(lemmas, "build", lambda spec: build("sym(3)"))
     with pytest.raises(GroupError, match="sl2_5 should be quasisimple"):
         REGISTRY["quasisimple_negative"](0)
+
+
+@pytest.mark.parametrize("lemma_id", ["opelinha", "casolo_quotient", "p3_noncyclic"])
+def test_a_corpus_source_holds_one_group_at_a_time(monkeypatch, lemma_id):
+    # a weakref to each corpus group as it is built; once the source yields
+    # an instance of a later group, every earlier one is garbage
+    refs = []
+    real = lemmas.corpus_groups_upto
+
+    def recording(bound):
+        for name, g in real(bound):
+            refs.append(weakref.ref(g))
+            yield name, g
+
+    monkeypatch.setattr(lemmas, "corpus_groups_upto", recording)
+    groups_with_instances = set()
+    for instance in getattr(lemmas, "_%s_instances" % lemma_id)(0):
+        del instance
+        gc.collect()
+        groups_with_instances.add(len(refs))
+        assert [k for k, ref in enumerate(refs) if ref() is not None] in ([], [len(refs) - 1])
+    assert len(groups_with_instances) >= 2

@@ -51,6 +51,7 @@ from cppo.structure import (
     normal_subgroups,
     p_core,
     p_prime_part_of_nilpotent,
+    quotient_is_simple,
     soluble_radical,
     sylow_subgroup,
     upper_fitting_series,
@@ -987,6 +988,68 @@ def test_simplicity_matches_the_lattice_on_quasisimple_and_simple_groups():
 @given(subgroups_of_s6())
 def test_simplicity_of_drawn_s6_subgroups_matches_the_lattice(group):
     assert_simplicity_matches_the_lattice(group)
+
+
+# A5 x S3 over S3: the closure of a class of A5 x 1 is not G and meets S3
+# trivially, yet fills the simple quotient
+ORACLE_QUOTIENT_GROUPS = [(n, g) for n, g in CORPUS if g.order() <= 2000] + [
+    ("direct_product(alt(5),sym(3))", build("direct_product(alt(5),sym(3))").group)
+]
+
+
+def quotient_oracle_normals(G):
+    """1, Z(G), F(G) and G', and under the lattice cap every normal subgroup."""
+    normals = [G.trivial_subgroup(), G.center(), fitting_subgroup(G), G.derived_subgroup()]
+    if len(G._raw_classes()) <= structure.DEFAULT_CLASS_CAP:
+        normals += normal_subgroups(G)
+    return normals
+
+
+@pytest.mark.parametrize(
+    "name, group", ORACLE_QUOTIENT_GROUPS, ids=[n for n, _ in ORACLE_QUOTIENT_GROUPS]
+)
+def test_quotient_simplicity_matches_the_built_quotient(name, group):
+    for n in quotient_oracle_normals(group):
+        want = is_simple(quotient_by_normal(group, n))
+        assert quotient_is_simple(group, n) == want, n.order()
+
+
+def test_quotient_oracle_sees_both_verdicts_by_both_paths(monkeypatch):
+    # each verdict, over N = 1 and over N > 1, is reached by the count alone
+    # (no class closure taken) and by the closures
+    closures = []
+    real = structure._class_closure
+
+    def counting(G, k, *args):
+        closures.append(k)
+        return real(G, k, *args)
+
+    monkeypatch.setattr(structure, "_class_closure", counting)
+    seen = set()
+    for _, g in ORACLE_QUOTIENT_GROUPS:
+        for n in quotient_oracle_normals(g):
+            closures.clear()
+            seen.add((n.order() > 1, quotient_is_simple(g, n), bool(closures)))
+    assert {(True, True, False), (True, True, True), (True, False, True)} <= seen
+    assert {(False, True, False), (False, False, True)} <= seen
+
+
+def test_a_trivial_or_prime_order_quotient_is_not_simple():
+    assert not quotient_is_simple(build("sym(5)").group, build("alt(5)").group)
+    for atlas_id in ("sym(5)", "alt(5)", "sl2_9", "cyclic(7)"):
+        g = build(atlas_id).group
+        assert not quotient_is_simple(g, g)
+
+
+def test_simplicity_of_the_solubleperfect_quotients_forms_no_class_product():
+    # SL(2,5)/Z, SL(2,9)/Z and ASL(2,4)/2^4: no sum of |N| and class sizes
+    # outside N is a proper multiple of |N| dividing |G|
+    for gid, kind in (("sl2_5", "centre"), ("sl2_9", "centre"), ("asl2_4", "fitting")):
+        g = build(gid).group
+        n = g.center() if kind == "centre" else fitting_subgroup(g)
+        formed = memoized(g, structure._sorted_class_product)  # by fitting_subgroup
+        assert quotient_is_simple(g, n), gid
+        assert memoized(g, structure._sorted_class_product) == formed, gid
 
 
 def quotient_is_extraspecial(P):

@@ -33,6 +33,7 @@ from cppo.structure import fitting_height, is_soluble, sylow_subgroup, upper_fit
 from cppo.towers import (
     Tower,
     _elementary_abelian_subgroup_gens,
+    _has_order_p,
     _moves_stage_below,
     _normalizes_all,
     _p_subgroup_sets,
@@ -806,6 +807,16 @@ def test_capped_elementary_abelian_search_is_incomplete_past_rank_three():
     big = build("direct_product(elem_abelian(2,3),cyclic(243))").group
     assert big.order() == 1944
     assert _elementary_abelian_subgroup_gens(big, 2)[1]
+
+
+@pytest.mark.parametrize("atlas_id", ["sl2_9", "psl2(7)", "agl1(7)", "sl2_3", "dihedral(15)"])
+def test_the_order_p_test_agrees_with_the_element_order(atlas_id):
+    # sl2_9 sits past degree 256, where order_raw without a base walks every point
+    g = build(atlas_id).group
+    for x in g._raw_elements():
+        o = order_raw(x)
+        for p in (2, 3, 5, 7):
+            assert _has_order_p(x, p) == (o == p), (o, p)
 
 
 @pytest.mark.parametrize(
