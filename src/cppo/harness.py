@@ -13,7 +13,10 @@ over a corpus:
   2-group, and G'/R(G') is one of the eight simple EPPO-groups.
 
 Groups that are not CPPO are recorded as not applicable together with the
-witness commutator.  Reports serialize to a canonical structured form, so
+witness commutator.  The fields that need G's elements are filled by one
+routine inside the package's only handler of the cap error: past G's cap
+it marks skipped the fields of one table, five for a soluble group and
+seven for an insoluble one, and no other field depends on the cap.  Reports serialize to a canonical structured form, so
 identical corpus and seed give byte-identical output.
 """
 
@@ -45,17 +48,13 @@ from .towers import _commutator_span, find_max_tower, tower_to_data
 SCHEMA_VERSION = 1
 
 
-def _skip_marker(cap: int) -> str:
-    return "skipped: too large (cap=%d)" % cap
-
-
-# the insoluble-group block that needs R(G)
-_DERIVED_RADICAL_FIELDS = (
-    "derived_radical_order",
-    "derived_radical_is_2_group",
-    "derived_radical_closure_order",
-    "simple_quotient",
-)
+# the report fields that need G's elements, by solubility: past G's cap each
+# is a skip marker, and every other field stays exact
+_PAST_CAP_FIELDS = {
+    True: ("is_eppo", "is_cppo", "radical_order", "fitting_height", "tower_height"),
+    False: ("is_eppo", "is_cppo", "radical_order", "derived_radical_order",
+            "derived_radical_is_2_group", "derived_radical_closure_order", "simple_quotient"),
+}
 
 
 @dataclass
@@ -96,9 +95,10 @@ def _cppo_witness_data(w) -> dict:
 def classify(G: FiniteGroup) -> ClassificationReport:
     """A full structural report on one group.
 
-    Fields that need element or class enumeration are skipped past the
-    group's own enumeration cap instead of failing; skipped verdicts leave
-    the theorem fields not_applicable.
+    The fields that need G's elements are filled by one routine,
+    _element_fields; past the group's own enumeration cap each field that
+    _PAST_CAP_FIELDS lists for its solubility is a skip marker instead,
+    and the theorem fields stay not_applicable.
     """
     order = G.order()
     r = ClassificationReport(
@@ -111,65 +111,15 @@ def classify(G: FiniteGroup) -> ClassificationReport:
     derived = G.derived_subgroup()
     r.derived_order = derived.order()
     r.derived_primes = prime_factors(derived.order())
-    # R(G) comes from the upper Fitting series, which enumerates G.  Past
-    # G's own cap it is skipped together with every field that needs G's
-    # elements; below it, nothing else here can hit that cap, since G', R(G')
-    # and G'/R(G') are no larger than G.
-    radical = skipped = None
     try:
-        radical = soluble_radical(G)
+        _element_fields(G, derived, r)
     except EnumerationCapError as e:
-        skipped = _skip_marker(e.cap)
-    r.radical_order = skipped or radical.order()
-
-    if skipped:
-        r.is_eppo = r.is_cppo = skipped
-    else:
-        ew = G.eppo_witness()
-        r.is_eppo = ew is None
-        cw = G.cppo_witness()
-        r.is_cppo = cw is None
-        if cw is not None:
-            r.witnesses["cppo"] = _cppo_witness_data(cw)
-        if ew is not None:
-            r.witnesses["eppo"] = {"element": str(ew.element), "order": ew.order}
-        if r.is_cppo:
-            # open data question: is the derived subgroup of a CPPO group EPPO?
-            r.derived_is_eppo = derived.is_eppo()
-
-    if r.is_soluble:
-        r.fitting_height = skipped or fitting_height(G)
-        if skipped:
-            r.tower_height = skipped
-        else:
-            try:
-                h, tower = find_max_tower(G)
-                r.tower_height = h
-                r.tower_witness = tower_to_data(tower)
-            except (TowerDefectError, EnumerationCapError) as e:
-                r.tower_height = "defect: %s" % e
-    else:
+        for fld in _PAST_CAP_FIELDS[r.is_soluble]:
+            setattr(r, fld, "skipped: too large (cap=%d)" % e.cap)
+    if not r.is_soluble:
         # G'' is one more closure, so this field needs no enumeration
         second = derived.derived_subgroup()
         r.second_derived_equals_derived = second.order() == derived.order()
-        if skipped:
-            for fld in _DERIVED_RADICAL_FIELDS:
-                setattr(r, fld, skipped)
-        else:
-            # R(G') = G' n R(G), so G'/R(G') is (G/R(G))', read off the last
-            # quotient that G's own series keeps
-            top = derived
-            if radical.order() > 1:
-                series = upper_fitting_series(G)
-                top = series.quotients[len(series.terms) - 1].derived_subgroup()
-            r.derived_radical_order = derived.order() // top.order()
-            r.derived_radical_is_2_group = prime_factors(r.derived_radical_order) in ([], [2])
-            closure = _commutator_span(G, list(derived._raw_gens), radical)
-            r.derived_radical_closure_order = closure.order()
-            try:
-                r.simple_quotient = identify_simple_eppo(top).tag
-            except NotSimpleError:
-                r.simple_quotient = "NotSimple"
 
     if r.is_cppo is True:
         if r.is_soluble:
@@ -184,6 +134,51 @@ def classify(G: FiniteGroup) -> ClassificationReport:
             )
             r.theorem2 = "pass" if ok else "fail"
     return r
+
+
+def _element_fields(G: FiniteGroup, derived: FiniteGroup, r: ClassificationReport) -> None:
+    """Fill the fields of r that need G's elements.
+
+    R(G) comes first: it is read off the upper Fitting series, which
+    enumerates G, so past G's cap the cap error leaves before any field is
+    set.  Below the cap nothing after it can hit that cap, since G', R(G')
+    and G'/R(G') are no larger than G.
+    """
+    radical = soluble_radical(G)
+    r.radical_order = radical.order()
+    ew = G.eppo_witness()
+    r.is_eppo = ew is None
+    cw = G.cppo_witness()
+    r.is_cppo = cw is None
+    if cw is not None:
+        r.witnesses["cppo"] = _cppo_witness_data(cw)
+    if ew is not None:
+        r.witnesses["eppo"] = {"element": str(ew.element), "order": ew.order}
+    if r.is_cppo:
+        # open data question: is the derived subgroup of a CPPO group EPPO?
+        r.derived_is_eppo = derived.is_eppo()
+
+    if r.is_soluble:
+        r.fitting_height = fitting_height(G)
+        try:
+            r.tower_height, tower = find_max_tower(G)
+            r.tower_witness = tower_to_data(tower)
+        except TowerDefectError as e:
+            r.tower_height = "defect: %s" % e
+        return
+    # R(G') = G' n R(G), so G'/R(G') is (G/R(G))', read off the last
+    # quotient that G's own series keeps
+    top = derived
+    if radical.order() > 1:
+        series = upper_fitting_series(G)
+        top = series.quotients[len(series.terms) - 1].derived_subgroup()
+    r.derived_radical_order = derived.order() // top.order()
+    r.derived_radical_is_2_group = prime_factors(r.derived_radical_order) in ([], [2])
+    r.derived_radical_closure_order = _commutator_span(G, list(derived._raw_gens), radical).order()
+    try:
+        r.simple_quotient = identify_simple_eppo(top)
+    except NotSimpleError:
+        r.simple_quotient = "NotSimple"
 
 
 def skipped_fields(rep: ClassificationReport) -> list:

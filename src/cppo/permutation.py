@@ -60,7 +60,7 @@ def raw_from_images(images):
 
 
 def identity_raw(degree: int):
-    return raw_from_images(range(degree))
+    return _HEAD[degree] if degree <= BYTES_MAX_DEGREE else tuple(range(degree))
 
 
 def block_raw(images, offset: int, degree: int):

@@ -430,11 +430,6 @@ def is_simple(G: FiniteGroup) -> bool:
 # recognizing the simple groups with prime-power element orders
 
 
-@dataclass
-class SimpleEppoId:
-    tag: str
-
-
 # fingerprint rows: order -> (tag, sorted class representative orders),
 # generated from the atlas constructions and frozen here.  Sz(32), the
 # eighth simple group with prime-power element orders, has no row: at order
@@ -451,16 +446,16 @@ _SIMPLE_EPPO_TABLE = {
 }
 
 
-def identify_simple_eppo(G: FiniteGroup) -> SimpleEppoId:
-    """Match a nonabelian simple group against the seven fingerprint rows by
+def identify_simple_eppo(G: FiniteGroup) -> str:
+    """The tag of a nonabelian simple group's fingerprint row, matched by
     order and class representative orders; any other simple group is
     "NotInList"."""
     if not is_simple(G):
         raise NotSimpleError("identification applies to nonabelian simple groups")
     row = _SIMPLE_EPPO_TABLE.get(G.order())
     if row is not None and G.class_rep_orders() == row[1]:
-        return SimpleEppoId(row[0])
-    return SimpleEppoId("NotInList")
+        return row[0]
+    return "NotInList"
 
 
 def is_quasisimple(G: FiniteGroup) -> bool:

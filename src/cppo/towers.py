@@ -10,7 +10,10 @@ Fitting height; find_max_tower certifies that equality constructively.
 Stages are small p-groups, so kernels are computed on element lists by one
 bottom-up recurrence, _kernel_sets, which Tower.kernels and the tower_probe
 search share: each step reads K_i off the conjugation tables of P_i on the
-element list of P_{i+1}.
+element list of P_{i+1}.  Item 3 is one predicate on it, _acts_trivially,
+which validate_tower and the probe's leaves call, so validating a tower
+forms no kernel subgroup.  P_i normalizes P_{i+1}, so a full K_{i+1} makes
+K_i full: when some stage acts trivially, the top one does.
 
 The exhaustive search behind tower_probe works on indices into G's sorted
 element list, so it forms no permutation and builds no group or stabilizer
@@ -157,12 +160,10 @@ def validate_tower(t: Tower) -> TowerValidity:
         items[item] = False
         # item 3 is unknowable without the structure; leave it optimistic
         return TowerValidity(False, items, "item %d: %s" % (item, message))
-    for idx, (k, (p, sub)) in enumerate(zip(t.kernels(), t.stages)):
-        if k.order() == sub.order():
-            items[3] = False
-            return TowerValidity(
-                False, items, "item 3: stage %d acts trivially below it" % (idx + 1)
-            )
+    bottom_up = [sub._raw_elements() for _, sub in reversed(t.stages)]
+    if _acts_trivially(bottom_up, t.ambient.chain().base):
+        items[3] = False
+        return TowerValidity(False, items, "item 3: stage 1 acts trivially below it")
     return TowerValidity(True, items)
 
 
@@ -405,6 +406,14 @@ def _kernel_sets(bottom_up, base):
         yield k
 
 
+def _acts_trivially(bottom_up, base) -> bool:
+    """Item 3 fails: some K_i is all of P_i, for the stages' sorted element
+    lists bottom_up as in _kernel_sets.  The recurrence stops at the first
+    full kernel; every stage above it then acts trivially too."""
+    kernels = _kernel_sets(bottom_up, base)
+    return any(len(k) == len(members) for k, members in zip(kernels, bottom_up))
+
+
 def _by_size(sets):
     """The (index set, generator list) items of a dict, by size and then by
     sorted indices, which is the order of the sorted element sets."""
@@ -495,9 +504,9 @@ def tower_probe(G: FiniteGroup, min_height: int):
     those whose generators it fixes, read off its conjugation table over
     every candidate.  A stage that centralizes the stage below has K_i = P_i
     and fails item 3 whatever lies lower, so only the second mask is offered
-    directly below.  A full-height leaf checks item 3 up the _kernel_sets
-    recurrence, which stops at the first K_i = P_i; only a leaf that passes
-    becomes a Tower, and it is returned only if validate_tower accepts it.
+    directly below.  A full-height leaf checks item 3 by _acts_trivially,
+    as validate_tower does; only a leaf that passes becomes a Tower, and it
+    is returned only if validate_tower accepts it.
 
     Above height one a group with a single prime divisor answers None
     before any candidate is listed, and the top stage is offered only the
@@ -563,8 +572,7 @@ def tower_probe(G: FiniteGroup, min_height: int):
         """normed: the candidates that every stage above the last normalizes."""
         if len(stages) == min_height:
             bottom_up = [[elems[j] for j in sorted(cands[i][1])] for i in reversed(stages)]
-            kernels = _kernel_sets(bottom_up, base)
-            if any(len(k) == len(members) for k, members in zip(kernels, bottom_up)):
+            if _acts_trivially(bottom_up, base):
                 return None
             t = Tower(
                 G, [(cands[i][0], G._subgroup_raw([elems[x] for x in cands[i][2]])) for i in stages]

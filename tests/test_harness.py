@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from cppo import harness, permutation, structure
 from cppo.arith import is_prime_power
 from cppo.atlas import build, load_group_spec
-from cppo.corpus import INSOLUBLE_AND_LARGE
+from cppo.corpus import INSOLUBLE_AND_LARGE, default_corpus
 from cppo.errors import SchemaError, TowerDefectError
 from cppo.group import FiniteGroup, QuotientGroup
 from cppo.harness import (
@@ -260,6 +261,38 @@ def test_group_cap_skips_the_derived_radical_block():
     assert r.derived_radical_order == r.derived_radical_closure_order == marker
     assert r.derived_radical_is_2_group == r.simple_quotient == marker
     assert r.theorem2 == "not_applicable"
+
+
+SOLUBLE_PAST_CAP = ["is_eppo", "is_cppo", "radical_order", "fitting_height", "tower_height"]
+INSOLUBLE_PAST_CAP = [
+    "is_eppo",
+    "is_cppo",
+    "radical_order",
+    "derived_radical_order",
+    "derived_radical_is_2_group",
+    "derived_radical_closure_order",
+    "simple_quotient",
+]
+
+
+def test_a_cap_at_the_order_is_no_cap_and_one_below_skips_one_table():
+    # at cap |G| nothing classify enumerates is larger than G, so the report
+    # is the default one; one below it, R(G) meets the cap first and the
+    # skipped fields are one fixed list per solubility
+    seen = Counter()
+    for doc in default_corpus():
+        g = load_group_spec(doc)
+        n = g.order()
+        if n > 2000:
+            continue
+        assert reports_to_text([classify(g.with_cap(n))]) == reports_to_text([classify(g)])
+        r = classify(g.with_cap(n - 1))
+        marker = "skipped: too large (cap=%d)" % (n - 1)
+        want = SOLUBLE_PAST_CAP if r.is_soluble else INSOLUBLE_PAST_CAP
+        assert skipped_fields(r) == [(fld, marker) for fld in want], g.name
+        assert r.witnesses == {} and r.tower_witness is None and r.derived_is_eppo is None
+        seen[r.is_soluble] += 1
+    assert seen == {True: 25, False: 15}
 
 
 def test_theorem_suite_on_a_tiny_corpus():

@@ -338,3 +338,21 @@ def test_only_the_memo_reads_a_group_cache():
     without callers."""
     found = list(_names_read_outside("group.py", {"_cache"}))
     assert found == [], "group memo read outside group.py: %s" % ", ".join(found)
+
+
+def test_only_classify_catches_the_cap_error():
+    """Past a group's cap, classify marks skipped the fields of one table in
+    one handler, so harness.py holds the one except clause that names
+    EnumerationCapError, and no other path re-decides those fields."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(node.type) if isinstance(n, ast.Attribute)}
+                if "EnumerationCapError" in names:
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert len(found) == 1 and found[0].startswith("harness.py:"), (
+        "EnumerationCapError handlers: %s" % ", ".join(found)
+    )

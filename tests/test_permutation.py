@@ -247,6 +247,13 @@ def test_raw_kernel_matches_tuple_reference(degree, data):
     assert mul_raw(ra, inv_raw(ra)) == identity_raw(degree)
 
 
+@pytest.mark.parametrize("degree", (1, 8, 256, 257, 720))
+def test_identity_raw_is_the_identity_table_in_the_degree_format(degree):
+    # up to BYTES_MAX_DEGREE it is the kept table, past it a fresh tuple
+    ident, want = identity_raw(degree), raw_from_images(range(degree))
+    assert ident == want and type(ident) is type(want)
+
+
 @pytest.mark.parametrize("degree", (257, 360, 720))
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))

@@ -935,11 +935,11 @@ def test_quasisimple():
 
 
 def test_identify_simple_eppo_tags():
-    assert identify_simple_eppo(a5()).tag == "PSL2_4"
+    assert identify_simple_eppo(a5()) == "PSL2_4"
     from cppo.atlas import build
 
-    assert identify_simple_eppo(build("psl2(7)").group).tag == "PSL2_7"
-    assert identify_simple_eppo(build("psl2(11)").group).tag == "NotInList"
+    assert identify_simple_eppo(build("psl2(7)").group) == "PSL2_7"
+    assert identify_simple_eppo(build("psl2(11)").group) == "NotInList"
     with pytest.raises(NotSimpleError):
         identify_simple_eppo(s4())
 

@@ -322,17 +322,27 @@ SWEEP_IDS = [
 ]
 
 
-def _valid_towers(g, candidates, height=3):
-    """Every valid tower of at most the given height whose stages are among
-    the (prime, subgroup) candidates, grown top-down from valid towers: a
-    valid tower's top stages form a valid tower too."""
+def _candidate_stages(g):
+    """(prime, subgroup) for every nontrivial p-subgroup of g, primes in order."""
+    return [
+        (p, g._subgroup_raw(gens))
+        for p, _ in factorization(g.order())
+        for _, gens in _p_subgroup_sets(g, p)
+    ]
+
+
+def _grown_towers(g, candidates, passes, height=3):
+    """Every tower of at most the given height whose stages are among the
+    (prime, subgroup) candidates and that `passes` accepts, grown top-down:
+    the top stages of a valid tower, or of one that passes items 1, 2 and 4,
+    pass as well."""
     level = [[]]
     for _ in range(height):
         grown = []
         for stages in level:
             for c in candidates:
                 t = Tower(g, stages + [c])
-                if validate_tower(t).valid:
+                if passes(t):
                     grown.append(stages + [c])
                     yield t
         level = grown
@@ -342,18 +352,42 @@ def test_irreducibility_verdicts_over_every_small_tower_of_candidate_stages():
     groups = [(i, build(i).group) for i in SWEEP_IDS] + [("s4wr2", _s4_wreath_2()[0])]
     rows = []
     for name, g in groups:
-        candidates = [
-            (p, g._subgroup_raw(gens))
-            for p, _ in factorization(g.order())
-            for _, gens in _p_subgroup_sets(g, p)
-        ]
-        for t in _valid_towers(g, candidates[:60] if name == "s4wr2" else candidates):
+        candidates = _candidate_stages(g)[: 60 if name == "s4wr2" else None]
+        for t in _grown_towers(g, candidates, lambda t: validate_tower(t).valid):
             report = is_irreducible_tower(t)
             rows.append([name, t.height, report.verdict, report.details])
     kinds = Counter(details[0][:6] if details else verdict for _, _, verdict, details in rows)
     assert kinds == {"yes": 343, "item 2": 125, "item 4": 18, "item 3": 6}
     digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
     assert digest == "744bf9eaa84a11fd5ee5dabe86b40009778eb7910f61a0887bb1b31f92931b9c"
+
+
+@pytest.mark.parametrize("atlas_id, checked, trivial", [("sl2_3", 24, 20), ("dihedral(12)", 73, 52)])
+def test_item_3_fails_exactly_on_a_full_kernel_and_then_at_the_top(atlas_id, checked, trivial):
+    # P_i normalizes P_{i+1}, so a full K_{i+1} makes K_i full as well
+    g = build(atlas_id).group
+    structural = _grown_towers(g, _candidate_stages(g), lambda t: t._defect is None)
+    towers_seen = [t for t in structural if t.height > 1]
+    failed = 0
+    for t in towers_seen:
+        full = [len(k) == sub.order() for k, (_, sub) in zip(element_set_kernels(t), t.stages)]
+        v = validate_tower(t)
+        assert v.items[3] == (not any(full)) == v.valid
+        if any(full):
+            failed += 1
+            assert full[0] and v.detail == "item 3: stage 1 acts trivially below it"
+    assert (len(towers_seen), failed) == (checked, trivial)
+
+
+def test_validation_forms_no_kernel_subgroup(s4_tower, monkeypatch):
+    def refuse(self):
+        raise AssertionError("validate_tower formed the kernels")
+
+    monkeypatch.setattr(Tower, "kernels", refuse)
+    assert validate_tower(Tower(s4_tower.ambient, s4_tower.stages)).valid
+    s5 = build("sym(5)").group
+    t = Tower(s5, [(2, s5.subgroup(_perms(5, "(1 2)"))), (3, s5.subgroup(_perms(5, "(3 4 5)")))])
+    assert validate_tower(t).detail == "item 3: stage 1 acts trivially below it"
 
 
 def test_disjoint_supports_fail_item_3():
