@@ -19,7 +19,9 @@ r^-1 s.  The commutator set is the union of the classes the scan hits.  The
 CPPO verdict looks at G' first when |G| exceeds the degree: every commutator
 lies in G', so only the classes of non-prime-power order inside G' can break
 CPPO, and with none of them the verdict needs no scan; otherwise it reads
-orders off the classes the scan names.  A quotient G/N acts on the right
+orders off the classes the scan names.  G''s class data is read off G's
+classes, of which G' is a union: derived_classes names them once and seeds
+G''s element list with their members.  A quotient G/N acts on the right
 cosets of N, each named by the least row of its elements' images of G's
 base; the cosets are walked on those rows alone, with no product formed, and
 a coset's least element is formed only when a lift first needs it.  All
@@ -225,16 +227,20 @@ class FiniteGroup:
             # before any element is formed
             if self.order() > self.cap:
                 raise EnumerationCapError(self.cap, self.cap)
-            elems = sorted(self.chain().elements())
-            # equal elements sit side by side once sorted
-            distinct = len(elems) - sum(map(operator.eq, elems, islice(elems, 1, None)))
-            if distinct != self.order():
-                raise RuntimeError(
-                    "enumeration found %d distinct elements but the chain says %d"
-                    % (distinct, self.order())
-                )
-            self._elements = elems
+            self._keep_elements(sorted(self.chain().elements()))
         return self._elements
+
+    def _keep_elements(self, elems) -> None:
+        """Keep the sorted list elems as the element list, once its count of
+        distinct members is checked against the chain's order."""
+        # equal elements sit side by side once sorted
+        distinct = len(elems) - sum(map(operator.eq, elems, islice(elems, 1, None)))
+        if distinct != self.order():
+            raise RuntimeError(
+                "enumeration found %d distinct elements but the chain says %d"
+                % (distinct, self.order())
+            )
+        self._elements = elems
 
     def elements(self) -> list[Permutation]:
         return [Permutation._from_raw(r) for r in self._raw_elements()]
@@ -355,10 +361,10 @@ class FiniteGroup:
 
         Orders are conjugation invariant, so each commutator's order is read
         off the class the scan names for it.  Every commutator lies in G',
-        so only a class of non-prime-power order inside G' can be hit, and
-        one membership test of its representative in G' decides that.  With
-        no such class there is nothing to scan, and the scan finds the same
-        first witness as one over every class of non-prime-power order.
+        so only a class of non-prime-power order among derived_classes can
+        be hit.  With no such class there is nothing to scan, and the scan
+        finds the same first witness as one over every class of
+        non-prime-power order.
 
         G' is consulted only when |G| > degree.  Its closure builds a chain
         whose orbits hold up to `degree` points, while a scan forms at most
@@ -368,8 +374,7 @@ class FiniteGroup:
         classes = self._raw_classes()
         bad = {k for k, c in enumerate(classes) if not is_prime_power(c.order)}
         if bad and self.order() > self.degree:
-            inside = self.derived_subgroup().chain().contains_raw
-            bad = {k for k in bad if inside(classes[k].rep)}
+            bad.intersection_update(self.derived_classes())
         if not bad:
             return None
         for c, rinv, ks in self._commutator_class_scan():
@@ -382,6 +387,25 @@ class FiniteGroup:
                         right=Permutation._from_raw(self._class_conjugator(c.rep, s)),
                     )
         return None
+
+    @cached
+    def derived_classes(self) -> list[int]:
+        """Indices of the classes of G that lie in G', in class order.
+
+        G' is normal, so it is the union of these classes, and one
+        membership test of each representative in G''s chain names them
+        (none when G is perfect, as then G' = G).  A G' with no element list
+        yet is handed the sorted union of their members, G's own objects,
+        so its elements are never formed from products."""
+        classes = self._raw_classes()
+        derived = self.derived_subgroup()
+        if derived is self:
+            return list(range(len(classes)))
+        inside = derived.chain().contains_raw
+        ks = [k for k, c in enumerate(classes) if inside(c.rep)]
+        if derived._elements is None:
+            derived._keep_elements(sorted(x for k in ks for x in classes[k].members))
+        return ks
 
     def is_cppo(self) -> bool:
         """True when every commutator has prime-power order (1 included)."""

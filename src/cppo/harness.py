@@ -23,9 +23,9 @@ identical corpus and seed give byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from .arith import prime_factors
+from .arith import is_prime_power, prime_factors
 from .atlas import load_group_spec
 from .errors import (
     EnumerationCapError,
@@ -156,7 +156,9 @@ def _element_fields(G: FiniteGroup, derived: FiniteGroup, r: ClassificationRepor
         r.witnesses["eppo"] = {"element": str(ew.element), "order": ew.order}
     if r.is_cppo:
         # open data question: is the derived subgroup of a CPPO group EPPO?
-        r.derived_is_eppo = derived.is_eppo()
+        # It is the union of the classes derived_classes names.
+        classes = G._raw_classes()
+        r.derived_is_eppo = all(is_prime_power(classes[k].order) for k in G.derived_classes())
 
     if r.is_soluble:
         r.fitting_height = fitting_height(G)
@@ -270,13 +272,15 @@ def _report_from_doc(doc: dict) -> ClassificationReport:
 
 
 def _to_text(**sections) -> str:
-    """Canonical structured form: fixed key order, sorted nothing, newline end."""
+    """Canonical structured form: fixed key order, sorted nothing, newline end.
+    A record enters it as a shallow copy of its own field dict, in field
+    order: serializing only reads the values, so nothing nested is copied."""
     return json.dumps({"schema_version": SCHEMA_VERSION, **sections}, indent=2) + "\n"
 
 
 def reports_to_text(reports) -> str:
     """The reports alone, as persist_results writes them."""
-    return _to_text(reports=[asdict(r) for r in reports])
+    return _to_text(reports=[dict(vars(r)) for r in reports])
 
 
 def persist_results(reports, path) -> None:
@@ -303,12 +307,12 @@ def load_results(path) -> list[ClassificationReport]:
 
 
 def lemma_checks_to_doc(checks) -> list:
-    return [asdict(c) for c in checks]
+    return [dict(vars(c)) for c in checks]
 
 
 def theorem_suite_to_text(suite: SuiteResult) -> str:
     return _to_text(
-        reports=[asdict(r) for r in suite.reports],
+        reports=[dict(vars(r)) for r in suite.reports],
         failures=suite.failures,
         skips=suite.skips,
     )
@@ -320,7 +324,7 @@ def lemma_suite_to_text(checks) -> str:
 
 def full_suite_to_text(result: FullSuiteResult) -> str:
     return _to_text(
-        reports=[asdict(r) for r in result.theorems.reports],
+        reports=[dict(vars(r)) for r in result.theorems.reports],
         failures=result.theorems.failures,
         skips=result.theorems.skips,
         lemma_checks=lemma_checks_to_doc(result.lemmas),

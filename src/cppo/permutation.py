@@ -31,6 +31,7 @@ through q, matching the conjugation convention x^y = y^-1 x y and
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -60,7 +61,13 @@ def raw_from_images(images):
 
 
 def identity_raw(degree: int):
-    return _HEAD[degree] if degree <= BYTES_MAX_DEGREE else tuple(range(degree))
+    """The degree-`degree` identity, one shared object per degree."""
+    return _HEAD[degree] if degree <= BYTES_MAX_DEGREE else _wide_identity(degree)
+
+
+@functools.cache
+def _wide_identity(degree: int):
+    return tuple(range(degree))
 
 
 def block_raw(images, offset: int, degree: int):
@@ -147,28 +154,30 @@ def _index_tables(xs, base, moves):
     points: the columns of xs at points, mapped through g.
 
     The members of xs must differ somewhere on base, and each such image
-    must be some member's.  Column p of xs is cut once, as one slice of the
-    joined tables (one itemgetter map above degree 256), and mapped through
-    g in one translate (one map).  Up to 8 bytes of base images pack into
-    one int key, read off an interleaved buffer in one pass (wider keys are
-    tuples), and one dict lookup per member turns a key into an index.
+    must be some member's.  Every column of xs that base or a move needs is
+    cut in one step, as slices of the joined tables (one itemgetter map per
+    column above degree 256), and the joined tables are dropped before any
+    key is built; each column is mapped through g in one translate (one
+    map).  Up to 8 bytes of base images pack into one int key, read off an
+    interleaved buffer in one pass (wider keys are tuples), and one dict
+    lookup per member turns a key into an index.
     """
     n = len(xs[0])
     size = 1 if n <= BYTES_MAX_DEGREE else 2 if n <= 1 << 16 else 4
-    flat = b"".join(xs) if size == 1 else None  # column p is flat[p::n]
-    cut = {}
-
-    def column(p):
-        if p not in cut:
-            cut[p] = flat[p::n] if size == 1 else list(map(operator.itemgetter(p), xs))
-        return cut[p]
+    needed = set(base).union(*(points for _, points in moves))
+    if size == 1:
+        flat = b"".join(xs)  # column p is flat[p::n]
+        cut = {p: flat[p::n] for p in needed}
+        del flat
+    else:
+        cut = {p: list(map(operator.itemgetter(p), xs)) for p in needed}
 
     def keys(g, points):
         if size == 1:
             table = g + _TAIL[n]
-            columns = [column(p).translate(table) for p in points]
+            columns = [cut[p].translate(table) for p in points]
         else:
-            columns = [array(_CODES[size], map(g.__getitem__, column(p))) for p in points]
+            columns = [array(_CODES[size], map(g.__getitem__, cut[p])) for p in points]
         width = size * max(len(columns), 1)  # with no base (a trivial group) every key is 0
         if width > 8:
             return zip(*columns)

@@ -417,6 +417,38 @@ def test_cppo_witness_skips_the_scan_when_no_bad_class_lies_in_the_derived_subgr
     assert len(bad) == 3 and not any(inside(c.rep) for c in bad)
 
 
+@pytest.mark.parametrize("atlas_id", ["psl34_phi_ext", "pgl2_9", "m10"])
+def test_derived_classes_hand_the_derived_subgroup_g_s_own_elements(atlas_id):
+    group = build(atlas_id).group
+    derived = group.derived_subgroup()
+    assert derived is not group and derived._elements is None
+    classes = group._raw_classes()
+    ks = group.derived_classes()
+    seeded = derived._raw_elements()
+    assert seeded == sorted(derived.chain().elements())
+    assert sum(len(classes[k].members) for k in ks) == derived.order()
+    own = {x: x for x in group._raw_elements()}
+    assert all(own[x] is x for x in seeded)
+
+
+def test_derived_classes_of_a_perfect_group_are_all_its_classes():
+    group = build("alt(5)").group
+    assert group.derived_subgroup() is group
+    assert group.derived_classes() == list(range(len(group._raw_classes())))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.permutations(range(6)), max_size=3))
+def test_derived_classes_are_the_classes_inside_the_derived_subgroup(tables):
+    group = FiniteGroup([Permutation._from_raw(raw_from_images(t)) for t in tables], degree=6)
+    # an independent G', built on the same generators, enumerates itself
+    derived = set(FiniteGroup(group.derived_subgroup().generators, degree=6)._raw_elements())
+    classes = group._raw_classes()
+    want = [k for k, c in enumerate(classes) if set(c.members) <= derived]
+    assert group.derived_classes() == want
+    assert {x for k in want for x in classes[k].members} == derived
+
+
 def test_cppo_witness_of_a_group_no_larger_than_its_degree_forms_no_derived_subgroup():
     # SL(2,5) acts regularly on 120 points and has commutators of order 10
     group = build("sl2_5").group

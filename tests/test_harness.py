@@ -295,6 +295,59 @@ def test_a_cap_at_the_order_is_no_cap_and_one_below_skips_one_table():
     assert seen == {True: 25, False: 15}
 
 
+def test_derived_is_eppo_matches_a_derived_subgroup_built_afresh():
+    # the fresh G' is built on G''s generators alone, so nothing of G seeds
+    # it; in every CPPO group of the corpus G' turns out to be EPPO
+    seen = Counter()
+    for doc in default_corpus():
+        g = load_group_spec(doc)
+        if g.order() > g.cap:
+            continue
+        r = classify(g)
+        if r.is_cppo is not True:
+            assert r.derived_is_eppo is None, g.name
+            continue
+        fresh = FiniteGroup(g.derived_subgroup().generators, degree=g.degree)
+        assert r.derived_is_eppo is fresh.is_eppo(), g.name
+        seen[r.derived_is_eppo] += 1
+    assert seen == {True: 37}
+
+
+def test_classify_of_a_soluble_cppo_group_sweeps_no_class_of_the_derived_subgroup():
+    g = build("agl1(7)").group
+    r = classify(g)
+    assert r.is_soluble and r.is_cppo is True and r.derived_is_eppo is True
+    assert g.derived_subgroup()._classes is None
+
+
+def test_classify_tests_each_class_against_the_derived_subgroup_once(monkeypatch):
+    # pgl2_9 is CPPO with classes of non-prime-power order, so both the CPPO
+    # verdict and derived_is_eppo need to know which classes lie in G'
+    g = build("pgl2_9").group
+    derived = g.derived_subgroup()
+    chain = derived.chain()
+    tested, swept = Counter(), []
+    real_contains, real_witness = type(chain).contains_raw, FiniteGroup.eppo_witness
+
+    def contains(self, x):
+        if self is chain:
+            tested[x] += 1
+        return real_contains(self, x)
+
+    def eppo_witness(self):
+        swept.append(self)
+        return real_witness(self)
+
+    monkeypatch.setattr(type(chain), "contains_raw", contains)
+    monkeypatch.setattr(FiniteGroup, "eppo_witness", eppo_witness)
+    r = classify(g)
+    assert r.is_cppo is True and r.derived_is_eppo is True
+    assert not all(is_prime_power(c.order) for c in g._raw_classes())
+    reps = [c.rep for c in g._raw_classes()]
+    assert all(tested[rep] == 1 for rep in reps)
+    assert swept == [g]
+
+
 def test_theorem_suite_on_a_tiny_corpus():
     suite = run_theorem_suite(TINY_DOCS)
     assert suite.ok and suite.skips == []

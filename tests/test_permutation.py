@@ -249,9 +249,10 @@ def test_raw_kernel_matches_tuple_reference(degree, data):
 
 @pytest.mark.parametrize("degree", (1, 8, 256, 257, 720))
 def test_identity_raw_is_the_identity_table_in_the_degree_format(degree):
-    # up to BYTES_MAX_DEGREE it is the kept table, past it a fresh tuple
+    # one shared table per degree, in the format of the degree
     ident, want = identity_raw(degree), raw_from_images(range(degree))
     assert ident == want and type(ident) is type(want)
+    assert identity_raw(degree) is ident
 
 
 @pytest.mark.parametrize("degree", (257, 360, 720))
