@@ -310,12 +310,14 @@ def lemma_checks_to_doc(checks) -> list:
     return [dict(vars(c)) for c in checks]
 
 
+def _theorem_sections(suite: SuiteResult) -> dict:
+    """A theorem suite's sections, in order: reports as field dicts, failures, skips."""
+    reports = [dict(vars(r)) for r in suite.reports]
+    return {"reports": reports, "failures": suite.failures, "skips": suite.skips}
+
+
 def theorem_suite_to_text(suite: SuiteResult) -> str:
-    return _to_text(
-        reports=[dict(vars(r)) for r in suite.reports],
-        failures=suite.failures,
-        skips=suite.skips,
-    )
+    return _to_text(**_theorem_sections(suite))
 
 
 def lemma_suite_to_text(checks) -> str:
@@ -324,8 +326,5 @@ def lemma_suite_to_text(checks) -> str:
 
 def full_suite_to_text(result: FullSuiteResult) -> str:
     return _to_text(
-        reports=[dict(vars(r)) for r in result.theorems.reports],
-        failures=result.theorems.failures,
-        skips=result.theorems.skips,
-        lemma_checks=lemma_checks_to_doc(result.lemmas),
+        **_theorem_sections(result.theorems), lemma_checks=lemma_checks_to_doc(result.lemmas)
     )

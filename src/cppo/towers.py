@@ -8,12 +8,12 @@ be nontrivial.  The maximum height of a tower of a soluble group equals its
 Fitting height; find_max_tower certifies that equality constructively.
 
 Stages are small p-groups, so kernels are computed on element lists by one
-bottom-up recurrence, _kernel_sets, which Tower.kernels and the tower_probe
-search share: each step reads K_i off the conjugation tables of P_i on the
-element list of P_{i+1}.  Item 3 is one predicate on it, _acts_trivially,
-which validate_tower and the probe's leaves call, so validating a tower
-forms no kernel subgroup.  P_i normalizes P_{i+1}, so a full K_{i+1} makes
-K_i full: when some stage acts trivially, the top one does.
+bottom-up recurrence, _kernel_sets, which a Tower runs once and keeps, as it
+keeps its structural check: each step reads K_i off the conjugation tables
+of P_i on the element list of P_{i+1}.  P_i normalizes P_{i+1}, so a full
+K_{i+1} is carried up as a full K_i with no table, and item 3 is one test of
+the top kernel, _acts_trivially, shared by validate_tower and the probe's
+leaves.  Validation, kernels() and the irreducibility check read one run.
 
 The exhaustive search behind tower_probe works on indices into G's sorted
 element list, so it forms no permutation and builds no group or stabilizer
@@ -117,16 +117,21 @@ class Tower:
                 )
         return None
 
+    @cached_property
+    def _kernel_positions(self):
+        """The stages' sorted element lists and their kernel sets, bottom up,
+        from one _kernel_sets run kept like _defect; a defective tower has none."""
+        if self._defect is not None:
+            raise TowerDefectError("item %d: %s" % self._defect)
+        bottom_up = [sub._raw_elements() for _, sub in reversed(self.stages)]
+        return bottom_up, _kernel_sets(bottom_up, self.ambient.chain().base)
+
     def kernels(self):
-        """K_i per stage, computed from the bottom stage upward."""
+        """K_i per stage, top down, formed from the kept kernel sets."""
         if self._kernels is None:
-            if self._defect is not None:
-                raise TowerDefectError("item %d: %s" % self._defect)
-            ambient = self.ambient
-            bottom_up = [sub._raw_elements() for _, sub in reversed(self.stages)]
-            sets = list(_kernel_sets(bottom_up, ambient.chain().base))
+            bottom_up, sets = self._kernel_positions
             self._kernels = [
-                ambient._subgroup_from_raw_elements([members[j] for j in k])
+                self.ambient._subgroup_from_raw_elements([members[j] for j in k])
                 for members, k in zip(reversed(bottom_up), reversed(sets))
             ]
         return self._kernels
@@ -160,8 +165,7 @@ def validate_tower(t: Tower) -> TowerValidity:
         items[item] = False
         # item 3 is unknowable without the structure; leave it optimistic
         return TowerValidity(False, items, "item %d: %s" % (item, message))
-    bottom_up = [sub._raw_elements() for _, sub in reversed(t.stages)]
-    if _acts_trivially(bottom_up, t.ambient.chain().base):
+    if _acts_trivially(*t._kernel_positions):
         items[3] = False
         return TowerValidity(False, items, "item 3: stage 1 acts trivially below it")
     return TowerValidity(True, items)
@@ -394,24 +398,26 @@ def _kernel_set(members, lower, below, base):
     return frozenset(j for j, t in enumerate(moves) if list(map(label.__getitem__, t)) == label)
 
 
-def _kernel_sets(bottom_up, base):
-    """K_h, ..., K_1 as position sets, one at a time: bottom_up holds the
-    sorted element lists of the stages from the bottom one up, K_h = 1 is
-    {0} since the identity sorts first, and each K_i comes from the K_{i+1}
-    below it by _kernel_set."""
-    k = frozenset([0])
-    for i, members in enumerate(bottom_up):
-        if i:
-            k = _kernel_set(members, bottom_up[i - 1], k, base)
-        yield k
+def _kernel_sets(bottom_up, base) -> list:
+    """K_h, ..., K_1 as position sets, for the stages' sorted element lists
+    bottom_up from the bottom one up: K_h = 1 is {0}, the identity sorting
+    first, and K_i comes from K_{i+1} by _kernel_set, or is all of P_i with
+    no table when K_{i+1} is full, since P_i normalizes P_{i+1}."""
+    kernels = [frozenset([0])] if bottom_up else []
+    for lower, members in zip(bottom_up, bottom_up[1:]):
+        k = kernels[-1]
+        if len(k) == len(lower):
+            kernels.append(frozenset(range(len(members))))
+        else:
+            kernels.append(_kernel_set(members, lower, k, base))
+    return kernels
 
 
-def _acts_trivially(bottom_up, base) -> bool:
-    """Item 3 fails: some K_i is all of P_i, for the stages' sorted element
-    lists bottom_up as in _kernel_sets.  The recurrence stops at the first
-    full kernel; every stage above it then acts trivially too."""
-    kernels = _kernel_sets(bottom_up, base)
-    return any(len(k) == len(members) for k, members in zip(kernels, bottom_up))
+def _acts_trivially(bottom_up, kernels) -> bool:
+    """Item 3 fails: K_1 is all of P_1, for bottom_up and kernels as in
+    _kernel_sets.  A full kernel is carried up, so this tests every stage;
+    a tower with no stages passes."""
+    return bool(kernels) and len(kernels[-1]) == len(bottom_up[-1])
 
 
 def _by_size(sets):
@@ -504,9 +510,9 @@ def tower_probe(G: FiniteGroup, min_height: int):
     those whose generators it fixes, read off its conjugation table over
     every candidate.  A stage that centralizes the stage below has K_i = P_i
     and fails item 3 whatever lies lower, so only the second mask is offered
-    directly below.  A full-height leaf checks item 3 by _acts_trivially,
-    as validate_tower does; only a leaf that passes becomes a Tower, and it
-    is returned only if validate_tower accepts it.
+    directly below.  A full-height leaf checks item 3 by _acts_trivially on
+    its top kernel, as validate_tower does; only a leaf that passes becomes
+    a Tower, and it is returned only if validate_tower accepts it.
 
     Above height one a group with a single prime divisor answers None
     before any candidate is listed, and the top stage is offered only the
@@ -572,7 +578,7 @@ def tower_probe(G: FiniteGroup, min_height: int):
         """normed: the candidates that every stage above the last normalizes."""
         if len(stages) == min_height:
             bottom_up = [[elems[j] for j in sorted(cands[i][1])] for i in reversed(stages)]
-            if _acts_trivially(bottom_up, base):
+            if _acts_trivially(bottom_up, _kernel_sets(bottom_up, base)):
                 return None
             t = Tower(
                 G, [(cands[i][0], G._subgroup_raw([elems[x] for x in cands[i][2]])) for i in stages]
@@ -643,9 +649,7 @@ def find_max_tower(G: FiniteGroup):
 
 def tower_to_data(t: Tower) -> list:
     """Stage list as (prime, generator cycle strings), for reports."""
-    return [
-        [p, [str(g) for g in sub.generators]] for p, sub in t.stages
-    ]
+    return [[p, [str(g) for g in sub.generators]] for p, sub in t.stages]
 
 
 def _normalizes_all(gens, chosen) -> bool:
@@ -657,11 +661,7 @@ def _moves_stage_below(gens, chosen) -> bool:
     on it; such a candidate can never pass validation."""
     below = chosen[-1][1]
     ident = identity_raw(below.degree)
-    for g in gens:
-        for x in below._raw_gens:
-            if comm_raw(x, g) != ident:
-                return True
-    return False
+    return any(comm_raw(x, g) != ident for g in gens for x in below._raw_gens)
 
 
 def _pick_stage(G, u: FiniteGroup, p: int, chosen):

@@ -3,6 +3,7 @@ the set-based probe against the chain-based search it replaced, and the
 irreducibility verdicts over every small tower of candidate stages."""
 
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -119,6 +120,58 @@ def test_kernels_under_a_trivial_bottom_kernel_build_no_multiplication_table(
     t = Tower(s4, s4_tower.stages[1:])
     assert [k.order() for k in t.kernels()] == [1, 1]
     assert calls == []
+
+
+def test_kernels_above_a_full_kernel_build_no_table(monkeypatch):
+    # (1 2 3) commutes with (4 5), so K_2 is full and is carried up to K_1
+    s5 = build("sym(5)").group
+    c3 = s5.subgroup(_perms(5, "(1 2 3)"))
+    c2 = s5.subgroup(_perms(5, "(4 5)"))
+    t = Tower(s5, [(3, c3), (2, c2), (3, c3)])
+    calls = []
+    for name in ("multiplication_tables", "conjugation_tables"):
+
+        def counted(elems, base, gens, name=name, tables=getattr(towers, name)):
+            calls.append((name, gens))
+            return tables(elems, base, gens)
+
+        monkeypatch.setattr(towers, name, counted)
+    assert [k.order() for k in t.kernels()] == [3, 2, 1]
+    assert validate_tower(t).detail == "item 3: stage 1 acts trivially below it"
+    # the one table is stage 2's conjugation action on stage 3
+    assert calls == [("conjugation_tables", c2._raw_elements())]
+    assert assert_kernels_match_the_definition(t) == [3, 2, 1]
+
+
+def _counted_kernel_steps(monkeypatch):
+    steps = []
+    step = towers._kernel_set
+
+    def counted(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(towers, "_kernel_set", counted)
+    return steps
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+def test_a_fresh_tower_runs_its_kernel_recurrence_once(s4_tower, order, monkeypatch):
+    steps = _counted_kernel_steps(monkeypatch)
+    t = Tower(s4_tower.ambient, s4_tower.stages)
+    asks = [validate_tower, Tower.kernels, effective_quotients, is_irreducible_tower]
+    for i in order + order:
+        asks[i](t)
+    # one step per stage above the bottom one, however and how often it is asked
+    assert len(steps) == 2
+
+
+def test_a_second_validation_takes_no_kernel_step(s4_tower, monkeypatch):
+    t = Tower(s4_tower.ambient, s4_tower.stages)
+    assert validate_tower(t).valid
+    steps = _counted_kernel_steps(monkeypatch)
+    assert validate_tower(t).valid
+    assert steps == []
 
 
 def test_kernels_match_the_definition_on_the_s4_wreath_tower_and_its_conjugates():

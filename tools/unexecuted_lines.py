@@ -7,9 +7,12 @@ sys.settrace.  Pytest runs in this process (by default with the Tier-1
 arguments, -q --continue-on-collection-errors, from the repository root);
 only frames whose code lives under src/cppo get a line tracer, and each
 (file, line) they reach is recorded.  A line counts as executable when a
-code object compiled from its file lists it in co_lines().  Every
-executable line never reached is printed as path:line: source, followed by
-their count.  Work done in subprocesses the tests start is not seen.
+code object compiled from its file lists it in co_lines().  Every file's
+text, and so its executable lines, is read before the run starts, so a file
+edited during the run is reported as it was when the run started.
+Every executable line never reached is printed as path:line: source,
+followed by their count.  Work done in subprocesses the tests start is not
+seen.
 
 Tracing makes the run several times slower than the plain one; it is not
 part of Tier-1.  The exit code is pytest's.
@@ -30,9 +33,9 @@ PACKAGE = ROOT / "src" / "cppo"
 TIER1_ARGS = ["-q", "--continue-on-collection-errors"]
 
 
-def executable_lines(path: Path) -> set:
-    """The line numbers some code object compiled from path runs."""
-    stack = [compile(path.read_text(), str(path), "exec")]
+def executable_lines(path: Path, text: str) -> set:
+    """The line numbers some code object compiled from path's text runs."""
+    stack = [compile(text, str(path), "exec")]
     lines = set()
     while stack:
         code = stack.pop()
@@ -70,11 +73,12 @@ def trace_run(pytest_args) -> tuple[int, set]:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    texts = [(path, path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    files = [(path, text.splitlines(), executable_lines(path, text)) for path, text in texts]
     code, reached = trace_run(args or TIER1_ARGS)
     missed = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text().splitlines()
-        for line in sorted(executable_lines(path)):
+    for path, source, lines in files:
+        for line in sorted(lines):
             if (str(path), line) not in reached:
                 missed += 1
                 print("%s:%d: %s" % (path.relative_to(ROOT), line, source[line - 1].strip()))
