@@ -23,8 +23,10 @@ orders off the classes the scan names.  G''s class data is read off G's
 classes, of which G' is a union: derived_classes names them once and seeds
 G''s element list with their members.  A quotient G/N acts on the right
 cosets of N, each named by the least row of its elements' images of G's
-base; the cosets are walked on those rows alone, with no product formed, and
-a coset's least element is formed only when a lift first needs it.  All
+base; the cosets are walked on those rows alone, with no product formed.
+Each coset keeps its link (the coset and generator it was met from) and its
+rows, which projection maps through an element; its least element is the
+minimum of one batch product, formed only when a lift first needs it.  All
 derived data is produced in a deterministic order: element lists are sorted
 lexicographically by image table, classes by (size, least member).
 
@@ -39,7 +41,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce, wraps
-from itertools import combinations, compress, islice
+from itertools import combinations, islice
 
 from .arith import is_prime_power
 from .bsgs import StabilizerChain
@@ -504,9 +506,12 @@ class FiniteGroup:
 class QuotientGroup(FiniteGroup):
     """Coset-action quotient G/N with its projection and a lifting section.
 
+    quotient_by_normal forms it and hands over what its coset walk found.
     Coset 0 is N, and every other coset j was met from an earlier coset
-    through one generator of G: links[j] = (parent, generator index).  A
-    coset's least element is formed by representative() on first use.
+    through one generator of G: links[j] = (parent, generator index).  Each
+    coset also keeps its rows (its elements' images of G's base, in _rows),
+    and the chain is set, bounded by |G:N|.  A coset's least element is the
+    minimum of one batch product, formed by representative() on first use.
     """
 
     def __init__(self, generators, degree, *, source, kernel, links, by_key, cap):
@@ -520,15 +525,6 @@ class QuotientGroup(FiniteGroup):
 
     # In identity mode (trivial kernel) the quotient shares the source's
     # heavy caches, since it is the same permutation group.
-    def chain(self):
-        if self._identity_mode:
-            return self.source.chain()
-        if self._chain is None:
-            # N fixes every coset, so the image has order at most |G:N|
-            bound = self.source.order() // self.kernel.order()
-            self._chain = StabilizerChain.from_raw_generators(self.degree, self._raw_gens, bound)
-        return self._chain
-
     def _raw_elements(self):
         if self._identity_mode:
             elems = self.source._raw_elements()
@@ -547,8 +543,7 @@ class QuotientGroup(FiniteGroup):
         The links are followed up to the nearest coset whose least element r
         is formed (N's identity at worst).  Each coset below it on the path
         holds t = r g, g its link's generator, and its least element is the
-        least n t over n in N: since (n t)[i] = t[n[i]], N is narrowed column
-        by column to that one n, and one product forms it.
+        least n t over n in N: the minimum of one batch product.
         """
         least, links = self._least, self._links
         path = []
@@ -558,30 +553,21 @@ class QuotientGroup(FiniteGroup):
         r = least[j]
         gens, nraw = self.source._raw_gens, self.kernel._raw_elements()
         for j in reversed(path):
-            t = mul_raw(r, gens[links[j][1]])
-            ns = nraw
-            i = 0
-            while len(ns) > 1:
-                column = [t[n[i]] for n in ns]
-                ns = list(compress(ns, map(min(column).__eq__, column)))
-                i += 1
-            r = least[j] = mul_raw(ns[0], t)
+            r = least[j] = min(mul_all(nraw, mul_raw(r, gens[links[j][1]])))
         return r
 
     def project(self, g: Permutation) -> Permutation:
         """Image of g under the coset action; kernel elements map to identity.
         Coset N r g is looked up by its least row of base images, as
-        quotient_by_normal names it; the rows of each coset are replayed
-        from N's along the links, one map_rows per coset."""
+        quotient_by_normal names it: the rows each coset kept from the walk
+        are mapped through g, one map_rows per coset."""
         if not self.source.contains(g):
             raise NotInGroupError("%s is not in the source group" % g)
         if self._identity_mode:
             return g
-        gens = self.source._raw_gens
-        rows = [base_rows(self.kernel._raw_elements(), self.source.chain().base)]
-        for parent, gi in self._links[1:]:
-            rows.append(map_rows(rows[parent], gens[gi]))
-        return Permutation.from_zero_based(self._by_key[min(map_rows(r, g.raw))] for r in rows)
+        return Permutation.from_zero_based(
+            self._by_key[min(map_rows(r, g.raw))] for r in self._rows
+        )
 
     def lift(self, q: Permutation) -> Permutation:
         """A source-group representative of the coset permutation q."""
@@ -601,10 +587,12 @@ def quotient_by_normal(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
     """The quotient G/N as a permutation group on the right cosets of N.
 
     N must be normal in G.  With trivial N the group itself is returned in a
-    QuotientGroup wrapper (identity projection) rather than the regular coset
-    action, whose degree |G| would be useless at our sizes.  The cosets are
-    walked on rows of base images alone and form no product; a coset keeps
-    only its link to the coset it was met from.
+    QuotientGroup wrapper (identity projection, G's own chain) rather than
+    the regular coset action, whose degree |G| would be useless at our
+    sizes.  The cosets are walked on rows of base images alone and form no
+    product; each coset keeps its link to the coset it was met from and its
+    rows, which project maps, and its least element is left to one batch
+    product in representative.  The chain is built here, bounded by |G:N|.
     """
     if N.degree != G.degree:
         raise DegreeMismatchError("subgroup degree differs from parent degree")
@@ -614,52 +602,38 @@ def quotient_by_normal(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
         raise NotNormalError("the given subgroup is not normal in the group")
 
     if N.is_trivial():
-        return QuotientGroup(
-            G.generators,
-            G.degree,
-            source=G,
-            kernel=N,
-            links=None,
-            by_key=None,
-            cap=G.cap,
+        q = QuotientGroup(
+            G.generators, G.degree, source=G, kernel=N, links=None, by_key=None, cap=G.cap
         )
+        q._chain = G.chain()
+        return q
 
     gens = G._raw_gens
     # Elements of G differ on G's base, so the least row of base images over
-    # a coset names it.  The rows of N r g are those of N r mapped through
-    # g, so a coset's rows are kept from the walk step that meets it until
-    # the walk reaches it.
-    n_rows = base_rows(N._raw_elements(), G.chain().base)
-    by_key = {min(n_rows): 0}
+    # a coset names it.  The rows of N r g are those of N r mapped through g.
+    rows = [base_rows(N._raw_elements(), G.chain().base)]
+    by_key = {min(rows[0]): 0}
     links = [None]
-    pending = {0: n_rows}
     images = [[] for _ in gens]
-    for pos, _ in enumerate(links):  # grows while it is walked
-        r_rows = pending.pop(pos)
+    for pos, r_rows in enumerate(rows):  # grows while it is walked
         for gi, g in enumerate(gens):
-            rows = map_rows(r_rows, g)
-            key = min(rows)
+            g_rows = map_rows(r_rows, g)
+            key = min(g_rows)
             j = by_key.get(key)
             if j is None:
-                if len(links) >= G.cap:
-                    raise EnumerationCapError(len(links) + 1, G.cap)
-                j = len(links)
-                by_key[key] = j
+                if len(rows) >= G.cap:
+                    raise EnumerationCapError(len(rows) + 1, G.cap)
+                j = by_key[key] = len(rows)
                 links.append((pos, gi))
-                pending[j] = rows
+                rows.append(g_rows)
             images[gi].append(j)
-    degree = len(links)
+    degree = len(rows)
     # images[gi] was filled row by row in coset order, one entry per coset
     qgens = [Permutation.from_zero_based(img) for img in images]
-    q = QuotientGroup(
-        qgens,
-        degree,
-        source=G,
-        kernel=N,
-        links=links,
-        by_key=by_key,
-        cap=G.cap,
-    )
+    q = QuotientGroup(qgens, degree, source=G, kernel=N, links=links, by_key=by_key, cap=G.cap)
+    q._rows = rows
+    # N fixes every coset, so the image has order at most |G:N|
+    q._chain = StabilizerChain.from_raw_generators(degree, q._raw_gens, G.order() // N.order())
     if N.order() * q.order() != G.order():
         raise RuntimeError("coset action has the wrong order; normality check was fooled")
     return q

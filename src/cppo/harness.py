@@ -300,7 +300,9 @@ def load_results(path) -> list[ClassificationReport]:
         raise SchemaError(
             "results schema version %r is not %d" % (payload["schema_version"], SCHEMA_VERSION)
         )
-    reports = payload.get("reports", [])
+    if "reports" not in payload:
+        raise SchemaError("results file has no reports section")
+    reports = payload["reports"]
     if not isinstance(reports, list):
         raise SchemaError("reports must be a list")
     return [_report_from_doc(d) for d in reports]

@@ -303,13 +303,12 @@ def _cc_iii_instances(seed):
 
 def cc_iii(amb, g, a, n):
     nchain = n.chain()
-    # fixed points of the action on G/N, pulled back to G
-    pulled = [
-        x
+    # fixed points of the action on G/N pulled back to G: the preimage of
+    # C_{G/N}(A), a subgroup, so its order is its element count
+    lhs = sum(
+        all(nchain.contains_raw(comm_raw(x, ag)) for ag in a._raw_gens)
         for x in g._raw_elements()
-        if all(nchain.contains_raw(comm_raw(x, ag)) for ag in a._raw_gens)
-    ]
-    lhs = amb._subgroup_from_raw_elements(pulled).order()
+    )
     cent = g.centralizer(a.generators)
     rhs = _join(amb, n._raw_gens, cent._raw_gens).order()
     return lhs == rhs, {"lhs": lhs, "rhs": rhs}

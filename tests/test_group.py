@@ -903,6 +903,22 @@ def test_quotients_of_drawn_s6_subgroups_match_the_product_loop(tables):
         assert_quotient_matches_reference(g, n)
 
 
+def test_sl2_9_mod_centre_projects_with_one_map_rows_per_coset(monkeypatch):
+    group = build("sl2_9").group
+    q = quotient_by_normal(group, group.center())
+    calls = []
+
+    def counting(rows, g, _kernel=cppo.group.map_rows):
+        calls.append(len(g))
+        return _kernel(rows, g)
+
+    monkeypatch.setattr(cppo.group, "map_rows", counting)
+    # each coset's rows are kept from the walk and mapped through g once
+    g = Permutation._from_raw(group._raw_gens[0])
+    assert q.project(g) == q.generators[0]
+    assert calls == [720] * q.degree and q.degree == 360
+
+
 def test_sl2_9_mod_centre_forms_no_product_before_a_lift(monkeypatch):
     group = build("sl2_9").group
     centre = group.center()

@@ -452,6 +452,12 @@ def test_load_results_schema_validation(tmp_path):
         path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "reports": reports}))
         with pytest.raises(SchemaError):
             load_results(path)
+    # no reports section at all: a header alone, or a lemma-suite file
+    for doc in ({"schema_version": SCHEMA_VERSION},
+                {"schema_version": SCHEMA_VERSION, "lemma_checks": []}):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            load_results(path)
 
 
 def test_structured_text_is_deterministic():

@@ -356,3 +356,16 @@ def test_only_classify_catches_the_cap_error():
     assert len(found) == 1 and found[0].startswith("harness.py:"), (
         "EnumerationCapError handlers: %s" % ", ".join(found)
     )
+
+
+def test_a_quotient_overrides_only_the_identity_mode_enumerations():
+    """quotient_by_normal sets a quotient's chain and hands it the rows of
+    its coset walk, so QuotientGroup re-derives nothing FiniteGroup derives:
+    besides __init__ it overrides only the two enumerations that share the
+    source's element list and classes when the kernel is trivial."""
+    overrides = {
+        name
+        for name, value in vars(cppo.QuotientGroup).items()
+        if callable(value) and hasattr(cppo.FiniteGroup, name)
+    }
+    assert overrides - {"__init__"} == {"_raw_elements", "_raw_classes"}
