@@ -58,6 +58,7 @@ from .permutation import (
     conj_raw,
     conjugation_sieve,
     conjugation_tables,
+    element_index,
     identity_raw,
     inv_raw,
     map_rows,
@@ -318,9 +319,15 @@ class FiniteGroup:
         raise NotInGroupError("%r is not conjugate to %r here" % (target, rep))
 
     @cached
-    def _class_index(self) -> dict:
-        """Element -> index of its class in _raw_classes."""
-        return {x: k for k, c in enumerate(self._raw_classes()) for x in c.members}
+    def _class_index(self):
+        """The function giving each element the index of its class in
+        _raw_classes, by element_index."""
+        classes = self._raw_classes()
+        return element_index(
+            [x for c in classes for x in c.members],
+            self.chain().base,
+            [k for k, c in enumerate(classes) for _ in c.members],
+        )
 
     def class_rep_orders(self) -> list[int]:
         """Orders of the class representatives, one entry per class."""
@@ -346,7 +353,7 @@ class FiniteGroup:
         class_of = self._class_index()
         for c in self._raw_classes():
             rinv = inv_raw(c.rep)
-            yield c, rinv, map(class_of.__getitem__, mul_all(c.members, rinv))
+            yield c, rinv, map(class_of, mul_all(c.members, rinv))
 
     def commutator_set(self) -> set[Permutation]:
         """All commutators: the union of the classes the scan hits, which is

@@ -42,6 +42,7 @@ from .permutation import (
     Permutation,
     comm_raw,
     conj_raw,
+    element_index,
     identity_raw,
     inv_raw,
     mul_raw,
@@ -55,7 +56,7 @@ from .structure import (
     is_nilpotent,
     is_quasisimple,
     is_soluble,
-    normal_subgroups,
+    iter_normal_subgroups,
     p_prime_part_of_nilpotent,
     quotient_is_simple,
     sylow_subgroup,
@@ -459,9 +460,9 @@ def autoofextra(P, phi_raw):
     # the values lie in P, so their closure under P's conjugation is the
     # union of the classes of P that they meet
     class_of = P._class_index()
-    hit = {class_of[y] for y in values}
+    hit = set(map(class_of, values))
     frat_set = set(frattini_of_p_group(P)._raw_elements())
-    missing = [x for x in P._raw_elements() if x not in frat_set and class_of[x] not in hit]
+    missing = [x for x in P._raw_elements() if x not in frat_set and class_of(x) not in hit]
     return not missing, {"value_count": len(values), "missed": len(missing)}
 
 
@@ -519,7 +520,11 @@ def _opelinha_instances(seed):
         if not g.is_cppo():
             continue
         centre = g.center()
-        nilpotent = (n for n in normal_subgroups(g) if n.order() > 1 and is_nilpotent(n))
+        # Fitting: a normal subgroup is nilpotent exactly when it lies in F(G)
+        fitting = fitting_subgroup(g)
+        nilpotent = (
+            n for n in iter_normal_subgroups(g) if n.order() > 1 and fitting.contains_group(n)
+        )
         # eight per group keep reports readable on lattice-rich groups
         for n in itertools.islice(nilpotent, 8):
             yield "%s, nilpotent normal of order %d" % (name, n.order()), n, centre
@@ -605,25 +610,43 @@ def _existelemabelqsub_instances(seed):
             yield "%s with q = %d" % (gid, qprime), g, qprime
 
 
+def _elementary_abelian_candidates(g, qprime, position):
+    """The elementary abelian q-subgroups of g as (element positions,
+    generators), in the order of _p_subgroup_sets.  Those of order q come
+    first, each <x> met at its least element x of order q; the full list is
+    made only for the larger ones after them.  position is element_index on
+    g's elements, so each power of x is kept as its position."""
+    seen = set()
+    for i, (x, o) in enumerate(zip(g._raw_elements(), _element_orders(g))):
+        if o == qprime and i not in seen:
+            members, y = {0}, x  # the identity sorts first
+            for _ in range(qprime - 1):
+                members.add(position(y))
+                y = mul_raw(y, x)
+            seen |= members
+            yield frozenset(members), [x]
+    for members, gens in _p_subgroup_sets(g, qprime):
+        if len(members) > qprime and _elementary_abelian_gens(gens, qprime):
+            yield frozenset(map(position, members)), gens
+
+
 def existelemabelqsub(g, qprime):
     """An elementary abelian q-subgroup Q and a coprime prime-power element a
-    with [Q, a] = Q, by direct search over small q-subgroups."""
-    candidates = [
-        gens for _, gens in _p_subgroup_sets(g, qprime) if _elementary_abelian_gens(gens, qprime)
-    ]
-    # sylow_subgroup has filled the order table while listing the candidates
+    with [Q, a] = Q, by direct search over the first 40 elementary abelian
+    q-subgroups: those of order q, formed from the elements of order q,
+    and the larger ones listed only when none of those serves.  a normalizes
+    Q when it conjugates each generator of Q into Q's elements."""
     elems, orders = g._raw_elements(), _element_orders(g)
-    for gens in candidates[:40]:
+    position = element_index(elems, g.chain().base)
+    coprime = {o for o in set(orders) if o > 1 and is_prime_power(o) and o % qprime}
+    acting = [(a, o) for a, o in zip(elems, orders) if o in coprime]
+    for members, gens in itertools.islice(_elementary_abelian_candidates(g, qprime, position), 40):
         cand = g._subgroup_raw(gens)
-        size = cand.order()
-        for a, o in zip(elems, orders):
-            if o == 1 or not is_prime_power(o) or o % qprime == 0:
-                continue
-            if not cand.normalized_by([a]):
-                continue
-            span = _commutator_span(g, [a], cand)
-            if span.order() == size:
-                return True, {"q_order": size, "a_order": o}
+        for a, o in acting:
+            if all(position(conj_raw(x, a)) in members for x in gens) and (
+                _commutator_span(g, [a], cand).order() == len(members)
+            ):
+                return True, {"q_order": len(members), "a_order": o}
     return False, {}
 
 
@@ -676,7 +699,7 @@ def _casolo_quotient_instances(seed):
                 for b in bottom_gens
             )
 
-        for n in itertools.islice(filter(centralized, normal_subgroups(g)), 4):
+        for n in itertools.islice(filter(centralized, iter_normal_subgroups(g)), 4):
             yield "%s mod normal of order %d" % (name, n.order()), g, tower, n
 
 

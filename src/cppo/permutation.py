@@ -19,10 +19,12 @@ applied to the column in one translate, so no conjugate is formed.
 multiplication_tables does the same for the products x * g, whose base
 images are g applied to the base columns themselves, and conjugation_sieve
 keeps the members whose conjugates agree with them on the base, comparing
-one such column per base point.  Rows of base images (base_rows) are
-mapped through g by map_rows, the form of mul_all for rows shorter than a
-table.  orbits walks the orbits of index tables: a group's conjugacy
-classes, and the classes of any family of index sets it conjugates.
+one such column per base point.  element_index looks a group's elements
+up, by their images of a base past degree 256.  Rows of base images
+(base_rows) are mapped through g by map_rows, the form of mul_all for rows
+shorter than a table.  orbits walks the orbits of index tables: a group's
+conjugacy classes, and the classes of any family of index sets it
+conjugates.
 
 Composition is left to right: (p * q) moves a point first through p, then
 through q, matching the conjugation convention x^y = y^-1 x y and
@@ -146,6 +148,24 @@ def map_rows(rows, g):
         table = g + _TAIL[n]
         return [x.translate(table) for x in rows]
     return [tuple(map(g.__getitem__, x)) for x in rows]
+
+
+def element_index(xs, base, values=None):
+    """The function giving each member xs[i] of a group's elements
+    values[i], by default its position i, for base a base of the group's
+    chain.
+
+    Up to degree 256 it keys by the member itself, whose hash bytes caches.
+    A wider member is a tuple, which hashes every entry on each lookup, so
+    it keys by the member's images of base, which tell the group's elements
+    apart; a permutation outside the group may be taken for a member.
+    """
+    values = range(len(xs)) if values is None else values
+    if len(xs[0]) <= BYTES_MAX_DEGREE or not base:
+        return dict(zip(xs, values)).__getitem__
+    key = operator.itemgetter(*base)
+    value = dict(zip(map(key, xs), values)).__getitem__
+    return lambda x: value(key(x))
 
 
 def _index_tables(xs, base, moves):

@@ -16,6 +16,7 @@ group's storage.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -144,7 +145,7 @@ def _sorted_class_product(G: FiniteGroup, i: int, j: int) -> frozenset:
     """
     classes = G._raw_classes()
     class_of = G._class_index()
-    return frozenset(map(class_of.__getitem__, mul_all(classes[i].members, classes[j].rep)))
+    return frozenset(map(class_of, mul_all(classes[i].members, classes[j].rep)))
 
 
 def _class_closure(G: FiniteGroup, k: int, allowed=None, bound=None) -> frozenset | None:
@@ -326,25 +327,31 @@ def frattini_of_p_group(P: FiniteGroup) -> FiniteGroup:
 # the normal subgroup lattice
 
 
-@cached
-def normal_subgroups(G: FiniteGroup) -> list:
-    """Every normal subgroup, as the join closure of class normal closures.
+def iter_normal_subgroups(G: FiniteGroup):
+    """Every normal subgroup, in order of (order, sorted signature), each
+    formed only when the walk reaches it.
 
     A normal subgroup is a union of conjugacy classes, so all of them arise
     as joins of the normal closures of single class representatives.  Each
-    subgroup is keyed by its signature, the set of classes it swallows, and
-    the list is sorted by (order, sorted signature).  No signature needs a
-    chain.  An atom's signature is its class closure, read off the class
-    products C_i*C_k.  For normal N and M the join is N*M, the union of the
-    class products C_i*C_j over C_i in N and C_j in M, so a join's signature
-    is a union of class products.  An atom's subgroup is formed only when
-    its signature is new or a new join needs its generators, and a join's
-    only when its signature is new.
+    is keyed by its signature, the set of classes it swallows, and no
+    signature needs a chain.  An atom's signature is its class closure,
+    read off the class products C_i*C_k.  For normal N and M the join is
+    N*M, the union of the class products C_i*C_j over C_i in N and C_j in
+    M, so a join's signature is a union of class products.
+
+    The signatures wait on a heap in output order.  The one popped is
+    formed and joined with every atom; a join strictly contains both, so
+    every way to meet a signature is known when it is popped.  A subgroup
+    gets the generators a breadth-first join closure from the atoms gives
+    it, those of the first way it is met, by the key (0, pos) for the atom
+    of the class at that position among the nonidentity classes, and
+    (level + 1, key, pos) for the join of a signature with that key and
+    level with that atom.
     """
     classes = G._raw_classes()
     if len(classes) > DEFAULT_CLASS_CAP:
         raise ClassCapError(len(classes), DEFAULT_CLASS_CAP)
-    ident = identity_raw(G.degree)
+    sizes = [len(c.members) for c in classes]
     formed = {}  # class index -> the normal closure of its representative
 
     def atom(k):
@@ -352,35 +359,44 @@ def normal_subgroups(G: FiniteGroup) -> list:
             formed[k] = G._normal_closure_raw([classes[k].rep])
         return formed[k]
 
-    trivial = frozenset(k for k, c in enumerate(classes) if c.rep == ident)
-    found = {trivial: G.trivial_subgroup()}
-    atoms = []
-    for k, c in enumerate(classes):
-        if c.rep != ident:
-            sig = _class_closure(G, k)
-            atoms.append((sig, k))
-            if sig not in found:
-                found[sig] = atom(k)
-    frontier = list(found)
-    while frontier:
-        new_frontier = []
-        for sig in frontier:
-            base = found[sig]
-            for asig, k in atoms:
-                # a join with a subgroup or overgroup is one of the two
-                if asig <= sig or sig <= asig:
-                    continue
-                fresh = asig - sig
-                jsig = sig.union(*(_class_product(G, i, j) for i in sig for j in fresh))
-                if jsig not in found:
-                    found[jsig] = G._subgroup_raw(base._raw_gens + atom(k)._raw_gens)
-                    new_frontier.append(jsig)
-        frontier = new_frontier
-    sizes = [len(c.members) for c in classes]
-    ordered = sorted(
-        found.items(), key=lambda item: (sum(sizes[i] for i in item[0]), sorted(item[0]))
-    )
-    return [sub for _, sub in ordered]
+    heap = []
+    met = {}  # signature -> (key, the signature it joins or None, the atom's class)
+
+    def meet(sig, key, parent, k):
+        if sig not in met:
+            heapq.heappush(heap, (sum(map(sizes.__getitem__, sig)), sorted(sig), sig))
+        elif met[sig][0] <= key:
+            return
+        met[sig] = (key, parent, k)
+
+    # the identity's class is the first, since classes sort by (size, least member)
+    atoms = [(_class_closure(G, k), k) for k in range(1, len(classes))]
+    for pos, (sig, k) in enumerate(atoms):
+        meet(sig, (0, pos), None, k)
+    yield G.trivial_subgroup()
+    found = {}  # popped signature -> its subgroup
+    while heap:
+        sig = heapq.heappop(heap)[2]
+        key, parent, k = met[sig]
+        if parent is None:
+            sub = atom(k)
+        else:
+            sub = G._subgroup_raw(found[parent]._raw_gens + atom(k)._raw_gens)
+        found[sig] = sub
+        yield sub
+        for pos, (asig, k) in enumerate(atoms):
+            # a join with a subgroup or overgroup is one of the two
+            if asig <= sig or sig <= asig:
+                continue
+            fresh = asig - sig
+            jsig = sig.union(*(_class_product(G, i, j) for i in sig for j in fresh))
+            meet(jsig, (key[0] + 1, key, pos), sig, k)
+
+
+@cached
+def normal_subgroups(G: FiniteGroup) -> list:
+    """Every normal subgroup, as iter_normal_subgroups walks them."""
+    return list(iter_normal_subgroups(G))
 
 
 def quotient_is_simple(G: FiniteGroup, N: FiniteGroup) -> bool:

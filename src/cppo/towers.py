@@ -52,6 +52,7 @@ from .permutation import (
     Permutation,
     comm_raw,
     conjugation_tables,
+    element_index,
     identity_raw,
     mul_all,
     mul_raw,
@@ -467,9 +468,9 @@ def _p_subgroup_index_sets(G: FiniteGroup, p: int, conj):
     generator.  Only the Sylow group's elements get right-multiplication
     tables."""
     elems = G._raw_elements()
-    index = dict(zip(elems, range(len(elems))))
-    xs = sorted(map(index.__getitem__, sylow_subgroup(G, p)._raw_elements()))
-    found = _cyclic_extension(xs, _right_rows(elems, G.chain().base, xs))
+    base = G.chain().base
+    xs = sorted(map(element_index(elems, base), sylow_subgroup(G, p)._raw_elements()))
+    found = _cyclic_extension(xs, _right_rows(elems, base, xs))
     pool = {k: gens for k, gens in _by_size(found) if len(k) > 1}
     queue = list(pool.items())
     images = {}

@@ -7,6 +7,7 @@ a source makes refusing a bad instance."""
 import ast
 import gc
 import hashlib
+import itertools
 import json
 import math
 import weakref
@@ -15,14 +16,22 @@ from pathlib import Path
 import pytest
 
 from cppo import lemmas
+from cppo.arith import is_prime_power
 from cppo.atlas import build
 from cppo.errors import GroupError
 from cppo.group import FiniteGroup
 from cppo.harness import lemma_checks_to_doc
 from cppo.lemmas import MICRO_SUITE, REGISTRY, LemmaCheck, _affine
-from cppo.permutation import Permutation, identity_raw
+from cppo.permutation import Permutation, element_index, identity_raw
 from cppo.permutation import parse_permutation as perm
-from cppo.towers import Tower, find_max_tower
+from cppo.structure import _element_orders
+from cppo.towers import (
+    Tower,
+    _commutator_span,
+    _elementary_abelian_gens,
+    _p_subgroup_sets,
+    find_max_tower,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "bench" / "golden.json"
@@ -181,6 +190,52 @@ def test_s4_wreath_2_ambient_is_pinned():
     ]
     assert (amb.name, amb.degree, amb.order()) == ("s4wr2", 8, 1152)
 
+
+
+def _existelemabelqsub_cases():
+    cases = [(g, q) for _, g, q in lemmas._existelemabelqsub_instances(0)]
+    return cases + [(build("cyclic(6)").group, 2)]
+
+
+EXISTELEMABELQSUB_CASES = _existelemabelqsub_cases()
+EXISTELEMABELQSUB_IDS = ["%s q=%d" % (g.name, q) for g, q in EXISTELEMABELQSUB_CASES]
+
+
+def reference_existelemabelqsub(g, qprime):
+    """existelemabelqsub as it searched before it tried the subgroups of
+    order q first: every q-subgroup listed, normalizing tested on chains."""
+    candidates = [
+        gens for _, gens in _p_subgroup_sets(g, qprime) if _elementary_abelian_gens(gens, qprime)
+    ]
+    elems, orders = g._raw_elements(), _element_orders(g)
+    for gens in candidates[:40]:
+        cand = g._subgroup_raw(gens)
+        size = cand.order()
+        for a, o in zip(elems, orders):
+            if o == 1 or not is_prime_power(o) or o % qprime == 0:
+                continue
+            if not cand.normalized_by([a]):
+                continue
+            if _commutator_span(g, [a], cand).order() == size:
+                return True, {"q_order": size, "a_order": o}
+    return False, {}
+
+
+@pytest.mark.parametrize("g, q", EXISTELEMABELQSUB_CASES, ids=EXISTELEMABELQSUB_IDS)
+def test_elementary_abelian_candidates_are_the_filtered_p_subgroup_list(g, q):
+    elems = g._raw_elements()
+    position = element_index(elems, g.chain().base)
+    candidates = lemmas._elementary_abelian_candidates(g, q, position)
+    # the subgroups of order q, formed from the elements of order q
+    got = list(itertools.takewhile(lambda c: len(c[0]) == q, candidates))
+    got = [(frozenset(map(elems.__getitem__, members)), gens) for members, gens in got]
+    assert all(gens[0] in members for members, gens in got)
+    listed = [
+        members for members, gens in _p_subgroup_sets(g, q) if _elementary_abelian_gens(gens, q)
+    ]
+    assert [members for members, _ in got] == listed[: len(got)]
+    assert all(len(members) > q for members in listed[len(got) :])
+    assert lemmas.existelemabelqsub(g, q) == reference_existelemabelqsub(g, q)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cppo import CycleParseError, DegreeMismatchError, FiniteGroup, Permutation, parse_permutation
 from cppo.atlas import build
 from cppo.corpus import corpus_groups
+from cppo.group import quotient_by_normal
 from cppo.permutation import (
     BYTES_MAX_DEGREE,
     base_rows,
@@ -24,6 +25,7 @@ from cppo.permutation import (
     conjugation_sieve,
     conjugation_tables,
     cycles_raw,
+    element_index,
     identity_raw,
     inv_raw,
     map_rows,
@@ -345,6 +347,34 @@ def test_index_tables_match_one_product_at_a_time(group):
     for table, g in zip(conjugation_tables(xs, base, gens), gens):
         assert [xs[j] for j in table] == [conj_raw(x, g) for x in xs]
     assert multiplication_tables(xs, base, []) == []
+
+
+def _sl2_9_mod_centre():
+    g = build("sl2_9").group
+    return quotient_by_normal(g, g.center())
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        build("sl2_9").group,  # tuples at degree 720
+        _sl2_9_mod_centre(),  # tuples at degree 360
+        build("s4").group,  # bytes
+        build("sl2_5").group,  # bytes at degree 120
+        _lifted(build("s4").group),  # tuples, a three-point base
+        FiniteGroup([], degree=300),  # tuples, the empty base
+    ],
+    ids=lambda g: "order %d degree %d" % (g.order(), g.degree),
+)
+def test_element_index_agrees_with_a_dict_over_the_elements(group):
+    xs = group._raw_elements()
+    position = element_index(xs, group.chain().base)
+    index = {x: i for i, x in enumerate(xs)}
+    assert list(map(position, xs)) == list(range(len(xs)))
+    # products are new objects, equal to members but not the members themselves
+    for g in group._raw_gens:
+        products = mul_all(xs, g)
+        assert list(map(position, products)) == [index[y] for y in products]
 
 
 def test_corpus_generators_use_the_format_of_their_degree():

@@ -7,6 +7,7 @@ from the code under test.  Each group's lattice is computed once per run.
 """
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,7 @@ from cppo.structure import (
     is_quasisimple,
     is_simple,
     is_soluble,
+    iter_normal_subgroups,
     lower_central_series,
     normal_subgroups,
     p_core,
@@ -380,6 +382,46 @@ def test_normal_subgroups_build_no_chain_for_a_join(monkeypatch):
     assert len(normals) == 91
     # at most the trivial subgroup's signature is read off a fresh chain
     assert built in ([], [0])
+
+
+@pytest.mark.parametrize("name, group", LATTICE_GROUPS, ids=[n for n, _ in LATTICE_GROUPS])
+def test_each_prefix_of_the_lattice_walk_is_the_same_prefix_of_the_list(name, group):
+    want = [(n.order(), n._raw_gens) for n in normal_subgroups(group)]
+    for k in (1, 8, len(want)):
+        # a walk on a fresh copy, stopped after k members
+        fresh = FiniteGroup(group.generators, degree=group.degree)
+        got = [(n.order(), n._raw_gens) for n in islice(iter_normal_subgroups(fresh), k)]
+        assert got == want[:k], k
+
+
+@pytest.mark.parametrize(
+    "name, total", [("direct_product(q8,dihedral(4))", 91), ("extraspecial(2,+)", 68)]
+)
+def test_taking_eight_normal_subgroups_forms_eight_subgroups(monkeypatch, name, total):
+    g = build(name).group
+    g._raw_classes()  # the group's own chain and classes come first
+    formed = []
+    real = FiniteGroup._subgroup_raw
+
+    def counting(self, raw_gens):
+        formed.append(len(raw_gens))
+        return real(self, raw_gens)
+
+    monkeypatch.setattr(FiniteGroup, "_subgroup_raw", counting)
+    assert len(list(islice(iter_normal_subgroups(g), 8))) == 8
+    prefix = len(formed)
+    assert prefix <= 8
+    # the whole list forms each of its members once
+    assert len(normal_subgroups(g)) == total == len(formed) - prefix
+
+
+@pytest.mark.parametrize("name, group", LATTICE_GROUPS, ids=[n for n, _ in LATTICE_GROUPS])
+def test_a_normal_subgroup_is_nilpotent_exactly_when_it_lies_in_the_fitting_subgroup(
+    name, group
+):
+    fitting = fitting_subgroup(group)
+    for n in normal_subgroups(group):
+        assert is_nilpotent(n) == fitting.contains_group(n), n.order()
 
 
 def test_normal_subgroups_refuse_a_group_past_the_class_cap():
