@@ -38,6 +38,7 @@ from .harness import (
 )
 from .lemmas import LemmaCheck
 from .permutation import Permutation, parse_permutation
+from .structure import p_prime_part_of_nilpotent
 from .towers import (
     Tower,
     find_max_tower,
@@ -79,6 +80,7 @@ __all__ = [
     "is_irreducible_tower",
     "load_group_spec",
     "load_results",
+    "p_prime_part_of_nilpotent",
     "parse_permutation",
     "persist_results",
     "quotient_by_normal",

@@ -16,14 +16,16 @@ sweeps on a pair of elements checked to generate it, when one is found.
 Commutators are read off the class table: one scan names, for each class
 representative r and each s in its class, the class of the commutator
 r^-1 s.  The commutator set is the union of the classes the scan hits.  The
-CPPO verdict looks at G' first when |G| exceeds the degree: every commutator
+CPPO witness looks at G' first when |G| exceeds the degree: every commutator
 lies in G', so only the classes of non-prime-power order inside G' can break
-CPPO, and with none of them the verdict needs no scan; otherwise it reads
-orders off the classes the scan names.  G''s class data is read off G's
-classes, of which G' is a union: derived_classes names them once and seeds
-G''s element list with their members.  A quotient G/N acts on the right
-cosets of N, each named by the least row of its elements' images of G's
-base; the cosets are walked on those rows alone, with no product formed.
+CPPO, and with none of them it needs no scan; otherwise it reads orders off
+the classes the scan names.  is_cppo tries a short fixed-seed walk of
+commutators of random words before that, so a group it catches is refuted
+with no element listed.  G''s class data is read off G's classes, of which
+G' is a union: derived_classes names them once and seeds G''s element list
+with their members.  A quotient G/N acts on the right cosets of N, each
+named by the least row of its elements' images of G's base; the cosets are
+walked on those rows alone, with no product formed.
 Each coset keeps its link (the coset and generator it was met from) and its
 rows, which projection maps through an element; its least element is the
 minimum of one batch product, formed only when a lift first needs it.  All
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 from functools import reduce, wraps
 from itertools import combinations, islice
@@ -69,6 +72,9 @@ from .permutation import (
 )
 
 DEFAULT_ENUMERATION_CAP = 200_000
+
+# commutators of random words is_cppo tries before it falls back to the scan
+_WITNESS_WALK_TRIES = 16
 
 
 def cached(fn):
@@ -417,7 +423,24 @@ class FiniteGroup:
         return ks
 
     def is_cppo(self) -> bool:
-        """True when every commutator has prime-power order (1 included)."""
+        """True when every commutator has prime-power order (1 included).
+
+        A walk seeded with random.Random(0) tries _WITNESS_WALK_TRIES
+        commutators [x, y] first, x and y words in the generators that each
+        grow by one random generator per try.  Their orders are read on the
+        chain's base, so the first of non-prime-power order decides False
+        with no element formed, past the cap too.  Otherwise the verdict is
+        cppo_witness() is None, which enumerates; cppo_witness alone names
+        the canonical witness.
+        """
+        gens, base = self._raw_gens, self.chain().base
+        rng = random.Random(0)
+        x = y = identity_raw(self.degree)
+        # with fewer than two generators the group is cyclic and every commutator is 1
+        for _ in range(_WITNESS_WALK_TRIES if len(gens) > 1 else 0):
+            x, y = mul_raw(x, rng.choice(gens)), mul_raw(y, rng.choice(gens))
+            if not is_prime_power(order_raw(comm_raw(x, y), base)):
+                return False
         return self.cppo_witness() is None
 
     def eppo_witness(self) -> EppoWitness | None:

@@ -36,7 +36,6 @@ from .errors import (
 from .group import FiniteGroup
 from .lemmas import REGISTRY, LemmaCheck
 from .structure import (
-    fitting_height,
     identify_simple_eppo,
     is_perfect,
     is_soluble,
@@ -161,7 +160,8 @@ def _element_fields(G: FiniteGroup, derived: FiniteGroup, r: ClassificationRepor
         r.derived_is_eppo = all(is_prime_power(classes[k].order) for k in G.derived_classes())
 
     if r.is_soluble:
-        r.fitting_height = fitting_height(G)
+        # the series is built anyway for R(G) and find_max_tower
+        r.fitting_height = len(upper_fitting_series(G).terms) - 1
         try:
             r.tower_height, tower = find_max_tower(G)
             r.tower_witness = tower_to_data(tower)

@@ -50,6 +50,7 @@ from .permutation import (
 )
 from .structure import (
     _element_orders,
+    _p_prime_part,
     fitting_height,
     fitting_subgroup,
     frattini_of_p_group,
@@ -57,7 +58,6 @@ from .structure import (
     is_quasisimple,
     is_soluble,
     iter_normal_subgroups,
-    p_prime_part_of_nilpotent,
     quotient_is_simple,
     sylow_subgroup,
 )
@@ -531,10 +531,11 @@ def _opelinha_instances(seed):
 
 
 def opelinha(n, centre):
-    """Some p has the p'-part of the nilpotent normal subgroup N central."""
+    """Some p has the p'-part of the nilpotent normal subgroup N central.
+    The source takes N inside F(G), so N is nilpotent unchecked."""
     zchain = centre.chain()
     for p in prime_factors(n.order()):
-        if all(zchain.contains_raw(x) for x in p_prime_part_of_nilpotent(n, p)._raw_gens):
+        if all(zchain.contains_raw(x) for x in _p_prime_part(n, p)._raw_gens):
             return True, {"p": p}
     return False, {"p": None}
 
@@ -640,9 +641,12 @@ def existelemabelqsub(g, qprime):
     position = element_index(elems, g.chain().base)
     coprime = {o for o in set(orders) if o > 1 and is_prime_power(o) and o % qprime}
     acting = [(a, o) for a, o in zip(elems, orders) if o in coprime]
+    # a acts on a Q of order q through Aut(Q), of order q - 1, so an a of
+    # order prime to q - 1 centralizes it and [Q, a] = 1
+    moving = [(a, o) for a, o in acting if math.gcd(o, qprime - 1) > 1]
     for members, gens in itertools.islice(_elementary_abelian_candidates(g, qprime, position), 40):
         cand = g._subgroup_raw(gens)
-        for a, o in acting:
+        for a, o in moving if len(members) == qprime else acting:
             if all(position(conj_raw(x, a)) in members for x in gens) and (
                 _commutator_span(g, [a], cand).order() == len(members)
             ):

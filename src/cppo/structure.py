@@ -1,6 +1,8 @@
 """Structural series and recognition for finite permutation groups.
 
-Derived, lower-central and upper-Fitting series; Sylow subgroups, p-cores,
+Derived, lower-central and upper-Fitting series, and the Fitting height,
+counted on the lower nilpotent series (iterated nilpotent residuals) from
+chain closures alone, so it needs no element list; Sylow subgroups, p-cores,
 the Fitting subgroup and soluble radical; the normal subgroup lattice;
 whether a quotient G/N is simple, read off G's class closures with no
 lattice or quotient built, by one routine that simplicity (G/1) and
@@ -86,8 +88,15 @@ def lower_central_series(G: FiniteGroup) -> SeriesChain:
 
 
 @cached
+def nilpotent_residual(G: FiniteGroup) -> FiniteGroup:
+    """The least normal subgroup with nilpotent quotient: the last term of
+    the lower central series, built from chain closures with no element
+    listed.  It is trivial exactly when G is nilpotent."""
+    return lower_central_series(G).terms[-1]
+
+
 def is_nilpotent(G: FiniteGroup) -> bool:
-    return lower_central_series(G).terms[-1].order() == 1
+    return nilpotent_residual(G).order() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +291,18 @@ def upper_fitting_series(G: FiniteGroup) -> SeriesChain:
 
 
 def fitting_height(G: FiniteGroup) -> int:
+    """h(G), the length of the upper Fitting series, counted on the lower
+    nilpotent series G = L_0 > L_1 > ... with L_{i+1} the nilpotent residual
+    of L_i: for soluble G it reaches 1 in exactly h(G) steps (Doerk-Hawkes;
+    Huppert).  Each step is chain closures, so no element is listed and a
+    group past its cap has a height too."""
     if not is_soluble(G):
         raise InsolubleError("fitting height is defined for soluble groups only")
-    return len(upper_fitting_series(G).terms) - 1
+    height, term = 0, G
+    while term.order() > 1:
+        term = nilpotent_residual(term)
+        height += 1
+    return height
 
 
 def soluble_radical(G: FiniteGroup) -> FiniteGroup:
@@ -305,6 +323,12 @@ def p_prime_part_of_nilpotent(N: FiniteGroup, p: int) -> FiniteGroup:
         raise ValueError("%d is not a prime" % p)
     if not is_nilpotent(N):
         raise NotNilpotentError("the p' part shortcut needs a nilpotent group")
+    return _p_prime_part(N, p)
+
+
+def _p_prime_part(N: FiniteGroup, p: int) -> FiniteGroup:
+    """p_prime_part_of_nilpotent with neither check, for a caller that
+    knows N is nilpotent and p prime."""
     m = p_part(N.order(), p)
     return N._subgroup_raw(sorted({pow_raw(x, m) for x in N._raw_gens} - {identity_raw(N.degree)}))
 

@@ -277,6 +277,55 @@ def test_cppo_flag_matches_direct_order_scan(make):
     assert group.is_cppo() == (not bad)
 
 
+# the corpus groups with a commutator of non-prime-power order
+NON_CPPO_CORPUS = {
+    "dihedral(12)",
+    "dihedral(15)",
+    "direct_product(sym(3),sym(4))",
+    "psl2(11)",
+    "psl2(13)",
+    "alt(7)",
+    "alt(8)",
+    "sl2_5",
+    "sl2_9",
+    "psl34_g1",
+}
+
+
+@pytest.mark.parametrize(
+    "name, doc", zip([n for n, _ in CORPUS], default_corpus()), ids=[n for n, _ in CORPUS]
+)
+def test_is_cppo_agrees_with_the_scan_and_the_walk_refutes_with_no_element_listed(name, doc):
+    # a fresh copy, so that no other test has listed its elements
+    group = load_group_spec(doc)
+    verdict = group.is_cppo()
+    # every non-CPPO corpus group is refuted by the witness walk alone
+    assert (group._elements is None) == (name in NON_CPPO_CORPUS)
+    assert verdict == (group.cppo_witness() is None) == (name not in NON_CPPO_CORPUS)
+
+
+def test_is_cppo_falls_back_to_the_scan_when_the_walk_finds_no_witness():
+    # S4 wr C2: a transposition and an 8-cycle that moves its points two
+    # apart.  Each of the walk's commutators has prime-power order, so the
+    # verdict comes from the scan, which lists the elements and meets order 6.
+    group = G(["(1 3)", "(1 2 3 4 5 6 7 8)"], 8)
+    assert group.order() == 1152
+    assert not group.is_cppo()
+    assert group._elements is not None
+    assert group.cppo_witness().order == 6
+
+
+def test_is_cppo_past_the_cap():
+    # the walk refutes S9 (order 362,880) without listing an element
+    s9 = build("sym(9)").group
+    assert s9.order() > s9.cap
+    assert s9.is_cppo() is False and s9._elements is None
+    # S4 is CPPO, so the walk finds nothing and the scan meets the cap
+    s4_capped = build("sym(4)").group.with_cap(10)
+    with pytest.raises(EnumerationCapError):
+        s4_capped.is_cppo()
+
+
 def test_cached_computes_once_per_group_and_arguments_and_keeps_no_failure():
     calls = []
 

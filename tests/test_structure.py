@@ -50,6 +50,7 @@ from cppo.structure import (
     is_soluble,
     iter_normal_subgroups,
     lower_central_series,
+    nilpotent_residual,
     normal_subgroups,
     p_core,
     p_prime_part_of_nilpotent,
@@ -931,6 +932,58 @@ def test_fitting_heights():
         fitting_height(a5())
 
 
+def _random_soluble_subgroups(degree, count, seed):
+    """count soluble subgroups of S_degree, each on 1 to 3 random generators."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(degree))
+            rng.shuffle(images)
+            gens.append(Permutation.from_zero_based(images))
+        group = FiniteGroup(gens, degree=degree)
+        if is_soluble(group):
+            found.append(group)
+    return found
+
+
+SOLUBLE_CORPUS = [(name, g) for name, g in CORPUS if is_soluble(g)]
+
+
+@pytest.mark.parametrize("name, group", SOLUBLE_CORPUS, ids=[n for n, _ in SOLUBLE_CORPUS])
+def test_the_lower_nilpotent_series_is_as_long_as_the_upper_fitting_series(name, group):
+    assert fitting_height(group) == len(upper_fitting_series(group).terms) - 1
+
+
+def test_the_lower_nilpotent_series_is_as_long_as_the_upper_fitting_series_on_random_groups():
+    heights = []
+    for degree, seed in ((5, 41), (6, 42)):
+        for group in _random_soluble_subgroups(degree, 60, seed):
+            heights.append(fitting_height(group))
+            assert heights[-1] == len(upper_fitting_series(group).terms) - 1
+    assert set(heights) == {1, 2, 3}
+
+
+def test_the_fitting_height_lists_no_element():
+    # every term of S4's lower nilpotent series is past a cap of 10
+    s4_capped = build("sym(4)").group.with_cap(10)
+    assert fitting_height(s4_capped) == 3 and s4_capped._elements is None
+    assert nilpotent_residual(s4_capped).order() == 12
+    # AGL(1,509) = <x -> x+1, x -> 2x>, G > C_509 > 1, past the default cap
+    p = 509
+    agl = FiniteGroup(
+        [
+            Permutation.from_zero_based([(i + 1) % p for i in range(p)]),
+            Permutation.from_zero_based([2 * i % p for i in range(p)]),
+        ],
+        degree=p,
+    )
+    assert agl.order() == 258_572 > agl.cap
+    assert fitting_height(agl) == 2 and agl._elements is None
+    assert nilpotent_residual(agl).order() == p and is_nilpotent(nilpotent_residual(agl))
+
+
 def test_upper_fitting_series_of_s4():
     series = upper_fitting_series(s4())
     assert [t.order() for t in series.terms] == [1, 4, 12, 24]
@@ -1252,13 +1305,15 @@ def test_commutator_subgroups_keep_the_generators_of_the_seed_loops(name, group)
 
 def test_p_prime_parts_the_opelinha_check_takes_match_the_enumerating_reference(monkeypatch):
     visited = []
-    real = lemmas.p_prime_part_of_nilpotent
+    real = lemmas._p_prime_part
 
     def recording(N, p):
         visited.append(N)
         return real(N, p)
 
-    monkeypatch.setattr(lemmas, "p_prime_part_of_nilpotent", recording)
+    # the verdict skips the nilpotency check; the checked function below
+    # raises if an instance is not nilpotent
+    monkeypatch.setattr(lemmas, "_p_prime_part", recording)
     assert len(lemmas.REGISTRY["opelinha"](0)) >= 80
     checked = 0
     for N in {id(N): N for N in visited}.values():
