@@ -64,8 +64,7 @@ from .structure import (
 from .towers import (
     Tower,
     _commutator_span,
-    _elementary_abelian_gens,
-    _p_subgroup_sets,
+    _elementary_abelian_subgroups,
     find_max_tower,
     quotient_tower,
     validate_tower,
@@ -611,32 +610,12 @@ def _existelemabelqsub_instances(seed):
             yield "%s with q = %d" % (gid, qprime), g, qprime
 
 
-def _elementary_abelian_candidates(g, qprime, position):
-    """The elementary abelian q-subgroups of g as (element positions,
-    generators), in the order of _p_subgroup_sets.  Those of order q come
-    first, each <x> met at its least element x of order q; the full list is
-    made only for the larger ones after them.  position is element_index on
-    g's elements, so each power of x is kept as its position."""
-    seen = set()
-    for i, (x, o) in enumerate(zip(g._raw_elements(), _element_orders(g))):
-        if o == qprime and i not in seen:
-            members, y = {0}, x  # the identity sorts first
-            for _ in range(qprime - 1):
-                members.add(position(y))
-                y = mul_raw(y, x)
-            seen |= members
-            yield frozenset(members), [x]
-    for members, gens in _p_subgroup_sets(g, qprime):
-        if len(members) > qprime and _elementary_abelian_gens(gens, qprime):
-            yield frozenset(map(position, members)), gens
-
-
 def existelemabelqsub(g, qprime):
     """An elementary abelian q-subgroup Q and a coprime prime-power element a
-    with [Q, a] = Q, by direct search over the first 40 elementary abelian
-    q-subgroups: those of order q, formed from the elements of order q,
-    and the larger ones listed only when none of those serves.  a normalizes
-    Q when it conjugates each generator of Q into Q's elements."""
+    with [Q, a] = Q, by direct search over the first 40 subgroups of
+    _elementary_abelian_subgroups, which lists the larger ones only when
+    none of order q serves.  a normalizes Q when it conjugates each
+    generator of Q into Q's elements."""
     elems, orders = g._raw_elements(), _element_orders(g)
     position = element_index(elems, g.chain().base)
     coprime = {o for o in set(orders) if o > 1 and is_prime_power(o) and o % qprime}
@@ -644,7 +623,7 @@ def existelemabelqsub(g, qprime):
     # a acts on a Q of order q through Aut(Q), of order q - 1, so an a of
     # order prime to q - 1 centralizes it and [Q, a] = 1
     moving = [(a, o) for a, o in acting if math.gcd(o, qprime - 1) > 1]
-    for members, gens in itertools.islice(_elementary_abelian_candidates(g, qprime, position), 40):
+    for members, gens in itertools.islice(_elementary_abelian_subgroups(g, qprime), 40):
         cand = g._subgroup_raw(gens)
         for a, o in moving if len(members) == qprime else acting:
             if all(position(conj_raw(x, a)) in members for x in gens) and (

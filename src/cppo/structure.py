@@ -294,15 +294,11 @@ def fitting_height(G: FiniteGroup) -> int:
     """h(G), the length of the upper Fitting series, counted on the lower
     nilpotent series G = L_0 > L_1 > ... with L_{i+1} the nilpotent residual
     of L_i: for soluble G it reaches 1 in exactly h(G) steps (Doerk-Hawkes;
-    Huppert).  Each step is chain closures, so no element is listed and a
-    group past its cap has a height too."""
+    Huppert), each term proper in the last.  Each step is chain closures,
+    so no element is listed and a group past its cap has a height too."""
     if not is_soluble(G):
         raise InsolubleError("fitting height is defined for soluble groups only")
-    height, term = 0, G
-    while term.order() > 1:
-        term = nilpotent_residual(term)
-        height += 1
-    return height
+    return len(_descending_series(G, nilpotent_residual).terms) - 1
 
 
 def soluble_radical(G: FiniteGroup) -> FiniteGroup:

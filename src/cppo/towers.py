@@ -61,6 +61,7 @@ from .permutation import (
     pow_raw,
 )
 from .structure import (
+    _element_orders,
     frattini_of_p_group,
     is_soluble,
     p_core,
@@ -203,21 +204,43 @@ def _elementary_abelian_gens(gens, p: int) -> bool:
     )
 
 
+def _elementary_abelian_subgroups(Q: FiniteGroup, p: int):
+    """The nontrivial elementary abelian p-subgroups of Q as (index set, raw
+    generators), lazily, in _p_subgroup_sets order.  Those of order p come
+    first, each <x> met at its least element x of order p, read off the
+    element orders; _p_subgroup_sets is listed only for a caller that reads
+    past them, and gives the larger members whose generators have order p
+    and commute."""
+    elems = Q._raw_elements()
+    position = element_index(elems, Q.chain().base)
+    seen = set()
+    for i, (x, o) in enumerate(zip(elems, _element_orders(Q))):
+        if o == p and i not in seen:
+            members, y = {0}, x  # the identity sorts first
+            for _ in range(p - 1):
+                members.add(position(y))
+                y = mul_raw(y, x)
+            seen |= members
+            yield frozenset(members), [x]
+    for members, gens in _p_subgroup_sets(Q, p):
+        if len(members) > p and _elementary_abelian_gens(gens, p):
+            yield members, gens
+
+
 def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int):
     """Generator lists for nontrivial elementary abelian p-subgroups of Q,
-    and whether the list holds all of them.
+    and whether they are all of them.
 
-    Below ELEMENTARY_SEARCH_CAP the list holds every member of
-    _p_subgroup_sets(Q, p) whose generators have order p and commute; Q is
-    a p-group there, so those are all its nontrivial subgroups, and the list
-    is complete.  Otherwise it holds combinations of at most three commuting
-    order-p elements drawn from the least elements; that search is complete
-    only when the pool holds every order-p element and p^4 does not divide
-    |Q|, so that no elementary abelian subgroup has rank above three.
+    Below ELEMENTARY_SEARCH_CAP they are all of them, handed on lazily from
+    _elementary_abelian_subgroups, so a search that stops at its first hit
+    lists no subgroup past it.  Otherwise they are combinations of at most
+    three commuting order-p elements drawn from the least elements; that
+    search is complete only when the pool holds every order-p element and
+    p^4 does not divide |Q|, so that no elementary abelian subgroup has
+    rank above three.
     """
     if Q.order() < ELEMENTARY_SEARCH_CAP:
-        subgroups = _p_subgroup_sets(Q, p)
-        return [gens for _, gens in subgroups if _elementary_abelian_gens(gens, p)], True
+        return (gens for _, gens in _elementary_abelian_subgroups(Q, p)), True
     order_p = [x for x in Q._raw_elements() if _has_order_p(x, p)]
     ident = identity_raw(Q.degree)
     pool = order_p[:48]
@@ -456,11 +479,6 @@ def _cyclic_extension(xs, rows):
     return seen
 
 
-def _as_raw(elems, sets):
-    """(index set, generator indices) pairs as (element set, raw generators)."""
-    return [(frozenset(map(elems.__getitem__, k)), [elems[x] for x in gens]) for k, gens in sets]
-
-
 def _p_subgroup_index_sets(G: FiniteGroup, p: int, conj):
     """_p_subgroup_sets as (index set, generator indices) pairs over G's
     sorted elements, and tables moves with moves[g][i] the position of pair
@@ -490,12 +508,13 @@ def _p_subgroup_index_sets(G: FiniteGroup, p: int, conj):
 
 
 def _p_subgroup_sets(G: FiniteGroup, p: int):
-    """All nontrivial p-subgroups of G as (element set, generator list),
-    sorted by size then by sorted elements: the subgroups of one Sylow group
-    plus their conjugates under the group generators."""
+    """All nontrivial p-subgroups of G as (index set, raw generators), the
+    indices into G's sorted elements, sorted by size then by sorted indices:
+    the subgroups of one Sylow group plus their conjugates under the group
+    generators."""
     elems = G._raw_elements()
     conj = conjugation_tables(elems, G.chain().base, G._raw_gens)
-    return _as_raw(elems, _p_subgroup_index_sets(G, p, conj)[0])
+    return [(k, [elems[x] for x in gens]) for k, gens in _p_subgroup_index_sets(G, p, conj)[0]]
 
 
 def tower_probe(G: FiniteGroup, min_height: int):
@@ -672,7 +691,7 @@ def _pick_stage(G, u: FiniteGroup, p: int, chosen):
     for gens in u._conjugate_gen_sets(syl._raw_gens):
         if _normalizes_all(gens, chosen) and _moves_stage_below(gens, chosen):
             return G._subgroup_raw(list(gens))
-    # largest first; the sort is stable, and a set's size is its order
+    # largest first; the sort is stable, and an index set's size is its order
     for _, gens in sorted(_p_subgroup_sets(u, p), key=lambda kv: -len(kv[0])):
         if _normalizes_all(gens, chosen) and _moves_stage_below(gens, chosen):
             return G._subgroup_raw(list(gens))

@@ -8,6 +8,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cppo import harness, permutation, structure
 from cppo.arith import is_prime_power
@@ -30,6 +32,7 @@ from cppo.harness import (
     skipped_fields,
     theorem_suite_to_text,
 )
+from cppo.permutation import Permutation
 from cppo.structure import SeriesChain, identify_simple_eppo, upper_fitting_series
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
@@ -275,24 +278,65 @@ INSOLUBLE_PAST_CAP = [
 ]
 
 
+def assert_caps_skip_one_table(g, caps):
+    """At cap |G| nothing classify enumerates is larger than G, so the report
+    is the default one; at each cap in caps, all below |G|, R(G) meets the
+    cap first and the skipped fields are one fixed list per solubility.
+    Returns whether g is soluble."""
+    default = classify(g)
+    assert reports_to_text([classify(g.with_cap(g.order()))]) == reports_to_text([default])
+    want = SOLUBLE_PAST_CAP if default.is_soluble else INSOLUBLE_PAST_CAP
+    for cap in caps:
+        r = classify(g.with_cap(cap))
+        marker = "skipped: too large (cap=%d)" % cap
+        assert skipped_fields(r) == [(fld, marker) for fld in want], g.name
+        assert r.witnesses == {} and r.tower_witness is None and r.derived_is_eppo is None
+    return default.is_soluble
+
+
 def test_a_cap_at_the_order_is_no_cap_and_one_below_skips_one_table():
-    # at cap |G| nothing classify enumerates is larger than G, so the report
-    # is the default one; one below it, R(G) meets the cap first and the
-    # skipped fields are one fixed list per solubility
     seen = Counter()
     for doc in default_corpus():
         g = load_group_spec(doc)
         n = g.order()
         if n > 2000:
             continue
-        assert reports_to_text([classify(g.with_cap(n))]) == reports_to_text([classify(g)])
-        r = classify(g.with_cap(n - 1))
-        marker = "skipped: too large (cap=%d)" % (n - 1)
-        want = SOLUBLE_PAST_CAP if r.is_soluble else INSOLUBLE_PAST_CAP
-        assert skipped_fields(r) == [(fld, marker) for fld in want], g.name
-        assert r.witnesses == {} and r.tower_witness is None and r.derived_is_eppo is None
-        seen[r.is_soluble] += 1
+        seen[assert_caps_skip_one_table(g, [n - 1])] += 1
     assert seen == {True: 25, False: 15}
+
+
+def _cycle(n, points):
+    """The image table on range(n) of the cycle through points, in order."""
+    table = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        table[a] = b
+    return table
+
+
+# 1-3 generators on 2-9 points, each a random permutation or a cycle
+# of length 2-4, so that small and soluble groups are common
+DRAWN_GENERATORS = st.integers(2, 9).flatmap(
+    lambda n: st.lists(
+        st.one_of(
+            st.permutations(range(n)),
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 4), unique=True).map(
+                lambda points: _cycle(n, points)
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(DRAWN_GENERATORS)
+def test_caps_on_drawn_groups_are_no_cap_at_the_order_and_skip_one_table_below(tables):
+    g = FiniteGroup([Permutation.from_zero_based(t) for t in tables], degree=len(tables[0]))
+    n = g.order()
+    if n > 5000:
+        return
+    assert_caps_skip_one_table(g, sorted({cap for cap in (n - 1, 1) if 0 < cap < n}))
 
 
 def test_derived_is_eppo_matches_a_derived_subgroup_built_afresh():

@@ -340,6 +340,22 @@ def test_only_the_memo_reads_a_group_cache():
     assert found == [], "group memo read outside group.py: %s" % ", ".join(found)
 
 
+def test_only_towers_enumerates_subgroups():
+    """The p-subgroups of a group are listed in towers.py alone: a module
+    that needs the elementary abelian ones reads
+    _elementary_abelian_subgroups, so the enumeration, its closure and its
+    filter have one home."""
+    names = {
+        "_p_subgroup_sets",
+        "_p_subgroup_index_sets",
+        "_cyclic_extension",
+        "_close_set",
+        "_elementary_abelian_gens",
+    }
+    found = list(_names_read_outside("towers.py", names))
+    assert found == [], "subgroup enumeration read outside towers.py: %s" % ", ".join(found)
+
+
 def test_only_classify_catches_the_cap_error():
     """Past a group's cap, classify marks skipped the fields of one table in
     one handler, so harness.py holds the one except clause that names

@@ -33,7 +33,9 @@ from cppo.permutation import (
 from cppo.structure import fitting_height, is_soluble, sylow_subgroup, upper_fitting_series
 from cppo.towers import (
     Tower,
+    _elementary_abelian_gens,
     _elementary_abelian_subgroup_gens,
+    _elementary_abelian_subgroups,
     _has_order_p,
     _moves_stage_below,
     _normalizes_all,
@@ -51,6 +53,22 @@ from cppo.towers import (
 def _p_subgroup_candidates(G, p):
     """All nontrivial p-subgroups of G as subgroups, in _p_subgroup_sets order."""
     return [G._subgroup_raw(gens) for _, gens in _p_subgroup_sets(G, p)]
+
+
+def _element_sets(G, pairs):
+    """(index set, generators) pairs over G's sorted elements as (element
+    set, generators), for comparison with the element-set references."""
+    elems = G._raw_elements()
+    return [(frozenset(map(elems.__getitem__, k)), gens) for k, gens in pairs]
+
+
+def _refuse_p_subgroup_listing(monkeypatch):
+    """Make any listing of p-subgroups fail the test."""
+
+    def refused(*args):
+        raise AssertionError("a p-subgroup was listed")
+
+    monkeypatch.setattr(towers, "_p_subgroup_index_sets", refused)
 
 
 def _perms(degree, *texts):
@@ -728,7 +746,7 @@ def assert_sylow_p_subgroup_sets_match_the_chain_reference(group):
     # a p-group's nontrivial p-subgroups are all its subgroups but the trivial one
     for p, _ in factorization(group.order()):
         syl = sylow_subgroup(group, p)
-        assert _p_subgroup_sets(syl, p) == _ref_all_subgroups(syl)[1:], p
+        assert _element_sets(syl, _p_subgroup_sets(syl, p)) == _ref_all_subgroups(syl)[1:], p
 
 
 def test_sylow_p_subgroup_sets_match_the_chain_reference(small_soluble):
@@ -804,11 +822,11 @@ def test_probe_search_forms_no_permutation(atlas_id, monkeypatch):
 def test_p_subgroup_sets_carry_their_generators_and_order(small_soluble):
     """_pick_stage sorts the sets by size and forms a subgroup only for the
     one it returns, so each generator list must be the subgroup's own and
-    each set's size its order."""
-    for p, _ in factorization(small_soluble.order()):
-        for members, gens in _p_subgroup_sets(small_soluble, p):
-            sub = small_soluble._subgroup_raw(gens)
-            assert sub._raw_gens == gens and sub.order() == len(members)
+    each set must index the subgroup's elements."""
+    pairs = (_p_subgroup_sets(small_soluble, p) for p, _ in factorization(small_soluble.order()))
+    for members, gens in _element_sets(small_soluble, itertools.chain.from_iterable(pairs)):
+        sub = small_soluble._subgroup_raw(gens)
+        assert sub._raw_gens == gens and members == frozenset(sub._raw_elements())
 
 
 def reference_p_subgroup_sets(G, p):
@@ -829,18 +847,21 @@ def reference_p_subgroup_sets(G, p):
     return sorted(pool.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
 
-CORPUS_UPTO_500 = [(n, g) for n, g in corpus_groups() if g.order() <= 500]
+CORPUS_UPTO_1000 = [(n, g) for n, g in corpus_groups() if g.order() <= 1000]
+CORPUS_UPTO_500 = [(n, g) for n, g in CORPUS_UPTO_1000 if g.order() <= 500]
 
 
 @pytest.mark.parametrize("name, group", CORPUS_UPTO_500, ids=[n for n, _ in CORPUS_UPTO_500])
 def test_p_subgroup_sets_match_the_conj_raw_reference(name, group):
     for p, _ in factorization(group.order()):
-        assert _p_subgroup_sets(group, p) == reference_p_subgroup_sets(group, p), p
+        got = _element_sets(group, _p_subgroup_sets(group, p))
+        assert got == reference_p_subgroup_sets(group, p), p
 
 
 def test_p_subgroup_sets_of_sl2_9_match_the_conj_raw_reference():
     group = build("sl2_9").group
-    assert _p_subgroup_sets(group, 3) == reference_p_subgroup_sets(group, 3)
+    got = _element_sets(group, _p_subgroup_sets(group, 3))
+    assert got == reference_p_subgroup_sets(group, 3)
 
 
 def reference_pick_stage(G, u, p, chosen):
@@ -880,6 +901,54 @@ def test_max_towers_with_unfaithful_stages(atlas_id, kernel_orders):
     # the definition check above also meets nontrivial kernels
     _, t = find_max_tower(build(atlas_id).group)
     assert assert_kernels_match_the_definition(t) == kernel_orders
+
+
+ELEMENTARY_CASES = [(g, p) for _, g in CORPUS_UPTO_1000 for p, _ in factorization(g.order())]
+
+
+@pytest.mark.parametrize(
+    "group, p", ELEMENTARY_CASES, ids=["%s p=%d" % (g.name, p) for g, p in ELEMENTARY_CASES]
+)
+def test_elementary_abelian_subgroups_are_the_filtered_p_subgroup_list(group, p):
+    got = list(_elementary_abelian_subgroups(group, p))
+    listed = [k for k, gens in _p_subgroup_sets(group, p) if _elementary_abelian_gens(gens, p)]
+    assert [members for members, _ in got] == listed
+    elems = group._raw_elements()
+    for members, gens in got:
+        sub = group._subgroup_raw(gens)
+        assert frozenset(map(elems.__getitem__, members)) == frozenset(sub._raw_elements())
+        # a subgroup of order p is generated by its least element but the identity
+        assert len(members) > p or gens == [elems[sorted(members)[1]]]
+
+
+@pytest.mark.parametrize("atlas_id, p", [("sl2_9", 3), ("s4", 2), ("agl1(8)", 2)])
+def test_elementary_abelian_subgroups_of_order_p_list_no_p_subgroup(atlas_id, p, monkeypatch):
+    # the order-p subgroups come from the element orders; only a caller that
+    # reads past them makes the p-subgroups be listed
+    g = build(atlas_id).group
+    count = sum(order_raw(x) == p for x in g._raw_elements()) // (p - 1)
+    listed = list(_elementary_abelian_subgroups(g, p))
+    assert len(listed) > count
+    _refuse_p_subgroup_listing(monkeypatch)
+    assert list(itertools.islice(_elementary_abelian_subgroups(g, p), count)) == listed[:count]
+
+
+def test_a_cover_by_a_subgroup_of_order_p_lists_no_p_subgroup(s4_tower, monkeypatch):
+    # below the cap item 3 reads the source lazily and stops at its first
+    # cover, which in S4's tower is a subgroup of prime order every time
+    _refuse_p_subgroup_listing(monkeypatch)
+    assert _irreducibility(s4_tower) == ("yes", [])
+
+
+def test_irreducibility_verdicts_over_the_max_towers_of_the_soluble_corpus():
+    # the towers find_max_tower returns, not only candidate towers: every
+    # "no" among them is the top stage failing item 2
+    kinds = Counter()
+    for doc in SOLUBLE_AND_SMALL:
+        g = load_group_spec(doc)
+        report = is_irreducible_tower(find_max_tower(g)[1])
+        kinds[report.details[0][:6] if report.details else report.verdict] += 1
+    assert kinds == {"yes": 10, "item 2": 15}
 
 
 def test_capped_elementary_abelian_search_is_incomplete_past_rank_three():
@@ -966,11 +1035,7 @@ def test_probe_of_a_p_group_lists_no_p_subgroup_above_height_one(atlas_id, monke
     is listed."""
     g = build(atlas_id).group
     assert tower_probe(g, 1).height == 1
-
-    def refused(*args):
-        raise AssertionError("a p-subgroup was listed")
-
-    monkeypatch.setattr(towers, "_p_subgroup_index_sets", refused)
+    _refuse_p_subgroup_listing(monkeypatch)
     assert tower_probe(g, 2) is None and tower_probe(g, 3) is None
 
 
@@ -979,7 +1044,7 @@ def _conj_raw_class_count(g):
     primes of |g|, by conjugating element sets by every element."""
     count = 0
     for p, _ in factorization(g.order()):
-        left = {members for members, _ in _p_subgroup_sets(g, p)}
+        left = {members for members, _ in _element_sets(g, _p_subgroup_sets(g, p))}
         while left:
             members = left.pop()
             count += 1
