@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .atlas import build, catalog_names, load_group_spec
 from .corpus import default_corpus, read_corpus_file
@@ -165,9 +166,7 @@ def _cmd_commutators(args) -> int:
     g = _load_group(args.group, cap=args.cap)
     comm = g.commutator_set()
     if args.orders_only:
-        counts = {}
-        for c in comm:
-            counts[c.order()] = counts.get(c.order(), 0) + 1
+        counts = Counter(c.order() for c in comm)
         lines = ["order %d: %d commutator(s)" % (o, counts[o]) for o in sorted(counts)]
     else:
         lines = sorted(str(c) for c in comm)

@@ -254,6 +254,12 @@ class FiniteGroup:
     def elements(self) -> list[Permutation]:
         return [Permutation._from_raw(r) for r in self._raw_elements()]
 
+    @cached
+    def _element_position(self):
+        """The function giving each element its position in _raw_elements,
+        by element_index."""
+        return element_index(self._raw_elements(), self.chain().base)
+
     # -- conjugacy classes --------------------------------------------------
 
     def _raw_classes(self) -> list[_RawClass]:

@@ -42,7 +42,6 @@ from .permutation import (
     Permutation,
     comm_raw,
     conj_raw,
-    element_index,
     identity_raw,
     inv_raw,
     mul_raw,
@@ -617,7 +616,7 @@ def existelemabelqsub(g, qprime):
     none of order q serves.  a normalizes Q when it conjugates each
     generator of Q into Q's elements."""
     elems, orders = g._raw_elements(), _element_orders(g)
-    position = element_index(elems, g.chain().base)
+    position = g._element_position()
     coprime = {o for o in set(orders) if o > 1 and is_prime_power(o) and o % qprime}
     acting = [(a, o) for a, o in zip(elems, orders) if o in coprime]
     # a acts on a Q of order q through Aut(Q), of order q - 1, so an a of

@@ -52,13 +52,10 @@ from .permutation import (
     Permutation,
     comm_raw,
     conjugation_tables,
-    element_index,
     identity_raw,
-    mul_all,
     mul_raw,
     multiplication_tables,
     orbits,
-    pow_raw,
 )
 from .structure import (
     _element_orders,
@@ -68,11 +65,6 @@ from .structure import (
     sylow_subgroup,
     upper_fitting_series,
 )
-
-# is_irreducible_tower searches the elementary abelian subgroups of an
-# effective stage exhaustively below this order, and by bounded
-# combinations of commuting elements above it
-ELEMENTARY_SEARCH_CAP = 256
 
 # tower_probe refuses groups above this order, and find_max_tower falls
 # back on it only up to this order
@@ -151,7 +143,7 @@ class TowerValidity:
 
 @dataclass
 class IrreducibilityReport:
-    verdict: str  # "yes", "no" or "undecided"
+    verdict: str  # "yes", or "no" with the first failed condition
     details: list = field(default_factory=list)
 
 
@@ -190,95 +182,63 @@ def _commutator_span(ambient, action_raws, target: FiniteGroup):
     return _closure_under_conjugation(ambient, seeds, list(action_raws) + target._raw_gens)
 
 
-def _has_order_p(x, p: int) -> bool:
-    """Whether the raw element x has prime order p: x != 1 and x^p = 1.  No
-    cycle walk, which past degree 256 and with no base visits every point."""
-    return pow_raw(x, p) == identity_raw(len(x)) != x
-
-
-def _elementary_abelian_gens(gens, p: int) -> bool:
-    """Whether the raw elements gens have prime order p and commute, that
-    is, generate an elementary abelian p-group."""
-    return all(_has_order_p(x, p) for x in gens) and all(
-        mul_raw(a, b) == mul_raw(b, a) for a, b in itertools.combinations(gens, 2)
-    )
-
-
 def _elementary_abelian_subgroups(Q: FiniteGroup, p: int):
     """The nontrivial elementary abelian p-subgroups of Q as (index set, raw
-    generators), lazily, in _p_subgroup_sets order.  Those of order p come
-    first, each <x> met at its least element x of order p, read off the
-    element orders; _p_subgroup_sets is listed only for a caller that reads
-    past them, and gives the larger members whose generators have order p
-    and commute."""
+    generators), lazily, in _p_subgroup_sets order, each rank formed only
+    for a caller that reads past the rank below.
+
+    Those of order p come first, each <x> met at its least element x of
+    order p, read off the element orders.  A subgroup E of the next rank is
+    joined with each y of order p that commutes with E's generators; E has
+    prime index in the join, so y is skipped once an earlier join from E
+    holds it.  Each rank is sorted by _by_size, and the ranks stop where
+    p |E| no longer divides |Q|.
+    """
     elems = Q._raw_elements()
-    position = element_index(elems, Q.chain().base)
-    seen = set()
-    for i, (x, o) in enumerate(zip(elems, _element_orders(Q))):
-        if o == p and i not in seen:
-            members, y = {0}, x  # the identity sorts first
+    position = Q._element_position()
+    order_p = [i for i, o in enumerate(_element_orders(Q)) if o == p]
+    rank, seen = {}, set()
+    for i in order_p:
+        if i not in seen:
+            members, y = {0}, elems[i]  # the identity sorts first
             for _ in range(p - 1):
                 members.add(position(y))
-                y = mul_raw(y, x)
+                y = mul_raw(y, elems[i])
             seen |= members
-            yield frozenset(members), [x]
-    for members, gens in _p_subgroup_sets(Q, p):
-        if len(members) > p and _elementary_abelian_gens(gens, p):
-            yield members, gens
-
-
-def _elementary_abelian_subgroup_gens(Q: FiniteGroup, p: int):
-    """Generator lists for nontrivial elementary abelian p-subgroups of Q,
-    and whether they are all of them.
-
-    Below ELEMENTARY_SEARCH_CAP they are all of them, handed on lazily from
-    _elementary_abelian_subgroups, so a search that stops at its first hit
-    lists no subgroup past it.  Otherwise they are combinations of at most
-    three commuting order-p elements drawn from the least elements; that
-    search is complete only when the pool holds every order-p element and
-    p^4 does not divide |Q|, so that no elementary abelian subgroup has
-    rank above three.
-    """
-    if Q.order() < ELEMENTARY_SEARCH_CAP:
-        return (gens for _, gens in _elementary_abelian_subgroups(Q, p)), True
-    order_p = [x for x in Q._raw_elements() if _has_order_p(x, p)]
-    ident = identity_raw(Q.degree)
-    pool = order_p[:48]
-    seen_sets = set()
-    out = []
-    for size in (1, 2, 3):
-        for combo in itertools.combinations(pool, size):
-            if not _elementary_abelian_gens(combo, p):
-                continue
-            # commuting elements of order p: the group is the product of their powers
-            key = {ident}
-            for g in combo:
-                layer = list(key)
-                for _ in range(p - 1):
-                    layer = mul_all(layer, g)
-                    key.update(layer)
-            if len(key) != p**size:
-                continue  # not independent, a smaller combo already covers it
-            key = frozenset(key)
-            if key not in seen_sets:
-                seen_sets.add(key)
-                out.append(list(combo))
-    return out, len(order_p) <= len(pool) and Q.order() % p**4 != 0
+            members = frozenset(members)
+            rank[members] = [i]
+            yield members, [elems[i]]
+    if not rank or Q.order() % p**2:
+        return
+    # every element of an elementary abelian subgroup but the identity has order p
+    rows = _right_rows(elems, Q.chain().base, order_p)
+    size = p
+    while rank and Q.order() % (size * p) == 0:
+        grown = {}
+        for members, gens in rank.items():
+            tried = set(members)
+            for y in order_p:
+                if y not in tried and all(rows[y][g] == rows[g][y] for g in gens):
+                    key = _close_set(members, [y], rows)
+                    tried |= key
+                    grown.setdefault(key, gens + [y])
+        rank = dict(_by_size(grown))
+        for members, gens in rank.items():
+            yield members, [elems[x] for x in gens]
+        size *= p
 
 
 def _failed_conditions(t: Tower):
-    """The failed irreducibility conditions of a valid tower, as (decided,
-    detail) pairs; a cover search that found nothing only because it was
-    capped is not decided."""
+    """The failed irreducibility conditions of a valid tower, as details."""
     stages, ambient = t.stages, t.ambient
     kernels = t.kernels()
     quotients = effective_quotients(t)
 
     # (2) the top stage is cyclic with effective action of prime order
     if not stages[0][1].is_cyclic():
-        yield True, "item 2: the top stage is not cyclic"
+        yield "item 2: the top stage is not cyclic"
     if quotients[0].order() != stages[0][0]:
-        yield True, "item 2: the top stage acts with order %d, not prime" % quotients[0].order()
+        yield "item 2: the top stage acts with order %d, not prime" % quotients[0].order()
 
     # (1) frattini conditions on the effective stage
     frattinis = []
@@ -286,11 +246,11 @@ def _failed_conditions(t: Tower):
         frat = frattini_of_p_group(q)
         frattinis.append(frat)
         if frattini_of_p_group(frat).order() != 1:
-            yield True, "item 1: stage %d has a frattini subgroup that is not elementary" % (i + 1)
+            yield "item 1: stage %d has a frattini subgroup that is not elementary" % (i + 1)
         if not q.center().contains_group(frat):
-            yield True, "item 1: stage %d frattini subgroup is not central" % (i + 1)
+            yield "item 1: stage %d frattini subgroup is not central" % (i + 1)
         if p != 2 and q.exponent() != p:
-            yield True, "item 1: stage %d has exponent %d, wanted %d" % (i + 1, q.exponent(), p)
+            yield "item 1: stage %d has exponent %d, wanted %d" % (i + 1, q.exponent(), p)
         if i:
             lifts = [q.lift(f).raw for f in frat.generators]
             if not all(
@@ -299,7 +259,7 @@ def _failed_conditions(t: Tower):
                 for g in stages[i - 1][1]._raw_gens
             ):
                 detail = "item 1: stage %d does not centralize the frattini subgroup of stage %d"
-                yield True, detail % (i, i + 1)
+                yield detail % (i, i + 1)
 
     # (3) an elementary abelian chunk of the stage above covers this stage
     for i in range(1, len(stages)):
@@ -311,17 +271,12 @@ def _failed_conditions(t: Tower):
             return ambient._subgroup_raw(span._raw_gens + k_gens).order() == sub.order()
 
         if not covers([q_above.lift(g).raw for g in q_above.generators]):
-            yield True, "item 3: even the whole stage %d fails to cover stage %d" % (i, i + 1)
-        candidates, complete = _elementary_abelian_subgroup_gens(q_above, p_above)
+            yield "item 3: even the whole stage %d fails to cover stage %d" % (i, i + 1)
         if not any(
-            covers([q_above.lift(Permutation._from_raw(c)).raw for c in cand])
-            for cand in candidates
+            covers([q_above.lift(Permutation._from_raw(c)).raw for c in gens])
+            for _, gens in _elementary_abelian_subgroups(q_above, p_above)
         ):
-            yield complete, (
-                "item 3: no elementary abelian subgroup above covers stage %d"
-                if complete
-                else "item 3: stage %d search capped before finding a cover"
-            ) % (i + 1)
+            yield "item 3: no elementary abelian subgroup above covers stage %d" % (i + 1)
 
     # (4) invariant closures of elements outside the frattini preimage fill the stage
     conjugators = []
@@ -332,7 +287,7 @@ def _failed_conditions(t: Tower):
             for x in sub._raw_elements()
             if not pre_chain.contains_raw(x)
         ):
-            yield True, (
+            yield (
                 "item 4: stage %d has a proper invariant subgroup outside the frattini preimage"
                 % (i + 1)
             )
@@ -343,17 +298,12 @@ def is_irreducible_tower(t: Tower) -> IrreducibilityReport:
     """Check the four irreducibility conditions on a valid tower in one
     ordered pass (item 2, item 1 stage by stage, item 3, item 4) that forms
     each stage's effective quotient and frattini subgroup once: "no" with
-    the first failed condition, "undecided" when only capped cover searches
-    came up empty, "yes" otherwise."""
+    the first failed condition, "yes" otherwise."""
     report = validate_tower(t)
     if not report.valid:
         raise TowerDefectError("irreducibility applies to valid towers only: %s" % report.detail)
-    details = []
-    for decided, detail in _failed_conditions(t):
-        if decided:
-            return IrreducibilityReport("no", [detail])
-        details.append(detail)
-    return IrreducibilityReport("undecided" if details else "yes", details)
+    detail = next(_failed_conditions(t), None)
+    return IrreducibilityReport("yes") if detail is None else IrreducibilityReport("no", [detail])
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +437,7 @@ def _p_subgroup_index_sets(G: FiniteGroup, p: int, conj):
     tables."""
     elems = G._raw_elements()
     base = G.chain().base
-    xs = sorted(map(element_index(elems, base), sylow_subgroup(G, p)._raw_elements()))
+    xs = sorted(map(G._element_position(), sylow_subgroup(G, p)._raw_elements()))
     found = _cyclic_extension(xs, _right_rows(elems, base, xs))
     pool = {k: gens for k, gens in _by_size(found) if len(k) > 1}
     queue = list(pool.items())
@@ -532,7 +482,8 @@ def tower_probe(G: FiniteGroup, min_height: int):
     and fails item 3 whatever lies lower, so only the second mask is offered
     directly below.  A full-height leaf checks item 3 by _acts_trivially on
     its top kernel, as validate_tower does; only a leaf that passes becomes
-    a Tower, and it is returned only if validate_tower accepts it.
+    a Tower, which keeps the leaf's kernel sets, and it is returned only if
+    validate_tower accepts it.
 
     Above height one a group with a single prime divisor answers None
     before any candidate is listed, and the top stage is offered only the
@@ -598,11 +549,14 @@ def tower_probe(G: FiniteGroup, min_height: int):
         """normed: the candidates that every stage above the last normalizes."""
         if len(stages) == min_height:
             bottom_up = [[elems[j] for j in sorted(cands[i][1])] for i in reversed(stages)]
-            if _acts_trivially(bottom_up, _kernel_sets(bottom_up, base)):
+            kernels = _kernel_sets(bottom_up, base)
+            if _acts_trivially(bottom_up, kernels):
                 return None
             t = Tower(
                 G, [(cands[i][0], G._subgroup_raw([elems[x] for x in cands[i][2]])) for i in stages]
             )
+            # the leaf's element lists and kernel sets are the tower's own
+            t._kernel_positions = bottom_up, kernels
             return t if validate_tower(t).valid else None
         if not stages:
             allowed = tops

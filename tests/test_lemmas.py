@@ -8,6 +8,7 @@ import ast
 import gc
 import hashlib
 import json
+import itertools
 import math
 import weakref
 from pathlib import Path
@@ -21,13 +22,12 @@ from cppo.errors import GroupError
 from cppo.group import FiniteGroup
 from cppo.harness import lemma_checks_to_doc
 from cppo.lemmas import MICRO_SUITE, REGISTRY, LemmaCheck, _affine
-from cppo.permutation import Permutation, identity_raw
+from cppo.permutation import Permutation, identity_raw, mul_raw, order_raw
 from cppo.permutation import parse_permutation as perm
 from cppo.structure import _element_orders
 from cppo.towers import (
     Tower,
     _commutator_span,
-    _elementary_abelian_gens,
     _p_subgroup_sets,
     find_max_tower,
 )
@@ -198,6 +198,14 @@ def _existelemabelqsub_cases():
 
 EXISTELEMABELQSUB_CASES = _existelemabelqsub_cases()
 EXISTELEMABELQSUB_IDS = ["%s q=%d" % (g.name, q) for g, q in EXISTELEMABELQSUB_CASES]
+
+
+def _elementary_abelian_gens(gens, p):
+    """Whether the raw elements gens have order p and commute, that is,
+    generate an elementary abelian p-group."""
+    return all(order_raw(x) == p for x in gens) and all(
+        mul_raw(a, b) == mul_raw(b, a) for a, b in itertools.combinations(gens, 2)
+    )
 
 
 def reference_existelemabelqsub(g, qprime):

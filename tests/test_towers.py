@@ -33,10 +33,7 @@ from cppo.permutation import (
 from cppo.structure import fitting_height, is_soluble, sylow_subgroup, upper_fitting_series
 from cppo.towers import (
     Tower,
-    _elementary_abelian_gens,
-    _elementary_abelian_subgroup_gens,
     _elementary_abelian_subgroups,
-    _has_order_p,
     _moves_stage_below,
     _normalizes_all,
     _p_subgroup_sets,
@@ -69,6 +66,14 @@ def _refuse_p_subgroup_listing(monkeypatch):
         raise AssertionError("a p-subgroup was listed")
 
     monkeypatch.setattr(towers, "_p_subgroup_index_sets", refused)
+
+
+def _elementary_abelian_gens(gens, p):
+    """Whether the raw elements gens have order p and commute, that is,
+    generate an elementary abelian p-group."""
+    return all(order_raw(x) == p for x in gens) and all(
+        mul_raw(a, b) == mul_raw(b, a) for a, b in itertools.combinations(gens, 2)
+    )
 
 
 def _perms(degree, *texts):
@@ -171,6 +176,15 @@ def _counted_kernel_steps(monkeypatch):
 
     monkeypatch.setattr(towers, "_kernel_set", counted)
     return steps
+
+
+def test_a_probed_tower_keeps_its_leaf_kernel_sets(monkeypatch):
+    # the leaf's item 3 test runs the recurrence, and validate_tower on the
+    # tower it becomes reads that run: one step per stage above the bottom one
+    steps = _counted_kernel_steps(monkeypatch)
+    t = tower_probe(build("s4").group, 3)
+    assert t.height == 3 and validate_tower(t).valid
+    assert len(steps) == 2
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
@@ -372,17 +386,6 @@ def test_an_agl1_9_tower_fails_item_4():
     assert _irreducibility(t) == (
         "no",
         ["item 4: stage 2 has a proper invariant subgroup outside the frattini preimage"],
-    )
-
-
-def test_a_capped_cover_search_leaves_the_verdict_undecided(s4_tower, monkeypatch):
-    monkeypatch.setattr(towers, "_elementary_abelian_subgroup_gens", lambda Q, p: ([], False))
-    assert _irreducibility(s4_tower) == (
-        "undecided",
-        [
-            "item 3: stage 2 search capped before finding a cover",
-            "item 3: stage 3 search capped before finding a cover",
-        ],
     )
 
 
@@ -904,14 +907,20 @@ def test_max_towers_with_unfaithful_stages(atlas_id, kernel_orders):
 
 
 ELEMENTARY_CASES = [(g, p) for _, g in CORPUS_UPTO_1000 for p, _ in factorization(g.order())]
+# C2^4 x C16 holds C2^5, so its ranks run past four
+RANK_FIVE = (build("direct_product(elem_abelian(2,4),cyclic(16))").group, 2)
 
 
 @pytest.mark.parametrize(
-    "group, p", ELEMENTARY_CASES, ids=["%s p=%d" % (g.name, p) for g, p in ELEMENTARY_CASES]
+    "group, p",
+    ELEMENTARY_CASES + [RANK_FIVE],
+    ids=["%s p=%d" % (g.name, p) for g, p in ELEMENTARY_CASES + [RANK_FIVE]],
 )
-def test_elementary_abelian_subgroups_are_the_filtered_p_subgroup_list(group, p):
-    got = list(_elementary_abelian_subgroups(group, p))
+def test_elementary_abelian_subgroups_are_the_filtered_p_subgroup_list(group, p, monkeypatch):
     listed = [k for k, gens in _p_subgroup_sets(group, p) if _elementary_abelian_gens(gens, p)]
+    # each rank is built from the one below, with no p-subgroup listed
+    _refuse_p_subgroup_listing(monkeypatch)
+    got = list(_elementary_abelian_subgroups(group, p))
     assert [members for members, _ in got] == listed
     elems = group._raw_elements()
     for members, gens in got:
@@ -924,18 +933,23 @@ def test_elementary_abelian_subgroups_are_the_filtered_p_subgroup_list(group, p)
 @pytest.mark.parametrize("atlas_id, p", [("sl2_9", 3), ("s4", 2), ("agl1(8)", 2)])
 def test_elementary_abelian_subgroups_of_order_p_list_no_p_subgroup(atlas_id, p, monkeypatch):
     # the order-p subgroups come from the element orders; only a caller that
-    # reads past them makes the p-subgroups be listed
+    # reads past them makes the multiplication tables of the larger ranks
     g = build(atlas_id).group
     count = sum(order_raw(x) == p for x in g._raw_elements()) // (p - 1)
     listed = list(_elementary_abelian_subgroups(g, p))
     assert len(listed) > count
     _refuse_p_subgroup_listing(monkeypatch)
+
+    def refused(*args):
+        raise AssertionError("a multiplication table was built")
+
+    monkeypatch.setattr(towers, "_right_rows", refused)
     assert list(itertools.islice(_elementary_abelian_subgroups(g, p), count)) == listed[:count]
 
 
 def test_a_cover_by_a_subgroup_of_order_p_lists_no_p_subgroup(s4_tower, monkeypatch):
-    # below the cap item 3 reads the source lazily and stops at its first
-    # cover, which in S4's tower is a subgroup of prime order every time
+    # item 3 reads the source lazily and stops at its first cover, which
+    # in S4's tower is a subgroup of prime order every time
     _refuse_p_subgroup_listing(monkeypatch)
     assert _irreducibility(s4_tower) == ("yes", [])
 
@@ -951,39 +965,15 @@ def test_irreducibility_verdicts_over_the_max_towers_of_the_soluble_corpus():
     assert kinds == {"yes": 10, "item 2": 15}
 
 
-def test_capped_elementary_abelian_search_is_incomplete_past_rank_three():
-    # C2^4 x C16 has 31 involutions, all in the pool, but holds C2^5; the
-    # search stops at three generators, so it cannot rule out a cover
-    q = build("direct_product(elem_abelian(2,4),cyclic(16))").group
-    assert q.order() == 256
-    found, complete = _elementary_abelian_subgroup_gens(q, 2)
-    assert max(len(gens) for gens in found) == 3
-    assert not complete
-    # with p^4 not dividing |Q| no elementary abelian subgroup has rank four
-    big = build("direct_product(elem_abelian(2,3),cyclic(243))").group
-    assert big.order() == 1944
-    assert _elementary_abelian_subgroup_gens(big, 2)[1]
-
-
-@pytest.mark.parametrize("atlas_id", ["sl2_9", "psl2(7)", "agl1(7)", "sl2_3", "dihedral(15)"])
-def test_the_order_p_test_agrees_with_the_element_order(atlas_id):
-    # sl2_9 sits past degree 256, where order_raw without a base walks every point
-    g = build(atlas_id).group
-    for x in g._raw_elements():
-        o = order_raw(x)
-        for p in (2, 3, 5, 7):
-            assert _has_order_p(x, p) == (o == p), (o, p)
-
-
 @pytest.mark.parametrize(
     "atlas_id, p",
     [("dihedral(4)", 2), ("q8", 2), ("elem_abelian(2,3)", 2), ("extraspecial(2,-)", 2),
      ("extraspecial(3,+)", 3), ("s4", 2), ("s4", 3)],
 )
-def test_elementary_abelian_search_below_the_cap_finds_every_subgroup(atlas_id, p):
+def test_elementary_abelian_subgroups_meet_the_element_level_definition(atlas_id, p):
     # the element-level definition, on every nontrivial subgroup of the chain reference
     g = build(atlas_id).group
-    found, complete = _elementary_abelian_subgroup_gens(g, p)
+    found = [gens for _, gens in _elementary_abelian_subgroups(g, p)]
     want = {
         members
         for members, _ in _ref_all_subgroups(g)[1:]
@@ -991,7 +981,66 @@ def test_elementary_abelian_search_below_the_cap_finds_every_subgroup(atlas_id, 
         and all(mul_raw(x, y) == mul_raw(y, x) for x in members for y in members)
     }
     got = [frozenset(g._subgroup_raw(gens)._raw_elements()) for gens in found]
-    assert complete and len(got) == len(set(got)) and set(got) == want
+    assert len(got) == len(set(got)) and set(got) == want
+
+
+@pytest.mark.parametrize("atlas_id", ["sl2_9", "psl2(7)", "agl1(7)", "sl2_3", "dihedral(15)"])
+def test_the_order_p_subgroups_agree_with_the_element_order(atlas_id):
+    # rank one is read off the element orders; sl2_9 sits past degree 256,
+    # where order_raw without a base walks every point
+    g = build(atlas_id).group
+    elems = g._raw_elements()
+    for p in (2, 3, 5, 7):
+        want = {
+            frozenset(g._subgroup_raw([x])._raw_elements()) for x in elems if order_raw(x) == p
+        }
+        rank_one = itertools.takewhile(
+            lambda sub: len(sub[0]) == p, _elementary_abelian_subgroups(g, p)
+        )
+        got = []
+        for members, gens in rank_one:
+            assert len(gens) == 1 and order_raw(gens[0]) == p
+            got.append(frozenset(map(elems.__getitem__, members)))
+        assert len(got) == len(set(got)) and set(got) == want
+
+
+@pytest.mark.parametrize(
+    "atlas_id, top_rank",
+    [("direct_product(elem_abelian(2,4),cyclic(16))", 5),
+     ("direct_product(elem_abelian(2,3),cyclic(243))", 3)],
+)
+def test_elementary_abelian_ranks_run_to_the_largest_subgroup(atlas_id, top_rank):
+    # C2^4 x C16 holds C2^5, past the three generators a capped search
+    # would reach; with 2^4 not dividing 1944 the ranks of C2^3 x C243 stop at three
+    g = build(atlas_id).group
+    ranks = Counter(len(gens) for _, gens in _elementary_abelian_subgroups(g, 2))
+    assert max(ranks) == top_rank and ranks[top_rank] == 1
+
+
+def test_elementary_abelian_subgroups_of_order_256_commute_and_are_independent():
+    # the pool of 48 involutions holds non-commuting pairs, which no join takes
+    q = build("direct_product(dihedral(4),extraspecial(2,+))").group
+    assert (q.order(), q.degree) == (256, 36)
+    elems = q._raw_elements()
+    sets = []
+    for members, gens in _elementary_abelian_subgroups(q, 2):
+        assert len(members) == 2 ** len(gens)
+        assert all(order_raw(x) == 2 for x in gens)
+        assert all(mul_raw(x, y) == mul_raw(y, x) for x in gens for y in gens)
+        assert frozenset(q._subgroup_raw(gens)._raw_elements()) == frozenset(
+            map(elems.__getitem__, members)
+        )
+        sets.append(members)
+    assert len(sets) == len(set(sets)) > 48
+
+
+def test_no_elementary_abelian_cover_fails_item_3(s4_tower, monkeypatch):
+    # with the source exact, a search that finds no cover is a "no", never undecided
+    monkeypatch.setattr(towers, "_elementary_abelian_subgroups", lambda Q, p: iter(()))
+    assert _irreducibility(s4_tower) == (
+        "no",
+        ["item 3: no elementary abelian subgroup above covers stage 2"],
+    )
 
 
 def test_probe_matches_the_chain_reference(small_soluble):
@@ -1077,23 +1126,6 @@ def test_probe_tries_one_top_stage_per_conjugacy_class(atlas_id, classes):
     finally:
         sys.setprofile(profiler)
     assert len(tops) == len(set(tops)) == classes == _conj_raw_class_count(g)
-
-
-def test_capped_elementary_abelian_search_skips_non_commuting_pairs():
-    # past the cap the pool of 48 involutions holds non-commuting pairs,
-    # which are skipped; every list kept is independent and commuting
-    q = build("direct_product(dihedral(4),extraspecial(2,+))").group
-    assert (q.order(), q.degree) == (256, 36)
-    found, complete = _elementary_abelian_subgroup_gens(q, 2)
-    sets = []
-    for gens in found:
-        members = q._subgroup_raw(gens)._raw_elements()
-        assert len(members) == 2 ** len(gens)
-        assert all(order_raw(x) <= 2 for x in members)
-        assert all(mul_raw(x, y) == mul_raw(y, x) for x in gens for y in gens)
-        sets.append(frozenset(members))
-    assert len(sets) == len(set(sets)) > 0
-    assert not complete
 
 
 @pytest.mark.parametrize(
