@@ -15,9 +15,11 @@ over a corpus:
 Groups that are not CPPO are recorded as not applicable together with the
 witness commutator.  The fields that need G's elements are filled by one
 routine inside the package's only handler of the cap error: past G's cap
-it marks skipped the fields of one table, five for a soluble group and
-seven for an insoluble one, and no other field depends on the cap.  Reports serialize to a canonical structured form, so
-identical corpus and seed give byte-identical output.
+it marks skipped the fields of one table, three for a soluble group and
+seven for an insoluble one, and no other field depends on the cap.  A
+soluble group's R(G) = G and its Fitting height, read off the lower
+nilpotent series, need no elements.  Reports serialize to a canonical
+structured form, so identical corpus and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import (
 from .group import FiniteGroup
 from .lemmas import REGISTRY, LemmaCheck
 from .structure import (
+    fitting_height,
     identify_simple_eppo,
     is_perfect,
     is_soluble,
@@ -50,7 +53,7 @@ SCHEMA_VERSION = 1
 # the report fields that need G's elements, by solubility: past G's cap each
 # is a skip marker, and every other field stays exact
 _PAST_CAP_FIELDS = {
-    True: ("is_eppo", "is_cppo", "radical_order", "fitting_height", "tower_height"),
+    True: ("is_eppo", "is_cppo", "tower_height"),
     False: ("is_eppo", "is_cppo", "radical_order", "derived_radical_order",
             "derived_radical_is_2_group", "derived_radical_closure_order", "simple_quotient"),
 }
@@ -110,6 +113,10 @@ def classify(G: FiniteGroup) -> ClassificationReport:
     derived = G.derived_subgroup()
     r.derived_order = derived.order()
     r.derived_primes = prime_factors(derived.order())
+    if r.is_soluble:
+        # R(G) = G, and the lower nilpotent series is chain closures only
+        r.radical_order = order
+        r.fitting_height = fitting_height(G)
     try:
         _element_fields(G, derived, r)
     except EnumerationCapError as e:
@@ -138,13 +145,11 @@ def classify(G: FiniteGroup) -> ClassificationReport:
 def _element_fields(G: FiniteGroup, derived: FiniteGroup, r: ClassificationReport) -> None:
     """Fill the fields of r that need G's elements.
 
-    R(G) comes first: it is read off the upper Fitting series, which
-    enumerates G, so past G's cap the cap error leaves before any field is
-    set.  Below the cap nothing after it can hit that cap, since G', R(G')
-    and G'/R(G') are no larger than G.
+    The EPPO witness comes first: it enumerates G, so past G's cap the cap
+    error leaves before any field is set.  Below the cap nothing after it
+    can hit that cap, since R(G), G', R(G') and G'/R(G') are no larger
+    than G.
     """
-    radical = soluble_radical(G)
-    r.radical_order = radical.order()
     ew = G.eppo_witness()
     r.is_eppo = ew is None
     cw = G.cppo_witness()
@@ -160,14 +165,14 @@ def _element_fields(G: FiniteGroup, derived: FiniteGroup, r: ClassificationRepor
         r.derived_is_eppo = all(is_prime_power(classes[k].order) for k in G.derived_classes())
 
     if r.is_soluble:
-        # the series is built anyway for R(G) and find_max_tower
-        r.fitting_height = len(upper_fitting_series(G).terms) - 1
         try:
             r.tower_height, tower = find_max_tower(G)
             r.tower_witness = tower_to_data(tower)
         except TowerDefectError as e:
             r.tower_height = "defect: %s" % e
         return
+    radical = soluble_radical(G)
+    r.radical_order = radical.order()
     # R(G') = G' n R(G), so G'/R(G') is (G/R(G))', read off the last
     # quotient that G's own series keeps
     top = derived
@@ -213,7 +218,7 @@ def run_theorem_suite(documents, cap: int | None = None, strict: bool = False) -
     failures = []
     skips = []
     for doc in documents:
-        # the group carries the suite's cap, so one budget governs R(G) too
+        # the group carries the suite's cap, so one budget governs all of classify
         rep = classify(load_group_spec(doc).with_cap(cap))
         reports.append(rep)
         for verdict, label in ((rep.theorem1, "theorem1"), (rep.theorem2, "theorem2")):

@@ -14,6 +14,7 @@ from cppo.atlas import catalog_names
 from cppo.cli import main
 from cppo.corpus import write_corpus_file
 from cppo.harness import SCHEMA_VERSION, lemma_suite_to_text, run_lemma_suite
+from cppo.permutation import Permutation
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -195,6 +196,65 @@ def test_classify_beyond_the_group_cap(capsys):
     assert "second_derived_equals_derived: True" in out
     assert "theorem2: not_applicable" in out
     assert main(["--strict", "classify", "atlas:sym(9)"]) == 1
+
+
+def _generators(images):
+    """Cycle strings on points 1..n for 0-based image tables on range(n)."""
+    return [str(Permutation.from_zero_based(t)) for t in images]
+
+
+# soluble groups past the default cap: (degree, generators, order, Fitting height)
+SOLUBLE_PAST_THE_CAP = [
+    pytest.param(
+        509,
+        # AGL(1,509): x -> x+1 and x -> 2x on the integers mod 509
+        _generators([[(x + 1) % 509 for x in range(509)], [2 * x % 509 for x in range(509)]]),
+        258572,
+        2,
+        id="agl1_509",
+    ),
+    pytest.param(
+        16,
+        ["(1 2)", "(1 2 3 4)", "(1 5 9 13)(2 6 10 14)(3 7 11 15)(4 8 12 16)"],
+        1327104,
+        3,
+        id="s4_wr_c4",
+    ),
+    pytest.param(
+        32,
+        # the Sylow 2-subgroup of S_32: (1 2), (1 3)(2 4), ..., (1 17)...(16 32)
+        _generators([[x ^ k if x < 2 * k else x for x in range(32)] for k in (1, 2, 4, 8, 16)]),
+        2**31,
+        1,
+        id="sylow2_s32",
+    ),
+]
+PAST_CAP_ROW = ["is_eppo", "is_cppo", "tower_height"]
+
+
+@pytest.mark.parametrize("degree, generators, order, height", SOLUBLE_PAST_THE_CAP)
+def test_classify_a_soluble_group_past_the_cap_keeps_r_and_the_height(
+    tmp_path, capsys, degree, generators, order, height
+):
+    # R(G) = G, and the Fitting height is read off the lower nilpotent
+    # series, so only the three fields that need G's elements are skipped
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"name": "g", "degree": degree, "generators": generators}))
+    marker = "skipped: too large (cap=200000)"
+    assert main(["classify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "\norder: %d\n" % order in out and "\nradical_order: %d\n" % order in out
+    assert "fitting_height: %d\n" % height in out
+    for fld in PAST_CAP_ROW:
+        assert "%s: %s\n" % (fld, marker) in out
+    assert "theorem1: not_applicable\n" in out
+    assert main(["--format", "structured", "classify", str(path)]) == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["order"] == report["radical_order"] == order
+    assert report["fitting_height"] == height
+    assert [f for f, v in report.items() if v == marker] == PAST_CAP_ROW
+    assert report["theorem1"] == "not_applicable"
+    assert main(["--strict", "classify", str(path)]) == 1
 
 
 # 63 classes, more than the normal-subgroup lattice takes, yet well within

@@ -226,8 +226,8 @@ def test_low_cap_produces_skip_markers():
     marker = "skipped: too large (cap=10)"
     assert r.is_eppo == marker and r.is_cppo == marker
     assert r.tower_height == marker
-    # one budget: R(G) and the Fitting height need G's elements too
-    assert r.radical_order == marker and r.fitting_height == marker
+    # R(G) = G for a soluble group, and its Fitting height is chain closures
+    assert r.radical_order == 24 and r.fitting_height == 3
     # the chain-only structural facts are still present
     assert r.order == 24 and r.derived_order == 12
     assert r.theorem1 == "not_applicable"
@@ -245,13 +245,11 @@ def test_group_cap_below_the_order_gives_skip_markers():
     s4 = FiniteGroup(build("s4").group.generators, degree=4, cap=20)
     marker = "skipped: too large (cap=20)"
     r = classify(s4)
-    assert r.radical_order == marker and r.fitting_height == marker
+    assert r.radical_order == 24 and r.fitting_height == 3
     assert r.is_eppo == marker and r.is_cppo == marker and r.tower_height == marker
     assert r.order == 24 and r.derived_order == 12
     assert r.theorem1 == "not_applicable" and r.theorem2 == "not_applicable"
-    assert [f for f, _ in skipped_fields(r)] == [
-        "is_eppo", "is_cppo", "radical_order", "fitting_height", "tower_height"
-    ]
+    assert [f for f, _ in skipped_fields(r)] == ["is_eppo", "is_cppo", "tower_height"]
 
 
 def test_group_cap_skips_the_derived_radical_block():
@@ -266,7 +264,7 @@ def test_group_cap_skips_the_derived_radical_block():
     assert r.theorem2 == "not_applicable"
 
 
-SOLUBLE_PAST_CAP = ["is_eppo", "is_cppo", "radical_order", "fitting_height", "tower_height"]
+SOLUBLE_PAST_CAP = ["is_eppo", "is_cppo", "tower_height"]
 INSOLUBLE_PAST_CAP = [
     "is_eppo",
     "is_cppo",
@@ -276,21 +274,36 @@ INSOLUBLE_PAST_CAP = [
     "derived_radical_closure_order",
     "simple_quotient",
 ]
+# past the cap these keep their defaults: only the skipped fields fill them
+UNFILLED_PAST_CAP = {
+    "derived_is_eppo": None,
+    "tower_witness": None,
+    "theorem1": "not_applicable",
+    "theorem2": "not_applicable",
+    "witnesses": {},
+}
 
 
 def assert_caps_skip_one_table(g, caps):
     """At cap |G| nothing classify enumerates is larger than G, so the report
-    is the default one; at each cap in caps, all below |G|, R(G) meets the
-    cap first and the skipped fields are one fixed list per solubility.
-    Returns whether g is soluble."""
+    is the default one; at each cap in caps, all below |G|, the EPPO witness
+    meets the cap first, the skipped fields are one fixed list per
+    solubility, and every field that needs no element is as at cap |G|.
+    For a soluble g the Fitting height, which lists no element, is checked
+    against the maximal tower, which enumerates.  Returns whether g is
+    soluble."""
     default = classify(g)
     assert reports_to_text([classify(g.with_cap(g.order()))]) == reports_to_text([default])
+    if default.is_soluble:
+        assert default.fitting_height == default.tower_height, g.name
     want = SOLUBLE_PAST_CAP if default.is_soluble else INSOLUBLE_PAST_CAP
     for cap in caps:
         r = classify(g.with_cap(cap))
         marker = "skipped: too large (cap=%d)" % cap
         assert skipped_fields(r) == [(fld, marker) for fld in want], g.name
-        assert r.witnesses == {} and r.tower_witness is None and r.derived_is_eppo is None
+        for fld, v in vars(r).items():
+            if fld not in want:
+                assert v == UNFILLED_PAST_CAP.get(fld, getattr(default, fld)), (g.name, fld)
     return default.is_soluble
 
 
@@ -303,6 +316,20 @@ def test_a_cap_at_the_order_is_no_cap_and_one_below_skips_one_table():
             continue
         seen[assert_caps_skip_one_table(g, [n - 1])] += 1
     assert seen == {True: 25, False: 15}
+
+
+def test_soluble_corpus_heights_agree_with_the_maximal_tower():
+    # the tower theorem: two independent computations, the lower nilpotent
+    # series and find_max_tower's enumeration, give one height
+    checked = 0
+    for doc in default_corpus():
+        g = load_group_spec(doc)
+        if not structure.is_soluble(g):
+            continue
+        r = classify(g)
+        assert r.fitting_height == r.tower_height == structure.fitting_height(g), g.name
+        checked += 1
+    assert checked == 25
 
 
 def _cycle(n, points):
