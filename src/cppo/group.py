@@ -10,9 +10,11 @@ themselves.  Conjugacy classes form no conjugate: an element is fixed by its
 images of the chain's base, so each generator acts on element indices
 through a table read off those images, and the classes are the orbits of the
 index tables, walked by orbits, the one sweep that also gives the tower
-probe its candidate classes.  The tables cost one row per element per
-generator, so a group with more than two generators and |G| > degree^2
-sweeps on a pair of elements checked to generate it, when one is found.
+probe its candidate classes.  The sweep hands back the elements themselves
+in the order of the sorted element list, so each orbit is its class's
+sorted member list.  The tables cost one row per element per generator, so
+a group with more than two generators and |G| > degree^2 sweeps on a pair
+of elements checked to generate it, when one is found.
 Commutators are read off the class table: one scan names, for each class
 representative r and each s in its class, the class of the commutator
 r^-1 s.  The commutator set is the union of the classes the scan hits.  The
@@ -268,10 +270,8 @@ class FiniteGroup:
             # moves[i][j] is the index of elems[j]'s conjugate by the i-th class generator
             base = self.chain().base
             moves = conjugation_tables(elems, base, self._class_gens())
-            out = [
-                _RawClass(elems[orbit[0]], [elems[j] for j in orbit], base)
-                for orbit in orbits(moves, len(elems))
-            ]
+            # elems is sorted, so each orbit is its class's sorted member list
+            out = [_RawClass(members[0], members, base) for members in orbits(moves, elems)]
             out.sort(key=lambda c: (len(c.members), c.rep))
             self._classes = out
         return self._classes

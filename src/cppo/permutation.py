@@ -24,7 +24,9 @@ up, by their images of a base past degree 256.  Rows of base images
 (base_rows) are mapped through g by map_rows, the form of mul_all for rows
 shorter than a table.  orbits walks the orbits of index tables: a group's
 conjugacy classes, and the classes of any family of index sets it
-conjugates.
+conjugates.  It labels each index with its orbit and hands back the
+caller's values in index order, so an orbit of a sorted list comes out
+sorted with no sort.
 
 Composition is left to right: (p * q) moves a point first through p, then
 through q, matching the conjugation convention x^y = y^-1 x y and
@@ -38,6 +40,7 @@ import math
 import operator
 import re
 from array import array
+from collections import deque
 from itertools import compress
 
 from .errors import CycleParseError, DegreeMismatchError
@@ -239,25 +242,30 @@ def multiplication_tables(xs, base, gens):
     return _index_tables(xs, base, [(g, base) for g in gens])
 
 
-def orbits(tables, n):
-    """The orbits of range(n) under the index tables, each a sorted list, in
-    order of least member; each table maps range(n) onto itself, as the
-    tables of conjugation_tables do on a list closed under conjugation."""
-    seen = bytearray(n)
+def orbits(tables, values):
+    """The orbits of the indices of values under the index tables, each the
+    list of values at its indices in index order, in order of least index;
+    each table maps range(len(values)) onto itself, as the tables of
+    conjugation_tables do on a list closed under conjugation.
+
+    A walk labels each index with its orbit's list, and one pass in index
+    order appends the values, so no orbit is sorted.
+    """
+    label = [None] * len(values)
     out = []
-    for i in range(n):
-        if seen[i]:
+    for i in range(len(values)):
+        if label[i] is not None:
             continue
-        seen[i] = 1
-        orbit = [i]
-        for j in orbit:
+        orbit = label[i] = []
+        out.append(orbit)
+        todo = [i]
+        for j in todo:
             for move in tables:
                 k = move[j]
-                if not seen[k]:
-                    seen[k] = 1
-                    orbit.append(k)
-        orbit.sort()
-        out.append(orbit)
+                if label[k] is None:
+                    label[k] = orbit
+                    todo.append(k)
+    deque(map(list.append, label, values), 0)
     return out
 
 

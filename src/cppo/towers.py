@@ -36,7 +36,8 @@ conjugate would top the conjugate tower, found earlier.  The top stage is
 therefore drawn from one candidate per class, and the answer is the same.
 The classes are the orbits of the candidates' conjugation tables, kept
 from the closure that adds the conjugates to them, under the sweep that
-gives G's element classes (orbits): each top stage is an orbit's least.
+gives G's element classes (orbits), which hands back the candidate indices
+in index order: each top stage is an orbit's first.
 """
 
 from __future__ import annotations
@@ -516,7 +517,7 @@ def tower_probe(G: FiniteGroup, min_height: int):
         for row, t in zip(moves, tables):
             row.extend(i + len(cands) for i in t)
         cands += [(p, members, gens) for members, gens in pairs]
-    tops = sum(1 << orbit[0] for orbit in orbits(moves, len(cands)))
+    tops = sum(1 << orbit[0] for orbit in orbits(moves, range(len(cands))))
     movers = sorted({x for _, _, gens in cands for x in gens})
     conj = dict(zip(movers, conjugation_tables(elems, base, [elems[x] for x in movers])))
     prime_bits = {p: 0 for p in primes}

@@ -374,6 +374,24 @@ def test_only_classify_catches_the_cap_error():
     )
 
 
+def test_the_orbit_sweep_sorts_nothing():
+    """permutation.orbits hands back the caller's values in index order, so
+    an orbit of a sorted list is sorted already: it calls neither sorted nor
+    a .sort method."""
+    tree = ast.parse((SRC / "permutation.py").read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "orbits"]
+    sorts = [
+        "line %d" % node.lineno
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "sorted")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "sort")
+        )
+    ]
+    assert sorts == [], "permutation.orbits sorts: %s" % ", ".join(sorts)
+
+
 def test_a_quotient_overrides_only_the_identity_mode_enumerations():
     """quotient_by_normal sets a quotient's chain and hands it the rows of
     its coset walk, so QuotientGroup re-derives nothing FiniteGroup derives:

@@ -32,6 +32,7 @@ from cppo.permutation import (
     mul_all,
     mul_raw,
     multiplication_tables,
+    orbits,
     order_raw,
     pow_raw,
     raw_from_images,
@@ -347,6 +348,65 @@ def test_index_tables_match_one_product_at_a_time(group):
     for table, g in zip(conjugation_tables(xs, base, gens), gens):
         assert [xs[j] for j in table] == [conj_raw(x, g) for x in xs]
     assert multiplication_tables(xs, base, []) == []
+
+
+def _orbits_by_sorting(tables, n):
+    """The orbits of range(n) under the tables, by a breadth-first walk from
+    each least unseen index and a sort of what it reaches."""
+    seen = set()
+    out = []
+    for i in range(n):
+        if i in seen:
+            continue
+        seen.add(i)
+        orbit = [i]
+        for j in orbit:
+            for t in tables:
+                if t[j] not in seen:
+                    seen.add(t[j])
+                    orbit.append(t[j])
+        out.append(sorted(orbit))
+    return out
+
+
+def _index_permutations(rng, n, count):
+    tables = []
+    for _ in range(count):
+        t = list(range(n))
+        rng.shuffle(t)
+        tables.append(t)
+    return tables
+
+
+@pytest.mark.parametrize("count", range(4))
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 8, 31, 64))
+@pytest.mark.parametrize("seed", range(4))
+def test_orbits_match_a_walk_then_sort(seed, n, count):
+    rng = random.Random(1000 * seed + n)
+    tables = _index_permutations(rng, n, count)
+    expected = _orbits_by_sorting(tables, n)
+    assert orbits(tables, range(n)) == expected
+    # values at the indices are handed back themselves, in index order
+    values = [object() for _ in range(n)]
+    got = orbits(tables, values)
+    assert [len(o) for o in got] == [len(o) for o in expected]
+    for orbit, indices in zip(got, expected):
+        assert all(x is values[j] for x, j in zip(orbit, indices))
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 64))
+def test_orbits_of_a_transitive_table_set_are_one_list(n):
+    rng = random.Random(n)
+    points = list(range(n))
+    rng.shuffle(points)
+    # one table is a single n-cycle through the points in shuffled order
+    cycle = [0] * n
+    for a, b in zip(points, points[1:] + points[:1]):
+        cycle[a] = b
+    values = ["v%d" % i for i in range(n)]
+    for tables in ([cycle], [cycle] + _index_permutations(rng, n, 2)):
+        assert orbits(tables, range(n)) == [list(range(n))]
+        assert orbits(tables, values) == [values]
 
 
 def _sl2_9_mod_centre():
