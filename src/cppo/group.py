@@ -10,11 +10,11 @@ themselves.  Conjugacy classes form no conjugate: an element is fixed by its
 images of the chain's base, so each generator acts on element indices
 through a table read off those images, and the classes are the orbits of the
 index tables, walked by orbits, the one sweep that also gives the tower
-probe its candidate classes.  The sweep hands back the elements themselves
-in the order of the sorted element list, so each orbit is its class's
-sorted member list.  The tables cost one row per element per generator, so
-a group with more than two generators and |G| > degree^2 sweeps on a pair
-of elements checked to generate it, when one is found.
+probe its candidate classes.  The sweep runs on the element list in the
+order it is held, so each class's members come in that order and its
+representative is their minimum.  The tables cost one row per element per
+generator, so a group with more than two generators and |G| > degree^2
+sweeps on a pair of elements checked to generate it, when one is found.
 Commutators are read off the class table: one scan names, for each class
 representative r and each s in its class, the class of the commutator
 r^-1 s.  The commutator set is the union of the classes the scan hits.  The
@@ -31,8 +31,10 @@ walked on those rows alone, with no product formed.
 Each coset keeps its link (the coset and generator it was met from) and its
 rows, which projection maps through an element; its least element is the
 minimum of one batch product, formed only when a lift first needs it.  All
-derived data is produced in a deterministic order: element lists are sorted
-lexicographically by image table, classes by (size, least member).
+derived data is produced in a deterministic order: a group keeps one element
+list, in the chain's enumeration order (or as G's classes hand it to G') until
+a reader that needs its order asks, which sorts it in place lexicographically
+by image table; classes are ordered by (size, least member).
 
 Every other result a group keeps, here or in structure and towers, is
 memoized on it by one decorator, `cached`, so only this module knows how a
@@ -102,15 +104,16 @@ def _commutator_seeds(degree, pairs) -> list:
 
 
 class _RawClass:
-    """A conjugacy class: least member as representative, sorted members, and
-    the element order every member shares."""
+    """A conjugacy class: least member as representative, the members in the
+    order of the element list the sweep ran on, and the element order every
+    member shares."""
 
     __slots__ = ("rep", "members", "order")
 
-    def __init__(self, rep, members, base):
-        self.rep = rep
+    def __init__(self, members, base):
+        self.rep = min(members)
         self.members = members
-        self.order = order_raw(rep, base)
+        self.order = order_raw(self.rep, base)
 
 
 class ConjugacyClass:
@@ -176,6 +179,7 @@ class FiniteGroup:
         self._raw_gens: list = raw
         self._chain = None
         self._elements = None
+        self._elements_sorted = False
         self._classes = None
         self._cache: dict = {}
 
@@ -232,24 +236,46 @@ class FiniteGroup:
 
     # -- enumeration --------------------------------------------------------
 
-    def _raw_elements(self) -> list:
+    def _listed_elements(self) -> list:
+        """The element list in the order it is held: the chain's enumeration
+        order (or the order G's classes handed it over in, for G') until
+        _raw_elements sorts it in place.  A caller keeps no index into it
+        beyond its own call."""
         if self._elements is None:
             # the chain knows the order, so a group past the cap is refused
             # before any element is formed
             if self.order() > self.cap:
                 raise EnumerationCapError(self.cap, self.cap)
-            self._keep_elements(sorted(self.chain().elements()))
+            self._keep_elements(self.chain().elements())
         return self._elements
 
+    def _raw_elements(self) -> list:
+        """The element list sorted lexicographically by image table: the one
+        list _listed_elements holds, sorted in place on the first call, and
+        checked then to hold no element twice."""
+        elems = self._listed_elements()
+        if not self._elements_sorted:
+            elems.sort()
+            # equal elements sit side by side once sorted
+            repeats = sum(map(operator.eq, elems, islice(elems, 1, None)))
+            if repeats:
+                self._elements = None
+                raise RuntimeError(
+                    "enumeration found %d distinct elements but the chain says %d"
+                    % (len(elems) - repeats, self.order())
+                )
+            self._elements_sorted = True
+        return elems
+
     def _keep_elements(self, elems) -> None:
-        """Keep the sorted list elems as the element list, once its count of
-        distinct members is checked against the chain's order."""
-        # equal elements sit side by side once sorted
-        distinct = len(elems) - sum(map(operator.eq, elems, islice(elems, 1, None)))
-        if distinct != self.order():
+        """Keep the list elems, in any order, as the element list, once its
+        length is checked against the chain's order.  That no element comes
+        twice is checked by the first reader: the class sweep's index tables,
+        or _raw_elements' sort."""
+        if len(elems) != self.order():
             raise RuntimeError(
-                "enumeration found %d distinct elements but the chain says %d"
-                % (distinct, self.order())
+                "enumeration found %d elements but the chain says %d"
+                % (len(elems), self.order())
             )
         self._elements = elems
 
@@ -266,12 +292,11 @@ class FiniteGroup:
 
     def _raw_classes(self) -> list[_RawClass]:
         if self._classes is None:
-            elems = self._raw_elements()
+            elems = self._listed_elements()
             # moves[i][j] is the index of elems[j]'s conjugate by the i-th class generator
             base = self.chain().base
             moves = conjugation_tables(elems, base, self._class_gens())
-            # elems is sorted, so each orbit is its class's sorted member list
-            out = [_RawClass(members[0], members, base) for members in orbits(moves, elems)]
+            out = [_RawClass(members, base) for members in orbits(moves, elems)]
             out.sort(key=lambda c: (len(c.members), c.rep))
             self._classes = out
         return self._classes
@@ -296,7 +321,8 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
         return [
-            ConjugacyClass(Permutation._from_raw(c.rep), c.members) for c in self._raw_classes()
+            ConjugacyClass(Permutation._from_raw(c.rep), sorted(c.members))
+            for c in self._raw_classes()
         ]
 
     def _conjugate_gen_sets(self, raw_gens):
@@ -399,14 +425,16 @@ class FiniteGroup:
         if not bad:
             return None
         for c, rinv, ks in self._commutator_class_scan():
-            for s, k in zip(c.members, ks):
-                if k in bad:
-                    return CppoWitness(
-                        commutator=Permutation._from_raw(mul_raw(rinv, s)),
-                        order=classes[k].order,
-                        left=Permutation._from_raw(c.rep),
-                        right=Permutation._from_raw(self._class_conjugator(c.rep, s)),
-                    )
+            # the least member s whose r^-1 s is bad, as a scan in sorted order meets first
+            hit = min(((s, k) for s, k in zip(c.members, ks) if k in bad), default=None)
+            if hit is not None:
+                s, k = hit
+                return CppoWitness(
+                    commutator=Permutation._from_raw(mul_raw(rinv, s)),
+                    order=classes[k].order,
+                    left=Permutation._from_raw(c.rep),
+                    right=Permutation._from_raw(self._class_conjugator(c.rep, s)),
+                )
         return None
 
     @cached
@@ -416,8 +444,8 @@ class FiniteGroup:
         G' is normal, so it is the union of these classes, and one
         membership test of each representative in G''s chain names them
         (none when G is perfect, as then G' = G).  A G' with no element list
-        yet is handed the sorted union of their members, G's own objects,
-        so its elements are never formed from products."""
+        yet is handed the union of their members, G's own objects in class
+        order, so its elements are never formed from products."""
         classes = self._raw_classes()
         derived = self.derived_subgroup()
         if derived is self:
@@ -425,7 +453,7 @@ class FiniteGroup:
         inside = derived.chain().contains_raw
         ks = [k for k, c in enumerate(classes) if inside(c.rep)]
         if derived._elements is None:
-            derived._keep_elements(sorted(x for k in ks for x in classes[k].members))
+            derived._keep_elements([x for k in ks for x in classes[k].members])
         return ks
 
     def is_cppo(self) -> bool:
@@ -528,7 +556,7 @@ class FiniteGroup:
                 raise DegreeMismatchError("centralizer target has the wrong degree")
             targets.append(g.raw)
         base = self.chain().base
-        kept = self._raw_elements()
+        kept = self._listed_elements()
         for t in targets:
             kept = conjugation_sieve(kept, base, t)
         kept = [x for x in kept if all(conj_raw(x, t) == x for t in targets)]
@@ -560,12 +588,18 @@ class QuotientGroup(FiniteGroup):
         self._least = {0: identity_raw(source.degree)}  # coset N holds the identity
 
     # In identity mode (trivial kernel) the quotient shares the source's
-    # heavy caches, since it is the same permutation group.
+    # heavy caches, its one element list included, since it is the same
+    # permutation group.
+    def _listed_elements(self):
+        if self._identity_mode:
+            self._elements = self.source._listed_elements()
+            return self._elements
+        return super()._listed_elements()
+
     def _raw_elements(self):
         if self._identity_mode:
-            elems = self.source._raw_elements()
-            self._elements = elems
-            return elems
+            self._elements = self.source._raw_elements()
+            return self._elements
         return super()._raw_elements()
 
     def _raw_classes(self):
@@ -587,7 +621,7 @@ class QuotientGroup(FiniteGroup):
             path.append(j)
             j = links[j][0]
         r = least[j]
-        gens, nraw = self.source._raw_gens, self.kernel._raw_elements()
+        gens, nraw = self.source._raw_gens, self.kernel._listed_elements()
         for j in reversed(path):
             r = least[j] = min(mul_all(nraw, mul_raw(r, gens[links[j][1]])))
         return r
@@ -647,7 +681,7 @@ def quotient_by_normal(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
     gens = G._raw_gens
     # Elements of G differ on G's base, so the least row of base images over
     # a coset names it.  The rows of N r g are those of N r mapped through g.
-    rows = [base_rows(N._raw_elements(), G.chain().base)]
+    rows = [base_rows(N._listed_elements(), G.chain().base)]
     by_key = {min(rows[0]): 0}
     links = [None]
     images = [[] for _ in gens]

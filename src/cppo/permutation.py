@@ -183,7 +183,8 @@ def _index_tables(xs, base, moves):
     key is built; each column is mapped through g in one translate (one
     map).  Up to 8 bytes of base images pack into one int key, read off an
     interleaved buffer in one pass (wider keys are tuples), and one dict
-    lookup per member turns a key into an index.
+    lookup per member turns a key into an index.  That dict is short when
+    two members share their images of base, which raises ValueError.
     """
     n = len(xs[0])
     size = 1 if n <= BYTES_MAX_DEGREE else 2 if n <= 1 << 16 else 4
@@ -211,8 +212,10 @@ def _index_tables(xs, base, moves):
             view[j :: width // size] = col
         return memoryview(buf).cast(_CODES[width])
 
-    index = dict(zip(keys(identity_raw(n), base), range(len(xs)))).__getitem__
-    return [list(map(index, keys(g, points))) for g, points in moves]
+    index = dict(zip(keys(identity_raw(n), base), range(len(xs))))
+    if len(index) < len(xs):
+        raise ValueError("%d members but %d distinct images of base" % (len(xs), len(index)))
+    return [list(map(index.__getitem__, keys(g, points))) for g, points in moves]
 
 
 def conjugation_tables(xs, base, gens):

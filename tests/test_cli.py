@@ -276,37 +276,43 @@ def test_verify_theorems_past_the_class_lattice_cap(tmp_path, capsys):
 
 def test_classify_enumerates_within_the_cap_option(monkeypatch, capsys):
     enumerated = []
-    raw_elements = FiniteGroup._raw_elements
+    keep_elements = FiniteGroup._keep_elements
 
-    def recording(self):
-        elems = raw_elements(self)
+    # every element list a group holds is formed and handed to _keep_elements
+    def recording(self, elems):
         enumerated.append(len(elems))
-        return elems
+        return keep_elements(self, elems)
 
-    monkeypatch.setattr(FiniteGroup, "_raw_elements", recording)
+    monkeypatch.setattr(FiniteGroup, "_keep_elements", recording)
     assert main(["--cap", "100", "classify", "atlas:psl2(7)"]) == 0
     assert "radical_order: skipped: too large (cap=100)" in capsys.readouterr().out
     assert main(["--cap", "100", "--strict", "classify", "atlas:psl2(7)"]) == 1
     assert max(enumerated, default=0) <= 100
+    # the hook sees enumerations: past no cap, classify lists the 168 elements
+    assert main(["classify", "atlas:psl2(7)"]) == 0
+    assert 168 in enumerated
 
 
 def test_verify_theorems_enumerates_within_the_cap_option(tmp_path, monkeypatch, capsys):
     corpus = tmp_path / "corpus.json"
     write_corpus_file(corpus, [{"atlas": "psl2", "params": [7]}])
     enumerated = []
-    raw_elements = FiniteGroup._raw_elements
+    keep_elements = FiniteGroup._keep_elements
 
-    def recording(self):
-        elems = raw_elements(self)
+    # every element list a group holds is formed and handed to _keep_elements
+    def recording(self, elems):
         enumerated.append(len(elems))
-        return elems
+        return keep_elements(self, elems)
 
-    monkeypatch.setattr(FiniteGroup, "_raw_elements", recording)
+    monkeypatch.setattr(FiniteGroup, "_keep_elements", recording)
     argv = ["verify", "theorems", "--corpus", str(corpus)]
     assert main(["--cap", "100"] + argv) == 0
     assert "radical_order skipped: too large (cap=100)" in capsys.readouterr().out
     assert main(["--cap", "100", "--strict"] + argv) == 1
     assert max(enumerated, default=0) <= 100
+    # the hook sees enumerations: past no cap, the check lists the 168 elements
+    assert main(argv) == 0
+    assert 168 in enumerated
 
 
 # an insoluble group, two soluble groups whose reports carry a tower witness,

@@ -118,12 +118,23 @@ def test_classes_match_oracle(make):
         assert c.representative == min(c.members())
 
 
+@pytest.mark.parametrize("make", [s4, a5, d10, q8, sl23, lambda: build("psl2(8)").group])
+def test_each_class_rep_is_its_least_member_and_public_members_are_sorted(make):
+    group = make()
+    for c in group._raw_classes():
+        assert c.rep == min(c.members)
+    for c in group.conjugacy_classes():
+        members = c.members()
+        assert members == sorted(members) and c.representative == members[0]
+
+
 def bfs_classes(group):
     """The classes as (rep, sorted members) in class order, by the breadth-first
     search the package used before it read conjugates off base images: each
     search frontier is conjugated by each generator, and the classes are the
-    orbits of the conjugates."""
-    elems = group._raw_elements()
+    orbits of the conjugates.  It lists the elements afresh, so the group's
+    own list stays in enumeration order."""
+    elems = sorted(group.chain().elements())
     seen = set()
     out = []
     for x in elems:
@@ -189,8 +200,14 @@ def test_classes_form_no_conjugate_and_match_the_frontier_search(name, monkeypat
     monkeypatch.setattr(cppo.group, "conj_raw", refuse)
     for group, want in zip(groups, expected):
         classes = group._raw_classes()
-        assert [(c.rep, c.members) for c in classes] == want
+        assert [(c.rep, sorted(c.members)) for c in classes] == want
         assert [c.order for c in classes] == [order_raw(rep) for rep, _ in want]
+        # the sweep ran on the list in the order it is held, and each class's
+        # members come in that order
+        position = {x: i for i, x in enumerate(group._listed_elements())}
+        for c in classes:
+            at = [position[x] for x in c.members]
+            assert at == sorted(at)
 
 
 def test_pair_sweeps_are_taken_where_the_guard_allows():
@@ -241,7 +258,7 @@ def test_class_generators_fall_back_to_the_full_list(monkeypatch):
     for i, a in enumerate(asl._raw_gens):
         for b in asl._raw_gens[i + 1 :]:
             assert StabilizerChain.from_raw_generators(16, [a, b]).order() < asl.order()
-    assert [(c.rep, c.members) for c in asl._raw_classes()] == bfs_classes(asl)
+    assert [(c.rep, sorted(c.members)) for c in asl._raw_classes()] == bfs_classes(asl)
 
 
 def test_a_regular_representation_keeps_its_generators_and_builds_no_chain(monkeypatch):
@@ -369,7 +386,7 @@ def per_element_order_witness(group):
     for c in group._raw_classes():
         rinv = inv_raw(c.rep)
         seen = set()
-        for s in c.members:
+        for s in sorted(c.members):
             w = mul_raw(rinv, s)
             if w in seen:
                 continue
@@ -414,7 +431,7 @@ def full_scan_cppo_witness(group):
     if not bad:
         return None
     for c, rinv, ks in group._commutator_class_scan():
-        for s, k in zip(c.members, ks):
+        for s, k in sorted(zip(c.members, ks)):
             if k in bad:
                 right = group._class_conjugator(c.rep, s)
                 return mul_raw(rinv, s), classes[k].order, c.rep, right
@@ -473,6 +490,9 @@ def test_derived_classes_hand_the_derived_subgroup_g_s_own_elements(atlas_id):
     assert derived is not group and derived._elements is None
     classes = group._raw_classes()
     ks = group.derived_classes()
+    # G' holds the union of G's classes inside it, in class order, unsorted
+    assert derived._elements == [x for k in ks for x in classes[k].members]
+    assert not derived._elements_sorted
     seeded = derived._raw_elements()
     assert seeded == sorted(derived.chain().elements())
     assert sum(len(classes[k].members) for k in ks) == derived.order()
@@ -803,6 +823,10 @@ def test_quotient_by_trivial_shares_the_group():
     group = s4()
     q = quotient_by_normal(group, group.trivial_subgroup())
     assert q.order() == 24
+    # G/1 holds G's one element list, unsorted until either sorts it
+    elems = q._listed_elements()
+    assert elems is group._listed_elements() and not group._elements_sorted
+    assert q._raw_elements() is elems and group._elements_sorted
     x = parse_permutation("(1 2 3)", 4)
     assert q.project(x) == x
     assert q.lift(x) == x
@@ -822,6 +846,33 @@ def test_a_repeated_element_fails_the_enumeration_check(monkeypatch):
         group._raw_elements()
     # nothing half-built is left behind
     assert group._elements is None
+
+
+def test_a_short_element_list_fails_the_length_check(monkeypatch):
+    group = a5()
+    chain = group.chain()
+    elements = chain.elements
+    monkeypatch.setattr(chain, "elements", lambda: elements()[:-1])
+    with pytest.raises(RuntimeError, match="59 elements but the chain says 60"):
+        group._raw_classes()
+    assert group._elements is None
+
+
+def test_a_repeated_element_fails_the_class_sweep(monkeypatch):
+    # the sweep reads the list unsorted, so its index tables must notice
+    # that two members share their images of the base
+    group = a5()
+    chain = group.chain()
+    elements = chain.elements
+
+    def repeating():
+        elems = elements()
+        return elems[:-1] + elems[:1]
+
+    monkeypatch.setattr(chain, "elements", repeating)
+    with pytest.raises(ValueError, match="60 members but 59 distinct images of base"):
+        group._raw_classes()
+    assert group._classes is None
 
 
 def test_quotient_of_sl23_by_center():

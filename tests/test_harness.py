@@ -65,6 +65,22 @@ def test_classify_computes_element_orders_per_class(monkeypatch):
     assert 0 < len(calls) <= 3 * 11
 
 
+@pytest.mark.parametrize("atlas_id", ["sz8", "psl3_4", "alt(8)", "psl34_phi_ext"])
+def test_classify_leaves_the_large_element_lists_unsorted(atlas_id):
+    """Nothing classify reads of these groups needs their elements in order,
+    so each list stays as it was formed: the chain's enumeration order, or
+    for psl34_phi_ext's G' the union of G's classes inside it."""
+    group = build(atlas_id).group
+    classify(group)
+    if atlas_id == "psl34_phi_ext":
+        classes, ks = group._raw_classes(), group.derived_classes()
+        group = group.derived_subgroup()
+        assert group._elements == [x for k in ks for x in classes[k].members]
+    else:
+        assert group._elements == group.chain().elements()
+    assert not group._elements_sorted and group._elements != sorted(group._elements)
+
+
 def test_classify_the_trivial_group_past_the_bytes_kernel():
     # degree 300 holds tuples, and the trivial group's chain has no base point
     r = classify(FiniteGroup([], degree=300))

@@ -392,14 +392,38 @@ def test_the_orbit_sweep_sorts_nothing():
     assert sorts == [], "permutation.orbits sorts: %s" % ", ".join(sorts)
 
 
+def test_the_class_sweep_and_the_derived_hand_over_sort_no_element_list():
+    """FiniteGroup._raw_classes sweeps the element list in the order it is
+    held and derived_classes hands G' the union of its classes as they
+    stand: neither calls sorted or a .sort method, but for the one sort of
+    the class list into class order."""
+    tree = ast.parse((SRC / "group.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FiniteGroup"]
+    sorts = {
+        fn.name: [
+            ast.unparse(node)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and (
+                (isinstance(node.func, ast.Name) and node.func.id == "sorted")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "sort")
+            )
+        ]
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_raw_classes", "derived_classes")
+    }
+    class_order = "out.sort(key=lambda c: (len(c.members), c.rep))"
+    assert sorts == {"_raw_classes": [class_order], "derived_classes": []}
+
+
 def test_a_quotient_overrides_only_the_identity_mode_enumerations():
     """quotient_by_normal sets a quotient's chain and hands it the rows of
     its coset walk, so QuotientGroup re-derives nothing FiniteGroup derives:
-    besides __init__ it overrides only the two enumerations that share the
-    source's element list and classes when the kernel is trivial."""
+    besides __init__ it overrides only the three enumerations that share the
+    source's one element list and classes when the kernel is trivial."""
     overrides = {
         name
         for name, value in vars(cppo.QuotientGroup).items()
         if callable(value) and hasattr(cppo.FiniteGroup, name)
     }
-    assert overrides - {"__init__"} == {"_raw_elements", "_raw_classes"}
+    assert overrides - {"__init__"} == {"_listed_elements", "_raw_elements", "_raw_classes"}
