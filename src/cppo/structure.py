@@ -352,65 +352,44 @@ def iter_normal_subgroups(G: FiniteGroup):
     formed only when the walk reaches it.
 
     A normal subgroup is a union of conjugacy classes, so all of them arise
-    as joins of the normal closures of single class representatives.  Each
-    is keyed by its signature, the set of classes it swallows, and no
+    as joins of the normal closures of single class representatives.  The
+    walk keeps only signatures, the set of classes each swallows, and no
     signature needs a chain.  An atom's signature is its class closure,
     read off the class products C_i*C_k.  For normal N and M the join is
     N*M, the union of the class products C_i*C_j over C_i in N and C_j in
     M, so a join's signature is a union of class products.
 
     The signatures wait on a heap in output order.  The one popped is
-    formed and joined with every atom; a join strictly contains both, so
-    every way to meet a signature is known when it is popped.  A subgroup
-    gets the generators a breadth-first join closure from the atoms gives
-    it, those of the first way it is met, by the key (0, pos) for the atom
-    of the class at that position among the nonidentity classes, and
-    (level + 1, key, pos) for the join of a signature with that key and
-    level with that atom.
+    joined with every atom, and a join strictly contains both, so each
+    signature is on the heap before its turn comes.  Each member is formed
+    once, as the normal closure of the representatives of its classes.
     """
     classes = G._raw_classes()
     if len(classes) > DEFAULT_CLASS_CAP:
         raise ClassCapError(len(classes), DEFAULT_CLASS_CAP)
     sizes = [len(c.members) for c in classes]
-    formed = {}  # class index -> the normal closure of its representative
-
-    def atom(k):
-        if k not in formed:
-            formed[k] = G._normal_closure_raw([classes[k].rep])
-        return formed[k]
-
     heap = []
-    met = {}  # signature -> (key, the signature it joins or None, the atom's class)
+    seen = set()
 
-    def meet(sig, key, parent, k):
-        if sig not in met:
+    def meet(sig):
+        if sig not in seen:
+            seen.add(sig)
             heapq.heappush(heap, (sum(map(sizes.__getitem__, sig)), sorted(sig), sig))
-        elif met[sig][0] <= key:
-            return
-        met[sig] = (key, parent, k)
 
     # the identity's class is the first, since classes sort by (size, least member)
-    atoms = [(_class_closure(G, k), k) for k in range(1, len(classes))]
-    for pos, (sig, k) in enumerate(atoms):
-        meet(sig, (0, pos), None, k)
+    atoms = {_class_closure(G, k) for k in range(1, len(classes))}
+    for sig in atoms:
+        meet(sig)
     yield G.trivial_subgroup()
-    found = {}  # popped signature -> its subgroup
     while heap:
         sig = heapq.heappop(heap)[2]
-        key, parent, k = met[sig]
-        if parent is None:
-            sub = atom(k)
-        else:
-            sub = G._subgroup_raw(found[parent]._raw_gens + atom(k)._raw_gens)
-        found[sig] = sub
-        yield sub
-        for pos, (asig, k) in enumerate(atoms):
+        yield G._normal_closure_raw([classes[i].rep for i in sorted(sig)])
+        for asig in atoms:
             # a join with a subgroup or overgroup is one of the two
             if asig <= sig or sig <= asig:
                 continue
             fresh = asig - sig
-            jsig = sig.union(*(_class_product(G, i, j) for i in sig for j in fresh))
-            meet(jsig, (key[0] + 1, key, pos), sig, k)
+            meet(sig.union(*(_class_product(G, i, j) for i in sig for j in fresh)))
 
 
 @cached

@@ -363,9 +363,31 @@ def test_reference_groups_include_the_lattice_rich_ones():
 
 @pytest.mark.parametrize("name, group", LATTICE_GROUPS, ids=[n for n, _ in LATTICE_GROUPS])
 def test_normal_subgroups_match_the_chain_based_reference(name, group):
-    got = [(n.order(), n._raw_gens) for n in normal_subgroups(group)]
-    want = [(n.order(), n._raw_gens) for n in chain_normal_subgroups(group)]
+    got = [(n.order(), chain_signature(group, n)) for n in normal_subgroups(group)]
+    want = [(n.order(), chain_signature(group, n)) for n in chain_normal_subgroups(group)]
     assert got == want
+
+
+def test_each_nontrivial_normal_subgroup_is_one_closure_of_its_class_representatives(
+    monkeypatch,
+):
+    g = build("direct_product(q8,dihedral(4))").group
+    reps = [c.rep for c in g._raw_classes()]
+    closures = []
+    real = FiniteGroup._normal_closure_raw
+
+    def counting(self, raw_seeds):
+        sub = real(self, raw_seeds)
+        closures.append((set(raw_seeds), sub))
+        return sub
+
+    monkeypatch.setattr(FiniteGroup, "_normal_closure_raw", counting)
+    normals = normal_subgroups(g)
+    assert len(normals) == 91
+    assert len(closures) == 90
+    for n, (seeds, sub) in zip(normals[1:], closures):
+        assert sub is n
+        assert seeds == {reps[k] for k in chain_signature(g, n)}
 
 
 def test_normal_subgroups_build_no_chain_for_a_join(monkeypatch):
